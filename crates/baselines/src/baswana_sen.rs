@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, MessageBudget, Network, NullSink, Protocol, RunError,
-    Synchronizer, TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, NullSink, Protocol, RunError, RunMetrics,
+    TraceSink,
 };
 use ultrasparse::expand::ClusterSampler;
 use ultrasparse::{FaultError, Spanner};
@@ -294,8 +294,11 @@ impl Protocol for BsNode {
     }
 }
 
-/// Runs the distributed Baswana–Sen protocol on the simulator; returns the
-/// spanner with its communication metrics.
+/// Runs the distributed Baswana–Sen protocol on `executor`, over a shared
+/// CSR adjacency with no [`Graph`] materialization, streaming round-level
+/// trace events into `sink`: one `cluster[i]` span per phase-1 iteration
+/// and a final `connect` span for phase 2. Returns the spanner (collected
+/// through the CSR edge index) with its communication metrics.
 ///
 /// # Errors
 ///
@@ -303,62 +306,17 @@ impl Protocol for BsNode {
 /// occurs for valid parameters: the protocol runs exactly k rounds with
 /// 2-word messages.
 pub fn build_distributed(
-    g: &Graph,
+    csr: &Arc<CsrAdjacency>,
     params: &BaswanaSenParams,
     seed: u64,
-) -> Result<Spanner, RunError> {
-    build_distributed_traced(g, params, seed, &mut NullSink)
-}
-
-/// Like [`build_distributed`], streaming round-level trace events into
-/// `sink`: one `cluster[i]` span per phase-1 iteration and a final
-/// `connect` span for phase 2.
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_traced(
-    g: &Graph,
-    params: &BaswanaSenParams,
-    seed: u64,
+    executor: &Executor,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let mut net = Network::new(g, MessageBudget::Words(2), seed);
-    let n = g.node_count();
-    let p = params.probability(n);
-    let states = net.run_traced(
-        |v, _| BsNode {
-            params: *params,
-            sampler: ClusterSampler::new(seed),
-            p,
-            cluster: Some(v),
-            chosen: Vec::new(),
-            iter: 0,
-            finished: false,
-        },
-        params.k + 4,
-        sink,
-    )?;
-    let mut edges = EdgeSet::new(g);
-    for (v, st) in states.iter().enumerate() {
-        for &w in &st.chosen {
-            let e = g
-                .find_edge(NodeId(v as u32), w)
-                .expect("chosen edge exists");
-            edges.insert(e);
-        }
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
+    run(csr, params, seed, executor, None, sink).0
 }
 
-/// [`build_distributed`] straight from a shared CSR adjacency, with no
-/// [`Graph`] materialization: the node protocol only reads topology through
-/// the executor, and the spanner is collected through the CSR edge index.
-/// Byte-identical spanner and metrics to the `Graph` driver (asserted in
-/// tests); the memory-lean entry point for `--scale huge` tiers.
+/// [`build_distributed`] on the sequential executor, untraced — the
+/// memory-lean entry point for `--scale huge` tiers.
 ///
 /// # Errors
 ///
@@ -368,86 +326,11 @@ pub fn build_distributed_csr(
     params: &BaswanaSenParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::Words(2), seed);
-    let n = csr.node_count();
-    let p = params.probability(n);
-    let states = net.run(
-        |v, _| BsNode {
-            params: *params,
-            sampler: ClusterSampler::new(seed),
-            p,
-            cluster: Some(v),
-            chosen: Vec::new(),
-            iter: 0,
-            finished: false,
-        },
-        params.k + 4,
-    )?;
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for (v, st) in states.iter().enumerate() {
-        for &w in &st.chosen {
-            let e = index
-                .edge_id(csr, NodeId(v as u32), w)
-                .expect("chosen edge exists");
-            edges.insert(e);
-        }
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
+    build_distributed(csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
-/// Like [`build_distributed`], executed on the event-driven asynchronous
-/// simulator with per-link latencies from `delays` and round semantics
-/// recovered by `synchronizer` (see [`spanner_netsim::AsyncNetwork`]).
-/// Builds the exact spanner of [`build_distributed`] for every delay plan,
-/// with async cost counters added to the metrics.
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_async(
-    g: &Graph,
-    params: &BaswanaSenParams,
-    seed: u64,
-    delays: &FaultPlan,
-    synchronizer: Synchronizer,
-) -> Result<Spanner, RunError> {
-    let mut net = AsyncNetwork::new(g, MessageBudget::Words(2), seed)
-        .with_delays(delays.clone())
-        .with_synchronizer(synchronizer);
-    let n = g.node_count();
-    let p = params.probability(n);
-    let states = net.run(
-        |v, _| BsNode {
-            params: *params,
-            sampler: ClusterSampler::new(seed),
-            p,
-            cluster: Some(v),
-            chosen: Vec::new(),
-            iter: 0,
-            finished: false,
-        },
-        params.k + 4,
-    )?;
-    let mut edges = EdgeSet::new(g);
-    for (v, st) in states.iter().enumerate() {
-        for &w in &st.chosen {
-            let e = g
-                .find_edge(NodeId(v as u32), w)
-                .expect("chosen edge exists");
-            edges.insert(e);
-        }
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
-}
-
-/// Runs the distributed Baswana–Sen protocol under a fault schedule.
+/// Runs the distributed Baswana–Sen protocol under a fault schedule, on
+/// the sequential executor.
 ///
 /// Never panics and never returns an unchecked spanner: the surviving
 /// output is re-certified against the fault-free host graph (spanning +
@@ -466,69 +349,78 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let net = std::cell::RefCell::new(
-        Network::new(g, MessageBudget::Words(2), seed).with_faults(plan.clone()),
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let built = run(
+        &csr,
+        params,
+        seed,
+        &Executor::Sequential,
+        Some(plan),
+        &mut NullSink,
     );
-    let n = g.node_count();
-    let p = params.probability(n);
-    ultrasparse::faults::build_certified(
-        g,
-        || {
-            let mut net = net.borrow_mut();
-            let states = net.run(
-                |v, _| BsNode {
-                    params: *params,
-                    sampler: ClusterSampler::new(seed),
-                    p,
-                    cluster: Some(v),
-                    chosen: Vec::new(),
-                    iter: 0,
-                    finished: false,
-                },
-                params.k + 4,
-            )?;
-            let mut edges = EdgeSet::new(g);
-            for (v, st) in states.iter().enumerate() {
-                for &w in &st.chosen {
-                    let e = g
-                        .find_edge(NodeId(v as u32), w)
-                        .expect("chosen edge exists");
-                    edges.insert(e);
-                }
+    ultrasparse::faults::build_certified(g, built, |s| {
+        spanner_graph::verify_stretch_exact(
+            g,
+            &s.edges,
+            spanner_graph::StretchBound::multiplicative((2 * params.k - 1) as f64),
+        )
+        .map_err(|v| v.to_string())
+    })
+}
+
+/// The one driver body: run on `executor`, collect.
+fn run(
+    csr: &Arc<CsrAdjacency>,
+    params: &BaswanaSenParams,
+    seed: u64,
+    executor: &Executor,
+    faults: Option<&FaultPlan>,
+    sink: &mut dyn TraceSink,
+) -> (Result<Spanner, RunError>, RunMetrics) {
+    let p = params.probability(csr.node_count());
+    let factory = |v, _: &mut _| BsNode {
+        params: *params,
+        sampler: ClusterSampler::new(seed),
+        p,
+        cluster: Some(v),
+        chosen: Vec::new(),
+        iter: 0,
+        finished: false,
+    };
+    let budget = MessageBudget::Words(2);
+    let (states, metrics) = execute(
+        executor,
+        faults,
+        csr,
+        budget,
+        seed,
+        factory,
+        params.k + 4,
+        sink,
+    );
+    let collect = |states: Vec<BsNode>| {
+        let index = csr.edge_index();
+        let mut edges = EdgeSet::with_universe(index.edge_count());
+        for (v, st) in states.iter().enumerate() {
+            for &w in &st.chosen {
+                let e = index
+                    .edge_id(csr, NodeId(v as u32), w)
+                    .expect("chosen edge exists");
+                edges.insert(e);
             }
-            let metrics = net.metrics();
-            Ok(Spanner {
-                edges,
-                metrics: Some(metrics),
-            })
-        },
-        || net.borrow().metrics(),
-        |s| {
-            spanner_graph::verify_stretch_exact(
-                g,
-                &s.edges,
-                spanner_graph::StretchBound::multiplicative((2 * params.k - 1) as f64),
-            )
-            .map_err(|v| v.to_string())
-        },
-    )
+        }
+        Spanner {
+            edges,
+            metrics: Some(metrics),
+        }
+    };
+    (states.map(collect), metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spanner_graph::generators;
-
-    #[test]
-    fn csr_driver_matches_graph_driver() {
-        let params = BaswanaSenParams::new(3).unwrap();
-        let g = generators::connected_gnm(300, 1_500, 17);
-        let graph_built = build_distributed(&g, &params, 5).unwrap();
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let csr_built = build_distributed_csr(&csr, &params, 5).unwrap();
-        assert_eq!(graph_built.edges, csr_built.edges);
-        assert_eq!(graph_built.metrics, csr_built.metrics);
-    }
 
     #[test]
     fn recluster_full_region_matches_build_sequential() {
@@ -621,7 +513,8 @@ mod tests {
         let g = generators::connected_gnm(200, 1_000, 9);
         let params = BaswanaSenParams::new(3).unwrap();
         let seq = build_sequential(&g, &params, 21);
-        let dist = build_distributed(&g, &params, 21).unwrap();
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        let dist = build_distributed_csr(&csr, &params, 21).unwrap();
         assert!(dist.is_spanning(&g));
         let r = dist.stretch_exact(&g);
         assert!(r.satisfies_multiplicative(params.stretch() as f64));
@@ -645,7 +538,8 @@ mod tests {
         for k in [2u32, 4] {
             let params = BaswanaSenParams::new(k).unwrap();
             let g = generators::connected_gnm(250, 2_000, 31 + k as u64);
-            let s = build_distributed(&g, &params, 5).unwrap();
+            let s =
+                build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(&g)), &params, 5).unwrap();
             assert!(s.is_spanning(&g));
             let r = s.stretch_exact(&g);
             assert!(

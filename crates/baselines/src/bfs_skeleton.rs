@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::patterns::SourceInfo;
-use spanner_netsim::{Ctx, MessageBudget, Network, NullSink, Protocol, RunError, TraceSink};
+use spanner_netsim::{
+    execute, Ctx, Executor, MessageBudget, NullSink, Protocol, RunError, TraceSink,
+};
 use ultrasparse::Spanner;
 
 /// BFS spanning forest rooted at the minimum-id vertex of each component.
@@ -85,84 +87,30 @@ impl Protocol for MinRootBfs {
     }
 }
 
-/// Distributed BFS forest: the minimum-id vertex of each component is
+/// Distributed BFS forest on `executor`, over a shared CSR adjacency with
+/// no [`Graph`] materialization: the minimum-id vertex of each component is
 /// elected root by flooding and each non-root vertex keeps one edge toward
-/// its minimum-id parent on a shortest path to the root.
+/// its minimum-id parent on a shortest path to the root. Round-level trace
+/// events stream into `sink`; the whole flood is one `elect` phase span.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors; with `max_rounds ≥ O(diameter)` none
 /// occur.
-pub fn build_distributed(g: &Graph, seed: u64, max_rounds: u32) -> Result<Spanner, RunError> {
-    build_distributed_traced(g, seed, max_rounds, &mut NullSink)
-}
-
-/// Like [`build_distributed`], streaming round-level trace events into
-/// `sink`; the whole flood is one `elect` phase span.
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_traced(
-    g: &Graph,
-    seed: u64,
-    max_rounds: u32,
-    sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    let mut net = Network::new(g, MessageBudget::Words(2), seed);
-    let states = net.run_traced(
-        |v, _| MinRootBfs {
-            best: SourceInfo { dist: 0, source: v },
-            sent: None,
-        },
-        max_rounds,
-        sink,
-    )?;
-    let mut edges = EdgeSet::new(g);
-    for v in g.nodes() {
-        let info = states[v.index()].best;
-        if info.dist == 0 {
-            continue; // component root
-        }
-        // Parent: min-id neighbor one hop closer to the same root.
-        let parent = g
-            .neighbor_ids(v)
-            .filter(|w| {
-                let b = states[w.index()].best;
-                b.source == info.source && b.dist + 1 == info.dist
-            })
-            .min()
-            .expect("BFS parent exists");
-        edges.insert(g.find_edge(v, parent).expect("edge"));
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
-}
-
-/// [`build_distributed`] straight from a shared CSR adjacency, with no
-/// [`Graph`] materialization. The parent choice (min-id neighbor one hop
-/// closer to the root) scans the sorted CSR neighbor run, so it matches
-/// the `Graph` driver exactly; byte-identical spanner and metrics
-/// (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_csr(
+pub fn build_distributed(
     csr: &Arc<CsrAdjacency>,
     seed: u64,
     max_rounds: u32,
+    executor: &Executor,
+    sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::Words(2), seed);
-    let states = net.run(
-        |v, _| MinRootBfs {
-            best: SourceInfo { dist: 0, source: v },
-            sent: None,
-        },
-        max_rounds,
-    )?;
+    let factory = |v, _: &mut _| MinRootBfs {
+        best: SourceInfo { dist: 0, source: v },
+        sent: None,
+    };
+    let budget = MessageBudget::Words(2);
+    let (states, metrics) = execute(executor, None, csr, budget, seed, factory, max_rounds, sink);
+    let states = states?;
     let index = csr.edge_index();
     let mut edges = EdgeSet::with_universe(index.edge_count());
     for v in 0..csr.node_count() {
@@ -186,24 +134,27 @@ pub fn build_distributed_csr(
     }
     Ok(Spanner {
         edges,
-        metrics: Some(net.metrics()),
+        metrics: Some(metrics),
     })
+}
+
+/// [`build_distributed`] on the sequential executor, untraced.
+///
+/// # Errors
+///
+/// Propagates simulator errors, as [`build_distributed`] does.
+pub fn build_distributed_csr(
+    csr: &Arc<CsrAdjacency>,
+    seed: u64,
+    max_rounds: u32,
+) -> Result<Spanner, RunError> {
+    build_distributed(csr, seed, max_rounds, &Executor::Sequential, &mut NullSink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spanner_graph::generators;
-
-    #[test]
-    fn csr_driver_matches_graph_driver() {
-        let g = generators::connected_gnm(250, 1_000, 9);
-        let graph_built = build_distributed(&g, 4, 64).unwrap();
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let csr_built = build_distributed_csr(&csr, 4, 64).unwrap();
-        assert_eq!(graph_built.edges, csr_built.edges);
-        assert_eq!(graph_built.metrics, csr_built.metrics);
-    }
 
     #[test]
     fn forest_size_and_spanning() {
@@ -244,7 +195,7 @@ mod tests {
     fn distributed_matches_sequential() {
         let g = generators::connected_gnm(150, 500, 9);
         let seq = build(&g);
-        let dist = build_distributed(&g, 1, 400).unwrap();
+        let dist = build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(&g)), 1, 400).unwrap();
         assert!(dist.is_spanning(&g));
         assert_eq!(dist.len(), seq.len());
         // Same root election (min id) and same min-id parent rule: the two
@@ -256,7 +207,7 @@ mod tests {
     #[test]
     fn distributed_on_disconnected() {
         let g = spanner_graph::Graph::from_edges(6, [(0u32, 1), (3, 4), (4, 5)]);
-        let s = build_distributed(&g, 2, 64).unwrap();
+        let s = build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(&g)), 2, 64).unwrap();
         assert!(s.is_spanning(&g));
         assert_eq!(s.len(), 3);
     }

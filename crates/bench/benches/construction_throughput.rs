@@ -1,28 +1,18 @@
-//! Construction-pipeline throughput: the CSR-native distributed drivers
-//! vs the `Graph`-built drivers they replace.
+//! Construction-pipeline throughput of the distributed drivers.
 //!
-//! Every `build_distributed*` driver used to take a `&Graph` and rebuild a
-//! fresh `CsrAdjacency` inside `Network::new` on every run; the CSR-native
-//! drivers (`build_distributed_csr*`) share one `Arc<CsrAdjacency>` across
-//! the executor, the fault plan, and the trace layer, and collect the
+//! Each construction runs through its CSR-native driver
+//! (`build_distributed_csr`), which shares one `Arc<CsrAdjacency>` across
+//! the executor, the fault plan, and the trace layer and collects the
 //! spanner through the CSR edge index — zero `Graph` materialization. This
-//! bench measures the end-to-end construction on both paths, asserts the
-//! outputs are byte-identical (edges **and** metrics), and records
-//! rounds/sec, total messages, wall time, and peak RSS per shape.
+//! bench records rounds/sec, total messages, wall time (best of the
+//! scale's samples), and peak RSS per shape.
 //!
-//! Environment knobs:
+//! Environment knob:
 //! * `CONSTRUCTION_THROUGHPUT_SCALE=tiny|mid|full|huge` — `tiny` is the
 //!   seconds-scale smoke run, `mid` (n = 8192) is the CI configuration,
 //!   `full` (n = 65536) the local default, `huge` (n = 2²⁰) builds the
-//!   workload through the streaming CSR generator with no `Graph` and no
-//!   Graph-driver baseline — the documented million-node row of
-//!   EXPERIMENTS.md ("Million-node runs").
-//! * `CONSTRUCTION_THROUGHPUT_ASSERT=1` — fail (panic) if any shape with
-//!   a Graph-driver baseline shows `speedup_csr < 0.9`. The two paths
-//!   execute the identical simulation (only setup and collection differ),
-//!   and the simulation's own wall time drifts by tens of percent between
-//!   identical invocations on a shared container — 0.9 is the bar that
-//!   survives that noise while still catching structural regressions.
+//!   workload through the streaming CSR generator — the documented
+//!   million-node row of EXPERIMENTS.md ("Million-node runs").
 //!
 //! Writes `BENCH_construction.json` at the repo root.
 
@@ -31,7 +21,7 @@ use std::time::Instant;
 
 use spanner_baselines::baswana_sen;
 use spanner_bench::peak_rss_bytes;
-use spanner_graph::{generators, CsrAdjacency, Graph};
+use spanner_graph::generators;
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{distributed as skel, SkeletonParams};
 use ultrasparse::Spanner;
@@ -73,30 +63,6 @@ fn scale() -> Scale {
     }
 }
 
-/// Wall-clock seconds of one run of `f`.
-fn time_once<T>(f: impl FnOnce() -> T) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64()
-}
-
-/// Best seconds per quantity over `samples` **interleaved** rounds — the
-/// min is the noise-robust estimator on a shared machine, and interleaving
-/// keeps the *ratio* robust against throughput drift between measurement
-/// windows (same discipline as `distance_throughput`).
-fn time_interleaved<const K: usize>(
-    samples: usize,
-    mut fs: [&mut dyn FnMut() -> f64; K],
-) -> [f64; K] {
-    let mut best = [f64::INFINITY; K];
-    for _ in 0..samples {
-        for (b, f) in best.iter_mut().zip(fs.iter_mut()) {
-            *b = b.min(f());
-        }
-    }
-    best
-}
-
 struct ShapeResult {
     name: &'static str,
     n: usize,
@@ -104,108 +70,64 @@ struct ShapeResult {
     rounds: u32,
     messages: u64,
     max_words: usize,
-    /// `None` at huge scale, where the Graph driver is not run.
-    graph_secs: Option<f64>,
     csr_secs: f64,
 }
 
 impl ShapeResult {
-    fn speedup_csr(&self) -> Option<f64> {
-        self.graph_secs.map(|s| s / self.csr_secs)
-    }
-
     fn rounds_per_sec(&self) -> f64 {
         self.rounds as f64 / self.csr_secs
     }
 
     fn json(&self) -> String {
-        let opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.6}"),
-            None => "null".to_string(),
-        };
         format!(
             "    {{\"shape\": \"{}\", \"n\": {}, \"m\": {}, \"rounds\": {}, \"messages\": {}, \
-             \"max_words\": {}, \"graph_secs\": {}, \"csr_secs\": {:.6}, \
-             \"rounds_per_sec\": {:.2}, \"speedup_csr\": {}}}",
+             \"max_words\": {}, \"csr_secs\": {:.6}, \"rounds_per_sec\": {:.2}}}",
             self.name,
             self.n,
             self.m,
             self.rounds,
             self.messages,
             self.max_words,
-            opt(self.graph_secs),
             self.csr_secs,
             self.rounds_per_sec(),
-            opt(self.speedup_csr().map(|s| (s * 100.0).round() / 100.0)),
         )
     }
 }
 
-/// Runs both drivers once for parity, then times them interleaved.
-/// `run_graph` and `run_csr` must be the same construction on the same
-/// topology; the parity assert is what certifies the CSR path.
+/// Runs `run` `samples` times and keeps the best wall time — the min is
+/// the noise-robust estimator on a shared machine. Every run builds the
+/// same spanner, so the counts come from the first.
 fn bench_shape(
     name: &'static str,
+    n: usize,
     m: usize,
     samples: usize,
-    run_graph: impl Fn() -> Spanner,
-    run_csr: impl Fn() -> Spanner,
+    run: impl Fn() -> Spanner,
 ) -> ShapeResult {
-    let from_graph = run_graph();
-    let from_csr = run_csr();
-    assert_eq!(from_graph.edges, from_csr.edges, "{name}: edge parity");
-    assert_eq!(
-        from_graph.metrics, from_csr.metrics,
-        "{name}: metric parity"
-    );
-    let metrics = from_csr.metrics.as_ref().expect("distributed metrics");
-    let (rounds, messages, max_words) =
-        (metrics.rounds, metrics.messages, metrics.max_message_words);
-    let [csr_secs, graph_secs] = time_interleaved(
-        samples,
-        [&mut || time_once(&run_csr), &mut || time_once(&run_graph)],
-    );
-    let r = ShapeResult {
-        name,
-        n: 0, // filled by caller
-        m,
-        rounds,
-        messages,
-        max_words,
-        graph_secs: Some(graph_secs),
-        csr_secs,
-    };
-    println!(
-        "{name}: graph {graph_secs:.3}s, csr {csr_secs:.3}s ({:.2}x), {} rounds, {} messages",
-        graph_secs / csr_secs,
-        rounds,
-        messages
-    );
-    r
-}
-
-/// Huge scale: CSR driver only, timed once (the Graph driver's whole-graph
-/// materialization is what this tier avoids).
-fn bench_shape_huge(name: &'static str, m: usize, run_csr: impl Fn() -> Spanner) -> ShapeResult {
-    let start = Instant::now();
-    let s = run_csr();
-    let csr_secs = start.elapsed().as_secs_f64();
+    let mut best = f64::INFINITY;
+    let mut first = None;
+    for _ in 0..samples {
+        let start = Instant::now();
+        let s = run();
+        best = best.min(start.elapsed().as_secs_f64());
+        first.get_or_insert(s);
+    }
+    let s = first.expect("at least one sample");
     let metrics = s.metrics.as_ref().expect("distributed metrics");
     println!(
-        "{name}: csr {csr_secs:.3}s, {} rounds, {} messages, |S| = {}",
+        "{name}: csr {best:.3}s, {} rounds, {} messages, |S| = {}",
         metrics.rounds,
         metrics.messages,
         s.len()
     );
     ShapeResult {
         name,
-        n: 0,
+        n,
         m,
         rounds: metrics.rounds,
         messages: metrics.messages,
         max_words: metrics.max_message_words,
-        graph_secs: None,
-        csr_secs,
+        csr_secs: best,
     }
 }
 
@@ -224,45 +146,20 @@ fn main() {
     let order = FibonacciParams::max_order(n).min(3);
     let fp = FibonacciParams::new(n, order, 0.5, 4).unwrap();
 
-    let mut results: Vec<ShapeResult> = if sc.name == "huge" {
-        let csr = Arc::new(generators::connected_gnm_csr(n, m, seed));
-        vec![
-            bench_shape_huge("skeleton", m, || {
-                skel::build_distributed_csr(&csr, &sk, seed).unwrap()
-            }),
-            bench_shape_huge("baswana_sen_k2", m, || {
-                baswana_sen::build_distributed_csr(&csr, &bs2, seed).unwrap()
-            }),
-        ]
-    } else {
-        let g: Graph = generators::connected_gnm(n, m, seed);
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        vec![
-            bench_shape(
-                "skeleton",
-                m,
-                sc.samples,
-                || skel::build_distributed(&g, &sk, seed).unwrap(),
-                || skel::build_distributed_csr(&csr, &sk, seed).unwrap(),
-            ),
-            bench_shape(
-                "baswana_sen_k2",
-                m,
-                sc.samples,
-                || baswana_sen::build_distributed(&g, &bs2, seed).unwrap(),
-                || baswana_sen::build_distributed_csr(&csr, &bs2, seed).unwrap(),
-            ),
-            bench_shape(
-                "fibonacci",
-                m,
-                sc.samples,
-                || fibonacci::distributed::build_distributed(&g, &fp, seed).unwrap(),
-                || fibonacci::distributed::build_distributed_csr(&csr, &fp, seed).unwrap(),
-            ),
-        ]
-    };
-    for r in &mut results {
-        r.n = n;
+    let csr = Arc::new(generators::connected_gnm_csr(n, m, seed));
+    let mut results = vec![
+        bench_shape("skeleton", n, m, sc.samples, || {
+            skel::build_distributed_csr(&csr, &sk, seed).unwrap()
+        }),
+        bench_shape("baswana_sen_k2", n, m, sc.samples, || {
+            baswana_sen::build_distributed_csr(&csr, &bs2, seed).unwrap()
+        }),
+    ];
+    // The huge tier records the skeleton and Baswana–Sen rows only.
+    if sc.name != "huge" {
+        results.push(bench_shape("fibonacci", n, m, sc.samples, || {
+            fibonacci::distributed::build_distributed_csr(&csr, &fp, seed).unwrap()
+        }));
     }
 
     let rss = peak_rss_bytes();
@@ -279,23 +176,4 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_construction.json");
     std::fs::write(path, json).expect("write BENCH_construction.json");
     println!("wrote {path} (peak RSS {} MiB)", rss / (1 << 20));
-
-    // The no-regression gate: sharing one CSR across runs must not be
-    // slower than rebuilding the adjacency from a Graph every run. The
-    // bar is 0.9, not 1.0: both paths run the identical simulation and
-    // its wall time alone drifts by tens of percent on a shared machine
-    // (see the module docs); a structural regression in the CSR setup or
-    // collection path would land far below this.
-    if std::env::var("CONSTRUCTION_THROUGHPUT_ASSERT").as_deref() == Ok("1") {
-        for r in &results {
-            if let Some(s) = r.speedup_csr() {
-                assert!(
-                    s >= 0.9,
-                    "{}: CSR driver regressed vs Graph driver (speedup_csr = {s:.2})",
-                    r.name
-                );
-            }
-        }
-        println!("assertion passed: speedup_csr >= 0.9 for every shape");
-    }
 }

@@ -16,12 +16,13 @@
 //!   seed path is quadratic, so it is benchmarked only at the smaller sizes
 //!   (at d = 100 000 a single naive round is ~10⁹ comparisons).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use spanner_graph::{generators, Graph, NodeId};
-use spanner_netsim::{Ctx, MessageBudget, Network, Protocol};
+use spanner_netsim::{CsrAdjacency, Ctx, MessageBudget, Network, Protocol};
 
 /// Every node broadcasts one word per round until `ttl`, then goes quiet.
 struct Gossip {
@@ -48,8 +49,8 @@ fn run_new(g: &Graph, ttl: u32) -> u64 {
     net.metrics().messages
 }
 
-fn run_new_shared(g: &Graph, csr: &spanner_netsim::CsrAdjacency, ttl: u32) -> u64 {
-    let mut net = Network::with_adjacency(g, csr.clone(), MessageBudget::CONGEST, 1);
+fn run_new_shared(csr: &Arc<CsrAdjacency>, ttl: u32) -> u64 {
+    let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::CONGEST, 1);
     net.run(|_, _| Gossip { ttl }, ttl + 4).expect("terminates");
     net.metrics().messages
 }
@@ -120,14 +121,14 @@ mod naive {
 
 fn bench_er(c: &mut Criterion) {
     let g = generators::erdos_renyi_gnm(50_000, 150_000, 42);
-    let csr = spanner_netsim::CsrAdjacency::from_graph(&g);
+    let csr = Arc::new(CsrAdjacency::from_graph(&g));
     let ttl = 4;
     assert_eq!(run_new(&g, ttl), naive::run(&g, ttl), "same workload");
     let mut group = c.benchmark_group("round_throughput/er_50k");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(4));
     group.bench_function("seed_path", |b| b.iter(|| naive::run(&g, ttl)));
-    group.bench_function("netsim", |b| b.iter(|| run_new_shared(&g, &csr, ttl)));
+    group.bench_function("netsim", |b| b.iter(|| run_new_shared(&csr, ttl)));
     group.finish();
 }
 

@@ -5,10 +5,14 @@
 //! and prints measured |S|/n next to the analytic prediction, for both the
 //! sequential reference and the distributed protocol.
 
+use std::sync::Arc;
+
 use spanner_bench::{
-    f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed, workload,
-    workload_csr, Table, TraceOutput,
+    executor_for, f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed,
+    workload, workload_csr, Table, TraceOutput,
 };
+use spanner_graph::CsrAdjacency;
+use spanner_netsim::{Executor, NullSink};
 use ultrasparse::skeleton::{build_sequential, distributed, SkeletonParams};
 
 fn main() {
@@ -60,8 +64,10 @@ fn main() {
             }
         } else {
             let mut tr = traces.open(&format!("d{:02}", d as u32));
-            let dist = distributed::build_distributed_traced(&g, &params, 11, tr.sink())
-                .expect("distributed run");
+            let csr = Arc::new(CsrAdjacency::from_graph(&g));
+            let dist =
+                distributed::build_distributed(&csr, &params, 11, &Executor::Sequential, tr.sink())
+                    .expect("distributed run");
             tr.finish();
             dist
         };
@@ -90,7 +96,7 @@ fn main() {
 /// comparison is the experiment's payload and needs no distances.
 fn run_huge() {
     let n = 1usize << 20;
-    let threads = threads_arg();
+    let executor = executor_for(threads_arg());
     println!("E2 (Lemma 6), huge tier: skeleton size vs D, CSR-native, n = {n}.\n");
     let mut table = Table::new([
         "D",
@@ -102,16 +108,12 @@ fn run_huge() {
         "secs",
     ]);
     for d in [4.0, 8.0, 12.0] {
-        let (csr, gen_secs) = timed(|| std::sync::Arc::new(workload_csr(n, d / 2.0, 7)));
+        let (csr, gen_secs) = timed(|| Arc::new(workload_csr(n, d / 2.0, 7)));
         let params = SkeletonParams::new(d, 1.0).expect("valid params");
         let predicted = params.expected_size(n) / n as f64;
         let (dist, secs) = timed(|| {
-            if threads > 1 {
-                distributed::build_distributed_csr_parallel(&csr, &params, 11, threads)
-            } else {
-                distributed::build_distributed_csr(&csr, &params, 11)
-            }
-            .expect("distributed run")
+            distributed::build_distributed(&csr, &params, 11, &executor, &mut NullSink)
+                .expect("distributed run")
         });
         assert!(
             csr.subgraph(&dist.edges).is_connected(),

@@ -17,13 +17,16 @@
 // are called through `timed` closures that inherit its size.
 #![allow(clippy::result_large_err)]
 
+use std::sync::Arc;
+
 use spanner_baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
 use spanner_bench::{
-    f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed, workload,
-    workload_csr, Table, TraceOutput,
+    executor_for, f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed,
+    workload, workload_csr, Table, TraceOutput,
 };
 use spanner_graph::traversal::bfs_distances_csr;
 use spanner_graph::{CsrAdjacency, NodeId};
+use spanner_netsim::{Executor, NullSink};
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{self, SkeletonParams};
 
@@ -35,6 +38,8 @@ fn main() {
     let density = 8.0;
     let seed = 42;
     let g = workload(n, density, seed);
+    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let seq = Executor::Sequential;
     let pairs = scale3(4_000, 500, 120);
     let threads = threads_arg();
     let traces = TraceOutput::from_args();
@@ -91,7 +96,7 @@ fn main() {
 
     let mut tr = traces.open("bfs");
     let (s, secs) = timed(|| {
-        bfs_skeleton::build_distributed_traced(&g, seed, 10 * n as u32, tr.sink()).unwrap()
+        bfs_skeleton::build_distributed(&csr, seed, 10 * n as u32, &seq, tr.sink()).unwrap()
     });
     tr.finish();
     add_row(
@@ -139,7 +144,7 @@ fn main() {
     } else {
         let mut tr = traces.open("bs-k2");
         let (s, secs) =
-            timed(|| baswana_sen::build_distributed_traced(&g, &bs2, seed, tr.sink()).unwrap());
+            timed(|| baswana_sen::build_distributed(&csr, &bs2, seed, &seq, tr.sink()).unwrap());
         tr.finish();
         add_row(
             "Baswana-Sen k=2 [10]",
@@ -154,7 +159,7 @@ fn main() {
     let bsl = baswana_sen::BaswanaSenParams::new(klog).unwrap();
     let mut tr = traces.open("bs-klog");
     let (s, secs) =
-        timed(|| baswana_sen::build_distributed_traced(&g, &bsl, seed, tr.sink()).unwrap());
+        timed(|| baswana_sen::build_distributed(&csr, &bsl, seed, &seq, tr.sink()).unwrap());
     tr.finish();
     add_row(
         "Baswana-Sen k=log n [10]",
@@ -204,7 +209,7 @@ fn main() {
     } else {
         let mut tr = traces.open("skeleton");
         let (s, secs) = timed(|| {
-            skeleton::distributed::build_distributed_traced(&g, &sk, seed, tr.sink()).unwrap()
+            skeleton::distributed::build_distributed(&csr, &sk, seed, &seq, tr.sink()).unwrap()
         });
         tr.finish();
         add_row(
@@ -237,7 +242,7 @@ fn main() {
     } else {
         let mut tr = traces.open("fibonacci");
         let (s, secs) = timed(|| {
-            fibonacci::distributed::build_distributed_traced(&g, &fp, seed, tr.sink()).unwrap()
+            fibonacci::distributed::build_distributed(&csr, &fp, seed, &seq, tr.sink()).unwrap()
         });
         tr.finish();
         add_row(
@@ -287,7 +292,8 @@ fn run_huge() {
     let density = 8.0;
     let seed = 42;
     let threads = threads_arg();
-    let (csr, gen_secs) = timed(|| std::sync::Arc::new(workload_csr(n, density, seed)));
+    let executor = executor_for(threads);
+    let (csr, gen_secs) = timed(|| Arc::new(workload_csr(n, density, seed)));
     println!(
         "Fig. 1 reproduction, huge tier: CSR-native G(n, m), n = {n}, m = {} \
          (generated in {gen_secs:.1}s, {threads} thread(s))\n",
@@ -331,12 +337,7 @@ fn run_huge() {
 
     let sk = SkeletonParams::default();
     let (s, secs) = timed(|| {
-        if threads > 1 {
-            skeleton::distributed::build_distributed_csr_parallel(&csr, &sk, seed, threads)
-        } else {
-            skeleton::distributed::build_distributed_csr(&csr, &sk, seed)
-        }
-        .unwrap()
+        skeleton::distributed::build_distributed(&csr, &sk, seed, &executor, &mut NullSink).unwrap()
     });
     add_row("THIS PAPER: skeleton (Thm 2)", &s, secs, &mut table);
     drop(s);
@@ -344,12 +345,8 @@ fn run_huge() {
     let order = FibonacciParams::max_order(n).min(3);
     let fp = FibonacciParams::new(n, order, 0.5, 4).unwrap();
     let (s, secs) = timed(|| {
-        if threads > 1 {
-            fibonacci::distributed::build_distributed_csr_parallel(&csr, &fp, seed, threads)
-        } else {
-            fibonacci::distributed::build_distributed_csr(&csr, &fp, seed)
-        }
-        .unwrap()
+        fibonacci::distributed::build_distributed(&csr, &fp, seed, &executor, &mut NullSink)
+            .unwrap()
     });
     add_row("THIS PAPER: Fibonacci (Thm 8)", &s, secs, &mut table);
     drop(s);

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use spanner_graph::Graph;
-use spanner_netsim::{FaultPlan, JsonLinesSink, NullSink, TraceSink};
+use spanner_netsim::{Executor, FaultPlan, JsonLinesSink, NullSink, TraceSink};
 
 /// Whether the process was invoked with `--quick` (smaller instances).
 /// `--scale quick` is a synonym.
@@ -127,6 +127,17 @@ pub fn threads_arg() -> usize {
     n
 }
 
+/// The construction executor for a `--threads` count: one thread is the
+/// sequential executor, more are the parallel one. Both build the same
+/// spanner with the same metrics.
+pub fn executor_for(threads: usize) -> Executor {
+    if threads > 1 {
+        Executor::Parallel { threads }
+    } else {
+        Executor::Sequential
+    }
+}
+
 /// The `--trace-out <path>` argument, if present. Accepts both
 /// `--trace-out runs.jsonl` and `--trace-out=runs.jsonl`.
 pub fn trace_out_arg() -> Option<PathBuf> {
@@ -207,7 +218,7 @@ fn labeled_path(base: &Path, label: &str) -> PathBuf {
 
 /// One run's trace destination: a JSON-lines file, or a no-op when
 /// `--trace-out` was not passed. Hand [`RunTrace::sink`] to a
-/// `build_distributed_traced` driver, then call [`RunTrace::finish`].
+/// `build_distributed` driver, then call [`RunTrace::finish`].
 #[derive(Debug)]
 pub struct RunTrace {
     inner: Option<(PathBuf, JsonLinesSink<BufWriter<File>>)>,

@@ -2,9 +2,12 @@
 //!
 //! The `*_faulted` drivers (e.g.
 //! [`skeleton::distributed::build_distributed_faulted`](crate::skeleton::distributed::build_distributed_faulted))
-//! run a construction under a [`FaultPlan`](spanner_netsim::FaultPlan) and
-//! promise exactly one of two outcomes, never a panic and never a silently
-//! wrong spanner:
+//! run a construction's one driver body on the sequential executor with a
+//! [`FaultPlan`](spanner_netsim::FaultPlan) attached, through
+//! [`execute`](spanner_netsim::execute), which returns the run's metrics
+//! on every path. They take the host [`Graph`] because the output is
+//! certified against it, and they promise exactly one of two outcomes,
+//! never a panic and never a silently wrong spanner:
 //!
 //! * `Ok(spanner)` — the surviving output was *certified*: it spans the
 //!   host graph and passes the construction's exact stretch check
@@ -14,9 +17,8 @@
 //!   counters.
 //!
 //! Protocol-level panics provoked by a hostile schedule are contained by
-//! the driver and surface as [`FaultError::Uncertified`].
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! the executor ([`RunError::Panicked`]) and surface here as
+//! [`FaultError::Uncertified`], with the metrics of the rounds that ran.
 
 use spanner_graph::Graph;
 use spanner_netsim::{RunError, RunMetrics};
@@ -65,13 +67,14 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Runs `build` (a full simulate-and-collect closure) with panics
-/// contained, then certifies the result with `check`; the harness behind
+/// Certifies the outcome of a fault-injected build — the harness behind
 /// every `build_distributed_faulted` driver (spanner constructions outside
 /// this crate use it for theirs too).
 ///
-/// `metrics` is called after the build attempt to recover whatever partial
-/// accounting the network retained — on the `Err` and panic paths too.
+/// `built` is the collected spanner (or the run error) together with the
+/// run's metrics, as [`execute`](spanner_netsim::execute) returns them on
+/// every path; a protocol panic contained by the executor
+/// ([`RunError::Panicked`]) is reported as uncertified.
 ///
 /// # Errors
 ///
@@ -80,49 +83,32 @@ impl std::error::Error for FaultError {}
 // The error intentionally carries the run's full `RunMetrics` for
 // post-mortem accounting; callers match on it, so it is not boxed.
 #[allow(clippy::result_large_err)]
-pub fn build_certified<B, M, C>(
+pub fn build_certified<C>(
     g: &Graph,
-    build: B,
-    metrics: M,
+    built: (Result<Spanner, RunError>, RunMetrics),
     check: C,
 ) -> Result<Spanner, FaultError>
 where
-    B: FnOnce() -> Result<Spanner, RunError>,
-    M: FnOnce() -> RunMetrics,
     C: FnOnce(&Spanner) -> Result<(), String>,
 {
-    let spanner = match catch_unwind(AssertUnwindSafe(build)) {
-        Err(payload) => {
-            let reason = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
+    let (spanner, metrics) = match built {
+        (Ok(spanner), metrics) => (spanner, metrics),
+        (Err(RunError::Panicked(reason)), metrics) => {
             return Err(FaultError::Uncertified {
                 reason: format!("protocol panicked under faults: {reason}"),
-                metrics: metrics(),
-            });
-        }
-        Ok(Err(error)) => {
-            return Err(FaultError::Run {
-                error,
-                metrics: metrics(),
+                metrics,
             })
         }
-        Ok(Ok(spanner)) => spanner,
+        (Err(error), metrics) => return Err(FaultError::Run { error, metrics }),
     };
-    let run_metrics = spanner.metrics.unwrap_or_default();
     if !spanner.is_spanning(g) {
         return Err(FaultError::Uncertified {
             reason: "output does not span the graph".to_owned(),
-            metrics: run_metrics,
+            metrics,
         });
     }
     if let Err(reason) = check(&spanner) {
-        return Err(FaultError::Uncertified {
-            reason,
-            metrics: run_metrics,
-        });
+        return Err(FaultError::Uncertified { reason, metrics });
     }
     Ok(spanner)
 }
@@ -141,8 +127,10 @@ mod tests {
         let g = tiny();
         let s = build_certified(
             &g,
-            || Ok(Spanner::from_edges(EdgeSet::full(&g))),
-            RunMetrics::default,
+            (
+                Ok(Spanner::from_edges(EdgeSet::full(&g))),
+                RunMetrics::default(),
+            ),
             |_| Ok(()),
         )
         .unwrap();
@@ -156,12 +144,9 @@ mod tests {
             messages: 7,
             ..Default::default()
         };
-        let err = build_certified(
-            &g,
-            || Err(RunError::RoundLimit { max_rounds: 3 }),
-            || m,
-            |_| Ok(()),
-        )
+        let err = build_certified(&g, (Err(RunError::RoundLimit { max_rounds: 3 }), m), |_| {
+            Ok(())
+        })
         .unwrap_err();
         assert!(matches!(err, FaultError::Run { .. }));
         assert_eq!(err.metrics().messages, 7);
@@ -172,8 +157,10 @@ mod tests {
         let g = tiny();
         let err = build_certified(
             &g,
-            || Ok(Spanner::from_edges(EdgeSet::new(&g))),
-            RunMetrics::default,
+            (
+                Ok(Spanner::from_edges(EdgeSet::new(&g))),
+                RunMetrics::default(),
+            ),
             |_| Ok(()),
         )
         .unwrap_err();
@@ -184,13 +171,13 @@ mod tests {
     #[test]
     fn contains_panics() {
         let g = tiny();
-        let err = build_certified(
-            &g,
-            || panic!("scrambled invariant"),
-            RunMetrics::default,
-            |_| Ok(()),
-        )
-        .unwrap_err();
+        let m = RunMetrics {
+            rounds: 2,
+            ..Default::default()
+        };
+        let panicked = RunError::Panicked("scrambled invariant".to_owned());
+        let err = build_certified(&g, (Err(panicked), m), |_| Ok(())).unwrap_err();
+        assert_eq!(err.metrics().rounds, 2);
         match err {
             FaultError::Uncertified { reason, .. } => {
                 assert!(reason.contains("scrambled invariant"), "{reason}");
@@ -204,8 +191,10 @@ mod tests {
         let g = tiny();
         let err = build_certified(
             &g,
-            || Ok(Spanner::from_edges(EdgeSet::full(&g))),
-            RunMetrics::default,
+            (
+                Ok(Spanner::from_edges(EdgeSet::full(&g))),
+                RunMetrics::default(),
+            ),
             |_| Err("stretch blown".to_owned()),
         )
         .unwrap_err();

@@ -40,13 +40,13 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, MessageBudget, MessageSize, Network, NullSink, ParallelNetwork,
-    Protocol, RunError, Synchronizer, TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, Protocol, RunError,
+    RunMetrics, TraceSink,
 };
 
 use crate::faults::FaultError;
 use crate::fibonacci::params::FibonacciParams;
-use crate::fibonacci::sequential::{sample_levels, sample_levels_n};
+use crate::fibonacci::sequential::sample_levels_n;
 use crate::spanner::Spanner;
 
 /// Protocol messages.
@@ -538,147 +538,55 @@ pub fn theorem8_budget(n: usize, t: u32) -> MessageBudget {
     }
 }
 
-/// Runs the distributed Fibonacci construction on the simulator.
+/// Runs the distributed Fibonacci construction on `executor`, over a
+/// shared CSR adjacency with no [`Graph`] ever materialized, streaming
+/// round-level [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`;
+/// each stage of each level appears as an `L<i>.<stage>` phase span
+/// (`parent`, `trunc`, `ball`, `cease`, `fail`, `tokens`).
 ///
 /// Uses the same per-vertex level sampling as
 /// [`build_sequential`](crate::fibonacci::sequential::build_sequential)
 /// (same seed ⇒ same hierarchy), so the two constructions are directly
-/// comparable.
+/// comparable. The spanner, the protocol-level metrics and the trace
+/// stream are the same on every executor; the asynchronous executor adds
+/// its event, synchronizer and simulated-time counters.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures (round cap / budget violation); neither
 /// occurs for the timetable this function derives.
 pub fn build_distributed(
-    g: &Graph,
+    csr: &Arc<CsrAdjacency>,
     params: &FibonacciParams,
     seed: u64,
-) -> Result<Spanner, RunError> {
-    build_distributed_traced(g, params, seed, &mut NullSink)
-}
-
-/// Like [`build_distributed`], streaming round-level
-/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each stage of
-/// each level appears as an `L<i>.<stage>` phase span (`parent`, `trunc`,
-/// `ball`, `cease`, `fail`, `tokens`).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_traced(
-    g: &Graph,
-    params: &FibonacciParams,
-    seed: u64,
+    executor: &Executor,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let mut net = Network::new(g, budget, seed);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-        sink,
-    )?;
-    Ok(collect_spanner(g, &states, net.metrics()))
+    run(csr, params, seed, executor, None, sink).0
 }
 
-/// Like [`build_distributed`], executed on the event-driven asynchronous
-/// simulator with per-link latencies from `delays` and round semantics
-/// recovered by `synchronizer` (see [`spanner_netsim::AsyncNetwork`]).
-/// Builds the exact spanner of [`build_distributed`] for every delay plan,
-/// with async cost counters added to the metrics.
+/// [`build_distributed`] on the sequential executor, untraced — the
+/// memory-lean entry point the `--scale huge` experiment tiers use.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_async(
-    g: &Graph,
+pub fn build_distributed_csr(
+    csr: &Arc<CsrAdjacency>,
     params: &FibonacciParams,
     seed: u64,
-    delays: &FaultPlan,
-    synchronizer: Synchronizer,
 ) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let mut net = AsyncNetwork::new(g, budget, seed)
-        .with_delays(delays.clone())
-        .with_synchronizer(synchronizer);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-    )?;
-    Ok(collect_spanner(g, &states, net.metrics()))
+    build_distributed(csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
-/// Like [`build_distributed`], executed on `threads` worker threads.
-///
-/// Deterministic in `seed` and independent of `threads`: produces exactly
-/// the spanner and metrics of [`build_distributed`] (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel(
-    g: &Graph,
-    params: &FibonacciParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Spanner, RunError> {
-    build_distributed_parallel_traced(g, params, seed, threads, &mut NullSink)
-}
-
-/// Like [`build_distributed_parallel`], streaming trace events into `sink`.
-///
-/// The event stream is byte-identical to the one
-/// [`build_distributed_traced`] produces for the same graph and seed,
-/// whatever `threads` is (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel_traced(
-    g: &Graph,
-    params: &FibonacciParams,
-    seed: u64,
-    threads: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let mut net = ParallelNetwork::new(g, budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-        sink,
-    )?;
-    Ok(collect_spanner(g, &states, net.metrics()))
-}
-
-/// Runs the distributed Fibonacci construction under a fault schedule.
+/// Runs the distributed Fibonacci construction under a fault schedule, on
+/// the sequential executor.
 ///
 /// Never panics and never returns an unchecked spanner: the output is
 /// re-certified against the fault-free host graph (spanning + the
 /// Theorem 7 distortion envelope checked exactly), and every failure comes
-/// back as a typed [`FaultError`] retaining the partial
-/// [`RunMetrics`](spanner_netsim::RunMetrics) with fault counters.
+/// back as a typed [`FaultError`] retaining the partial [`RunMetrics`] with
+/// fault counters.
 ///
 /// # Errors
 ///
@@ -692,100 +600,55 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let max_rounds = cfg.total_rounds + 8;
-    let net = std::cell::RefCell::new(Network::new(g, budget, seed).with_faults(plan.clone()));
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let built = run(
+        &csr,
+        params,
+        seed,
+        &Executor::Sequential,
+        Some(plan),
+        &mut NullSink,
+    );
     let (order, ell) = (params.order, params.ell);
-    crate::faults::build_certified(
-        g,
-        || {
-            let mut net = net.borrow_mut();
-            let states = net.run(
-                |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-                max_rounds,
-            )?;
-            let metrics = net.metrics();
-            Ok(collect_spanner(g, &states, metrics))
-        },
-        || net.borrow().metrics(),
-        |s| match s.check_envelope_exact(g, |d| {
+    crate::faults::build_certified(g, built, |s| {
+        match s.check_envelope_exact(g, |d| {
             crate::fibonacci::analysis::distortion_envelope(order, ell, d as u64)
         }) {
             None => Ok(()),
             Some(viol) => Err(format!("distortion envelope violated: {viol:?}")),
-        },
-    )
+        }
+    })
 }
 
-/// [`build_distributed`] straight from a shared CSR adjacency: no
-/// [`Graph`] is ever materialized. Byte-identical spanner and metrics to
-/// the `Graph` driver on the same topology (asserted in tests); this is
-/// the memory-lean entry point the `--scale huge` experiment tiers use.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_csr(
+/// The one driver body: sample levels, configure, run on `executor`,
+/// collect.
+fn run(
     csr: &Arc<CsrAdjacency>,
     params: &FibonacciParams,
     seed: u64,
-) -> Result<Spanner, RunError> {
+    executor: &Executor,
+    faults: Option<&FaultPlan>,
+    sink: &mut dyn TraceSink,
+) -> (Result<Spanner, RunError>, RunMetrics) {
     let n = csr.node_count();
     if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
+        let empty = Spanner::from_edges(EdgeSet::with_universe(0));
+        return (Ok(empty), RunMetrics::default());
     }
     let levels = sample_levels_n(n, params, seed);
     let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap_csr(csr)));
-    let mut net = Network::from_csr(Arc::clone(csr), budget, seed);
+    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(csr)));
     let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-    )?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
+    let factory = |v: NodeId, _: &mut _| FibNode::new(Arc::clone(&cfg), levels[v.index()]);
+    let (states, metrics) = execute(
+        executor, faults, csr, budget, seed, factory, max_rounds, sink,
+    );
+    (states.map(|s| collect_spanner(csr, &s, metrics)), metrics)
 }
 
-/// [`build_distributed_csr`] executed on `threads` worker threads.
-/// Deterministic in `seed` and independent of `threads`.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_csr_parallel(
-    csr: &Arc<CsrAdjacency>,
-    params: &FibonacciParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Spanner, RunError> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels_n(n, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap_csr(csr)));
-    let mut net = ParallelNetwork::from_csr(Arc::clone(csr), budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-    )?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
-}
-
-/// [`collect_spanner`] against a CSR edge index instead of `Graph` lookup.
-fn collect_spanner_csr(
-    csr: &CsrAdjacency,
-    states: &[FibNode],
-    metrics: spanner_netsim::RunMetrics,
-) -> Spanner {
+/// Gathers per-node edge selections into a [`Spanner`] with metrics; edge
+/// ids come from the CSR edge index.
+fn collect_spanner(csr: &CsrAdjacency, states: &[FibNode], metrics: RunMetrics) -> Spanner {
     let index = csr.edge_index();
     let mut edges = EdgeSet::with_universe(index.edge_count());
     for st in states {
@@ -800,45 +663,20 @@ fn collect_spanner_csr(
     }
 }
 
-/// [`diameter_cap`] over a CSR adjacency (identical value on the same
-/// topology: the two-sweep start vertex and tiebreaks match exactly).
-fn diameter_cap_csr(csr: &CsrAdjacency) -> u32 {
-    if csr.node_count() == 0 {
-        return 2;
-    }
-    let ecc = spanner_graph::distance::diameter_two_sweep_csr(csr, NodeId(0));
-    2 * ecc + 2
-}
-
-/// Gathers per-node edge selections into a [`Spanner`] with metrics.
-fn collect_spanner(g: &Graph, states: &[FibNode], metrics: spanner_netsim::RunMetrics) -> Spanner {
-    let mut edges = EdgeSet::new(g);
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = g.find_edge(a, b).expect("selected edges exist");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
-}
-
-/// Planned timetable length in rounds for a concrete input graph (used by
-/// E9's tradeoff table).
-pub fn timetable_rounds(g: &Graph, params: &FibonacciParams) -> u32 {
-    let n = g.node_count().max(2);
-    FibConfig::build(params, n, theorem8_budget(n, params.t), diameter_cap(g)).total_rounds
+/// Planned timetable length in rounds for a concrete input topology (used
+/// by E9's tradeoff table).
+pub fn timetable_rounds(csr: &CsrAdjacency, params: &FibonacciParams) -> u32 {
+    let n = csr.node_count().max(2);
+    FibConfig::build(params, n, theorem8_budget(n, params.t), diameter_cap(csr)).total_rounds
 }
 
 /// A certified upper bound on the diameter: twice the eccentricity found
 /// by the classic two-sweep heuristic, plus slack.
-fn diameter_cap(g: &Graph) -> u32 {
-    if g.node_count() == 0 {
+fn diameter_cap(csr: &CsrAdjacency) -> u32 {
+    if csr.node_count() == 0 {
         return 2;
     }
-    let ecc = spanner_graph::distance::diameter_two_sweep(g, NodeId(0));
+    let ecc = spanner_graph::distance::diameter_two_sweep_csr(csr, NodeId(0));
     2 * ecc + 2
 }
 
@@ -848,6 +686,10 @@ mod tests {
     use crate::fibonacci::analysis::distortion_envelope;
     use crate::fibonacci::sequential::build_sequential;
     use spanner_graph::generators;
+
+    fn build(g: &Graph, p: &FibonacciParams, seed: u64) -> Result<Spanner, RunError> {
+        build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(g)), p, seed)
+    }
 
     fn params(n: usize, o: u32, t: u32) -> FibonacciParams {
         FibonacciParams::new(n, o, 0.5, t).unwrap()
@@ -859,7 +701,7 @@ mod tests {
             let g = generators::connected_gnm(250, 900, seed);
             let p = params(250, 2, 0);
             let seq = build_sequential(&g, &p, seed + 7);
-            let dist = build_distributed(&g, &p, seed + 7).expect("run");
+            let dist = build(&g, &p, seed + 7).expect("run");
             let a: Vec<_> = seq.edges.iter().collect();
             let b: Vec<_> = dist.edges.iter().collect();
             assert_eq!(a, b, "seed {seed}: sequential and distributed differ");
@@ -870,7 +712,7 @@ mod tests {
     fn spanning_and_envelope() {
         let g = generators::grid(14, 14);
         let p = params(196, 2, 0);
-        let s = build_distributed(&g, &p, 5).unwrap();
+        let s = build(&g, &p, 5).unwrap();
         assert!(s.is_spanning(&g));
         let viol = s.check_envelope_exact(&g, |d| distortion_envelope(p.order, p.ell, d as u64));
         assert!(viol.is_none(), "{viol:?}");
@@ -880,7 +722,7 @@ mod tests {
     fn bounded_budget_still_spans() {
         let g = generators::connected_gnm(300, 1_200, 11);
         let p = params(300, 2, 3);
-        let s = build_distributed(&g, &p, 3).unwrap();
+        let s = build(&g, &p, 3).unwrap();
         assert!(s.is_spanning(&g));
         let m = s.metrics.unwrap();
         let cap = theorem8_budget(300, 3).limit().unwrap();
@@ -895,8 +737,8 @@ mod tests {
     fn rounds_within_timetable() {
         let g = generators::connected_gnm(200, 700, 2);
         let p = params(200, 2, 0);
-        let planned = timetable_rounds(&g, &p);
-        let s = build_distributed(&g, &p, 1).unwrap();
+        let planned = timetable_rounds(&CsrAdjacency::from_graph(&g), &p);
+        let s = build(&g, &p, 1).unwrap();
         assert!(s.metrics.unwrap().rounds <= planned + 8);
     }
 
@@ -906,7 +748,7 @@ mod tests {
         let mut maxes = Vec::new();
         for t in [2u32, 4] {
             let p = params(400, 2, t);
-            let s = build_distributed(&g, &p, 6).unwrap();
+            let s = build(&g, &p, 6).unwrap();
             assert!(s.is_spanning(&g), "t={t}");
             maxes.push(s.metrics.unwrap().max_message_words);
         }
@@ -916,7 +758,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let p = FibonacciParams::new(4, 1, 0.5, 0).unwrap();
-        let s = build_distributed(&spanner_graph::Graph::empty(0), &p, 1).unwrap();
+        let s = build(&spanner_graph::Graph::empty(0), &p, 1).unwrap();
         assert!(s.is_empty());
     }
 
@@ -924,44 +766,13 @@ mod tests {
     fn deterministic() {
         let g = generators::connected_gnm(150, 500, 8);
         let p = params(150, 2, 0);
-        let a = build_distributed(&g, &p, 3).unwrap();
-        let b = build_distributed(&g, &p, 3).unwrap();
+        let a = build(&g, &p, 3).unwrap();
+        let b = build(&g, &p, 3).unwrap();
         assert_eq!(a.edges, b.edges);
     }
 
-    #[test]
-    fn parallel_driver_matches_sequential() {
-        let g = generators::connected_gnm(250, 900, 12);
-        let p = params(250, 2, 3);
-        let seq = build_distributed(&g, &p, 4).unwrap();
-        for threads in [1, 2, 4] {
-            let par = build_distributed_parallel(&g, &p, 4, threads).unwrap();
-            assert_eq!(seq.edges, par.edges, "{threads} threads");
-            assert_eq!(seq.metrics, par.metrics, "{threads} threads");
-        }
-    }
-
-    /// The CSR-native drivers reproduce the `Graph` drivers byte for byte:
-    /// same spanner, same metrics, sequential and parallel.
-    #[test]
-    fn csr_driver_matches_graph_driver() {
-        let g = generators::connected_gnm(250, 900, 21);
-        let p = params(250, 2, 3);
-        let graph_built = build_distributed(&g, &p, 4).unwrap();
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let csr_built = build_distributed_csr(&csr, &p, 4).unwrap();
-        assert_eq!(graph_built.edges, csr_built.edges);
-        assert_eq!(graph_built.metrics, csr_built.metrics);
-        for threads in [1, 4] {
-            let par = build_distributed_csr_parallel(&csr, &p, 4, threads).unwrap();
-            assert_eq!(graph_built.edges, par.edges, "{threads} threads");
-            assert_eq!(graph_built.metrics, par.metrics, "{threads} threads");
-        }
-    }
-
     /// Every per-level stage of the timetable shows up as its own phase
-    /// span, the trace totals reconcile with the metrics, and the stream is
-    /// byte-identical across executors.
+    /// span and the trace totals reconcile with the metrics.
     #[test]
     fn traced_run_has_stage_spans() {
         let g = generators::connected_gnm(400, 2_000, 19);
@@ -971,7 +782,8 @@ mod tests {
         let s = {
             // One run feeds both the summary and the byte stream: replaying
             // recorded events into a second summary must agree too.
-            let seq = build_distributed_traced(&g, &p, 4, &mut seq_sink).unwrap();
+            let csr = Arc::new(CsrAdjacency::from_graph(&g));
+            let seq = build_distributed(&csr, &p, 4, &Executor::Sequential, &mut seq_sink).unwrap();
             let bytes = seq_sink.finish().unwrap();
             for line in std::str::from_utf8(&bytes).unwrap().lines() {
                 let ev = spanner_netsim::TraceEvent::from_json_line(line).expect("parseable");
@@ -990,10 +802,5 @@ mod tests {
                 );
             }
         }
-        let mut par_sink = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
-        let mut seq_sink2 = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
-        build_distributed_traced(&g, &p, 4, &mut seq_sink2).unwrap();
-        build_distributed_parallel_traced(&g, &p, 4, 4, &mut par_sink).unwrap();
-        assert_eq!(seq_sink2.finish().unwrap(), par_sink.finish().unwrap());
     }
 }

@@ -23,16 +23,10 @@ use spanner_netsim::rng::node_rng;
 use crate::fibonacci::params::FibonacciParams;
 use crate::spanner::Spanner;
 
-/// Samples the level hierarchy: `level[v]` is the largest `i` with
-/// `v ∈ V_i`. Deterministic in `seed`; each vertex flips its own coins
-/// (matching the distributed construction, where sampling is local).
-pub fn sample_levels(g: &Graph, params: &FibonacciParams, seed: u64) -> Vec<u32> {
-    sample_levels_n(g.node_count(), params, seed)
-}
-
-/// [`sample_levels`] from a bare node count: the sampling is purely local
-/// (each vertex flips its own coins keyed by id), so it needs no topology.
-/// Lets CSR-native drivers sample without materializing a [`Graph`].
+/// Samples the level hierarchy of an `n`-vertex input: `level[v]` is the
+/// largest `i` with `v ∈ V_i`. Deterministic in `seed`; each vertex flips
+/// its own coins keyed by id (matching the distributed construction, where
+/// sampling is local), so no topology is needed.
 pub fn sample_levels_n(n: usize, params: &FibonacciParams, seed: u64) -> Vec<u32> {
     (0..n)
         .map(|v| {
@@ -53,7 +47,7 @@ pub fn sample_levels_n(n: usize, params: &FibonacciParams, seed: u64) -> Vec<u32
 
 /// Builds the Fibonacci spanner centrally. Deterministic in `seed`.
 pub fn build_sequential(g: &Graph, params: &FibonacciParams, seed: u64) -> Spanner {
-    let levels = sample_levels(g, params, seed);
+    let levels = sample_levels_n(g.node_count(), params, seed);
     build_with_levels(g, params, &levels)
 }
 
@@ -217,7 +211,7 @@ mod tests {
     fn levels_are_monotone_sets() {
         let g = generators::erdos_renyi_gnm(2_000, 6_000, 3);
         let p = params(2_000, 3);
-        let levels = sample_levels(&g, &p, 7);
+        let levels = sample_levels_n(g.node_count(), &p, 7);
         // |V_i| roughly q_i * n.
         for i in 1..=p.order {
             let size = levels.iter().filter(|&&l| l >= i).count() as f64;
@@ -228,8 +222,8 @@ mod tests {
             );
         }
         // Deterministic.
-        assert_eq!(levels, sample_levels(&g, &p, 7));
-        assert_ne!(levels, sample_levels(&g, &p, 8));
+        assert_eq!(levels, sample_levels_n(g.node_count(), &p, 7));
+        assert_ne!(levels, sample_levels_n(g.node_count(), &p, 8));
     }
 
     #[test]

@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, MessageBudget, MessageSize, Network, NullSink, ParallelNetwork,
-    Protocol, RunError, Synchronizer, TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, Protocol, RunError,
+    RunMetrics, TraceSink,
 };
 
 use crate::expand::ClusterSampler;
@@ -581,57 +581,37 @@ pub fn theorem2_budget(n: usize, eps: f64) -> MessageBudget {
     MessageBudget::Words(3 * w.max(1) + 8)
 }
 
-/// Runs the distributed skeleton protocol of Theorem 2 on the simulator.
+/// Runs the distributed skeleton protocol of Theorem 2 on `executor`,
+/// over a shared CSR adjacency with no [`Graph`] ever materialized,
+/// streaming round-level [`TraceEvent`](spanner_netsim::TraceEvent)s into
+/// `sink`; each `Expand` call appears as an `expand[..]` phase span.
 ///
 /// Returns the spanner (collected from per-node selections) with the run's
-/// communication metrics attached.
+/// communication metrics attached. Edge identifiers are recovered through
+/// [`CsrAdjacency::edge_index`], which reproduces [`Graph::from_edges`]'
+/// lexicographic edge-id order. The spanner, the protocol-level metrics and
+/// the trace stream are the same on every executor (asserted in
+/// `tests/executor_matrix.rs`); the asynchronous executor adds its event,
+/// synchronizer and simulated-time counters. Passing a previously built
+/// spanner as [`Synchronizer::Skeleton`](spanner_netsim::Synchronizer)
+/// edges reproduces the Bitton et al. message-reduction transformation.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures — a round-limit or budget violation would
 /// indicate a bug in the timetable, and is asserted against in tests.
 pub fn build_distributed(
-    g: &Graph,
+    csr: &Arc<CsrAdjacency>,
     params: &SkeletonParams,
     seed: u64,
-) -> Result<Spanner, RunError> {
-    build_distributed_traced(g, params, seed, &mut NullSink)
-}
-
-/// Like [`build_distributed`], streaming round-level
-/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each `Expand`
-/// call appears as an `expand[..]` phase span.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_traced(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
+    executor: &Executor,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = Network::new(g, budget, seed);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    Ok(collect_spanner(g, &states, net.metrics()))
+    run(csr, params, seed, executor, None, sink).0
 }
 
-/// Like [`build_distributed`], running straight off a shared CSR adjacency
-/// with no [`Graph`] ever materialized — the construction path the
-/// million-node experiment tiers use. For the same topology and seed the
-/// result (spanner edge set, metrics) is byte-identical to
-/// [`build_distributed`]'s: edge identifiers are recovered through
-/// [`CsrAdjacency::edge_index`], which reproduces
-/// [`Graph::from_edges`]' lexicographic edge-id order.
+/// [`build_distributed`] on the sequential executor, untraced — the
+/// construction path the million-node experiment tiers use.
 ///
 /// # Errors
 ///
@@ -641,10 +621,10 @@ pub fn build_distributed_csr(
     params: &SkeletonParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    build_distributed_csr_traced(csr, params, seed, &mut NullSink)
+    build_distributed(csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
-/// Like [`build_distributed_csr`], streaming trace events into `sink`.
+/// [`build_distributed`] on the sequential executor, traced into `sink`.
 ///
 /// # Errors
 ///
@@ -655,23 +635,10 @@ pub fn build_distributed_csr_traced(
     seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = Network::from_csr(Arc::clone(csr), budget, seed);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
+    build_distributed(csr, params, seed, &Executor::Sequential, sink)
 }
 
-/// Like [`build_distributed_parallel`], running straight off a shared CSR
-/// adjacency. Byte-identical output to [`build_distributed_csr`] at any
-/// thread count.
+/// [`build_distributed`] on `threads` worker threads, untraced.
 ///
 /// # Errors
 ///
@@ -682,107 +649,12 @@ pub fn build_distributed_csr_parallel(
     seed: u64,
     threads: usize,
 ) -> Result<Spanner, RunError> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = ParallelNetwork::from_csr(Arc::clone(csr), budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds)?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
+    let executor = Executor::Parallel { threads };
+    build_distributed(csr, params, seed, &executor, &mut NullSink)
 }
 
-/// Like [`build_distributed`], executed on the event-driven asynchronous
-/// simulator: per-link latencies come from `delays` (see
-/// [`spanner_netsim::FaultPlan::link_latency`]; only the plan's delay
-/// clause is consulted), and `synchronizer` recovers round semantics.
-///
-/// Because the synchronizer is exact, the built spanner and protocol-level
-/// metrics equal [`build_distributed`]'s for every delay plan (asserted in
-/// `tests/synchronizer_conformance.rs`); the run additionally reports
-/// events, synchronizer traffic, and the simulated-time horizon. Passing a
-/// previously built spanner as [`Synchronizer::Skeleton`] edges reproduces
-/// the Bitton et al. message-reduction transformation.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_async(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    delays: &FaultPlan,
-    synchronizer: Synchronizer,
-) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = AsyncNetwork::new(g, budget, seed)
-        .with_delays(delays.clone())
-        .with_synchronizer(synchronizer);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds)?;
-    Ok(collect_spanner(g, &states, net.metrics()))
-}
-
-/// Like [`build_distributed`], executed on `threads` worker threads.
-///
-/// Deterministic in `seed` and independent of `threads`: produces exactly
-/// the spanner and metrics of [`build_distributed`] (asserted in tests),
-/// just faster on large inputs.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Spanner, RunError> {
-    build_distributed_parallel_traced(g, params, seed, threads, &mut NullSink)
-}
-
-/// Like [`build_distributed_parallel`], streaming trace events into `sink`.
-///
-/// The event stream is byte-identical to the one
-/// [`build_distributed_traced`] produces for the same graph and seed,
-/// whatever `threads` is (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel_traced(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    threads: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = ParallelNetwork::new(g, budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    Ok(collect_spanner(g, &states, net.metrics()))
-}
-
-/// Runs the distributed skeleton protocol under a fault schedule.
+/// Runs the distributed skeleton protocol under a fault schedule, on the
+/// sequential executor.
 ///
 /// Unlike [`build_distributed`], this never panics and never returns an
 /// unchecked spanner: the output is re-certified against the fault-free
@@ -790,7 +662,7 @@ pub fn build_distributed_parallel_traced(
 /// [`verify_stretch_exact`](spanner_graph::verify_stretch_exact)), and any
 /// failure — simulator error, hostile-schedule panic, or certification
 /// miss — comes back as a typed [`FaultError`] retaining the partial
-/// [`RunMetrics`](spanner_netsim::RunMetrics) with fault counters.
+/// [`RunMetrics`] with fault counters.
 ///
 /// # Errors
 ///
@@ -804,63 +676,55 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let n = g.node_count();
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let built = run(
+        &csr,
+        params,
+        seed,
+        &Executor::Sequential,
+        Some(plan),
+        &mut NullSink,
+    );
+    let bound = params.schedule(g.node_count()).distortion_bound as f64;
+    crate::faults::build_certified(g, built, |s| {
+        spanner_graph::verify_stretch_exact(
+            g,
+            &s.edges,
+            spanner_graph::StretchBound::multiplicative(bound),
+        )
+        .map_err(|v| v.to_string())
+    })
+}
+
+/// The one driver body: configure, run on `executor`, collect.
+fn run(
+    csr: &Arc<CsrAdjacency>,
+    params: &SkeletonParams,
+    seed: u64,
+    executor: &Executor,
+    faults: Option<&FaultPlan>,
+    sink: &mut dyn TraceSink,
+) -> (Result<Spanner, RunError>, RunMetrics) {
+    let n = csr.node_count();
     if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
+        let empty = Spanner::from_edges(EdgeSet::with_universe(0));
+        return (Ok(empty), RunMetrics::default());
     }
     let schedule = params.schedule(n);
     let budget = theorem2_budget(n, params.eps);
     let words = budget.limit().expect("theorem2 budget is bounded");
     let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
     let max_rounds = cfg.total_rounds + 8;
-    // RefCell: the build closure and the metrics-recovery closure both
-    // need the network; the latter only runs after the former finished
-    // (or unwound, which releases the borrow).
-    let net = std::cell::RefCell::new(Network::new(g, budget, seed).with_faults(plan.clone()));
-    let bound = schedule.distortion_bound as f64;
-    crate::faults::build_certified(
-        g,
-        || {
-            let mut net = net.borrow_mut();
-            let states = net.run(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds)?;
-            let metrics = net.metrics();
-            Ok(collect_spanner(g, &states, metrics))
-        },
-        || net.borrow().metrics(),
-        |s| {
-            spanner_graph::verify_stretch_exact(
-                g,
-                &s.edges,
-                spanner_graph::StretchBound::multiplicative(bound),
-            )
-            .map_err(|v| v.to_string())
-        },
-    )
+    let factory = |v, _: &mut _| SkelNode::new(Arc::clone(&cfg), v);
+    let (states, metrics) = execute(
+        executor, faults, csr, budget, seed, factory, max_rounds, sink,
+    );
+    (states.map(|s| collect_spanner(csr, &s, metrics)), metrics)
 }
 
-/// Gathers per-node edge selections into a [`Spanner`] with metrics.
-fn collect_spanner(g: &Graph, states: &[SkelNode], metrics: spanner_netsim::RunMetrics) -> Spanner {
-    let mut edges = EdgeSet::new(g);
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = g.find_edge(a, b).expect("selected edges are graph edges");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
-}
-
-/// [`collect_spanner`] for the zero-`Graph` path: edge ids come from the
-/// CSR edge index, which reproduces the lexicographic id order of
-/// [`Graph::from_edges`] exactly.
-fn collect_spanner_csr(
-    csr: &CsrAdjacency,
-    states: &[SkelNode],
-    metrics: spanner_netsim::RunMetrics,
-) -> Spanner {
+/// Gathers per-node edge selections into a [`Spanner`] with metrics; edge
+/// ids come from the CSR edge index.
+fn collect_spanner(csr: &CsrAdjacency, states: &[SkelNode], metrics: RunMetrics) -> Spanner {
     let index = csr.edge_index();
     let mut edges = EdgeSet::with_universe(index.edge_count());
     for st in states {
@@ -890,12 +754,16 @@ mod tests {
     use super::*;
     use spanner_graph::generators;
 
+    fn build(g: &Graph, params: &SkeletonParams, seed: u64) -> Result<Spanner, RunError> {
+        build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(g)), params, seed)
+    }
+
     #[test]
     fn distributed_is_spanning() {
         let params = SkeletonParams::default();
         for seed in 0..3 {
             let g = generators::connected_gnm(300, 1_800, seed);
-            let s = build_distributed(&g, &params, seed + 50).expect("run succeeds");
+            let s = build(&g, &params, seed + 50).expect("run succeeds");
             assert!(s.is_spanning(&g), "seed {seed}");
         }
     }
@@ -904,7 +772,7 @@ mod tests {
     fn distributed_linear_size() {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(2_000, 20_000, 7);
-        let s = build_distributed(&g, &params, 3).unwrap();
+        let s = build(&g, &params, 3).unwrap();
         assert!(s.is_spanning(&g));
         let per_node = s.edges_per_node(&g);
         assert!(
@@ -917,7 +785,7 @@ mod tests {
     fn distributed_stretch_within_bound() {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(400, 2_400, 11);
-        let s = build_distributed(&g, &params, 5).unwrap();
+        let s = build(&g, &params, 5).unwrap();
         let bound = params.schedule(g.node_count()).distortion_bound as f64;
         let r = s.stretch_exact(&g);
         assert_eq!(r.disconnected, 0);
@@ -932,7 +800,7 @@ mod tests {
     fn rounds_match_timetable_and_budget_respected() {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(500, 3_000, 13);
-        let s = build_distributed(&g, &params, 9).unwrap();
+        let s = build(&g, &params, 9).unwrap();
         let m = s.metrics.expect("distributed metrics");
         let planned = timetable_rounds(500, &params);
         assert!(m.rounds <= planned + 8, "{} vs {planned}", m.rounds);
@@ -945,7 +813,7 @@ mod tests {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(1_000, 8_000, 21);
         let seq = crate::skeleton::build_sequential(&g, &params, 4);
-        let dist = build_distributed(&g, &params, 4).unwrap();
+        let dist = build(&g, &params, 4).unwrap();
         // Different tie-breaking, same algorithm: sizes in the same range.
         let (a, b) = (seq.len() as f64, dist.len() as f64);
         assert!(
@@ -962,7 +830,7 @@ mod tests {
             generators::cycle(150),
             generators::caveman(10, 12, 6, 3),
         ] {
-            let s = build_distributed(&g, &params, 2).unwrap();
+            let s = build(&g, &params, 2).unwrap();
             assert!(s.is_spanning(&g));
         }
     }
@@ -970,10 +838,10 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let params = SkeletonParams::default();
-        let s = build_distributed(&spanner_graph::Graph::empty(0), &params, 1).unwrap();
+        let s = build(&spanner_graph::Graph::empty(0), &params, 1).unwrap();
         assert!(s.is_empty());
         let g1 = spanner_graph::Graph::empty(1);
-        let s1 = build_distributed(&g1, &params, 1).unwrap();
+        let s1 = build(&g1, &params, 1).unwrap();
         assert!(s1.is_spanning(&g1));
     }
 
@@ -981,40 +849,9 @@ mod tests {
     fn deterministic() {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(200, 1_000, 17);
-        let a = build_distributed(&g, &params, 5).unwrap();
-        let b = build_distributed(&g, &params, 5).unwrap();
+        let a = build(&g, &params, 5).unwrap();
+        let b = build(&g, &params, 5).unwrap();
         assert_eq!(a.edges, b.edges);
-    }
-
-    #[test]
-    fn parallel_driver_matches_sequential() {
-        let params = SkeletonParams::default();
-        let g = generators::connected_gnm(300, 1_500, 23);
-        let seq = build_distributed(&g, &params, 6).unwrap();
-        for threads in [1, 2, 4] {
-            let par = build_distributed_parallel(&g, &params, 6, threads).unwrap();
-            assert_eq!(seq.edges, par.edges, "{threads} threads");
-            assert_eq!(seq.metrics, par.metrics, "{threads} threads");
-        }
-    }
-
-    /// The zero-`Graph` CSR driver must reproduce the `Graph` driver
-    /// byte-for-byte: same edge set (via the CSR edge index), same metrics,
-    /// sequential and parallel.
-    #[test]
-    fn csr_driver_matches_graph_driver() {
-        let params = SkeletonParams::default();
-        let g = generators::connected_gnm(300, 1_500, 31);
-        let from_graph = build_distributed(&g, &params, 6).unwrap();
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let from_csr = build_distributed_csr(&csr, &params, 6).unwrap();
-        assert_eq!(from_graph.edges, from_csr.edges);
-        assert_eq!(from_graph.metrics, from_csr.metrics);
-        for threads in [1, 4] {
-            let par = build_distributed_csr_parallel(&csr, &params, 6, threads).unwrap();
-            assert_eq!(from_graph.edges, par.edges, "{threads} threads");
-            assert_eq!(from_graph.metrics, par.metrics, "{threads} threads");
-        }
     }
 
     #[test]
@@ -1036,7 +873,8 @@ mod tests {
         let params = SkeletonParams::default();
         let g = generators::erdos_renyi_gnm(10_000, 30_000, 3);
         let mut summary = spanner_netsim::TraceSummary::new();
-        let s = build_distributed_traced(&g, &params, 7, &mut summary).unwrap();
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        let s = build_distributed_csr_traced(&csr, &params, 7, &mut summary).unwrap();
         let m = s.metrics.expect("distributed metrics");
         assert!(m.agrees_with(&summary), "{m} vs trace totals");
         let phase_rounds: u32 = summary.phases().iter().map(|p| p.rounds).sum::<u32>()
@@ -1050,27 +888,8 @@ mod tests {
         assert_eq!(expands, params.schedule(g.node_count()).calls.len());
         assert!(summary.is_complete());
         // Tracing must not perturb the run itself.
-        let untraced = build_distributed(&g, &params, 7).unwrap();
+        let untraced = build_distributed_csr(&csr, &params, 7).unwrap();
         assert_eq!(s.edges, untraced.edges);
         assert_eq!(s.metrics, untraced.metrics);
-    }
-
-    /// The serialized trace stream is byte-identical between the sequential
-    /// and parallel drivers at every thread count.
-    #[test]
-    fn traced_parallel_stream_matches_sequential() {
-        let params = SkeletonParams::default();
-        let g = generators::connected_gnm(600, 3_600, 29);
-        let mut seq_sink = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
-        let seq = build_distributed_traced(&g, &params, 6, &mut seq_sink).unwrap();
-        let seq_bytes = seq_sink.finish().unwrap();
-        assert!(!seq_bytes.is_empty());
-        for threads in [1, 2, 4, 8] {
-            let mut par_sink = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
-            let par =
-                build_distributed_parallel_traced(&g, &params, 6, threads, &mut par_sink).unwrap();
-            assert_eq!(seq.edges, par.edges, "{threads} threads");
-            assert_eq!(seq_bytes, par_sink.finish().unwrap(), "{threads} threads");
-        }
     }
 }

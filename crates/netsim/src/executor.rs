@@ -1,0 +1,209 @@
+//! One entry point over the three executors: an [`Executor`] value picks
+//! the simulator, and [`execute`] runs a protocol on it over a shared
+//! [`CsrAdjacency`], so a construction driver needs one body whatever the
+//! executor. Dispatch is static: each arm calls the concrete executor's
+//! `run_traced`, which monomorphizes its round loop on the tracing and
+//! fault decisions itself, so an untraced, unfaulted
+//! [`Executor::Sequential`] run is the instantiation [`Network::run`] uses.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use rand::rngs::SmallRng;
+use spanner_graph::NodeId;
+
+use crate::async_exec::{AsyncNetwork, Synchronizer};
+use crate::budget::MessageBudget;
+use crate::csr::CsrAdjacency;
+use crate::faults::FaultPlan;
+use crate::metrics::RunMetrics;
+use crate::parallel::ParallelNetwork;
+use crate::sync::{Network, Protocol, RunError};
+use crate::trace::TraceSink;
+
+/// Which simulator runs a protocol.
+///
+/// All three produce the same final states, protocol-level metrics
+/// ([`RunMetrics::protocol_only`]) and trace stream for the same topology,
+/// seed and protocol (asserted in `tests/executor_parity.rs`).
+#[derive(Debug, Clone)]
+pub enum Executor {
+    /// The reference round-synchronous executor ([`Network`]).
+    Sequential,
+    /// The round-synchronous executor on a pool of `threads` workers
+    /// ([`ParallelNetwork`]).
+    Parallel {
+        /// Worker threads; at least one.
+        threads: usize,
+    },
+    /// The event-driven asynchronous executor ([`AsyncNetwork`]): per-link
+    /// latencies come from `delays` (see [`FaultPlan::link_latency`]; only
+    /// its delay clause and scope are consulted) and `synchronizer`
+    /// recovers round semantics.
+    Async {
+        /// Delay model for message and control traffic.
+        delays: FaultPlan,
+        /// How round safety is disseminated.
+        synchronizer: Synchronizer,
+    },
+}
+
+/// Runs `factory`-created protocols to quiescence on `executor` over `csr`,
+/// streaming trace events into `sink`.
+///
+/// Returns the final states (or the run error) together with the run's
+/// metrics, which on a failed run hold exactly the partial accounting the
+/// executor retained.
+///
+/// `faults` injects crash, drop, duplicate, delay and stutter faults (see
+/// [`Network::with_faults`]). A protocol that a fault schedule drives into
+/// breaking the model (for instance by sending twice to one neighbor in a
+/// round) panics; under a plan the sequential executor contains that panic
+/// and reports it as [`RunError::Panicked`] with the partial metrics.
+/// Without a plan, panics propagate.
+///
+/// # Panics
+///
+/// Panics if `faults` is given with [`Executor::Async`]: the asynchronous
+/// executor draws only delays from a plan, so the other faults would be
+/// silently ignored. Pass delays as the `delays` of [`Executor::Async`]
+/// instead. Also panics if `threads == 0` for [`Executor::Parallel`].
+#[allow(clippy::too_many_arguments)]
+pub fn execute<P, F>(
+    executor: &Executor,
+    faults: Option<&FaultPlan>,
+    csr: &Arc<CsrAdjacency>,
+    budget: MessageBudget,
+    seed: u64,
+    factory: F,
+    max_rounds: u32,
+    sink: &mut dyn TraceSink,
+) -> (Result<Vec<P>, RunError>, RunMetrics)
+where
+    P: Protocol + Send,
+    P::Msg: Send,
+    F: FnMut(NodeId, &mut SmallRng) -> P,
+{
+    let guarded = faults.is_some();
+    match executor {
+        Executor::Sequential => {
+            let mut net = Network::from_csr(Arc::clone(csr), budget, seed);
+            if let Some(plan) = faults {
+                net = net.with_faults(plan.clone());
+            }
+            let states = contain(guarded, || net.run_traced(factory, max_rounds, sink));
+            (states, net.metrics())
+        }
+        Executor::Parallel { threads } => {
+            let mut net = ParallelNetwork::from_csr(Arc::clone(csr), budget, seed, *threads);
+            if let Some(plan) = faults {
+                net = net.with_faults(plan.clone());
+            }
+            let states = contain(guarded, || net.run_traced(factory, max_rounds, sink));
+            (states, net.metrics())
+        }
+        Executor::Async {
+            delays,
+            synchronizer,
+        } => {
+            assert!(
+                !guarded,
+                "the asynchronous executor injects no faults; pass delays via Executor::Async"
+            );
+            let mut net = AsyncNetwork::from_csr(Arc::clone(csr), budget, seed)
+                .with_delays(delays.clone())
+                .with_synchronizer(synchronizer.clone());
+            let states = net.run_traced(factory, max_rounds, sink);
+            (states, net.metrics())
+        }
+    }
+}
+
+/// Runs `run`; if `guarded`, turns a panic into [`RunError::Panicked`].
+fn contain<P>(
+    guarded: bool,
+    run: impl FnOnce() -> Result<Vec<P>, RunError>,
+) -> Result<Vec<P>, RunError> {
+    if !guarded {
+        return run();
+    }
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let reason = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        Err(RunError::Panicked(reason))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::Ctx;
+    use crate::trace::NullSink;
+    use spanner_graph::generators;
+
+    /// Broadcasts once, then breaks the model on hearing back by sending
+    /// twice to one neighbor.
+    struct DoubleSend;
+
+    impl Protocol for DoubleSend {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
+            ctx.broadcast(1);
+        }
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[(NodeId, u64)]) {
+            if !inbox.is_empty() {
+                let to = ctx.neighbors()[0];
+                ctx.send(to, 2);
+                ctx.send(to, 3);
+            }
+        }
+    }
+
+    /// Runs [`DoubleSend`] on a 6-cycle.
+    fn run_double_send(
+        executor: &Executor,
+        faults: Option<&FaultPlan>,
+    ) -> (Result<Vec<DoubleSend>, RunError>, RunMetrics) {
+        let csr = Arc::new(CsrAdjacency::from_graph(&generators::cycle(6)));
+        let factory = |_, _: &mut _| DoubleSend;
+        execute(
+            executor,
+            faults,
+            &csr,
+            MessageBudget::CONGEST,
+            1,
+            factory,
+            8,
+            &mut NullSink,
+        )
+    }
+
+    #[test]
+    fn faulted_panic_is_typed_with_partial_metrics() {
+        let (states, metrics) = run_double_send(&Executor::Sequential, Some(&FaultPlan::new(1)));
+        let Err(RunError::Panicked(reason)) = states else {
+            panic!("expected a contained panic");
+        };
+        assert!(reason.contains("two messages"), "{reason}");
+        assert_eq!(metrics.messages, 12, "the init broadcast is accounted");
+    }
+
+    #[test]
+    #[should_panic(expected = "two messages")]
+    fn unfaulted_panic_propagates() {
+        let _ = run_double_send(&Executor::Sequential, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "injects no faults")]
+    fn fault_plan_on_async_is_rejected() {
+        let executor = Executor::Async {
+            delays: FaultPlan::default(),
+            synchronizer: Synchronizer::Alpha,
+        };
+        let _ = run_double_send(&executor, Some(&FaultPlan::new(1).with_drops(0.5)));
+    }
+}

@@ -47,6 +47,7 @@
 pub mod async_exec;
 pub mod budget;
 pub mod csr;
+pub mod executor;
 pub mod faults;
 pub mod metrics;
 pub mod parallel;
@@ -58,9 +59,10 @@ pub mod trace;
 pub use async_exec::{AsyncNetwork, Synchronizer};
 pub use budget::{BudgetViolation, MessageBudget};
 pub use csr::CsrAdjacency;
+pub use executor::{execute, Executor};
 pub use faults::{FaultCounters, FaultPlan, MsgFate};
 pub use metrics::RunMetrics;
-pub use parallel::{run_parallel, ParallelNetwork, ParallelOutcome};
+pub use parallel::ParallelNetwork;
 pub use sync::{Ctx, MessageSize, Network, Protocol, RunError};
 pub use trace::{
     size_bucket, JsonLinesSink, NullSink, PhaseCost, RingBufferSink, TraceEvent, TraceSink,

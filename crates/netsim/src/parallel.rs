@@ -45,15 +45,6 @@ use crate::rng::node_rng;
 use crate::sync::{Ctx, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
-/// Outcome of a [`run_parallel`] call: final states plus cost accounting.
-#[derive(Debug)]
-pub struct ParallelOutcome<P> {
-    /// Final protocol states, indexed by node.
-    pub states: Vec<P>,
-    /// Aggregate cost of the run.
-    pub metrics: RunMetrics,
-}
-
 /// Everything one worker thread owns: a contiguous chunk of nodes with their
 /// RNGs, inboxes, and outboxes. Locked by the worker while a round executes
 /// and by the coordinator while messages are routed; the two phases are
@@ -115,28 +106,6 @@ impl ParallelNetwork {
             seed,
             threads,
         )
-    }
-
-    /// Like [`ParallelNetwork::new`], reusing an already-built adjacency
-    /// (e.g. one shared with a sequential [`Network`](crate::Network)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or if `adjacency` was built for a different
-    /// node count.
-    pub fn with_adjacency(
-        graph: &Graph,
-        adjacency: CsrAdjacency,
-        budget: MessageBudget,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        assert_eq!(
-            adjacency.node_count(),
-            graph.node_count(),
-            "adjacency built for a different graph"
-        );
-        ParallelNetwork::from_csr(Arc::new(adjacency), budget, seed, threads)
     }
 
     /// A parallel network straight over a shared CSR adjacency — the
@@ -622,41 +591,6 @@ impl ParallelNetwork {
     }
 }
 
-/// Runs `factory`-created protocols to quiescence using `threads` workers.
-///
-/// Compatibility wrapper around [`ParallelNetwork`]; prefer the struct when
-/// you need [`ParallelNetwork::metrics`] after a failed run.
-///
-/// # Errors
-///
-/// [`RunError::RoundLimit`] if not quiescent within `max_rounds`;
-/// [`RunError::Budget`] if any message exceeds `budget`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or if a protocol violates the model (messages a
-/// non-neighbor or double-sends), like the sequential executor.
-pub fn run_parallel<P, F>(
-    graph: &Graph,
-    budget: MessageBudget,
-    seed: u64,
-    factory: F,
-    max_rounds: u32,
-    threads: usize,
-) -> Result<ParallelOutcome<P>, RunError>
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-    F: Fn(NodeId, &mut SmallRng) -> P + Sync,
-{
-    let mut net = ParallelNetwork::new(graph, budget, seed, threads);
-    let states = net.run(factory, max_rounds)?;
-    Ok(ParallelOutcome {
-        states,
-        metrics: net.metrics(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,25 +607,18 @@ mod tests {
             .run(|v, _| MinIdBroadcast::new(sources(v), 40), 256)
             .unwrap();
         for threads in [1, 2, 4] {
-            let par = run_parallel(
-                &g,
-                MessageBudget::Words(2),
-                99,
-                |v, _| MinIdBroadcast::new(sources(v), 40),
-                256,
-                threads,
-            )
-            .unwrap();
+            let mut par = ParallelNetwork::new(&g, MessageBudget::Words(2), 99, threads);
+            let states = par
+                .run(|v, _| MinIdBroadcast::new(sources(v), 40), 256)
+                .unwrap();
             for v in g.nodes() {
                 assert_eq!(
                     seq[v.index()].nearest(),
-                    par.states[v.index()].nearest(),
+                    states[v.index()].nearest(),
                     "node {v} with {threads} threads"
                 );
             }
-            assert_eq!(par.metrics.rounds, net.metrics().rounds);
-            assert_eq!(par.metrics.messages, net.metrics().messages);
-            assert_eq!(par.metrics.words, net.metrics().words);
+            assert_eq!(par.metrics(), net.metrics(), "{threads} threads");
         }
     }
 
@@ -709,7 +636,8 @@ mod tests {
             }
         }
         let g = generators::cycle(6);
-        let err = run_parallel(&g, MessageBudget::CONGEST, 1, |_, _| Chatter, 3, 2).unwrap_err();
+        let mut net = ParallelNetwork::new(&g, MessageBudget::CONGEST, 1, 2);
+        let err = net.run(|_, _| Chatter, 3).unwrap_err();
         assert_eq!(err, RunError::RoundLimit { max_rounds: 3 });
     }
 
@@ -722,24 +650,19 @@ mod tests {
             fn round(&mut self, _: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {}
         }
         let g = spanner_graph::Graph::empty(0);
-        let out = run_parallel(&g, MessageBudget::CONGEST, 1, |_, _| Quiet, 4, 3).unwrap();
-        assert!(out.states.is_empty());
-        assert_eq!(out.metrics.messages, 0);
+        let mut net = ParallelNetwork::new(&g, MessageBudget::CONGEST, 1, 3);
+        assert!(net.run(|_, _| Quiet, 4).unwrap().is_empty());
+        assert_eq!(net.metrics().messages, 0);
     }
 
     #[test]
     fn more_threads_than_nodes() {
         let g = generators::path(3);
-        let out = run_parallel(
-            &g,
-            MessageBudget::Words(2),
-            5,
-            |v, _| MinIdBroadcast::new(v == NodeId(0), 10),
-            32,
-            16,
-        )
-        .unwrap();
-        assert!(out.states.iter().all(|s| s.nearest().is_some()));
+        let mut net = ParallelNetwork::new(&g, MessageBudget::Words(2), 5, 16);
+        let states = net
+            .run(|v, _| MinIdBroadcast::new(v == NodeId(0), 10), 32)
+            .unwrap();
+        assert!(states.iter().all(|s| s.nearest().is_some()));
     }
 
     /// A failed parallel run must leave the same partial metrics behind as

@@ -276,6 +276,9 @@ pub enum RunError {
     },
     /// A message exceeded the [`MessageBudget`].
     Budget(BudgetViolation),
+    /// A protocol panicked during a fault-injected run (see
+    /// [`execute`](crate::execute)); carries the panic message.
+    Panicked(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -285,6 +288,7 @@ impl std::fmt::Display for RunError {
                 write!(f, "network not quiescent after {max_rounds} rounds")
             }
             RunError::Budget(v) => write!(f, "{v}"),
+            RunError::Panicked(reason) => write!(f, "protocol panicked: {reason}"),
         }
     }
 }
@@ -325,26 +329,6 @@ impl Network {
     /// A network on `graph` with the given message budget and master seed.
     pub fn new(graph: &Graph, budget: MessageBudget, seed: u64) -> Self {
         Network::from_csr(Arc::new(CsrAdjacency::from_graph(graph)), budget, seed)
-    }
-
-    /// Like [`Network::new`], reusing an already-built adjacency (e.g. one
-    /// shared with a [`ParallelNetwork`](crate::parallel::ParallelNetwork)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `adjacency` was built for a different node count.
-    pub fn with_adjacency(
-        graph: &Graph,
-        adjacency: CsrAdjacency,
-        budget: MessageBudget,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            adjacency.node_count(),
-            graph.node_count(),
-            "adjacency built for a different graph"
-        );
-        Network::from_csr(Arc::new(adjacency), budget, seed)
     }
 
     /// A network straight over a shared CSR adjacency — the zero-`Graph`
@@ -1030,23 +1014,5 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn shared_adjacency_constructor() {
-        let g = generators::cycle(6);
-        let csr = CsrAdjacency::from_graph(&g);
-        let mut net = Network::with_adjacency(&g, csr.clone(), MessageBudget::CONGEST, 1);
-        let states = net
-            .run(
-                |_, _| HelloOnce {
-                    heard: 0,
-                    expected: 0,
-                },
-                10,
-            )
-            .unwrap();
-        assert!(states.iter().all(|s| s.heard == s.expected));
-        assert_eq!(net.adjacency(), &csr);
     }
 }

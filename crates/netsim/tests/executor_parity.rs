@@ -196,23 +196,18 @@ fn executors_agree_on_min_id_broadcast() {
         .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
         .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let par = spanner_netsim::parallel::run_parallel(
-            &g,
-            MessageBudget::Words(2),
-            12,
-            |v, _| MinIdBroadcast::new(sources(v), 50),
-            256,
-            threads,
-        )
-        .unwrap();
+        let mut par = ParallelNetwork::new(&g, MessageBudget::Words(2), 12, threads);
+        let par_states = par
+            .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
+            .unwrap();
         for v in g.nodes() {
             assert_eq!(
                 seq_states[v.index()].nearest(),
-                par.states[v.index()].nearest(),
+                par_states[v.index()].nearest(),
                 "node {v}, {threads} threads"
             );
         }
-        assert_eq!(seq.metrics(), par.metrics, "{threads} threads");
+        assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
     }
 }
 
@@ -549,148 +544,6 @@ fn async_trace_jsonl_byte_identical() {
     assert!(deliver_lines > 0, "delivery tracing emits deliver records");
     let seq_lines: Vec<&str> = std::str::from_utf8(&seq_bytes).unwrap().lines().collect();
     assert_eq!(seq_lines, filtered, "deliver records are purely additive");
-}
-
-/// A CSR-built network must be observationally identical to the
-/// Graph-built network on the same topology: same states (hence same RNG
-/// streams — GossipHash folds every coin flip into its digest), same
-/// metrics, same trace stream — sequential, parallel at 1–8 threads, and
-/// async alike.
-fn assert_csr_parity(g: &Graph, seed: u64, ttl: u32) {
-    let max_rounds = 4 * ttl + 16;
-    let csr = std::sync::Arc::new(spanner_netsim::CsrAdjacency::from_graph(g));
-    let mut seq = Network::new(g, MessageBudget::CONGEST, seed);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
-    let seq_states = seq
-        .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace)
-        .unwrap();
-    let seq_events = seq_trace.into_events();
-
-    let mut cseq = Network::from_csr(std::sync::Arc::clone(&csr), MessageBudget::CONGEST, seed);
-    let mut ctrace = RingBufferSink::new(TRACE_CAP);
-    let cstates = cseq
-        .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut ctrace)
-        .unwrap();
-    assert_eq!(seq_states, cstates, "csr sequential states");
-    assert_eq!(seq.metrics(), cseq.metrics(), "csr sequential metrics");
-    assert_eq!(seq_events, ctrace.into_events(), "csr sequential trace");
-
-    for threads in 1usize..=8 {
-        let mut par = ParallelNetwork::from_csr(
-            std::sync::Arc::clone(&csr),
-            MessageBudget::CONGEST,
-            seed,
-            threads,
-        );
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
-        let par_states = par
-            .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut par_trace)
-            .unwrap();
-        assert_eq!(seq_states, par_states, "csr states, {threads} threads");
-        assert_eq!(
-            seq.metrics(),
-            par.metrics(),
-            "csr metrics, {threads} threads"
-        );
-        assert_eq!(
-            seq_events,
-            par_trace.into_events(),
-            "csr trace, {threads} threads"
-        );
-    }
-
-    let mut anet =
-        AsyncNetwork::from_csr(std::sync::Arc::clone(&csr), MessageBudget::CONGEST, seed);
-    let mut atrace = RingBufferSink::new(TRACE_CAP);
-    let astates = anet
-        .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut atrace)
-        .unwrap();
-    assert_eq!(seq_states, astates, "csr async states");
-    assert_eq!(
-        seq.metrics(),
-        anet.metrics().protocol_only(),
-        "csr async metrics"
-    );
-    assert_eq!(seq_events, atrace.into_events(), "csr async trace");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn csr_built_network_agrees_with_graph_built(
-        n in 2usize..=96,
-        density in 1.0f64..3.0,
-        seed in any::<u64>(),
-        ttl in 1u32..5,
-    ) {
-        let m = (((n as f64) * density) as usize).min(n * (n - 1) / 2);
-        let g = generators::erdos_renyi_gnm(n, m, seed ^ 0xC52);
-        assert_csr_parity(&g, seed, ttl);
-    }
-}
-
-/// Budget-violation runs on a CSR-built network leave the Graph-built
-/// network's exact error, partial metrics, and partial trace stream —
-/// sequential and at every thread count.
-#[test]
-fn csr_budget_violation_agrees() {
-    #[derive(Debug)]
-    struct LateFat;
-    impl Protocol for LateFat {
-        type Msg = Vec<u64>;
-        fn init(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
-            ctx.broadcast(vec![1]);
-        }
-        fn round(&mut self, ctx: &mut Ctx<'_, Vec<u64>>, _: &[(NodeId, Vec<u64>)]) {
-            if ctx.tracing() {
-                ctx.enter_phase(format!("r{}", ctx.round()));
-            }
-            if ctx.round() == 2 && ctx.me().0 >= 20 {
-                ctx.broadcast(vec![0; 7]);
-            } else if ctx.round() < 2 {
-                ctx.broadcast(vec![ctx.round() as u64]);
-            }
-        }
-    }
-    let g = generators::erdos_renyi_gnm(40, 100, 5);
-    let csr = std::sync::Arc::new(spanner_netsim::CsrAdjacency::from_graph(&g));
-    let mut seq = Network::new(&g, MessageBudget::Words(4), 9);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
-    let seq_err = seq
-        .run_traced(|_, _| LateFat, 32, &mut seq_trace)
-        .unwrap_err();
-    assert!(matches!(seq_err, RunError::Budget(_)));
-    let seq_events = seq_trace.into_events();
-
-    let mut cseq = Network::from_csr(std::sync::Arc::clone(&csr), MessageBudget::Words(4), 9);
-    let mut ctrace = RingBufferSink::new(TRACE_CAP);
-    let cerr = cseq
-        .run_traced(|_, _| LateFat, 32, &mut ctrace)
-        .unwrap_err();
-    assert_eq!(seq_err, cerr, "csr sequential error");
-    assert_eq!(seq.metrics(), cseq.metrics(), "csr sequential metrics");
-    assert_eq!(seq_events, ctrace.into_events(), "csr sequential trace");
-
-    for threads in [1usize, 2, 4, 8] {
-        let mut par = ParallelNetwork::from_csr(
-            std::sync::Arc::clone(&csr),
-            MessageBudget::Words(4),
-            9,
-            threads,
-        );
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
-        let par_err = par
-            .run_traced(|_, _| LateFat, 32, &mut par_trace)
-            .unwrap_err();
-        assert_eq!(seq_err, par_err, "{threads} threads");
-        assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
-        assert_eq!(
-            seq_events,
-            par_trace.into_events(),
-            "csr trace, {threads} threads"
-        );
-    }
 }
 
 /// An empty graph still produces a well-formed stream (the init round and a

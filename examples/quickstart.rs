@@ -5,8 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::sync::Arc;
+
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
-use ultrasparse_spanners::graph::generators;
+use ultrasparse_spanners::graph::{generators, CsrAdjacency};
+use ultrasparse_spanners::netsim::{Executor, NullSink};
 
 fn main() {
     // A connected random network: 5 000 routers, average degree 16.
@@ -18,9 +21,19 @@ fn main() {
     );
 
     // Build the paper's linear-size skeleton, distributedly: every node is
-    // a processor exchanging O(log^eps n)-word messages.
+    // a processor exchanging O(log^eps n)-word messages. The simulator runs
+    // on a shared CSR copy of the topology; `Executor::Parallel { threads }`
+    // or `Executor::Async { .. }` would build the same spanner.
     let params = SkeletonParams::new(4.0, 0.5).expect("valid parameters");
-    let spanner = skeleton::distributed::build_distributed(&g, &params, 42).expect("protocol run");
+    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let spanner = skeleton::distributed::build_distributed(
+        &csr,
+        &params,
+        42,
+        &Executor::Sequential,
+        &mut NullSink,
+    )
+    .expect("protocol run");
 
     assert!(
         spanner.is_spanning(&g),

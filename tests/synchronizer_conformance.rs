@@ -1,4 +1,4 @@
-//! Conformance of the event-driven asynchronous executor (ISSUE PR 8).
+//! Conformance of the event-driven asynchronous executor.
 //!
 //! The synchronizer layer's promise is exactness: for every per-link delay
 //! plan, the synchronized asynchronous run of each distributed
@@ -12,14 +12,18 @@
 //! the delay seed perturbs every link latency in the simulation, yet the
 //! built spanner must never change.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use ultrasparse_spanners::baselines::baswana_sen::{self, BaswanaSenParams};
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
-use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, StretchBound};
-use ultrasparse_spanners::netsim::{FaultPlan, RunMetrics, Synchronizer};
+use ultrasparse_spanners::graph::{
+    generators, verify_stretch_exact, CsrAdjacency, Graph, StretchBound,
+};
+use ultrasparse_spanners::netsim::{Executor, FaultPlan, NullSink, RunMetrics, Synchronizer};
 
 /// Strategy: a small connected random graph, n ≤ 64 (pair-exact
 /// verification is O(n·m) per construction) — the same distribution
@@ -36,6 +40,19 @@ fn arb_small_graph() -> impl Strategy<Value = Graph> {
 /// A dense random delay plan: 40% of hops take up to 4 extra ticks.
 fn delay_plan(dseed: u64) -> FaultPlan {
     FaultPlan::new(dseed).with_delays(0.4, 4)
+}
+
+/// The shared CSR topology the distributed drivers run on.
+fn csr(g: &Graph) -> Arc<CsrAdjacency> {
+    Arc::new(CsrAdjacency::from_graph(g))
+}
+
+/// The asynchronous executor under `delays`, synchronized by `synchronizer`.
+fn on_async(delays: &FaultPlan, synchronizer: Synchronizer) -> Executor {
+    Executor::Async {
+        delays: delays.clone(),
+        synchronizer,
+    }
 }
 
 /// Both synchronizer variants for `g`: the α-synchronizer, and the
@@ -84,12 +101,13 @@ proptest! {
         dseed in any::<u64>(),
     ) {
         let params = SkeletonParams::default();
-        let reference = skeleton::distributed::build_distributed(&g, &params, seed)
+        let csr = csr(&g);
+        let reference = skeleton::distributed::build_distributed_csr(&csr, &params, seed)
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         for sync in variants(&g, &reference) {
-            let s = skeleton::distributed::build_distributed_async(
-                &g, &params, seed, &delays, sync,
+            let s = skeleton::distributed::build_distributed(
+                &csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
             ).expect("async build");
             assert_pair_exact("skeleton", &reference, &s);
             // Paper bounds on the async output, as in conformance_constructions.
@@ -114,15 +132,16 @@ proptest! {
     ) {
         let n = g.node_count();
         let params = FibonacciParams::new(n, order, 0.5, 0).unwrap();
-        let reference = fibonacci::distributed::build_distributed(&g, &params, seed)
+        let csr = csr(&g);
+        let reference = fibonacci::distributed::build_distributed_csr(&csr, &params, seed)
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         // The skeleton variant synchronizes over a separately built
         // skeleton spanner (spanning + connected on these graphs).
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x51);
         for sync in variants(&g, &skel) {
-            let s = fibonacci::distributed::build_distributed_async(
-                &g, &params, seed, &delays, sync,
+            let s = fibonacci::distributed::build_distributed(
+                &csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
             ).expect("async build");
             assert_pair_exact("fibonacci", &reference, &s);
             prop_assert!(s.is_spanning(&g));
@@ -141,13 +160,15 @@ proptest! {
         k in 1u32..=4,
     ) {
         let params = BaswanaSenParams::new(k).unwrap();
-        let reference = baswana_sen::build_distributed(&g, &params, seed)
+        let csr = csr(&g);
+        let reference = baswana_sen::build_distributed_csr(&csr, &params, seed)
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x52);
         for sync in variants(&g, &skel) {
-            let s = baswana_sen::build_distributed_async(&g, &params, seed, &delays, sync)
-                .expect("async build");
+            let s = baswana_sen::build_distributed(
+                &csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+            ).expect("async build");
             assert_pair_exact("baswana_sen", &reference, &s);
             let t = (2 * k - 1) as f64;
             prop_assert!(verify_stretch_exact(
@@ -166,14 +187,12 @@ proptest! {
         dseed in any::<u64>(),
     ) {
         let params = SkeletonParams::default();
+        let csr = csr(&g);
         let mut previous: Option<(ultrasparse_spanners::graph::EdgeSet, RunMetrics)> = None;
         for perm in 0..3u64 {
-            let s = skeleton::distributed::build_distributed_async(
-                &g,
-                &params,
-                seed,
-                &delay_plan(dseed.wrapping_add(perm)),
-                Synchronizer::Alpha,
+            let executor = on_async(&delay_plan(dseed.wrapping_add(perm)), Synchronizer::Alpha);
+            let s = skeleton::distributed::build_distributed(
+                &csr, &params, seed, &executor, &mut NullSink,
             ).expect("async build");
             let m = s.metrics.expect("async build has metrics").protocol_only();
             if let Some((edges, metrics)) = &previous {
@@ -191,14 +210,11 @@ proptest! {
 fn zero_delay_plan_is_unit_latency() {
     let g = generators::connected_gnm(32, 64, 5);
     let params = SkeletonParams::default();
-    let reference = skeleton::distributed::build_distributed(&g, &params, 7).expect("sync build");
-    let s = skeleton::distributed::build_distributed_async(
-        &g,
-        &params,
-        7,
-        &FaultPlan::default(),
-        Synchronizer::Alpha,
-    )
-    .expect("async build");
+    let csr = csr(&g);
+    let reference =
+        skeleton::distributed::build_distributed_csr(&csr, &params, 7).expect("sync build");
+    let executor = on_async(&FaultPlan::default(), Synchronizer::Alpha);
+    let s = skeleton::distributed::build_distributed(&csr, &params, 7, &executor, &mut NullSink)
+        .expect("async build");
     assert_pair_exact("skeleton/zero-delay", &reference, &s);
 }

@@ -85,6 +85,11 @@ impl Protocol for MinRootBfs {
             self.sent = Some(self.best);
         }
     }
+
+    /// Message-driven: an empty inbox changes nothing.
+    fn next_wake(&self, _round: u32) -> u32 {
+        u32::MAX
+    }
 }
 
 /// Distributed BFS forest on `executor`, over a shared CSR adjacency with

@@ -569,6 +569,46 @@ impl Protocol for SkelNode {
         }
     }
 
+    /// The timetable's next action round. With an empty inbox, `round`
+    /// acts only in the current window's boundary rounds and in rounds
+    /// where a kill batch or an unforwarded candidate waits to go up, and
+    /// never once finished; every other round is a no-op.
+    fn next_wake(&self, t: u32) -> u32 {
+        if self.finished {
+            return u32::MAX;
+        }
+        let w = &self.cfg.windows[self.call];
+        let next = t + 1;
+        let streaming = self.dying
+            && !self.aborted
+            && self.p1_parent.is_some()
+            && !self.kill_pending.is_empty()
+            && w.decide < next
+            && next < w.kill_end;
+        // A candidate that arrived at or after `decide` stays unforwarded
+        // until the next exchange resets it. A node that a stutter kept
+        // from that exchange would forward it in the next forwarding
+        // window, so it must wake there as an every-round run would.
+        let forwarding = self.alive
+            && matches!(&self.best, Some((c, _)) if self.sent != Some(*c))
+            && w.cand_start <= next
+            && next < w.decide;
+        if streaming || forwarding {
+            return next;
+        }
+        [
+            w.exchange,
+            w.cand_start,
+            w.decide,
+            w.kill_end,
+            w.adopt,
+            w.end,
+        ]
+        .into_iter()
+        .find(|&b| b > t)
+        .unwrap_or(next)
+    }
+
     fn done(&self) -> bool {
         self.finished
     }
@@ -891,5 +931,116 @@ mod tests {
         let untraced = build_distributed_csr(&csr, &params, 7).unwrap();
         assert_eq!(s.edges, untraced.edges);
         assert_eq!(s.metrics, untraced.metrics);
+    }
+
+    /// [`SkelNode`] with the default `next_wake`: run in every round, as
+    /// an executor that ignores wake hints runs it.
+    #[derive(Debug)]
+    struct Awake(SkelNode);
+
+    impl Protocol for Awake {
+        type Msg = SkelMsg;
+
+        fn init(&mut self, ctx: &mut Ctx<'_, SkelMsg>) {
+            self.0.init(ctx);
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, SkelMsg>, inbox: &[(NodeId, SkelMsg)]) {
+            self.0.round(ctx, inbox);
+        }
+
+        fn done(&self) -> bool {
+            self.0.done()
+        }
+    }
+
+    /// Runs the skeleton with its wake hints and inside [`Awake`] on the
+    /// sequential executor, traced, and asserts identical per-node
+    /// selections (or errors), metrics with fault counters, and JSONL
+    /// bytes. Returns the metrics.
+    fn assert_wake_invisible(g: &Graph, seed: u64, plan: Option<&FaultPlan>) -> RunMetrics {
+        use spanner_netsim::JsonLinesSink;
+        let csr = Arc::new(CsrAdjacency::from_graph(g));
+        let params = SkeletonParams::default();
+        let n = g.node_count();
+        let budget = theorem2_budget(n, params.eps);
+        let words = budget.limit().expect("bounded");
+        let cfg = Arc::new(SkelConfig::build(&params.schedule(n), n, seed, words));
+        let max_rounds = cfg.total_rounds + 8;
+        let node = |v| SkelNode::new(Arc::clone(&cfg), v);
+
+        let mut sink = JsonLinesSink::new(Vec::new());
+        let factory = |v, _: &mut _| node(v);
+        let (hinted, h_metrics) = execute(
+            &Executor::Sequential,
+            plan,
+            &csr,
+            budget,
+            seed,
+            factory,
+            max_rounds,
+            &mut sink,
+        );
+        let h_bytes = sink.finish().expect("in-memory sink");
+        let mut sink = JsonLinesSink::new(Vec::new());
+        let factory = |v, _: &mut _| Awake(node(v));
+        let (awake, a_metrics) = execute(
+            &Executor::Sequential,
+            plan,
+            &csr,
+            budget,
+            seed,
+            factory,
+            max_rounds,
+            &mut sink,
+        );
+        let a_bytes = sink.finish().expect("in-memory sink");
+
+        let hinted = hinted.map(|s| s.into_iter().map(|p| p.selected).collect::<Vec<_>>());
+        let awake = awake.map(|s| s.into_iter().map(|p| p.0.selected).collect::<Vec<_>>());
+        assert_eq!(hinted, awake, "selections, {plan:?}");
+        assert_eq!(h_metrics, a_metrics, "{plan:?}");
+        assert!(h_bytes == a_bytes, "JSONL traces differ, {plan:?}");
+        h_metrics
+    }
+
+    /// The wake hints skip only no-op rounds, with and without faults: a
+    /// drop/delay/crash/stutter plan knocks nodes off the timetable, and a
+    /// node that a stutter kept from its wake round must then act as an
+    /// every-round run would.
+    #[test]
+    fn wake_hints_do_not_change_runs() {
+        let mut graphs: Vec<Graph> = (0..3)
+            .map(|s| generators::connected_gnm(300, 1_500, s))
+            .collect();
+        graphs.push(generators::grid(12, 12));
+        graphs.push(generators::caveman(8, 10, 5, 2));
+        graphs.push(generators::star(40));
+        let mut killed = false;
+        for (i, g) in graphs.iter().enumerate() {
+            let seed = 31 + i as u64;
+            let m = assert_wake_invisible(g, seed, None);
+            // Only a KillBatch carries more than 3 words.
+            killed |= m.max_message_words > 3;
+            let plan = FaultPlan::new(seed)
+                .with_drops(0.02)
+                .with_delays(0.05, 3)
+                .with_stutters(0.05)
+                .with_crash(NodeId(3), 40);
+            let m = assert_wake_invisible(g, seed, Some(&plan));
+            assert!(m.faults.stutters > 0 && m.faults.dropped > 0, "{m}");
+        }
+        assert!(killed, "no input reached the kill phase");
+    }
+
+    /// Under heavy stutters a node can miss an exchange reset and carry an
+    /// unforwarded candidate into the next forwarding window; its wake
+    /// hint must then wake it there (this input sends one `CandUp` more
+    /// than a hint that only follows window boundaries would).
+    #[test]
+    fn wake_hints_forward_a_candidate_carried_past_a_stutter() {
+        let g = generators::connected_gnm(60, 200, 116);
+        let plan = FaultPlan::new(116).with_delays(0.3, 6).with_stutters(0.4);
+        assert_wake_invisible(&g, 116, Some(&plan));
     }
 }

@@ -67,6 +67,11 @@
 //! distributed termination-detection protocol (documented deviation; a
 //! deployment would run one on top).
 //!
+//! This executor ignores [`Protocol::next_wake`] and calls every node's
+//! [`Protocol::round`] in every recovered round. The wake contract makes
+//! the extra calls no-ops, so a Sequential-vs-Async comparison also checks
+//! that a protocol's wake hints skip only no-op rounds.
+//!
 //! # Example
 //!
 //! ```

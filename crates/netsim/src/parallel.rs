@@ -24,7 +24,9 @@
 //! counting-scatters it back into the chunk inbox arenas (stable, so every
 //! inbox slice stays sender-sorted). All buffers keep their capacity across
 //! rounds, so the steady-state loop performs no per-round heap allocation —
-//! mirroring the sequential executor's arenas.
+//! mirroring the sequential executor's arenas. Workers apply the sequential
+//! executor's wake rule ([`Protocol::next_wake`]) and not-done counter to
+//! their chunk, so idle nodes cost no protocol call here either.
 //!
 //! Useful for big-n experiment sweeps; the sequential executor remains the
 //! reference implementation.
@@ -306,6 +308,11 @@ impl ParallelNetwork {
                 let (gate, round_no) = (&gate, &round_no);
                 let base = ci * chunk;
                 scope.spawn(move || {
+                    // Chunk-local wake rounds and not-done count, the
+                    // sequential executor's `wake` array and counter split
+                    // per chunk. Zero wakes run every node's `init`.
+                    let mut wake: Vec<u32> = vec![0; chunk.min(n - base)];
+                    let mut not_done = 0usize;
                     while gate.worker_begin() {
                         let round = round_no.load(Ordering::Acquire);
                         let mut guard = slot.lock().expect("worker lock");
@@ -343,7 +350,15 @@ impl ParallelNetwork {
                             // sorted.
                             let inbox =
                                 &inbox_flat[inbox_off[i] as usize..inbox_off[i + 1] as usize];
+                            // The sequential executor's wake rule.
+                            if inbox.is_empty() && wake[i] > round {
+                                out_off[i + 1] = out_flat.len() as u32;
+                                continue;
+                            }
                             debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
+                            // `init` counts as leaving a done state, so
+                            // round 0 adds every node that is not done.
+                            let was_done = !FAULTS && (round == 0 || nodes[i].done());
                             *stamp += 1;
                             let mut ctx = Ctx::new_for_executor(
                                 v,
@@ -362,11 +377,20 @@ impl ParallelNetwork {
                             } else {
                                 nodes[i].round(&mut ctx, inbox);
                             }
+                            wake[i] = nodes[i].next_wake(round);
+                            if !FAULTS {
+                                not_done =
+                                    not_done + usize::from(was_done) - usize::from(nodes[i].done());
+                            }
                             out_off[i + 1] = out_flat.len() as u32;
                         }
-                        *done = nodes.iter().enumerate().all(|(i, p)| {
-                            p.done() || (FAULTS && plan.crashed(NodeId((base + i) as u32), round))
-                        });
+                        *done = if FAULTS {
+                            nodes.iter().enumerate().all(|(i, p)| {
+                                p.done() || plan.crashed(NodeId((base + i) as u32), round)
+                            })
+                        } else {
+                            not_done == 0
+                        };
                         drop(guard);
                         gate.worker_end();
                     }

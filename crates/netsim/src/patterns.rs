@@ -76,6 +76,11 @@ impl Protocol for FloodProtocol {
             }
         }
     }
+
+    /// Message-driven: an empty inbox changes nothing.
+    fn next_wake(&self, _round: u32) -> u32 {
+        u32::MAX
+    }
 }
 
 /// A (distance, source-id) pair flooded by [`MinIdBroadcast`].
@@ -169,6 +174,11 @@ impl Protocol for MinIdBroadcast {
                 self.sent = Some(b);
             }
         }
+    }
+
+    /// Message-driven: an empty inbox changes nothing.
+    fn next_wake(&self, _round: u32) -> u32 {
+        u32::MAX
     }
 }
 

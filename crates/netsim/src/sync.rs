@@ -14,11 +14,22 @@
 //! # Hot-path design
 //!
 //! The round loop performs no per-round heap allocation in steady state:
-//! inboxes live in two arenas (`cur`/`next`) of per-node `Vec`s that are
-//! cleared and swapped each round, keeping their capacity; the outbox is one
-//! reused `Vec`; duplicate-send detection is a per-node stamp array
+//! sends are staged in global send order and a stable counting scatter
+//! regroups them into one flat inbox arena with per-receiver offsets, both
+//! buffers keeping their capacity; the outbox is one reused `Vec`;
+//! duplicate-send detection is a per-node stamp array
 //! ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)). Adjacency is
 //! a flat [`CsrAdjacency`] shared with the parallel executor.
+//!
+//! Idle nodes cost two loads, not a protocol call: one `wake` array holds
+//! each node's [`Protocol::next_wake`] answer, and a node with an empty
+//! inbox is skipped until that round (the wake contract makes the skipped
+//! call a no-op). A timetable protocol whose rounds mostly have a handful
+//! of senders — the Theorem 2 skeleton — then steps only those senders and
+//! the nodes whose timetable fires. Quiescence on the unfaulted path is a
+//! not-done counter, updated from [`Protocol::done`] before and after each
+//! executed node, instead of a scan of all n nodes per round; the faulted
+//! path keeps its scan, because a crash makes a node done by round number.
 
 use std::sync::Arc;
 
@@ -77,6 +88,17 @@ impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
 /// Implementations receive the full inbox of the round (sender plus message,
 /// sorted by sender id — a deterministic order shared by the sequential and
 /// parallel executors) and send via the [`Ctx`].
+///
+/// # Wake contract
+///
+/// A node runs in every round in which its inbox is non-empty, and in
+/// every round at or after the one [`Protocol::next_wake`] named when it
+/// last ran. In any other round — earlier than its wake round, with an
+/// empty inbox — [`Protocol::round`] must be a no-op: no state change, no
+/// send, no RNG draw and no phase declaration. The round-synchronous
+/// executors skip such rounds; since a skipped round is a no-op, an
+/// executor that ignores the hint (the asynchronous one does) produces the
+/// same states, metrics and trace bytes.
 pub trait Protocol {
     /// The message type exchanged by this protocol.
     type Msg: Clone + MessageSize;
@@ -84,8 +106,21 @@ pub trait Protocol {
     /// Called once before the first round; may send initial messages.
     fn init(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
-    /// Called every round with the messages delivered this round.
+    /// Called with the messages delivered this round, in every round in
+    /// which the inbox is non-empty or the node's wake round has come (see
+    /// the wake contract above). An executor may also call it in other
+    /// rounds, with an empty inbox; those calls must be no-ops.
     fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[(NodeId, Self::Msg)]);
+
+    /// The first round after `round` in which this node must run even if
+    /// its inbox is empty; `u32::MAX` means "only when a message arrives".
+    ///
+    /// Asked after [`Protocol::init`] (with `round == 0`) and after every
+    /// executed [`Protocol::round`]. Until that round, empty-inbox rounds
+    /// must be no-ops. The default, `round + 1`, runs the node every round.
+    fn next_wake(&self, round: u32) -> u32 {
+        round + 1
+    }
 
     /// Whether this node is content to stop if the network goes quiet.
     ///
@@ -486,6 +521,10 @@ impl Network {
         let mut seen = vec![0u64; n];
         let mut stamp = 0u64;
         let mut phase_actions: Vec<PhaseAction> = Vec::new();
+        // `wake[v]`: the round node `v` asked to run in next (see the wake
+        // contract on `Protocol`). Nodes that never run `init` — crashed at
+        // round 0 — keep 0, so only the fault plan ever skips them.
+        let mut wake: Vec<u32> = vec![0; n];
 
         // Init phase (round 0).
         if TRACED {
@@ -516,6 +555,7 @@ impl Network {
                 };
                 nodes[v].init(&mut ctx);
             }
+            wake[v] = nodes[v].next_wake(0);
             if TRACED {
                 tracer.apply_actions(&mut phase_actions);
             }
@@ -534,6 +574,12 @@ impl Network {
         if FAULTS {
             self.metrics.faults = fstate.counters();
         }
+        // Nodes not yet done; kept current on the unfaulted path only.
+        let mut not_done = if FAULTS {
+            0
+        } else {
+            nodes.iter().filter(|p| !p.done()).count()
+        };
 
         let mut round: u32 = 0;
         loop {
@@ -547,7 +593,7 @@ impl Network {
                         .enumerate()
                         .all(|(v, p)| p.done() || fstate.plan().crashed(NodeId(v as u32), round))
             } else {
-                staging.is_empty() && nodes.iter().all(Protocol::done)
+                staging.is_empty() && not_done == 0
             };
             if quiescent {
                 break;
@@ -590,7 +636,14 @@ impl Network {
                 } else {
                     &flat[offsets[v] as usize..offsets[v + 1] as usize]
                 };
+                // A node with nothing delivered sleeps until its wake
+                // round; `>` rather than `==`, so a node a stutter kept
+                // from its wake round runs in the next one.
+                if inbox.is_empty() && wake[v] > round {
+                    continue;
+                }
                 debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
+                let was_done = !FAULTS && nodes[v].done();
                 outbox.clear();
                 stamp += 1;
                 {
@@ -607,6 +660,10 @@ impl Network {
                         tracing: TRACED,
                     };
                     nodes[v].round(&mut ctx, inbox);
+                }
+                wake[v] = nodes[v].next_wake(round);
+                if !FAULTS {
+                    not_done = not_done + usize::from(was_done) - usize::from(nodes[v].done());
                 }
                 if TRACED {
                     tracer.apply_actions(&mut phase_actions);

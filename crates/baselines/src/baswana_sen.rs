@@ -201,7 +201,7 @@ pub struct BsNode {
 }
 
 impl BsNode {
-    fn decide(&mut self, me: NodeId, inbox: &[(NodeId, BsMsg)]) {
+    fn decide(&mut self, inbox: &[(NodeId, BsMsg)]) {
         let Some(cv) = self.cluster else { return };
         let iter = self.iter;
         if self.sampler.sampled(cv, iter, self.p) {
@@ -213,7 +213,6 @@ impl BsNode {
             .collect();
         adj.sort_unstable();
         adj.dedup_by_key(|&mut (c, _)| c);
-        let _ = me;
         match adj
             .iter()
             .find(|&&(c, _)| self.sampler.sampled(c, iter, self.p))
@@ -250,9 +249,6 @@ impl Protocol for BsNode {
     type Msg = BsMsg;
 
     fn init(&mut self, ctx: &mut Ctx<'_, BsMsg>) {
-        if self.params.k == 1 {
-            // Degenerate: no phase-1 iterations; go straight to phase 2.
-        }
         ctx.broadcast(BsMsg {
             center: self.cluster,
         });
@@ -273,7 +269,7 @@ impl Protocol for BsNode {
             }
         }
         if self.iter < self.params.k - 1 {
-            self.decide(ctx.me(), inbox);
+            self.decide(inbox);
             self.iter += 1;
             if self.iter < self.params.k {
                 ctx.broadcast(BsMsg {

@@ -7,7 +7,7 @@
 //! the `netsim` benchmarks run the same workload on the rewritten executor
 //! (double-buffered arenas, CSR adjacency, stamp-based duplicate check).
 //!
-//! Two shapes:
+//! Three shapes:
 //!
 //! * `er_50k` — Erdős–Rényi, n = 50 000, m = 150 000: the acceptance target
 //!   is ≥ 2× throughput over the seed path.
@@ -15,9 +15,14 @@
 //!   must be linear in d (time at d = 100 000 ≈ 10× time at d = 10 000); the
 //!   seed path is quadratic, so it is benchmarked only at the smaller sizes
 //!   (at d = 100 000 a single naive round is ~10⁹ comparisons).
+//! * `sparse_64k` — n = 2¹⁶, m = 4n, where 1 % of the nodes wake every 64
+//!   rounds and send one message, and everyone else sleeps until mail
+//!   arrives. It reports the marginal cost of one round in ns, which
+//!   follows the round's active nodes when idle rounds cost O(active) and
+//!   grows with n when they cost O(n).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -151,5 +156,90 @@ fn bench_star(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_er, bench_star);
+/// Every `PERIOD` rounds until `until`, a pulsing node sends one word to
+/// its first neighbour, and it is done only after its last pulse; the rest
+/// only ever run on delivery.
+struct Pulse {
+    pulsing: bool,
+    until: u32,
+    now: u32,
+}
+
+const PERIOD: u32 = 64;
+
+impl Protocol for Pulse {
+    type Msg = u64;
+
+    fn init(&mut self, _ctx: &mut Ctx<'_, u64>) {}
+
+    fn round(&mut self, ctx: &mut Ctx<'_, u64>, _inbox: &[(NodeId, u64)]) {
+        let t = ctx.round();
+        self.now = t;
+        if self.pulsing && t % PERIOD == 0 && t <= self.until {
+            if let Some(&to) = ctx.neighbors().first() {
+                ctx.send(to, u64::from(t));
+            }
+        }
+    }
+
+    fn next_wake(&self, round: u32) -> u32 {
+        if self.pulsing && round < self.until {
+            (round / PERIOD + 1) * PERIOD
+        } else {
+            u32::MAX
+        }
+    }
+
+    fn done(&self) -> bool {
+        !self.pulsing || self.now >= self.until
+    }
+}
+
+/// Wall time of one sparse run lasting about `until` rounds.
+fn run_sparse(csr: &Arc<CsrAdjacency>, until: u32) -> (Duration, u32) {
+    let start = Instant::now();
+    let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::CONGEST, 1);
+    net.run(
+        |v, _| Pulse {
+            pulsing: v.0 % 100 == 0,
+            until,
+            now: 0,
+        },
+        until + 4,
+    )
+    .expect("terminates");
+    (start.elapsed(), net.metrics().rounds)
+}
+
+/// Median wall time and round count of `samples` sparse runs.
+fn median_sparse(csr: &Arc<CsrAdjacency>, until: u32, samples: usize) -> (f64, u32) {
+    let mut times: Vec<f64> = Vec::with_capacity(samples);
+    let mut rounds = 0;
+    for _ in 0..samples {
+        let (t, r) = run_sparse(csr, until);
+        times.push(t.as_secs_f64());
+        rounds = r;
+    }
+    times.sort_by(f64::total_cmp);
+    (times[samples / 2], rounds)
+}
+
+/// The marginal cost of a sparse round: the time difference between a
+/// long and a short run over their round difference, so the O(n) set-up
+/// both share cancels out.
+fn bench_sparse(_c: &mut Criterion) {
+    let n = 1usize << 16;
+    let g = generators::erdos_renyi_gnm(n, 4 * n, 42);
+    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let samples = 9;
+    let (short, short_rounds) = median_sparse(&csr, PERIOD, samples);
+    let (long, long_rounds) = median_sparse(&csr, 32 * PERIOD, samples);
+    let per_round = (long - short) * 1e9 / f64::from(long_rounds - short_rounds);
+    println!(
+        "bench: {:<48} {per_round:>14.1} ns/round  ({} - {} rounds, median of {samples} runs each)",
+        "round_throughput/sparse_64k", long_rounds, short_rounds
+    );
+}
+
+criterion_group!(benches, bench_er, bench_star, bench_sparse);
 criterion_main!(benches);

@@ -106,7 +106,8 @@ use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::sync::{scatter, Ctx, MessageSize, Protocol, RunError};
+use crate::route::{route, Mailbox};
+use crate::sync::{Ctx, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
 /// How round safety is disseminated between protocol rounds.
@@ -501,14 +502,12 @@ impl AsyncNetwork {
         // The local time at which each node executes the current round.
         let mut exec_time: Vec<u64> = vec![0; n];
         // Arrivals for the next round, staged as (receiver, sender, msg) in
-        // arrival order, then counting-scattered into one flat arena whose
-        // per-receiver slices are sorted by sender before delivery (one
-        // message per sender per round) — the same arena discipline as the
-        // sequential executor, with no per-node `Vec` growth.
+        // arrival order, then routed into one mailbox whose per-receiver
+        // slices are sorted by sender before delivery (one message per
+        // sender per round) — the sequential executor's router, with no
+        // per-node `Vec` growth.
         let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut flat: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0; n + 1];
-        let mut cursor: Vec<u32> = vec![0; n];
+        let mut mailbox: Mailbox<P::Msg> = Mailbox::new(0, n);
         let mut sync = SyncState::new(n);
         let mut in_flight: u64 = 0;
 
@@ -592,7 +591,10 @@ impl AsyncNetwork {
                 tracer,
                 traced,
             );
-            scatter(&mut staging, &mut flat, &mut offsets, &mut cursor);
+            route(&mut staging, &mut [&mut mailbox], n);
+            // Every node runs every round here: the asynchronous executor
+            // ignores wake hints, which the wake contract allows.
+            mailbox.mark_all();
             for (v, t) in exec_time.iter_mut().enumerate() {
                 *t = sync.start[v].expect("synchronizer delivered a start time");
                 horizon = horizon.max(*t);
@@ -604,9 +606,9 @@ impl AsyncNetwork {
             if traced {
                 tracer.begin_round(round);
             }
-            for v in 0..n {
+            while let Some(v) = mailbox.pop_active() {
                 let node = NodeId(v as u32);
-                let inbox = &mut flat[offsets[v] as usize..offsets[v + 1] as usize];
+                let inbox = mailbox.take(v);
                 // Arrival order is delay-dependent; sorting by sender
                 // restores the synchronous inbox order.
                 inbox.sort_unstable_by_key(|&(s, _)| s);

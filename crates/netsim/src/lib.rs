@@ -46,6 +46,7 @@
 
 pub mod async_exec;
 pub mod budget;
+mod calendar;
 pub mod csr;
 pub mod executor;
 pub mod faults;
@@ -53,6 +54,7 @@ pub mod metrics;
 pub mod parallel;
 pub mod patterns;
 pub mod rng;
+mod route;
 pub mod sync;
 pub mod trace;
 

@@ -15,18 +15,18 @@
 //!
 //! The worker pool is created **once per run** with `std::thread::scope` and
 //! parked on a pair of round barriers; no threads are spawned per round.
-//! Each worker owns one contiguous chunk of nodes behind a `Mutex` (contended
-//! only at round boundaries, when the coordinator routes messages). Per
-//! chunk, inboxes and outboxes are single flat arenas with per-node offset
-//! tables — no per-node `Vec` growth: workers append sends to the chunk's
-//! outbox arena and record each node's boundary; the coordinator drains the
-//! arenas in global sender order into one staging buffer and
-//! counting-scatters it back into the chunk inbox arenas (stable, so every
-//! inbox slice stays sender-sorted). All buffers keep their capacity across
-//! rounds, so the steady-state loop performs no per-round heap allocation —
-//! mirroring the sequential executor's arenas. Workers apply the sequential
-//! executor's wake rule ([`Protocol::next_wake`]) and not-done counter to
-//! their chunk, so idle nodes cost no protocol call here either.
+//! Each worker owns one contiguous chunk of nodes with that chunk's
+//! mailbox, behind a `Mutex` contended only at round boundaries, when the
+//! coordinator routes messages. Workers apply the sequential executor's
+//! wake calendar and not-done counter to their chunk and step only the
+//! chunk's active bits — receivers plus due nodes — appending sends to one
+//! outbox arena and recording which nodes ran. The coordinator drains only
+//! those senders, in global sender order, through the sequential
+//! executor's `stage` (budget checks, accounting, fault fates) and its
+//! router, which counting-scatters the round's sends into the chunk
+//! mailboxes (stable, so every inbox slice stays sender-sorted). A sparse
+//! round therefore costs O(messages + active nodes + n/64) plus the two
+//! barrier wake-ups, and every buffer keeps its capacity across rounds.
 //!
 //! Useful for big-n experiment sweeps; the sequential executor remains the
 //! reference implementation.
@@ -40,30 +40,29 @@ use spanner_graph::pool::RoundGate;
 use spanner_graph::{Graph, NodeId};
 
 use crate::budget::{BudgetViolation, MessageBudget};
+use crate::calendar::WakeCalendar;
 use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::sync::{Ctx, MessageSize, Protocol, RunError};
+use crate::route::{route, stage, Mailbox};
+use crate::sync::{Ctx, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
-/// Everything one worker thread owns: a contiguous chunk of nodes with their
-/// RNGs, inboxes, and outboxes. Locked by the worker while a round executes
-/// and by the coordinator while messages are routed; the two phases are
-/// separated by barriers, so the lock is never contended.
+/// Everything one worker thread owns: a contiguous chunk of nodes with
+/// their RNGs, mailbox and outboxes. Locked by the worker while a round
+/// executes and by the coordinator while messages are routed; the two
+/// phases are separated by barriers, so the lock is never contended.
 struct ChunkSlot<P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<SmallRng>,
-    /// Flat inbox arena: node `i`'s inbox is
-    /// `inbox_flat[inbox_off[i]..inbox_off[i + 1]]`, sender-sorted. Rebuilt
-    /// by the coordinator's counting scatter each round.
-    inbox_flat: Vec<(NodeId, P::Msg)>,
-    inbox_off: Vec<u32>,
-    /// Flat outbox arena: workers append in node order and record node
-    /// `i`'s boundary in `out_off[i + 1]`, so the coordinator can drain the
-    /// arena front-to-back while attributing every message to its sender.
+    /// The chunk's inboxes and active set, filled by the coordinator.
+    mailbox: Mailbox<P::Msg>,
+    /// Flat outbox arena, appended to in node order by the nodes that ran.
     out_flat: Vec<(NodeId, P::Msg)>,
-    out_off: Vec<u32>,
+    /// The nodes that ran this round, ascending, each with the end of its
+    /// sends in `out_flat`: the coordinator drains exactly these.
+    ran: Vec<(u32, u32)>,
     /// Duplicate-send stamps (indexed by *target* node, so length n).
     seen: Vec<u64>,
     stamp: u64,
@@ -284,10 +283,9 @@ impl ParallelNetwork {
                 Mutex::new(ChunkSlot {
                     nodes,
                     rngs,
-                    inbox_flat: Vec::new(),
-                    inbox_off: vec![0u32; hi - lo + 1],
+                    mailbox: Mailbox::new(lo, hi - lo),
                     out_flat: Vec::new(),
-                    out_off: vec![0u32; hi - lo + 1],
+                    ran: Vec::new(),
                     seen: vec![0u64; n],
                     stamp: 0,
                     phases: (lo..hi).map(|_| Vec::new()).collect(),
@@ -308,10 +306,9 @@ impl ParallelNetwork {
                 let (gate, round_no) = (&gate, &round_no);
                 let base = ci * chunk;
                 scope.spawn(move || {
-                    // Chunk-local wake rounds and not-done count, the
-                    // sequential executor's `wake` array and counter split
-                    // per chunk. Zero wakes run every node's `init`.
-                    let mut wake: Vec<u32> = vec![0; chunk.min(n - base)];
+                    // The sequential executor's wake calendar and not-done
+                    // counter, split per chunk.
+                    let mut calendar = WakeCalendar::new(chunk.min(n - base));
                     let mut not_done = 0usize;
                     while gate.worker_begin() {
                         let round = round_no.load(Ordering::Acquire);
@@ -319,42 +316,40 @@ impl ParallelNetwork {
                         let ChunkSlot {
                             nodes,
                             rngs,
-                            inbox_flat,
-                            inbox_off,
+                            mailbox,
                             out_flat,
-                            out_off,
+                            ran,
                             seen,
                             stamp,
                             phases,
                             done,
                         } = &mut *guard;
                         out_flat.clear();
-                        out_off[0] = 0;
-                        for i in 0..nodes.len() {
+                        ran.clear();
+                        // Round 0 runs every `init`; later rounds run the
+                        // receivers the coordinator marked and the due nodes.
+                        if round == 0 {
+                            mailbox.mark_all();
+                        } else {
+                            calendar.fire(round, mailbox);
+                        }
+                        while let Some(i) = mailbox.pop_active() {
                             let v = NodeId((base + i) as u32);
-                            // Crashed or stuttering nodes execute nothing this
-                            // round; an empty outbox range keeps the
-                            // coordinator from routing on their behalf. (Their
-                            // inbox slice is necessarily empty: the fault
-                            // engine never delivers to a skipped node.) The
-                            // skip decision is a pure function of (plan, v,
-                            // round), identical on every executor and thread.
+                            // Crashed or stuttering nodes execute nothing
+                            // this round, exactly as in the sequential loop.
+                            // The skip decision is a pure function of (plan,
+                            // v, round), identical on every executor and
+                            // thread.
                             if FAULTS && plan.skips(v, round) {
-                                phases[i].clear();
-                                out_off[i + 1] = out_flat.len() as u32;
+                                mailbox.take(i);
+                                if !plan.crashed(v, round) {
+                                    calendar.retry(i, round);
+                                }
                                 continue;
                             }
-                            // Sorted for free: the coordinator's counting
-                            // scatter is stable over the global ascending
-                            // sender order, so each inbox slice is already
-                            // sorted.
-                            let inbox =
-                                &inbox_flat[inbox_off[i] as usize..inbox_off[i + 1] as usize];
-                            // The sequential executor's wake rule.
-                            if inbox.is_empty() && wake[i] > round {
-                                out_off[i + 1] = out_flat.len() as u32;
-                                continue;
-                            }
+                            // Sorted for free: the shared router is stable
+                            // over the global ascending sender order.
+                            let inbox: &[(NodeId, P::Msg)] = mailbox.take(i);
                             debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
                             // `init` counts as leaving a done state, so
                             // round 0 adds every node that is not done.
@@ -377,12 +372,12 @@ impl ParallelNetwork {
                             } else {
                                 nodes[i].round(&mut ctx, inbox);
                             }
-                            wake[i] = nodes[i].next_wake(round);
+                            calendar.set(i, round, nodes[i].next_wake(round));
                             if !FAULTS {
                                 not_done =
                                     not_done + usize::from(was_done) - usize::from(nodes[i].done());
                             }
-                            out_off[i + 1] = out_flat.len() as u32;
+                            ran.push((i as u32, out_flat.len() as u32));
                         }
                         *done = if FAULTS {
                             nodes.iter().enumerate().all(|(i, p)| {
@@ -402,19 +397,14 @@ impl ParallelNetwork {
             // them on the way out.
             let shutdown = || gate.shutdown();
 
-            // Routes every outbox into its target inbox in global sender
+            // Drains the outboxes of the nodes that ran, in global sender
             // order (chunks are contiguous and ascending, so chunk order ×
-            // node order = node order). Budget checks and metric updates
-            // happen in that same order, which is what makes the partial
-            // accounting of a failed run identical to the sequential path.
-            // Sends are staged as (receiver, sender, msg) and then
-            // counting-scattered into the chunk inbox arenas — the same
-            // stable scatter the sequential executor uses, split per chunk.
-            // All four buffers keep their capacity across rounds.
+            // node order = node order), through the shared `stage` — the
+            // sequential executor's budget checks and accounting, in its
+            // order, which is what makes the partial accounting of a failed
+            // run identical. Then the shared router (or the fault engine)
+            // fills the chunk mailboxes. `staging` keeps its capacity.
             let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-            let mut counts: Vec<u32> = vec![0; n];
-            let mut cursor: Vec<u32> = vec![0; n];
-            let mut bases: Vec<*mut (NodeId, P::Msg)> = Vec::with_capacity(nchunks);
             let mut deliver = |round: u32,
                                metrics: &mut RunMetrics,
                                fstate: &mut FaultState<P::Msg>,
@@ -425,121 +415,54 @@ impl ParallelNetwork {
                     .map(|m| m.lock().expect("route lock"))
                     .collect();
                 for (ci, slot) in guards.iter_mut().enumerate() {
-                    let g = &mut **slot;
-                    let nlen = g.nodes.len();
-                    let mut sends = g.out_flat.drain(..);
-                    for i in 0..nlen {
-                        let sender = NodeId((ci * chunk + i) as u32);
+                    let ChunkSlot {
+                        out_flat,
+                        ran,
+                        phases,
+                        ..
+                    } = &mut **slot;
+                    let mut sends = out_flat.drain(..);
+                    let mut start = 0;
+                    for &(i, end) in ran.iter() {
+                        let sender = NodeId((ci * chunk) as u32 + i);
                         // Phase declarations first, then the node's
                         // messages — the order the sequential flush uses.
                         if TRACED {
-                            tracer.apply_actions(&mut g.phases[i]);
+                            tracer.apply_actions(&mut phases[i as usize]);
                         }
-                        let cnt = (g.out_off[i + 1] - g.out_off[i]) as usize;
-                        if TRACED {
-                            tracer.on_outbox(cnt);
-                        }
-                        for _ in 0..cnt {
-                            let (to, msg) = sends.next().expect("outbox offsets tile the arena");
-                            let words = msg.words();
-                            if !budget.allows(words) {
-                                return Err(BudgetViolation {
-                                    sender,
-                                    receiver: to,
-                                    round,
-                                    words,
-                                    budget,
-                                });
-                            }
-                            metrics.messages += 1;
-                            metrics.words += words as u64;
-                            metrics.max_message_words = metrics.max_message_words.max(words);
-                            if TRACED {
-                                tracer.on_message(words);
-                            }
-                            if FAULTS {
-                                fstate.accept(round, sender, to, msg);
-                            } else {
-                                staging.push((to, sender, msg));
-                            }
-                        }
+                        stage::<_, _, TRACED, FAULTS>(
+                            sender,
+                            round,
+                            (&mut sends).take((end - start) as usize),
+                            budget,
+                            metrics,
+                            fstate,
+                            tracer,
+                            &mut staging,
+                        )?;
+                        start = end;
                     }
                 }
-                let in_flight;
-                if FAULTS {
+                let mut boxes: Vec<&mut Mailbox<P::Msg>> =
+                    guards.iter_mut().map(|g| &mut g.mailbox).collect();
+                let in_flight = if FAULTS {
                     // Materialize next round's inboxes through the fault
                     // engine; messages still pending (delayed or held for a
                     // stutterer) stay in flight. `flush_due` emits receivers
-                    // in ascending global order, so appending chunk by chunk
-                    // leaves each arena receiver-grouped, and the counts
-                    // prefix-sum into the offset tables.
-                    counts.fill(0);
-                    for g in guards.iter_mut() {
-                        g.inbox_flat.clear();
+                    // in ascending global order, so each chunk's inboxes
+                    // stay ranges of its arena.
+                    for b in boxes.iter_mut() {
+                        b.clear();
                     }
                     let sunk = fstate.flush_due(round + 1, |to, s, m| {
-                        counts[to.index()] += 1;
-                        guards[to.index() / chunk].inbox_flat.push((s, m));
+                        boxes[to.index() / chunk].push(to, s, m);
                     });
-                    for (ci, slot) in guards.iter_mut().enumerate() {
-                        let g = &mut **slot;
-                        let lo = ci * chunk;
-                        g.inbox_off[0] = 0;
-                        for i in 0..g.nodes.len() {
-                            g.inbox_off[i + 1] = g.inbox_off[i] + counts[lo + i];
-                        }
-                        debug_assert_eq!(
-                            *g.inbox_off.last().expect("offset table") as usize,
-                            g.inbox_flat.len()
-                        );
-                    }
-                    in_flight = sunk + fstate.in_flight();
+                    sunk + fstate.in_flight()
                 } else {
-                    // Stable counting scatter of the staged sends into the
-                    // chunk inbox arenas (see `sync::scatter` for the
-                    // single-arena version of the same idea).
-                    in_flight = staging.len() as u64;
-                    counts.fill(0);
-                    for &(to, _, _) in staging.iter() {
-                        counts[to.index()] += 1;
-                    }
-                    for (ci, slot) in guards.iter_mut().enumerate() {
-                        let g = &mut **slot;
-                        let lo = ci * chunk;
-                        g.inbox_off[0] = 0;
-                        for i in 0..g.nodes.len() {
-                            g.inbox_off[i + 1] = g.inbox_off[i] + counts[lo + i];
-                            cursor[lo + i] = g.inbox_off[i];
-                        }
-                        let total = *g.inbox_off.last().expect("offset table") as usize;
-                        g.inbox_flat.clear();
-                        g.inbox_flat.reserve(total);
-                    }
-                    bases.clear();
-                    bases.extend(guards.iter_mut().map(|g| g.inbox_flat.as_mut_ptr()));
-                    // SAFETY: the counting pass guarantees each chunk's
-                    // bucket cursors tile `0..total` of that chunk's reserved
-                    // arena exactly, so each slot is written exactly once
-                    // before set_len. Nothing between the writes can panic
-                    // (ptr::write and u32 increments on values the counting
-                    // pass already produced), so no partially-initialized
-                    // buffer is ever observed; the base pointers stay valid
-                    // because nothing touches the arenas until set_len.
-                    unsafe {
-                        for (to, sender, msg) in staging.drain(..) {
-                            let c = &mut cursor[to.index()];
-                            std::ptr::write(
-                                bases[to.index() / chunk].add(*c as usize),
-                                (sender, msg),
-                            );
-                            *c += 1;
-                        }
-                        for g in guards.iter_mut() {
-                            let total = *g.inbox_off.last().expect("offset table") as usize;
-                            g.inbox_flat.set_len(total);
-                        }
-                    }
-                }
+                    let staged = staging.len() as u64;
+                    route(&mut staging, &mut boxes, chunk);
+                    staged
+                };
                 let all_done = guards.iter().all(|g| g.done);
                 Ok((in_flight, all_done))
             };

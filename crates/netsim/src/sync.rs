@@ -13,23 +13,28 @@
 //!
 //! # Hot-path design
 //!
-//! The round loop performs no per-round heap allocation in steady state:
-//! sends are staged in global send order and a stable counting scatter
-//! regroups them into one flat inbox arena with per-receiver offsets, both
-//! buffers keeping their capacity; the outbox is one reused `Vec`;
-//! duplicate-send detection is a per-node stamp array
-//! ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)). Adjacency is
-//! a flat [`CsrAdjacency`] shared with the parallel executor.
+//! An unfaulted round costs O(messages + active nodes + n/64), not O(n).
+//! Sends are staged in global send order and the shared router
+//! (`route::route`, also used by the parallel and asynchronous executors)
+//! counting-scatters them into one mailbox arena, touching only the
+//! receivers: it marks them in an n/64-word active bitmap and keeps
+//! per-receiver counts that are zeroed as each node takes its inbox, so
+//! there is no fill, prefix sum or copy over all n. Nodes with an empty
+//! inbox run only in the rounds they asked for ([`Protocol::next_wake`]):
+//! a wake calendar — a ring of round buckets plus an overflow heap, with
+//! memory independent of `max_rounds` — marks each round's due nodes in
+//! the same bitmap, and the loop steps its set bits in ascending id. That
+//! keeps global sender order, inbox order, budget errors, metrics and trace
+//! bytes exactly those of a loop over every node. Quiescence on the
+//! unfaulted path is a not-done counter, updated from [`Protocol::done`]
+//! before and after each executed node; the faulted path keeps its O(n)
+//! scan, because a crash makes a node done by round number.
 //!
-//! Idle nodes cost two loads, not a protocol call: one `wake` array holds
-//! each node's [`Protocol::next_wake`] answer, and a node with an empty
-//! inbox is skipped until that round (the wake contract makes the skipped
-//! call a no-op). A timetable protocol whose rounds mostly have a handful
-//! of senders — the Theorem 2 skeleton — then steps only those senders and
-//! the nodes whose timetable fires. Quiescence on the unfaulted path is a
-//! not-done counter, updated from [`Protocol::done`] before and after each
-//! executed node, instead of a scan of all n nodes per round; the faulted
-//! path keeps its scan, because a crash makes a node done by round number.
+//! The loop performs no per-round heap allocation in steady state: the
+//! staging buffer, the arena, the outbox and the calendar's buckets keep
+//! their capacity; duplicate-send detection is a per-node stamp array
+//! ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)). Adjacency
+//! is a flat [`CsrAdjacency`] shared with the parallel executor.
 
 use std::sync::Arc;
 
@@ -38,10 +43,12 @@ use rand::rngs::SmallRng;
 use spanner_graph::{Graph, NodeId};
 
 use crate::budget::{BudgetViolation, MessageBudget};
+use crate::calendar::WakeCalendar;
 use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
+use crate::route::{route, stage, Mailbox};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
 /// Message length in words of O(log n) bits.
@@ -488,43 +495,35 @@ impl Network {
         self.metrics = RunMetrics::default();
         // The fault engine (empty and untouched unless FAULTS). Faulted
         // rounds bypass the counting scatter: deliveries go through
-        // `FaultState::flush_due` into a flat inbox arena, because
+        // `FaultState::flush_due` straight into the mailbox, because
         // delayed/held messages break the global-sender-order precondition
         // the scatter needs. `flush_due` sinks receivers in ascending
-        // order, so the arena is one append-only `Vec` with per-receiver
-        // offsets — no per-node `Vec` growth on the fault path either.
+        // order, so each inbox is still one range of the mailbox arena.
         let mut fstate: FaultState<P::Msg> = FaultState::new(
             self.faults.clone().unwrap_or_default(),
             if FAULTS { n } else { 0 },
         );
-        let mut fault_flat: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut fault_counts: Vec<u32> = vec![0; if FAULTS { n } else { 0 }];
 
         let mut rngs: Vec<SmallRng> = (0..n as u32).map(|v| node_rng(self.seed, v, 0)).collect();
         let mut nodes: Vec<P> = (0..n as u32)
             .map(|v| factory(NodeId(v), &mut rngs[v as usize]))
             .collect();
 
-        // Double-buffered inbox arenas. Sends are appended to `staging` as
-        // (receiver, sender, msg) in global send order — a purely sequential
-        // write. At each round boundary a counting scatter regroups them by
-        // receiver into `flat`, whose per-receiver slices are handed to the
-        // protocols; the slices come out sorted by sender for free because
-        // senders flush in ascending order and the scatter is stable. All
-        // buffers keep their capacity across rounds, so the steady-state
-        // loop performs no heap allocation.
+        // Sends are appended to `staging` as (receiver, sender, msg) in
+        // global send order — a purely sequential write. At each round
+        // boundary `route` regroups them into the mailbox, whose
+        // per-receiver slices are handed to the protocols; the slices come
+        // out sorted by sender for free because senders flush in ascending
+        // order and the scatter is stable. All buffers keep their capacity
+        // across rounds, so the steady-state loop performs no heap
+        // allocation.
         let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut flat: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0; n + 1];
-        let mut cursor: Vec<u32> = vec![0; n];
+        let mut mailbox: Mailbox<P::Msg> = Mailbox::new(0, n);
+        let mut calendar = WakeCalendar::new(n);
         let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
         let mut seen = vec![0u64; n];
         let mut stamp = 0u64;
         let mut phase_actions: Vec<PhaseAction> = Vec::new();
-        // `wake[v]`: the round node `v` asked to run in next (see the wake
-        // contract on `Protocol`). Nodes that never run `init` — crashed at
-        // round 0 — keep 0, so only the fault plan ever skips them.
-        let mut wake: Vec<u32> = vec![0; n];
 
         // Init phase (round 0).
         if TRACED {
@@ -555,7 +554,7 @@ impl Network {
                 };
                 nodes[v].init(&mut ctx);
             }
-            wake[v] = nodes[v].next_wake(0);
+            calendar.set(v, 0, nodes[v].next_wake(0));
             if TRACED {
                 tracer.apply_actions(&mut phase_actions);
             }
@@ -607,41 +606,29 @@ impl Network {
                 tracer.begin_round(round);
             }
 
+            // The round's active set: every receiver, then every node
+            // whose wake round has come.
             if FAULTS {
                 fstate.begin_round(round);
-                fault_flat.clear();
-                fault_counts.fill(0);
-                fstate.flush_due(round, |to, sender, msg| {
-                    fault_counts[to.index()] += 1;
-                    fault_flat.push((sender, msg));
-                });
-                // `flush_due` emits receivers in ascending order, so the
-                // arena is already receiver-grouped: prefix-sum the counts
-                // into the shared offsets table.
-                offsets[0] = 0;
-                for v in 0..n {
-                    offsets[v + 1] = offsets[v] + fault_counts[v];
-                }
+                mailbox.clear();
+                fstate.flush_due(round, |to, sender, msg| mailbox.push(to, sender, msg));
             } else {
-                scatter(&mut staging, &mut flat, &mut offsets, &mut cursor);
+                route(&mut staging, &mut [&mut mailbox], n);
             }
+            calendar.fire(round, &mut mailbox);
 
-            for v in 0..n {
+            while let Some(v) = mailbox.pop_active() {
                 let node = NodeId(v as u32);
                 if FAULTS && fstate.plan().skips(node, round) {
+                    // A crashed node's mail is dropped unread; a stuttered
+                    // due node runs in the next round instead.
+                    mailbox.take(v);
+                    if !fstate.plan().crashed(node, round) {
+                        calendar.retry(v, round);
+                    }
                     continue;
                 }
-                let inbox: &[(NodeId, P::Msg)] = if FAULTS {
-                    &fault_flat[offsets[v] as usize..offsets[v + 1] as usize]
-                } else {
-                    &flat[offsets[v] as usize..offsets[v + 1] as usize]
-                };
-                // A node with nothing delivered sleeps until its wake
-                // round; `>` rather than `==`, so a node a stutter kept
-                // from its wake round runs in the next one.
-                if inbox.is_empty() && wake[v] > round {
-                    continue;
-                }
+                let inbox: &[(NodeId, P::Msg)] = mailbox.take(v);
                 debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
                 let was_done = !FAULTS && nodes[v].done();
                 outbox.clear();
@@ -661,7 +648,7 @@ impl Network {
                     };
                     nodes[v].round(&mut ctx, inbox);
                 }
-                wake[v] = nodes[v].next_wake(round);
+                calendar.set(v, round, nodes[v].next_wake(round));
                 if !FAULTS {
                     not_done = not_done + usize::from(was_done) - usize::from(nodes[v].done());
                 }
@@ -688,8 +675,8 @@ impl Network {
         Ok(nodes)
     }
 
-    /// Validates one node's outbox and appends it to the staging buffer
-    /// (or, under fault injection, routes it through the fault engine).
+    /// Stages one node's outbox through the shared [`stage`] (or, under
+    /// fault injection, into the fault engine).
     fn flush<M: MessageSize + Clone, const TRACED: bool, const FAULTS: bool>(
         &mut self,
         sender: NodeId,
@@ -699,79 +686,20 @@ impl Network {
         fstate: &mut FaultState<M>,
         tracer: &mut Tracer<'_>,
     ) -> Result<(), RunError> {
-        if TRACED {
-            tracer.on_outbox(outbox.len());
-        }
-        for (to, msg) in outbox.drain(..) {
-            let words = msg.words();
-            if !self.budget.allows(words) {
-                self.metrics.faults = fstate.counters();
-                return Err(RunError::Budget(BudgetViolation {
-                    sender,
-                    receiver: to,
-                    round,
-                    words,
-                    budget: self.budget,
-                }));
-            }
-            self.metrics.messages += 1;
-            self.metrics.words += words as u64;
-            self.metrics.max_message_words = self.metrics.max_message_words.max(words);
-            if TRACED {
-                tracer.on_message(words);
-            }
-            if FAULTS {
-                fstate.accept(round, sender, to, msg);
-            } else {
-                staging.push((to, sender, msg));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Regroups `staging` — (receiver, sender, msg) triples in send order — by
-/// receiver into `flat`, leaving `offsets[v]..offsets[v+1]` as receiver
-/// `v`'s slice. A stable counting scatter: O(messages + n), and each slice
-/// stays in ascending sender order. Drains `staging`; both buffers retain
-/// their capacity for the next round.
-///
-/// Message counts fit `u32`: a round delivers at most one message per
-/// directed edge, and [`CsrAdjacency`] already bounds half-edges to `u32`.
-/// Shared with the asynchronous executor, which regroups each recovered
-/// round's arrivals the same way.
-pub(crate) fn scatter<M>(
-    staging: &mut Vec<(NodeId, NodeId, M)>,
-    flat: &mut Vec<(NodeId, M)>,
-    offsets: &mut [u32],
-    cursor: &mut [u32],
-) {
-    let n = offsets.len() - 1;
-    offsets.fill(0);
-    for &(to, _, _) in staging.iter() {
-        offsets[to.index() + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    cursor.copy_from_slice(&offsets[..n]);
-    let total = staging.len();
-    flat.clear();
-    flat.reserve(total);
-    // SAFETY: the counting pass above guarantees every receiver index is in
-    // bounds and that the bucket cursors tile 0..total exactly, so each of
-    // the `total` reserved slots is written exactly once before set_len.
-    // Nothing between the writes can panic (ptr::write and u32 increments
-    // on values the counting pass already produced), so no
-    // partially-initialized buffer is ever observed.
-    unsafe {
-        let base = flat.as_mut_ptr();
-        for (to, sender, msg) in staging.drain(..) {
-            let c = &mut cursor[to.index()];
-            std::ptr::write(base.add(*c as usize), (sender, msg));
-            *c += 1;
-        }
-        flat.set_len(total);
+        stage::<_, _, TRACED, FAULTS>(
+            sender,
+            round,
+            outbox.drain(..),
+            self.budget,
+            &mut self.metrics,
+            fstate,
+            tracer,
+            staging,
+        )
+        .map_err(|v| {
+            self.metrics.faults = fstate.counters();
+            RunError::Budget(v)
+        })
     }
 }
 

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -711,25 +711,70 @@ impl Session {
 /// Serves TCP connections from `listener` sequentially, one session
 /// stream per connection, sharing a single [`Server`] (state and
 /// counters persist across connections). `QUIT` ends a connection, not
-/// the server. Stops after `max_conns` connections when given (useful
-/// for tests and smoke runs; `None` loops forever). Returns the server
-/// for post-run inspection.
+/// the server. A connection that fails to open — a failed `accept`, e.g.
+/// EMFILE or ECONNABORTED, or a failed stream clone — is logged to stderr
+/// and skipped, and does not count as served. Stops after `max_conns`
+/// served connections when given (useful for tests and smoke runs; `None`
+/// loops forever). Returns the server for post-run inspection.
 pub fn serve_listener(
     listener: TcpListener,
     server: Server,
     max_conns: Option<usize>,
 ) -> io::Result<Server> {
     let mut session = Session::new(server);
-    for (served, conn) in listener.incoming().enumerate() {
-        let stream = conn?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
+    let mut served = 0usize;
+    for conn in listener.incoming() {
+        let Some((reader, writer)) = open_connection(conn) else {
+            continue;
+        };
         // A dropped connection mid-session is that client's problem, not
         // a server-fatal condition.
         let _ = session.run(reader, writer);
-        if max_conns.is_some_and(|m| served + 1 >= m) {
+        served += 1;
+        if max_conns.is_some_and(|m| served >= m) {
             break;
         }
     }
     Ok(session.server)
+}
+
+/// The reader and writer of an accepted connection, or `None` after
+/// logging why it could not be opened.
+fn open_connection(
+    conn: io::Result<TcpStream>,
+) -> Option<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    let opened = conn.and_then(|stream| {
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok((reader, BufWriter::new(stream)))
+    });
+    match opened {
+        Ok(pair) => Some(pair),
+        Err(e) => {
+            eprintln!("spanner-serve: skipping connection: {e}");
+            None
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_accept_is_skipped() {
+        for kind in [io::ErrorKind::ConnectionAborted, io::ErrorKind::Other] {
+            assert!(open_connection(Err(io::Error::from(kind))).is_none());
+        }
+    }
+
+    #[test]
+    fn accepted_connection_opens() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = TcpStream::connect(addr).expect("connect");
+        let (_reader, mut writer) =
+            open_connection(listener.accept().map(|(s, _)| s)).expect("opened");
+        writer.write_all(b"x").expect("write");
+        drop(client);
+    }
 }

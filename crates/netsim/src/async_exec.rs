@@ -1,15 +1,14 @@
 //! The event-driven asynchronous executor.
 //!
-//! The paper's model (and the [`Network`](crate::Network) /
-//! [`ParallelNetwork`](crate::ParallelNetwork) executors) is perfectly
-//! synchronous: messages sent in round `r` arrive at the start of round
-//! `r + 1`. Real links deliver with per-hop latency. [`AsyncNetwork`] runs
-//! the **same unchanged [`Protocol`] state machines** on such links by
-//! pairing a discrete-event scheduler with a *synchronizer* — the classic
-//! construction (Awerbuch's α-synchronizer, and the skeleton-based variant
-//! of Bitton et al., "Message Reduction in the Local Model is a Free
-//! Lunch", arXiv:1909.08369) that recovers round numbers from an
-//! asynchronous execution.
+//! The paper's model (and the round-synchronous [`Network`](crate::Network)
+//! executor) is perfectly synchronous: messages sent in round `r` arrive
+//! at the start of round `r + 1`. Real links deliver with per-hop latency.
+//! [`AsyncNetwork`] runs the **same unchanged [`Protocol`] state machines**
+//! on such links by pairing a discrete-event scheduler with a
+//! *synchronizer* — the classic construction (Awerbuch's α-synchronizer,
+//! and the skeleton-based variant of Bitton et al., "Message Reduction in
+//! the Local Model is a Free Lunch", arXiv:1909.08369) that recovers round
+//! numbers from an asynchronous execution.
 //!
 //! # Event model
 //!
@@ -542,7 +541,7 @@ impl AsyncNetwork {
                 nodes[v].init(&mut ctx);
             }
             if traced {
-                tracer.apply_actions(&mut phase_actions);
+                tracer.apply_actions(phase_actions.drain(..));
             }
             flush(
                 &mut self.metrics,
@@ -630,7 +629,7 @@ impl AsyncNetwork {
                     nodes[v].round(&mut ctx, inbox);
                 }
                 if traced {
-                    tracer.apply_actions(&mut phase_actions);
+                    tracer.apply_actions(phase_actions.drain(..));
                 }
                 flush(
                     &mut self.metrics,

@@ -1,12 +1,12 @@
-//! Flat CSR adjacency shared by the sequential and parallel executors.
+//! Flat CSR adjacency shared by the executors.
 //!
 //! The layout now lives in [`spanner_graph::csr`] so the distance engine
 //! and the executors share one implementation; this module re-exports it
 //! under the historical netsim path. The determinism contract is unchanged:
 //! `Ctx::neighbors` is sorted ascending and `Ctx::send` binary searches it,
 //! and the flat offsets + targets arrays are built once per graph and
-//! shared between [`Network`](crate::Network) and
-//! [`ParallelNetwork`](crate::parallel::ParallelNetwork).
+//! shared by every worker of a [`Network`](crate::Network) and by
+//! [`AsyncNetwork`](crate::AsyncNetwork).
 
 pub use spanner_graph::csr::CsrAdjacency;
 

@@ -1,11 +1,12 @@
-//! One entry point over the three executors: an [`Executor`] value picks
-//! the simulator, and [`execute`] runs a protocol on it over a shared
+//! One entry point over the executors: an [`Executor`] value picks the
+//! simulator, and [`execute`] runs a protocol on it over a shared
 //! [`CsrAdjacency`], so a construction driver needs one body whatever the
 //! executor. Dispatch is static: each arm calls the concrete executor's
 //! `run_traced`, which monomorphizes its round loop on the tracing and
 //! fault decisions itself, so an untraced, unfaulted
 //! [`Executor::Sequential`] run is the instantiation [`Network::run`] uses.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -17,21 +18,20 @@ use crate::budget::MessageBudget;
 use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
-use crate::parallel::ParallelNetwork;
 use crate::sync::{Network, Protocol, RunError};
 use crate::trace::TraceSink;
 
 /// Which simulator runs a protocol.
 ///
-/// All three produce the same final states, protocol-level metrics
+/// All of them produce the same final states, protocol-level metrics
 /// ([`RunMetrics::protocol_only`]) and trace stream for the same topology,
 /// seed and protocol (asserted in `tests/executor_parity.rs`).
 #[derive(Debug, Clone)]
 pub enum Executor {
-    /// The reference round-synchronous executor ([`Network`]).
+    /// The round-synchronous executor ([`Network`]) on the calling thread.
     Sequential,
-    /// The round-synchronous executor on a pool of `threads` workers
-    /// ([`ParallelNetwork`]).
+    /// The round-synchronous executor on `threads` workers
+    /// ([`Network::with_threads`]); one worker is [`Executor::Sequential`].
     Parallel {
         /// Worker threads; at least one.
         threads: usize,
@@ -58,9 +58,10 @@ pub enum Executor {
 /// `faults` injects crash, drop, duplicate, delay and stutter faults (see
 /// [`Network::with_faults`]). A protocol that a fault schedule drives into
 /// breaking the model (for instance by sending twice to one neighbor in a
-/// round) panics; under a plan the sequential executor contains that panic
-/// and reports it as [`RunError::Panicked`] with the partial metrics.
-/// Without a plan, panics propagate.
+/// round) panics; under a plan the round-synchronous executor contains
+/// that panic at every worker count and reports it as
+/// [`RunError::Panicked`] with the partial metrics. Without a plan, panics
+/// propagate.
 ///
 /// # Panics
 ///
@@ -85,23 +86,9 @@ where
     F: FnMut(NodeId, &mut SmallRng) -> P,
 {
     let guarded = faults.is_some();
-    match executor {
-        Executor::Sequential => {
-            let mut net = Network::from_csr(Arc::clone(csr), budget, seed);
-            if let Some(plan) = faults {
-                net = net.with_faults(plan.clone());
-            }
-            let states = contain(guarded, || net.run_traced(factory, max_rounds, sink));
-            (states, net.metrics())
-        }
-        Executor::Parallel { threads } => {
-            let mut net = ParallelNetwork::from_csr(Arc::clone(csr), budget, seed, *threads);
-            if let Some(plan) = faults {
-                net = net.with_faults(plan.clone());
-            }
-            let states = contain(guarded, || net.run_traced(factory, max_rounds, sink));
-            (states, net.metrics())
-        }
+    let threads = match executor {
+        Executor::Sequential => 1,
+        Executor::Parallel { threads } => *threads,
         Executor::Async {
             delays,
             synchronizer,
@@ -114,9 +101,15 @@ where
                 .with_delays(delays.clone())
                 .with_synchronizer(synchronizer.clone());
             let states = net.run_traced(factory, max_rounds, sink);
-            (states, net.metrics())
+            return (states, net.metrics());
         }
+    };
+    let mut net = Network::from_csr(Arc::clone(csr), budget, seed).with_threads(threads);
+    if let Some(plan) = faults {
+        net = net.with_faults(plan.clone());
     }
+    let states = contain(guarded, || net.run_traced(factory, max_rounds, sink));
+    (states, net.metrics())
 }
 
 /// Runs `run`; if `guarded`, turns a panic into [`RunError::Panicked`].
@@ -127,14 +120,17 @@ fn contain<P>(
     if !guarded {
         return run();
     }
-    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-        let reason = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_owned());
-        Err(RunError::Panicked(reason))
-    })
+    catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|payload| Err(RunError::Panicked(panic_reason(&*payload))))
+}
+
+/// The message of a panic payload.
+fn panic_reason(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 #[cfg(test)]
@@ -143,6 +139,9 @@ mod tests {
     use crate::sync::Ctx;
     use crate::trace::NullSink;
     use spanner_graph::generators;
+    use std::panic::resume_unwind;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Broadcasts once, then breaks the model on hearing back by sending
     /// twice to one neighbor.
@@ -181,20 +180,61 @@ mod tests {
         )
     }
 
+    /// The round-synchronous executors, at one worker and on a pool.
+    fn round_executors() -> [Executor; 3] {
+        [
+            Executor::Sequential,
+            Executor::Parallel { threads: 1 },
+            Executor::Parallel { threads: 2 },
+        ]
+    }
+
+    /// [`run_double_send`] on a watchdog thread, so that a run that never
+    /// returns fails the test instead of hanging it. `Err` carries the
+    /// payload of a panic that reached the caller.
+    fn watched(
+        executor: &Executor,
+        faults: Option<FaultPlan>,
+    ) -> std::thread::Result<(Result<Vec<DoubleSend>, RunError>, RunMetrics)> {
+        let (tx, rx) = mpsc::channel();
+        let run = executor.clone();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(|| run_double_send(&run, faults.as_ref()));
+            let _ = tx.send(outcome);
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{executor:?} did not return within 60 s"))
+    }
+
     #[test]
     fn faulted_panic_is_typed_with_partial_metrics() {
-        let (states, metrics) = run_double_send(&Executor::Sequential, Some(&FaultPlan::new(1)));
-        let Err(RunError::Panicked(reason)) = states else {
-            panic!("expected a contained panic");
-        };
-        assert!(reason.contains("two messages"), "{reason}");
-        assert_eq!(metrics.messages, 12, "the init broadcast is accounted");
+        for executor in round_executors() {
+            let (states, metrics) = watched(&executor, Some(FaultPlan::new(1)))
+                .unwrap_or_else(|_| panic!("{executor:?}: the panic escaped the plan"));
+            let Err(RunError::Panicked(reason)) = states else {
+                panic!("{executor:?}: expected a contained panic");
+            };
+            assert!(reason.contains("two messages"), "{executor:?}: {reason}");
+            assert_eq!(
+                metrics.messages, 12,
+                "{executor:?}: the init broadcast is accounted"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "two messages")]
     fn unfaulted_panic_propagates() {
-        let _ = run_double_send(&Executor::Sequential, None);
+        let mut last = None;
+        for executor in round_executors() {
+            let payload = watched(&executor, None)
+                .err()
+                .unwrap_or_else(|| panic!("{executor:?}: expected the panic to propagate"));
+            let reason = panic_reason(&*payload);
+            assert!(reason.contains("two messages"), "{executor:?}: {reason}");
+            last = Some(payload);
+        }
+        resume_unwind(last.expect("at least one executor"));
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! a τ-round algorithm. This module supplies that adversary as a testing
 //! tool: a [`FaultPlan`] describes a *schedule* of message drops,
 //! duplications, delivery delays, crash-stop failures, and scheduler
-//! stutters, and both executors ([`Network`](crate::Network) and
-//! [`ParallelNetwork`](crate::ParallelNetwork)) apply it identically —
-//! byte-identical final states, [`RunMetrics`](crate::RunMetrics), and
-//! trace streams at any thread count.
+//! stutters, and the round-synchronous executor
+//! ([`Network`](crate::Network)) applies it identically at every worker
+//! count — byte-identical final states, [`RunMetrics`](crate::RunMetrics),
+//! and trace streams.
 //!
 //! # Determinism
 //!
@@ -447,10 +447,6 @@ impl<M: Clone> FaultState<M> {
             in_flight: 0,
             counters: FaultCounters::default(),
         }
-    }
-
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     pub(crate) fn counters(&self) -> FaultCounters {

@@ -22,9 +22,13 @@
 //! * randomness is deterministic: each node derives its own RNG from the
 //!   master seed, so runs are reproducible bit-for-bit.
 //!
-//! The [`sync`] module provides the runner; [`patterns`] provides reusable
-//! protocol building blocks used by the constructions in the paper
-//! (radius-bounded flooding, convergecast, pipelined aggregation).
+//! The [`sync`] module provides the runner, which steps the rounds on the
+//! calling thread or on a pool of workers ([`Network::with_threads`]) with
+//! byte-identical results; [`async_exec`] runs the same protocols on
+//! links with latency, and [`execute`] picks either through one
+//! [`Executor`] value. [`patterns`] provides reusable protocol building
+//! blocks used by the constructions in the paper (radius-bounded flooding,
+//! convergecast, pipelined aggregation).
 //!
 //! # Example
 //!
@@ -51,7 +55,6 @@ pub mod csr;
 pub mod executor;
 pub mod faults;
 pub mod metrics;
-pub mod parallel;
 pub mod patterns;
 pub mod rng;
 mod route;
@@ -64,7 +67,6 @@ pub use csr::CsrAdjacency;
 pub use executor::{execute, Executor};
 pub use faults::{FaultCounters, FaultPlan, MsgFate};
 pub use metrics::RunMetrics;
-pub use parallel::ParallelNetwork;
 pub use sync::{Ctx, MessageSize, Network, Protocol, RunError};
 pub use trace::{
     size_bucket, JsonLinesSink, NullSink, PhaseCost, RingBufferSink, TraceEvent, TraceSink,

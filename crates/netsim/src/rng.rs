@@ -4,8 +4,7 @@
 //! seed via SplitMix64, so (a) a run is reproducible from a single `u64`,
 //! (b) the streams of different nodes are statistically independent, and
 //! (c) node behaviour does not depend on the scheduling order the runner
-//! happens to use — a requirement for the parallel executor to agree with
-//! the sequential one.
+//! happens to use — a requirement for runs to agree at every worker count.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -3,9 +3,10 @@
 //! [`stage`] validates and accounts one sender's outbox — budget check,
 //! message and word counts, trace counters, fault fates — and appends it to
 //! the staging buffer; [`route`] regroups the staged sends by receiver into
-//! [`Mailbox`] arenas. The sequential executor routes into one mailbox over
-//! all n nodes, the parallel one into one mailbox per worker chunk, so both
-//! apply the same checks in the same global sender order by construction.
+//! [`Mailbox`] arenas: one mailbox per worker chunk of the round-synchronous
+//! executor (a single one over all n nodes at one worker), and one over all
+//! n nodes for the asynchronous executor, so every executor applies the
+//! same checks in the same global sender order by construction.
 //!
 //! A mailbox also carries the round's *active set*: a bitmap of the nodes
 //! that must run, filled by routing (receivers) and by the executor

@@ -13,33 +13,56 @@
 //!
 //! # Hot-path design
 //!
+//! One round loop serves every worker count ([`Network::with_threads`]).
+//! The nodes are split into one contiguous chunk per worker, and a chunk
+//! is stepped by one function: fire the chunk's wake calendar, pop its
+//! active nodes in ascending id, apply fault skips, run `init` or `round`,
+//! file the node's next wake and update the not-done count. With one
+//! worker the calling thread steps the single chunk and stages each node's
+//! outbox as soon as the node has run; no thread is spawned and no barrier
+//! is taken. With more, a pool of workers (spawned once per run, parked on
+//! a pair of round barriers) steps the chunks, each recording which nodes
+//! ran and where their sends and phase declarations end in the worker's
+//! output arenas; the calling thread then stages those outboxes chunk by chunk.
+//! Both orders are global ascending sender order, so budget errors,
+//! partial metrics, inbox order and trace bytes do not depend on the
+//! worker count. A protocol panic on a worker is caught, and the calling
+//! thread shuts the pool down and resumes it where an inline run would
+//! have panicked.
+//!
 //! An unfaulted round costs O(messages + active nodes + n/64), not O(n).
 //! Sends are staged in global send order and the shared router
-//! (`route::route`, also used by the parallel and asynchronous executors)
-//! counting-scatters them into one mailbox arena, touching only the
-//! receivers: it marks them in an n/64-word active bitmap and keeps
+//! (`route::route`, also used by the asynchronous executor)
+//! counting-scatters them into the chunks' mailbox arenas, touching only
+//! the receivers: it marks them in an n/64-word active bitmap and keeps
 //! per-receiver counts that are zeroed as each node takes its inbox, so
 //! there is no fill, prefix sum or copy over all n. Nodes with an empty
 //! inbox run only in the rounds they asked for ([`Protocol::next_wake`]):
 //! a wake calendar — a ring of round buckets plus an overflow heap, with
 //! memory independent of `max_rounds` — marks each round's due nodes in
-//! the same bitmap, and the loop steps its set bits in ascending id. That
+//! the same bitmap, and the chunk steps its set bits in ascending id. That
 //! keeps global sender order, inbox order, budget errors, metrics and trace
 //! bytes exactly those of a loop over every node. Quiescence on the
 //! unfaulted path is a not-done counter, updated from [`Protocol::done`]
 //! before and after each executed node; the faulted path keeps its O(n)
 //! scan, because a crash makes a node done by round number.
 //!
-//! The loop performs no per-round heap allocation in steady state: the
-//! staging buffer, the arena, the outbox and the calendar's buckets keep
-//! their capacity; duplicate-send detection is a per-node stamp array
-//! ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)). Adjacency
-//! is a flat [`CsrAdjacency`] shared with the parallel executor.
+//! The loop performs no per-round heap allocation in steady state at one
+//! worker: the staging buffer, the arena, the outbox and the calendar's
+//! buckets keep their capacity; duplicate-send detection is a per-node
+//! stamp array ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is
+//! O(deg)). Adjacency is a flat [`CsrAdjacency`] shared with drivers and
+//! the asynchronous executor.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::convert::Infallible;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
 
+use spanner_graph::pool::RoundGate;
 use spanner_graph::{Graph, NodeId};
 
 use crate::budget::{BudgetViolation, MessageBudget};
@@ -93,8 +116,8 @@ impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
 /// A per-node state machine run by [`Network`].
 ///
 /// Implementations receive the full inbox of the round (sender plus message,
-/// sorted by sender id — a deterministic order shared by the sequential and
-/// parallel executors) and send via the [`Ctx`].
+/// sorted by sender id — a deterministic order shared by every executor and
+/// worker count) and send via the [`Ctx`].
 ///
 /// # Wake contract
 ///
@@ -160,7 +183,7 @@ pub struct Ctx<'a, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Internal constructor shared by the sequential and parallel executors.
+    /// Internal constructor for the asynchronous executor.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_for_executor(
         node: NodeId,
@@ -343,13 +366,12 @@ impl From<BudgetViolation> for RunError {
     }
 }
 
-/// A synchronous network over a graph.
+/// A synchronous network over a graph, stepped by one or more workers.
 ///
 /// Construct once per run; [`Network::run`] drives a fresh set of protocol
 /// instances to quiescence and leaves cost accounting in
 /// [`Network::metrics`] — including after a failed run, where the metrics
-/// cover everything accepted up to the error (the parallel executor
-/// guarantees the identical partial accounting).
+/// cover everything accepted up to the error, at every worker count.
 ///
 /// The topology is one `Arc`'d [`CsrAdjacency`]; a [`Graph`] is only an
 /// optional convenience input ([`Network::new`]), never a requirement —
@@ -359,6 +381,8 @@ impl From<BudgetViolation> for RunError {
 pub struct Network {
     budget: MessageBudget,
     seed: u64,
+    /// Worker threads; with one, every round runs on the calling thread.
+    threads: usize,
     metrics: RunMetrics,
     /// Sorted flat adjacency (the Ctx hands slices of it out and `send`
     /// binary searches them), shared with drivers and other executors.
@@ -380,10 +404,25 @@ impl Network {
         Network {
             budget,
             seed,
+            threads: 1,
             metrics: RunMetrics::default(),
             adjacency,
             faults: None,
         }
+    }
+
+    /// Runs subsequent rounds on `threads` workers, each stepping one
+    /// contiguous chunk of nodes. States, metrics and trace bytes do not
+    /// depend on `threads`, failed runs included. With one worker (the
+    /// default) no thread is spawned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "need at least one worker thread");
+        self.threads = threads;
+        self
     }
 
     /// Injects faults from `plan` on subsequent runs (see
@@ -405,6 +444,11 @@ impl Network {
         self.budget
     }
 
+    /// Number of worker threads.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Cost accounting of the most recent [`Network::run`].
     pub fn metrics(&self) -> RunMetrics {
         self.metrics
@@ -421,11 +465,13 @@ impl Network {
         Arc::clone(&self.adjacency)
     }
 
-    /// Runs `factory`-created protocols to quiescence, sequentially.
+    /// Runs `factory`-created protocols to quiescence.
     ///
     /// `factory(v, rng)` builds node `v`'s initial state; `rng` is the
     /// node's private RNG (stream 0), which the protocol may use for its
-    /// own up-front random choices. Returns the final node states.
+    /// own up-front random choices. The factory is called on the calling
+    /// thread, in node order, at every worker count. Returns the final
+    /// node states.
     ///
     /// # Errors
     ///
@@ -433,7 +479,8 @@ impl Network {
     /// [`RunError::Budget`] if any message exceeds the budget.
     pub fn run<P, F>(&mut self, factory: F, max_rounds: u32) -> Result<Vec<P>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         self.run_traced(factory, max_rounds, &mut NullSink)
@@ -443,13 +490,12 @@ impl Network {
     /// into `sink` as the run executes.
     ///
     /// With a disabled sink ([`NullSink`]) this is exactly `run`. The event
-    /// stream is deterministic and identical to the one
-    /// [`ParallelNetwork::run_traced`](crate::ParallelNetwork::run_traced)
-    /// produces for the same graph, seed, and protocol — byte-for-byte when
-    /// serialized. On a failed run the partial round and the open phase
-    /// span are flushed before the closing
-    /// [`RunEnd`](crate::TraceEvent::RunEnd), so the trace always accounts
-    /// for exactly what [`Network::metrics`] reports.
+    /// stream is deterministic and the same at every worker count —
+    /// byte-for-byte when serialized; only the calling thread touches the
+    /// sink. On a failed run the partial round and the open phase span are
+    /// flushed before the closing [`RunEnd`](crate::TraceEvent::RunEnd), so
+    /// the trace always accounts for exactly what [`Network::metrics`]
+    /// reports.
     ///
     /// # Errors
     ///
@@ -461,7 +507,8 @@ impl Network {
         sink: &mut dyn TraceSink,
     ) -> Result<Vec<P>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         let mut tracer = Tracer::new(sink);
@@ -488,224 +535,415 @@ impl Network {
         tracer: &mut Tracer<'_>,
     ) -> Result<Vec<P>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         let n = self.adjacency.node_count();
         self.metrics = RunMetrics::default();
-        // The fault engine (empty and untouched unless FAULTS). Faulted
-        // rounds bypass the counting scatter: deliveries go through
-        // `FaultState::flush_due` straight into the mailbox, because
-        // delayed/held messages break the global-sender-order precondition
-        // the scatter needs. `flush_due` sinks receivers in ascending
-        // order, so each inbox is still one range of the mailbox arena.
-        let mut fstate: FaultState<P::Msg> = FaultState::new(
-            self.faults.clone().unwrap_or_default(),
-            if FAULTS { n } else { 0 },
-        );
+        // The fault engine (empty and untouched unless FAULTS) belongs to
+        // the coordinator; the chunks consult the plan's skip decisions,
+        // which are pure functions.
+        let plan = self.faults.clone().unwrap_or_default();
+        let mut fstate: FaultState<P::Msg> =
+            FaultState::new(plan.clone(), if FAULTS { n } else { 0 });
 
-        let mut rngs: Vec<SmallRng> = (0..n as u32).map(|v| node_rng(self.seed, v, 0)).collect();
-        let mut nodes: Vec<P> = (0..n as u32)
-            .map(|v| factory(NodeId(v), &mut rngs[v as usize]))
+        // One chunk per worker, each `span` contiguous nodes (an empty
+        // graph gets one empty chunk). The factory runs here, in node
+        // order, so RNG streams and factory calls are those of any
+        // worker count.
+        let span = n.div_ceil(self.threads).max(1);
+        let slots: Vec<Mutex<Slot<P>>> = (0..n.div_ceil(span).max(1))
+            .map(|c| {
+                let base = c * span;
+                Mutex::new(Slot {
+                    chunk: Chunk::new(base, span.min(n - base), n, self.seed, &mut factory),
+                    outbox: Vec::new(),
+                    phases: Vec::new(),
+                    ran: Vec::new(),
+                    panic: None,
+                })
+            })
             .collect();
 
-        // Sends are appended to `staging` as (receiver, sender, msg) in
-        // global send order — a purely sequential write. At each round
-        // boundary `route` regroups them into the mailbox, whose
-        // per-receiver slices are handed to the protocols; the slices come
-        // out sorted by sender for free because senders flush in ascending
-        // order and the scatter is stable. All buffers keep their capacity
-        // across rounds, so the steady-state loop performs no heap
-        // allocation.
+        // Sends are staged as (receiver, sender, msg) in global send
+        // order; at each round boundary `route` regroups them into the
+        // chunks' mailboxes, whose per-receiver slices come out sorted by
+        // sender for free. Every buffer keeps its capacity across rounds.
         let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut mailbox: Mailbox<P::Msg> = Mailbox::new(0, n);
-        let mut calendar = WakeCalendar::new(n);
-        let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut seen = vec![0u64; n];
-        let mut stamp = 0u64;
-        let mut phase_actions: Vec<PhaseAction> = Vec::new();
+        let gate = RoundGate::new(slots.len());
+        let round_no = AtomicU32::new(0);
+        let (adjacency, plan, budget) = (&*self.adjacency, &plan, self.budget);
+        let metrics = &mut self.metrics;
 
-        // Init phase (round 0).
-        if TRACED {
-            tracer.begin_round(0);
-        }
-        if FAULTS {
-            fstate.begin_round(0);
-        }
-        for v in 0..n {
-            let node = NodeId(v as u32);
-            if FAULTS && fstate.plan().crashed(node, 0) {
-                continue;
-            }
-            outbox.clear();
-            stamp += 1;
-            {
-                let mut ctx = Ctx {
-                    node,
-                    n,
-                    round: 0,
-                    neighbors: self.adjacency.neighbors(node),
-                    rng: &mut rngs[v],
-                    outbox: &mut outbox,
-                    seen: &mut seen,
-                    stamp,
-                    phases: &mut phase_actions,
-                    tracing: TRACED,
-                };
-                nodes[v].init(&mut ctx);
-            }
-            calendar.set(v, 0, nodes[v].next_wake(0));
-            if TRACED {
-                tracer.apply_actions(&mut phase_actions);
-            }
-            self.flush::<_, TRACED, FAULTS>(
-                node,
-                0,
-                &mut outbox,
-                &mut staging,
-                &mut fstate,
-                tracer,
-            )?;
-        }
-        if TRACED {
-            tracer.end_round();
-        }
-        if FAULTS {
-            self.metrics.faults = fstate.counters();
-        }
-        // Nodes not yet done; kept current on the unfaulted path only.
-        let mut not_done = if FAULTS {
-            0
-        } else {
-            nodes.iter().filter(|p| !p.done()).count()
-        };
-
-        let mut round: u32 = 0;
-        loop {
-            // `staging` (or the fault engine) holds everything sent in the
-            // round just executed. Crashed nodes count as done: they will
-            // never act again.
-            let quiescent = if FAULTS {
-                fstate.in_flight() == 0
-                    && nodes
-                        .iter()
-                        .enumerate()
-                        .all(|(v, p)| p.done() || fstate.plan().crashed(NodeId(v as u32), round))
-            } else {
-                staging.is_empty() && not_done == 0
-            };
-            if quiescent {
-                break;
-            }
-            if round >= max_rounds {
-                return Err(RunError::RoundLimit { max_rounds });
-            }
-            round += 1;
-            self.metrics.rounds = round;
-            if TRACED {
-                tracer.begin_round(round);
-            }
-
-            // The round's active set: every receiver, then every node
-            // whose wake round has come.
-            if FAULTS {
-                fstate.begin_round(round);
-                mailbox.clear();
-                fstate.flush_due(round, |to, sender, msg| mailbox.push(to, sender, msg));
-            } else {
-                route(&mut staging, &mut [&mut mailbox], n);
-            }
-            calendar.fire(round, &mut mailbox);
-
-            while let Some(v) = mailbox.pop_active() {
-                let node = NodeId(v as u32);
-                if FAULTS && fstate.plan().skips(node, round) {
-                    // A crashed node's mail is dropped unread; a stuttered
-                    // due node runs in the next round instead.
-                    mailbox.take(v);
-                    if !fstate.plan().crashed(node, round) {
-                        calendar.retry(v, round);
-                    }
-                    continue;
+        std::thread::scope(|scope| -> Result<(), RunError> {
+            // Two or more chunks: one worker each, parked on the gate for
+            // the whole run. A worker catches a protocol panic so that it
+            // still reaches the finish barrier; the coordinator resumes it.
+            let _pool = (slots.len() > 1).then(|| {
+                for slot in &slots {
+                    let (gate, round_no) = (&gate, &round_no);
+                    scope.spawn(move || {
+                        while gate.worker_begin() {
+                            let round = round_no.load(Ordering::Acquire);
+                            let mut guard = slot.lock().expect("worker lock");
+                            let Slot {
+                                chunk,
+                                outbox,
+                                phases,
+                                ran,
+                                panic,
+                            } = &mut *guard;
+                            ran.clear();
+                            let stepped = catch_unwind(AssertUnwindSafe(|| {
+                                chunk.step::<TRACED, FAULTS, Infallible, _>(
+                                    round,
+                                    adjacency,
+                                    plan,
+                                    outbox,
+                                    phases,
+                                    |v, outbox, phases| {
+                                        ran.push((v, outbox.len() as u32, phases.len() as u32));
+                                        Ok(())
+                                    },
+                                )
+                            }));
+                            *panic = stepped.err();
+                            drop(guard);
+                            gate.worker_end();
+                        }
+                    });
                 }
-                let inbox: &[(NodeId, P::Msg)] = mailbox.take(v);
-                debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
-                let was_done = !FAULTS && nodes[v].done();
-                outbox.clear();
-                stamp += 1;
-                {
-                    let mut ctx = Ctx {
-                        node,
-                        n,
-                        round,
-                        neighbors: self.adjacency.neighbors(node),
-                        rng: &mut rngs[v],
-                        outbox: &mut outbox,
-                        seen: &mut seen,
-                        stamp,
-                        phases: &mut phase_actions,
-                        tracing: TRACED,
-                    };
-                    nodes[v].round(&mut ctx, inbox);
-                }
-                calendar.set(v, round, nodes[v].next_wake(round));
-                if !FAULTS {
-                    not_done = not_done + usize::from(was_done) - usize::from(nodes[v].done());
-                }
+                Shutdown(&gate)
+            });
+
+            let mut round: u32 = 0;
+            loop {
                 if TRACED {
-                    tracer.apply_actions(&mut phase_actions);
+                    tracer.begin_round(round);
                 }
-                self.flush::<_, TRACED, FAULTS>(
-                    node,
-                    round,
-                    &mut outbox,
-                    &mut staging,
-                    &mut fstate,
-                    tracer,
-                )?;
+                if FAULTS {
+                    fstate.begin_round(round);
+                }
+                let stepped = if let [only] = &slots[..] {
+                    // One chunk: the coordinator steps it and stages each
+                    // node's outbox as soon as the node has run.
+                    let mut slot = only.lock().expect("slot lock");
+                    let Slot {
+                        chunk,
+                        outbox,
+                        phases,
+                        ..
+                    } = &mut *slot;
+                    if round > 0 {
+                        deliver::<_, FAULTS>(
+                            round,
+                            &mut staging,
+                            &mut fstate,
+                            &mut [&mut chunk.mailbox],
+                            span,
+                        );
+                    }
+                    chunk
+                        .step::<TRACED, FAULTS, _, _>(
+                            round,
+                            adjacency,
+                            plan,
+                            outbox,
+                            phases,
+                            |v, outbox, phases| {
+                                if TRACED {
+                                    tracer.apply_actions(phases.drain(..));
+                                }
+                                stage::<_, _, TRACED, FAULTS>(
+                                    v,
+                                    round,
+                                    outbox.drain(..),
+                                    budget,
+                                    metrics,
+                                    &mut fstate,
+                                    tracer,
+                                    &mut staging,
+                                )
+                            },
+                        )
+                        .map(|()| chunk.quiet)
+                } else {
+                    if round > 0 {
+                        let mut guards: Vec<_> =
+                            slots.iter().map(|s| s.lock().expect("slot lock")).collect();
+                        let mut boxes: Vec<_> =
+                            guards.iter_mut().map(|g| &mut g.chunk.mailbox).collect();
+                        deliver::<_, FAULTS>(round, &mut staging, &mut fstate, &mut boxes, span);
+                    }
+                    round_no.store(round, Ordering::Release);
+                    gate.open();
+                    gate.close();
+                    // Stage what the workers recorded, chunk by chunk and
+                    // node by node: the inline order, so budget errors,
+                    // partial metrics and trace bytes are the same.
+                    slots.iter().try_fold(true, |quiet, slot| {
+                        let mut slot = slot.lock().expect("slot lock");
+                        let Slot {
+                            chunk,
+                            outbox,
+                            phases,
+                            ran,
+                            panic,
+                        } = &mut *slot;
+                        let mut sends = outbox.drain(..);
+                        let mut actions = phases.drain(..);
+                        let (mut sent, mut acted) = (0, 0);
+                        for &(v, send_end, phase_end) in ran.iter() {
+                            if TRACED {
+                                tracer.apply_actions(
+                                    (&mut actions).take((phase_end - acted) as usize),
+                                );
+                            }
+                            stage::<_, _, TRACED, FAULTS>(
+                                v,
+                                round,
+                                (&mut sends).take((send_end - sent) as usize),
+                                budget,
+                                metrics,
+                                &mut fstate,
+                                tracer,
+                                &mut staging,
+                            )?;
+                            (sent, acted) = (send_end, phase_end);
+                        }
+                        // A panic surfaces once the nodes before it are
+                        // staged, where an inline run would have stopped.
+                        if let Some(payload) = panic.take() {
+                            resume_unwind(payload);
+                        }
+                        Ok(quiet && chunk.quiet)
+                    })
+                };
+                let quiet = stepped.map_err(|v| {
+                    metrics.faults = fstate.counters();
+                    RunError::Budget(v)
+                })?;
+                if TRACED {
+                    tracer.end_round();
+                }
+                if FAULTS {
+                    metrics.faults = fstate.counters();
+                }
+                // `staging` (or the fault engine) holds everything sent
+                // this round.
+                let idle = if FAULTS {
+                    fstate.in_flight() == 0
+                } else {
+                    staging.is_empty()
+                };
+                if idle && quiet {
+                    return Ok(());
+                }
+                if round >= max_rounds {
+                    return Err(RunError::RoundLimit { max_rounds });
+                }
+                round += 1;
+                metrics.rounds = round;
             }
-            if TRACED {
-                tracer.end_round();
-            }
-            if FAULTS {
-                self.metrics.faults = fstate.counters();
-            }
-        }
+        })?;
 
+        let mut chunks = slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("slot lock").chunk.nodes);
+        let mut nodes = chunks.next().unwrap_or_default();
+        nodes.extend(chunks.flatten());
         Ok(nodes)
     }
+}
 
-    /// Stages one node's outbox through the shared [`stage`] (or, under
-    /// fault injection, into the fault engine).
-    fn flush<M: MessageSize + Clone, const TRACED: bool, const FAULTS: bool>(
+/// One chunk and the output of its nodes in the current round.
+///
+/// The output arenas live outside the [`Chunk`]: the protocol call writes
+/// to them, and keeping them apart lets the compiler keep the chunk's
+/// loop state in registers across that call.
+struct Slot<P: Protocol> {
+    chunk: Chunk<P>,
+    /// Sends of the nodes that ran and not yet staged, in node order.
+    outbox: Vec<(NodeId, P::Msg)>,
+    /// Phase declarations, likewise.
+    phases: Vec<PhaseAction>,
+    /// The nodes that ran, ascending, each with the end of its sends in
+    /// `outbox` and of its phase declarations in `phases`.
+    ran: Vec<(NodeId, u32, u32)>,
+    /// A protocol panic caught by the worker, for the coordinator to resume.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// Shuts the pool's gate when dropped, so the workers exit however the
+/// coordinator leaves the round loop, a panic included.
+struct Shutdown<'a>(&'a RoundGate);
+
+impl Drop for Shutdown<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// Nodes `base..base + len` with everything needed to step them.
+struct Chunk<P: Protocol> {
+    base: usize,
+    nodes: Vec<P>,
+    rngs: Vec<SmallRng>,
+    /// This round's inboxes and active set, filled by [`deliver`].
+    mailbox: Mailbox<P::Msg>,
+    calendar: WakeCalendar,
+    /// Duplicate-send stamps, indexed by receiver (so length n).
+    seen: Vec<u64>,
+    stamp: u64,
+    /// Nodes not done; kept on the unfaulted path only.
+    not_done: usize,
+    /// After a step: every node is done, or crashed under faults.
+    quiet: bool,
+}
+
+impl<P: Protocol> Chunk<P> {
+    fn new(
+        base: usize,
+        len: usize,
+        n: usize,
+        seed: u64,
+        factory: &mut impl FnMut(NodeId, &mut SmallRng) -> P,
+    ) -> Self {
+        let mut rngs: Vec<SmallRng> = (base..base + len)
+            .map(|v| node_rng(seed, v as u32, 0))
+            .collect();
+        let nodes = (base..base + len)
+            .map(|v| factory(NodeId(v as u32), &mut rngs[v - base]))
+            .collect();
+        Chunk {
+            base,
+            nodes,
+            rngs,
+            mailbox: Mailbox::new(base, len),
+            calendar: WakeCalendar::new(len),
+            seen: vec![0; n],
+            stamp: 0,
+            not_done: 0,
+            quiet: false,
+        }
+    }
+
+    /// Runs `round` over this chunk's active nodes — every node in round
+    /// 0, then the receivers [`deliver`] marked and the nodes whose wake
+    /// round has come — in ascending id. Each node's sends and phase
+    /// declarations are appended to `outbox` and `phases`, and `emit` is
+    /// called with them right after the node ran.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `emit`; the round stops there.
+    //
+    // Kept out of line: as a function of its own, the `&mut self` and
+    // `outbox`/`phases` borrows tell the compiler that the protocol call
+    // cannot touch the chunk, so the loop state stays in registers.
+    #[inline(never)]
+    fn step<const TRACED: bool, const FAULTS: bool, E, Emit>(
         &mut self,
-        sender: NodeId,
         round: u32,
-        outbox: &mut Vec<(NodeId, M)>,
-        staging: &mut Vec<(NodeId, NodeId, M)>,
-        fstate: &mut FaultState<M>,
-        tracer: &mut Tracer<'_>,
-    ) -> Result<(), RunError> {
-        stage::<_, _, TRACED, FAULTS>(
-            sender,
-            round,
-            outbox.drain(..),
-            self.budget,
-            &mut self.metrics,
-            fstate,
-            tracer,
-            staging,
-        )
-        .map_err(|v| {
-            self.metrics.faults = fstate.counters();
-            RunError::Budget(v)
-        })
+        adjacency: &CsrAdjacency,
+        plan: &FaultPlan,
+        outbox: &mut Vec<(NodeId, P::Msg)>,
+        phases: &mut Vec<PhaseAction>,
+        mut emit: Emit,
+    ) -> Result<(), E>
+    where
+        Emit: FnMut(NodeId, &mut Vec<(NodeId, P::Msg)>, &mut Vec<PhaseAction>) -> Result<(), E>,
+    {
+        let n = adjacency.node_count();
+        if round == 0 {
+            self.mailbox.mark_all();
+        } else {
+            self.calendar.fire(round, &mut self.mailbox);
+        }
+        while let Some(i) = self.mailbox.pop_active() {
+            let node = NodeId((self.base + i) as u32);
+            if FAULTS && plan.skips(node, round) {
+                // A crashed node's mail is dropped unread; a stuttered due
+                // node runs in the next round instead.
+                self.mailbox.take(i);
+                if !plan.crashed(node, round) {
+                    self.calendar.retry(i, round);
+                }
+                continue;
+            }
+            let inbox: &[(NodeId, P::Msg)] = self.mailbox.take(i);
+            debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
+            // `init` counts as leaving a done state, so round 0 adds every
+            // node that is not done after it.
+            let was_done = !FAULTS && (round == 0 || self.nodes[i].done());
+            self.stamp += 1;
+            let mut ctx = Ctx {
+                node,
+                n,
+                round,
+                neighbors: adjacency.neighbors(node),
+                rng: &mut self.rngs[i],
+                outbox: &mut *outbox,
+                seen: &mut self.seen,
+                stamp: self.stamp,
+                phases: &mut *phases,
+                tracing: TRACED,
+            };
+            if round == 0 {
+                self.nodes[i].init(&mut ctx);
+            } else {
+                self.nodes[i].round(&mut ctx, inbox);
+            }
+            self.calendar.set(i, round, self.nodes[i].next_wake(round));
+            if !FAULTS {
+                self.not_done =
+                    self.not_done + usize::from(was_done) - usize::from(self.nodes[i].done());
+            }
+            emit(node, outbox, phases)?;
+        }
+        // Crashed nodes count as done: they will never act again.
+        self.quiet = if FAULTS {
+            self.nodes
+                .iter()
+                .enumerate()
+                .all(|(i, p)| p.done() || plan.crashed(NodeId((self.base + i) as u32), round))
+        } else {
+            self.not_done == 0
+        };
+        Ok(())
+    }
+}
+
+/// Fills the mailboxes of `round` (chunk `c` covers nodes `c * span..`):
+/// the router scatters the sends staged in the round before, or under
+/// faults the fault engine hands over the deliveries due now. Faulted
+/// rounds bypass the counting scatter, because delayed and held messages
+/// break the global sender order it needs; `flush_due` emits receivers in
+/// ascending order, so each inbox is still one range of its arena.
+fn deliver<M: Clone, const FAULTS: bool>(
+    round: u32,
+    staging: &mut Vec<(NodeId, NodeId, M)>,
+    fstate: &mut FaultState<M>,
+    boxes: &mut [&mut Mailbox<M>],
+    span: usize,
+) {
+    if FAULTS {
+        for b in boxes.iter_mut() {
+            b.clear();
+        }
+        fstate.flush_due(round, |to, sender, msg| {
+            boxes[to.index() / span].push(to, sender, msg);
+        });
+    } else {
+        route(staging, boxes, span);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patterns::MinIdBroadcast;
     use spanner_graph::generators;
 
     /// Counts rounds until it has heard from every neighbor, then stops.
@@ -968,6 +1206,50 @@ mod tests {
             .unwrap();
         assert!(states[0].fired);
         assert!(states.iter().all(|s| s.ok));
+    }
+
+    /// Records the thread every call of a node ran on.
+    struct WhereAmI(Vec<std::thread::ThreadId>);
+
+    impl Protocol for WhereAmI {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.0.push(std::thread::current().id());
+            ctx.broadcast(0);
+        }
+        fn round(&mut self, _: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {
+            self.0.push(std::thread::current().id());
+        }
+    }
+
+    /// One worker steps every node on the calling thread; two run them on
+    /// the pool.
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let g = generators::cycle(8);
+        let caller = std::thread::current().id();
+        for (threads, inline) in [(1, true), (2, false)] {
+            let mut net = Network::new(&g, MessageBudget::CONGEST, 1).with_threads(threads);
+            let states = net.run(|_, _| WhereAmI(Vec::new()), 4).unwrap();
+            assert!(
+                states
+                    .iter()
+                    .flat_map(|s| &s.0)
+                    .all(|&t| (t == caller) == inline),
+                "{threads} workers"
+            );
+        }
+    }
+
+    /// More workers than nodes: one worker per node, none idle.
+    #[test]
+    fn more_threads_than_nodes() {
+        let g = generators::path(3);
+        let mut net = Network::new(&g, MessageBudget::Words(2), 5).with_threads(16);
+        let states = net
+            .run(|v, _| MinIdBroadcast::new(v == NodeId(0), 10), 32)
+            .unwrap();
+        assert!(states.iter().all(|s| s.nearest().is_some()));
     }
 
     #[test]

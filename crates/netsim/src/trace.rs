@@ -18,9 +18,8 @@
 //!   already-predicted branch per message.
 //! * **Deterministic streams.** Events are emitted in global sender order —
 //!   the same order in which messages are routed and budgets are charged —
-//!   so the sequential and parallel executors produce *byte-identical*
-//!   JSONL streams for the same run (asserted in
-//!   `tests/executor_parity.rs`).
+//!   so a run produces *byte-identical* JSONL streams at every worker
+//!   count (asserted in `tests/executor_parity.rs`).
 //! * **Errors retain the partial trace.** A budget violation or round-limit
 //!   error closes the open phase span and emits a final
 //!   [`TraceEvent::RunEnd`] carrying the error, mirroring how
@@ -484,8 +483,8 @@ pub trait TraceSink {
 
 /// The disabled sink: reports `enabled() == false` and drops everything.
 ///
-/// `Network::run` and `ParallelNetwork::run` use it internally, so untraced
-/// runs pay no tracing cost.
+/// `Network::run` uses it internally, so untraced runs pay no tracing
+/// cost.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -899,10 +898,10 @@ pub(crate) enum PhaseAction {
 
 /// The executors' shared tracing state machine.
 ///
-/// Both executors drive it through the same call sequence — per round:
+/// Every executor drives it through the same call sequence — per round:
 /// `begin_round`, then per node in global sender order `apply_actions` +
 /// `on_outbox`/`on_message`, then `end_round`; and `finish` exactly once —
-/// which is what makes the two trace streams identical.
+/// which is what makes the trace streams identical.
 pub(crate) struct Tracer<'s> {
     sink: &'s mut dyn TraceSink,
     enabled: bool,
@@ -964,13 +963,10 @@ impl<'s> Tracer<'s> {
         }
     }
 
-    /// Applies (and drains) one node's buffered phase declarations,
-    /// deduplicating consecutive identical names across nodes.
-    pub fn apply_actions(&mut self, actions: &mut Vec<PhaseAction>) {
-        if actions.is_empty() {
-            return;
-        }
-        for action in actions.drain(..) {
+    /// Applies one node's buffered phase declarations, deduplicating
+    /// consecutive identical names across nodes.
+    pub fn apply_actions(&mut self, actions: impl IntoIterator<Item = PhaseAction>) {
+        for action in actions {
             match action {
                 PhaseAction::Enter(name) => {
                     if self.current.as_deref() == Some(name.as_str()) {

@@ -1,8 +1,9 @@
-//! Cross-executor parity: the sequential and parallel executors must be
-//! observationally identical — same final states, same RNG streams, same
-//! [`RunMetrics`], same trace event stream — on every graph, seed, and
-//! thread count, including the partial accounting left behind by failed
-//! runs.
+//! Cross-executor parity: the round-synchronous executor must be
+//! observationally identical at every worker count — same final states,
+//! same RNG streams, same [`RunMetrics`], same trace event stream — on
+//! every graph and seed, including the partial accounting left behind by
+//! failed runs; the asynchronous executor must agree at the protocol
+//! level.
 
 use proptest::prelude::*;
 
@@ -11,8 +12,8 @@ use spanner_graph::{generators, Graph, NodeId};
 use spanner_netsim::patterns::MinIdBroadcast;
 use spanner_netsim::rng::splitmix64;
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, ParallelNetwork, Protocol,
-    RingBufferSink, RunError, Synchronizer, TraceEvent,
+    AsyncNetwork, Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, Protocol, RingBufferSink,
+    RunError, Synchronizer, TraceEvent,
 };
 
 /// Large enough that no test run ever evicts an event.
@@ -79,7 +80,7 @@ fn assert_parity(g: &Graph, seed: u64, ttl: u32) {
     assert_eq!(seq_trace.dropped(), 0);
     let seq_events = seq_trace.into_events();
     for threads in [1usize, 2, 4, 8] {
-        let mut par = ParallelNetwork::new(g, MessageBudget::CONGEST, seed, threads);
+        let mut par = Network::new(g, MessageBudget::CONGEST, seed).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_states = par
             .run_traced(|_, _| GossipHash::new(ttl), 4 * ttl + 16, &mut par_trace)
@@ -105,7 +106,8 @@ fn assert_parity_under_faults(g: &Graph, seed: u64, ttl: u32, plan: &FaultPlan) 
     assert_eq!(seq_trace.dropped(), 0);
     let seq_events = seq_trace.into_events();
     for threads in 1usize..=8 {
-        let mut par = ParallelNetwork::new(g, MessageBudget::CONGEST, seed, threads)
+        let mut par = Network::new(g, MessageBudget::CONGEST, seed)
+            .with_threads(threads)
             .with_faults(plan.clone());
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_result = par.run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut par_trace);
@@ -196,7 +198,7 @@ fn executors_agree_on_min_id_broadcast() {
         .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
         .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let mut par = ParallelNetwork::new(&g, MessageBudget::Words(2), 12, threads);
+        let mut par = Network::new(&g, MessageBudget::Words(2), 12).with_threads(threads);
         let par_states = par
             .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
             .unwrap();
@@ -240,7 +242,7 @@ fn round_limit_metrics_agree() {
         Some(TraceEvent::RunEnd { error: Some(_), .. })
     ));
     for threads in [1usize, 3, 8] {
-        let mut par = ParallelNetwork::new(&g, MessageBudget::CONGEST, 7, threads);
+        let mut par = Network::new(&g, MessageBudget::CONGEST, 7).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
             .run_traced(|_, _| Chatter, 6, &mut par_trace)
@@ -295,7 +297,7 @@ fn budget_violation_metrics_agree() {
     assert!(matches!(tail[1], TraceEvent::PhaseExit { .. }));
     assert!(matches!(tail[2], TraceEvent::Round { .. }));
     for threads in [1usize, 2, 4, 8] {
-        let mut par = ParallelNetwork::new(&g, MessageBudget::Words(4), 9, threads);
+        let mut par = Network::new(&g, MessageBudget::Words(4), 9).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
             .run_traced(|_, _| LateFat, 32, &mut par_trace)
@@ -331,7 +333,7 @@ fn trace_jsonl_byte_identical() {
     }
     for threads in [1usize, 2, 4, 8] {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-        let mut par = ParallelNetwork::new(&g, MessageBudget::CONGEST, 3, threads);
+        let mut par = Network::new(&g, MessageBudget::CONGEST, 3).with_threads(threads);
         par.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
             .unwrap();
         let par_bytes = sink.finish().unwrap();
@@ -566,7 +568,7 @@ fn trace_parity_on_empty_graph() {
         })
     ));
     for threads in [1usize, 4] {
-        let mut par = ParallelNetwork::new(&g, MessageBudget::CONGEST, 1, threads);
+        let mut par = Network::new(&g, MessageBudget::CONGEST, 1).with_threads(threads);
         let mut par_trace = RingBufferSink::new(16);
         par.run_traced(|_, _| GossipHash::new(2), 8, &mut par_trace)
             .unwrap();

@@ -1,6 +1,6 @@
-//! Conformance suite for the fault-injection layer: both executors must
-//! honor a [`FaultPlan`] identically (states, metrics, trace bytes, at any
-//! thread count), the empty plan must be observationally invisible, and
+//! Conformance suite for the fault-injection layer: the round-synchronous
+//! executor must honor a [`FaultPlan`] identically at every worker count
+//! (states, metrics, trace bytes), the empty plan must be observationally invisible, and
 //! every fault class must have exactly the semantics documented in
 //! `faults.rs` — including on the error paths.
 
@@ -10,8 +10,7 @@ use rand::Rng;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_netsim::rng::splitmix64;
 use spanner_netsim::{
-    Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, ParallelNetwork, Protocol,
-    RingBufferSink, RunError,
+    Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, Protocol, RingBufferSink, RunError,
 };
 
 const TRACE_CAP: usize = 1 << 20;
@@ -93,7 +92,8 @@ fn assert_fault_parity(g: &Graph, seed: u64, ttl: u32, plan: &FaultPlan) {
     let seq_bytes = seq_sink.finish().unwrap();
     let seq_metrics = seq.metrics();
     for threads in [1usize, 2, 3, 8] {
-        let mut par = ParallelNetwork::new(g, MessageBudget::CONGEST, seed, threads)
+        let mut par = Network::new(g, MessageBudget::CONGEST, seed)
+            .with_threads(threads)
             .with_faults(plan.clone());
         let mut par_sink = JsonLinesSink::new(Vec::<u8>::new());
         let par_result = par.run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut par_sink);
@@ -182,7 +182,9 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     assert_eq!(base_bytes, bytes, "trace streams must not differ");
     assert!(metrics.faults.is_empty());
 
-    let mut par = ParallelNetwork::new(&g, MessageBudget::CONGEST, 5, 4).with_faults(empty);
+    let mut par = Network::new(&g, MessageBudget::CONGEST, 5)
+        .with_threads(4)
+        .with_faults(empty);
     let mut sink = JsonLinesSink::new(Vec::<u8>::new());
     let par_states = par
         .run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
@@ -299,8 +301,9 @@ fn round_limit_under_faults_is_typed_and_parity_holds() {
     assert!(seq.metrics().faults.stutters > 0);
     let seq_events = seq_trace.into_events();
     for threads in [1usize, 4] {
-        let mut par =
-            ParallelNetwork::new(&g, MessageBudget::CONGEST, 3, threads).with_faults(plan.clone());
+        let mut par = Network::new(&g, MessageBudget::CONGEST, 3)
+            .with_threads(threads)
+            .with_faults(plan.clone());
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
             .run_traced(|_, _| GossipHash::new(2), 12, &mut par_trace)
@@ -340,7 +343,8 @@ fn budget_violation_under_faults_keeps_partial_fault_metrics() {
         "faults fired before the violation"
     );
     for threads in [1usize, 3, 8] {
-        let mut par = ParallelNetwork::new(&g, MessageBudget::Words(4), 11, threads)
+        let mut par = Network::new(&g, MessageBudget::Words(4), 11)
+            .with_threads(threads)
             .with_faults(plan.clone());
         let par_err = par.run(|_, _| LateFat, 32).unwrap_err();
         assert_eq!(seq_err, par_err, "{threads} threads");

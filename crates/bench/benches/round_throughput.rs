@@ -148,6 +148,7 @@ fn bench_star(c: &mut Criterion) {
         });
         // The seed path is O(deg²) per hub broadcast: only feasible small.
         if degree <= 10_000 {
+            assert_eq!(run_new(&g, 2), naive::run(&g, 2), "same workload");
             group.bench_with_input(BenchmarkId::new("seed_path", degree), &g, |b, g| {
                 b.iter(|| naive::run(g, 2))
             });

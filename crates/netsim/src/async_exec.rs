@@ -105,7 +105,7 @@ use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::route::{route, Mailbox};
+use crate::route::{assert_addressable, expand, receivers, route, Mailbox};
 use crate::sync::{Ctx, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
@@ -353,6 +353,7 @@ impl AsyncNetwork {
     /// metrics, traces) to an [`AsyncNetwork::new`] over the equivalent
     /// graph.
     pub fn from_csr(adjacency: Arc<CsrAdjacency>, budget: MessageBudget, seed: u64) -> Self {
+        assert_addressable(adjacency.node_count());
         AsyncNetwork {
             budget,
             seed,
@@ -548,6 +549,7 @@ impl AsyncNetwork {
                 self.budget,
                 &self.delays,
                 node,
+                self.adjacency.neighbors(node),
                 0,
                 exec_time[v],
                 &mut outbox,
@@ -590,7 +592,7 @@ impl AsyncNetwork {
                 tracer,
                 traced,
             );
-            route(&mut staging, &mut [&mut mailbox], n);
+            route(&mut staging, &mut [&mut mailbox], n, &self.adjacency);
             // Every node runs every round here: the asynchronous executor
             // ignores wake hints, which the wake contract allows.
             mailbox.mark_all();
@@ -636,6 +638,7 @@ impl AsyncNetwork {
                     self.budget,
                     &self.delays,
                     node,
+                    self.adjacency.neighbors(node),
                     round,
                     exec_time[v],
                     &mut outbox,
@@ -829,13 +832,16 @@ fn push<M>(
 
 /// Validates one node's outbox and schedules its deliveries — the exact
 /// accounting sequence of the sequential executor's flush (budget check,
-/// metrics, trace, in global sender order), plus the event scheduling.
+/// metrics, trace, in global sender order), plus the event scheduling. A
+/// broadcast is checked and accounted once, then expanded in place over
+/// `neighbors`, each message with its own link latency and sequence number.
 #[allow(clippy::too_many_arguments)]
-fn flush<M: MessageSize>(
+fn flush<M: MessageSize + Clone>(
     metrics: &mut RunMetrics,
     budget: MessageBudget,
     delays: &FaultPlan,
     sender: NodeId,
+    neighbors: &[NodeId],
     round: u32,
     send_time: u64,
     outbox: &mut Vec<(NodeId, M)>,
@@ -851,34 +857,43 @@ fn flush<M: MessageSize>(
     }
     for (to, msg) in outbox.drain(..) {
         let words = msg.words();
+        let receivers = receivers(&to, neighbors);
         if !budget.allows(words) {
             return Err(RunError::Budget(BudgetViolation {
                 sender,
-                receiver: to,
+                receiver: receivers[0],
                 round,
                 words,
                 budget,
             }));
         }
-        metrics.messages += 1;
-        metrics.words += words as u64;
+        let count = receivers.len();
+        metrics.messages += count as u64;
+        metrics.words += (count * words) as u64;
         metrics.max_message_words = metrics.max_message_words.max(words);
         if traced {
-            tracer.on_message(words);
+            tracer.on_messages(count, words);
         }
-        let lat = delays.link_latency(send_time, sender, to);
-        pending_acks[sender.index()] += 1;
-        *in_flight += 1;
-        push(
-            heap,
-            seq,
-            send_time + lat,
-            sender,
-            EventKind::Proto {
-                to,
-                from: sender,
-                msg,
-                words,
+        expand(
+            to,
+            msg,
+            || neighbors,
+            |to, msg| {
+                let lat = delays.link_latency(send_time, sender, to);
+                pending_acks[sender.index()] += 1;
+                *in_flight += 1;
+                push(
+                    heap,
+                    seq,
+                    send_time + lat,
+                    sender,
+                    EventKind::Proto {
+                        to,
+                        from: sender,
+                        msg,
+                        words,
+                    },
+                );
             },
         );
     }

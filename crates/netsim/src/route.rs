@@ -8,6 +8,14 @@
 //! n nodes for the asynchronous executor, so every executor applies the
 //! same checks in the same global sender order by construction.
 //!
+//! A broadcast travels as one entry addressed to [`ALL`] from the outbox
+//! to the router: [`stage`] checks and accounts it once for all of the
+//! sender's neighbors, and only [`route`] expands it over the sender's
+//! CSR neighbor run, straight into the receivers' slots. Staging is in
+//! global sender order and the expansion in ascending neighbor order, so
+//! inboxes, metrics, budget errors and trace bytes are those of one send
+//! per neighbor.
+//!
 //! A mailbox also carries the round's *active set*: a bitmap of the nodes
 //! that must run, filled by routing (receivers) and by the executor
 //! (nodes whose wake round has come). Executors step the set bits in
@@ -19,10 +27,24 @@ use std::ops::DerefMut;
 use spanner_graph::NodeId;
 
 use crate::budget::{BudgetViolation, MessageBudget};
+use crate::csr::CsrAdjacency;
 use crate::faults::FaultState;
 use crate::metrics::RunMetrics;
 use crate::sync::MessageSize;
 use crate::trace::Tracer;
+
+/// The receiver of a broadcast: every neighbor of the sender. Never a
+/// real node, since a network holds fewer than `u32::MAX` nodes
+/// ([`assert_addressable`]).
+pub(crate) const ALL: NodeId = NodeId(u32::MAX);
+
+/// Asserts that `n` nodes leave [`ALL`] free as a receiver.
+pub(crate) fn assert_addressable(n: usize) {
+    assert!(
+        n < u32::MAX as usize,
+        "a network holds fewer than u32::MAX nodes"
+    );
+}
 
 /// The inboxes and active set of a contiguous node range `base..base+len`.
 ///
@@ -127,29 +149,35 @@ impl<M> Mailbox<M> {
     }
 }
 
-/// Regroups `staging` — (receiver, sender, msg) in global send order — into
-/// the receivers' mailboxes and marks every receiver active. `boxes[c]`
-/// covers nodes `c * span..`; every count must be zero on entry (all of the
-/// last round's inboxes taken).
+/// Regroups `staging` — (receiver, sender, msg) in global send order, a
+/// broadcast as one entry to [`ALL`] — into the receivers' mailboxes and
+/// marks every receiver active. `boxes[c]` covers nodes `c * span..`;
+/// every count must be zero on entry (all of the last round's inboxes
+/// taken).
 ///
 /// A stable counting scatter over the receivers only: one counting pass,
 /// offsets assigned by walking each mailbox's active bits (O(n/64 + its
-/// receivers)), one placement pass. Each inbox comes out in ascending
-/// sender order because the staging order is global sender order. Drains
-/// `staging`; every buffer keeps its capacity.
+/// receivers)), one placement pass. Both passes expand a broadcast over
+/// `adjacency`'s neighbor run of its sender. Each inbox comes out in
+/// ascending sender order because the staging order is global sender
+/// order. Drains `staging`; every buffer keeps its capacity.
 ///
 /// Message counts fit `u32`: a round delivers at most one message per
-/// directed edge, and [`CsrAdjacency`](crate::CsrAdjacency) already bounds
-/// half-edges to `u32`.
-pub(crate) fn route<M, B>(staging: &mut Vec<(NodeId, NodeId, M)>, boxes: &mut [B], span: usize)
-where
+/// directed edge, and [`CsrAdjacency`] already bounds half-edges to `u32`.
+pub(crate) fn route<M, B>(
+    staging: &mut Vec<(NodeId, NodeId, M)>,
+    boxes: &mut [B],
+    span: usize,
+    adjacency: &CsrAdjacency,
+) where
+    M: Clone,
     B: DerefMut<Target = Mailbox<M>>,
 {
     if let [one] = boxes {
-        scatter(staging, [one.dest()], |_| 0);
+        scatter(staging, [one.dest()], adjacency, |_| 0);
     } else {
         let dests: Vec<Dest<'_, M>> = boxes.iter_mut().map(|b| b.dest()).collect();
-        scatter(staging, dests, |v| v / span);
+        scatter(staging, dests, adjacency, |v| v / span);
     }
 }
 
@@ -177,23 +205,64 @@ impl<M> Mailbox<M> {
     }
 }
 
+/// The receivers of a send addressed to `to` by a node with `neighbors`:
+/// `to` itself, or every neighbor for [`ALL`].
+#[inline(always)]
+pub(crate) fn receivers<'a>(to: &'a NodeId, neighbors: &'a [NodeId]) -> &'a [NodeId] {
+    if *to == ALL {
+        neighbors
+    } else {
+        std::slice::from_ref(to)
+    }
+}
+
+/// Hands `msg` to `deliver` once per receiver of a send addressed to `to`
+/// (see [`receivers`]), in ascending order; the last receiver gets `msg`
+/// itself and the others a clone. `neighbors` is only called for [`ALL`].
+#[inline(always)]
+pub(crate) fn expand<'n, M: Clone>(
+    to: NodeId,
+    msg: M,
+    neighbors: impl FnOnce() -> &'n [NodeId],
+    mut deliver: impl FnMut(NodeId, M),
+) {
+    if to != ALL {
+        deliver(to, msg);
+    } else if let Some((&last, rest)) = neighbors().split_last() {
+        for &to in rest {
+            deliver(to, msg.clone());
+        }
+        deliver(last, msg);
+    }
+}
+
 /// [`route`] over `dests`, where receiver `v` belongs to `dests[slot(v)]`.
 /// Taking the destinations by value keeps their slices in registers when
 /// there is one, so the per-message loops reload nothing.
 #[inline(always)]
-fn scatter<'a, M: 'a, D>(
+fn scatter<'a, M: Clone + 'a, D>(
     staging: &mut Vec<(NodeId, NodeId, M)>,
     mut dests: D,
+    adjacency: &CsrAdjacency,
     slot: impl Fn(usize) -> usize,
 ) where
     D: AsMut<[Dest<'a, M>]>,
 {
     let dests = dests.as_mut();
-    for &(to, _, _) in staging.iter() {
-        let d = &mut dests[slot(to.index())];
-        let i = to.index() - d.base;
-        d.count[i] += 1;
-        d.active[i >> 6] |= 1 << (i & 63);
+    let mut sends = 0usize;
+    for &(to, sender, _) in staging.iter() {
+        let receivers = if to == ALL {
+            adjacency.neighbors(sender)
+        } else {
+            std::slice::from_ref(&to)
+        };
+        sends += receivers.len();
+        for to in receivers {
+            let d = &mut dests[slot(to.index())];
+            let i = to.index() - d.base;
+            d.count[i] += 1;
+            d.active[i >> 6] |= 1 << (i & 63);
+        }
     }
     for d in dests.iter_mut() {
         // `end[i]` starts as receiver `i`'s first slot and ends one past
@@ -216,24 +285,34 @@ fn scatter<'a, M: 'a, D>(
     // gaps in an arena; then the counts would sum to more than the sends.
     assert_eq!(
         dests.iter().map(|d| d.routed).sum::<usize>(),
-        staging.len(),
+        sends,
         "route: every inbox of the previous round must have been taken"
     );
     // SAFETY: by the assertion above the counts are exactly this round's
-    // sends, so each receiver's slots `end[i]..end[i] + count[i]` tile
-    // `0..routed` of its mailbox's reserved arena exactly, and each slot is
-    // written exactly once before `set_len`.
-    // Nothing between the writes can panic (ptr::write and u32 increments
-    // on values the counting pass already produced), so no
-    // partially-initialized buffer is ever observed, and nothing touches an
-    // arena's allocation between its `reserve` and its `set_len`.
+    // sends, broadcasts expanded over the same neighbor runs as in the
+    // counting pass, so each receiver's slots `end[i]..end[i] + count[i]`
+    // tile `0..routed` of its mailbox's reserved arena exactly, and each
+    // slot is written exactly once before `set_len`. Nothing touches an
+    // arena's allocation between its `reserve` and its `set_len`. The only
+    // call that can panic between the writes is a broadcast's
+    // `msg.clone()`; the arenas' lengths are still zero then, so the
+    // messages written so far leak and nothing uninitialized is ever
+    // observed.
     unsafe {
-        for (to, sender, msg) in staging.drain(..) {
+        let mut place = |to: NodeId, sender: NodeId, msg: M| {
             let d = &mut dests[slot(to.index())];
             let i = to.index() - d.base;
             let at = d.end[i];
             std::ptr::write(d.flat.as_mut_ptr().add(at as usize), (sender, msg));
             d.end[i] = at + 1;
+        };
+        for (to, sender, msg) in staging.drain(..) {
+            expand(
+                to,
+                msg,
+                || adjacency.neighbors(sender),
+                |to, msg| place(to, sender, msg),
+            );
         }
         for d in dests.iter_mut() {
             d.flat.set_len(d.routed);
@@ -243,17 +322,22 @@ fn scatter<'a, M: 'a, D>(
 
 /// Validates `sender`'s outbox of this round and stages it in send order:
 /// the budget check, message/word accounting and trace counters of every
-/// executor, applied in one place. Under `FAULTS` accepted messages go to
-/// the fault engine instead of `staging`.
+/// executor, applied in one place. A broadcast — one entry to [`ALL`] —
+/// is checked once and accounted as one message per entry of `neighbors`,
+/// the sender's neighbor run. Under `FAULTS` accepted messages go to the
+/// fault engine instead of `staging`, a broadcast expanded in ascending
+/// neighbor order so fault fates are drawn per message.
 ///
 /// # Errors
 ///
-/// The first message over `budget`; everything before it stays accounted,
-/// which is the partial accounting every executor reports for a failed run.
+/// The first message over `budget` (for a broadcast, the one to its lowest
+/// neighbor); everything before it stays accounted, which is the partial
+/// accounting every executor reports for a failed run.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn stage<M, I, const TRACED: bool, const FAULTS: bool>(
     sender: NodeId,
+    neighbors: &[NodeId],
     round: u32,
     sends: I,
     budget: MessageBudget,
@@ -271,23 +355,32 @@ where
     }
     for (to, msg) in sends {
         let words = msg.words();
+        let receivers = receivers(&to, neighbors);
         if !budget.allows(words) {
             return Err(BudgetViolation {
                 sender,
-                receiver: to,
+                receiver: receivers[0],
                 round,
                 words,
                 budget,
             });
         }
-        metrics.messages += 1;
-        metrics.words += words as u64;
+        let count = receivers.len();
+        metrics.messages += count as u64;
+        metrics.words += (count * words) as u64;
         metrics.max_message_words = metrics.max_message_words.max(words);
         if TRACED {
-            tracer.on_message(words);
+            tracer.on_messages(count, words);
         }
         if FAULTS {
-            fstate.accept(round, sender, to, msg);
+            expand(
+                to,
+                msg,
+                || neighbors,
+                |to, msg| {
+                    fstate.accept(round, sender, to, msg);
+                },
+            );
         } else {
             staging.push((to, sender, msg));
         }
@@ -298,6 +391,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::generators;
 
     fn staged(sends: &[(u32, u32, u64)]) -> Vec<(NodeId, NodeId, u64)> {
         sends
@@ -314,11 +408,22 @@ mod tests {
         inboxes
     }
 
+    /// Every pair adjacent, so any staged unicast is along an edge.
+    fn k5() -> CsrAdjacency {
+        CsrAdjacency::from_graph(&generators::complete(5))
+    }
+
     #[test]
     fn routes_into_chunks_in_sender_order() {
+        let adjacency = k5();
         let mut boxes = [Mailbox::new(0, 3), Mailbox::new(3, 2)];
         let mut staging = staged(&[(4, 0, 10), (1, 0, 11), (4, 2, 12), (1, 3, 13), (0, 4, 14)]);
-        route(&mut staging, &mut boxes.iter_mut().collect::<Vec<_>>(), 3);
+        route(
+            &mut staging,
+            &mut boxes.iter_mut().collect::<Vec<_>>(),
+            3,
+            &adjacency,
+        );
         assert!(staging.is_empty());
         assert_eq!(
             drain(&mut boxes[0]),
@@ -333,16 +438,64 @@ mod tests {
         );
         // Every inbox taken: the next round routes into the same buffers.
         let mut staging = staged(&[(2, 1, 20)]);
-        route(&mut staging, &mut boxes.iter_mut().collect::<Vec<_>>(), 3);
+        route(
+            &mut staging,
+            &mut boxes.iter_mut().collect::<Vec<_>>(),
+            3,
+            &adjacency,
+        );
         assert_eq!(drain(&mut boxes[0]), [(2, vec![(NodeId(1), 20)])]);
         assert!(drain(&mut boxes[1]).is_empty());
     }
 
     #[test]
+    fn broadcast_expands_over_the_senders_neighbors() {
+        let adjacency = k5();
+        let mut boxes = [Mailbox::new(0, 3), Mailbox::new(3, 2)];
+        let mut staging = staged(&[(4, 0, 10), (ALL.0, 2, 12), (1, 3, 13)]);
+        route(
+            &mut staging,
+            &mut boxes.iter_mut().collect::<Vec<_>>(),
+            3,
+            &adjacency,
+        );
+        assert!(staging.is_empty());
+        assert_eq!(
+            drain(&mut boxes[0]),
+            [
+                (0, vec![(NodeId(2), 12)]),
+                (1, vec![(NodeId(2), 12), (NodeId(3), 13)]),
+            ]
+        );
+        assert_eq!(
+            drain(&mut boxes[1]),
+            [
+                (0, vec![(NodeId(2), 12)]),
+                (1, vec![(NodeId(0), 10), (NodeId(2), 12)]),
+            ]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "must have been taken")]
     fn untaken_inbox_is_caught_before_placement() {
+        let adjacency = k5();
         let mut one = Mailbox::new(0, 2);
-        route(&mut staged(&[(1, 0, 1)]), &mut [&mut one], 2);
-        route(&mut staged(&[(0, 1, 2)]), &mut [&mut one], 2);
+        route(&mut staged(&[(1, 0, 1)]), &mut [&mut one], 2, &adjacency);
+        route(&mut staged(&[(0, 1, 2)]), &mut [&mut one], 2, &adjacency);
+    }
+
+    #[test]
+    #[should_panic(expected = "must have been taken")]
+    fn untaken_broadcast_inbox_is_caught_before_placement() {
+        let adjacency = k5();
+        let mut one = Mailbox::new(0, 5);
+        route(
+            &mut staged(&[(ALL.0, 0, 1)]),
+            &mut [&mut one],
+            5,
+            &adjacency,
+        );
+        route(&mut staged(&[(0, 1, 2)]), &mut [&mut one], 5, &adjacency);
     }
 }

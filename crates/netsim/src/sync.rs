@@ -50,9 +50,12 @@
 //! The loop performs no per-round heap allocation in steady state at one
 //! worker: the staging buffer, the arena, the outbox and the calendar's
 //! buckets keep their capacity; duplicate-send detection is a per-node
-//! stamp array ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is
-//! O(deg)). Adjacency is a flat [`CsrAdjacency`] shared with drivers and
-//! the asynchronous executor.
+//! stamp array ([`Ctx::send`] is O(log deg)). [`Ctx::broadcast`] is O(1):
+//! it queues one entry, which stays one entry through staging and is
+//! expanded over the sender's neighbors only by the router, straight into
+//! the receivers' slots. A broadcast marks the node as having sent to
+//! every neighbor, so duplicate detection stays exact. Adjacency is a
+//! flat [`CsrAdjacency`] shared with drivers and the asynchronous executor.
 
 use std::any::Any;
 use std::convert::Infallible;
@@ -71,7 +74,7 @@ use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::route::{route, stage, Mailbox};
+use crate::route::{assert_addressable, route, stage, Mailbox, ALL};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
 /// Message length in words of O(log n) bits.
@@ -175,6 +178,11 @@ pub struct Ctx<'a, M> {
     /// so the array never needs clearing — O(1) per send, no per-round work.
     seen: &'a mut [u64],
     stamp: u64,
+    /// `outbox.len()` when this node started; more entries mean it sent.
+    sent_from: usize,
+    /// Whether this node broadcast this round, which sends to every
+    /// neighbor without stamping them.
+    broadcast: bool,
     /// Phase declarations buffered this round; the executor drains them in
     /// global sender order, which keeps trace streams executor-independent.
     phases: &'a mut Vec<PhaseAction>,
@@ -203,9 +211,11 @@ impl<'a, M> Ctx<'a, M> {
             round,
             neighbors,
             rng,
+            sent_from: outbox.len(),
             outbox,
             seen,
             stamp,
+            broadcast: false,
             phases,
             tracing,
         }
@@ -262,19 +272,31 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Sends `msg` to every neighbor.
     ///
-    /// Equivalent to [`Ctx::send`] per neighbor, but skips the per-neighbor
-    /// membership search: O(deg) total, which keeps a broadcast from a
-    /// degree-Δ hub linear instead of quadratic.
+    /// Equivalent to [`Ctx::send`] per neighbor, but O(1) whatever the
+    /// degree: the broadcast is queued as one entry, and the executor
+    /// expands it over the neighbors only when it routes the round. A
+    /// node without neighbors sends nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this node already queued a message this round, naming
+    /// the lowest neighbor it already messaged.
     pub fn broadcast(&mut self, msg: M)
     where
         M: Clone,
     {
-        let neighbors = self.neighbors;
-        self.outbox.reserve(neighbors.len());
-        for &to in neighbors {
-            self.mark_sent(to);
-            self.outbox.push((to, msg.clone()));
+        if self.neighbors.is_empty() {
+            return;
         }
+        if self.outbox.len() > self.sent_from {
+            // Every earlier send went to a neighbor, so this walk panics
+            // at the lowest neighbor already messaged.
+            for &to in self.neighbors {
+                self.mark_sent(to);
+            }
+        }
+        self.broadcast = true;
+        self.outbox.push((ALL, msg));
     }
 
     /// Whether the current run is collecting trace events.
@@ -317,12 +339,13 @@ impl<'a, M> Ctx<'a, M> {
         }
     }
 
-    /// Records a send to `to` this round; panics on the second one.
+    /// Records a send to `to` this round; panics on the second one,
+    /// counting a broadcast as a send to every neighbor.
     #[inline]
     fn mark_sent(&mut self, to: NodeId) {
         let slot = &mut self.seen[to.index()];
         assert!(
-            *slot != self.stamp,
+            !self.broadcast && *slot != self.stamp,
             "{} queued two messages to {} in one round",
             self.node,
             to
@@ -401,6 +424,7 @@ impl Network {
     /// construction path. Runs are byte-identical (states, metrics,
     /// traces) to a [`Network::new`] over the equivalent graph.
     pub fn from_csr(adjacency: Arc<CsrAdjacency>, budget: MessageBudget, seed: u64) -> Self {
+        assert_addressable(adjacency.node_count());
         Network {
             budget,
             seed,
@@ -642,6 +666,7 @@ impl Network {
                             &mut fstate,
                             &mut [&mut chunk.mailbox],
                             span,
+                            adjacency,
                         );
                     }
                     chunk
@@ -657,6 +682,7 @@ impl Network {
                                 }
                                 stage::<_, _, TRACED, FAULTS>(
                                     v,
+                                    adjacency.neighbors(v),
                                     round,
                                     outbox.drain(..),
                                     budget,
@@ -674,7 +700,14 @@ impl Network {
                             slots.iter().map(|s| s.lock().expect("slot lock")).collect();
                         let mut boxes: Vec<_> =
                             guards.iter_mut().map(|g| &mut g.chunk.mailbox).collect();
-                        deliver::<_, FAULTS>(round, &mut staging, &mut fstate, &mut boxes, span);
+                        deliver::<_, FAULTS>(
+                            round,
+                            &mut staging,
+                            &mut fstate,
+                            &mut boxes,
+                            span,
+                            adjacency,
+                        );
                     }
                     round_no.store(round, Ordering::Release);
                     gate.open();
@@ -702,6 +735,7 @@ impl Network {
                             }
                             stage::<_, _, TRACED, FAULTS>(
                                 v,
+                                adjacency.neighbors(v),
                                 round,
                                 (&mut sends).take((send_end - sent) as usize),
                                 budget,
@@ -884,9 +918,11 @@ impl<P: Protocol> Chunk<P> {
                 round,
                 neighbors: adjacency.neighbors(node),
                 rng: &mut self.rngs[i],
+                sent_from: outbox.len(),
                 outbox: &mut *outbox,
                 seen: &mut self.seen,
                 stamp: self.stamp,
+                broadcast: false,
                 phases: &mut *phases,
                 tracing: TRACED,
             };
@@ -927,6 +963,7 @@ fn deliver<M: Clone, const FAULTS: bool>(
     fstate: &mut FaultState<M>,
     boxes: &mut [&mut Mailbox<M>],
     span: usize,
+    adjacency: &CsrAdjacency,
 ) {
     if FAULTS {
         for b in boxes.iter_mut() {
@@ -936,7 +973,7 @@ fn deliver<M: Clone, const FAULTS: bool>(
             boxes[to.index() / span].push(to, sender, msg);
         });
     } else {
-        route(staging, boxes, span);
+        route(staging, boxes, span, adjacency);
     }
 }
 
@@ -1144,6 +1181,97 @@ mod tests {
         let g = generators::star(4);
         let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
         let _ = net.run(|_, _| SendThenBroadcast, 5);
+    }
+
+    /// Node 0 queues `sends` in `init`: `Some(v)` sends to `v`, `None`
+    /// broadcasts.
+    struct Scripted(&'static [Option<u32>]);
+
+    impl Protocol for Scripted {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
+            if ctx.me() == NodeId(0) {
+                for &send in self.0 {
+                    match send {
+                        Some(v) => ctx.send(NodeId(v), 1),
+                        None => ctx.broadcast(1),
+                    }
+                }
+            }
+        }
+        fn round(&mut self, _: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {}
+    }
+
+    fn run_scripted(script: &'static [Option<u32>]) {
+        let g = generators::star(4);
+        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let _ = net.run(|_, _| Scripted(script), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "v0 queued two messages to v2 in one round")]
+    fn send_after_broadcast_panics() {
+        run_scripted(&[None, Some(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "v0 queued two messages to v1 in one round")]
+    fn broadcast_twice_panics() {
+        run_scripted(&[None, None]);
+    }
+
+    #[test]
+    #[should_panic(expected = "v0 queued two messages to v2 in one round")]
+    fn broadcast_after_sends_names_the_lowest_neighbor_sent_to() {
+        run_scripted(&[Some(3), Some(2), None]);
+    }
+
+    #[test]
+    fn degree_zero_broadcast_sends_nothing() {
+        // Node 2 has no neighbors.
+        let g = Graph::from_edges(3, [(0u32, 1u32)]);
+        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let states = net
+            .run(
+                |_, _| HelloOnce {
+                    heard: 0,
+                    expected: 0,
+                },
+                10,
+            )
+            .unwrap();
+        assert_eq!(states[2].heard, 0);
+        assert_eq!((net.metrics().rounds, net.metrics().messages), (1, 2));
+    }
+
+    /// Node 1 broadcasts a message over the budget; the others fit.
+    #[derive(Debug)]
+    struct OneBigTalker;
+
+    impl Protocol for OneBigTalker {
+        type Msg = Vec<u64>;
+        fn init(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
+            let words = if ctx.me() == NodeId(1) { 10 } else { 1 };
+            ctx.broadcast(vec![0; words]);
+        }
+        fn round(&mut self, _: &mut Ctx<'_, Vec<u64>>, _: &[(NodeId, Vec<u64>)]) {}
+    }
+
+    #[test]
+    fn over_budget_broadcast_names_the_lowest_neighbor() {
+        let g = generators::cycle(4);
+        for threads in [1, 2] {
+            let mut net = Network::new(&g, MessageBudget::Words(4), 1).with_threads(threads);
+            match net.run(|_, _| OneBigTalker, 5) {
+                Err(RunError::Budget(v)) => {
+                    assert_eq!((v.sender, v.receiver, v.words), (NodeId(1), NodeId(0), 10));
+                }
+                other => panic!("expected budget violation, got {other:?}"),
+            }
+            // Node 0's broadcast only: none of node 1's is accounted.
+            let m = net.metrics();
+            assert_eq!((m.messages, m.words), (2, 2), "{threads} workers");
+        }
     }
 
     /// A node may send to the same neighbor again in a *later* round; the

@@ -900,7 +900,7 @@ pub(crate) enum PhaseAction {
 ///
 /// Every executor drives it through the same call sequence — per round:
 /// `begin_round`, then per node in global sender order `apply_actions` +
-/// `on_outbox`/`on_message`, then `end_round`; and `finish` exactly once —
+/// `on_outbox`/`on_messages`, then `end_round`; and `finish` exactly once —
 /// which is what makes the trace streams identical.
 pub(crate) struct Tracer<'s> {
     sink: &'s mut dyn TraceSink,
@@ -953,13 +953,14 @@ impl<'s> Tracer<'s> {
         }
     }
 
-    /// Counts one accepted message of `words` words.
+    /// Counts `count` accepted messages of `words` words each — one send,
+    /// or a whole broadcast in O(1).
     #[inline]
-    pub fn on_message(&mut self, words: usize) {
+    pub fn on_messages(&mut self, count: usize, words: usize) {
         if self.enabled {
-            self.messages += 1;
-            self.words += words as u64;
-            self.sizes[size_bucket(words)] += 1;
+            self.messages += count as u64;
+            self.words += (count * words) as u64;
+            self.sizes[size_bucket(words)] += count as u64;
         }
     }
 

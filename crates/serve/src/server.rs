@@ -615,19 +615,18 @@ impl Session {
 
     /// Serves one input stream to completion: processes request lines
     /// until end-of-stream or `QUIT`. Blank lines outside batches are
-    /// ignored; inside a batch every line counts (see PROTOCOL.md).
+    /// ignored; inside a batch every line counts (see PROTOCOL.md). A line
+    /// that is not UTF-8 is answered with `ERR PARSE`, like any other
+    /// malformed request.
     pub fn run<R: BufRead, W: Write>(&mut self, mut input: R, mut output: W) -> io::Result<()> {
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
-                return output.flush();
-            }
-            let trimmed = line.trim_end_matches(['\n', '\r']);
-            if trimmed.trim().is_empty() {
-                continue;
-            }
-            match parse_command(trimmed) {
+            let command = match read_request(&mut input, &mut line)? {
+                None => return output.flush(),
+                Some(Ok(line)) if line.trim().is_empty() => continue,
+                Some(line) => line.and_then(parse_command),
+            };
+            match command {
                 Err(e) => writeln!(output, "{}", e.line())?,
                 Ok(Command::Dist(u, v)) => {
                     let resp = self.server.run_queries(&[QueryReq::Dist(u, v)]);
@@ -639,15 +638,20 @@ impl Session {
                 }
                 Ok(Command::Batch(n)) => {
                     let mut subs: Vec<QueryReq> = Vec::with_capacity(n as usize);
-                    let mut sub = String::new();
+                    let mut sub = Vec::new();
                     let mut truncated = false;
                     for _ in 0..n {
-                        sub.clear();
-                        if input.read_line(&mut sub)? == 0 {
-                            truncated = true;
-                            break;
-                        }
-                        let subline = sub.trim_end_matches(['\n', '\r']);
+                        let subline = match read_request(&mut input, &mut sub)? {
+                            None => {
+                                truncated = true;
+                                break;
+                            }
+                            Some(Err(e)) => {
+                                subs.push(QueryReq::Invalid(e));
+                                continue;
+                            }
+                            Some(Ok(subline)) => subline,
+                        };
                         subs.push(match parse_command(subline) {
                             Ok(Command::Dist(u, v)) => QueryReq::Dist(u, v),
                             Ok(Command::Route(u, v)) => QueryReq::Route(u, v),
@@ -706,6 +710,23 @@ impl Session {
             .expect("in-memory session I/O cannot fail");
         String::from_utf8(out).expect("responses are UTF-8")
     }
+}
+
+/// Reads one request line into `buf`: `None` at end of stream, else the
+/// line without its `\n` or `\r\n`, or a `PARSE` error if it is not UTF-8.
+fn read_request<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, WireError>>> {
+    buf.clear();
+    if input.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    Ok(Some(
+        std::str::from_utf8(buf)
+            .map(|line| line.trim_end_matches(['\n', '\r']))
+            .map_err(|_| WireError::parse("request line is not valid UTF-8")),
+    ))
 }
 
 /// Serves TCP connections from `listener` sequentially, one session

@@ -200,6 +200,22 @@ fn truncated_batch_reports_and_recovers() {
     );
 }
 
+/// A request line that is not UTF-8 is a `PARSE` error, at top level and
+/// inside a batch, and the session keeps serving.
+#[test]
+fn non_utf8_request_line_is_a_parse_error() {
+    let mut s = session(1);
+    let mut input = b"LOAD path:n=3\nDIST \xff 1\nBATCH 2\n\xc3\x28\nDIST 0 2\nPING\n".to_vec();
+    input.extend_from_slice(b"DIST 0 1\r\n");
+    let mut out = Vec::new();
+    s.run(input.as_slice(), &mut out).unwrap();
+    let bad = "ERR PARSE request line is not valid UTF-8";
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        format!("OK n=3 m=2 k=2 landmarks=-\n{bad}\nOK BATCH 2\n{bad}\nOK 2\nOK PONG\nOK 1\n")
+    );
+}
+
 #[test]
 fn batch_preserves_request_order_with_mixed_validity() {
     let mut s = session(4);

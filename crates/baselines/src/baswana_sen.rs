@@ -207,27 +207,31 @@ impl BsNode {
         if self.sampler.sampled(cv, iter, self.p) {
             return;
         }
-        let mut adj: Vec<(NodeId, NodeId)> = inbox
-            .iter()
-            .filter_map(|&(w, m)| m.center.filter(|&c| c != cv).map(|c| (c, w)))
-            .collect();
-        adj.sort_unstable();
-        adj.dedup_by_key(|&mut (c, _)| c);
-        match adj
-            .iter()
-            .find(|&&(c, _)| self.sampler.sampled(c, iter, self.p))
-        {
-            Some(&(c, w)) => {
-                self.chosen.push(w);
-                self.cluster = Some(c);
-            }
-            None => {
-                for &(_, w) in &adj {
-                    self.chosen.push(w);
-                }
-                self.cluster = None;
+        let foreign = || {
+            inbox
+                .iter()
+                .filter_map(move |&(w, m)| m.center.filter(|&c| c != cv).map(|c| (c, w)))
+        };
+        // Join the least sampled foreign cluster through its least
+        // neighbor: one pass, no allocation.
+        let mut join: Option<(NodeId, NodeId)> = None;
+        for (c, w) in foreign() {
+            if join.is_none_or(|j| (c, w) < j) && self.sampler.sampled(c, iter, self.p) {
+                join = Some((c, w));
             }
         }
+        if let Some((c, w)) = join {
+            self.chosen.push(w);
+            self.cluster = Some(c);
+            return;
+        }
+        // No neighboring cluster is sampled: leave the clustering, keeping
+        // one edge to each neighboring cluster.
+        let mut adj: Vec<(NodeId, NodeId)> = foreign().collect();
+        adj.sort_unstable();
+        adj.dedup_by_key(|&mut (c, _)| c);
+        self.chosen.extend(adj.iter().map(|&(_, w)| w));
+        self.cluster = None;
     }
 
     fn phase2(&mut self, inbox: &[(NodeId, BsMsg)]) {

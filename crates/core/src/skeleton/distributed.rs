@@ -552,6 +552,10 @@ impl Protocol for SkelNode {
             if t == w.end && self.alive {
                 self.p1_parent = self.p2_parent;
                 self.p1_children = std::mem::take(&mut self.adopters);
+                // A duplicated `Adopt` lists its sender twice; unfaulted,
+                // the adopters arrive in one sender-sorted inbox.
+                self.p1_children.sort_unstable();
+                self.p1_children.dedup();
                 self.sv_center = self.cluster_center;
                 self.best = None;
                 self.sent = None;
@@ -1031,6 +1035,22 @@ mod tests {
             assert!(m.faults.stutters > 0 && m.faults.dropped > 0, "{m}");
         }
         assert!(killed, "no input reached the kill phase");
+    }
+
+    /// A duplicated `Adopt` must not make its sender a child twice, which
+    /// would have the parent send it two messages in one round.
+    #[test]
+    fn duplicate_faults_still_certify() {
+        for seed in 0..32u64 {
+            let g = generators::connected_gnm(200 + 5 * seed as usize, 1_000, seed);
+            let plan = FaultPlan::new(seed).with_duplicates(0.1).with_drops(0.02);
+            let built = build_distributed_faulted(&g, &SkeletonParams::default(), seed, &plan);
+            let m = match built {
+                Ok(s) => s.metrics.expect("metrics"),
+                Err(e) => panic!("seed {seed}: {e}"),
+            };
+            assert!(m.faults.duplicated > 0, "seed {seed}: {m}");
+        }
     }
 
     /// Under heavy stutters a node can miss an exchange reset and carry an

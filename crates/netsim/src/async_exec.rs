@@ -105,7 +105,7 @@ use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::route::{assert_addressable, expand, receivers, route, Mailbox};
+use crate::route::{assert_addressable, expand, receivers, route, Board, Mailbox, ALL};
 use crate::sync::{Ctx, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
@@ -508,6 +508,9 @@ impl AsyncNetwork {
         // per-node `Vec` growth.
         let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
         let mut mailbox: Mailbox<P::Msg> = Mailbox::new(0, n);
+        // `flush` expands broadcasts into per-link events, so the router
+        // never sees one here and needs no room on its board.
+        let mut board: Board<P::Msg> = Board::new(0);
         let mut sync = SyncState::new(n);
         let mut in_flight: u64 = 0;
 
@@ -592,7 +595,14 @@ impl AsyncNetwork {
                 tracer,
                 traced,
             );
-            route(&mut staging, &mut [&mut mailbox], n, &self.adjacency);
+            debug_assert!(staging.iter().all(|&(to, _, _)| to != ALL));
+            route(
+                &mut staging,
+                &mut [&mut mailbox],
+                n,
+                &self.adjacency,
+                &mut board,
+            );
             // Every node runs every round here: the asynchronous executor
             // ignores wake hints, which the wake contract allows.
             mailbox.mark_all();

@@ -82,7 +82,6 @@ pub fn execute<P, F>(
 ) -> (Result<Vec<P>, RunError>, RunMetrics)
 where
     P: Protocol + Send,
-    P::Msg: Send,
     F: FnMut(NodeId, &mut SmallRng) -> P,
 {
     let guarded = faults.is_some();

@@ -51,9 +51,11 @@
 //! worker: the staging buffer, the arena, the outbox and the calendar's
 //! buckets keep their capacity; duplicate-send detection is a per-node
 //! stamp array ([`Ctx::send`] is O(log deg)). [`Ctx::broadcast`] is O(1):
-//! it queues one entry, which stays one entry through staging and is
-//! expanded over the sender's neighbors only by the router, straight into
-//! the receivers' slots. A broadcast marks the node as having sent to
+//! it queues one entry, which stays one entry through staging and routing.
+//! The router posts it once on a sender-indexed board, which the workers
+//! read while they step, and each receiver gathers it by walking its own
+//! sorted neighbor run as it takes its inbox; a broadcast is never
+//! expanded per receiver. A broadcast marks the node as having sent to
 //! every neighbor, so duplicate detection stays exact. Adjacency is a
 //! flat [`CsrAdjacency`] shared with drivers and the asynchronous executor.
 
@@ -61,7 +63,7 @@ use std::any::Any;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use rand::rngs::SmallRng;
 
@@ -74,7 +76,7 @@ use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::route::{assert_addressable, route, stage, Mailbox, ALL};
+use crate::route::{assert_addressable, route, stage, Board, Mailbox, ALL};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
 /// Message length in words of O(log n) bits.
@@ -133,8 +135,10 @@ impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
 /// executor that ignores the hint (the asynchronous one does) produces the
 /// same states, metrics and trace bytes.
 pub trait Protocol {
-    /// The message type exchanged by this protocol.
-    type Msg: Clone + MessageSize;
+    /// The message type exchanged by this protocol. `Send + Sync`, since
+    /// the workers of a multi-threaded run read one round's broadcasts
+    /// from a shared board; plain data is both.
+    type Msg: Clone + MessageSize + Send + Sync;
 
     /// Called once before the first round; may send initial messages.
     fn init(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
@@ -273,9 +277,9 @@ impl<'a, M> Ctx<'a, M> {
     /// Sends `msg` to every neighbor.
     ///
     /// Equivalent to [`Ctx::send`] per neighbor, but O(1) whatever the
-    /// degree: the broadcast is queued as one entry, and the executor
-    /// expands it over the neighbors only when it routes the round. A
-    /// node without neighbors sends nothing.
+    /// degree: the broadcast is queued as one entry, which the executor
+    /// posts once and each neighbor reads as it takes its inbox. A node
+    /// without neighbors sends nothing.
     ///
     /// # Panics
     ///
@@ -504,7 +508,6 @@ impl Network {
     pub fn run<P, F>(&mut self, factory: F, max_rounds: u32) -> Result<Vec<P>, RunError>
     where
         P: Protocol + Send,
-        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         self.run_traced(factory, max_rounds, &mut NullSink)
@@ -532,7 +535,6 @@ impl Network {
     ) -> Result<Vec<P>, RunError>
     where
         P: Protocol + Send,
-        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         let mut tracer = Tracer::new(sink);
@@ -560,7 +562,6 @@ impl Network {
     ) -> Result<Vec<P>, RunError>
     where
         P: Protocol + Send,
-        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         let n = self.adjacency.node_count();
@@ -595,6 +596,11 @@ impl Network {
         // chunks' mailboxes, whose per-receiver slices come out sorted by
         // sender for free. Every buffer keeps its capacity across rounds.
         let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
+        // This round's broadcasts, one post per sender: the coordinator
+        // writes the board while routing and the chunks read it while
+        // stepping. Under faults `stage` expands broadcasts into the fault
+        // engine, so the board stays empty.
+        let board = RwLock::new(Board::new(if FAULTS { 0 } else { n }));
         let gate = RoundGate::new(slots.len());
         let round_no = AtomicU32::new(0);
         let (adjacency, plan, budget) = (&*self.adjacency, &plan, self.budget);
@@ -606,7 +612,7 @@ impl Network {
             // still reaches the finish barrier; the coordinator resumes it.
             let _pool = (slots.len() > 1).then(|| {
                 for slot in &slots {
-                    let (gate, round_no) = (&gate, &round_no);
+                    let (gate, round_no, board) = (&gate, &round_no, &board);
                     scope.spawn(move || {
                         while gate.worker_begin() {
                             let round = round_no.load(Ordering::Acquire);
@@ -619,10 +625,12 @@ impl Network {
                                 panic,
                             } = &mut *guard;
                             ran.clear();
+                            let board = board.read().expect("board lock");
                             let stepped = catch_unwind(AssertUnwindSafe(|| {
                                 chunk.step::<TRACED, FAULTS, Infallible, _>(
                                     round,
                                     adjacency,
+                                    &board,
                                     plan,
                                     outbox,
                                     phases,
@@ -633,7 +641,7 @@ impl Network {
                                 )
                             }));
                             *panic = stepped.err();
-                            drop(guard);
+                            drop((board, guard));
                             gate.worker_end();
                         }
                     });
@@ -659,6 +667,7 @@ impl Network {
                         phases,
                         ..
                     } = &mut *slot;
+                    let mut board = board.write().expect("board lock");
                     if round > 0 {
                         deliver::<_, FAULTS>(
                             round,
@@ -667,12 +676,14 @@ impl Network {
                             &mut [&mut chunk.mailbox],
                             span,
                             adjacency,
+                            &mut board,
                         );
                     }
                     chunk
                         .step::<TRACED, FAULTS, _, _>(
                             round,
                             adjacency,
+                            &board,
                             plan,
                             outbox,
                             phases,
@@ -707,6 +718,7 @@ impl Network {
                             &mut boxes,
                             span,
                             adjacency,
+                            &mut board.write().expect("board lock"),
                         );
                     }
                     round_no.store(round, Ordering::Release);
@@ -826,6 +838,8 @@ struct Chunk<P: Protocol> {
     rngs: Vec<SmallRng>,
     /// This round's inboxes and active set, filled by [`deliver`].
     mailbox: Mailbox<P::Msg>,
+    /// The inbox of a node with broadcast mail, gathered off the board.
+    scratch: Vec<(NodeId, P::Msg)>,
     calendar: WakeCalendar,
     /// Duplicate-send stamps, indexed by receiver (so length n).
     seen: Vec<u64>,
@@ -855,6 +869,7 @@ impl<P: Protocol> Chunk<P> {
             nodes,
             rngs,
             mailbox: Mailbox::new(base, len),
+            scratch: Vec::new(),
             calendar: WakeCalendar::new(len),
             seen: vec![0; n],
             stamp: 0,
@@ -865,9 +880,10 @@ impl<P: Protocol> Chunk<P> {
 
     /// Runs `round` over this chunk's active nodes — every node in round
     /// 0, then the receivers [`deliver`] marked and the nodes whose wake
-    /// round has come — in ascending id. Each node's sends and phase
-    /// declarations are appended to `outbox` and `phases`, and `emit` is
-    /// called with them right after the node ran.
+    /// round has come — in ascending id, each with its unicasts merged
+    /// with its neighbors' broadcasts on `board`. Each node's sends and
+    /// phase declarations are appended to `outbox` and `phases`, and
+    /// `emit` is called with them right after the node ran.
     ///
     /// # Errors
     ///
@@ -877,10 +893,12 @@ impl<P: Protocol> Chunk<P> {
     // `outbox`/`phases` borrows tell the compiler that the protocol call
     // cannot touch the chunk, so the loop state stays in registers.
     #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
     fn step<const TRACED: bool, const FAULTS: bool, E, Emit>(
         &mut self,
         round: u32,
         adjacency: &CsrAdjacency,
+        board: &Board<P::Msg>,
         plan: &FaultPlan,
         outbox: &mut Vec<(NodeId, P::Msg)>,
         phases: &mut Vec<PhaseAction>,
@@ -900,13 +918,17 @@ impl<P: Protocol> Chunk<P> {
             if FAULTS && plan.skips(node, round) {
                 // A crashed node's mail is dropped unread; a stuttered due
                 // node runs in the next round instead.
-                self.mailbox.take(i);
+                self.mailbox.discard(i);
                 if !plan.crashed(node, round) {
                     self.calendar.retry(i, round);
                 }
                 continue;
             }
-            let inbox: &[(NodeId, P::Msg)] = self.mailbox.take(i);
+            let neighbors = adjacency.neighbors(node);
+            let inbox = self
+                .mailbox
+                .take_into(i, neighbors, board, &mut self.scratch);
+            // Equal senders only from a duplicate fault.
             debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
             // `init` counts as leaving a done state, so round 0 adds every
             // node that is not done after it.
@@ -916,7 +938,7 @@ impl<P: Protocol> Chunk<P> {
                 node,
                 n,
                 round,
-                neighbors: adjacency.neighbors(node),
+                neighbors,
                 rng: &mut self.rngs[i],
                 sent_from: outbox.len(),
                 outbox: &mut *outbox,
@@ -952,11 +974,12 @@ impl<P: Protocol> Chunk<P> {
 }
 
 /// Fills the mailboxes of `round` (chunk `c` covers nodes `c * span..`):
-/// the router scatters the sends staged in the round before, or under
-/// faults the fault engine hands over the deliveries due now. Faulted
-/// rounds bypass the counting scatter, because delayed and held messages
-/// break the global sender order it needs; `flush_due` emits receivers in
-/// ascending order, so each inbox is still one range of its arena.
+/// the router scatters the unicasts staged in the round before and posts
+/// its broadcasts on `board`, or under faults the fault engine hands over
+/// the deliveries due now. Faulted rounds bypass the counting scatter,
+/// because delayed and held messages break the global sender order it
+/// needs; `flush_due` emits receivers in ascending order, so each inbox is
+/// still one range of its arena.
 fn deliver<M: Clone, const FAULTS: bool>(
     round: u32,
     staging: &mut Vec<(NodeId, NodeId, M)>,
@@ -964,6 +987,7 @@ fn deliver<M: Clone, const FAULTS: bool>(
     boxes: &mut [&mut Mailbox<M>],
     span: usize,
     adjacency: &CsrAdjacency,
+    board: &mut Board<M>,
 ) {
     if FAULTS {
         for b in boxes.iter_mut() {
@@ -973,7 +997,7 @@ fn deliver<M: Clone, const FAULTS: bool>(
             boxes[to.index() / span].push(to, sender, msg);
         });
     } else {
-        route(staging, boxes, span, adjacency);
+        route(staging, boxes, span, adjacency, board);
     }
 }
 

@@ -315,7 +315,6 @@ fn run<P>(
 ) -> Outcome<P>
 where
     P: Protocol + Send,
-    P::Msg: Send,
 {
     let csr = Arc::new(CsrAdjacency::from_graph(g));
     let mut sink = JsonLinesSink::new(Vec::new());
@@ -353,7 +352,6 @@ fn assert_wake_invisible<P>(
 ) -> Result<(u64, u64), RunError>
 where
     P: Protocol + Send + PartialEq + std::fmt::Debug,
-    P::Msg: Send,
 {
     let mut seen: Option<Result<(u64, u64), RunError>> = None;
     for executor in executors() {

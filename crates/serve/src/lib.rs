@@ -37,5 +37,5 @@ pub mod protocol;
 pub mod server;
 pub mod workload;
 
-pub use protocol::{Command, GraphSpec, LoadRequest, WireError};
+pub use protocol::{Command, GraphSpec, LoadRequest, WireError, MAX_LINE};
 pub use server::{serve_listener, QueryReq, ServeConfig, ServeStats, Server, Session};

@@ -103,6 +103,12 @@ pub enum GraphSpec {
     },
 }
 
+/// The longest request line a session reads, in bytes, not counting its
+/// `\n`; a longer line is answered with [`WireError::too_long`] and
+/// skipped up to its newline, so a peer cannot grow the read buffer
+/// without bound.
+pub const MAX_LINE: usize = 64 * 1024;
+
 /// A protocol-level error, rendered on the wire as `ERR <CODE> <message>`.
 ///
 /// The code set is closed and documented in PROTOCOL.md §Errors; messages
@@ -120,6 +126,14 @@ impl WireError {
         WireError {
             code: "PARSE",
             message: message.into(),
+        }
+    }
+
+    /// `TOOLONG` — the request line is longer than [`MAX_LINE`] bytes.
+    pub fn too_long() -> Self {
+        WireError {
+            code: "TOOLONG",
+            message: format!("request line longer than {MAX_LINE} bytes"),
         }
     }
 

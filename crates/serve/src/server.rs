@@ -22,7 +22,7 @@
 //! they are, and never the order cache/counter state evolves in.
 
 use std::collections::BTreeSet;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Mutex;
@@ -35,8 +35,8 @@ use spanner_store::{Edit, SnapshotMeta, Store};
 
 use crate::cache::{pack_key, LruCache};
 use crate::protocol::{
-    format_dist, format_route, parse_command, Command, GraphSpec, LoadRequest, WireError, OK_BYE,
-    OK_FLUSHED, OK_PONG,
+    format_dist, format_route, parse_command, Command, GraphSpec, LoadRequest, WireError, MAX_LINE,
+    OK_BYE, OK_FLUSHED, OK_PONG,
 };
 
 /// Below this many requests per worker the batch runs inline — the spawn
@@ -617,7 +617,8 @@ impl Session {
     /// until end-of-stream or `QUIT`. Blank lines outside batches are
     /// ignored; inside a batch every line counts (see PROTOCOL.md). A line
     /// that is not UTF-8 is answered with `ERR PARSE`, like any other
-    /// malformed request.
+    /// malformed request, and one longer than [`MAX_LINE`] bytes with
+    /// `ERR TOOLONG`.
     pub fn run<R: BufRead, W: Write>(&mut self, mut input: R, mut output: W) -> io::Result<()> {
         let mut line = Vec::new();
         loop {
@@ -713,14 +714,21 @@ impl Session {
 }
 
 /// Reads one request line into `buf`: `None` at end of stream, else the
-/// line without its `\n` or `\r\n`, or a `PARSE` error if it is not UTF-8.
+/// line without its `\n` or `\r\n`, a `TOOLONG` error if it has more than
+/// [`MAX_LINE`] bytes (the rest of it is skipped unread into `buf`), or a
+/// `PARSE` error if it is not UTF-8.
 fn read_request<'b>(
     input: &mut impl BufRead,
     buf: &'b mut Vec<u8>,
 ) -> io::Result<Option<Result<&'b str, WireError>>> {
     buf.clear();
-    if input.read_until(b'\n', buf)? == 0 {
+    let cap = MAX_LINE as u64 + 1;
+    if input.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
         return Ok(None);
+    }
+    if buf.len() as u64 == cap && buf.last() != Some(&b'\n') {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Err(WireError::too_long())));
     }
     Ok(Some(
         std::str::from_utf8(buf)

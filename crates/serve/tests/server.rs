@@ -8,7 +8,7 @@ use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_oracle::{DistanceOracle, RoutingScheme};
 use spanner_serve::workload::{batch_script, generate, WorkloadSpec};
-use spanner_serve::{QueryReq, ServeConfig, Server, Session};
+use spanner_serve::{QueryReq, ServeConfig, Server, Session, MAX_LINE};
 
 fn session(threads: usize) -> Session {
     Session::new(Server::new(ServeConfig {
@@ -213,6 +213,26 @@ fn non_utf8_request_line_is_a_parse_error() {
     assert_eq!(
         String::from_utf8(out).unwrap(),
         format!("OK n=3 m=2 k=2 landmarks=-\n{bad}\nOK BATCH 2\n{bad}\nOK 2\nOK PONG\nOK 1\n")
+    );
+}
+
+/// A request line longer than `MAX_LINE` bytes is a `TOOLONG` error, at
+/// top level and inside a batch; the rest of the line is skipped and the
+/// session keeps serving. A line of exactly `MAX_LINE` bytes is read.
+#[test]
+fn overlong_request_line_is_skipped() {
+    let mut s = session(1);
+    let long = format!("DIST 0 1{}", " ".repeat(MAX_LINE));
+    let fits = format!("DIST 0 2{}", " ".repeat(MAX_LINE - 8));
+    let input = format!("LOAD path:n=3\n{long}\nPING\nBATCH 3\n{long}\n{fits}\nDIST 0 1\n{long}");
+    let mut out = Vec::new();
+    s.run(input.as_bytes(), &mut out).unwrap();
+    let bad = format!("ERR TOOLONG request line longer than {MAX_LINE} bytes");
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        format!(
+            "OK n=3 m=2 k=2 landmarks=-\n{bad}\nOK PONG\nOK BATCH 3\n{bad}\nOK 2\nOK 1\n{bad}\n"
+        )
     );
 }
 

@@ -50,7 +50,7 @@ pub fn build_with_threshold(g: &Graph, delta: usize, seed: u64) -> Spanner {
     let mut high: Vec<NodeId> = Vec::new();
     for v in g.nodes() {
         if g.degree(v) < delta {
-            for &(_, e) in g.neighbors(v) {
+            for (_, e) in g.incident(v) {
                 edges.insert(e);
             }
         } else {
@@ -75,7 +75,7 @@ pub fn build_with_threshold(g: &Graph, delta: usize, seed: u64) -> Spanner {
         }
     }
     for &h in &high {
-        let dominated = in_r[h.index()] || g.neighbor_ids(h).any(|w| in_r[w.index()]);
+        let dominated = in_r[h.index()] || g.neighbors(h).iter().any(|w| in_r[w.index()]);
         if !dominated {
             in_r[h.index()] = true;
         }
@@ -88,7 +88,9 @@ pub fn build_with_threshold(g: &Graph, delta: usize, seed: u64) -> Spanner {
             continue;
         }
         let dom = g
-            .neighbor_ids(h)
+            .neighbors(h)
+            .iter()
+            .copied()
             .filter(|w| in_r[w.index()])
             .min()
             .expect("dominated by construction");

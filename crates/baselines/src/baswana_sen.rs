@@ -86,7 +86,7 @@ pub fn build_sequential(g: &Graph, params: &BaswanaSenParams, seed: u64) -> Span
             // Adjacent clusters (through currently clustered neighbors),
             // each with its minimum connecting edge.
             let mut adj: Vec<(NodeId, EdgeId)> = Vec::new();
-            for &(w, e) in g.neighbors(v) {
+            for (w, e) in g.incident(v) {
                 if let Some(cw) = cluster[w.index()] {
                     if cw != cv {
                         adj.push((cw, e));
@@ -118,7 +118,7 @@ pub fn build_sequential(g: &Graph, params: &BaswanaSenParams, seed: u64) -> Span
     for v in g.nodes() {
         let cv = cluster[v.index()];
         let mut adj: Vec<(NodeId, EdgeId)> = Vec::new();
-        for &(w, e) in g.neighbors(v) {
+        for (w, e) in g.incident(v) {
             if let Some(cw) = cluster[w.index()] {
                 if Some(cw) != cv {
                     adj.push((cw, e));
@@ -349,9 +349,8 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let csr = Arc::new(CsrAdjacency::from_graph(g));
     let built = run(
-        &csr,
+        g.csr(),
         params,
         seed,
         &Executor::Sequential,
@@ -513,8 +512,8 @@ mod tests {
         let g = generators::connected_gnm(200, 1_000, 9);
         let params = BaswanaSenParams::new(3).unwrap();
         let seq = build_sequential(&g, &params, 21);
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let dist = build_distributed_csr(&csr, &params, 21).unwrap();
+        let csr = g.csr();
+        let dist = build_distributed_csr(csr, &params, 21).unwrap();
         assert!(dist.is_spanning(&g));
         let r = dist.stretch_exact(&g);
         assert!(r.satisfies_multiplicative(params.stretch() as f64));
@@ -538,8 +537,7 @@ mod tests {
         for k in [2u32, 4] {
             let params = BaswanaSenParams::new(k).unwrap();
             let g = generators::connected_gnm(250, 2_000, 31 + k as u64);
-            let s =
-                build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(&g)), &params, 5).unwrap();
+            let s = build_distributed_csr(g.csr(), &params, 5).unwrap();
             assert!(s.is_spanning(&g));
             let r = s.stretch_exact(&g);
             assert!(

@@ -39,7 +39,7 @@ pub fn build_weighted(g: &WeightedGraph, params: &BaswanaSenParams, seed: u64) -
     let adjacent = |g: &WeightedGraph, retired: &[bool], cluster: &[Option<NodeId>], v: NodeId| {
         let cv = cluster[v.index()];
         let mut adj: Vec<(NodeId, u32, EdgeId)> = Vec::new();
-        for &(w, e) in g.graph().neighbors(v) {
+        for (w, e) in g.graph().incident(v) {
             if retired[e.index()] {
                 continue;
             }
@@ -77,7 +77,7 @@ pub fn build_weighted(g: &WeightedGraph, params: &BaswanaSenParams, seed: u64) -
                     for &(_, _, e) in &adj {
                         spanner.insert(e);
                     }
-                    for &(_, e) in g.graph().neighbors(v) {
+                    for (_, e) in g.graph().incident(v) {
                         retired[e.index()] = true;
                     }
                     next[v.index()] = None;
@@ -97,7 +97,7 @@ pub fn build_weighted(g: &WeightedGraph, params: &BaswanaSenParams, seed: u64) -
                             spanner.insert(e);
                         }
                     }
-                    for &(w, e) in g.graph().neighbors(v) {
+                    for (w, e) in g.graph().incident(v) {
                         if retired[e.index()] {
                             continue;
                         }

@@ -200,7 +200,7 @@ mod tests {
     fn distributed_matches_sequential() {
         let g = generators::connected_gnm(150, 500, 9);
         let seq = build(&g);
-        let dist = build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(&g)), 1, 400).unwrap();
+        let dist = build_distributed_csr(g.csr(), 1, 400).unwrap();
         assert!(dist.is_spanning(&g));
         assert_eq!(dist.len(), seq.len());
         // Same root election (min id) and same min-id parent rule: the two
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn distributed_on_disconnected() {
         let g = spanner_graph::Graph::from_edges(6, [(0u32, 1), (3, 4), (4, 5)]);
-        let s = build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(&g)), 2, 64).unwrap();
+        let s = build_distributed_csr(g.csr(), 2, 64).unwrap();
         assert!(s.is_spanning(&g));
         assert_eq!(s.len(), 3);
     }

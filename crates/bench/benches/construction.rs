@@ -2,12 +2,10 @@
 //! algorithm on the standard workload, plus the substrate primitives
 //! (BFS, generator) they are built from.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use spanner_baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
-use spanner_graph::{generators, traversal, CsrAdjacency, NodeId};
+use spanner_graph::{generators, traversal, NodeId};
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{self, SkeletonParams};
 
@@ -42,7 +40,7 @@ fn bench_skeleton(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(4));
     for n in [1_000usize, 4_000] {
-        let csr = Arc::new(CsrAdjacency::from_graph(&workload(n)));
+        let csr = workload(n).csr().clone();
         let params = SkeletonParams::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &csr, |b, csr| {
             b.iter(|| skeleton::distributed::build_distributed_csr(csr, &params, 3).unwrap())
@@ -68,7 +66,7 @@ fn bench_fibonacci(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(4));
     for n in [1_000usize, 4_000] {
-        let csr = Arc::new(CsrAdjacency::from_graph(&workload(n)));
+        let csr = workload(n).csr().clone();
         let params = FibonacciParams::new(n, 2, 0.5, 0).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &csr, |b, csr| {
             b.iter(|| fibonacci::distributed::build_distributed_csr(csr, &params, 3).unwrap())
@@ -83,13 +81,13 @@ fn bench_baselines(c: &mut Criterion) {
     heavy.sample_size(10);
     heavy.measurement_time(std::time::Duration::from_secs(4));
     let c = &mut heavy;
-    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let csr = g.csr();
     let bs = baswana_sen::BaswanaSenParams::new(3).unwrap();
     c.bench_function("baswana_sen_seq_8k", |b| {
         b.iter(|| baswana_sen::build_sequential(&g, &bs, 3))
     });
     c.bench_function("baswana_sen_dist_8k", |b| {
-        b.iter(|| baswana_sen::build_distributed_csr(&csr, &bs, 3).unwrap())
+        b.iter(|| baswana_sen::build_distributed_csr(csr, &bs, 3).unwrap())
     });
     c.bench_function("bfs_forest_8k", |b| b.iter(|| bfs_skeleton::build(&g)));
     c.bench_function("additive2_8k", |b| b.iter(|| additive2::build(&g, 3)));

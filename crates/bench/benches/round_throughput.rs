@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use spanner_graph::{generators, Graph, NodeId};
-use spanner_netsim::{CsrAdjacency, Ctx, MessageBudget, Network, Protocol};
+use spanner_graph::{generators, CsrAdjacency, Graph, NodeId};
+use spanner_netsim::{Ctx, MessageBudget, Network, Protocol};
 
 /// Every node broadcasts one word per round until `ttl`, then goes quiet.
 struct Gossip {
@@ -49,7 +49,7 @@ impl Protocol for Gossip {
 }
 
 fn run_new(g: &Graph, ttl: u32) -> u64 {
-    let mut net = Network::new(g, MessageBudget::CONGEST, 1);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
     net.run(|_, _| Gossip { ttl }, ttl + 4).expect("terminates");
     net.metrics().messages
 }
@@ -72,14 +72,7 @@ mod naive {
     pub fn run(g: &Graph, ttl: u32) -> u64 {
         let n = g.node_count();
         let budget = MessageBudget::CONGEST;
-        let adjacency: Vec<Vec<NodeId>> = g
-            .nodes()
-            .map(|v| {
-                let mut ns: Vec<NodeId> = g.neighbor_ids(v).collect();
-                ns.sort_unstable();
-                ns
-            })
-            .collect();
+        let adjacency: Vec<Vec<NodeId>> = g.nodes().map(|v| g.neighbors(v).to_vec()).collect();
         let mut metrics = RunMetrics::default();
         let mut inboxes: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); n];
 
@@ -126,14 +119,14 @@ mod naive {
 
 fn bench_er(c: &mut Criterion) {
     let g = generators::erdos_renyi_gnm(50_000, 150_000, 42);
-    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let csr = g.csr();
     let ttl = 4;
     assert_eq!(run_new(&g, ttl), naive::run(&g, ttl), "same workload");
     let mut group = c.benchmark_group("round_throughput/er_50k");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(4));
     group.bench_function("seed_path", |b| b.iter(|| naive::run(&g, ttl)));
-    group.bench_function("netsim", |b| b.iter(|| run_new_shared(&csr, ttl)));
+    group.bench_function("netsim", |b| b.iter(|| run_new_shared(csr, ttl)));
     group.finish();
 }
 
@@ -158,7 +151,7 @@ fn bench_star(c: &mut Criterion) {
 }
 
 /// Every `PERIOD` rounds until `until`, a pulsing node sends one word to
-/// its first neighbour, and it is done only after its last pulse; the rest
+/// its first neighbor, and it is done only after its last pulse; the rest
 /// only ever run on delivery.
 struct Pulse {
     pulsing: bool,
@@ -231,10 +224,10 @@ fn median_sparse(csr: &Arc<CsrAdjacency>, until: u32, samples: usize) -> (f64, u
 fn bench_sparse(_c: &mut Criterion) {
     let n = 1usize << 16;
     let g = generators::erdos_renyi_gnm(n, 4 * n, 42);
-    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let csr = g.csr();
     let samples = 9;
-    let (short, short_rounds) = median_sparse(&csr, PERIOD, samples);
-    let (long, long_rounds) = median_sparse(&csr, 32 * PERIOD, samples);
+    let (short, short_rounds) = median_sparse(csr, PERIOD, samples);
+    let (long, long_rounds) = median_sparse(csr, 32 * PERIOD, samples);
     let per_round = (long - short) * 1e9 / f64::from(long_rounds - short_rounds);
     println!(
         "bench: {:<48} {per_round:>14.1} ns/round  ({} - {} rounds, median of {samples} runs each)",

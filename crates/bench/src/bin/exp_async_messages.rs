@@ -35,7 +35,7 @@ const RUN_SEED: u64 = 42;
 fn flood_async(g: &Graph, synchronizer: Synchronizer) -> RunMetrics {
     let delays = FaultPlan::new(DELAY_SEED).with_delays(DELAY_P, DELAY_MAX);
     let radius = g.node_count() as u32;
-    let mut net = AsyncNetwork::new(g, MessageBudget::CONGEST, RUN_SEED)
+    let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, RUN_SEED)
         .with_delays(delays)
         .with_synchronizer(synchronizer);
     let states = net

@@ -6,10 +6,7 @@
 //! experiment sweeps t and prints the realized order, ℓ, rounds, maximum
 //! message words, and spanner size.
 
-use std::sync::Arc;
-
 use spanner_bench::{f2, scaled, timed, workload, Table, TraceOutput};
-use spanner_graph::CsrAdjacency;
 use spanner_netsim::Executor;
 use ultrasparse::fibonacci::distributed::{build_distributed, theorem8_budget};
 use ultrasparse::fibonacci::FibonacciParams;
@@ -35,14 +32,14 @@ fn main() {
         "|S|/n",
         "secs",
     ]);
-    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let csr = g.csr();
     for t in [0u32, 2, 3, 4, 6] {
         let params = FibonacciParams::new(n, base_order, 0.5, t).expect("valid");
         let budget = theorem8_budget(n, t);
         let mut tr = traces.open(&format!("t{t}"));
         let ((s, rounds, words), secs) = timed(|| {
             let s =
-                build_distributed(&csr, &params, 9, &Executor::Sequential, tr.sink()).expect("run");
+                build_distributed(csr, &params, 9, &Executor::Sequential, tr.sink()).expect("run");
             let m = s.metrics.expect("metrics");
             (s, m.rounds, m.max_message_words)
         });

@@ -7,10 +7,7 @@
 //! simulator round count, the planned timetable, and the max message
 //! length.
 
-use std::sync::Arc;
-
 use spanner_bench::{f2, scaled, threads_arg, timed, workload, Table, TraceOutput};
-use spanner_graph::CsrAdjacency;
 use spanner_netsim::Executor;
 use ultrasparse::seq::log_star;
 use ultrasparse::skeleton::{distributed, SkeletonParams};
@@ -41,11 +38,11 @@ fn main() {
     ]);
     for &n in sizes {
         let g = workload(n, 6.0, 3);
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        let csr = g.csr();
         let mut tr = traces.open(&format!("n{n}"));
         let ((spanner, rounds, words), secs) = timed(|| {
             let s =
-                distributed::build_distributed(&csr, &params, 9, &Executor::Sequential, tr.sink())
+                distributed::build_distributed(csr, &params, 9, &Executor::Sequential, tr.sink())
                     .expect("run");
             let m = s.metrics.expect("distributed metrics");
             (s, m.rounds, m.max_message_words)

@@ -11,7 +11,6 @@ use spanner_bench::{
     executor_for, f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed,
     workload, workload_csr, Table, TraceOutput,
 };
-use spanner_graph::CsrAdjacency;
 use spanner_netsim::{Executor, NullSink};
 use ultrasparse::skeleton::{build_sequential, distributed, SkeletonParams};
 
@@ -64,9 +63,9 @@ fn main() {
             }
         } else {
             let mut tr = traces.open(&format!("d{:02}", d as u32));
-            let csr = Arc::new(CsrAdjacency::from_graph(&g));
+            let csr = g.csr();
             let dist =
-                distributed::build_distributed(&csr, &params, 11, &Executor::Sequential, tr.sink())
+                distributed::build_distributed(csr, &params, 11, &Executor::Sequential, tr.sink())
                     .expect("distributed run");
             tr.finish();
             dist

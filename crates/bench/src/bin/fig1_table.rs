@@ -38,7 +38,7 @@ fn main() {
     let density = 8.0;
     let seed = 42;
     let g = workload(n, density, seed);
-    let csr = Arc::new(CsrAdjacency::from_graph(&g));
+    let csr = g.csr();
     let seq = Executor::Sequential;
     let pairs = scale3(4_000, 500, 120);
     let threads = threads_arg();
@@ -96,7 +96,7 @@ fn main() {
 
     let mut tr = traces.open("bfs");
     let (s, secs) = timed(|| {
-        bfs_skeleton::build_distributed(&csr, seed, 10 * n as u32, &seq, tr.sink()).unwrap()
+        bfs_skeleton::build_distributed(csr, seed, 10 * n as u32, &seq, tr.sink()).unwrap()
     });
     tr.finish();
     add_row(
@@ -144,7 +144,7 @@ fn main() {
     } else {
         let mut tr = traces.open("bs-k2");
         let (s, secs) =
-            timed(|| baswana_sen::build_distributed(&csr, &bs2, seed, &seq, tr.sink()).unwrap());
+            timed(|| baswana_sen::build_distributed(csr, &bs2, seed, &seq, tr.sink()).unwrap());
         tr.finish();
         add_row(
             "Baswana-Sen k=2 [10]",
@@ -159,7 +159,7 @@ fn main() {
     let bsl = baswana_sen::BaswanaSenParams::new(klog).unwrap();
     let mut tr = traces.open("bs-klog");
     let (s, secs) =
-        timed(|| baswana_sen::build_distributed(&csr, &bsl, seed, &seq, tr.sink()).unwrap());
+        timed(|| baswana_sen::build_distributed(csr, &bsl, seed, &seq, tr.sink()).unwrap());
     tr.finish();
     add_row(
         "Baswana-Sen k=log n [10]",
@@ -209,7 +209,7 @@ fn main() {
     } else {
         let mut tr = traces.open("skeleton");
         let (s, secs) = timed(|| {
-            skeleton::distributed::build_distributed(&csr, &sk, seed, &seq, tr.sink()).unwrap()
+            skeleton::distributed::build_distributed(csr, &sk, seed, &seq, tr.sink()).unwrap()
         });
         tr.finish();
         add_row(
@@ -242,7 +242,7 @@ fn main() {
     } else {
         let mut tr = traces.open("fibonacci");
         let (s, secs) = timed(|| {
-            fibonacci::distributed::build_distributed(&csr, &fp, seed, &seq, tr.sink()).unwrap()
+            fibonacci::distributed::build_distributed(csr, &fp, seed, &seq, tr.sink()).unwrap()
         });
         tr.finish();
         add_row(

@@ -267,7 +267,7 @@ impl<'g> ContractionState<'g> {
     /// the bound. Intended for tests and debug assertions.
     pub fn assert_clusters_spanned(&self, radius_bound: u64) -> u64 {
         use std::collections::VecDeque;
-        let adj = self.spanner.adjacency(self.g);
+        let adj = self.g.csr().subgraph(&self.spanner);
         // Group live vertices by cluster center.
         let mut by_cluster: std::collections::HashMap<NodeId, Vec<NodeId>> =
             std::collections::HashMap::new();
@@ -292,7 +292,7 @@ impl<'g> ContractionState<'g> {
             let mut q = VecDeque::from([center]);
             while let Some(u) = q.pop_front() {
                 let du = dist[&u];
-                for &w in &adj[u.index()] {
+                for &w in adj.neighbors(u) {
                     if member_set.contains(&w) && !dist.contains_key(&w) {
                         dist.insert(w, du + 1);
                         q.push_back(w);

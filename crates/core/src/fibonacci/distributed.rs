@@ -600,9 +600,8 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let csr = Arc::new(CsrAdjacency::from_graph(g));
     let built = run(
-        &csr,
+        g.csr(),
         params,
         seed,
         &Executor::Sequential,
@@ -688,7 +687,7 @@ mod tests {
     use spanner_graph::generators;
 
     fn build(g: &Graph, p: &FibonacciParams, seed: u64) -> Result<Spanner, RunError> {
-        build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(g)), p, seed)
+        build_distributed_csr(g.csr(), p, seed)
     }
 
     fn params(n: usize, o: u32, t: u32) -> FibonacciParams {
@@ -737,7 +736,7 @@ mod tests {
     fn rounds_within_timetable() {
         let g = generators::connected_gnm(200, 700, 2);
         let p = params(200, 2, 0);
-        let planned = timetable_rounds(&CsrAdjacency::from_graph(&g), &p);
+        let planned = timetable_rounds(g.csr(), &p);
         let s = build(&g, &p, 1).unwrap();
         assert!(s.metrics.unwrap().rounds <= planned + 8);
     }
@@ -782,8 +781,8 @@ mod tests {
         let s = {
             // One run feeds both the summary and the byte stream: replaying
             // recorded events into a second summary must agree too.
-            let csr = Arc::new(CsrAdjacency::from_graph(&g));
-            let seq = build_distributed(&csr, &p, 4, &Executor::Sequential, &mut seq_sink).unwrap();
+            let csr = g.csr();
+            let seq = build_distributed(csr, &p, 4, &Executor::Sequential, &mut seq_sink).unwrap();
             let bytes = seq_sink.finish().unwrap();
             for line in std::str::from_utf8(&bytes).unwrap().lines() {
                 let ev = spanner_netsim::TraceEvent::from_json_line(line).expect("parseable");

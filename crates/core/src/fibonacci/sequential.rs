@@ -89,7 +89,9 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
             // Parent: min-id neighbor one step closer with the same
             // attributed source (always exists; see traversal docs).
             let parent = g
-                .neighbor_ids(v)
+                .neighbors(v)
+                .iter()
+                .copied()
                 .filter(|w| {
                     bfs.dist[w.index()] == Some(d - 1) && bfs.source[w.index()] == Some(src)
                 })
@@ -119,7 +121,7 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
                 None => true, // no level-1 vertex at all
             };
             if truncation_allows {
-                for &(_, e) in g.neighbors(v) {
+                for (_, e) in g.incident(v) {
                     edges.insert(e);
                 }
             }
@@ -148,7 +150,7 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
                 if dx as u64 == radius {
                     continue;
                 }
-                for &(y, _) in g.neighbors(x) {
+                for &y in g.neighbors(x) {
                     if dist[y.index()] == u32::MAX {
                         dist[y.index()] = dx + 1;
                         parent[y.index()] = x;

@@ -720,9 +720,8 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let csr = Arc::new(CsrAdjacency::from_graph(g));
     let built = run(
-        &csr,
+        g.csr(),
         params,
         seed,
         &Executor::Sequential,
@@ -799,7 +798,7 @@ mod tests {
     use spanner_graph::generators;
 
     fn build(g: &Graph, params: &SkeletonParams, seed: u64) -> Result<Spanner, RunError> {
-        build_distributed_csr(&Arc::new(CsrAdjacency::from_graph(g)), params, seed)
+        build_distributed_csr(g.csr(), params, seed)
     }
 
     #[test]
@@ -917,8 +916,8 @@ mod tests {
         let params = SkeletonParams::default();
         let g = generators::erdos_renyi_gnm(10_000, 30_000, 3);
         let mut summary = spanner_netsim::TraceSummary::new();
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let s = build_distributed_csr_traced(&csr, &params, 7, &mut summary).unwrap();
+        let csr = g.csr();
+        let s = build_distributed_csr_traced(csr, &params, 7, &mut summary).unwrap();
         let m = s.metrics.expect("distributed metrics");
         assert!(m.agrees_with(&summary), "{m} vs trace totals");
         let phase_rounds: u32 = summary.phases().iter().map(|p| p.rounds).sum::<u32>()
@@ -932,7 +931,7 @@ mod tests {
         assert_eq!(expands, params.schedule(g.node_count()).calls.len());
         assert!(summary.is_complete());
         // Tracing must not perturb the run itself.
-        let untraced = build_distributed_csr(&csr, &params, 7).unwrap();
+        let untraced = build_distributed_csr(csr, &params, 7).unwrap();
         assert_eq!(s.edges, untraced.edges);
         assert_eq!(s.metrics, untraced.metrics);
     }
@@ -964,7 +963,7 @@ mod tests {
     /// bytes. Returns the metrics.
     fn assert_wake_invisible(g: &Graph, seed: u64, plan: Option<&FaultPlan>) -> RunMetrics {
         use spanner_netsim::JsonLinesSink;
-        let csr = Arc::new(CsrAdjacency::from_graph(g));
+        let csr = g.csr();
         let params = SkeletonParams::default();
         let n = g.node_count();
         let budget = theorem2_budget(n, params.eps);
@@ -978,7 +977,7 @@ mod tests {
         let (hinted, h_metrics) = execute(
             &Executor::Sequential,
             plan,
-            &csr,
+            csr,
             budget,
             seed,
             factory,
@@ -991,7 +990,7 @@ mod tests {
         let (awake, a_metrics) = execute(
             &Executor::Sequential,
             plan,
-            &csr,
+            csr,
             budget,
             seed,
             factory,

@@ -1,19 +1,18 @@
-//! Flat CSR adjacency shared by the distance engine and the netsim
-//! executors.
+//! Flat CSR adjacency: the one adjacency layout of the workspace.
 //!
-//! [`Graph`] stores adjacency in edge-insertion order; both the simulator
-//! and the distance engine need each node's neighbor list **sorted
-//! ascending** (the determinism contract: `Ctx::neighbors` is sorted,
-//! `Ctx::send` binary searches it, and the engine's traversal order is a
-//! pure function of the layout). [`CsrAdjacency`] lays the data out as two
-//! flat arrays (offsets + targets), built once and shared freely — the
-//! replacement for the `Vec<Vec<NodeId>>` tables that used to be rebuilt
-//! per executor run and per stretch-verification source.
+//! In the paper's model every node knows its incident edges; here each
+//! node's neighbor list is a run **sorted ascending** (the determinism
+//! contract: `Ctx::neighbors` is sorted, `Ctx::send` binary searches it,
+//! and the engine's traversal order is a pure function of the layout).
+//! [`CsrAdjacency`] lays the data out as two flat arrays (offsets +
+//! targets), built once and shared behind an `Arc` by a
+//! [`Graph`](crate::Graph), the netsim executors and the distance engine
+//! alike. A `Graph` adds only an edge-id column parallel to the targets.
 
 use std::fmt;
 
 use crate::edgeset::EdgeSet;
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, NodeId};
 
 /// A graph that does not fit the u32 id space of [`NodeId`] / [`EdgeId`].
 ///
@@ -143,82 +142,16 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Builds the sorted CSR adjacency of `graph`.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0u32);
-        for v in graph.nodes() {
-            let start = targets.len();
-            targets.extend(graph.neighbor_ids(v));
-            targets[start..].sort_unstable();
-            offsets.push(u32::try_from(targets.len()).expect("graph fits u32 half-edges"));
-        }
-        CsrAdjacency { offsets, targets }
-    }
-
-    /// Builds the sorted CSR adjacency of the subgraph of `graph` induced
-    /// by the edges in `set` (on the full vertex set).
-    ///
-    /// One counting pass over the set plus a scatter; the per-node runs are
-    /// then sorted so the layout is identical to what
-    /// [`CsrAdjacency::from_graph`] would produce on the materialized
-    /// subgraph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` ranges over a different edge universe than `graph`.
-    pub fn from_edge_set(graph: &Graph, set: &EdgeSet) -> Self {
-        assert_eq!(
-            set.universe(),
-            graph.edge_count(),
-            "edge set built for a different graph"
-        );
-        let n = graph.node_count();
-        let mut degree = vec![0u32; n];
-        for e in set.iter() {
-            let (a, b) = graph.endpoints(e);
-            degree[a.index()] += 1;
-            degree[b.index()] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut acc = 0u32;
-        for &d in &degree {
-            acc = acc.checked_add(d).expect("graph fits u32 half-edges");
-            offsets.push(acc);
-        }
-        let mut targets = vec![NodeId(0); acc as usize];
-        // Reuse `degree` as per-node write cursors.
-        let cursor = &mut degree;
-        cursor.fill(0);
-        for e in set.iter() {
-            let (a, b) = graph.endpoints(e);
-            let ia = offsets[a.index()] + cursor[a.index()];
-            targets[ia as usize] = b;
-            cursor[a.index()] += 1;
-            let ib = offsets[b.index()] + cursor[b.index()];
-            targets[ib as usize] = a;
-            cursor[b.index()] += 1;
-        }
-        for v in 0..n {
-            targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
-        }
-        CsrAdjacency { offsets, targets }
-    }
-
     /// Builds the sorted CSR adjacency of the `n`-node simple graph with
-    /// the given edges, **without** materializing a [`Graph`] or any
-    /// per-node `Vec` in between — the streaming path that takes the
-    /// generators to n ≥ 10⁶ nodes.
+    /// the given edges, **without** an edge-id column or any per-node
+    /// `Vec` in between — the streaming path that takes the generators to
+    /// n ≥ 10⁶ nodes.
     ///
     /// The edge stream is consumed twice (degree count, then scatter), so
     /// the iterator must be `Clone` — generator closures and ranges are.
-    /// Self-loops are skipped and duplicate edges collapsed, exactly like
-    /// [`Graph::from_edges`](crate::graph::Graph::from_edges), so the
-    /// result is identical to
-    /// `CsrAdjacency::from_graph(&Graph::from_edges(n, edges))`.
+    /// Self-loops are skipped and duplicate edges collapsed. This is the
+    /// build behind [`Graph::from_edges`](crate::Graph::from_edges) too, so
+    /// the result is that graph's [`Graph::csr`](crate::Graph::csr).
     ///
     /// # Panics
     ///
@@ -424,8 +357,8 @@ impl CsrAdjacency {
     }
 
     /// Builds the [`CsrEdgeIndex`] assigning this adjacency the exact
-    /// [`EdgeId`]s that [`Graph::from_edges`] would: ids in lexicographic
-    /// `(min, max)` endpoint order. One O(n + m) pass.
+    /// [`EdgeId`]s a [`Graph`](crate::Graph) over it has: ids in
+    /// lexicographic `(min, max)` endpoint order. One O(n + m) pass.
     pub fn edge_index(&self) -> CsrEdgeIndex {
         let n = self.node_count();
         let mut fwd = Vec::with_capacity(n + 1);
@@ -442,8 +375,8 @@ impl CsrAdjacency {
 
     /// Iterator over all edges as `(EdgeId, NodeId, NodeId)` with the
     /// smaller endpoint first, in [`EdgeId`] order — the CSR equivalent of
-    /// [`Graph::edges`], enumerating exactly the ids [`CsrEdgeIndex`]
-    /// assigns.
+    /// [`Graph::edges`](crate::Graph::edges), enumerating exactly the ids
+    /// [`CsrEdgeIndex`] assigns.
     pub fn forward_edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId)> + '_ {
         (0..self.node_count() as u32)
             .scan(0u32, move |base, a| {
@@ -463,8 +396,8 @@ impl CsrAdjacency {
     }
 
     /// The subgraph keeping exactly the edges in `set`, on the full vertex
-    /// set, with edge universe ids as assigned by [`CsrAdjacency::edge_index`].
-    /// Equivalent to [`CsrAdjacency::from_edge_set`] without the `Graph`.
+    /// set, with edge universe ids as assigned by [`CsrAdjacency::edge_index`]
+    /// (the ids of the [`Graph`](crate::Graph) around this adjacency).
     ///
     /// # Panics
     ///
@@ -533,17 +466,17 @@ impl CsrAdjacency {
     }
 }
 
-/// Graph-identical edge ids for a [`CsrAdjacency`], without the `Graph`.
+/// Graph-identical edge ids for a [`CsrAdjacency`], without the `Graph`'s
+/// edge-id column.
 ///
-/// [`Graph::from_edges`] sorts and deduplicates its edge list, so its
-/// [`EdgeId`]s enumerate edges in lexicographic `(min, max)` endpoint
-/// order — which is exactly the order the forward half-edges (`a → b`
-/// with `a < b`) appear in a CSR traversal. This index is one prefix-sum
-/// array over that observation: `fwd[a]` counts the forward half-edges
-/// before node `a`, and the id of `{a, b}` is `fwd[a]` plus the rank of
-/// `b` among `a`'s larger neighbors. CSR-native construction drivers use
-/// it to emit [`EdgeSet`]s bit-identical to their `Graph`-built
-/// counterparts.
+/// A [`Graph`](crate::Graph)'s [`EdgeId`]s enumerate edges in
+/// lexicographic `(min, max)` endpoint order — which is exactly the order
+/// the forward half-edges (`a → b` with `a < b`) appear in a CSR
+/// traversal. This index is one prefix-sum array over that observation: `fwd[a]` counts the forward
+/// half-edges before node `a`, and the id of `{a, b}` is `fwd[a]` plus the
+/// rank of `b` among `a`'s larger neighbors. CSR-native construction
+/// drivers use it to emit [`EdgeSet`]s over the `Graph`'s edge ids with an
+/// O(n) index instead of an O(m) column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrEdgeIndex {
     /// `fwd[v]` = number of edges whose smaller endpoint is `< v`;
@@ -561,7 +494,8 @@ impl CsrEdgeIndex {
     /// The edge id of `{u, v}` in `csr`, if present. O(log degree).
     ///
     /// Must be queried against the same adjacency the index was built
-    /// from; ids match [`Graph::find_edge`] on the equivalent graph.
+    /// from; ids match [`Graph::find_edge`](crate::Graph::find_edge) on the
+    /// equivalent graph.
     pub fn edge_id(&self, csr: &CsrAdjacency, u: NodeId, v: NodeId) -> Option<EdgeId> {
         if u == v {
             return None;
@@ -704,7 +638,7 @@ impl LinkedAdjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, Graph};
 
     #[test]
     fn linked_adjacency_matches_vec_of_vecs() {
@@ -730,26 +664,14 @@ mod tests {
     #[test]
     fn matches_graph_adjacency_sorted() {
         let g = generators::erdos_renyi_gnm(50, 120, 3);
-        let csr = CsrAdjacency::from_graph(&g);
+        let csr = g.csr();
         assert_eq!(csr.node_count(), 50);
         for v in g.nodes() {
-            let mut expect: Vec<NodeId> = g.neighbor_ids(v).collect();
-            expect.sort_unstable();
-            assert_eq!(csr.neighbors(v), expect.as_slice(), "node {v}");
+            assert!(csr.neighbors(v).windows(2).all(|w| w[0] < w[1]), "{v}");
+            assert_eq!(csr.neighbors(v), g.neighbors(v), "node {v}");
             assert_eq!(csr.degree(v), g.degree(v));
         }
         assert_eq!(csr.max_degree(), g.max_degree());
-    }
-
-    #[test]
-    fn from_edges_matches_from_graph() {
-        // Duplicates, self-loops, and both orientations: all collapse to
-        // the same simple graph `Graph::from_edges` builds.
-        let edges = [(0u32, 1), (1, 0), (2, 2), (3, 1), (1, 3), (4, 0), (0, 4)];
-        let direct = CsrAdjacency::from_edges(5, edges);
-        let via_graph = CsrAdjacency::from_graph(&Graph::from_edges(5, edges));
-        assert_eq!(direct, via_graph);
-        assert_eq!(direct.half_edge_count(), 6);
     }
 
     #[test]
@@ -757,14 +679,14 @@ mod tests {
         let g = generators::erdos_renyi_gnm(70, 210, 11);
         let edges: Vec<(u32, u32)> = g.edges().map(|(_, u, v)| (u.0, v.0)).collect();
         assert_eq!(
-            CsrAdjacency::from_edges(70, edges.iter().copied()),
-            CsrAdjacency::from_graph(&g)
+            CsrAdjacency::from_edges(70, edges.iter().rev().copied()),
+            **g.csr()
         );
     }
 
     #[test]
     fn empty_graph() {
-        let csr = CsrAdjacency::from_graph(&Graph::empty(0));
+        let csr = CsrAdjacency::from_edges(0, std::iter::empty());
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.max_degree(), 0);
     }
@@ -772,7 +694,7 @@ mod tests {
     #[test]
     fn star_hub_sees_all_leaves() {
         let g = generators::star(1000);
-        let csr = CsrAdjacency::from_graph(&g);
+        let csr = g.csr();
         assert_eq!(csr.degree(NodeId(0)), 999);
         assert!(csr.neighbors(NodeId(0)).windows(2).all(|w| w[0] < w[1]));
     }
@@ -780,8 +702,8 @@ mod tests {
     #[test]
     fn edge_set_full_matches_from_graph() {
         let g = generators::erdos_renyi_gnm(60, 180, 5);
-        let full = CsrAdjacency::from_edge_set(&g, &EdgeSet::full(&g));
-        assert_eq!(full, CsrAdjacency::from_graph(&g));
+        let full = g.csr().subgraph(&EdgeSet::full(&g));
+        assert_eq!(full, **g.csr());
     }
 
     #[test]
@@ -793,7 +715,7 @@ mod tests {
                 s.insert(e);
             }
         }
-        let csr = CsrAdjacency::from_edge_set(&g, &s);
+        let csr = g.csr().subgraph(&s);
         assert_eq!(csr.neighbors(NodeId(0)), &[NodeId(1)]);
         assert_eq!(csr.neighbors(NodeId(3)), &[NodeId(2)]);
         assert_eq!(csr.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
@@ -802,23 +724,23 @@ mod tests {
     #[test]
     fn edge_index_matches_graph_edge_ids() {
         let g = generators::erdos_renyi_gnm(80, 300, 21);
-        let csr = CsrAdjacency::from_graph(&g);
+        let csr = g.csr();
         let idx = csr.edge_index();
         assert_eq!(idx.edge_count(), g.edge_count());
         assert_eq!(csr.edge_count(), g.edge_count());
         for (e, u, v) in g.edges() {
-            assert_eq!(idx.edge_id(&csr, u, v), Some(e), "edge {u}-{v}");
-            assert_eq!(idx.edge_id(&csr, v, u), Some(e), "edge {v}-{u}");
+            assert_eq!(idx.edge_id(csr, u, v), Some(e), "edge {u}-{v}");
+            assert_eq!(idx.edge_id(csr, v, u), Some(e), "edge {v}-{u}");
         }
         // Non-edges and self-loops resolve to None.
         for v in g.nodes() {
-            assert_eq!(idx.edge_id(&csr, v, v), None);
+            assert_eq!(idx.edge_id(csr, v, v), None);
         }
         let mut missing = 0;
         for u in 0..80u32 {
             for v in (u + 1)..80 {
                 if g.find_edge(NodeId(u), NodeId(v)).is_none() {
-                    assert_eq!(idx.edge_id(&csr, NodeId(u), NodeId(v)), None);
+                    assert_eq!(idx.edge_id(csr, NodeId(u), NodeId(v)), None);
                     missing += 1;
                 }
             }
@@ -829,23 +751,9 @@ mod tests {
     #[test]
     fn forward_edges_match_graph_edges() {
         let g = generators::erdos_renyi_gnm(60, 200, 9);
-        let csr = CsrAdjacency::from_graph(&g);
-        let ours: Vec<_> = csr.forward_edges().collect();
+        let ours: Vec<_> = g.csr().forward_edges().collect();
         let theirs: Vec<_> = g.edges().collect();
         assert_eq!(ours, theirs);
-    }
-
-    #[test]
-    fn subgraph_matches_from_edge_set() {
-        let g = generators::erdos_renyi_gnm(50, 160, 13);
-        let csr = CsrAdjacency::from_graph(&g);
-        let mut set = EdgeSet::new(&g);
-        for (e, _, _) in g.edges() {
-            if e.0 % 3 != 0 {
-                set.insert(e);
-            }
-        }
-        assert_eq!(csr.subgraph(&set), CsrAdjacency::from_edge_set(&g, &set));
     }
 
     #[test]
@@ -858,8 +766,7 @@ mod tests {
             (Graph::empty(0), "empty"),
             (Graph::empty(1), "single"),
         ] {
-            let csr = CsrAdjacency::from_graph(&g);
-            assert_eq!(csr.is_connected(), is_connected(&g), "{name}");
+            assert_eq!(g.csr().is_connected(), is_connected(&g), "{name}");
         }
     }
 
@@ -886,17 +793,16 @@ mod tests {
             (Graph::empty(4), "isolated"),
             (Graph::empty(0), "empty"),
         ] {
-            let csr = CsrAdjacency::from_graph(&g);
-            let (offsets, targets) = csr.parts();
+            let (offsets, targets) = g.csr().parts();
             let back =
                 CsrAdjacency::try_from_parts(offsets.to_vec(), targets.to_vec()).expect(name);
-            assert_eq!(back, csr, "{name}");
+            assert_eq!(back, **g.csr(), "{name}");
         }
     }
 
     #[test]
     fn try_from_parts_rejects_each_invariant_violation() {
-        let good = CsrAdjacency::from_graph(&Graph::from_edges(3, [(0, 1), (1, 2)]));
+        let good = CsrAdjacency::from_edges(3, [(0, 1), (1, 2)]);
         let (o, t) = good.parts();
         let (o, t) = (o.to_vec(), t.to_vec());
         let cases: Vec<(Vec<u32>, Vec<NodeId>, CsrPartsError)> = vec![
@@ -1018,7 +924,7 @@ mod tests {
     #[test]
     fn empty_edge_set_has_isolated_nodes() {
         let g = generators::cycle(10);
-        let csr = CsrAdjacency::from_edge_set(&g, &EdgeSet::new(&g));
+        let csr = g.csr().subgraph(&EdgeSet::new(&g));
         assert_eq!(csr.node_count(), 10);
         for v in g.nodes() {
             assert!(csr.neighbors(v).is_empty());

@@ -15,11 +15,12 @@ use std::sync::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::csr::CsrAdjacency;
 use crate::edgeset::EdgeSet;
 use crate::engine::{BfsScratch, DistanceEngine, RowsScratch};
 use crate::graph::{Graph, NodeId};
 use crate::pool::{chunk_range, run_workers};
-use crate::traversal::{bfs_distances, bfs_distances_in_subgraph};
+use crate::traversal::{bfs_distances, bfs_distances_csr, bfs_distances_in_subgraph};
 use crate::weighted::{
     dijkstra, dijkstra_in_adjacency, subgraph_adjacency, WeightedGraph, W_UNREACHABLE,
 };
@@ -305,14 +306,14 @@ pub fn verify_stretch_exact_threads(
     }
 }
 
-/// The original one-BFS-per-source verifier over `Vec<Vec<NodeId>>`
+/// The original one-BFS-per-source verifier over the spanner's CSR
 /// adjacency, kept as the reference implementation for the parity suite.
 pub fn verify_stretch_exact_reference(
     g: &Graph,
     spanner: &EdgeSet,
     bound: StretchBound,
 ) -> Result<(), StretchViolation> {
-    let adj = spanner.adjacency(g);
+    let adj = g.csr().subgraph(spanner);
     for u in g.nodes() {
         let dg = bfs_distances(g, u);
         let ds = bfs_distances_in_subgraph(&adj, u, u32::MAX);
@@ -382,25 +383,13 @@ pub fn diameter_exact(g: &Graph) -> Option<u32> {
 /// Two-sweep diameter lower bound: BFS from `start`, then BFS from the
 /// farthest node found. Exact on trees, a good estimate in general.
 pub fn diameter_two_sweep(g: &Graph, start: NodeId) -> u32 {
-    let d1 = bfs_distances(g, start);
-    let far = d1
-        .iter()
-        .enumerate()
-        .filter_map(|(v, d)| d.map(|x| (x, v)))
-        .max()
-        .map(|(_, v)| NodeId(v as u32));
-    match far {
-        Some(f) => eccentricity(g, f),
-        None => 0,
-    }
+    diameter_two_sweep_csr(g.csr(), start)
 }
 
-/// [`diameter_two_sweep`] over a bare CSR adjacency — identical result to
-/// the [`Graph`] version on the equivalent topology: BFS distances are
-/// neighbor-order-independent and the farthest-node tiebreak (max distance,
-/// then max node id) is reproduced exactly.
-pub fn diameter_two_sweep_csr(csr: &crate::csr::CsrAdjacency, start: NodeId) -> u32 {
-    let d1 = crate::traversal::bfs_distances_csr(csr, start);
+/// [`diameter_two_sweep`] over a bare CSR adjacency. The farthest node is
+/// the one at maximum distance, the larger id on ties.
+pub fn diameter_two_sweep_csr(csr: &CsrAdjacency, start: NodeId) -> u32 {
+    let d1 = bfs_distances_csr(csr, start);
     let far = d1
         .iter()
         .enumerate()
@@ -408,7 +397,7 @@ pub fn diameter_two_sweep_csr(csr: &crate::csr::CsrAdjacency, start: NodeId) -> 
         .max()
         .map(|(_, v)| NodeId(v as u32));
     match far {
-        Some(f) => crate::traversal::bfs_distances_csr(csr, f)
+        Some(f) => bfs_distances_csr(csr, f)
             .into_iter()
             .flatten()
             .max()

@@ -6,7 +6,7 @@
 //! algorithms select one edge at a time) and cheap to query during stretch
 //! evaluation.
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph};
 
 /// A set of edges of a fixed host graph, stored as a bitset over edge ids.
 ///
@@ -151,23 +151,6 @@ impl EdgeSet {
         );
         g.edge_subgraph(|e| self.contains(e))
     }
-
-    /// Builds the adjacency lists of the subgraph *without* renumbering:
-    /// `adj[v]` lists neighbors of `v` through edges in the set.
-    pub fn adjacency(&self, g: &Graph) -> Vec<Vec<NodeId>> {
-        assert_eq!(
-            g.edge_count(),
-            self.universe,
-            "edge set does not match graph"
-        );
-        let mut adj = vec![Vec::new(); g.node_count()];
-        for e in self.iter() {
-            let (u, v) = g.endpoints(e);
-            adj[u.index()].push(v);
-            adj[v.index()].push(u);
-        }
-        adj
-    }
 }
 
 /// Iterator over the edge ids in an [`EdgeSet`], created by [`EdgeSet::iter`].
@@ -269,18 +252,6 @@ mod tests {
         a.union_with(&b);
         assert_eq!(a.len(), 3);
         assert!(a.contains(EdgeId(3)));
-    }
-
-    #[test]
-    fn adjacency_lists() {
-        let g = path5();
-        let mut s = EdgeSet::new(&g);
-        s.insert(EdgeId(0));
-        s.insert(EdgeId(3));
-        let adj = s.adjacency(&g);
-        assert_eq!(adj[0], vec![NodeId(1)]);
-        assert_eq!(adj[2], Vec::<NodeId>::new());
-        assert_eq!(adj[4], vec![NodeId(3)]);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //!    pure function of (graph, source index), and workers write disjoint
 //!    regions determined by arithmetic, never by timing.
 //!
-//! The original single-source functions in [`traversal`](crate::traversal)
-//! remain as the reference implementations; `tests/engine_parity.rs` keeps
+//! The single-source functions in [`traversal`](crate::traversal) remain
+//! as the reference implementations; `tests/engine_parity.rs` keeps
 //! the engine byte-identical to them under every strategy and thread count.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::csr::CsrAdjacency;
 use crate::distance::UNREACHABLE;
@@ -153,7 +153,8 @@ struct TdState {
 /// across worker threads.
 #[derive(Debug, Clone)]
 pub struct DistanceEngine {
-    csr: CsrAdjacency,
+    /// The adjacency, shared with the [`Graph`] it came from.
+    csr: Arc<CsrAdjacency>,
     threads: usize,
     strategy: Strategy,
     /// Cached [`Strategy::Auto`] probe verdict (pure function of the CSR,
@@ -253,19 +254,20 @@ pub struct MultiSourceFlat {
 impl DistanceEngine {
     /// An engine over the full adjacency of `g` (single-threaded until
     /// [`DistanceEngine::with_threads`]).
+    /// Shares `g`'s adjacency instead of copying it.
     pub fn new(g: &Graph) -> Self {
-        DistanceEngine::from_csr(CsrAdjacency::from_graph(g))
+        DistanceEngine::from_csr(Arc::clone(g.csr()))
     }
 
     /// An engine over the subgraph of `g` induced by the edges in `span`.
     pub fn for_subgraph(g: &Graph, span: &EdgeSet) -> Self {
-        DistanceEngine::from_csr(CsrAdjacency::from_edge_set(g, span))
+        DistanceEngine::from_csr(g.csr().subgraph(span))
     }
 
-    /// An engine over an already-built adjacency.
-    pub fn from_csr(csr: CsrAdjacency) -> Self {
+    /// An engine over an already-built adjacency, owned or shared.
+    pub fn from_csr(csr: impl Into<Arc<CsrAdjacency>>) -> Self {
         DistanceEngine {
-            csr,
+            csr: csr.into(),
             threads: 1,
             strategy: Strategy::Auto,
             resolved: OnceLock::new(),

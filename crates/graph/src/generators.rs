@@ -20,6 +20,7 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 use crate::csr::CsrAdjacency;
 use crate::graph::{Graph, GraphBuilder, NodeId};
@@ -92,12 +93,11 @@ fn offset(u: u64, n: u64) -> u64 {
 ///
 /// Panics if `m` exceeds n(n−1)/2.
 pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> Graph {
-    Graph::from_edges(n, gnm_edges(n, m, seed))
+    Graph::from_csr(Arc::new(erdos_renyi_gnm_csr(n, m, seed)))
 }
 
-/// [`erdos_renyi_gnm`] built straight into a [`CsrAdjacency`] (identical
-/// RNG stream, so the same seed yields the same graph) — no intermediate
-/// [`Graph`], for million-node distance workloads.
+/// [`erdos_renyi_gnm`]'s adjacency alone — no edge-id column, for
+/// million-node distance workloads.
 pub fn erdos_renyi_gnm_csr(n: usize, m: usize, seed: u64) -> CsrAdjacency {
     CsrAdjacency::from_edges(n, gnm_edges(n, m, seed))
 }
@@ -157,12 +157,11 @@ fn floyd_sample(total: u64, k: u64, rng: &mut SmallRng) -> Vec<u64> {
 ///
 /// Panics if `m < n - 1` or `m` exceeds n(n−1)/2.
 pub fn connected_gnm(n: usize, m: usize, seed: u64) -> Graph {
-    Graph::from_edges(n, connected_gnm_edges(n, m, seed))
+    Graph::from_csr(Arc::new(connected_gnm_csr(n, m, seed)))
 }
 
-/// [`connected_gnm`] built straight into a [`CsrAdjacency`] (identical
-/// RNG stream, so the same seed yields the same graph) — no intermediate
-/// [`Graph`], for million-node construction workloads.
+/// [`connected_gnm`]'s adjacency alone — no edge-id column, for
+/// million-node construction workloads.
 ///
 /// # Panics
 ///
@@ -217,12 +216,11 @@ fn connected_gnm_edges(n: usize, m: usize, seed: u64) -> Vec<(u32, u32)> {
 ///
 /// Panics if `n * d` is odd or `d >= n`.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
-    Graph::from_edges(n, random_regular_edges(n, d, seed))
+    Graph::from_csr(Arc::new(random_regular_csr(n, d, seed)))
 }
 
-/// [`random_regular`] built straight into a [`CsrAdjacency`] (identical
-/// RNG stream; [`CsrAdjacency::from_edges`] collapses the fallback path's
-/// collisions exactly like `Graph::from_edges` would).
+/// [`random_regular`]'s adjacency alone ([`CsrAdjacency::from_edges`]
+/// collapses the fallback path's collisions).
 pub fn random_regular_csr(n: usize, d: usize, seed: u64) -> CsrAdjacency {
     CsrAdjacency::from_edges(n, random_regular_edges(n, d, seed))
 }
@@ -431,8 +429,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
 }
 
 /// Grid edges in canonical (strictly increasing) row-major order: each
-/// node emits its right then its down neighbor. Feeds both the sorted
-/// [`Graph`] fast path and the streaming CSR path.
+/// node emits its right then its down neighbor.
 fn grid_edges(rows: usize, cols: usize) -> impl Iterator<Item = (u32, u32)> + Clone {
     (0..rows * cols).flat_map(move |i| {
         let (r, c) = (i / cols, i % cols);
@@ -469,30 +466,27 @@ fn torus_edges(rows: usize, cols: usize) -> impl Iterator<Item = (u32, u32)> + C
 }
 
 /// `rows × cols` grid, 4-neighbor connectivity. Node (r, c) has index
-/// `r * cols + c`. Streams edges in canonical row-major order, so the
-/// build is one linear sweep with no sort.
+/// `r * cols + c`.
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    Graph::from_sorted_edges(rows * cols, grid_edges(rows, cols))
+    Graph::from_csr(Arc::new(grid_csr(rows, cols)))
 }
 
-/// [`grid`] built straight into a [`CsrAdjacency`] — no intermediate
-/// [`Graph`], for million-node distance workloads.
+/// [`grid`]'s adjacency alone — no edge-id column, for million-node
+/// distance workloads.
 pub fn grid_csr(rows: usize, cols: usize) -> CsrAdjacency {
     CsrAdjacency::from_edges(rows * cols, grid_edges(rows, cols))
 }
 
-/// `rows × cols` torus (grid with wraparound). Streams edges in canonical
-/// row-major order, so the build is one linear sweep with no sort.
+/// `rows × cols` torus (grid with wraparound).
 ///
 /// # Panics
 ///
 /// Panics if either dimension is < 3 (wraparound would duplicate edges).
 pub fn torus(rows: usize, cols: usize) -> Graph {
-    assert!(rows >= 3 && cols >= 3, "torus needs both dims >= 3");
-    Graph::from_sorted_edges(rows * cols, torus_edges(rows, cols))
+    Graph::from_csr(Arc::new(torus_csr(rows, cols)))
 }
 
-/// [`torus`] built straight into a [`CsrAdjacency`].
+/// [`torus`]'s adjacency alone.
 ///
 /// # Panics
 ///
@@ -683,24 +677,24 @@ mod tests {
 
     #[test]
     fn csr_generators_match_graph_generators() {
-        assert_eq!(grid_csr(5, 6), CsrAdjacency::from_graph(&grid(5, 6)));
-        assert_eq!(torus_csr(4, 5), CsrAdjacency::from_graph(&torus(4, 5)));
+        assert_eq!(grid_csr(5, 6), **grid(5, 6).csr());
+        assert_eq!(torus_csr(4, 5), **torus(4, 5).csr());
         assert_eq!(
             erdos_renyi_gnm_csr(80, 200, 13),
-            CsrAdjacency::from_graph(&erdos_renyi_gnm(80, 200, 13))
+            **erdos_renyi_gnm(80, 200, 13).csr()
         );
         // Dense-complement sampling path too.
         assert_eq!(
             erdos_renyi_gnm_csr(30, 400, 13),
-            CsrAdjacency::from_graph(&erdos_renyi_gnm(30, 400, 13))
+            **erdos_renyi_gnm(30, 400, 13).csr()
         );
         assert_eq!(
             random_regular_csr(100, 4, 11),
-            CsrAdjacency::from_graph(&random_regular(100, 4, 11))
+            **random_regular(100, 4, 11).csr()
         );
         assert_eq!(
             connected_gnm_csr(120, 300, 17),
-            CsrAdjacency::from_graph(&connected_gnm(120, 300, 17))
+            **connected_gnm(120, 300, 17).csr()
         );
     }
 

@@ -43,7 +43,7 @@ pub fn girth_reference(g: &Graph) -> Option<u32> {
                     break;
                 }
             }
-            for &(v, e) in g.neighbors(u) {
+            for (v, e) in g.incident(u) {
                 if e == via[u.index()] {
                     continue; // don't walk back along the tree edge
                 }

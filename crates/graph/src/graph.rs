@@ -1,15 +1,20 @@
 //! Compact undirected simple graphs.
 //!
-//! The [`Graph`] type stores an undirected simple graph in a CSR-like layout:
-//! one flat `Vec` of (neighbor, edge id) pairs plus per-node offsets. Edges
-//! have stable [`EdgeId`]s in insertion order, so subgraphs (spanners) can be
+//! A [`Graph`] is the shared sorted [`CsrAdjacency`] — the one adjacency
+//! layout of the crate — plus an edge-id column parallel to its targets
+//! and the endpoints of every edge. Edges have stable [`EdgeId`]s in
+//! lexicographic `(min, max)` order, so subgraphs (spanners) can be
 //! represented compactly as bitsets over edge ids (see
 //! [`EdgeSet`](crate::EdgeSet)).
 //!
-//! Graphs are immutable after construction; build them with [`GraphBuilder`]
-//! or [`Graph::from_edges`].
+//! Graphs are immutable after construction; build them with [`GraphBuilder`],
+//! [`Graph::from_edges`] or, around an existing adjacency,
+//! [`Graph::from_csr`].
 
 use std::fmt;
+use std::sync::Arc;
+
+use crate::csr::CsrAdjacency;
 
 /// Identifier of a vertex: a dense index in `0..graph.node_count()`.
 ///
@@ -55,7 +60,7 @@ impl From<usize> for NodeId {
 }
 
 /// Identifier of an undirected edge: a dense index in `0..graph.edge_count()`,
-/// in insertion order.
+/// in lexicographic `(min, max)` endpoint order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EdgeId(pub u32);
 
@@ -73,7 +78,14 @@ impl fmt::Display for EdgeId {
     }
 }
 
-/// An immutable, undirected, simple graph in CSR layout.
+/// An immutable, undirected, simple graph: the shared sorted
+/// [`CsrAdjacency`] plus an edge-id column parallel to its targets.
+///
+/// The adjacency is the one the executors and the distance engine run on;
+/// [`Graph::csr`] hands it out without a copy. Each node's run lists its
+/// neighbors in ascending order, and `edge_ids` names the edge behind
+/// every half-edge, so [`Graph::incident`] yields `(neighbor, edge)`
+/// pairs in the same order.
 ///
 /// # Example
 ///
@@ -89,11 +101,11 @@ impl fmt::Display for EdgeId {
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
-    /// `offsets[v]..offsets[v+1]` indexes `adj` for node `v`.
-    offsets: Vec<u32>,
-    /// Flat adjacency: (neighbor, incident edge id).
-    adj: Vec<(NodeId, EdgeId)>,
-    /// Edge endpoints by edge id, with `endpoints[e].0 <= endpoints[e].1`.
+    /// Sorted neighbor runs, shared with executors and distance engines.
+    csr: Arc<CsrAdjacency>,
+    /// `edge_ids[i]` is the edge behind half-edge `i` of `csr`'s targets.
+    edge_ids: Vec<EdgeId>,
+    /// Edge endpoints by edge id, with `endpoints[e].0 < endpoints[e].1`.
     endpoints: Vec<(NodeId, NodeId)>,
 }
 
@@ -115,27 +127,21 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is `>= n`.
+    /// Panics if an endpoint is `>= n` or `n` exceeds the u32 id space.
     pub fn from_edges<I, E>(n: usize, edges: I) -> Self
     where
         I: IntoIterator<Item = E>,
         E: Into<(u32, u32)>,
     {
-        let mut b = GraphBuilder::new(n);
-        for e in edges {
-            let (u, v) = e.into();
-            b.add_edge(NodeId(u), NodeId(v));
-        }
-        b.build()
+        let edges: Vec<(u32, u32)> = edges.into_iter().map(Into::into).collect();
+        Graph::from_csr(Arc::new(CsrAdjacency::from_edges(n, edges.iter().copied())))
     }
 
     /// Builds a graph from edges already in canonical order: each edge
     /// `(a, b)` with `a < b`, the stream strictly lexicographically
-    /// increasing (hence loop- and duplicate-free). Skips the builder's
-    /// sort/dedup pass, so generators that can emit canonical order (grid,
-    /// torus) build in one linear sweep — the difference between seconds
-    /// and minutes at n ≥ 10⁶. Produces a graph byte-identical to
-    /// [`Graph::from_edges`] on the same stream.
+    /// increasing (hence loop- and duplicate-free). Produces the graph
+    /// [`Graph::from_edges`] builds on the same stream, and checks the
+    /// order on the way.
     ///
     /// # Panics
     ///
@@ -144,47 +150,45 @@ impl Graph {
     where
         I: IntoIterator<Item = (u32, u32)>,
     {
-        assert!(n <= u32::MAX as usize, "too many nodes");
-        let mut endpoints: Vec<(NodeId, NodeId)> = Vec::new();
         let mut prev = None;
-        for (a, b) in edges {
+        let edges = edges.into_iter().inspect(|&(a, b)| {
             assert!(a < b, "edge ({a}, {b}) not in canonical a < b order");
-            assert!((b as usize) < n, "edge endpoint out of range");
             assert!(prev < Some((a, b)), "edge stream not strictly increasing");
             prev = Some((a, b));
-            endpoints.push((NodeId(a), NodeId(b)));
-        }
-        Graph::assemble(n, endpoints)
+        });
+        Graph::from_edges(n, edges)
     }
 
-    /// CSR layout from canonical endpoints (sorted, deduplicated,
-    /// loop-free) — the shared tail of [`GraphBuilder::build`] and
-    /// [`Graph::from_sorted_edges`].
-    fn assemble(n: usize, endpoints: Vec<(NodeId, NodeId)>) -> Graph {
-        let m = endpoints.len();
-        let mut deg = vec![0u32; n];
-        for &(a, b) in &endpoints {
-            deg[a.index()] += 1;
-            deg[b.index()] += 1;
-        }
-        let mut offsets = vec![0u32; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + deg[v];
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut adj = vec![(NodeId(0), EdgeId(0)); 2 * m];
+    /// Wraps a shared adjacency, adding the edge-id column. Edge ids follow
+    /// [`CsrAdjacency::forward_edges`]: lexicographic `(min, max)` order,
+    /// the ids [`CsrEdgeIndex`](crate::CsrEdgeIndex) assigns.
+    pub fn from_csr(csr: Arc<CsrAdjacency>) -> Graph {
+        let endpoints: Vec<(NodeId, NodeId)> =
+            csr.forward_edges().map(|(_, a, b)| (a, b)).collect();
+        // One scatter in edge-id order fills each run in ascending
+        // neighbor order — first the smaller endpoints, then the larger —
+        // so slot `i` of the column lines up with target `i`.
+        let (offsets, targets) = csr.parts();
+        let mut cursor = offsets[..csr.node_count()].to_vec();
+        let mut edge_ids = vec![EdgeId(0); targets.len()];
         for (i, &(a, b)) in endpoints.iter().enumerate() {
-            let e = EdgeId(i as u32);
-            adj[cursor[a.index()] as usize] = (b, e);
-            cursor[a.index()] += 1;
-            adj[cursor[b.index()] as usize] = (a, e);
-            cursor[b.index()] += 1;
+            for v in [a, b] {
+                edge_ids[cursor[v.index()] as usize] = EdgeId(i as u32);
+                cursor[v.index()] += 1;
+            }
         }
         Graph {
-            offsets,
-            adj,
+            csr,
+            edge_ids,
             endpoints,
         }
+    }
+
+    /// The shared sorted adjacency — what executors, drivers and the
+    /// distance engine take. Clone the `Arc` to share it.
+    #[inline]
+    pub fn csr(&self) -> &Arc<CsrAdjacency> {
+        &self.csr
     }
 
     /// An empty graph with `n` isolated nodes.
@@ -195,7 +199,7 @@ impl Graph {
     /// Number of vertices.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.csr.node_count()
     }
 
     /// Number of (undirected) edges.
@@ -231,38 +235,43 @@ impl Graph {
     /// Degree of node `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
+        self.csr.degree(v)
     }
 
-    /// Neighbors of `v` with the connecting edge ids.
+    /// Neighbours of `v`, sorted ascending.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        &self.adj[lo..hi]
+    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        self.csr.neighbors(v)
     }
 
-    /// Neighbor node ids of `v` (without edge ids).
-    pub fn neighbor_ids(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(v).iter().map(|&(u, _)| u)
+    /// The edge ids of `v`'s incident edges, parallel to
+    /// [`Graph::neighbors`].
+    #[inline]
+    fn incident_ids(&self, v: NodeId) -> &[EdgeId] {
+        let (offsets, _) = self.csr.parts();
+        &self.edge_ids[offsets[v.index()] as usize..offsets[v.index() + 1] as usize]
     }
 
-    /// Whether the edge `{u, v}` is present. O(min degree) scan.
+    /// Neighbours of `v` with the connecting edge ids, in ascending
+    /// neighbor order.
+    #[inline]
+    pub fn incident(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
+        self.neighbors(v)
+            .iter()
+            .copied()
+            .zip(self.incident_ids(v).iter().copied())
+    }
+
+    /// Whether the edge `{u, v}` is present. O(log degree).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.find_edge(u, v).is_some()
     }
 
-    /// The edge id of `{u, v}` if present. O(min degree) scan.
+    /// The edge id of `{u, v}` if present: a binary search of `u`'s
+    /// sorted run. O(log degree).
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a)
-            .iter()
-            .find(|&&(w, _)| w == b)
-            .map(|&(_, e)| e)
+        let i = self.neighbors(u).binary_search(&v).ok()?;
+        Some(self.incident_ids(u)[i])
     }
 
     /// Sum of degrees divided by node count.
@@ -275,19 +284,14 @@ impl Graph {
 
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
+        self.csr.max_degree()
     }
 
     /// Returns the subgraph induced by keeping exactly the edges for which
     /// `keep` returns true, on the same vertex set. Edge ids are renumbered.
     pub fn edge_subgraph<F: FnMut(EdgeId) -> bool>(&self, mut keep: F) -> Graph {
-        let mut b = GraphBuilder::new(self.node_count());
-        for (e, u, v) in self.edges() {
-            if keep(e) {
-                b.add_edge(u, v);
-            }
-        }
-        b.build()
+        let kept = self.edges().filter(|&(e, _, _)| keep(e));
+        Graph::from_sorted_edges(self.node_count(), kept.map(|(_, u, v)| (u.0, v.0)))
     }
 
     /// The subgraph induced by `nodes` (which must be strictly ascending),
@@ -346,11 +350,10 @@ impl Graph {
             );
             seen[p as usize] = true;
         }
-        let mut b = GraphBuilder::new(self.node_count());
-        for (_, u, v) in self.edges() {
-            b.add_edge(NodeId(perm[u.index()]), NodeId(perm[v.index()]));
-        }
-        b.build()
+        let edges = self
+            .edges()
+            .map(|(_, u, v)| (perm[u.index()], perm[v.index()]));
+        Graph::from_edges(self.node_count(), edges)
     }
 }
 
@@ -373,7 +376,7 @@ impl Graph {
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    raw_edges: Vec<(NodeId, NodeId)>,
+    raw_edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -402,17 +405,13 @@ impl GraphBuilder {
             "edge endpoint out of range: ({u}, {v}) with n={}",
             self.n
         );
-        let (a, b) = if u.0 <= v.0 { (u, v) } else { (v, u) };
-        self.raw_edges.push((a, b));
+        self.raw_edges.push((u.0, v.0));
         self
     }
 
-    /// Finalizes the graph: sorts, deduplicates, drops loops, lays out CSR.
-    pub fn build(mut self) -> Graph {
-        self.raw_edges.sort_unstable();
-        self.raw_edges.dedup();
-        self.raw_edges.retain(|&(a, b)| a != b);
-        Graph::assemble(self.n, self.raw_edges)
+    /// Finalizes the graph: drops loops and duplicates, lays out the CSR.
+    pub fn build(self) -> Graph {
+        Graph::from_edges(self.n, self.raw_edges)
     }
 }
 
@@ -472,11 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_consistent_with_edges() {
+    fn incident_edges_consistent_with_edges() {
         let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4), (1, 2)]);
         for (e, u, v) in g.edges() {
-            assert!(g.neighbors(u).iter().any(|&(w, f)| w == v && f == e));
-            assert!(g.neighbors(v).iter().any(|&(w, f)| w == u && f == e));
+            assert!(g.incident(u).any(|(w, f)| w == v && f == e));
+            assert!(g.incident(v).any(|(w, f)| w == u && f == e));
         }
         let total: usize = g.nodes().map(|v| g.degree(v)).sum();
         assert_eq!(total, 2 * g.edge_count());

@@ -3,8 +3,12 @@
 //! This crate provides everything the spanner algorithms of
 //! Pettie (PODC 2008) need from a graph library, implemented from scratch:
 //!
+//! * [`CsrAdjacency`]: the one adjacency layout — sorted neighbor runs in
+//!   two flat arrays, shared behind an `Arc` by graphs, the netsim
+//!   executors and the distance engine,
 //! * [`Graph`]: a compact undirected simple graph with stable edge
-//!   identifiers and a CSR-like adjacency layout,
+//!   identifiers: the shared CSR plus an edge-id column parallel to its
+//!   targets ([`Graph::csr`], [`Graph::incident`]),
 //! * [`EdgeSet`]: a subgraph-as-edge-subset representation used for spanners,
 //! * seeded, deterministic random [`generators`],
 //! * [`traversal`]: BFS in several flavors (bounded, multi-source, trees),
@@ -13,7 +17,7 @@
 //! * [`girth`] computation and [`components`] (union-find / connectivity),
 //! * [`engine`]: the flat-frontier, 64-way bit-parallel distance engine
 //!   all verification and experiment code routes through, backed by the
-//!   shared [`csr`] adjacency layout and the [`pool`] worker-team idiom,
+//!   shared adjacency and the [`pool`] worker-team idiom,
 //! * [`weighted`]: positively weighted graphs with Dijkstra (for the
 //!   weighted Baswana–Sen row of Fig. 1).
 //!

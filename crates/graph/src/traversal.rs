@@ -8,6 +8,10 @@
 //! * BFS trees and path extraction,
 //! * BFS over an [`EdgeSet`] subgraph (for stretch evaluation without
 //!   materializing the spanner).
+//!
+//! Every distance BFS here is one body over the shared [`CsrAdjacency`],
+//! [`bfs_distances_in_subgraph`]; the [`Graph`]-taking names call it on
+//! [`Graph::csr`].
 
 use std::collections::VecDeque;
 
@@ -17,63 +21,19 @@ use crate::graph::{Graph, NodeId};
 
 /// Distances from `src` to every node; `None` for unreachable nodes.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[src.index()] = Some(0);
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued node has distance");
-        for &(v, _) in g.neighbors(u) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
+    bfs_distances_csr(g.csr(), src)
 }
 
-/// [`bfs_distances`] over a bare [`CsrAdjacency`] — identical output to the
-/// [`Graph`] version on the equivalent topology (BFS distances do not
-/// depend on neighbor order).
+/// [`bfs_distances`] over a bare [`CsrAdjacency`].
 pub fn bfs_distances_csr(csr: &CsrAdjacency, src: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; csr.node_count()];
-    let mut queue = VecDeque::new();
-    dist[src.index()] = Some(0);
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued node has distance");
-        for &v in csr.neighbors(u) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
+    bfs_distances_in_subgraph(csr, src, u32::MAX)
 }
 
 /// Distances from `src`, exploring only up to distance `radius` inclusive.
 ///
 /// Nodes further than `radius` (or unreachable) get `None`.
 pub fn bfs_distances_bounded(g: &Graph, src: NodeId, radius: u32) -> Vec<Option<u32>> {
-    let mut dist = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[src.index()] = Some(0);
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued node has distance");
-        if du == radius {
-            continue;
-        }
-        for &(v, _) in g.neighbors(u) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
+    bfs_distances_in_subgraph(g.csr(), src, radius)
 }
 
 /// Result of a multi-source BFS: for every node, the distance to the nearest
@@ -117,7 +77,7 @@ pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> MultiSourceBfs {
         // First pass: discover.
         for &u in &frontier {
             let su = source[u.index()].expect("frontier node attributed");
-            for &(v, _) in g.neighbors(u) {
+            for &v in g.neighbors(u) {
                 match dist[v.index()] {
                     None => {
                         dist[v.index()] = Some(d);
@@ -142,7 +102,7 @@ pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> MultiSourceBfs {
         for &v in &next {
             let dv = dist[v.index()].expect("layer distance");
             let mut best = source[v.index()].expect("attributed");
-            for &(u, _) in g.neighbors(v) {
+            for &u in g.neighbors(v) {
                 if dist[u.index()] == Some(dv - 1) {
                     let su = source[u.index()].expect("parent attributed");
                     if su < best {
@@ -198,11 +158,12 @@ pub fn bfs_tree(g: &Graph, root: NodeId) -> BfsTree {
             if dv == 0 {
                 continue;
             }
-            let best = g
-                .neighbor_ids(v)
-                .filter(|u| dist[u.index()] == Some(dv - 1))
-                .min();
-            parent[v.index()] = best;
+            // Runs are ascending, so the first parent found is the min-id one.
+            parent[v.index()] = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .find(|u| dist[u.index()] == Some(dv - 1));
         }
     }
     BfsTree { root, parent, dist }
@@ -217,18 +178,13 @@ pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>>
     Some(p)
 }
 
-/// BFS distances from `src` inside the subgraph given by `span`, bounded by
-/// `radius` (`u32::MAX` for unbounded).
+/// BFS distances from `src` in `adj`, bounded by `radius` (`u32::MAX`
+/// for unbounded) — the one BFS body every distance wrapper here calls.
 ///
-/// `adj` must be the adjacency of `span` as produced by
-/// [`EdgeSet::adjacency`]; passing it explicitly lets callers amortize its
-/// construction over many queries.
-pub fn bfs_distances_in_subgraph(
-    adj: &[Vec<NodeId>],
-    src: NodeId,
-    radius: u32,
-) -> Vec<Option<u32>> {
-    let mut dist = vec![None; adj.len()];
+/// For a spanner, pass its adjacency `g.csr().subgraph(span)`; building it
+/// once lets callers amortize it over many queries.
+pub fn bfs_distances_in_subgraph(adj: &CsrAdjacency, src: NodeId, radius: u32) -> Vec<Option<u32>> {
+    let mut dist = vec![None; adj.node_count()];
     let mut queue = VecDeque::new();
     dist[src.index()] = Some(0);
     queue.push_back(src);
@@ -237,7 +193,7 @@ pub fn bfs_distances_in_subgraph(
         if du == radius {
             continue;
         }
-        for &v in &adj[u.index()] {
+        for &v in adj.neighbors(u) {
             if dist[v.index()].is_none() {
                 dist[v.index()] = Some(du + 1);
                 queue.push_back(v);
@@ -248,11 +204,10 @@ pub fn bfs_distances_in_subgraph(
 }
 
 /// Convenience wrapper: distances from `src` within the subgraph `span` of
-/// `g` (unbounded radius). Builds the adjacency each call; for repeated
-/// queries use [`EdgeSet::adjacency`] + [`bfs_distances_in_subgraph`].
+/// `g` (unbounded radius). Builds the subgraph adjacency each call; for
+/// repeated queries build it once and call [`bfs_distances_in_subgraph`].
 pub fn subgraph_distances(g: &Graph, span: &EdgeSet, src: NodeId) -> Vec<Option<u32>> {
-    let adj = span.adjacency(g);
-    bfs_distances_in_subgraph(&adj, src, u32::MAX)
+    bfs_distances_in_subgraph(&g.csr().subgraph(span), src, u32::MAX)
 }
 
 #[cfg(test)]

@@ -96,7 +96,7 @@ pub fn dijkstra(g: &WeightedGraph, src: NodeId) -> Vec<u64> {
         if d > dist[u.index()] {
             continue;
         }
-        for &(v, e) in g.graph().neighbors(u) {
+        for (v, e) in g.graph().incident(u) {
             let nd = d + u64::from(g.weight(e));
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;

@@ -106,7 +106,7 @@ pub struct SpineDistortion {
 /// Measures the spine-pair distortion of a selection exactly.
 pub fn measure_spine_distortion(g: &Gadget, sel: &Selection) -> SpineDistortion {
     let (u, v) = g.spine_pair();
-    let adj = sel.spanner.edges.adjacency(&g.graph);
+    let adj = g.graph.csr().subgraph(&sel.spanner.edges);
     let d = spanner_graph::traversal::bfs_distances_in_subgraph(&adj, u, u32::MAX);
     let host = g.spine_distance();
     let in_spanner = d[v.index()].map_or(u64::MAX, |x| x as u64);
@@ -123,7 +123,7 @@ pub fn measure_spine_distortion(g: &Gadget, sel: &Selection) -> SpineDistortion 
 /// Theorem 4). Measured exactly per pair by BFS in the subgraph.
 pub fn measure_average_distortion(g: &Gadget, sel: &Selection, pairs: usize, seed: u64) -> f64 {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let adj = sel.spanner.edges.adjacency(&g.graph);
+    let adj = g.graph.csr().subgraph(&sel.spanner.edges);
     let kappa = g.params.kappa as usize;
     let lambda = g.params.lambda as usize;
     let mut total = 0f64;

@@ -289,7 +289,7 @@ pub fn droppable_edges(g: &Graph, tau: u32) -> Vec<EdgeId> {
             if dx > 2 * tau {
                 continue;
             }
-            for &(y, f) in g.neighbors(x) {
+            for (y, f) in g.incident(x) {
                 if f == e {
                     continue;
                 }

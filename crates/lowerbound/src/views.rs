@@ -65,9 +65,7 @@ impl EdgeView {
             if d == tau {
                 continue;
             }
-            let mut nbrs: Vec<NodeId> = g.neighbor_ids(x).collect();
-            nbrs.sort_unstable();
-            for y in nbrs {
+            for &y in g.neighbors(x) {
                 if !order.contains_key(&y) {
                     let id = order.len() as u32;
                     order.insert(y, id);
@@ -80,8 +78,8 @@ impl EdgeView {
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for &x in &members {
             let cx = order[&x];
-            for y in g.neighbor_ids(x) {
-                if let Some(&cy) = order.get(&y) {
+            for y in g.neighbors(x) {
+                if let Some(&cy) = order.get(y) {
                     if cx < cy {
                         edges.push((cx, cy));
                     }

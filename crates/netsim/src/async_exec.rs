@@ -81,7 +81,8 @@
 //!
 //! let g = generators::cycle(16);
 //! let delays = FaultPlan::new(7).with_delays(0.3, 4);
-//! let mut net = AsyncNetwork::new(&g, MessageBudget::CONGEST, 42).with_delays(delays);
+//! let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 42)
+//!     .with_delays(delays);
 //! let states = net
 //!     .run(|v, _| FloodProtocol::new(v.0 == 0, 8), 64)
 //!     .expect("flood terminates");
@@ -101,13 +102,13 @@ use rand::rngs::SmallRng;
 use spanner_graph::{Graph, NodeId};
 
 use crate::budget::{BudgetViolation, MessageBudget};
-use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
 use crate::route::{assert_addressable, expand, receivers, route, Board, Mailbox, ALL};
 use crate::sync::{Ctx, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
+use spanner_graph::CsrAdjacency;
 
 /// How round safety is disseminated between protocol rounds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -327,9 +328,8 @@ impl SyncState {
 /// with [`AsyncNetwork::with_synchronizer`]. See the
 /// [module docs](crate::async_exec) for the execution model and the parity
 /// guarantees.
-/// Like the round-synchronous executors, the topology is one `Arc`'d
-/// [`CsrAdjacency`]; [`AsyncNetwork::from_csr`] runs straight off a
-/// streamed adjacency with no [`Graph`] ever materialized.
+/// Like the round-synchronous executor, the topology is one `Arc`'d
+/// [`CsrAdjacency`]: a graph's ([`Graph::csr`]) or a streamed one.
 pub struct AsyncNetwork {
     budget: MessageBudget,
     seed: u64,
@@ -342,16 +342,8 @@ pub struct AsyncNetwork {
 }
 
 impl AsyncNetwork {
-    /// An asynchronous network on `graph` with unit link latency and the
-    /// α-synchronizer.
-    pub fn new(graph: &Graph, budget: MessageBudget, seed: u64) -> Self {
-        AsyncNetwork::from_csr(Arc::new(CsrAdjacency::from_graph(graph)), budget, seed)
-    }
-
-    /// An asynchronous network straight over a shared CSR adjacency — the
-    /// zero-`Graph` construction path. Runs are byte-identical (states,
-    /// metrics, traces) to an [`AsyncNetwork::new`] over the equivalent
-    /// graph.
+    /// An asynchronous network over a shared adjacency with unit link
+    /// latency and the α-synchronizer.
     pub fn from_csr(adjacency: Arc<CsrAdjacency>, budget: MessageBudget, seed: u64) -> Self {
         assert_addressable(adjacency.node_count());
         AsyncNetwork {
@@ -387,17 +379,6 @@ impl AsyncNetwork {
     pub fn with_delivery_trace(mut self, enabled: bool) -> Self {
         self.trace_deliveries = enabled;
         self
-    }
-
-    /// The shared sorted adjacency.
-    pub fn adjacency(&self) -> &CsrAdjacency {
-        &self.adjacency
-    }
-
-    /// A clone of the `Arc` holding the adjacency, for sharing with other
-    /// executors, drivers, or verification passes.
-    pub fn adjacency_arc(&self) -> Arc<CsrAdjacency> {
-        Arc::clone(&self.adjacency)
     }
 
     /// The message budget in force (protocol messages only; synchronizer
@@ -925,11 +906,11 @@ mod tests {
     fn unit_latency_alpha_matches_sequential() {
         let g = generators::connected_gnm(40, 100, 3);
         let radius = 40;
-        let mut sync_net = Network::new(&g, MessageBudget::CONGEST, 5);
+        let mut sync_net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 5);
         let seq = sync_net
             .run(|v, _| FloodProtocol::new(v.0 == 0, radius), 200)
             .unwrap();
-        let mut anet = AsyncNetwork::new(&g, MessageBudget::CONGEST, 5);
+        let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 5);
         let a = anet
             .run(|v, _| FloodProtocol::new(v.0 == 0, radius), 200)
             .unwrap();
@@ -943,13 +924,14 @@ mod tests {
     #[test]
     fn delayed_runs_recover_round_semantics() {
         let g = generators::connected_gnm(30, 70, 9);
-        let mut sync_net = Network::new(&g, MessageBudget::CONGEST, 2);
+        let mut sync_net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 2);
         let seq = sync_net
             .run(|v, _| FloodProtocol::new(v.0 == 0, 30), 200)
             .unwrap();
         for dseed in [1u64, 2, 3] {
             let delays = FaultPlan::new(dseed).with_delays(0.5, 5);
-            let mut anet = AsyncNetwork::new(&g, MessageBudget::CONGEST, 2).with_delays(delays);
+            let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 2)
+                .with_delays(delays);
             let a = anet
                 .run(|v, _| FloodProtocol::new(v.0 == 0, 30), 200)
                 .unwrap();
@@ -968,15 +950,17 @@ mod tests {
         let g = generators::connected_gnm(48, 300, 11);
         let tree_edges: Vec<(NodeId, NodeId)> = {
             // Any spanning connected subgraph works; use a BFS tree.
-            let csr = CsrAdjacency::from_graph(&g);
-            let t = SyncTree::build(&csr, &g.edges().map(|(_, a, b)| (a, b)).collect::<Vec<_>>());
+            let t = SyncTree::build(
+                g.csr(),
+                &g.edges().map(|(_, a, b)| (a, b)).collect::<Vec<_>>(),
+            );
             (0..g.node_count())
                 .filter_map(|v| t.parent[v].map(|p| (NodeId(v as u32), p)))
                 .collect()
         };
         let delays = FaultPlan::new(4).with_delays(0.3, 3);
         let run = |synchronizer: Synchronizer| {
-            let mut net = AsyncNetwork::new(&g, MessageBudget::CONGEST, 7)
+            let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7)
                 .with_delays(delays.clone())
                 .with_synchronizer(synchronizer);
             let states = net
@@ -1004,8 +988,8 @@ mod tests {
         let g = generators::caveman(6, 8, 20, 2);
         let delays = FaultPlan::new(8).with_delays(0.4, 4);
         let run = || {
-            let mut net =
-                AsyncNetwork::new(&g, MessageBudget::CONGEST, 3).with_delays(delays.clone());
+            let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3)
+                .with_delays(delays.clone());
             net.run(|v, _| FloodProtocol::new(v.0 == 0, 48), 300)
                 .unwrap();
             net.metrics()
@@ -1016,11 +1000,11 @@ mod tests {
     #[test]
     fn empty_and_single_node() {
         let g = Graph::empty(0);
-        let mut net = AsyncNetwork::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net.run(|v, _| FloodProtocol::new(v.0 == 0, 4), 8).unwrap();
         assert!(states.is_empty());
         let g1 = Graph::empty(1);
-        let mut net1 = AsyncNetwork::new(&g1, MessageBudget::CONGEST, 1);
+        let mut net1 = AsyncNetwork::from_csr(g1.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net1.run(|v, _| FloodProtocol::new(v.0 == 0, 4), 8).unwrap();
         assert_eq!(states.len(), 1);
         assert_eq!(net1.metrics().sync_messages, 0);
@@ -1040,10 +1024,10 @@ mod tests {
             }
         }
         let g = generators::cycle(4);
-        let mut net = AsyncNetwork::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let err = net.run(|_, _| Chatter, 5).unwrap_err();
         assert_eq!(err, RunError::RoundLimit { max_rounds: 5 });
-        let mut sync_net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut sync_net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let serr = sync_net.run(|_, _| Chatter, 5).unwrap_err();
         assert_eq!(err, serr);
         assert_eq!(sync_net.metrics(), net.metrics().protocol_only());
@@ -1054,7 +1038,7 @@ mod tests {
     fn skeleton_synchronizer_rejects_disconnected_subgraph() {
         let g = generators::cycle(6);
         let edges = vec![(NodeId(0), NodeId(1))];
-        let mut net = AsyncNetwork::new(&g, MessageBudget::CONGEST, 1)
+        let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1)
             .with_synchronizer(Synchronizer::Skeleton(edges));
         let _ = net.run(|v, _| FloodProtocol::new(v.0 == 0, 6), 40);
     }

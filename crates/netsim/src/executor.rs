@@ -15,11 +15,11 @@ use spanner_graph::NodeId;
 
 use crate::async_exec::{AsyncNetwork, Synchronizer};
 use crate::budget::MessageBudget;
-use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::sync::{Network, Protocol, RunError};
 use crate::trace::TraceSink;
+use spanner_graph::CsrAdjacency;
 
 /// Which simulator runs a protocol.
 ///
@@ -165,7 +165,7 @@ mod tests {
         executor: &Executor,
         faults: Option<&FaultPlan>,
     ) -> (Result<Vec<DoubleSend>, RunError>, RunMetrics) {
-        let csr = Arc::new(CsrAdjacency::from_graph(&generators::cycle(6)));
+        let csr = generators::cycle(6).csr().clone();
         let factory = |_, _: &mut _| DoubleSend;
         execute(
             executor,

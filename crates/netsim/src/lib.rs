@@ -37,7 +37,7 @@
 //! use spanner_netsim::{patterns::FloodProtocol, MessageBudget, Network};
 //!
 //! let g = generators::cycle(16);
-//! let mut net = Network::new(&g, MessageBudget::Unbounded, 42);
+//! let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Unbounded, 42);
 //! let states = net.run(
 //!     |v, _| FloodProtocol::new(v.0 == 0, 8),
 //!     64,
@@ -51,7 +51,6 @@
 pub mod async_exec;
 pub mod budget;
 mod calendar;
-pub mod csr;
 pub mod executor;
 pub mod faults;
 pub mod metrics;
@@ -63,7 +62,6 @@ pub mod trace;
 
 pub use async_exec::{AsyncNetwork, Synchronizer};
 pub use budget::{BudgetViolation, MessageBudget};
-pub use csr::CsrAdjacency;
 pub use executor::{execute, Executor};
 pub use faults::{FaultCounters, FaultPlan, MsgFate};
 pub use metrics::RunMetrics;

@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn flood_reaches_exactly_radius() {
         let g = generators::path(10);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net.run(|v, _| FloodProtocol::new(v.0 == 0, 4), 32).unwrap();
         for (v, s) in states.iter().enumerate() {
             assert_eq!(s.reached(), v <= 4, "node {v}");
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn flood_radius_zero_stays_home() {
         let g = generators::path(4);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net.run(|v, _| FloodProtocol::new(v.0 == 2, 0), 8).unwrap();
         assert!(states[2].reached());
         assert!(!states[1].reached() && !states[3].reached());
@@ -278,7 +278,7 @@ mod tests {
         let g = generators::erdos_renyi_gnm(60, 150, 3);
         let sources: Vec<NodeId> = vec![NodeId(5), NodeId(17), NodeId(42)];
         let radius = 60u32;
-        let mut net = Network::new(&g, MessageBudget::Words(2), 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Words(2), 1);
         let states = net
             .run(
                 |v, _| MinIdBroadcast::new(sources.contains(&v), radius),
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn min_id_broadcast_respects_radius() {
         let g = generators::path(10);
-        let mut net = Network::new(&g, MessageBudget::Words(2), 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Words(2), 1);
         let states = net
             .run(|v, _| MinIdBroadcast::new(v.0 == 0, 3), 64)
             .unwrap();
@@ -326,7 +326,7 @@ mod tests {
                 children[p.index()] += 1;
             }
         }
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net
             .run(
                 |v, _| ConvergecastCount::new(tree.parent[v.index()], children[v.index()]),

@@ -31,11 +31,11 @@ use std::ops::DerefMut;
 use spanner_graph::NodeId;
 
 use crate::budget::{BudgetViolation, MessageBudget};
-use crate::csr::CsrAdjacency;
 use crate::faults::FaultState;
 use crate::metrics::RunMetrics;
 use crate::sync::MessageSize;
 use crate::trace::Tracer;
+use spanner_graph::CsrAdjacency;
 
 /// The receiver of a broadcast: every neighbor of the sender. Never a
 /// real node, since a network holds fewer than `u32::MAX` nodes
@@ -518,6 +518,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use spanner_graph::generators;
+    use std::sync::Arc;
 
     fn staged(sends: &[(u32, u32, u64)]) -> Vec<(NodeId, NodeId, u64)> {
         sends
@@ -528,14 +529,14 @@ mod tests {
 
     /// One round's routing state over `adjacency`, in chunks of `span`.
     struct Router {
-        adjacency: CsrAdjacency,
+        adjacency: Arc<CsrAdjacency>,
         span: usize,
         boxes: Vec<Mailbox<u64>>,
         board: Board<u64>,
     }
 
     impl Router {
-        fn new(adjacency: CsrAdjacency, span: usize) -> Self {
+        fn new(adjacency: Arc<CsrAdjacency>, span: usize) -> Self {
             let n = adjacency.node_count();
             let boxes = (0..n.div_ceil(span))
                 .map(|c| Mailbox::new(c * span, span.min(n - c * span)))
@@ -577,8 +578,8 @@ mod tests {
     }
 
     /// Every pair adjacent, so any staged unicast is along an edge.
-    fn k5() -> CsrAdjacency {
-        CsrAdjacency::from_graph(&generators::complete(5))
+    fn k5() -> Arc<CsrAdjacency> {
+        generators::complete(5).csr().clone()
     }
 
     fn inbox(sends: &[(u32, u64)]) -> Vec<(NodeId, u64)> {
@@ -633,7 +634,7 @@ mod tests {
 
     #[test]
     fn broadcast_only_receiver_reads_the_board() {
-        let mut r = Router::new(CsrAdjacency::from_graph(&generators::star(4)), 4);
+        let mut r = Router::new(generators::star(4).csr().clone(), 4);
         r.route(&mut staged(&[(ALL.0, 0, 7)]));
         assert_eq!(
             r.drain(),
@@ -702,7 +703,7 @@ mod tests {
         ) {
             let m = (((n as f64) * density) as usize).min(n * (n - 1) / 2);
             let g = generators::erdos_renyi_gnm(n, m, seed);
-            let mut r = Router::new(CsrAdjacency::from_graph(&g), span);
+            let mut r = Router::new(g.csr().clone(), span);
             // Two rounds through the same buffers. Each node broadcasts,
             // unicasts to a subset of its neighbors, or stays silent.
             for round in 0..2u64 {

@@ -68,16 +68,16 @@ use std::sync::{Arc, Mutex, RwLock};
 use rand::rngs::SmallRng;
 
 use spanner_graph::pool::RoundGate;
-use spanner_graph::{Graph, NodeId};
+use spanner_graph::NodeId;
 
 use crate::budget::{BudgetViolation, MessageBudget};
 use crate::calendar::WakeCalendar;
-use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
 use crate::route::{assert_addressable, route, stage, Board, Mailbox, ALL};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
+use spanner_graph::CsrAdjacency;
 
 /// Message length in words of O(log n) bits.
 ///
@@ -400,10 +400,9 @@ impl From<BudgetViolation> for RunError {
 /// [`Network::metrics`] — including after a failed run, where the metrics
 /// cover everything accepted up to the error, at every worker count.
 ///
-/// The topology is one `Arc`'d [`CsrAdjacency`]; a [`Graph`] is only an
-/// optional convenience input ([`Network::new`]), never a requirement —
-/// [`Network::from_csr`] runs straight off a streamed adjacency, which is
-/// what the million-node construction drivers do.
+/// The topology is one `Arc`'d [`CsrAdjacency`]: a graph's
+/// ([`Graph::csr`](spanner_graph::Graph::csr)) or a streamed one, which
+/// is what the million-node construction drivers use.
 #[derive(Debug)]
 pub struct Network {
     budget: MessageBudget,
@@ -419,14 +418,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// A network on `graph` with the given message budget and master seed.
-    pub fn new(graph: &Graph, budget: MessageBudget, seed: u64) -> Self {
-        Network::from_csr(Arc::new(CsrAdjacency::from_graph(graph)), budget, seed)
-    }
-
-    /// A network straight over a shared CSR adjacency — the zero-`Graph`
-    /// construction path. Runs are byte-identical (states, metrics,
-    /// traces) to a [`Network::new`] over the equivalent graph.
+    /// A network over a shared adjacency with the given message budget
+    /// and master seed.
     pub fn from_csr(adjacency: Arc<CsrAdjacency>, budget: MessageBudget, seed: u64) -> Self {
         assert_addressable(adjacency.node_count());
         Network {
@@ -480,17 +473,6 @@ impl Network {
     /// Cost accounting of the most recent [`Network::run`].
     pub fn metrics(&self) -> RunMetrics {
         self.metrics
-    }
-
-    /// The shared sorted adjacency.
-    pub fn adjacency(&self) -> &CsrAdjacency {
-        &self.adjacency
-    }
-
-    /// A clone of the `Arc` holding the adjacency, for sharing with other
-    /// executors, drivers, or verification passes.
-    pub fn adjacency_arc(&self) -> Arc<CsrAdjacency> {
-        Arc::clone(&self.adjacency)
     }
 
     /// Runs `factory`-created protocols to quiescence.
@@ -1005,7 +987,7 @@ fn deliver<M: Clone, const FAULTS: bool>(
 mod tests {
     use super::*;
     use crate::patterns::MinIdBroadcast;
-    use spanner_graph::generators;
+    use spanner_graph::{generators, Graph};
 
     /// Counts rounds until it has heard from every neighbor, then stops.
     struct HelloOnce {
@@ -1029,7 +1011,7 @@ mod tests {
     #[test]
     fn hello_once_quiesces_in_one_round() {
         let g = generators::cycle(10);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net
             .run(
                 |_, _| HelloOnce {
@@ -1080,7 +1062,7 @@ mod tests {
     #[test]
     fn relay_takes_path_length_rounds() {
         let g = generators::path(6);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net
             .run(
                 |v, _| Relay {
@@ -1111,7 +1093,7 @@ mod tests {
     #[test]
     fn round_limit_enforced() {
         let g = generators::cycle(4);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let err = net.run(|_, _| Chatterbox, 5).unwrap_err();
         assert_eq!(err, RunError::RoundLimit { max_rounds: 5 });
     }
@@ -1130,7 +1112,7 @@ mod tests {
     #[test]
     fn budget_violation_detected() {
         let g = generators::cycle(4);
-        let mut net = Network::new(&g, MessageBudget::Words(4), 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 1);
         match net.run(|_, _| BigTalker, 5) {
             Err(RunError::Budget(v)) => {
                 assert_eq!(v.words, 10);
@@ -1139,7 +1121,7 @@ mod tests {
             other => panic!("expected budget violation, got {other:?}"),
         }
         // Unbounded accepts the same protocol.
-        let mut net2 = Network::new(&g, MessageBudget::Unbounded, 1);
+        let mut net2 = Network::from_csr(g.csr().clone(), MessageBudget::Unbounded, 1);
         assert!(net2.run(|_, _| BigTalker, 5).is_ok());
         assert_eq!(net2.metrics().max_message_words, 10);
     }
@@ -1160,7 +1142,7 @@ mod tests {
     #[should_panic(expected = "non-neighbor")]
     fn sending_to_non_neighbor_panics() {
         let g = generators::path(5);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let _ = net.run(|_, _| NonNeighborSender, 5);
     }
 
@@ -1181,7 +1163,7 @@ mod tests {
     #[should_panic(expected = "two messages")]
     fn double_send_panics() {
         let g = generators::path(3);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let _ = net.run(|_, _| DoubleSender, 5);
     }
 
@@ -1203,7 +1185,7 @@ mod tests {
     #[should_panic(expected = "two messages")]
     fn broadcast_after_send_panics() {
         let g = generators::star(4);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let _ = net.run(|_, _| SendThenBroadcast, 5);
     }
 
@@ -1228,7 +1210,7 @@ mod tests {
 
     fn run_scripted(script: &'static [Option<u32>]) {
         let g = generators::star(4);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let _ = net.run(|_, _| Scripted(script), 5);
     }
 
@@ -1254,7 +1236,7 @@ mod tests {
     fn degree_zero_broadcast_sends_nothing() {
         // Node 2 has no neighbors.
         let g = Graph::from_edges(3, [(0u32, 1u32)]);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net
             .run(
                 |_, _| HelloOnce {
@@ -1285,7 +1267,8 @@ mod tests {
     fn over_budget_broadcast_names_the_lowest_neighbor() {
         let g = generators::cycle(4);
         for threads in [1, 2] {
-            let mut net = Network::new(&g, MessageBudget::Words(4), 1).with_threads(threads);
+            let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 1)
+                .with_threads(threads);
             match net.run(|_, _| OneBigTalker, 5) {
                 Err(RunError::Budget(v)) => {
                     assert_eq!((v.sender, v.receiver, v.words), (NodeId(1), NodeId(0), 10));
@@ -1322,7 +1305,7 @@ mod tests {
     #[test]
     fn resend_in_later_round_is_allowed() {
         let g = generators::path(2);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net.run(|_, _| RepeatSender { received: 0 }, 10).unwrap();
         assert_eq!(states[1].received, 4); // rounds 1..=4 deliver
     }
@@ -1346,7 +1329,7 @@ mod tests {
             }
         }
         let g = generators::star(8);
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
         let states = net
             .run(
                 |_, _| Check {
@@ -1381,7 +1364,8 @@ mod tests {
         let g = generators::cycle(8);
         let caller = std::thread::current().id();
         for (threads, inline) in [(1, true), (2, false)] {
-            let mut net = Network::new(&g, MessageBudget::CONGEST, 1).with_threads(threads);
+            let mut net =
+                Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1).with_threads(threads);
             let states = net.run(|_, _| WhereAmI(Vec::new()), 4).unwrap();
             assert!(
                 states
@@ -1397,7 +1381,8 @@ mod tests {
     #[test]
     fn more_threads_than_nodes() {
         let g = generators::path(3);
-        let mut net = Network::new(&g, MessageBudget::Words(2), 5).with_threads(16);
+        let mut net =
+            Network::from_csr(g.csr().clone(), MessageBudget::Words(2), 5).with_threads(16);
         let states = net
             .run(|v, _| MinIdBroadcast::new(v == NodeId(0), 10), 32)
             .unwrap();
@@ -1427,7 +1412,7 @@ mod tests {
         }
         let g = generators::erdos_renyi_gnm(30, 60, 5);
         let run = |seed| {
-            let mut net = Network::new(&g, MessageBudget::CONGEST, seed);
+            let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
             let s = net.run(|_, _| Coin { flips: vec![] }, 50).unwrap();
             s.into_iter().map(|c| c.flips).collect::<Vec<_>>()
         };

@@ -32,7 +32,7 @@
 //! use spanner_netsim::{patterns::FloodProtocol, MessageBudget, Network, TraceSummary};
 //!
 //! let g = generators::cycle(16);
-//! let mut net = Network::new(&g, MessageBudget::CONGEST, 42);
+//! let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 42);
 //! let mut summary = TraceSummary::new();
 //! net.run_traced(|v, _| FloodProtocol::new(v.0 == 0, 8), 64, &mut summary)
 //!     .expect("flood terminates");

@@ -72,7 +72,7 @@ impl Protocol for GossipHash {
 }
 
 fn assert_parity(g: &Graph, seed: u64, ttl: u32) {
-    let mut seq = Network::new(g, MessageBudget::CONGEST, seed);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_states = seq
         .run_traced(|_, _| GossipHash::new(ttl), 4 * ttl + 16, &mut seq_trace)
@@ -80,7 +80,8 @@ fn assert_parity(g: &Graph, seed: u64, ttl: u32) {
     assert_eq!(seq_trace.dropped(), 0);
     let seq_events = seq_trace.into_events();
     for threads in [1usize, 2, 4, 8] {
-        let mut par = Network::new(g, MessageBudget::CONGEST, seed).with_threads(threads);
+        let mut par =
+            Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_states = par
             .run_traced(|_, _| GossipHash::new(ttl), 4 * ttl + 16, &mut par_trace)
@@ -100,13 +101,14 @@ fn assert_parity(g: &Graph, seed: u64, ttl: u32) {
 /// metrics, and trace stream alike.
 fn assert_parity_under_faults(g: &Graph, seed: u64, ttl: u32, plan: &FaultPlan) {
     let max_rounds = 4 * ttl + 16;
-    let mut seq = Network::new(g, MessageBudget::CONGEST, seed).with_faults(plan.clone());
+    let mut seq =
+        Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed).with_faults(plan.clone());
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_result = seq.run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace);
     assert_eq!(seq_trace.dropped(), 0);
     let seq_events = seq_trace.into_events();
     for threads in 1usize..=8 {
-        let mut par = Network::new(g, MessageBudget::CONGEST, seed)
+        let mut par = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed)
             .with_threads(threads)
             .with_faults(plan.clone());
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
@@ -193,12 +195,13 @@ proptest! {
 fn executors_agree_on_min_id_broadcast() {
     let g = generators::erdos_renyi_gnm(90, 270, 31);
     let sources = |v: NodeId| v.0.is_multiple_of(11);
-    let mut seq = Network::new(&g, MessageBudget::Words(2), 12);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(2), 12);
     let seq_states = seq
         .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
         .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let mut par = Network::new(&g, MessageBudget::Words(2), 12).with_threads(threads);
+        let mut par =
+            Network::from_csr(g.csr().clone(), MessageBudget::Words(2), 12).with_threads(threads);
         let par_states = par
             .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
             .unwrap();
@@ -230,7 +233,7 @@ fn round_limit_metrics_agree() {
         }
     }
     let g = generators::erdos_renyi_gnm(40, 120, 2);
-    let mut seq = Network::new(&g, MessageBudget::CONGEST, 7);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
         .run_traced(|_, _| Chatter, 6, &mut seq_trace)
@@ -242,7 +245,8 @@ fn round_limit_metrics_agree() {
         Some(TraceEvent::RunEnd { error: Some(_), .. })
     ));
     for threads in [1usize, 3, 8] {
-        let mut par = Network::new(&g, MessageBudget::CONGEST, 7).with_threads(threads);
+        let mut par =
+            Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
             .run_traced(|_, _| Chatter, 6, &mut par_trace)
@@ -282,7 +286,7 @@ fn budget_violation_metrics_agree() {
         }
     }
     let g = generators::erdos_renyi_gnm(40, 100, 5);
-    let mut seq = Network::new(&g, MessageBudget::Words(4), 9);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
         .run_traced(|_, _| LateFat, 32, &mut seq_trace)
@@ -297,7 +301,8 @@ fn budget_violation_metrics_agree() {
     assert!(matches!(tail[1], TraceEvent::PhaseExit { .. }));
     assert!(matches!(tail[2], TraceEvent::Round { .. }));
     for threads in [1usize, 2, 4, 8] {
-        let mut par = Network::new(&g, MessageBudget::Words(4), 9).with_threads(threads);
+        let mut par =
+            Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
             .run_traced(|_, _| LateFat, 32, &mut par_trace)
@@ -319,7 +324,7 @@ fn trace_jsonl_byte_identical() {
     let g = generators::erdos_renyi_gnm(80, 240, 17);
     let run_seq = || {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 3);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3);
         net.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
             .unwrap();
         sink.finish().unwrap()
@@ -333,7 +338,8 @@ fn trace_jsonl_byte_identical() {
     }
     for threads in [1usize, 2, 4, 8] {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-        let mut par = Network::new(&g, MessageBudget::CONGEST, 3).with_threads(threads);
+        let mut par =
+            Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3).with_threads(threads);
         par.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
             .unwrap();
         let par_bytes = sink.finish().unwrap();
@@ -349,13 +355,13 @@ fn trace_jsonl_byte_identical() {
 /// one-event-per-arrival invariant.
 fn assert_async_parity(g: &Graph, seed: u64, ttl: u32) {
     let max_rounds = 4 * ttl + 16;
-    let mut seq = Network::new(g, MessageBudget::CONGEST, seed);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_states = seq
         .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace)
         .unwrap();
     let seq_events = seq_trace.into_events();
-    let mut anet = AsyncNetwork::new(g, MessageBudget::CONGEST, seed);
+    let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
     let mut atrace = RingBufferSink::new(TRACE_CAP);
     let astates = anet
         .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut atrace)
@@ -413,7 +419,7 @@ proptest! {
 /// reference once, then both synchronizers under the same delay plan.
 fn assert_async_delay_parity(g: &Graph, seed: u64, dseed: u64, ttl: u32) {
     let max_rounds = 4 * ttl + 16;
-    let mut seq = Network::new(g, MessageBudget::CONGEST, seed);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_states = seq
         .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace)
@@ -422,7 +428,7 @@ fn assert_async_delay_parity(g: &Graph, seed: u64, dseed: u64, ttl: u32) {
     let delays = FaultPlan::new(dseed).with_delays(0.4, 4);
     let tree = spanning_tree(g);
     for sync in [Synchronizer::Alpha, Synchronizer::Skeleton(tree)] {
-        let mut anet = AsyncNetwork::new(g, MessageBudget::CONGEST, seed)
+        let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed)
             .with_delays(delays.clone())
             .with_synchronizer(sync.clone());
         let mut atrace = RingBufferSink::new(TRACE_CAP);
@@ -443,7 +449,7 @@ fn assert_async_delay_parity(g: &Graph, seed: u64, dseed: u64, ttl: u32) {
 
 /// A BFS spanning tree of a connected graph, as synchronizer edges.
 fn spanning_tree(g: &Graph) -> Vec<(NodeId, NodeId)> {
-    let adj = spanner_netsim::CsrAdjacency::from_graph(g);
+    let adj = g.csr();
     let n = g.node_count();
     let mut seen = vec![false; n];
     let mut queue = std::collections::VecDeque::from([NodeId(0)]);
@@ -485,7 +491,7 @@ fn async_budget_violation_agrees() {
         }
     }
     let g = generators::connected_gnm(40, 100, 5);
-    let mut seq = Network::new(&g, MessageBudget::Words(4), 9);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
         .run_traced(|_, _| LateFat, 32, &mut seq_trace)
@@ -493,7 +499,8 @@ fn async_budget_violation_agrees() {
     assert!(matches!(seq_err, RunError::Budget(_)));
     let seq_events = seq_trace.into_events();
     for delays in [FaultPlan::default(), FaultPlan::new(3).with_delays(0.5, 4)] {
-        let mut anet = AsyncNetwork::new(&g, MessageBudget::Words(4), 9).with_delays(delays);
+        let mut anet =
+            AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::Words(4), 9).with_delays(delays);
         let mut atrace = RingBufferSink::new(TRACE_CAP);
         let aerr = anet
             .run_traced(|_, _| LateFat, 32, &mut atrace)
@@ -512,13 +519,13 @@ fn async_budget_violation_agrees() {
 fn async_trace_jsonl_byte_identical() {
     let g = generators::connected_gnm(60, 180, 17);
     let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 3);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3);
     net.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
         .unwrap();
     let seq_bytes = sink.finish().unwrap();
     let run_async = |trace_deliveries: bool| {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-        let mut anet = AsyncNetwork::new(&g, MessageBudget::CONGEST, 3)
+        let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3)
             .with_delays(FaultPlan::new(6).with_delays(0.3, 3))
             .with_delivery_trace(trace_deliveries);
         anet.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
@@ -553,7 +560,7 @@ fn async_trace_jsonl_byte_identical() {
 #[test]
 fn trace_parity_on_empty_graph() {
     let g = Graph::from_edges(0, std::iter::empty::<(u32, u32)>());
-    let mut seq = Network::new(&g, MessageBudget::CONGEST, 1);
+    let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
     let mut seq_trace = RingBufferSink::new(16);
     seq.run_traced(|_, _| GossipHash::new(2), 8, &mut seq_trace)
         .unwrap();
@@ -568,7 +575,8 @@ fn trace_parity_on_empty_graph() {
         })
     ));
     for threads in [1usize, 4] {
-        let mut par = Network::new(&g, MessageBudget::CONGEST, 1).with_threads(threads);
+        let mut par =
+            Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1).with_threads(threads);
         let mut par_trace = RingBufferSink::new(16);
         par.run_traced(|_, _| GossipHash::new(2), 8, &mut par_trace)
             .unwrap();

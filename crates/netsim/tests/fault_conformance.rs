@@ -75,7 +75,7 @@ fn run_seq(
     max_rounds: u32,
     plan: Option<&FaultPlan>,
 ) -> RunOutcome {
-    let mut net = Network::new(g, MessageBudget::CONGEST, seed);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
     if let Some(p) = plan {
         net = net.with_faults(p.clone());
     }
@@ -86,13 +86,14 @@ fn run_seq(
 /// outcome, metrics, and serialized trace stream are byte-identical.
 fn assert_fault_parity(g: &Graph, seed: u64, ttl: u32, plan: &FaultPlan) {
     let max_rounds = 4 * ttl + 32;
-    let mut seq = Network::new(g, MessageBudget::CONGEST, seed).with_faults(plan.clone());
+    let mut seq =
+        Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed).with_faults(plan.clone());
     let mut seq_sink = JsonLinesSink::new(Vec::<u8>::new());
     let seq_result = seq.run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_sink);
     let seq_bytes = seq_sink.finish().unwrap();
     let seq_metrics = seq.metrics();
     for threads in [1usize, 2, 3, 8] {
-        let mut par = Network::new(g, MessageBudget::CONGEST, seed)
+        let mut par = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed)
             .with_threads(threads)
             .with_faults(plan.clone());
         let mut par_sink = JsonLinesSink::new(Vec::<u8>::new());
@@ -164,7 +165,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     assert!(!empty.is_active());
 
     let run = |plan: Option<FaultPlan>| {
-        let mut net = Network::new(&g, MessageBudget::CONGEST, 5);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 5);
         if let Some(p) = plan {
             net = net.with_faults(p);
         }
@@ -182,7 +183,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     assert_eq!(base_bytes, bytes, "trace streams must not differ");
     assert!(metrics.faults.is_empty());
 
-    let mut par = Network::new(&g, MessageBudget::CONGEST, 5)
+    let mut par = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 5)
         .with_threads(4)
         .with_faults(empty);
     let mut sink = JsonLinesSink::new(Vec::<u8>::new());
@@ -208,7 +209,7 @@ fn crashed_nodes_fall_silent_and_are_counted() {
     assert_eq!(states[0].rounds_run, 1, "hub ran init only");
     assert!(baseline[0].rounds_run > 1, "unfaulted hub keeps running");
 
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 8).with_faults(plan);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 8).with_faults(plan);
     net.run(|_, _| GossipHash::new(5), 64).unwrap();
     let fc = net.metrics().faults;
     assert_eq!(fc.crashes, 1);
@@ -235,7 +236,7 @@ fn crash_at_round_zero_suppresses_init() {
 fn total_drop_charges_budget_but_delivers_nothing() {
     let g = generators::erdos_renyi_gnm(30, 90, 4);
     let plan = FaultPlan::new(6).with_drops(1.0);
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 9).with_faults(plan);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 9).with_faults(plan);
     let states = net.run(|_, _| GossipHash::new(6), 64).unwrap();
     let m = net.metrics();
     assert!(m.messages > 0, "sends are still accounted");
@@ -274,7 +275,8 @@ fn scoped_faults_leave_other_component_untouched() {
         assert_eq!(baseline[v].digest, faulted[v].digest, "node {v} perturbed");
     }
     // And the faults really did fire in the other component.
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 77).with_faults(hostile);
+    let mut net =
+        Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 77).with_faults(hostile);
     net.run(|_, _| GossipHash::new(5), 256).unwrap();
     let fc = net.metrics().faults;
     assert!(
@@ -292,7 +294,8 @@ fn round_limit_under_faults_is_typed_and_parity_holds() {
     // Node 2 stutters every round: its neighbors' messages are held
     // forever, so the run can never quiesce.
     let plan = FaultPlan::new(4).with_stutters(1.0).scoped_to([NodeId(2)]);
-    let mut seq = Network::new(&g, MessageBudget::CONGEST, 3).with_faults(plan.clone());
+    let mut seq =
+        Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3).with_faults(plan.clone());
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
         .run_traced(|_, _| GossipHash::new(2), 12, &mut seq_trace)
@@ -301,7 +304,7 @@ fn round_limit_under_faults_is_typed_and_parity_holds() {
     assert!(seq.metrics().faults.stutters > 0);
     let seq_events = seq_trace.into_events();
     for threads in [1usize, 4] {
-        let mut par = Network::new(&g, MessageBudget::CONGEST, 3)
+        let mut par = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3)
             .with_threads(threads)
             .with_faults(plan.clone());
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
@@ -335,7 +338,8 @@ fn budget_violation_under_faults_keeps_partial_fault_metrics() {
     }
     let g = generators::erdos_renyi_gnm(24, 60, 2);
     let plan = FaultPlan::new(5).with_drops(0.3).with_stutters(0.2);
-    let mut seq = Network::new(&g, MessageBudget::Words(4), 11).with_faults(plan.clone());
+    let mut seq =
+        Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 11).with_faults(plan.clone());
     let seq_err = seq.run(|_, _| LateFat, 32).unwrap_err();
     assert!(matches!(seq_err, RunError::Budget(_)));
     assert!(
@@ -343,7 +347,7 @@ fn budget_violation_under_faults_keeps_partial_fault_metrics() {
         "faults fired before the violation"
     );
     for threads in [1usize, 3, 8] {
-        let mut par = Network::new(&g, MessageBudget::Words(4), 11)
+        let mut par = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 11)
             .with_threads(threads)
             .with_faults(plan.clone());
         let par_err = par.run(|_, _| LateFat, 32).unwrap_err();
@@ -359,7 +363,7 @@ fn faulted_trace_stream_reports_counters() {
     use spanner_netsim::{TraceEvent, TraceSummary};
     let g = generators::erdos_renyi_gnm(40, 120, 8);
     let plan = FaultPlan::new(2).with_drops(0.2).with_delays(0.2, 2);
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 6).with_faults(plan);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 6).with_faults(plan);
     let mut sink = JsonLinesSink::new(Vec::<u8>::new());
     net.run_traced(|_, _| GossipHash::new(5), 128, &mut sink)
         .unwrap();

@@ -41,7 +41,7 @@ impl Protocol for Mute {
 #[test]
 fn zero_round_run_agrees() {
     let g = generators::cycle(12);
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
     let mut summary = TraceSummary::new();
     net.run_traced(|_, _| Mute, 8, &mut summary).unwrap();
     let m = net.metrics();
@@ -59,7 +59,7 @@ fn zero_round_run_agrees() {
 #[test]
 fn zero_node_run_agrees() {
     let g = spanner_graph::Graph::from_edges(0, std::iter::empty::<(u32, u32)>());
-    let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
     let mut summary = TraceSummary::new();
     net.run_traced(|_, _| Mute, 8, &mut summary).unwrap();
     assert!(net.metrics().agrees_with(&summary));
@@ -70,7 +70,7 @@ fn zero_node_run_agrees() {
 #[test]
 fn size_histogram_buckets_match_manual_count() {
     let g = generators::connected_gnm(60, 180, 4);
-    let mut net = Network::new(&g, MessageBudget::Unbounded, 2);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Unbounded, 2);
     let mut summary = TraceSummary::new();
     net.run_traced(|_, _| SizedHello, 8, &mut summary).unwrap();
     let m = net.metrics();
@@ -107,7 +107,7 @@ fn budget_violation_mid_phase_agrees() {
         }
     }
     let g = generators::cycle(10);
-    let mut net = Network::new(&g, MessageBudget::Words(4), 3);
+    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 3);
     let mut summary = TraceSummary::new();
     let err = net
         .run_traced(|_, _| FatLater, 32, &mut summary)
@@ -170,7 +170,7 @@ proptest! {
     ) {
         let m = (((n as f64) * density) as usize).min(n * (n - 1) / 2);
         let g = generators::erdos_renyi_gnm(n, m, seed ^ 0xA11CE);
-        let mut net = Network::new(&g, MessageBudget::Unbounded, seed);
+        let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Unbounded, seed);
         let mut summary = TraceSummary::new();
         net.run_traced(|_, _| NoisyGossip { ttl }, 4 * ttl + 16, &mut summary)
             .unwrap();

@@ -16,10 +16,8 @@
 //! delivery arrives, and under a stutter, each with and without a fault
 //! plan.
 
-use std::sync::Arc;
-
 use rand::Rng;
-use spanner_graph::{generators, CsrAdjacency, Graph, NodeId};
+use spanner_graph::{generators, Graph, NodeId};
 use spanner_netsim::{
     execute, Ctx, Executor, FaultPlan, JsonLinesSink, MessageBudget, Protocol, RunError, RunMetrics,
 };
@@ -221,7 +219,7 @@ impl Protocol for Relay {
 const PAST_CAP: u32 = 40;
 
 /// Node 0 wakes in round 3 and broadcasts; every other node wakes in round
-/// 4, the round node 0's message reaches its neighbours, and acts once.
+/// 4, the round node 0's message reaches its neighbors, and acts once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Rendezvous {
     at: u32,
@@ -316,12 +314,12 @@ fn run<P>(
 where
     P: Protocol + Send,
 {
-    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let csr = g.csr();
     let mut sink = JsonLinesSink::new(Vec::new());
     let (states, metrics) = execute(
         executor,
         plan,
-        &csr,
+        csr,
         MessageBudget::CONGEST,
         SEED,
         factory,
@@ -541,7 +539,7 @@ fn due_node_with_mail_runs_once() {
         let (hinted, _) = assert_wake_invisible(&g, plan.as_ref(), Rendezvous::new, 50).unwrap();
         if plan.is_none() {
             // One call per node: node 0 in round 3, everyone else in
-            // round 4, node 0's neighbours with its message.
+            // round 4, node 0's neighbors with its message.
             assert_eq!(hinted, n);
         }
     }
@@ -554,9 +552,11 @@ fn due_node_with_mail_runs_once() {
     );
     let states = states.unwrap();
     let first = g
-        .neighbor_ids(NodeId(0))
+        .neighbors(NodeId(0))
+        .iter()
+        .copied()
         .next()
-        .expect("node 0 has a neighbour");
+        .expect("node 0 has a neighbor");
     assert_eq!(states[first.index()].acted, Some(4));
     assert_ne!(states[first.index()].digest, Rendezvous::new(first).digest);
 }

@@ -166,7 +166,7 @@ impl DistanceOracle {
             let mut queue = std::collections::VecDeque::from([w]);
             while let Some(x) = queue.pop_front() {
                 let dx = dist[x.index()];
-                for &(y, _) in g.neighbors(x) {
+                for &y in g.neighbors(x) {
                     if dist[y.index()] != UNREACHABLE {
                         if dist[y.index()] == dx + 1 && x < parent[y.index()] {
                             parent[y.index()] = x;
@@ -211,7 +211,9 @@ impl DistanceOracle {
                     continue;
                 }
                 let parent = g
-                    .neighbor_ids(v)
+                    .neighbors(v)
+                    .iter()
+                    .copied()
                     .filter(|u| wit[u.index()].is_some_and(|(du, su)| du + 1 == d && su == src))
                     .min()
                     .expect("witness parent exists");

@@ -120,7 +120,7 @@ impl RoutingScheme {
             let mut queue = std::collections::VecDeque::from([w]);
             while let Some(x) = queue.pop_front() {
                 let dx = dist[x.index()];
-                for &(y, _) in g.neighbors(x) {
+                for &y in g.neighbors(x) {
                     if dist[y.index()] != u32::MAX {
                         if dist[y.index()] == dx + 1 && x < parent[y.index()] {
                             parent[y.index()] = x;

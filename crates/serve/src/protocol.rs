@@ -17,6 +17,15 @@ use spanner_graph::NodeId;
 /// memory.
 pub const MAX_BATCH: u32 = 1 << 20;
 
+/// Node cap of every `LOAD` spec: generated graphs have at most this many
+/// vertices, and `file:` edge lists may name ids below it only.
+pub const MAX_N: u32 = 1 << 24;
+
+/// Edge cap of an `er` spec: m = 4n at the [`MAX_N`] node cap. The
+/// generator allocates in proportion to `m`, so a larger request would
+/// abort the server instead of failing the one line.
+pub const MAX_M: u64 = 1 << 26;
+
 /// A parsed client command — one request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -428,16 +437,15 @@ pub fn parse_spec(tok: &str) -> Result<GraphSpec, WireError> {
         val.parse::<u64>()
             .map_err(|_| WireError::bad_spec(format!("invalid value for {name}: {val}")))
     };
-    let small = |name: &str, min: u64, max: u64| -> Result<u32, WireError> {
+    let small = |name: &str, min: u32, max: u32| -> Result<u32, WireError> {
         let v = uint(name)?;
-        if v < min || v > max {
+        if v < min.into() || v > max.into() {
             return Err(WireError::bad_spec(format!(
                 "{name} must be between {min} and {max}, got {v}"
             )));
         }
         Ok(v as u32)
     };
-    const MAX_N: u64 = 1 << 24;
     let expect_fields = |allowed: &[&str]| -> Result<(), WireError> {
         for (k, _) in &fields {
             if !allowed.contains(k) {
@@ -453,6 +461,11 @@ pub fn parse_spec(tok: &str) -> Result<GraphSpec, WireError> {
             expect_fields(&["n", "m", "seed"])?;
             let n = small("n", 2, MAX_N)?;
             let m = uint("m")?;
+            if m > MAX_M {
+                return Err(WireError::bad_spec(format!(
+                    "m must be at most {MAX_M}, got {m}"
+                )));
+            }
             let total = n as u64 * (n as u64 - 1) / 2;
             if m + 1 < n as u64 || m > total {
                 return Err(WireError::bad_spec(format!(
@@ -469,7 +482,7 @@ pub fn parse_spec(tok: &str) -> Result<GraphSpec, WireError> {
             expect_fields(&["rows", "cols"])?;
             let rows = small("rows", 1, MAX_N)?;
             let cols = small("cols", 1, MAX_N)?;
-            if rows as u64 * cols as u64 > MAX_N {
+            if rows as u64 * cols as u64 > MAX_N.into() {
                 return Err(WireError::bad_spec(format!(
                     "grid {rows}x{cols} exceeds {MAX_N} nodes"
                 )));

@@ -25,18 +25,18 @@ use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::pool::{chunk_range, run_workers};
-use spanner_graph::{generators, CsrAdjacency, Graph, NodeId};
+use spanner_graph::{generators, Graph, NodeId};
 use spanner_oracle::{DistanceOracle, RoutingScheme};
 use spanner_store::{Edit, SnapshotMeta, Store};
 
 use crate::cache::{pack_key, LruCache};
 use crate::protocol::{
     format_dist, format_route, parse_command, Command, GraphSpec, LoadRequest, WireError, MAX_LINE,
-    OK_BYE, OK_FLUSHED, OK_PONG,
+    MAX_N, OK_BYE, OK_FLUSHED, OK_PONG,
 };
 
 /// Below this many requests per worker the batch runs inline — the spawn
@@ -288,9 +288,6 @@ impl Server {
         let Some(state) = &self.state else {
             return Err(WireError::no_graph());
         };
-        let g = &state.graph;
-        let edges: Vec<(u32, u32)> = g.edges().map(|(_, a, b)| (a.0, b.0)).collect();
-        let csr = CsrAdjacency::from_edges(g.node_count(), edges);
         let meta = SnapshotMeta {
             k: state.oracle.k(),
             seed: state.seed,
@@ -298,7 +295,7 @@ impl Server {
         };
         // Serve snapshots carry an empty spanner section: the serving
         // artifact is the oracle, rebuilt from (graph, k, seed) on load.
-        Store::save(Path::new(path), &csr, &[], meta)
+        Store::save(Path::new(path), state.graph.csr(), &[], meta)
             .map_err(|e| WireError::store(e.to_string()))?;
         Ok(format!("OK SAVED n={} m={}", state.nodes, state.edges))
     }
@@ -518,6 +515,9 @@ fn resolve(state: Option<&Loaded>, req: &QueryReq) -> Partial {
 /// WAL record — surfaces as a `STORE` wire error.
 fn load_snapshot(path: &str) -> Result<(Graph, SnapshotMeta), WireError> {
     let state = Store::open(Path::new(path)).map_err(|e| WireError::store(e.to_string()))?;
+    if state.edits.is_empty() {
+        return Ok((Graph::from_csr(Arc::new(state.csr)), state.meta));
+    }
     let n = state.csr.node_count();
     let mut edges: BTreeSet<(u32, u32)> = state
         .csr
@@ -570,6 +570,13 @@ fn build_graph(spec: &GraphSpec) -> Result<Graph, WireError> {
                 };
                 let a: u32 = a.parse().map_err(|_| bad())?;
                 let b: u32 = b.parse().map_err(|_| bad())?;
+                if a.max(b) >= MAX_N {
+                    return Err(WireError::bad_spec(format!(
+                        "node id {} on line {} exceeds the {MAX_N}-node cap",
+                        a.max(b),
+                        lineno + 1
+                    )));
+                }
                 if a == b {
                     return Err(WireError::bad_spec(format!(
                         "self-loop on line {}",

@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_oracle::{DistanceOracle, RoutingScheme};
+use spanner_serve::protocol::{MAX_M, MAX_N};
 use spanner_serve::workload::{batch_script, generate, WorkloadSpec};
 use spanner_serve::{QueryReq, ServeConfig, Server, Session, MAX_LINE};
 
@@ -234,6 +235,44 @@ fn overlong_request_line_is_skipped() {
             "OK n=3 m=2 k=2 landmarks=-\n{bad}\nOK PONG\nOK BATCH 3\n{bad}\nOK 2\nOK 1\n{bad}\n"
         )
     );
+}
+
+/// An `er` edge count within n(n−1)/2 but over `MAX_M` is a `BADSPEC`
+/// error, not an allocation abort, and the graph loaded before it keeps
+/// serving.
+#[test]
+fn er_edge_count_over_the_cap_is_a_bad_spec() {
+    let mut s = session(1);
+    let out =
+        s.handle_script("LOAD path:n=3\nLOAD er:n=16777216,m=100000000000000,seed=1\nDIST 0 2\n");
+    assert_eq!(
+        out,
+        format!(
+            "OK n=3 m=2 k=2 landmarks=-\n\
+             ERR BADSPEC m must be at most {MAX_M}, got 100000000000000\nOK 2\n"
+        )
+    );
+}
+
+/// A `file:` edge list naming an id at or over the `MAX_N` node cap is a
+/// `BADSPEC` error naming the line, and the graph loaded before it keeps
+/// serving.
+#[test]
+fn file_ids_over_the_node_cap_are_a_bad_spec() {
+    let dir = std::env::temp_dir().join(format!("serve_cap_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut script = String::from("LOAD path:n=3\n");
+    let mut expect = String::from("OK n=3 m=2 k=2 landmarks=-\n");
+    for (name, id) in [("cap", MAX_N), ("far", 4_000_000_000), ("max", u32::MAX)] {
+        let path = dir.join(format!("{name}.edges"));
+        std::fs::write(&path, format!("0 1\n1 {id}\n")).unwrap();
+        script += &format!("LOAD file:{}\nDIST 0 2\n", path.display());
+        expect +=
+            &format!("ERR BADSPEC node id {id} on line 2 exceeds the {MAX_N}-node cap\nOK 2\n");
+    }
+    let out = session(1).handle_script(&script);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out, expect);
 }
 
 #[test]

@@ -5,10 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::sync::Arc;
-
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
-use ultrasparse_spanners::graph::{generators, CsrAdjacency};
+use ultrasparse_spanners::graph::generators;
 use ultrasparse_spanners::netsim::{Executor, NullSink};
 
 fn main() {
@@ -22,12 +20,12 @@ fn main() {
 
     // Build the paper's linear-size skeleton, distributedly: every node is
     // a processor exchanging O(log^eps n)-word messages. The simulator runs
-    // on a shared CSR copy of the topology; `Executor::Parallel { threads }`
-    // or `Executor::Async { .. }` would build the same spanner.
+    // on the graph's own CSR adjacency, shared rather than copied;
+    // `Executor::Parallel { threads }` or `Executor::Async { .. }` would
+    // build the same spanner.
     let params = SkeletonParams::new(4.0, 0.5).expect("valid parameters");
-    let csr = Arc::new(CsrAdjacency::from_graph(&g));
     let spanner = skeleton::distributed::build_distributed(
-        &csr,
+        g.csr(),
         &params,
         42,
         &Executor::Sequential,

@@ -47,7 +47,7 @@ fn bfs_depth(n: usize, edges: &[(NodeId, NodeId)]) -> u64 {
 
 fn broadcast(g: &Graph, delays: &FaultPlan, synchronizer: Synchronizer) -> RunMetrics {
     let radius = g.node_count() as u32;
-    let mut net = AsyncNetwork::new(g, MessageBudget::CONGEST, 1)
+    let mut net = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1)
         .with_delays(delays.clone())
         .with_synchronizer(synchronizer);
     let states = net

@@ -13,8 +13,6 @@
 //! confirms that faults scoped to one component never perturb the spanner
 //! built in the other.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ultrasparse_spanners::baselines::baswana_sen::{self, BaswanaSenParams};
@@ -23,17 +21,10 @@ use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::{FaultError, Spanner};
 use ultrasparse_spanners::graph::distance::Apsp;
-use ultrasparse_spanners::graph::{
-    generators, verify_stretch_exact, CsrAdjacency, Graph, NodeId, StretchBound,
-};
+use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, NodeId, StretchBound};
 use ultrasparse_spanners::netsim::rng::splitmix64;
 use ultrasparse_spanners::netsim::FaultPlan;
 use ultrasparse_spanners::oracle::DistanceOracle;
-
-/// The shared CSR topology the distributed drivers run on.
-fn csr(g: &Graph) -> Arc<CsrAdjacency> {
-    Arc::new(CsrAdjacency::from_graph(g))
-}
 
 /// Strategy: a small connected random graph, n ≤ 64 as the ISSUE demands
 /// (pair-exact verification is O(n·m) per construction).
@@ -261,7 +252,7 @@ proptest! {
         // returns Ok with exactly the edges of the plain distributed build.
         let inert = FaultPlan::new(seed ^ 0xF0F0);
         let params = BaswanaSenParams::new(2).unwrap();
-        let plain = baswana_sen::build_distributed_csr(&csr(&g), &params, seed).expect("unfaulted build");
+        let plain = baswana_sen::build_distributed_csr(g.csr(), &params, seed).expect("unfaulted build");
         let faulted = baswana_sen::build_distributed_faulted(&g, &params, seed, &inert)
             .expect("inert plan must succeed");
         prop_assert_eq!(plain.edges.iter().collect::<Vec<_>>(),
@@ -288,7 +279,7 @@ fn scoped_faults_do_not_perturb_other_component() {
     let params = BaswanaSenParams::new(2).unwrap();
     let seed = 424_242;
 
-    let clean = baswana_sen::build_distributed_csr(&csr(&g), &params, seed).expect("clean build");
+    let clean = baswana_sen::build_distributed_csr(g.csr(), &params, seed).expect("clean build");
     let hostile = FaultPlan::new(77)
         .with_drops(0.5)
         .with_delays(0.4, 2)

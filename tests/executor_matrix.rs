@@ -99,14 +99,14 @@ fn every_construction_agrees_on_every_executor() {
         generators::connected_gnm(240, 960, 5),
         generators::caveman(6, 10, 8, 2),
     ] {
-        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        let csr = g.csr();
         let executors = executors(&g);
         for (name, build) in constructions() {
-            let (reference, ref_metrics, ref_trace) = traced(build, &csr, &Executor::Sequential);
+            let (reference, ref_metrics, ref_trace) = traced(build, csr, &Executor::Sequential);
             assert!(reference.is_spanning(&g), "{name} must span");
             assert!(!ref_trace.is_empty(), "{name}: trace recorded");
             for (label, exec) in &executors[1..] {
-                let (s, metrics, trace) = traced(build, &csr, exec);
+                let (s, metrics, trace) = traced(build, csr, exec);
                 assert_eq!(reference.edges, s.edges, "{name} on {label}: edges");
                 assert_eq!(ref_metrics, metrics, "{name} on {label}: metrics");
                 assert!(ref_trace == trace, "{name} on {label}: trace bytes differ");

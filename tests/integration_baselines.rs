@@ -2,17 +2,8 @@
 //! guarantees on shared workloads, and the Fig. 1 ordering relations hold
 //! (who is sparser, who stretches less).
 
-use std::sync::Arc;
-
 use ultrasparse_spanners::baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
-use ultrasparse_spanners::graph::{
-    generators, verify_stretch_exact, CsrAdjacency, Graph, StretchBound,
-};
-
-/// The shared CSR topology the distributed drivers run on.
-fn csr(g: &Graph) -> Arc<CsrAdjacency> {
-    Arc::new(CsrAdjacency::from_graph(g))
-}
+use ultrasparse_spanners::graph::{generators, verify_stretch_exact, StretchBound};
 
 #[test]
 fn all_baselines_guarantee_matrix() {
@@ -26,7 +17,7 @@ fn all_baselines_guarantee_matrix() {
         let p = baswana_sen::BaswanaSenParams::new(k).unwrap();
         for s in [
             baswana_sen::build_sequential(&g, &p, 5),
-            baswana_sen::build_distributed_csr(&csr(&g), &p, 5).expect("run"),
+            baswana_sen::build_distributed_csr(g.csr(), &p, 5).expect("run"),
         ] {
             assert!(s.is_spanning(&g));
             verify_stretch_exact(
@@ -92,13 +83,13 @@ fn fig1_ordering_relations() {
 fn distributed_baselines_round_counts() {
     let g = generators::connected_gnm(500, 2_500, 7);
     let p = baswana_sen::BaswanaSenParams::new(4).unwrap();
-    let s = baswana_sen::build_distributed_csr(&csr(&g), &p, 3).expect("run");
+    let s = baswana_sen::build_distributed_csr(g.csr(), &p, 3).expect("run");
     let m = s.metrics.unwrap();
     // O(k) rounds with unit-ish messages — the Fig. 1 row for [10].
     assert!(m.rounds <= p.k + 2);
     assert_eq!(m.max_message_words, 2);
 
-    let f = bfs_skeleton::build_distributed_csr(&csr(&g), 3, 4_000).expect("run");
+    let f = bfs_skeleton::build_distributed_csr(g.csr(), 3, 4_000).expect("run");
     let fm = f.metrics.unwrap();
     assert!(fm.rounds < 4_000);
 }

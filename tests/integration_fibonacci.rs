@@ -2,15 +2,8 @@
 //! analytical envelope (Theorem 7) and the sequential ≡ distributed
 //! equivalence under unbounded messages.
 
-use std::sync::Arc;
-
 use ultrasparse_spanners::core::fibonacci::{self, analysis::distortion_envelope, FibonacciParams};
-use ultrasparse_spanners::graph::{generators, CsrAdjacency, Graph};
-
-/// The shared CSR topology the distributed drivers run on.
-fn csr(g: &Graph) -> Arc<CsrAdjacency> {
-    Arc::new(CsrAdjacency::from_graph(g))
-}
+use ultrasparse_spanners::graph::{generators, Graph};
 
 fn envelope_ok(g: &Graph, p: &FibonacciParams, s: &ultrasparse_spanners::core::Spanner) {
     let viol = s.check_envelope_sampled(g, 1_500, 7, |d| {
@@ -48,7 +41,7 @@ fn distributed_equals_sequential_without_budget() {
     ] {
         let p = FibonacciParams::new(g.node_count(), 2, 0.5, 0).unwrap();
         let seq = fibonacci::build_sequential(&g, &p, seed);
-        let dist = fibonacci::distributed::build_distributed_csr(&csr(&g), &p, seed).expect("run");
+        let dist = fibonacci::distributed::build_distributed_csr(g.csr(), &p, seed).expect("run");
         assert_eq!(
             seq.edges.iter().collect::<Vec<_>>(),
             dist.edges.iter().collect::<Vec<_>>(),
@@ -62,7 +55,7 @@ fn bounded_messages_stay_correct() {
     let g = generators::connected_gnm(500, 3_000, 8);
     for t in [2u32, 4] {
         let p = FibonacciParams::new(500, 2, 0.5, t).unwrap();
-        let s = fibonacci::distributed::build_distributed_csr(&csr(&g), &p, 3).expect("run");
+        let s = fibonacci::distributed::build_distributed_csr(g.csr(), &p, 3).expect("run");
         assert!(s.is_spanning(&g), "t={t}");
         envelope_ok(&g, &p, &s);
         let m = s.metrics.unwrap();

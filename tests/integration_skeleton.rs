@@ -2,16 +2,9 @@
 //! generators → schedule → sequential & distributed construction →
 //! verification, all through the facade crate.
 
-use std::sync::Arc;
-
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
-use ultrasparse_spanners::graph::{generators, CsrAdjacency, Graph};
-
-/// The shared CSR topology the distributed drivers run on.
-fn csr(g: &Graph) -> Arc<CsrAdjacency> {
-    Arc::new(CsrAdjacency::from_graph(g))
-}
+use ultrasparse_spanners::graph::{generators, Graph};
 
 fn check(g: &Graph, s: &Spanner, params: &SkeletonParams, label: &str) {
     assert!(s.is_spanning(g), "{label}: not spanning");
@@ -43,7 +36,7 @@ fn skeleton_across_graph_families() {
     for (label, g) in &graphs {
         let seq = skeleton::build_sequential(g, &params, 11);
         check(g, &seq, &params, &format!("seq/{label}"));
-        let dist = skeleton::distributed::build_distributed_csr(&csr(g), &params, 11).expect("run");
+        let dist = skeleton::distributed::build_distributed_csr(g.csr(), &params, 11).expect("run");
         check(g, &dist, &params, &format!("dist/{label}"));
     }
 }
@@ -54,7 +47,7 @@ fn sequential_and_distributed_sizes_track_each_other() {
     for seed in 0..4u64 {
         let g = generators::connected_gnm(600, 4_800, seed);
         let a = skeleton::build_sequential(&g, &params, seed).len() as f64;
-        let b = skeleton::distributed::build_distributed_csr(&csr(&g), &params, seed)
+        let b = skeleton::distributed::build_distributed_csr(g.csr(), &params, seed)
             .expect("run")
             .len() as f64;
         assert!(
@@ -97,6 +90,6 @@ fn skeleton_on_disconnected_components() {
     let params = SkeletonParams::default();
     let s = skeleton::build_sequential(&g, &params, 1);
     assert!(s.is_spanning(&g));
-    let d = skeleton::distributed::build_distributed_csr(&csr(&g), &params, 1).expect("run");
+    let d = skeleton::distributed::build_distributed_csr(g.csr(), &params, 1).expect("run");
     assert!(d.is_spanning(&g));
 }

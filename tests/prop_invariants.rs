@@ -8,20 +8,13 @@
 //! * the tower sequence and Fibonacci identities of Lemmas 1 and 8,
 //! * gadget structure (counts, spine distance) for arbitrary parameters.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ultrasparse_spanners::baselines::baswana_sen;
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
-use ultrasparse_spanners::graph::{generators, CsrAdjacency, Graph};
+use ultrasparse_spanners::graph::{generators, Graph};
 use ultrasparse_spanners::lowerbound::{Gadget, GadgetParams};
-
-/// The shared CSR topology the distributed drivers run on.
-fn csr(g: &Graph) -> Arc<CsrAdjacency> {
-    Arc::new(CsrAdjacency::from_graph(g))
-}
 
 /// Strategy: a connected random graph with 10..=160 nodes.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -48,7 +41,7 @@ proptest! {
     #[test]
     fn distributed_skeleton_always_spans(g in arb_graph(), seed in any::<u64>()) {
         let params = SkeletonParams::default();
-        let s = skeleton::distributed::build_distributed_csr(&csr(&g), &params, seed).expect("run");
+        let s = skeleton::distributed::build_distributed_csr(g.csr(), &params, seed).expect("run");
         prop_assert!(s.is_spanning(&g));
     }
 

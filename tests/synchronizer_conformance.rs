@@ -12,17 +12,13 @@
 //! the delay seed perturbs every link latency in the simulation, yet the
 //! built spanner must never change.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ultrasparse_spanners::baselines::baswana_sen::{self, BaswanaSenParams};
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
-use ultrasparse_spanners::graph::{
-    generators, verify_stretch_exact, CsrAdjacency, Graph, StretchBound,
-};
+use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, StretchBound};
 use ultrasparse_spanners::netsim::{Executor, FaultPlan, NullSink, RunMetrics, Synchronizer};
 
 /// Strategy: a small connected random graph, n ≤ 64 (pair-exact
@@ -40,11 +36,6 @@ fn arb_small_graph() -> impl Strategy<Value = Graph> {
 /// A dense random delay plan: 40% of hops take up to 4 extra ticks.
 fn delay_plan(dseed: u64) -> FaultPlan {
     FaultPlan::new(dseed).with_delays(0.4, 4)
-}
-
-/// The shared CSR topology the distributed drivers run on.
-fn csr(g: &Graph) -> Arc<CsrAdjacency> {
-    Arc::new(CsrAdjacency::from_graph(g))
 }
 
 /// The asynchronous executor under `delays`, synchronized by `synchronizer`.
@@ -101,13 +92,13 @@ proptest! {
         dseed in any::<u64>(),
     ) {
         let params = SkeletonParams::default();
-        let csr = csr(&g);
-        let reference = skeleton::distributed::build_distributed_csr(&csr, &params, seed)
+        let csr = g.csr();
+        let reference = skeleton::distributed::build_distributed_csr(csr, &params, seed)
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         for sync in variants(&g, &reference) {
             let s = skeleton::distributed::build_distributed(
-                &csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+                csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
             ).expect("async build");
             assert_pair_exact("skeleton", &reference, &s);
             // Paper bounds on the async output, as in conformance_constructions.
@@ -132,8 +123,8 @@ proptest! {
     ) {
         let n = g.node_count();
         let params = FibonacciParams::new(n, order, 0.5, 0).unwrap();
-        let csr = csr(&g);
-        let reference = fibonacci::distributed::build_distributed_csr(&csr, &params, seed)
+        let csr = g.csr();
+        let reference = fibonacci::distributed::build_distributed_csr(csr, &params, seed)
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         // The skeleton variant synchronizes over a separately built
@@ -141,7 +132,7 @@ proptest! {
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x51);
         for sync in variants(&g, &skel) {
             let s = fibonacci::distributed::build_distributed(
-                &csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+                csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
             ).expect("async build");
             assert_pair_exact("fibonacci", &reference, &s);
             prop_assert!(s.is_spanning(&g));
@@ -160,14 +151,14 @@ proptest! {
         k in 1u32..=4,
     ) {
         let params = BaswanaSenParams::new(k).unwrap();
-        let csr = csr(&g);
-        let reference = baswana_sen::build_distributed_csr(&csr, &params, seed)
+        let csr = g.csr();
+        let reference = baswana_sen::build_distributed_csr(csr, &params, seed)
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x52);
         for sync in variants(&g, &skel) {
             let s = baswana_sen::build_distributed(
-                &csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+                csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
             ).expect("async build");
             assert_pair_exact("baswana_sen", &reference, &s);
             let t = (2 * k - 1) as f64;
@@ -187,12 +178,12 @@ proptest! {
         dseed in any::<u64>(),
     ) {
         let params = SkeletonParams::default();
-        let csr = csr(&g);
+        let csr = g.csr();
         let mut previous: Option<(ultrasparse_spanners::graph::EdgeSet, RunMetrics)> = None;
         for perm in 0..3u64 {
             let executor = on_async(&delay_plan(dseed.wrapping_add(perm)), Synchronizer::Alpha);
             let s = skeleton::distributed::build_distributed(
-                &csr, &params, seed, &executor, &mut NullSink,
+                csr, &params, seed, &executor, &mut NullSink,
             ).expect("async build");
             let m = s.metrics.expect("async build has metrics").protocol_only();
             if let Some((edges, metrics)) = &previous {
@@ -210,11 +201,11 @@ proptest! {
 fn zero_delay_plan_is_unit_latency() {
     let g = generators::connected_gnm(32, 64, 5);
     let params = SkeletonParams::default();
-    let csr = csr(&g);
+    let csr = g.csr();
     let reference =
-        skeleton::distributed::build_distributed_csr(&csr, &params, 7).expect("sync build");
+        skeleton::distributed::build_distributed_csr(csr, &params, 7).expect("sync build");
     let executor = on_async(&FaultPlan::default(), Synchronizer::Alpha);
-    let s = skeleton::distributed::build_distributed(&csr, &params, 7, &executor, &mut NullSink)
+    let s = skeleton::distributed::build_distributed(csr, &params, 7, &executor, &mut NullSink)
         .expect("async build");
     assert_pair_exact("skeleton/zero-delay", &reference, &s);
 }

@@ -43,16 +43,7 @@ pub fn tiny_mode() -> bool {
 /// Panics on an unknown tier — experiments fail loudly rather than
 /// silently run the default scale.
 pub fn scale_arg() -> Option<String> {
-    let mut args = std::env::args();
-    let tier = loop {
-        let a = args.next()?;
-        if a == "--scale" {
-            break args.next().expect("--scale needs a tier argument");
-        }
-        if let Some(t) = a.strip_prefix("--scale=") {
-            break t.to_owned();
-        }
-    };
+    let tier = arg_value("--scale")?;
     assert!(
         matches!(tier.as_str(), "full" | "quick" | "tiny" | "huge"),
         "unknown --scale tier {tier:?} (expected full, quick, tiny, or huge)"
@@ -86,16 +77,7 @@ pub fn scale3<T: Copy>(full: T, quick: T, tiny: T) -> T {
 /// Panics with the parser's message on a malformed spec — experiments fail
 /// loudly rather than run a different schedule than the one asked for.
 pub fn fault_plan_arg() -> Option<FaultPlan> {
-    let mut args = std::env::args();
-    let spec = loop {
-        let a = args.next()?;
-        if a == "--faults" {
-            break args.next().expect("--faults needs a spec argument");
-        }
-        if let Some(spec) = a.strip_prefix("--faults=") {
-            break spec.to_owned();
-        }
-    };
+    let spec = arg_value("--faults")?;
     Some(FaultPlan::parse_spec(&spec).unwrap_or_else(|e| panic!("bad --faults spec: {e}")))
 }
 
@@ -110,15 +92,8 @@ pub fn fault_plan_arg() -> Option<FaultPlan> {
 /// Panics on a malformed or zero count — experiments fail loudly rather
 /// than silently run single-threaded.
 pub fn threads_arg() -> usize {
-    let mut args = std::env::args();
-    let spec = loop {
-        let Some(a) = args.next() else { return 1 };
-        if a == "--threads" {
-            break args.next().expect("--threads needs a count argument");
-        }
-        if let Some(spec) = a.strip_prefix("--threads=") {
-            break spec.to_owned();
-        }
+    let Some(spec) = arg_value("--threads") else {
+        return 1;
     };
     let n: usize = spec
         .parse()
@@ -140,15 +115,43 @@ pub fn executor_for(threads: usize) -> Executor {
 
 /// The `--trace-out <path>` argument, if present. Accepts both
 /// `--trace-out runs.jsonl` and `--trace-out=runs.jsonl`.
+///
+/// # Panics
+///
+/// Panics on a `--trace-out` without a path — a trailing flag, or one
+/// followed by another flag — instead of silently tracing nothing or
+/// writing to a file named after the next flag.
 pub fn trace_out_arg() -> Option<PathBuf> {
-    let mut args = std::env::args();
+    arg_value("--trace-out").map(PathBuf::from)
+}
+
+/// [`flag_value`] over the process arguments.
+fn arg_value(name: &str) -> Option<String> {
+    flag_value(&std::env::args().collect::<Vec<_>>(), name)
+}
+
+/// The value of the first `name value` or `name=value` in `args`, if the
+/// flag is present.
+///
+/// # Panics
+///
+/// Panics if the flag has no value, or if its value starts with `--` and
+/// so is really the next flag: experiments fail loudly rather than run
+/// something other than what was asked for.
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    let mut args = args.iter().map(String::as_str);
     while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(path) = a.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(path));
-        }
+        let value = if a == name {
+            args.next()
+        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
+            Some(v)
+        } else {
+            continue;
+        };
+        return match value {
+            Some(v) if !v.is_empty() && !v.starts_with("--") => Some(v.to_owned()),
+            _ => panic!("{name} needs a value, got {value:?}"),
+        };
     }
     None
 }
@@ -375,6 +378,43 @@ pub fn f3(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_value_reads_both_spellings() {
+        let spaced = args(&["bin", "--tiny", "--trace-out", "runs.jsonl"]);
+        let joined = args(&["bin", "--trace-out=runs.jsonl", "--tiny"]);
+        for a in [&spaced, &joined] {
+            assert_eq!(flag_value(a, "--trace-out").as_deref(), Some("runs.jsonl"));
+            assert_eq!(flag_value(a, "--scale"), None);
+        }
+        // A longer flag sharing the prefix is a different flag.
+        assert_eq!(
+            flag_value(&args(&["bin", "--threadsx=3"]), "--threads"),
+            None
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "--trace-out needs a value, got None")]
+    fn flag_value_rejects_trailing_flag() {
+        flag_value(&args(&["bin", "--tiny", "--trace-out"]), "--trace-out");
+    }
+
+    #[test]
+    #[should_panic(expected = "--trace-out needs a value, got Some(\"--tiny\")")]
+    fn flag_value_rejects_flag_as_value() {
+        flag_value(&args(&["bin", "--trace-out", "--tiny"]), "--trace-out");
+    }
+
+    #[test]
+    #[should_panic(expected = "--threads needs a value")]
+    fn flag_value_rejects_empty_joined_value() {
+        flag_value(&args(&["bin", "--threads="]), "--threads");
+    }
 
     #[test]
     fn table_render_aligned() {

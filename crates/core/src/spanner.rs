@@ -7,10 +7,13 @@
 //! or on sampled pairs) so experiments can compare against the analytic
 //! envelopes.
 
+use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use spanner_graph::components::preserves_connectivity;
-use spanner_graph::distance::{sample_pairs, UNREACHABLE};
-use spanner_graph::engine::BfsScratch;
-use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
+use spanner_graph::distance::{sample_pairs, walk_pairs, Pairs, UNREACHABLE};
+use spanner_graph::{EdgeSet, Graph, NodeId};
 use spanner_netsim::RunMetrics;
 
 /// A spanner of a host graph: the selected edge subset plus the cost of
@@ -61,46 +64,21 @@ impl Spanner {
         self.stretch_exact_threads(g, 1)
     }
 
-    /// [`Spanner::stretch_exact`] with the engine fanned out over
-    /// `threads` workers. Distance rows are computed in parallel but
-    /// recorded sequentially in (u, v) order, so the report — including
-    /// its order-sensitive witness pair and float means — is identical at
-    /// every thread count.
+    /// [`Spanner::stretch_exact`] with the distance rows computed by
+    /// `threads` workers. Pairs are still recorded sequentially in (u, v)
+    /// order ([`walk_pairs`]), so the report — including its order-sensitive
+    /// witness pair and float means — is identical at every thread count.
     pub fn stretch_exact_threads(&self, g: &Graph, threads: usize) -> StretchReport {
-        let n = g.node_count();
-        let host = DistanceEngine::new(g).with_threads(threads);
-        let sub = DistanceEngine::for_subgraph(g, &self.edges).with_threads(threads);
-        let mut report = StretchReport::empty();
-        // One stride of sources per engine call bounds peak row memory at
-        // 2 × 64 × threads × n cells while keeping every worker busy.
-        let stride = 64 * threads.max(1);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + stride).min(n);
-            let sources: Vec<NodeId> = (start as u32..end as u32).map(NodeId).collect();
-            let host_rows = host.many_distances(&sources);
-            let sub_rows = sub.many_distances(&sources);
-            for (i, &u) in sources.iter().enumerate() {
-                let dg = &host_rows[i * n..(i + 1) * n];
-                let ds = &sub_rows[i * n..(i + 1) * n];
-                for v in (u.index() + 1)..n {
-                    if dg[v] != UNREACHABLE {
-                        report.record(u, NodeId(v as u32), dg[v], ds[v]);
-                    }
-                }
-            }
-            start = end;
-        }
-        report
+        self.report(g, Pairs::All, threads)
     }
 
-    /// Distortion on `count` sampled connected pairs (seeded), grouping BFS
-    /// runs per source; suitable for large graphs.
+    /// Distortion on `count` sampled connected pairs (seeded), computing
+    /// spanner rows 64 sources at a time; suitable for large graphs.
     pub fn stretch_sampled(&self, g: &Graph, count: usize, seed: u64) -> StretchReport {
         self.stretch_sampled_threads(g, count, seed, 1)
     }
 
-    /// [`Spanner::stretch_sampled`] with the engine fanned out over
+    /// [`Spanner::stretch_sampled`] with the distance rows computed by
     /// `threads` workers; same sequential-record determinism argument as
     /// [`Spanner::stretch_exact_threads`].
     pub fn stretch_sampled_threads(
@@ -110,37 +88,15 @@ impl Spanner {
         seed: u64,
         threads: usize,
     ) -> StretchReport {
-        let pairs = sample_pairs(g, count, seed);
-        let n = g.node_count();
-        let sub = DistanceEngine::for_subgraph(g, &self.edges).with_threads(threads);
+        self.report(g, Pairs::Sampled(&sample_pairs(g, count, seed)), threads)
+    }
+
+    fn report(&self, g: &Graph, pairs: Pairs<'_>, threads: usize) -> StretchReport {
         let mut report = StretchReport::empty();
-        let stride = 64 * threads.max(1);
-        let mut i = 0usize;
-        while i < pairs.len() {
-            // The next `stride` distinct sources (pairs arrive sorted by
-            // source, so sources form contiguous runs).
-            let mut sources: Vec<NodeId> = Vec::with_capacity(stride);
-            let mut j = i;
-            while j < pairs.len() {
-                let u = pairs[j].u;
-                if sources.last() != Some(&u) {
-                    if sources.len() == stride {
-                        break;
-                    }
-                    sources.push(u);
-                }
-                j += 1;
-            }
-            let rows = sub.many_distances(&sources);
-            let mut si = 0usize;
-            for p in &pairs[i..j] {
-                while sources[si] != p.u {
-                    si += 1;
-                }
-                report.record(p.u, p.v, p.dist, rows[si * n + p.v.index()]);
-            }
-            i = j;
-        }
+        let ControlFlow::Continue(()) = walk_pairs(g, &self.edges, pairs, threads, |u, v, d, s| {
+            report.record(u, v, d, s);
+            ControlFlow::<Infallible>::Continue(())
+        });
         report
     }
 
@@ -150,37 +106,23 @@ impl Spanner {
     /// four-stage Fibonacci distortion curves (Theorem 7).
     pub fn stretch_profile(&self, g: &Graph, count: usize, seed: u64) -> Vec<DistanceBucket> {
         let pairs = sample_pairs(g, count, seed);
-        let sub = DistanceEngine::for_subgraph(g, &self.edges);
-        let mut scratch = BfsScratch::new(g.node_count());
-        let mut row = vec![UNREACHABLE; g.node_count()];
-        let mut cached: Option<NodeId> = None;
-        let mut buckets: std::collections::BTreeMap<u32, DistanceBucket> =
-            std::collections::BTreeMap::new();
-        for p in pairs {
-            if p.dist == 0 {
-                continue;
-            }
-            if cached != Some(p.u) {
-                sub.distances_into(p.u, &mut scratch, &mut row);
-                cached = Some(p.u);
-            }
-            let dsv = row[p.v.index()];
-            let b = buckets.entry(p.dist).or_insert(DistanceBucket {
-                dist: p.dist,
-                pairs: 0,
-                max_stretch: 0.0,
-                sum_stretch: 0.0,
-                disconnected: 0,
+        let mut buckets: BTreeMap<u32, DistanceBucket> = BTreeMap::new();
+        let ControlFlow::Continue(()) =
+            walk_pairs(g, &self.edges, Pairs::Sampled(&pairs), 1, |_, _, d, s| {
+                let b = buckets.entry(d).or_insert(DistanceBucket {
+                    dist: d,
+                    ..Default::default()
+                });
+                b.pairs += 1;
+                if s == UNREACHABLE {
+                    b.disconnected += 1;
+                } else {
+                    let stretch = s as f64 / d as f64;
+                    b.max_stretch = b.max_stretch.max(stretch);
+                    b.sum_stretch += stretch;
+                }
+                ControlFlow::<Infallible>::Continue(())
             });
-            b.pairs += 1;
-            if dsv == UNREACHABLE {
-                b.disconnected += 1;
-            } else {
-                let s = dsv as f64 / p.dist as f64;
-                b.max_stretch = b.max_stretch.max(s);
-                b.sum_stretch += s;
-            }
-        }
         buckets.into_values().collect()
     }
 }
@@ -203,44 +145,18 @@ pub struct EnvelopeViolation {
 
 impl Spanner {
     /// Checks `δ_S(u,v) ≤ envelope(δ(u,v))` for **all** connected pairs;
-    /// returns the first violation found, if any. The per-distance envelope
-    /// is how the paper states Fibonacci distortion (Theorem 7): a
-    /// different (α, β) at every distance.
+    /// returns the first violation in (u, v) order, if any. The
+    /// per-distance envelope is how the paper states Fibonacci distortion
+    /// (Theorem 7): a different (α, β) at every distance.
     pub fn check_envelope_exact<F>(&self, g: &Graph, envelope: F) -> Option<EnvelopeViolation>
     where
         F: Fn(u32) -> f64,
     {
-        let n = g.node_count();
-        let host = DistanceEngine::new(g);
-        let sub = DistanceEngine::for_subgraph(g, &self.edges);
-        let mut host_scratch = BfsScratch::new(n);
-        let mut sub_scratch = BfsScratch::new(n);
-        let mut dg = vec![UNREACHABLE; n];
-        let mut ds = vec![UNREACHABLE; n];
-        for u in g.nodes() {
-            host.distances_into(u, &mut host_scratch, &mut dg);
-            sub.distances_into(u, &mut sub_scratch, &mut ds);
-            for v in (u.index() + 1)..n {
-                let d = dg[v];
-                if d == UNREACHABLE || d == 0 {
-                    continue;
-                }
-                let allowed = envelope(d);
-                if ds[v] == UNREACHABLE || ds[v] as f64 > allowed + 1e-9 {
-                    return Some(EnvelopeViolation {
-                        u,
-                        v: NodeId(v as u32),
-                        host: d,
-                        in_spanner: ds[v],
-                        allowed,
-                    });
-                }
-            }
-        }
-        None
+        self.check_envelope(g, Pairs::All, envelope)
     }
 
-    /// Sampled-pair version of [`Spanner::check_envelope_exact`].
+    /// Sampled-pair version of [`Spanner::check_envelope_exact`]: the
+    /// first violation in the order [`sample_pairs`] returns the pairs.
     pub fn check_envelope_sampled<F>(
         &self,
         g: &Graph,
@@ -251,38 +167,38 @@ impl Spanner {
     where
         F: Fn(u32) -> f64,
     {
-        let pairs = sample_pairs(g, count, seed);
-        let sub = DistanceEngine::for_subgraph(g, &self.edges);
-        let mut scratch = BfsScratch::new(g.node_count());
-        let mut row = vec![UNREACHABLE; g.node_count()];
-        let mut cached: Option<NodeId> = None;
-        for p in pairs {
-            if p.dist == 0 {
-                continue;
-            }
-            if cached != Some(p.u) {
-                sub.distances_into(p.u, &mut scratch, &mut row);
-                cached = Some(p.u);
-            }
-            let dsv = row[p.v.index()];
-            let allowed = envelope(p.dist);
-            if dsv == UNREACHABLE || dsv as f64 > allowed + 1e-9 {
-                return Some(EnvelopeViolation {
-                    u: p.u,
-                    v: p.v,
-                    host: p.dist,
-                    in_spanner: dsv,
+        self.check_envelope(g, Pairs::Sampled(&sample_pairs(g, count, seed)), envelope)
+    }
+
+    fn check_envelope<F>(
+        &self,
+        g: &Graph,
+        pairs: Pairs<'_>,
+        envelope: F,
+    ) -> Option<EnvelopeViolation>
+    where
+        F: Fn(u32) -> f64,
+    {
+        walk_pairs(g, &self.edges, pairs, 1, |u, v, host, in_spanner| {
+            let allowed = envelope(host);
+            if in_spanner == UNREACHABLE || in_spanner as f64 > allowed + 1e-9 {
+                return ControlFlow::Break(EnvelopeViolation {
+                    u,
+                    v,
+                    host,
+                    in_spanner,
                     allowed,
                 });
             }
-        }
-        None
+            ControlFlow::Continue(())
+        })
+        .break_value()
     }
 }
 
 /// Distortion statistics at one host distance, produced by
 /// [`Spanner::stretch_profile`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DistanceBucket {
     /// Host-graph distance of the pairs in this bucket.
     pub dist: u32,
@@ -402,7 +318,80 @@ impl std::fmt::Display for StretchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use spanner_graph::traversal::{bfs_distances, bfs_distances_csr};
     use spanner_graph::{generators, EdgeId};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // The envelope checks and the profile against a naive walk: one
+        // BFS per source in the host and in the spanner subgraph, pairs
+        // taken in `(u, v)` order (exact) or `sample_pairs` order.
+        #[test]
+        fn envelope_checks_and_profile_match_naive_walk(
+            n in 2usize..=150,
+            extra in 0usize..=200,
+            keep in 0.5f64..1.0,
+            alpha in 1u32..=2,
+            beta in 0u32..=3,
+            seed in any::<u64>(),
+        ) {
+            let g = generators::connected_gnm(n, (n - 1 + extra).min(n * (n - 1) / 2), seed);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut edges = EdgeSet::new(&g);
+            for (e, _, _) in g.edges() {
+                if rng.gen_bool(keep) {
+                    edges.insert(e);
+                }
+            }
+            let s = Spanner::from_edges(edges);
+            let sub = g.csr().subgraph(&s.edges);
+            let host: Vec<_> = g.nodes().map(|u| bfs_distances(&g, u)).collect();
+            let span: Vec<_> = g.nodes().map(|u| bfs_distances_csr(&sub, u)).collect();
+            let envelope = |d: u32| (alpha * d + beta) as f64;
+            let violation = |u: NodeId, v: NodeId, host: u32| {
+                let in_spanner = span[u.index()][v.index()].unwrap_or(UNREACHABLE);
+                let allowed = envelope(host);
+                let bad = in_spanner == UNREACHABLE || in_spanner as f64 > allowed + 1e-9;
+                bad.then_some(EnvelopeViolation { u, v, host, in_spanner, allowed })
+            };
+
+            let exact = g.nodes().find_map(|u| {
+                ((u.index() + 1)..n).find_map(|v| {
+                    let d = host[u.index()][v]?;
+                    violation(u, NodeId(v as u32), d)
+                })
+            });
+            prop_assert_eq!(s.check_envelope_exact(&g, envelope), exact);
+
+            let count = 4 * n;
+            let pairs = sample_pairs(&g, count, seed);
+            for p in &pairs {
+                prop_assert_eq!(host[p.u.index()][p.v.index()], Some(p.dist));
+            }
+            let sampled = pairs.iter().find_map(|p| violation(p.u, p.v, p.dist));
+            prop_assert_eq!(s.check_envelope_sampled(&g, count, seed, envelope), sampled);
+
+            let mut buckets: BTreeMap<u32, DistanceBucket> = BTreeMap::new();
+            for p in &pairs {
+                let b = buckets.entry(p.dist).or_insert(DistanceBucket { dist: p.dist, ..Default::default() });
+                b.pairs += 1;
+                match span[p.u.index()][p.v.index()] {
+                    None => b.disconnected += 1,
+                    Some(ds) => {
+                        let stretch = ds as f64 / p.dist as f64;
+                        b.max_stretch = b.max_stretch.max(stretch);
+                        b.sum_stretch += stretch;
+                    }
+                }
+            }
+            let profile: Vec<DistanceBucket> = buckets.into_values().collect();
+            prop_assert_eq!(s.stretch_profile(&g, count, seed), profile);
+        }
+    }
 
     /// Spanner = full graph: stretch exactly 1 everywhere.
     #[test]

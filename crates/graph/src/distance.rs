@@ -6,21 +6,22 @@
 //! (exact and the classic two-sweep lower bound). The heavy lifting routes
 //! through the [`DistanceEngine`] (flat CSR; 64-way bit-parallel or
 //! direction-optimizing per-source BFS, picked per graph by the engine's
-//! [`Strategy`](crate::engine::Strategy) probe; optionally threaded); the
-//! original one-BFS-per-source code paths are kept as `*_reference`
-//! functions for the parity suite.
+//! [`Strategy`](crate::engine::Strategy) probe; optionally threaded).
+//! Every unweighted stretch check — [`verify_stretch_exact`] here and the
+//! reports and envelope checks of `ultrasparse::Spanner` — is a visitor on
+//! one ordered pair walk, [`walk_pairs`]. The original one-BFS-per-source
+//! implementations live on only as references in `tests/engine_parity.rs`.
 
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::csr::CsrAdjacency;
 use crate::edgeset::EdgeSet;
-use crate::engine::{BfsScratch, DistanceEngine, RowsScratch};
+use crate::engine::{BfsScratch, DistanceEngine};
 use crate::graph::{Graph, NodeId};
-use crate::pool::{chunk_range, run_workers};
-use crate::traversal::{bfs_distances, bfs_distances_csr, bfs_distances_in_subgraph};
+use crate::traversal::{bfs_distances, bfs_distances_csr};
 use crate::weighted::{
     dijkstra, dijkstra_in_adjacency, subgraph_adjacency, WeightedGraph, W_UNREACHABLE,
 };
@@ -39,7 +40,7 @@ pub struct Apsp {
 
 /// The one unreachable-distance sentinel for unweighted (hop-count)
 /// distances: `u32::MAX`, used identically by the engine entry points and
-/// every `*_reference` path. The weighted counterpart is
+/// the pair walk. The weighted counterpart is
 /// [`W_UNREACHABLE`] (`u64::MAX`), and
 /// unattributed nodes in multi-source results use
 /// [`NO_SOURCE`](crate::engine::NO_SOURCE).
@@ -59,23 +60,6 @@ impl Apsp {
             n: g.node_count(),
             dist: engine.apsp_matrix(),
         }
-    }
-
-    /// The original one-BFS-per-source construction, kept as the reference
-    /// implementation for the engine parity suite.
-    pub fn new_reference(g: &Graph) -> Self {
-        let n = g.node_count();
-        let mut dist = vec![UNREACHABLE; n * n];
-        for s in g.nodes() {
-            let d = bfs_distances(g, s);
-            let row = &mut dist[s.index() * n..(s.index() + 1) * n];
-            for (v, dv) in d.iter().enumerate() {
-                if let Some(x) = dv {
-                    row[v] = *x;
-                }
-            }
-        }
-        Apsp { n, dist }
     }
 
     /// Distance between `u` and `v` (`UNREACHABLE` if disconnected).
@@ -148,7 +132,7 @@ impl StretchBound {
     /// Distances near 2⁵³ are not representable in `f64`, so the float path
     /// would silently accept violations there. The 1e-9 slack survives only
     /// as the fractional-α fallback.
-    fn allows(&self, d: u64, in_spanner: u64) -> bool {
+    pub fn allows(&self, d: u64, in_spanner: u64) -> bool {
         if let Some((num, den)) = rational_alpha(self.alpha) {
             return (in_spanner as u128) * (den as u128)
                 <= (num as u128) * (d as u128) + (self.beta as u128) * (den as u128);
@@ -226,11 +210,10 @@ pub fn verify_stretch_exact(
     verify_stretch_exact_threads(g, spanner, bound, 1)
 }
 
-/// [`verify_stretch_exact`] with the source batches fanned out over
-/// `threads` workers. Each worker scans a contiguous ascending range of
-/// sources and records its own first violation; the global answer is the
-/// first across workers in range order, so the witness — like the verdict —
-/// is identical at every thread count.
+/// [`verify_stretch_exact`] with the distance rows computed by `threads`
+/// workers. The pairs are still checked in ascending `(u, v)` order (see
+/// [`walk_pairs`]), so the witness — like the verdict — is identical at
+/// every thread count.
 ///
 /// # Panics
 ///
@@ -241,98 +224,112 @@ pub fn verify_stretch_exact_threads(
     bound: StretchBound,
     threads: usize,
 ) -> Result<(), StretchViolation> {
-    assert!(threads >= 1, "need at least one worker thread");
+    let walk = walk_pairs(g, spanner, Pairs::All, threads, |u, v, base, s| {
+        if s != UNREACHABLE && bound.allows(base as u64, s as u64) {
+            return ControlFlow::Continue(());
+        }
+        ControlFlow::Break(StretchViolation {
+            u,
+            v,
+            base: base as u64,
+            in_spanner: (s != UNREACHABLE).then_some(s as u64),
+        })
+    });
+    walk.break_value().map_or(Ok(()), Err)
+}
+
+/// The pairs a [`walk_pairs`] visits.
+#[derive(Debug, Clone, Copy)]
+pub enum Pairs<'a> {
+    /// Every pair `u < v` connected in the host graph, ascending by
+    /// `(u, v)`; host distances come from the walk's own host rows.
+    All,
+    /// The given pairs in their order, which must be ascending by source
+    /// (as [`sample_pairs`] returns them); host distances come from the
+    /// pairs, so only spanner rows are computed.
+    Sampled(&'a [SampledPair]),
+}
+
+/// The one stretch-check loop: visits `pairs` as
+/// `visit(u, v, host_distance, spanner_distance)`, in ascending source
+/// order and, per source, in the order of [`Pairs`], until `visit`
+/// returns [`ControlFlow::Break`], whose value it returns.
+/// `spanner_distance` is [`UNREACHABLE`] where `spanner` disconnects the
+/// pair; the host distance is always finite.
+///
+/// Sources are taken in strides of `64 · threads`. For each stride the
+/// spanner-subgraph rows (and, for [`Pairs::All`], the host rows) are
+/// filled by up to `threads` workers, split as in
+/// [`DistanceEngine::many_distances`] with each engine resolving its own
+/// [`Strategy`](crate::engine::Strategy); the row buffers and per-worker
+/// scratch are allocated once per walk. The pairs are then visited
+/// sequentially, so what a visitor sees — and any witness or float sum it
+/// keeps — is identical at every thread count. Peak row memory is
+/// `2 · 64 · threads · n` cells.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, or if [`Pairs::Sampled`] pairs are not
+/// grouped by ascending source.
+pub fn walk_pairs<B, F>(
+    g: &Graph,
+    spanner: &EdgeSet,
+    pairs: Pairs<'_>,
+    threads: usize,
+    mut visit: F,
+) -> ControlFlow<B>
+where
+    F: FnMut(NodeId, NodeId, u32, u32) -> ControlFlow<B>,
+{
     let n = g.node_count();
-    if n < 2 {
-        return Ok(());
-    }
-    let host = DistanceEngine::new(g);
-    let sub = DistanceEngine::for_subgraph(g, spanner);
-    let nbatches = n.div_ceil(64).max(threads.min(n));
-    let t = threads.min(nbatches);
-    let batch_cap = chunk_range(n, nbatches, 0).len();
-    let mut firsts: Vec<Option<StretchViolation>> = vec![None; t];
-    {
-        let slots: Vec<Mutex<&mut Option<StretchViolation>>> =
-            firsts.iter_mut().map(Mutex::new).collect();
-        run_workers(t, |w| {
-            let mut slot = slots[w].lock().expect("worker slot");
-            let mut host_scratch = RowsScratch::new(n);
-            let mut sub_scratch = RowsScratch::new(n);
-            let mut host_rows = vec![UNREACHABLE; batch_cap * n];
-            let mut sub_rows = vec![UNREACHABLE; batch_cap * n];
-            'batches: for b in chunk_range(nbatches, t, w) {
-                let r = chunk_range(n, nbatches, b);
-                let sources: Vec<NodeId> = (r.start as u32..r.end as u32).map(NodeId).collect();
-                let rows = sources.len() * n;
-                // The host and the spanner subgraph resolve their
-                // strategies independently (a sparse spanner of a dense
-                // graph may well want the per-source path).
-                host.rows_into(&sources, &mut host_scratch, &mut host_rows[..rows]);
-                sub.rows_into(&sources, &mut sub_scratch, &mut sub_rows[..rows]);
-                for (i, &u) in sources.iter().enumerate() {
-                    let dg = &host_rows[i * n..(i + 1) * n];
-                    let ds = &sub_rows[i * n..(i + 1) * n];
-                    for v in (u.index() + 1)..n {
-                        let base = dg[v];
-                        if base == UNREACHABLE {
-                            continue;
-                        }
-                        let witness = |in_spanner| StretchViolation {
-                            u,
-                            v: NodeId(v as u32),
-                            base: base as u64,
-                            in_spanner,
-                        };
-                        match ds[v] {
-                            s if s != UNREACHABLE && bound.allows(base as u64, s as u64) => {}
-                            s if s != UNREACHABLE => {
-                                **slot = Some(witness(Some(s as u64)));
-                                break 'batches;
-                            }
-                            _ => {
-                                **slot = Some(witness(None));
-                                break 'batches;
-                            }
-                        }
+    let (sources, mut sampled): (Vec<NodeId>, _) = match pairs {
+        Pairs::All => (g.nodes().collect(), &[][..]),
+        Pairs::Sampled(p) => {
+            let mut sources: Vec<NodeId> = p.iter().map(|p| p.u).collect();
+            sources.dedup();
+            // Deduplicated and sorted means every source's pairs are one run.
+            assert!(
+                sources.is_sorted(),
+                "sampled pairs must be grouped by ascending source"
+            );
+            (sources, p)
+        }
+    };
+    let stride = (64 * threads).min(sources.len());
+    // The spanner's rows, then (for all pairs) the host's: each engine with
+    // its per-worker scratch and one stride of rows.
+    let host = matches!(pairs, Pairs::All).then(|| DistanceEngine::new(g));
+    let mut fills: Vec<_> = [Some(DistanceEngine::for_subgraph(g, spanner)), host]
+        .into_iter()
+        .flatten()
+        .map(|e| {
+            let e = e.with_threads(threads);
+            let scratch = e.worker_scratch(stride);
+            (e, scratch, vec![0u32; stride * n])
+        })
+        .collect();
+    for chunk in sources.chunks(stride.max(1)) {
+        for (engine, scratch, rows) in &mut fills {
+            engine.rows_fanned(chunk, scratch, &mut rows[..chunk.len() * n]);
+        }
+        let (sub_rows, host_rows) = (&fills[0].2, fills.get(1).map(|f| &f.2));
+        for (i, &u) in chunk.iter().enumerate() {
+            let ds = &sub_rows[i * n..(i + 1) * n];
+            if let Some(host_rows) = host_rows {
+                let dg = &host_rows[i * n..(i + 1) * n];
+                for v in (u.index() + 1)..n {
+                    if dg[v] != UNREACHABLE {
+                        visit(u, NodeId(v as u32), dg[v], ds[v])?;
                     }
                 }
             }
-        });
-    }
-    match firsts.into_iter().flatten().next() {
-        Some(violation) => Err(violation),
-        None => Ok(()),
-    }
-}
-
-/// The original one-BFS-per-source verifier over the spanner's CSR
-/// adjacency, kept as the reference implementation for the parity suite.
-pub fn verify_stretch_exact_reference(
-    g: &Graph,
-    spanner: &EdgeSet,
-    bound: StretchBound,
-) -> Result<(), StretchViolation> {
-    let adj = g.csr().subgraph(spanner);
-    for u in g.nodes() {
-        let dg = bfs_distances(g, u);
-        let ds = bfs_distances_in_subgraph(&adj, u, u32::MAX);
-        for v in (u.index() + 1)..g.node_count() {
-            let Some(base) = dg[v] else { continue };
-            let witness = |in_spanner| StretchViolation {
-                u,
-                v: NodeId(v as u32),
-                base: base as u64,
-                in_spanner,
-            };
-            match ds[v] {
-                Some(s) if bound.allows(base as u64, s as u64) => {}
-                Some(s) => return Err(witness(Some(s as u64))),
-                None => return Err(witness(None)),
+            while let Some((p, rest)) = sampled.split_first().filter(|(p, _)| p.u == u) {
+                visit(u, p.v, p.dist, ds[p.v.index()])?;
+                sampled = rest;
             }
         }
     }
-    Ok(())
+    ControlFlow::Continue(())
 }
 
 /// Weighted counterpart of [`verify_stretch_exact`]: one Dijkstra per node
@@ -419,10 +416,13 @@ pub struct SampledPair {
 }
 
 /// Samples up to `count` connected node pairs uniformly at random (with a
-/// deterministic seed) and records their exact host distances.
+/// deterministic seed) and records their exact host distances, sorted by
+/// `(u, v)`; a pair drawn twice appears twice.
 ///
-/// Pairs in tiny or heavily disconnected graphs may be fewer than `count`:
-/// sampling stops after `16 * count` failed attempts.
+/// At most `16 * max(count, 1)` draws are made in total, and the first
+/// `count` draws with distinct endpoints are kept. Pairs the host
+/// disconnects are then dropped, not redrawn, so tiny or heavily
+/// disconnected graphs may yield fewer than `count` pairs.
 pub fn sample_pairs(g: &Graph, count: usize, seed: u64) -> Vec<SampledPair> {
     let n = g.node_count();
     if n < 2 {
@@ -571,24 +571,6 @@ mod tests {
         // The same gap expressed additively.
         assert!(verify_stretch_exact(&g, &span, StretchBound::additive(7)).is_ok());
         assert!(verify_stretch_exact(&g, &span, StretchBound::additive(6)).is_err());
-    }
-
-    #[test]
-    fn apsp_matches_reference() {
-        let g = crate::generators::erdos_renyi_gnm(80, 160, 5);
-        let a = Apsp::new(&g);
-        let r = Apsp::new_reference(&g);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(a.dist(u, v), r.dist(u, v));
-            }
-        }
-        assert_eq!(a.diameter(), r.diameter());
-        let t = Apsp::with_threads(&g, 4);
-        assert_eq!(
-            t.dist(NodeId(17), NodeId(63)),
-            a.dist(NodeId(17), NodeId(63))
-        );
     }
 
     #[test]

@@ -31,13 +31,13 @@
 //! the engine byte-identical to them under every strategy and thread count.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::csr::CsrAdjacency;
 use crate::distance::UNREACHABLE;
 use crate::edgeset::EdgeSet;
 use crate::graph::{Graph, NodeId};
-use crate::pool::{chunk_range, run_workers};
+use crate::pool::{chunk_range, for_each_region, run_workers};
 
 /// Sentinel source id in [`MultiSourceFlat::source`] for nodes no source
 /// reaches (companion to [`UNREACHABLE`] distances).
@@ -801,100 +801,52 @@ impl DistanceEngine {
     }
 
     /// Distance rows for arbitrarily many `sources` (row-major,
-    /// `sources.len() * n`), batched 64 ways and fanned out across the
-    /// engine's worker threads. Row `i` depends only on `sources[i]`, so
-    /// the result is identical at every thread count.
+    /// `sources.len() * n`), fanned out across the engine's worker threads.
+    /// Row `i` depends only on `sources[i]`, so the result is identical at
+    /// every thread count.
     pub fn many_distances(&self, sources: &[NodeId]) -> Vec<u32> {
-        let n = self.node_count();
-        let len = sources.len();
         // Zeroed (lazily mapped) allocation: every cell is overwritten by
-        // its batch's transpose, so no sentinel pre-fill is needed.
-        let mut out = vec![0u32; len * n];
-        if len == 0 || n == 0 {
-            return out;
-        }
-        if self.resolved_strategy() == Strategy::DirectionOptimizing {
-            // One direction-optimizing BFS per source; workers own
-            // contiguous source ranges, so every cell is written exactly
-            // once by the worker arithmetic assigns it to.
-            let t = self.fanout(len);
-            if t <= 1 {
-                let mut scratch = BfsScratch::new(n);
-                for (i, &s) in sources.iter().enumerate() {
-                    self.distances_into(s, &mut scratch, &mut out[i * n..(i + 1) * n]);
-                }
-                return out;
-            }
-            let mut slots: Vec<Mutex<(std::ops::Range<usize>, &mut [u32])>> = Vec::with_capacity(t);
-            let mut rest: &mut [u32] = &mut out;
-            let mut consumed = 0usize;
-            for w in 0..t {
-                let r = chunk_range(len, t, w);
-                let (region, tail) = rest.split_at_mut((r.end - consumed) * n);
-                consumed = r.end;
-                rest = tail;
-                slots.push(Mutex::new((r, region)));
-            }
-            run_workers(t, |w| {
-                let mut guard = slots[w].lock().expect("worker slot");
-                let (r, region) = &mut *guard;
-                let mut scratch = BfsScratch::new(n);
-                for (off, i) in r.clone().enumerate() {
-                    self.distances_into(
-                        sources[i],
-                        &mut scratch,
-                        &mut region[off * n..(off + 1) * n],
-                    );
-                }
-            });
-            return out;
-        }
-        // Full-width batches: 64 sources each, so every traversal carries a
-        // full word of bit-parallel work. Parallelism comes from spreading
-        // whole batches across workers; threads beyond ⌈len/64⌉ idle rather
-        // than paying for narrower (more numerous) traversals.
-        let nbatches = len.div_ceil(64);
-        let t = self.fanout(nbatches);
-        if t <= 1 {
-            let mut scratch = MsBfsScratch::new(n);
-            for b in 0..nbatches {
-                let r = chunk_range(len, nbatches, b);
-                self.batch_distances_into(
-                    &sources[r.clone()],
-                    &mut scratch,
-                    &mut out[r.start * n..r.end * n],
-                );
-            }
-            return out;
-        }
-        // Carve the output into one contiguous region per worker, split at
-        // batch boundaries; each slot is locked exactly once by its worker.
-        let mut slots: Vec<Mutex<(std::ops::Range<usize>, &mut [u32])>> = Vec::with_capacity(t);
-        let mut rest: &mut [u32] = &mut out;
-        let mut consumed = 0usize;
-        for w in 0..t {
-            let batches = chunk_range(nbatches, t, w);
-            let hi = chunk_range(len, nbatches, batches.end - 1).end;
-            let (region, tail) = rest.split_at_mut((hi - consumed) * n);
-            consumed = hi;
-            rest = tail;
-            slots.push(Mutex::new((batches, region)));
-        }
-        run_workers(t, |w| {
-            let mut guard = slots[w].lock().expect("worker slot");
-            let (batches, region) = &mut *guard;
-            let base = chunk_range(len, nbatches, batches.start).start;
-            let mut scratch = MsBfsScratch::new(n);
-            for b in batches.clone() {
-                let r = chunk_range(len, nbatches, b);
-                self.batch_distances_into(
-                    &sources[r.clone()],
-                    &mut scratch,
-                    &mut region[(r.start - base) * n..(r.end - base) * n],
-                );
+        // its unit's traversal, so no sentinel pre-fill is needed.
+        let mut out = vec![0u32; sources.len() * self.node_count()];
+        self.rows_fanned(sources, &mut self.worker_scratch(sources.len()), &mut out);
+        out
+    }
+
+    /// One scratch per worker the fan-out uses for up to `sources` rows.
+    pub(crate) fn worker_scratch(&self, sources: usize) -> Vec<RowsScratch> {
+        let units = sources.div_ceil(self.sources_per_unit());
+        (0..self.fanout(units))
+            .map(|_| RowsScratch::new(self.node_count()))
+            .collect()
+    }
+
+    /// [`DistanceEngine::many_distances`] into `out`, one worker per
+    /// `scratch` entry (at most one per unit of work).
+    pub(crate) fn rows_fanned(
+        &self,
+        sources: &[NodeId],
+        scratch: &mut [RowsScratch],
+        out: &mut [u32],
+    ) {
+        let per = self.sources_per_unit();
+        let unit = per * self.node_count();
+        for_each_region(out, unit, scratch, |first, region, scratch| {
+            let units = sources[first * per..].chunks(per);
+            for (unit_sources, rows) in units.zip(region.chunks_mut(unit)) {
+                self.rows_into(unit_sources, scratch, rows);
             }
         });
-        out
+    }
+
+    /// Sources per unit of work for the fan-out: one per
+    /// direction-optimizing BFS, or one full 64-source batch, so every
+    /// bit-parallel traversal carries a full word of work and threads
+    /// beyond ⌈sources/64⌉ idle rather than pay for narrower traversals.
+    fn sources_per_unit(&self) -> usize {
+        match self.resolved_strategy() {
+            Strategy::DirectionOptimizing => 1,
+            _ => 64,
+        }
     }
 
     /// The full APSP matrix (row-major `n * n`), equivalent to
@@ -911,59 +863,25 @@ impl DistanceEngine {
     pub fn eccentricities(&self) -> Vec<u32> {
         let n = self.node_count();
         let mut out = vec![0u32; n];
-        if n == 0 {
-            return out;
-        }
-        if self.resolved_strategy() == Strategy::DirectionOptimizing {
-            // The per-source BFS already returns the max level; one
-            // scratch dist row per worker is the only buffer, so exact
-            // diameters stay O(n) in memory.
-            let t = self.fanout(n);
-            let mut slots: Vec<Mutex<(std::ops::Range<usize>, &mut [u32])>> = Vec::with_capacity(t);
-            let mut rest: &mut [u32] = &mut out;
-            let mut consumed = 0usize;
-            for w in 0..t {
-                let r = chunk_range(n, t, w);
-                let (region, tail) = rest.split_at_mut(r.end - consumed);
-                consumed = r.end;
-                rest = tail;
-                slots.push(Mutex::new((r, region)));
-            }
-            run_workers(t, |w| {
-                let mut guard = slots[w].lock().expect("worker slot");
-                let (r, region) = &mut *guard;
-                let mut scratch = BfsScratch::new(n);
+        let per = self.sources_per_unit();
+        let mut scratch = self.worker_scratch(n);
+        for_each_region(&mut out, per, &mut scratch, |first, ecc, scratch| {
+            let lo = first * per;
+            if per == 1 {
+                // The per-source BFS already returns the max level; one
+                // dist row per worker is the only buffer, so exact
+                // diameters stay O(n) in memory.
                 let mut row = vec![0u32; n];
-                for (off, s) in r.clone().enumerate() {
-                    region[off] = self.dir_opt_from(NodeId(s as u32), &mut scratch, &mut row);
+                for (i, e) in ecc.iter_mut().enumerate() {
+                    *e = self.dir_opt_from(NodeId((lo + i) as u32), &mut scratch.ss, &mut row);
                 }
-            });
-            return out;
-        }
-        let nbatches = n.div_ceil(64);
-        let t = self.fanout(nbatches);
-        let mut slots: Vec<Mutex<(std::ops::Range<usize>, &mut [u32])>> = Vec::with_capacity(t);
-        let mut rest: &mut [u32] = &mut out;
-        let mut consumed = 0usize;
-        for w in 0..t {
-            let batches = chunk_range(nbatches, t, w);
-            let hi = chunk_range(n, nbatches, batches.end - 1).end;
-            let (region, tail) = rest.split_at_mut(hi - consumed);
-            consumed = hi;
-            rest = tail;
-            slots.push(Mutex::new((batches, region)));
-        }
-        run_workers(t, |w| {
-            let mut guard = slots[w].lock().expect("worker slot");
-            let (batches, region) = &mut *guard;
-            let base = chunk_range(n, nbatches, batches.start).start;
-            let mut scratch = MsBfsScratch::new(n);
-            for b in batches.clone() {
-                let r = chunk_range(n, nbatches, b);
-                let sources: Vec<NodeId> = (r.start as u32..r.end as u32).map(NodeId).collect();
-                let ecc = &mut region[r.start - base..r.end - base];
+                return;
+            }
+            for (b, ecc) in ecc.chunks_mut(64).enumerate() {
+                let s0 = lo + b * 64;
+                let sources: Vec<NodeId> = (s0..s0 + ecc.len()).map(|s| NodeId(s as u32)).collect();
                 // Levels only grow, so the last write per bit is the max.
-                self.ms_bfs(&sources, &mut scratch, |_, mut bits, level| {
+                self.ms_bfs(&sources, &mut scratch.ms, |_, mut bits, level| {
                     while bits != 0 {
                         let i = bits.trailing_zeros() as usize;
                         bits &= bits - 1;

@@ -5,10 +5,7 @@
 //! baseline and the benches use it to contrast the paper's approach, which
 //! *"guarantees sparseness without disallowing short cycles"* (Sect. 2).
 
-use std::collections::VecDeque;
-
-use crate::distance::UNREACHABLE;
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{Graph, NodeId};
 
 /// Length of the shortest cycle in `g`, or `None` if `g` is a forest.
 ///
@@ -20,48 +17,6 @@ use crate::graph::{EdgeId, Graph, NodeId};
 /// picker: it already runs in the per-source mode on every graph.
 pub fn girth(g: &Graph) -> Option<u32> {
     crate::engine::DistanceEngine::new(g).girth()
-}
-
-/// The original `VecDeque`-based girth computation, kept as the reference
-/// implementation for the engine parity suite.
-pub fn girth_reference(g: &Graph) -> Option<u32> {
-    let mut best: Option<u32> = None;
-    let n = g.node_count();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut via = vec![EdgeId(u32::MAX); n];
-    for s in g.nodes() {
-        dist.fill(UNREACHABLE);
-        let mut queue = VecDeque::new();
-        dist[s.index()] = 0;
-        via[s.index()] = EdgeId(u32::MAX);
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u.index()];
-            if let Some(b) = best {
-                // Cycles through s found at depth >= b/2 cannot improve.
-                if 2 * du + 1 >= b {
-                    break;
-                }
-            }
-            for (v, e) in g.incident(u) {
-                if e == via[u.index()] {
-                    continue; // don't walk back along the tree edge
-                }
-                if dist[v.index()] == UNREACHABLE {
-                    dist[v.index()] = du + 1;
-                    via[v.index()] = e;
-                    queue.push_back(v);
-                } else {
-                    // Found a cycle through s of length dist(u) + dist(v) + 1.
-                    let len = du + dist[v.index()] + 1;
-                    if best.is_none_or(|b| len < b) {
-                        best = Some(len);
-                    }
-                }
-            }
-        }
-    }
-    best
 }
 
 /// Whether `g` has girth strictly greater than `k` (true for forests).
@@ -136,14 +91,6 @@ mod tests {
         let spokes = (0u32..5).map(|i| (i, i + 5));
         let g = Graph::from_edges(10, outer.chain(inner).chain(spokes));
         assert_eq!(girth(&g), Some(5));
-    }
-
-    #[test]
-    fn engine_girth_matches_reference_on_random_graphs() {
-        for seed in 0..8u64 {
-            let g = crate::generators::erdos_renyi_gnm(60, 40 + 15 * seed as usize, seed);
-            assert_eq!(girth(&g), girth_reference(&g), "seed {seed}");
-        }
     }
 
     #[test]

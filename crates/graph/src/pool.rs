@@ -1,16 +1,19 @@
-//! Shared threading idiom: barrier-parked worker pools.
+//! Shared threading idiom: barrier-parked worker pools and one split.
 //!
 //! The netsim parallel executor established the pattern — spawn a scoped
 //! worker pool **once**, park the workers on a pair of round barriers, and
 //! release them with a stop flag when the run ends — so the steady-state
-//! loop never spawns threads. The distance engine needs the same idiom, so
-//! the reusable part lives here: [`RoundGate`] is the barrier pair + stop
-//! flag, and [`run_workers`] is the simpler fork-join shape for one-shot
-//! parallel regions (one spawn, one unit of work per worker).
+//! loop never spawns threads. [`RoundGate`] is that barrier pair + stop
+//! flag. One-shot parallel regions all go through [`for_each_region`],
+//! the single way a `&mut` output is split across workers: the distance
+//! engine's batched rows and eccentricities, the stretch pair walk, and
+//! serve's batch phases. [`run_workers`] is its plain fork-join form for
+//! work whose only output is shared.
 //!
-//! Determinism note: neither helper imposes an ordering by itself — callers
-//! keep results thread-count-independent by giving each worker a disjoint
-//! output region that is a pure function of the worker index.
+//! Determinism note: no helper imposes an ordering by itself — callers
+//! keep results thread-count-independent by writing only to the disjoint
+//! region [`for_each_region`] hands each worker, a pure function of the
+//! worker index.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -68,27 +71,70 @@ impl RoundGate {
     }
 }
 
+/// Splits `items` into units of `unit` elements (the last may be
+/// shorter), deals the units out as `states.len()` contiguous regions by
+/// [`chunk_range`], and runs `work(first_unit, region, state)` once per
+/// region on scoped threads, each region with its own state.
+///
+/// Fewer units than states leaves the surplus states unused. A single
+/// region runs inline on the caller's thread: no allocation, lock or
+/// spawn. Region `w` always covers the same units for a given
+/// `(items.len(), unit, states.len())`, so output written only through
+/// `region` is independent of scheduling.
+///
+/// # Panics
+///
+/// Panics if `unit == 0` or `states` is empty while `items` is not, and
+/// re-raises a panic from any region.
+pub fn for_each_region<T, S, F>(items: &mut [T], unit: usize, states: &mut [S], work: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+{
+    if items.is_empty() {
+        return;
+    }
+    assert!(unit > 0, "units must hold at least one element");
+    let units = items.len().div_ceil(unit);
+    let t = states.len().min(units);
+    assert!(t >= 1, "need at least one worker state");
+    if t == 1 {
+        work(0, items, &mut states[0]);
+        return;
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let mut rest = items;
+        for (w, state) in states[..t].iter_mut().enumerate() {
+            let r = chunk_range(units, t, w);
+            let take = (r.len() * unit).min(rest.len());
+            let (region, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            if w + 1 == t {
+                work(r.start, region, state);
+            } else {
+                scope.spawn(move || work(r.start, region, state));
+            }
+        }
+    });
+}
+
 /// One-shot fork-join: runs `work(w)` for every worker index `w` in
-/// `0..threads` on scoped threads, returning when all are done.
+/// `0..threads` on scoped threads, returning when all are done — the
+/// shape for work whose only output is shared (girth's pruning bound);
+/// work that writes a `&mut` output takes [`for_each_region`].
 ///
 /// `threads <= 1` runs inline with no spawn at all, so single-threaded
 /// callers pay nothing. The closure decides what worker `w` does — for
-/// deterministic results it should write only to an output region derived
-/// from `w`, never to shared state whose final value depends on timing.
+/// deterministic results it should never leave shared state whose final
+/// value depends on timing.
 pub fn run_workers<F>(threads: usize, work: F)
 where
     F: Fn(usize) + Sync,
 {
-    if threads <= 1 {
-        work(0);
-        return;
-    }
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let work = &work;
-            scope.spawn(move || work(w));
-        }
-    });
+    let t = threads.max(1);
+    for_each_region(&mut vec![(); t], 1, &mut vec![(); t], |w, _, _| work(w));
 }
 
 /// Splits `0..len` into `parts` contiguous chunks as evenly as possible;
@@ -122,6 +168,38 @@ mod tests {
             let expect: usize = (0..threads).map(|w| 1usize << (4 * w)).sum();
             assert_eq!(hits.load(Ordering::Relaxed), expect);
         }
+    }
+
+    #[test]
+    fn for_each_region_writes_each_unit_once() {
+        // 10 elements in units of 3: units [0,3) [3,6) [6,9) [9,10).
+        for workers in [1usize, 2, 3, 8] {
+            let mut items = vec![usize::MAX; 10];
+            let mut states = vec![0usize; workers];
+            for_each_region(&mut items, 3, &mut states, |first, region, calls| {
+                *calls += 1;
+                for (i, x) in region.iter_mut().enumerate() {
+                    *x = first * 3 + i;
+                }
+            });
+            assert_eq!(items, (0..10).collect::<Vec<_>>(), "workers={workers}");
+            let used = workers.min(4);
+            assert!(states[..used].iter().all(|&c| c == 1));
+            assert!(states[used..].iter().all(|&c| c == 0));
+        }
+    }
+
+    #[test]
+    fn for_each_region_single_region_runs_inline() {
+        let caller = std::thread::current().id();
+        let mut items = [1u8; 5];
+        for_each_region(&mut items, 8, &mut [(), ()], |first, region, _| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!((first, region.len()), (0, 5));
+        });
+        for_each_region(&mut [] as &mut [u8], 1, &mut [] as &mut [()], |_, _, _| {
+            unreachable!("no units, no regions")
+        });
     }
 
     #[test]

@@ -2,23 +2,29 @@
 //!
 //! The distance engine re-implements every traversal it serves — flat
 //! single-source BFS, 64-way bit-parallel batches, pruned girth search,
-//! attributed multi-source BFS — so each entry point is pinned
-//! **byte-identical** to the original `traversal`/`distance`/`girth`
-//! reference implementations on random graphs: connected, disconnected,
-//! and self-loop-free multigraph edge lists (the builder collapses the
-//! duplicates), at every thread count from 1 to 8.
+//! attributed multi-source BFS, the ordered stretch pair walk — so each
+//! entry point is pinned **byte-identical** to a one-BFS-per-source
+//! reference on random graphs: connected, disconnected, and
+//! self-loop-free multigraph edge lists (the builder collapses the
+//! duplicates), at every thread count from 1 to 8. The single-source
+//! references are `traversal`'s public functions; the APSP, stretch and
+//! girth references exist only for this suite and live below.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_graph::distance::{
-    diameter_exact, eccentricity, verify_stretch_exact_reference, verify_stretch_exact_threads,
-    Apsp, StretchBound, UNREACHABLE,
+    diameter_exact, eccentricity, verify_stretch_exact_threads, Apsp, StretchBound,
+    StretchViolation, UNREACHABLE,
 };
-use spanner_graph::girth::girth_reference;
-use spanner_graph::traversal::{bfs_distances, multi_source_bfs};
+use spanner_graph::girth::girth;
+use spanner_graph::traversal::{bfs_distances, bfs_distances_in_subgraph, multi_source_bfs};
 use spanner_graph::weighted::{dijkstra, WeightedGraph, W_UNREACHABLE};
-use spanner_graph::{generators, DistanceEngine, EdgeSet, Graph, NodeId, Strategy, NO_SOURCE};
+use spanner_graph::{
+    generators, DistanceEngine, EdgeId, EdgeSet, Graph, NodeId, Strategy, NO_SOURCE,
+};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -57,6 +63,93 @@ const STRATEGIES: [Strategy; 3] = [
     Strategy::BitParallel,
     Strategy::DirectionOptimizing,
 ];
+
+/// The original one-BFS-per-source APSP construction: the row-major
+/// `n * n` matrix [`Apsp`] must reproduce.
+fn apsp_reference(g: &Graph) -> Vec<u32> {
+    let n = g.node_count();
+    let mut dist = vec![UNREACHABLE; n * n];
+    for s in g.nodes() {
+        let d = bfs_distances(g, s);
+        let row = &mut dist[s.index() * n..(s.index() + 1) * n];
+        for (v, dv) in d.iter().enumerate() {
+            if let Some(x) = dv {
+                row[v] = *x;
+            }
+        }
+    }
+    dist
+}
+
+/// The original one-BFS-per-source verifier over the spanner's CSR
+/// adjacency: the verdict and witness the pair walk must reproduce.
+fn verify_stretch_exact_reference(
+    g: &Graph,
+    spanner: &EdgeSet,
+    bound: StretchBound,
+) -> Result<(), StretchViolation> {
+    let adj = g.csr().subgraph(spanner);
+    for u in g.nodes() {
+        let dg = bfs_distances(g, u);
+        let ds = bfs_distances_in_subgraph(&adj, u, u32::MAX);
+        for v in (u.index() + 1)..g.node_count() {
+            let Some(base) = dg[v] else { continue };
+            let witness = |in_spanner| StretchViolation {
+                u,
+                v: NodeId(v as u32),
+                base: base as u64,
+                in_spanner,
+            };
+            match ds[v] {
+                Some(s) if bound.allows(base as u64, s as u64) => {}
+                Some(s) => return Err(witness(Some(s as u64))),
+                None => return Err(witness(None)),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The original `VecDeque`-based girth computation.
+fn girth_reference(g: &Graph) -> Option<u32> {
+    let mut best: Option<u32> = None;
+    let n = g.node_count();
+    let mut dist = vec![UNREACHABLE; n];
+    let mut via = vec![EdgeId(u32::MAX); n];
+    for s in g.nodes() {
+        dist.fill(UNREACHABLE);
+        let mut queue = VecDeque::new();
+        dist[s.index()] = 0;
+        via[s.index()] = EdgeId(u32::MAX);
+        queue.push_back(s);
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u.index()];
+            if let Some(b) = best {
+                // Cycles through s found at depth >= b/2 cannot improve.
+                if 2 * du + 1 >= b {
+                    break;
+                }
+            }
+            for (v, e) in g.incident(u) {
+                if e == via[u.index()] {
+                    continue; // don't walk back along the tree edge
+                }
+                if dist[v.index()] == UNREACHABLE {
+                    dist[v.index()] = du + 1;
+                    via[v.index()] = e;
+                    queue.push_back(v);
+                } else {
+                    // Found a cycle through s of length dist(u) + dist(v) + 1.
+                    let len = du + dist[v.index()] + 1;
+                    if best.is_none_or(|b| len < b) {
+                        best = Some(len);
+                    }
+                }
+            }
+        }
+    }
+    best
+}
 
 /// A structured graph in one of six shapes: the high-diameter families the
 /// direction-optimizing path exists for (path, cycle, grid, torus) and the
@@ -103,14 +196,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = random_graph(n, m, shape, seed);
-        let reference = Apsp::new_reference(&g);
+        let reference = apsp_reference(&g);
         let ref_diameter = g.nodes().map(|v| eccentricity(&g, v)).max();
         let ref_girth = girth_reference(&g);
         for threads in THREAD_COUNTS {
             let apsp = Apsp::with_threads(&g, threads);
             for u in g.nodes() {
                 for v in g.nodes() {
-                    prop_assert_eq!(apsp.dist(u, v), reference.dist(u, v), "{}->{}", u, v);
+                    let want = reference[u.index() * n + v.index()];
+                    prop_assert_eq!(apsp.dist(u, v), want, "{}->{}", u, v);
                 }
             }
             let eng = DistanceEngine::new(&g).with_threads(threads);
@@ -255,4 +349,35 @@ fn sentinel_regression_single_node_graph() {
     let ms = DistanceEngine::new(&one).nearest_sources(&[]);
     assert_eq!(ms.dist, vec![UNREACHABLE]);
     assert_eq!(ms.source, vec![NO_SOURCE]);
+}
+
+#[test]
+fn apsp_matches_reference() {
+    let g = generators::erdos_renyi_gnm(80, 160, 5);
+    let n = g.node_count();
+    let a = Apsp::new(&g);
+    let r = apsp_reference(&g);
+    for u in g.nodes() {
+        for v in g.nodes() {
+            assert_eq!(a.dist(u, v), r[u.index() * n + v.index()]);
+        }
+    }
+    let ref_diameter = (0..n)
+        .flat_map(|i| r[i * n + i + 1..(i + 1) * n].iter())
+        .filter(|&&d| d != UNREACHABLE)
+        .max();
+    assert_eq!(a.diameter(), ref_diameter.copied());
+    let t = Apsp::with_threads(&g, 4);
+    assert_eq!(
+        t.dist(NodeId(17), NodeId(63)),
+        a.dist(NodeId(17), NodeId(63))
+    );
+}
+
+#[test]
+fn engine_girth_matches_reference_on_random_graphs() {
+    for seed in 0..8u64 {
+        let g = generators::erdos_renyi_gnm(60, 40 + 15 * seed as usize, seed);
+        assert_eq!(girth(&g), girth_reference(&g), "seed {seed}");
+    }
 }

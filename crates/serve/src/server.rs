@@ -7,8 +7,9 @@
 //! every thread count**:
 //!
 //! 1. **Resolve** (parallel) — parse-level validation, the direct bunch
-//!    probe, witness lookup; pure reads of the oracle, disjoint output
-//!    chunks carved by [`spanner_graph::pool::chunk_range`].
+//!    probe, witness lookup; pure reads of the oracle, each worker writing
+//!    its own contiguous chunk of the batch as split by
+//!    [`spanner_graph::pool::for_each_region`].
 //! 2. **Probe** (sequential, request order) — consult the LRU cache for
 //!    every request that needs a landmark leg; hits resolve, misses are
 //!    marked. All cache mutation and hit/miss accounting happens here.
@@ -25,10 +26,10 @@ use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use spanner_graph::distance::UNREACHABLE;
-use spanner_graph::pool::{chunk_range, run_workers};
+use spanner_graph::pool::for_each_region;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_oracle::{DistanceOracle, RoutingScheme};
 use spanner_store::{Edit, SnapshotMeta, Store};
@@ -175,37 +176,20 @@ fn combine(dv: u32, leg: u32) -> u32 {
 }
 
 /// Runs `f(i, &mut items[i])` for every index, fanned over at most
-/// `threads` workers on contiguous chunks (disjoint `&mut` regions via
-/// the [`chunk_range`] slot idiom the distance engine uses). Falls back
-/// to an inline loop when the batch is too small to amortize a spawn.
+/// `threads` workers on contiguous chunks by [`for_each_region`]. One
+/// worker — always so when the batch is too small to amortize a spawn —
+/// is an inline loop on the caller's thread.
 fn fan_out<T, F>(threads: usize, items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let len = items.len();
-    let t = threads.max(1).min(len.div_ceil(MIN_PER_WORKER).max(1));
-    if t <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let mut slots: Vec<Mutex<(std::ops::Range<usize>, &mut [T])>> = Vec::with_capacity(t);
-    let mut rest: &mut [T] = items;
-    let mut consumed = 0usize;
-    for w in 0..t {
-        let r = chunk_range(len, t, w);
-        let (region, tail) = rest.split_at_mut(r.end - consumed);
-        consumed = r.end;
-        rest = tail;
-        slots.push(Mutex::new((r, region)));
-    }
-    run_workers(t, |w| {
-        let mut guard = slots[w].lock().expect("worker slot");
-        let (r, region) = &mut *guard;
-        for (off, i) in r.clone().enumerate() {
-            f(i, &mut region[off]);
+    let t = threads
+        .max(1)
+        .min(items.len().div_ceil(MIN_PER_WORKER).max(1));
+    for_each_region(items, 1, &mut vec![(); t], |first, region, _| {
+        for (off, item) in region.iter_mut().enumerate() {
+            f(first + off, item);
         }
     });
 }

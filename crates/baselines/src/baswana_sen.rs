@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    execute, Ctx, Executor, FaultPlan, MessageBudget, NullSink, Protocol, RunError, RunMetrics,
-    TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, NullSink, PhaseMark, Protocol, RunError,
+    RunMetrics, ScheduledSink, TraceSink,
 };
 use ultrasparse::expand::ClusterSampler;
 use ultrasparse::{FaultError, Spanner};
@@ -262,16 +262,6 @@ impl Protocol for BsNode {
         if self.finished {
             return;
         }
-        // Every node progresses through iterations in lockstep, so each one
-        // declares the current span; the executor collapses the n identical
-        // declarations into a single trace event.
-        if ctx.tracing() {
-            if self.iter < self.params.k - 1 {
-                ctx.enter_phase(format!("cluster[{:02}]", self.iter));
-            } else {
-                ctx.enter_phase("connect");
-            }
-        }
         if self.iter < self.params.k - 1 {
             self.decide(inbox);
             self.iter += 1;
@@ -281,10 +271,6 @@ impl Protocol for BsNode {
                 });
             }
         } else {
-            // No exit_phase here: an Enter/Exit pair per node in the same
-            // round would defeat the executor's consecutive-event dedup.
-            // The run ends with this round and the tracer closes the open
-            // `connect` span at run end.
             self.phase2(inbox);
         }
     }
@@ -387,6 +373,14 @@ fn run(
         finished: false,
     };
     let budget = MessageBudget::Words(2);
+    // Iteration i runs in round i + 1 and phase 2 in round k, the last
+    // one; the run end closes `connect`.
+    let mut sink = ScheduledSink::new(sink, || {
+        (0..params.k - 1)
+            .map(|i| (i + 1, PhaseMark::Enter(format!("cluster[{i:02}]"))))
+            .chain([(params.k, PhaseMark::Enter("connect".into()))])
+            .collect()
+    });
     let (states, metrics) = execute(
         executor,
         faults,
@@ -395,7 +389,7 @@ fn run(
         seed,
         factory,
         params.k + 4,
-        sink,
+        &mut sink,
     );
     let collect = |states: Vec<BsNode>| {
         let index = csr.edge_index();

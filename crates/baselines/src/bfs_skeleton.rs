@@ -16,7 +16,8 @@ use std::sync::Arc;
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::patterns::SourceInfo;
 use spanner_netsim::{
-    execute, Ctx, Executor, MessageBudget, NullSink, Protocol, RunError, TraceSink,
+    execute, Ctx, Executor, MessageBudget, NullSink, PhaseMark, Protocol, RunError, ScheduledSink,
+    TraceSink,
 };
 use ultrasparse::Spanner;
 
@@ -58,7 +59,6 @@ impl Protocol for MinRootBfs {
     type Msg = SourceInfo;
 
     fn init(&mut self, ctx: &mut Ctx<'_, SourceInfo>) {
-        ctx.enter_phase("elect");
         self.best = SourceInfo {
             dist: 0,
             source: ctx.me(),
@@ -114,7 +114,10 @@ pub fn build_distributed(
         sent: None,
     };
     let budget = MessageBudget::Words(2);
-    let (states, metrics) = execute(executor, None, csr, budget, seed, factory, max_rounds, sink);
+    let mut sink = ScheduledSink::new(sink, || vec![(0, PhaseMark::Enter("elect".into()))]);
+    let (states, metrics) = execute(
+        executor, None, csr, budget, seed, factory, max_rounds, &mut sink,
+    );
     let states = states?;
     let index = csr.edge_index();
     let mut edges = EdgeSet::with_universe(index.edge_count());

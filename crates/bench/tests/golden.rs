@@ -3,8 +3,10 @@
 //! `fig1_table` and `exp_skeleton_size` run at the pinned `--tiny`
 //! configuration; their stdout — with the wall-clock `secs` column
 //! normalized to `#.##` — must match the snapshots under
-//! `results/golden/`. Every number in those tables is seeded and
-//! deterministic, so any drift is a real behavior change.
+//! `results/golden/`, and so must the JSONL traces `fig1_table
+//! --trace-out` writes for its distributed rows, byte for byte. Every
+//! number in those files is seeded and deterministic, so any drift is a
+//! real behavior change.
 //!
 //! Regenerate intentionally with:
 //!
@@ -130,6 +132,41 @@ fn fig1_table_tiny_unchanged_by_threads() {
         &["--tiny", "--threads", "4"],
     );
     assert_matches_golden("fig1_table.tiny.txt", &normalize_secs(&out));
+}
+
+/// The labels `fig1_table` gives its traced runs, one JSONL file each.
+const TRACED_RUNS: [&str; 5] = ["bfs", "bs-k2", "bs-klog", "skeleton", "fibonacci"];
+
+/// The JSONL trace of every distributed Fig. 1 row is pinned byte for
+/// byte — phase spans, per-round counts and size buckets — at one and two
+/// threads.
+#[test]
+fn fig1_table_tiny_traces_match_golden() {
+    for threads in ["1", "2"] {
+        let dir = std::env::temp_dir().join(format!(
+            "fig1-golden-trace-{}-t{threads}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("create trace dir");
+        let base = dir.join("fig1_table.tiny.jsonl");
+        run(
+            env!("CARGO_BIN_EXE_fig1_table"),
+            &[
+                "--tiny",
+                "--threads",
+                threads,
+                "--trace-out",
+                base.to_str().expect("utf-8 temp path"),
+            ],
+        );
+        for label in TRACED_RUNS {
+            let name = format!("fig1_table.tiny.{label}.jsonl");
+            let trace = std::fs::read_to_string(dir.join(&name))
+                .unwrap_or_else(|e| panic!("{name} not written at --threads {threads}: {e}"));
+            assert_matches_golden(&name, &trace);
+        }
+        std::fs::remove_dir_all(&dir).expect("remove trace dir");
+    }
 }
 
 #[test]

@@ -40,8 +40,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, Protocol, RunError,
-    RunMetrics, TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, PhaseMark, Protocol,
+    RunError, RunMetrics, ScheduledSink, TraceSink,
 };
 
 use crate::faults::FaultError;
@@ -162,6 +162,35 @@ impl FibConfig {
             batch,
             total_rounds: t + 2,
         }
+    }
+
+    /// The trace's phase spans: `L<i>.<stage>` from each stage window's
+    /// start, closed in the round the nodes finish. A node advances its
+    /// level pointer in the round after a level's token window, which is
+    /// also the first round of the next level's parent window, so level
+    /// `i ≥ 2` runs its parent stage from one round after that window's
+    /// start and its span opens there.
+    fn phase_schedule(&self) -> Vec<(u32, PhaseMark)> {
+        let names = ["parent", "trunc", "ball", "cease", "fail", "tokens"];
+        let spans = self.levels.iter().enumerate().flat_map(|(stage, w)| {
+            let lag = u32::from(stage > 0);
+            let starts = [
+                w.parent.0 + lag,
+                w.trunc.0,
+                w.ball.0,
+                w.cease.0,
+                w.fail.0,
+                w.tokens.0,
+            ];
+            let level = format!("L{}", stage + 1);
+            (starts.into_iter().zip(names))
+                .map(move |(at, name)| (at, PhaseMark::Enter(format!("{level}.{name}"))))
+        });
+        let end = self
+            .levels
+            .last()
+            .map(|w| (w.tokens.1 + 1, PhaseMark::Exit));
+        spans.chain(end).collect()
     }
 }
 
@@ -312,26 +341,6 @@ impl Protocol for FibNode {
                         }
                     }
                 }
-            }
-        }
-
-        // Phase spans for traced runs. Declared by window *range* rather
-        // than start round: the stage pointer advances one round after the
-        // next level's timetable begins, so an equality check against the
-        // fresh window would miss its first round.
-        if ctx.tracing() {
-            if t >= w.parent.0 && t < w.trunc.0 {
-                ctx.enter_phase(format!("L{i}.parent"));
-            } else if t >= w.trunc.0 && t < w.ball.0 {
-                ctx.enter_phase(format!("L{i}.trunc"));
-            } else if t >= w.ball.0 && t < w.cease.0 {
-                ctx.enter_phase(format!("L{i}.ball"));
-            } else if t >= w.cease.0 && t < w.fail.0 {
-                ctx.enter_phase(format!("L{i}.cease"));
-            } else if t >= w.fail.0 && t < w.tokens.0 {
-                ctx.enter_phase(format!("L{i}.fail"));
-            } else if t >= w.tokens.0 && t <= w.tokens.1 {
-                ctx.enter_phase(format!("L{i}.tokens"));
             }
         }
 
@@ -517,7 +526,6 @@ impl Protocol for FibNode {
                 self.stage += 1;
             } else {
                 self.finished = true;
-                ctx.exit_phase();
             }
         }
     }
@@ -639,8 +647,9 @@ fn run(
     let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(csr)));
     let max_rounds = cfg.total_rounds + 8;
     let factory = |v: NodeId, _: &mut _| FibNode::new(Arc::clone(&cfg), levels[v.index()]);
+    let mut sink = ScheduledSink::new(sink, || cfg.phase_schedule());
     let (states, metrics) = execute(
-        executor, faults, csr, budget, seed, factory, max_rounds, sink,
+        executor, faults, csr, budget, seed, factory, max_rounds, &mut sink,
     );
     (states.map(|s| collect_spanner(csr, &s, metrics)), metrics)
 }

@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, Protocol, RunError,
-    RunMetrics, TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, PhaseMark, Protocol,
+    RunError, RunMetrics, ScheduledSink, TraceSink,
 };
 
 use crate::expand::ClusterSampler;
@@ -174,6 +174,16 @@ impl SkelConfig {
             batch,
             total_rounds: t + 2,
         }
+    }
+
+    /// The trace's phase spans: `expand[NN]` from each call's exchange,
+    /// closed at the last call's end.
+    fn phase_schedule(&self) -> Vec<(u32, PhaseMark)> {
+        let calls = self.windows.iter().enumerate();
+        calls
+            .map(|(c, w)| (w.exchange, PhaseMark::Enter(format!("expand[{c:02}]"))))
+            .chain(self.windows.last().map(|w| (w.end, PhaseMark::Exit)))
+            .collect()
     }
 }
 
@@ -324,8 +334,16 @@ impl Protocol for SkelNode {
         // Priority: Abort subsumes Die (abort implies death + keep-all).
         let mut down: Option<SkelMsg> = None;
         let mut abort_up = false;
+        let w = self.cfg.windows[self.call];
+        // Join, Die and Abort travel only between the call's decision and
+        // the end of its kill window; unfaulted, none arrives outside it.
+        // One that does is stale — a stutter held it back, or it travelled
+        // p1 trees that a stuttered contraction left inconsistent — and is
+        // ignored, so it cannot collide with this call's own sends.
+        let tree_window = w.decide < t && t <= w.kill_end;
         for (from, msg) in inbox {
             match msg {
+                SkelMsg::Join(_) | SkelMsg::Die | SkelMsg::Abort if !tree_window => {}
                 SkelMsg::Exchange { cluster } => {
                     if self.alive {
                         self.nbr_cluster.push((*from, *cluster));
@@ -419,15 +437,6 @@ impl Protocol for SkelNode {
         }
 
         // ---- timetable-driven actions -------------------------------
-        let w = self.cfg.windows[self.call];
-
-        // Every node (alive or dead — the timetable is global knowledge)
-        // declares the `Expand` call it is entering; the executor collapses
-        // the n identical declarations into one phase span per call.
-        if ctx.tracing() && t == w.exchange {
-            ctx.enter_phase(format!("expand[{:02}]", self.call));
-        }
-
         if t == w.exchange && self.alive {
             // Reset per-call scratch, then broadcast the cluster id.
             self.nbr_cluster.clear();
@@ -568,7 +577,6 @@ impl Protocol for SkelNode {
                 self.call += 1;
             } else {
                 self.finished = true;
-                ctx.exit_phase();
             }
         }
     }
@@ -759,8 +767,9 @@ fn run(
     let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
     let max_rounds = cfg.total_rounds + 8;
     let factory = |v, _: &mut _| SkelNode::new(Arc::clone(&cfg), v);
+    let mut sink = ScheduledSink::new(sink, || cfg.phase_schedule());
     let (states, metrics) = execute(
-        executor, faults, csr, budget, seed, factory, max_rounds, sink,
+        executor, faults, csr, budget, seed, factory, max_rounds, &mut sink,
     );
     (states.map(|s| collect_spanner(csr, &s, metrics)), metrics)
 }
@@ -1050,6 +1059,36 @@ mod tests {
             };
             assert!(m.faults.duplicated > 0, "seed {seed}: {m}");
         }
+    }
+
+    /// A stutter can hold a `Join`, `Die` or `Abort` past its call's kill
+    /// window, or leave p1 trees inconsistent so that a `Join` keeps
+    /// travelling; acted on in a later call, it was sent down in the same
+    /// round as that call's exchange broadcast and the run panicked. Every
+    /// stutter run must now certify or fail with a typed error.
+    #[test]
+    fn stutter_faults_certify_or_fail_typed() {
+        let params = SkeletonParams::default();
+        let mut certified = 0;
+        for seed in 0..16u64 {
+            for degree in [4, 8] {
+                let n = 300 + 10 * seed as usize;
+                let g = generators::connected_gnm(n, degree * n / 2, seed);
+                let plan = FaultPlan::new(seed).with_stutters(0.05);
+                match build_distributed_faulted(&g, &params, seed, &plan) {
+                    Ok(_) => certified += 1,
+                    Err(FaultError::Uncertified { reason, .. }) => assert!(
+                        !reason.contains("panicked"),
+                        "seed {seed}, degree {degree}: {reason}"
+                    ),
+                    Err(FaultError::Run { error, .. }) => assert!(
+                        !matches!(error, RunError::Panicked(_)),
+                        "seed {seed}, degree {degree}: {error}"
+                    ),
+                }
+            }
+        }
+        assert!(certified > 0, "no stutter run certified");
     }
 
     /// Under heavy stutters a node can miss an exchange reset and carry an

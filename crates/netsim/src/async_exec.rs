@@ -107,7 +107,7 @@ use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
 use crate::route::{assert_addressable, expand, receivers, route, Board, Mailbox, ALL};
 use crate::sync::{Ctx, MessageSize, Protocol, RunError};
-use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
+use crate::trace::{NullSink, TraceSink, Tracer};
 use spanner_graph::CsrAdjacency;
 
 /// How round safety is disseminated between protocol rounds.
@@ -498,7 +498,6 @@ impl AsyncNetwork {
         let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
         let mut seen = vec![0u64; n];
         let mut stamp = 0u64;
-        let mut phase_actions: Vec<PhaseAction> = Vec::new();
 
         // Init phase (round 0), in global node order — exactly like the
         // sequential executor, so RNG streams, budget checks, and the
@@ -520,13 +519,8 @@ impl AsyncNetwork {
                     &mut outbox,
                     &mut seen,
                     stamp,
-                    &mut phase_actions,
-                    traced,
                 );
                 nodes[v].init(&mut ctx);
-            }
-            if traced {
-                tracer.apply_actions(phase_actions.drain(..));
             }
             flush(
                 &mut self.metrics,
@@ -616,13 +610,8 @@ impl AsyncNetwork {
                         &mut outbox,
                         &mut seen,
                         stamp,
-                        &mut phase_actions,
-                        traced,
                     );
                     nodes[v].round(&mut ctx, inbox);
-                }
-                if traced {
-                    tracer.apply_actions(phase_actions.drain(..));
                 }
                 flush(
                     &mut self.metrics,

@@ -22,8 +22,8 @@
 //! outbox as soon as the node has run; no thread is spawned and no barrier
 //! is taken. With more, a pool of workers (spawned once per run, parked on
 //! a pair of round barriers) steps the chunks, each recording which nodes
-//! ran and where their sends and phase declarations end in the worker's
-//! output arenas; the calling thread then stages those outboxes chunk by chunk.
+//! ran and where their sends end in the worker's output arena; the
+//! calling thread then stages those outboxes chunk by chunk.
 //! Both orders are global ascending sender order, so budget errors,
 //! partial metrics, inbox order and trace bytes do not depend on the
 //! worker count. A protocol panic on a worker is caught, and the calling
@@ -76,7 +76,7 @@ use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
 use crate::route::{assert_addressable, route, stage, Board, Mailbox, ALL};
-use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
+use crate::trace::{NullSink, TraceSink, Tracer};
 use spanner_graph::CsrAdjacency;
 
 /// Message length in words of O(log n) bits.
@@ -130,10 +130,10 @@ impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
 /// every round at or after the one [`Protocol::next_wake`] named when it
 /// last ran. In any other round — earlier than its wake round, with an
 /// empty inbox — [`Protocol::round`] must be a no-op: no state change, no
-/// send, no RNG draw and no phase declaration. The round-synchronous
-/// executors skip such rounds; since a skipped round is a no-op, an
-/// executor that ignores the hint (the asynchronous one does) produces the
-/// same states, metrics and trace bytes.
+/// send and no RNG draw. The round-synchronous executors skip such rounds;
+/// since a skipped round is a no-op, an executor that ignores the hint
+/// (the asynchronous one does) produces the same states, metrics and trace
+/// bytes.
 pub trait Protocol {
     /// The message type exchanged by this protocol. `Send + Sync`, since
     /// the workers of a multi-threaded run read one round's broadcasts
@@ -187,11 +187,6 @@ pub struct Ctx<'a, M> {
     /// Whether this node broadcast this round, which sends to every
     /// neighbor without stamping them.
     broadcast: bool,
-    /// Phase declarations buffered this round; the executor drains them in
-    /// global sender order, which keeps trace streams executor-independent.
-    phases: &'a mut Vec<PhaseAction>,
-    /// Whether the current run collects trace events (see [`Ctx::tracing`]).
-    tracing: bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -206,8 +201,6 @@ impl<'a, M> Ctx<'a, M> {
         outbox: &'a mut Vec<(NodeId, M)>,
         seen: &'a mut [u64],
         stamp: u64,
-        phases: &'a mut Vec<PhaseAction>,
-        tracing: bool,
     ) -> Self {
         Ctx {
             node,
@@ -220,8 +213,6 @@ impl<'a, M> Ctx<'a, M> {
             seen,
             stamp,
             broadcast: false,
-            phases,
-            tracing,
         }
     }
 
@@ -301,46 +292,6 @@ impl<'a, M> Ctx<'a, M> {
         }
         self.broadcast = true;
         self.outbox.push((ALL, msg));
-    }
-
-    /// Whether the current run is collecting trace events.
-    ///
-    /// Protocols that build phase names dynamically should gate the
-    /// formatting on this so untraced runs stay allocation-free:
-    ///
-    /// ```ignore
-    /// if ctx.tracing() {
-    ///     ctx.enter_phase(format!("expand[{call:02}]"));
-    /// }
-    /// ```
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Declares that this node entered the named phase this round.
-    ///
-    /// Phase spans are a *global* notion: timetable-driven protocols have
-    /// every node declare the same phase in the same round, and the
-    /// executors deduplicate consecutive identical declarations into one
-    /// [`PhaseEnter`](crate::TraceEvent::PhaseEnter) event. Entering a
-    /// different phase implicitly closes the current one. No-op (and free)
-    /// when the run is untraced — but see [`Ctx::tracing`] for avoiding the
-    /// cost of *building* the name.
-    pub fn enter_phase(&mut self, name: impl Into<String>) {
-        if self.tracing {
-            self.phases.push(PhaseAction::Enter(name.into()));
-        }
-    }
-
-    /// Declares that the current phase ended this round.
-    ///
-    /// Deduplicated like [`Ctx::enter_phase`]; a no-op when no phase is
-    /// open or the run is untraced. Runs that end (or fail) with a phase
-    /// still open have the span closed automatically.
-    pub fn exit_phase(&mut self) {
-        if self.tracing {
-            self.phases.push(PhaseAction::Exit);
-        }
     }
 
     /// Records a send to `to` this round; panics on the second one,
@@ -501,10 +452,9 @@ impl Network {
     /// With a disabled sink ([`NullSink`]) this is exactly `run`. The event
     /// stream is deterministic and the same at every worker count —
     /// byte-for-byte when serialized; only the calling thread touches the
-    /// sink. On a failed run the partial round and the open phase span are
-    /// flushed before the closing [`RunEnd`](crate::TraceEvent::RunEnd), so
-    /// the trace always accounts for exactly what [`Network::metrics`]
-    /// reports.
+    /// sink. On a failed run the partial round is flushed before the
+    /// closing [`RunEnd`](crate::TraceEvent::RunEnd), so the trace always
+    /// accounts for exactly what [`Network::metrics`] reports.
     ///
     /// # Errors
     ///
@@ -566,7 +516,6 @@ impl Network {
                 Mutex::new(Slot {
                     chunk: Chunk::new(base, span.min(n - base), n, self.seed, &mut factory),
                     outbox: Vec::new(),
-                    phases: Vec::new(),
                     ran: Vec::new(),
                     panic: None,
                 })
@@ -602,22 +551,20 @@ impl Network {
                             let Slot {
                                 chunk,
                                 outbox,
-                                phases,
                                 ran,
                                 panic,
                             } = &mut *guard;
                             ran.clear();
                             let board = board.read().expect("board lock");
                             let stepped = catch_unwind(AssertUnwindSafe(|| {
-                                chunk.step::<TRACED, FAULTS, Infallible, _>(
+                                chunk.step::<FAULTS, Infallible, _>(
                                     round,
                                     adjacency,
                                     &board,
                                     plan,
                                     outbox,
-                                    phases,
-                                    |v, outbox, phases| {
-                                        ran.push((v, outbox.len() as u32, phases.len() as u32));
+                                    |v, outbox| {
+                                        ran.push((v, outbox.len() as u32));
                                         Ok(())
                                     },
                                 )
@@ -643,12 +590,7 @@ impl Network {
                     // One chunk: the coordinator steps it and stages each
                     // node's outbox as soon as the node has run.
                     let mut slot = only.lock().expect("slot lock");
-                    let Slot {
-                        chunk,
-                        outbox,
-                        phases,
-                        ..
-                    } = &mut *slot;
+                    let Slot { chunk, outbox, .. } = &mut *slot;
                     let mut board = board.write().expect("board lock");
                     if round > 0 {
                         deliver::<_, FAULTS>(
@@ -662,17 +604,13 @@ impl Network {
                         );
                     }
                     chunk
-                        .step::<TRACED, FAULTS, _, _>(
+                        .step::<FAULTS, _, _>(
                             round,
                             adjacency,
                             &board,
                             plan,
                             outbox,
-                            phases,
-                            |v, outbox, phases| {
-                                if TRACED {
-                                    tracer.apply_actions(phases.drain(..));
-                                }
+                            |v, outbox| {
                                 stage::<_, _, TRACED, FAULTS>(
                                     v,
                                     adjacency.neighbors(v),
@@ -714,19 +652,12 @@ impl Network {
                         let Slot {
                             chunk,
                             outbox,
-                            phases,
                             ran,
                             panic,
                         } = &mut *slot;
                         let mut sends = outbox.drain(..);
-                        let mut actions = phases.drain(..);
-                        let (mut sent, mut acted) = (0, 0);
-                        for &(v, send_end, phase_end) in ran.iter() {
-                            if TRACED {
-                                tracer.apply_actions(
-                                    (&mut actions).take((phase_end - acted) as usize),
-                                );
-                            }
+                        let mut sent = 0;
+                        for &(v, send_end) in ran.iter() {
                             stage::<_, _, TRACED, FAULTS>(
                                 v,
                                 adjacency.neighbors(v),
@@ -738,7 +669,7 @@ impl Network {
                                 tracer,
                                 &mut staging,
                             )?;
-                            (sent, acted) = (send_end, phase_end);
+                            sent = send_end;
                         }
                         // A panic surfaces once the nodes before it are
                         // staged, where an inline run would have stopped.
@@ -787,18 +718,16 @@ impl Network {
 
 /// One chunk and the output of its nodes in the current round.
 ///
-/// The output arenas live outside the [`Chunk`]: the protocol call writes
-/// to them, and keeping them apart lets the compiler keep the chunk's
-/// loop state in registers across that call.
+/// The output arena lives outside the [`Chunk`]: the protocol call writes
+/// to it, and keeping them apart lets the compiler keep the chunk's loop
+/// state in registers across that call.
 struct Slot<P: Protocol> {
     chunk: Chunk<P>,
     /// Sends of the nodes that ran and not yet staged, in node order.
     outbox: Vec<(NodeId, P::Msg)>,
-    /// Phase declarations, likewise.
-    phases: Vec<PhaseAction>,
     /// The nodes that ran, ascending, each with the end of its sends in
-    /// `outbox` and of its phase declarations in `phases`.
-    ran: Vec<(NodeId, u32, u32)>,
+    /// `outbox`.
+    ran: Vec<(NodeId, u32)>,
     /// A protocol panic caught by the worker, for the coordinator to resume.
     panic: Option<Box<dyn Any + Send>>,
 }
@@ -863,31 +792,30 @@ impl<P: Protocol> Chunk<P> {
     /// Runs `round` over this chunk's active nodes — every node in round
     /// 0, then the receivers [`deliver`] marked and the nodes whose wake
     /// round has come — in ascending id, each with its unicasts merged
-    /// with its neighbors' broadcasts on `board`. Each node's sends and
-    /// phase declarations are appended to `outbox` and `phases`, and
-    /// `emit` is called with them right after the node ran.
+    /// with its neighbors' broadcasts on `board`. Each node's sends are
+    /// appended to `outbox`, and `emit` is called with it right after the
+    /// node ran.
     ///
     /// # Errors
     ///
     /// The first error of `emit`; the round stops there.
     //
     // Kept out of line: as a function of its own, the `&mut self` and
-    // `outbox`/`phases` borrows tell the compiler that the protocol call
+    // `outbox` borrows tell the compiler that the protocol call
     // cannot touch the chunk, so the loop state stays in registers.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn step<const TRACED: bool, const FAULTS: bool, E, Emit>(
+    fn step<const FAULTS: bool, E, Emit>(
         &mut self,
         round: u32,
         adjacency: &CsrAdjacency,
         board: &Board<P::Msg>,
         plan: &FaultPlan,
         outbox: &mut Vec<(NodeId, P::Msg)>,
-        phases: &mut Vec<PhaseAction>,
         mut emit: Emit,
     ) -> Result<(), E>
     where
-        Emit: FnMut(NodeId, &mut Vec<(NodeId, P::Msg)>, &mut Vec<PhaseAction>) -> Result<(), E>,
+        Emit: FnMut(NodeId, &mut Vec<(NodeId, P::Msg)>) -> Result<(), E>,
     {
         let n = adjacency.node_count();
         if round == 0 {
@@ -927,8 +855,6 @@ impl<P: Protocol> Chunk<P> {
                 seen: &mut self.seen,
                 stamp: self.stamp,
                 broadcast: false,
-                phases: &mut *phases,
-                tracing: TRACED,
             };
             if round == 0 {
                 self.nodes[i].init(&mut ctx);
@@ -940,7 +866,7 @@ impl<P: Protocol> Chunk<P> {
                 self.not_done =
                     self.not_done + usize::from(was_done) - usize::from(self.nodes[i].done());
             }
-            emit(node, outbox, phases)?;
+            emit(node, outbox)?;
         }
         // Crashed nodes count as done: they will never act again.
         self.quiet = if FAULTS {

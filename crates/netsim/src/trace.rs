@@ -4,25 +4,28 @@
 //! paper's currency (rounds, messages, words); this module answers *where*.
 //! Both executors can feed a [`TraceSink`] with one [`TraceEvent::Round`]
 //! per executed round (messages routed, words charged, active senders, a
-//! message-size histogram in O(log n)-word units) plus the **phase spans**
-//! protocols declare through [`Ctx::enter_phase`](crate::Ctx::enter_phase) —
-//! so the skeleton's `Expand` calls and the Fibonacci construction's stages
-//! show up as named spans whose per-phase costs can be cited next to the
-//! paper's per-phase bounds (Theorems 2, 7, 8).
+//! message-size histogram in O(log n)-word units). **Phase spans** come
+//! from the construction's timetable, which every node knows: a driver
+//! wraps its sink in a [`ScheduledSink`] holding one sorted schedule of
+//! `(round, `[`PhaseMark`]`)` entries, so the skeleton's `Expand` calls and
+//! the Fibonacci construction's stages show up as named spans whose
+//! per-phase costs can be cited next to the paper's per-phase bounds
+//! (Theorems 2, 7, 8). Nodes declare nothing and the executors buffer
+//! nothing per node.
 //!
 //! # Design contract
 //!
 //! * **Zero cost when disabled.** The executors consult
 //!   [`TraceSink::enabled`] once per run; with [`NullSink`] no event is
-//!   built, no phase name is allocated, and the hot path only pays an
+//!   built, no phase schedule is built, and the hot path only pays an
 //!   already-predicted branch per message.
 //! * **Deterministic streams.** Events are emitted in global sender order —
 //!   the same order in which messages are routed and budgets are charged —
 //!   so a run produces *byte-identical* JSONL streams at every worker
 //!   count (asserted in `tests/executor_parity.rs`).
 //! * **Errors retain the partial trace.** A budget violation or round-limit
-//!   error closes the open phase span and emits a final
-//!   [`TraceEvent::RunEnd`] carrying the error, mirroring how
+//!   error flushes the partial round, closes the open phase span and emits
+//!   a final [`TraceEvent::RunEnd`] carrying the error, mirroring how
 //!   `RunMetrics` retains partial accounting on failed runs.
 //!
 //! # Example
@@ -78,27 +81,27 @@ pub fn size_bucket(words: usize) -> usize {
 
 /// One record in a run's trace stream.
 ///
-/// Events are ordered: any phase transitions of round `r` (in global sender
-/// order, deduplicated) precede the `Round { round: r, .. }` record, and a
-/// final [`TraceEvent::RunEnd`] closes every stream — including failed runs,
+/// Events are ordered: the phase transitions scheduled for round `r`
+/// precede the `Round { round: r, .. }` record, and a final
+/// [`TraceEvent::RunEnd`] closes every stream — including failed runs,
 /// where it carries the error after the partial round and the closing
 /// [`TraceEvent::PhaseExit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A protocol-declared phase began in `round`.
+    /// A scheduled phase began in `round`.
     ///
-    /// Emitted once per transition: all nodes of a timetable-driven protocol
-    /// declare the same phase in the same round, and the executors
-    /// deduplicate consecutive identical declarations.
+    /// Emitted once per transition, by [`ScheduledSink`] from the run's
+    /// phase schedule.
     PhaseEnter {
-        /// Round in which the phase was declared (0 = `init`).
+        /// Round in which the phase began (0 = `init`).
         round: u32,
-        /// Protocol-chosen phase name (e.g. `expand[03]`, `L1.ball`).
+        /// Phase name from the schedule (e.g. `expand[03]`, `L1.ball`).
         name: String,
     },
-    /// The named phase ended in `round` (by explicit
-    /// [`Ctx::exit_phase`](crate::Ctx::exit_phase), by a transition to a
-    /// different phase, or by the run ending with the phase open).
+    /// The named phase ended in `round`: at a scheduled
+    /// [`PhaseMark::Exit`], at the next scheduled
+    /// [`PhaseMark::Enter`], or at the run's last round when the run ends
+    /// with the phase open.
     PhaseExit {
         /// Round in which the span closed.
         round: u32,
@@ -470,7 +473,7 @@ pub trait TraceSink {
     /// Whether the executors should collect events at all.
     ///
     /// When this returns `false` the run performs **no** tracing work:
-    /// phase declarations allocate nothing and no event is constructed.
+    /// no phase schedule is built and no event is constructed.
     /// Checked once per run, not per event.
     fn enabled(&self) -> bool {
         true
@@ -761,7 +764,7 @@ impl TraceSummary {
         &self.phases
     }
 
-    /// Costs accrued outside any declared phase, if any.
+    /// Costs accrued outside any phase span, if any.
     pub fn untracked(&self) -> Option<&PhaseCost> {
         self.untracked.as_ref()
     }
@@ -888,24 +891,126 @@ impl TraceSink for TraceSummary {
     }
 }
 
-/// A phase declaration buffered by [`Ctx`](crate::Ctx) during a round and
-/// applied by the executor in global sender order.
+/// One entry of a run's phase schedule (see [`ScheduledSink`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum PhaseAction {
+pub enum PhaseMark {
+    /// The named span opens, closing the open one first.
     Enter(String),
+    /// The open span closes.
     Exit,
+}
+
+/// Adds a run's phase spans to the stream of the sink it wraps.
+///
+/// A distributed construction runs on a global timetable, so its phase
+/// spans depend only on the round: the driver builds one schedule of
+/// `(round, mark)` entries from its configuration, sorted by round. Before
+/// forwarding `Round { round: r, .. }` the adapter emits every pending
+/// entry with a round `≤ r`, and before the first `Faults` or `RunEnd`
+/// event it closes the span still open at the last round. So a scheduled
+/// span appears even in rounds where no node runs.
+///
+/// ```
+/// use spanner_graph::generators;
+/// use spanner_netsim::{
+///     patterns::FloodProtocol, MessageBudget, Network, PhaseMark, ScheduledSink, TraceSummary,
+/// };
+///
+/// let g = generators::path(8);
+/// let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
+/// let mut summary = TraceSummary::new();
+/// let mut sink = ScheduledSink::new(&mut summary, || {
+///     vec![(0, PhaseMark::Enter("flood".into())), (4, PhaseMark::Exit)]
+/// });
+/// net.run_traced(|v, _| FloodProtocol::new(v.0 == 0, 8), 64, &mut sink)
+///     .expect("flood terminates");
+/// let flood = &summary.phases()[0];
+/// assert_eq!((flood.name.as_str(), flood.first_round, flood.last_round), ("flood", 0, 3));
+/// ```
+pub struct ScheduledSink<'s> {
+    sink: &'s mut dyn TraceSink,
+    schedule: std::iter::Peekable<std::vec::IntoIter<(u32, PhaseMark)>>,
+    open: Option<String>,
+    /// The round of the last entry or `Round` record passed on.
+    round: u32,
+}
+
+impl<'s> ScheduledSink<'s> {
+    /// Wraps `sink`. `schedule` is called only if `sink` is enabled, so an
+    /// untraced run builds no phase names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule is not sorted by round.
+    pub fn new(
+        sink: &'s mut dyn TraceSink,
+        schedule: impl FnOnce() -> Vec<(u32, PhaseMark)>,
+    ) -> Self {
+        let schedule = if sink.enabled() {
+            schedule()
+        } else {
+            Vec::new()
+        };
+        assert!(
+            schedule.windows(2).all(|w| w[0].0 <= w[1].0),
+            "a phase schedule must be sorted by round"
+        );
+        ScheduledSink {
+            sink,
+            schedule: schedule.into_iter().peekable(),
+            open: None,
+            round: 0,
+        }
+    }
+
+    /// Closes the open span, if any, at the current round.
+    fn close(&mut self) {
+        if let Some(name) = self.open.take() {
+            self.sink.record(TraceEvent::PhaseExit {
+                round: self.round,
+                name,
+            });
+        }
+    }
+}
+
+impl TraceSink for ScheduledSink<'_> {
+    fn enabled(&self) -> bool {
+        self.sink.enabled()
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        match &event {
+            TraceEvent::Round { round, .. } => {
+                while let Some((at, mark)) = self.schedule.next_if(|(at, _)| at <= round) {
+                    self.round = at;
+                    self.close();
+                    if let PhaseMark::Enter(name) = mark {
+                        self.sink.record(TraceEvent::PhaseEnter {
+                            round: at,
+                            name: name.clone(),
+                        });
+                        self.open = Some(name);
+                    }
+                }
+                self.round = *round;
+            }
+            TraceEvent::Faults { .. } | TraceEvent::RunEnd { .. } => self.close(),
+            _ => {}
+        }
+        self.sink.record(event);
+    }
 }
 
 /// The executors' shared tracing state machine.
 ///
 /// Every executor drives it through the same call sequence — per round:
-/// `begin_round`, then per node in global sender order `apply_actions` +
+/// `begin_round`, then per node in global sender order
 /// `on_outbox`/`on_messages`, then `end_round`; and `finish` exactly once —
 /// which is what makes the trace streams identical.
 pub(crate) struct Tracer<'s> {
     sink: &'s mut dyn TraceSink,
     enabled: bool,
-    current: Option<String>,
     round: u32,
     in_round: bool,
     messages: u64,
@@ -920,7 +1025,6 @@ impl<'s> Tracer<'s> {
         Tracer {
             sink,
             enabled,
-            current: None,
             round: 0,
             in_round: false,
             messages: 0,
@@ -930,7 +1034,7 @@ impl<'s> Tracer<'s> {
         }
     }
 
-    /// Whether events are being collected (drives `Ctx`'s tracing flag).
+    /// Whether events are being collected.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -961,39 +1065,6 @@ impl<'s> Tracer<'s> {
             self.messages += count as u64;
             self.words += (count * words) as u64;
             self.sizes[size_bucket(words)] += count as u64;
-        }
-    }
-
-    /// Applies one node's buffered phase declarations, deduplicating
-    /// consecutive identical names across nodes.
-    pub fn apply_actions(&mut self, actions: impl IntoIterator<Item = PhaseAction>) {
-        for action in actions {
-            match action {
-                PhaseAction::Enter(name) => {
-                    if self.current.as_deref() == Some(name.as_str()) {
-                        continue;
-                    }
-                    if let Some(old) = self.current.take() {
-                        self.sink.record(TraceEvent::PhaseExit {
-                            round: self.round,
-                            name: old,
-                        });
-                    }
-                    self.sink.record(TraceEvent::PhaseEnter {
-                        round: self.round,
-                        name: name.clone(),
-                    });
-                    self.current = Some(name);
-                }
-                PhaseAction::Exit => {
-                    if let Some(old) = self.current.take() {
-                        self.sink.record(TraceEvent::PhaseExit {
-                            round: self.round,
-                            name: old,
-                        });
-                    }
-                }
-            }
         }
     }
 
@@ -1035,8 +1106,8 @@ impl<'s> Tracer<'s> {
         self.sizes = [0; SIZE_BUCKETS];
     }
 
-    /// Closes the stream: flushes a partial round (error paths), closes the
-    /// open phase span, and emits `RunEnd` with the final metrics.
+    /// Closes the stream: flushes a partial round (error paths) and emits
+    /// `Faults` (if any were injected) and `RunEnd` with the final metrics.
     pub fn finish(&mut self, metrics: &RunMetrics, error: Option<&RunError>) {
         if !self.enabled {
             return;
@@ -1045,12 +1116,6 @@ impl<'s> Tracer<'s> {
         // its accepted messages are in the metrics, so they must be in the
         // trace (same invariant as metrics retention on failed runs).
         self.end_round();
-        if let Some(old) = self.current.take() {
-            self.sink.record(TraceEvent::PhaseExit {
-                round: self.round,
-                name: old,
-            });
-        }
         if !metrics.faults.is_empty() {
             let f = metrics.faults;
             self.sink.record(TraceEvent::Faults {
@@ -1246,6 +1311,88 @@ mod tests {
         assert_eq!(u.rounds, 1);
         assert_eq!(u.messages, 4);
         assert!(!s.is_complete());
+    }
+
+    fn round(round: u32) -> TraceEvent {
+        TraceEvent::Round {
+            round,
+            messages: 0,
+            words: 0,
+            active: 0,
+            sizes: vec![],
+        }
+    }
+
+    fn enter(round: u32, name: &str) -> TraceEvent {
+        TraceEvent::PhaseEnter {
+            round,
+            name: name.into(),
+        }
+    }
+
+    fn exit(round: u32, name: &str) -> TraceEvent {
+        TraceEvent::PhaseExit {
+            round,
+            name: name.into(),
+        }
+    }
+
+    /// Spans follow each other without overlap: a scheduled entry comes
+    /// before its round's record, an `Enter` closes the open span first,
+    /// an `Exit` leaves rounds outside any span, and the span open at the
+    /// end closes at the last round before `Faults` and `RunEnd`.
+    #[test]
+    fn scheduled_sink_emits_spans_around_round_records() {
+        let mut ring = RingBufferSink::new(64);
+        let mut sink = ScheduledSink::new(&mut ring, || {
+            vec![
+                (1, PhaseMark::Enter("a".into())),
+                (2, PhaseMark::Enter("b".into())),
+                (3, PhaseMark::Exit),
+                (5, PhaseMark::Enter("c".into())),
+                (9, PhaseMark::Enter("never".into())),
+            ]
+        });
+        for r in 0..=6 {
+            sink.record(round(r));
+        }
+        let (faults, end) = (sample_events()[8].clone(), sample_events()[9].clone());
+        sink.record(faults.clone());
+        sink.record(end.clone());
+        let expect = vec![
+            round(0),
+            enter(1, "a"),
+            round(1),
+            exit(2, "a"),
+            enter(2, "b"),
+            round(2),
+            exit(3, "b"),
+            round(3),
+            round(4),
+            enter(5, "c"),
+            round(5),
+            round(6),
+            exit(6, "c"),
+            faults,
+            end,
+        ];
+        assert_eq!(ring.into_events(), expect);
+    }
+
+    #[test]
+    fn scheduled_sink_builds_nothing_when_disabled() {
+        let mut null = NullSink;
+        let sink = ScheduledSink::new(&mut null, || unreachable!("schedule built while untraced"));
+        assert!(!sink.enabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by round")]
+    fn scheduled_sink_rejects_unsorted_schedules() {
+        let mut ring = RingBufferSink::new(1);
+        ScheduledSink::new(&mut ring, || {
+            vec![(2, PhaseMark::Exit), (1, PhaseMark::Exit)]
+        });
     }
 
     #[test]

@@ -12,8 +12,8 @@ use spanner_graph::{generators, Graph, NodeId};
 use spanner_netsim::patterns::MinIdBroadcast;
 use spanner_netsim::rng::splitmix64;
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, Protocol, RingBufferSink,
-    RunError, Synchronizer, TraceEvent,
+    AsyncNetwork, Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, PhaseMark, Protocol,
+    RingBufferSink, RunError, ScheduledSink, Synchronizer, TraceEvent, TraceSink,
 };
 
 /// Large enough that no test run ever evicts an event.
@@ -48,18 +48,12 @@ impl Protocol for GossipHash {
     type Msg = u64;
 
     fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
-        ctx.enter_phase("seed");
         let word = ctx.rng().gen::<u64>();
         self.mix(ctx.me(), word);
         ctx.broadcast(word & 0xFFFF);
     }
 
     fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[(NodeId, u64)]) {
-        // Two-round waves exercise the consecutive-declaration dedup: the
-        // second round of each wave re-declares the same name.
-        if ctx.tracing() {
-            ctx.enter_phase(format!("wave[{}]", (ctx.round() - 1) / 2));
-        }
         for &(s, w) in inbox {
             self.mix(s, w);
         }
@@ -69,6 +63,28 @@ impl Protocol for GossipHash {
             ctx.broadcast(word & 0xFFFF);
         }
     }
+}
+
+/// [`GossipHash`]'s phase spans for the serialized-stream tests: `seed`
+/// for the init round, then two-round waves, `wave[w]` from round
+/// `2w + 1`, past every round cap used there.
+fn gossip_phases(sink: &mut dyn TraceSink) -> ScheduledSink<'_> {
+    ScheduledSink::new(sink, || {
+        let waves = (0..64u32).map(|w| (2 * w + 1, PhaseMark::Enter(format!("wave[{w}]"))));
+        [(0, PhaseMark::Enter("seed".into()))]
+            .into_iter()
+            .chain(waves)
+            .collect()
+    })
+}
+
+/// One span per round, `r<round>`, for the `LateFat` protocols.
+fn late_fat_phases(sink: &mut dyn TraceSink) -> ScheduledSink<'_> {
+    ScheduledSink::new(sink, || {
+        (1..=32u32)
+            .map(|r| (r, PhaseMark::Enter(format!("r{r}"))))
+            .collect()
+    })
 }
 
 fn assert_parity(g: &Graph, seed: u64, ttl: u32) {
@@ -225,7 +241,6 @@ fn round_limit_metrics_agree() {
     impl Protocol for Chatter {
         type Msg = u64;
         fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
-            ctx.enter_phase("chatter");
             ctx.broadcast(1);
         }
         fn round(&mut self, ctx: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {
@@ -233,10 +248,15 @@ fn round_limit_metrics_agree() {
         }
     }
     let g = generators::erdos_renyi_gnm(40, 120, 2);
+    let phases = || vec![(0, PhaseMark::Enter("chatter".into()))];
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
-        .run_traced(|_, _| Chatter, 6, &mut seq_trace)
+        .run_traced(
+            |_, _| Chatter,
+            6,
+            &mut ScheduledSink::new(&mut seq_trace, phases),
+        )
         .unwrap_err();
     assert_eq!(seq_err, RunError::RoundLimit { max_rounds: 6 });
     let seq_events = seq_trace.into_events();
@@ -249,7 +269,11 @@ fn round_limit_metrics_agree() {
             Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
-            .run_traced(|_, _| Chatter, 6, &mut par_trace)
+            .run_traced(
+                |_, _| Chatter,
+                6,
+                &mut ScheduledSink::new(&mut par_trace, phases),
+            )
             .unwrap_err();
         assert_eq!(seq_err, par_err);
         assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
@@ -275,9 +299,6 @@ fn budget_violation_metrics_agree() {
             ctx.broadcast(vec![1]);
         }
         fn round(&mut self, ctx: &mut Ctx<'_, Vec<u64>>, _: &[(NodeId, Vec<u64>)]) {
-            if ctx.tracing() {
-                ctx.enter_phase(format!("r{}", ctx.round()));
-            }
             if ctx.round() == 2 && ctx.me().0 >= 20 {
                 ctx.broadcast(vec![0; 7]);
             } else if ctx.round() < 2 {
@@ -289,7 +310,7 @@ fn budget_violation_metrics_agree() {
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
-        .run_traced(|_, _| LateFat, 32, &mut seq_trace)
+        .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut seq_trace))
         .unwrap_err();
     assert!(matches!(seq_err, RunError::Budget(_)));
     assert!(seq.metrics().messages > 0, "partial accounting expected");
@@ -305,7 +326,7 @@ fn budget_violation_metrics_agree() {
             Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9).with_threads(threads);
         let mut par_trace = RingBufferSink::new(TRACE_CAP);
         let par_err = par
-            .run_traced(|_, _| LateFat, 32, &mut par_trace)
+            .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut par_trace))
             .unwrap_err();
         assert_eq!(seq_err, par_err, "{threads} threads");
         assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
@@ -325,7 +346,7 @@ fn trace_jsonl_byte_identical() {
     let run_seq = || {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
         let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3);
-        net.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
+        net.run_traced(|_, _| GossipHash::new(4), 64, &mut gossip_phases(&mut sink))
             .unwrap();
         sink.finish().unwrap()
     };
@@ -340,7 +361,7 @@ fn trace_jsonl_byte_identical() {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
         let mut par =
             Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3).with_threads(threads);
-        par.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
+        par.run_traced(|_, _| GossipHash::new(4), 64, &mut gossip_phases(&mut sink))
             .unwrap();
         let par_bytes = sink.finish().unwrap();
         assert_eq!(seq_bytes, par_bytes, "{threads} threads");
@@ -480,9 +501,6 @@ fn async_budget_violation_agrees() {
             ctx.broadcast(vec![1]);
         }
         fn round(&mut self, ctx: &mut Ctx<'_, Vec<u64>>, _: &[(NodeId, Vec<u64>)]) {
-            if ctx.tracing() {
-                ctx.enter_phase(format!("r{}", ctx.round()));
-            }
             if ctx.round() == 2 && ctx.me().0 >= 20 {
                 ctx.broadcast(vec![0; 7]);
             } else if ctx.round() < 2 {
@@ -494,7 +512,7 @@ fn async_budget_violation_agrees() {
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9);
     let mut seq_trace = RingBufferSink::new(TRACE_CAP);
     let seq_err = seq
-        .run_traced(|_, _| LateFat, 32, &mut seq_trace)
+        .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut seq_trace))
         .unwrap_err();
     assert!(matches!(seq_err, RunError::Budget(_)));
     let seq_events = seq_trace.into_events();
@@ -503,7 +521,7 @@ fn async_budget_violation_agrees() {
             AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::Words(4), 9).with_delays(delays);
         let mut atrace = RingBufferSink::new(TRACE_CAP);
         let aerr = anet
-            .run_traced(|_, _| LateFat, 32, &mut atrace)
+            .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut atrace))
             .unwrap_err();
         assert_eq!(seq_err, aerr);
         assert_eq!(seq.metrics(), anet.metrics().protocol_only());
@@ -520,7 +538,7 @@ fn async_trace_jsonl_byte_identical() {
     let g = generators::connected_gnm(60, 180, 17);
     let mut sink = JsonLinesSink::new(Vec::<u8>::new());
     let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3);
-    net.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
+    net.run_traced(|_, _| GossipHash::new(4), 64, &mut gossip_phases(&mut sink))
         .unwrap();
     let seq_bytes = sink.finish().unwrap();
     let run_async = |trace_deliveries: bool| {
@@ -528,7 +546,7 @@ fn async_trace_jsonl_byte_identical() {
         let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3)
             .with_delays(FaultPlan::new(6).with_delays(0.3, 3))
             .with_delivery_trace(trace_deliveries);
-        anet.run_traced(|_, _| GossipHash::new(4), 64, &mut sink)
+        anet.run_traced(|_, _| GossipHash::new(4), 64, &mut gossip_phases(&mut sink))
             .unwrap();
         sink.finish().unwrap()
     };

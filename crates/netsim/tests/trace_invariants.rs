@@ -1,12 +1,26 @@
 //! Invariants linking [`RunMetrics`] to the trace stream: the per-phase
 //! buckets of a [`TraceSummary`] and the message-size histogram must
 //! reproduce the aggregate counters exactly — on successful runs, failed
-//! runs, and degenerate zero-round runs.
+//! runs, and degenerate zero-round runs. Phase spans come from a
+//! [`ScheduledSink`] wrapped around the summary.
 
 use proptest::prelude::*;
 
 use spanner_graph::{generators, NodeId};
-use spanner_netsim::{size_bucket, Ctx, MessageBudget, Network, Protocol, RunError, TraceSummary};
+use spanner_netsim::{
+    size_bucket, Ctx, MessageBudget, Network, PhaseMark, Protocol, RunError, ScheduledSink,
+    TraceSink, TraceSummary,
+};
+
+/// `sink` with one span per `(round, name)` entry, open until the next
+/// entry or the run's end.
+fn phases<'s>(sink: &'s mut dyn TraceSink, spans: &[(u32, &str)]) -> ScheduledSink<'s> {
+    let marks = spans
+        .iter()
+        .map(|&(round, name)| (round, PhaseMark::Enter(name.into())))
+        .collect();
+    ScheduledSink::new(sink, || marks)
+}
 
 /// Speaks once in init with a size keyed to the node id, then stays silent:
 /// the run quiesces after one round, exercising several histogram buckets.
@@ -17,7 +31,6 @@ impl Protocol for SizedHello {
     type Msg = Vec<u64>;
 
     fn init(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
-        ctx.enter_phase("hello");
         let words = 1 + (ctx.me().0 as usize % 9);
         ctx.broadcast(vec![0; words]);
     }
@@ -32,9 +45,7 @@ struct Mute;
 
 impl Protocol for Mute {
     type Msg = u64;
-    fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
-        ctx.enter_phase("silence");
-    }
+    fn init(&mut self, _: &mut Ctx<'_, u64>) {}
     fn round(&mut self, _: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {}
 }
 
@@ -43,14 +54,15 @@ fn zero_round_run_agrees() {
     let g = generators::cycle(12);
     let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
     let mut summary = TraceSummary::new();
-    net.run_traced(|_, _| Mute, 8, &mut summary).unwrap();
+    let mut sink = phases(&mut summary, &[(0, "silence")]);
+    net.run_traced(|_, _| Mute, 8, &mut sink).unwrap();
     let m = net.metrics();
     assert_eq!(m.rounds, 0);
     assert_eq!(m.messages, 0);
     assert!(m.agrees_with(&summary));
     assert!(summary.is_complete());
     assert!(summary.error().is_none());
-    // The declared phase span exists even though no round was counted.
+    // The scheduled phase span exists even though no round was counted.
     let phases: Vec<&str> = summary.phases().iter().map(|p| p.name.as_str()).collect();
     assert_eq!(phases, ["silence"]);
     assert_eq!(summary.phases()[0].rounds, 0);
@@ -72,7 +84,8 @@ fn size_histogram_buckets_match_manual_count() {
     let g = generators::connected_gnm(60, 180, 4);
     let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Unbounded, 2);
     let mut summary = TraceSummary::new();
-    net.run_traced(|_, _| SizedHello, 8, &mut summary).unwrap();
+    let mut sink = phases(&mut summary, &[(0, "hello")]);
+    net.run_traced(|_, _| SizedHello, 8, &mut sink).unwrap();
     let m = net.metrics();
     assert!(m.agrees_with(&summary));
     // Recompute the histogram from first principles: each node broadcasts
@@ -97,9 +110,6 @@ fn budget_violation_mid_phase_agrees() {
             ctx.broadcast(vec![1]);
         }
         fn round(&mut self, ctx: &mut Ctx<'_, Vec<u64>>, _: &[(NodeId, Vec<u64>)]) {
-            if ctx.tracing() {
-                ctx.enter_phase(if ctx.round() < 3 { "thin" } else { "fat" });
-            }
             let words = if ctx.round() >= 3 { 6 } else { 1 };
             if ctx.round() < 5 {
                 ctx.broadcast(vec![0; words]);
@@ -109,9 +119,8 @@ fn budget_violation_mid_phase_agrees() {
     let g = generators::cycle(10);
     let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 3);
     let mut summary = TraceSummary::new();
-    let err = net
-        .run_traced(|_, _| FatLater, 32, &mut summary)
-        .unwrap_err();
+    let mut sink = phases(&mut summary, &[(1, "thin"), (3, "fat")]);
+    let err = net.run_traced(|_, _| FatLater, 32, &mut sink).unwrap_err();
     assert!(matches!(err, RunError::Budget(_)));
     let m = net.metrics();
     assert!(
@@ -145,7 +154,6 @@ impl Protocol for NoisyGossip {
     type Msg = Vec<u64>;
 
     fn init(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
-        ctx.enter_phase("go");
         let words = 1 + (ctx.me().0 as usize % 5);
         ctx.broadcast(vec![0; words]);
     }
@@ -172,7 +180,8 @@ proptest! {
         let g = generators::erdos_renyi_gnm(n, m, seed ^ 0xA11CE);
         let mut net = Network::from_csr(g.csr().clone(), MessageBudget::Unbounded, seed);
         let mut summary = TraceSummary::new();
-        net.run_traced(|_, _| NoisyGossip { ttl }, 4 * ttl + 16, &mut summary)
+        let mut sink = phases(&mut summary, &[(0, "go")]);
+        net.run_traced(|_, _| NoisyGossip { ttl }, 4 * ttl + 16, &mut sink)
             .unwrap();
         let metrics = net.metrics();
         prop_assert!(metrics.agrees_with(&summary));

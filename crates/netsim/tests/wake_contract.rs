@@ -8,7 +8,9 @@
 //! `next_wake`, so every node runs every round. On the sequential executor
 //! and on the parallel one at 1 and 2 threads, both must give the same
 //! final states, [`RunMetrics`] and JSONL trace bytes, while a count of
-//! `round` calls shows the hinted run really skipped nodes.
+//! `round` calls shows the hinted run really skipped nodes. Every traced
+//! run carries a phase schedule whose boundaries mostly fall in rounds
+//! where hinted nodes sleep; those spans must still appear.
 //!
 //! The executors keep wakes in a calendar: a ring of round buckets for
 //! the next [`RING`] rounds and a heap for later ones. The calendar cases
@@ -19,7 +21,8 @@
 use rand::Rng;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_netsim::{
-    execute, Ctx, Executor, FaultPlan, JsonLinesSink, MessageBudget, Protocol, RunError, RunMetrics,
+    execute, Ctx, Executor, FaultPlan, JsonLinesSink, MessageBudget, PhaseMark, Protocol, RunError,
+    RunMetrics, ScheduledSink, Synchronizer,
 };
 
 const SEED: u64 = 23;
@@ -86,8 +89,8 @@ impl<P: Protocol, const HINT: bool> Protocol for Counted<P, HINT> {
 
 /// Fires `fires` times, at the first round at or after `due`; after a
 /// firing `due` moves to the next multiple of `k`. A firing draws from the
-/// RNG, declares a phase and broadcasts; messages are folded into
-/// `digest` whenever they arrive.
+/// RNG and broadcasts; messages are folded into `digest` whenever they
+/// arrive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Timer {
     k: u32,
@@ -145,7 +148,6 @@ impl Protocol for Timer {
         }
         let t = ctx.round();
         if t >= self.due && !self.finished() {
-            ctx.enter_phase("tick");
             self.fired.push(t);
             let word = ctx.rng().gen::<u64>() & 0xFFFF;
             self.digest = fold(self.digest, ctx.me(), word);
@@ -192,7 +194,6 @@ impl Protocol for Relay {
 
     fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
         if self.source {
-            ctx.enter_phase("relay");
             ctx.broadcast(0);
         }
     }
@@ -301,6 +302,15 @@ fn fold(digest: u64, sender: NodeId, word: u64) -> u64 {
     z ^ (z >> 29)
 }
 
+/// The phase schedule of every traced run here: a span `w<r>` from every
+/// 8th round, past every round cap used here.
+fn schedule() -> Vec<(u32, PhaseMark)> {
+    (0..1024)
+        .step_by(8)
+        .map(|r| (r, PhaseMark::Enter(format!("w{r}"))))
+        .collect()
+}
+
 /// One traced run: final states (or the error), metrics, JSONL bytes.
 type Outcome<P> = (Result<Vec<P>, RunError>, RunMetrics, Vec<u8>);
 
@@ -324,7 +334,7 @@ where
         SEED,
         factory,
         max_rounds,
-        &mut sink,
+        &mut ScheduledSink::new(&mut sink, schedule),
     );
     (states, metrics, sink.finish().expect("in-memory sink"))
 }
@@ -590,5 +600,42 @@ fn stutter_on_a_far_wake_runs_next_round() {
             assert_eq!(states.unwrap()[v.index()].fired[0], k + 1, "{executor:?}");
         }
         assert_wake_invisible(&g, Some(&plan), Timer::far, cap).unwrap();
+    }
+}
+
+/// Every node sleeps through rounds 1–9 and 12–19, so the boundaries at
+/// rounds 8 and 16 fall in rounds where no hinted node runs. Their spans
+/// still open there, with the same bytes on every executor — the
+/// asynchronous one, which runs every node every round, included.
+#[test]
+fn scheduled_spans_open_while_every_node_sleeps() {
+    let g = generators::cycle(12);
+    let timer = |_, _: &mut _| Hinted::new(Timer::every(10, 2));
+    let unhinted = Executor::Async {
+        delays: FaultPlan::default(),
+        synchronizer: Synchronizer::Alpha,
+    };
+    let mut first: Option<Vec<u8>> = None;
+    for executor in executors().into_iter().chain([unhinted]) {
+        let (states, _, trace) = run(&g, &executor, None, timer, 40);
+        let calls: u64 = states.unwrap().iter().map(|s| s.calls).sum();
+        if !matches!(executor, Executor::Async { .. }) {
+            // Each node runs when due (rounds 10 and 20) and when its
+            // neighbors' broadcasts arrive (rounds 11 and 21), no more.
+            assert_eq!(calls, 4 * 12, "{executor:?}");
+        }
+        assert!(
+            *first.get_or_insert_with(|| trace.clone()) == trace,
+            "{executor:?}: JSONL traces differ"
+        );
+    }
+    let text = String::from_utf8(first.expect("at least one executor")).expect("UTF-8 trace");
+    for line in [
+        r#"{"ev":"phase_exit","round":8,"name":"w0"}"#,
+        r#"{"ev":"phase_enter","round":8,"name":"w8"}"#,
+        r#"{"ev":"phase_enter","round":16,"name":"w16"}"#,
+        r#"{"ev":"phase_exit","round":21,"name":"w16"}"#,
+    ] {
+        assert!(text.contains(line), "{line} missing from\n{text}");
     }
 }

@@ -19,13 +19,15 @@
 
 use std::sync::Arc;
 
-use spanner_graph::{CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId};
+use spanner_graph::{
+    verify_stretch_exact, CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId, StretchBound,
+};
 use spanner_netsim::{
     execute, Ctx, Executor, FaultPlan, MessageBudget, NullSink, PhaseMark, Protocol, RunError,
     RunMetrics, ScheduledSink, TraceSink,
 };
 use ultrasparse::expand::ClusterSampler;
-use ultrasparse::{FaultError, Spanner};
+use ultrasparse::{BuildError, Spanner};
 
 /// Parameters: the stretch is 2k−1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,27 +283,40 @@ impl Protocol for BsNode {
 }
 
 /// Runs the distributed Baswana–Sen protocol on `executor`, over a shared
-/// CSR adjacency with no [`Graph`] materialization, streaming round-level
-/// trace events into `sink`: one `cluster[i]` span per phase-1 iteration
-/// and a final `connect` span for phase 2. Returns the spanner (collected
-/// through the CSR edge index) with its communication metrics.
+/// CSR adjacency, streaming round-level trace events into `sink`: one
+/// `cluster[i]` span per phase-1 iteration and a final `connect` span for
+/// phase 2. Returns the spanner (collected through the CSR edge index)
+/// with its communication metrics.
+///
+/// Without `faults` no [`Graph`] is materialized and the output is not
+/// checked. Under a fault plan (round-synchronous executors only) the
+/// driver never panics and never returns an unchecked spanner: the
+/// surviving output is certified against the fault-free host graph
+/// (spanning plus the exact (2k−1) stretch bound) by
+/// [`certify`](ultrasparse::faults::certify).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (round cap, budget violations) — neither
-/// occurs for valid parameters: the protocol runs exactly k rounds with
-/// 2-word messages.
+/// [`BuildError::Run`] when the simulated run fails — without faults it
+/// never does for valid parameters: the protocol runs exactly k rounds
+/// with 2-word messages; [`BuildError::Uncertified`] when a faulted run's
+/// output is not a certified (2k−1)-spanner.
 pub fn build_distributed(
     csr: &Arc<CsrAdjacency>,
     params: &BaswanaSenParams,
     seed: u64,
     executor: &Executor,
+    faults: Option<&FaultPlan>,
     sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    run(csr, params, seed, executor, None, sink).0
+) -> Result<Spanner, BuildError> {
+    let built = run(csr, params, seed, executor, faults, sink);
+    let stretch = StretchBound::multiplicative((2 * params.k - 1) as f64);
+    ultrasparse::faults::certify(csr, faults, built, |g, s| {
+        verify_stretch_exact(g, &s.edges, stretch).map_err(|v| v.to_string())
+    })
 }
 
-/// [`build_distributed`] on the sequential executor, untraced — the
+/// The unfaulted driver on the sequential executor, untraced — the
 /// memory-lean entry point for `--scale huge` tiers.
 ///
 /// # Errors
@@ -312,45 +327,15 @@ pub fn build_distributed_csr(
     params: &BaswanaSenParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    build_distributed(csr, params, seed, &Executor::Sequential, &mut NullSink)
-}
-
-/// Runs the distributed Baswana–Sen protocol under a fault schedule, on
-/// the sequential executor.
-///
-/// Never panics and never returns an unchecked spanner: the surviving
-/// output is re-certified against the fault-free host graph (spanning +
-/// the exact (2k−1) stretch bound), and every failure comes back as a
-/// typed [`FaultError`] retaining the partial metrics with fault counters.
-///
-/// # Errors
-///
-/// [`FaultError::Run`] when the simulated run fails;
-/// [`FaultError::Uncertified`] when the surviving output is not a
-/// certified (2k−1)-spanner.
-#[allow(clippy::result_large_err)] // error carries full RunMetrics by design
-pub fn build_distributed_faulted(
-    g: &Graph,
-    params: &BaswanaSenParams,
-    seed: u64,
-    plan: &FaultPlan,
-) -> Result<Spanner, FaultError> {
-    let built = run(
-        g.csr(),
+    run(
+        csr,
         params,
         seed,
         &Executor::Sequential,
-        Some(plan),
+        None,
         &mut NullSink,
-    );
-    ultrasparse::faults::build_certified(g, built, |s| {
-        spanner_graph::verify_stretch_exact(
-            g,
-            &s.edges,
-            spanner_graph::StretchBound::multiplicative((2 * params.k - 1) as f64),
-        )
-        .map_err(|v| v.to_string())
-    })
+    )
+    .0
 }
 
 /// The one driver body: run on `executor`, collect.
@@ -392,20 +377,11 @@ fn run(
         &mut sink,
     );
     let collect = |states: Vec<BsNode>| {
-        let index = csr.edge_index();
-        let mut edges = EdgeSet::with_universe(index.edge_count());
-        for (v, st) in states.iter().enumerate() {
-            for &w in &st.chosen {
-                let e = index
-                    .edge_id(csr, NodeId(v as u32), w)
-                    .expect("chosen edge exists");
-                edges.insert(e);
-            }
-        }
-        Spanner {
-            edges,
-            metrics: Some(metrics),
-        }
+        let selected = states.iter().enumerate().flat_map(|(v, st)| {
+            let v = NodeId(v as u32);
+            st.chosen.iter().map(move |&w| (v, w))
+        });
+        Spanner::from_selected(csr, selected, metrics)
     };
     (states.map(collect), metrics)
 }

@@ -119,31 +119,18 @@ pub fn build_distributed(
         executor, None, csr, budget, seed, factory, max_rounds, &mut sink,
     );
     let states = states?;
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for v in 0..csr.node_count() {
+    // Each non-root vertex keeps one edge, to its min-id neighbor one hop
+    // closer to the same root; a component root (distance 0) keeps none.
+    let parents = states.iter().enumerate().filter(|(_, st)| st.best.dist > 0);
+    let parents = parents.map(|(v, st)| {
         let v = NodeId(v as u32);
-        let info = states[v.index()].best;
-        if info.dist == 0 {
-            continue; // component root
-        }
-        // Parent: min-id neighbor one hop closer to the same root.
-        let parent = csr
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|w| {
-                let b = states[w.index()].best;
-                b.source == info.source && b.dist + 1 == info.dist
-            })
-            .min()
-            .expect("BFS parent exists");
-        edges.insert(index.edge_id(csr, v, parent).expect("edge"));
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(metrics),
-    })
+        let parent = csr.neighbors(v).iter().copied().filter(|w| {
+            let b = states[w.index()].best;
+            b.source == st.best.source && b.dist + 1 == st.best.dist
+        });
+        (v, parent.min().expect("BFS parent exists"))
+    });
+    Ok(Spanner::from_selected(csr, parents, metrics))
 }
 
 /// [`build_distributed`] on the sequential executor, untraced.

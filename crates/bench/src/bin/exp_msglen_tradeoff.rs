@@ -38,8 +38,8 @@ fn main() {
         let budget = theorem8_budget(n, t);
         let mut tr = traces.open(&format!("t{t}"));
         let ((s, rounds, words), secs) = timed(|| {
-            let s =
-                build_distributed(csr, &params, 9, &Executor::Sequential, tr.sink()).expect("run");
+            let exec = Executor::Sequential;
+            let s = build_distributed(csr, &params, 9, &exec, None, tr.sink()).expect("run");
             let m = s.metrics.expect("metrics");
             (s, m.rounds, m.max_message_words)
         });

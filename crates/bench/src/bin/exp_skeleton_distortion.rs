@@ -41,9 +41,9 @@ fn main() {
         let csr = g.csr();
         let mut tr = traces.open(&format!("n{n}"));
         let ((spanner, rounds, words), secs) = timed(|| {
-            let s =
-                distributed::build_distributed(csr, &params, 9, &Executor::Sequential, tr.sink())
-                    .expect("run");
+            let exec = Executor::Sequential;
+            let s = distributed::build_distributed(csr, &params, 9, &exec, None, tr.sink())
+                .expect("run");
             let m = s.metrics.expect("distributed metrics");
             (s, m.rounds, m.max_message_words)
         });

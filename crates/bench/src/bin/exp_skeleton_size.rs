@@ -48,27 +48,23 @@ fn main() {
         let params = SkeletonParams::new(d, 1.0).expect("valid params");
         let predicted = params.expected_size(g.node_count()) / g.node_count() as f64;
         let (seq, secs) = timed(|| build_sequential(&g, &params, 11));
-        let dist = if let Some(plan) = &faults {
-            match distributed::build_distributed_faulted(&g, &params, 11, plan) {
-                Ok(s) => {
-                    if let Some(m) = &s.metrics {
-                        println!("D = {d}: certified under faults ({})", m.faults);
-                    }
-                    s
+        let mut tr = traces.open(&format!("d{:02}", d as u32));
+        let exec = Executor::Sequential;
+        let built =
+            distributed::build_distributed(g.csr(), &params, 11, &exec, faults.as_ref(), tr.sink());
+        tr.finish();
+        let dist = match built {
+            Ok(s) => {
+                if let (Some(_), Some(m)) = (&faults, &s.metrics) {
+                    println!("D = {d}: certified under faults ({})", m.faults);
                 }
-                Err(e) => {
-                    println!("D = {d}: no certified spanner under this schedule: {e}");
-                    continue;
-                }
+                s
             }
-        } else {
-            let mut tr = traces.open(&format!("d{:02}", d as u32));
-            let csr = g.csr();
-            let dist =
-                distributed::build_distributed(csr, &params, 11, &Executor::Sequential, tr.sink())
-                    .expect("distributed run");
-            tr.finish();
-            dist
+            Err(e) if faults.is_some() => {
+                println!("D = {d}: no certified spanner under this schedule: {e}");
+                continue;
+            }
+            Err(e) => panic!("distributed run: {e}"),
         };
         assert!(seq.is_spanning(&g) && dist.is_spanning(&g));
         table.row([
@@ -111,7 +107,7 @@ fn run_huge() {
         let params = SkeletonParams::new(d, 1.0).expect("valid params");
         let predicted = params.expected_size(n) / n as f64;
         let (dist, secs) = timed(|| {
-            distributed::build_distributed(&csr, &params, 11, &executor, &mut NullSink)
+            distributed::build_distributed(&csr, &params, 11, &executor, None, &mut NullSink)
                 .expect("distributed run")
         });
         assert!(

@@ -13,10 +13,6 @@
 //! * **this paper**: the linear-size skeleton (Theorem 2) and the
 //!   Fibonacci spanner (Theorem 8), both distributed.
 
-// `FaultError` carries full `RunMetrics` by design; the faulted builders
-// are called through `timed` closures that inherit its size.
-#![allow(clippy::result_large_err)]
-
 use std::sync::Arc;
 
 use spanner_baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
@@ -108,44 +104,30 @@ fn main() {
         &mut table,
     );
 
-    // Prints the run's fault counters, or the typed error of a run that the
-    // schedule killed; `None` means no row for this algorithm.
-    let faulted_outcome = |name: &str,
-                           outcome: Result<ultrasparse::Spanner, ultrasparse::FaultError>|
-     -> Option<ultrasparse::Spanner> {
-        match outcome {
+    // A faulted row prints its run's fault counters, or the typed error of
+    // a run that the schedule killed (`None`: no row for this algorithm);
+    // an unfaulted failure is a bug and panics.
+    let outcome =
+        |name: &str, built: Result<ultrasparse::Spanner, ultrasparse::BuildError>| match built {
             Ok(s) => {
-                if let Some(m) = &s.metrics {
+                if let (Some(_), Some(m)) = (&faults, &s.metrics) {
                     println!("  {name} faults: {}", m.faults);
                 }
                 Some(s)
             }
-            Err(e) => {
+            Err(e) if faults.is_some() => {
                 println!("  {name}: no certified spanner under this schedule: {e}");
                 None
             }
-        }
-    };
+            Err(e) => panic!("{name}: {e}"),
+        };
 
     let bs2 = baswana_sen::BaswanaSenParams::new(2).unwrap();
-    if let Some(plan) = &faults {
-        let (outcome, secs) =
-            timed(|| baswana_sen::build_distributed_faulted(&g, &bs2, seed, plan));
-        if let Some(s) = faulted_outcome("Baswana-Sen k=2", outcome) {
-            add_row(
-                "Baswana-Sen k=2 [10]",
-                "3-spanner, O(n^1.5)",
-                "2 words",
-                &s,
-                secs,
-                &mut table,
-            );
-        }
-    } else {
-        let mut tr = traces.open("bs-k2");
-        let (s, secs) =
-            timed(|| baswana_sen::build_distributed(csr, &bs2, seed, &seq, tr.sink()).unwrap());
-        tr.finish();
+    let mut tr = traces.open("bs-k2");
+    let (built, secs) =
+        timed(|| baswana_sen::build_distributed(csr, &bs2, seed, &seq, faults.as_ref(), tr.sink()));
+    tr.finish();
+    if let Some(s) = outcome("Baswana-Sen k=2", built) {
         add_row(
             "Baswana-Sen k=2 [10]",
             "3-spanner, O(n^1.5)",
@@ -159,7 +141,7 @@ fn main() {
     let bsl = baswana_sen::BaswanaSenParams::new(klog).unwrap();
     let mut tr = traces.open("bs-klog");
     let (s, secs) =
-        timed(|| baswana_sen::build_distributed(csr, &bsl, seed, &seq, tr.sink()).unwrap());
+        timed(|| baswana_sen::build_distributed(csr, &bsl, seed, &seq, None, tr.sink()).unwrap());
     tr.finish();
     add_row(
         "Baswana-Sen k=log n [10]",
@@ -191,30 +173,15 @@ fn main() {
     );
 
     let sk = SkeletonParams::default();
-    let sk_label = "THIS PAPER: skeleton (Thm 2)";
-    let sk_guarantee = "O(2^log* n log n)-spanner, Dn/e+O(n log D)";
-    if let Some(plan) = &faults {
-        let (outcome, secs) =
-            timed(|| skeleton::distributed::build_distributed_faulted(&g, &sk, seed, plan));
-        if let Some(s) = faulted_outcome("skeleton", outcome) {
-            add_row(
-                sk_label,
-                sk_guarantee,
-                "O(log^eps n) words",
-                &s,
-                secs,
-                &mut table,
-            );
-        }
-    } else {
-        let mut tr = traces.open("skeleton");
-        let (s, secs) = timed(|| {
-            skeleton::distributed::build_distributed(csr, &sk, seed, &seq, tr.sink()).unwrap()
-        });
-        tr.finish();
+    let mut tr = traces.open("skeleton");
+    let (built, secs) = timed(|| {
+        skeleton::distributed::build_distributed(csr, &sk, seed, &seq, faults.as_ref(), tr.sink())
+    });
+    tr.finish();
+    if let Some(s) = outcome("skeleton", built) {
         add_row(
-            sk_label,
-            sk_guarantee,
+            "THIS PAPER: skeleton (Thm 2)",
+            "O(2^log* n log n)-spanner, Dn/e+O(n log D)",
             "O(log^eps n) words",
             &s,
             secs,
@@ -224,30 +191,15 @@ fn main() {
 
     let order = FibonacciParams::max_order(n).min(3);
     let fp = FibonacciParams::new(n, order, 0.5, 4).unwrap();
-    let fib_label = "THIS PAPER: Fibonacci (Thm 8)";
-    let fib_guarantee = "staged (alpha,beta), ~n(eps^-1 loglog n)^phi";
-    if let Some(plan) = &faults {
-        let (outcome, secs) =
-            timed(|| fibonacci::distributed::build_distributed_faulted(&g, &fp, seed, plan));
-        if let Some(s) = faulted_outcome("Fibonacci", outcome) {
-            add_row(
-                fib_label,
-                fib_guarantee,
-                "O(n^{1/t}) words, t=4",
-                &s,
-                secs,
-                &mut table,
-            );
-        }
-    } else {
-        let mut tr = traces.open("fibonacci");
-        let (s, secs) = timed(|| {
-            fibonacci::distributed::build_distributed(csr, &fp, seed, &seq, tr.sink()).unwrap()
-        });
-        tr.finish();
+    let mut tr = traces.open("fibonacci");
+    let (built, secs) = timed(|| {
+        fibonacci::distributed::build_distributed(csr, &fp, seed, &seq, faults.as_ref(), tr.sink())
+    });
+    tr.finish();
+    if let Some(s) = outcome("Fibonacci", built) {
         add_row(
-            fib_label,
-            fib_guarantee,
+            "THIS PAPER: Fibonacci (Thm 8)",
+            "staged (alpha,beta), ~n(eps^-1 loglog n)^phi",
             "O(n^{1/t}) words, t=4",
             &s,
             secs,
@@ -337,7 +289,8 @@ fn run_huge() {
 
     let sk = SkeletonParams::default();
     let (s, secs) = timed(|| {
-        skeleton::distributed::build_distributed(&csr, &sk, seed, &executor, &mut NullSink).unwrap()
+        skeleton::distributed::build_distributed(&csr, &sk, seed, &executor, None, &mut NullSink)
+            .unwrap()
     });
     add_row("THIS PAPER: skeleton (Thm 2)", &s, secs, &mut table);
     drop(s);
@@ -345,7 +298,7 @@ fn run_huge() {
     let order = FibonacciParams::max_order(n).min(3);
     let fp = FibonacciParams::new(n, order, 0.5, 4).unwrap();
     let (s, secs) = timed(|| {
-        fibonacci::distributed::build_distributed(&csr, &fp, seed, &executor, &mut NullSink)
+        fibonacci::distributed::build_distributed(&csr, &fp, seed, &executor, None, &mut NullSink)
             .unwrap()
     });
     add_row("THIS PAPER: Fibonacci (Thm 8)", &s, secs, &mut table);

@@ -1,115 +1,132 @@
-//! Typed outcomes for fault-injected distributed builds.
+//! Typed outcomes of the distributed drivers, and the certification of
+//! fault-injected runs.
 //!
-//! The `*_faulted` drivers (e.g.
-//! [`skeleton::distributed::build_distributed_faulted`](crate::skeleton::distributed::build_distributed_faulted))
-//! run a construction's one driver body on the sequential executor with a
-//! [`FaultPlan`](spanner_netsim::FaultPlan) attached, through
-//! [`execute`](spanner_netsim::execute), which returns the run's metrics
-//! on every path. They take the host [`Graph`] because the output is
-//! certified against it, and they promise exactly one of two outcomes,
-//! never a panic and never a silently wrong spanner:
+//! Each distributed construction has one driver,
+//! `build_distributed(csr, params, seed, executor, faults, sink)` (e.g.
+//! [`skeleton::distributed::build_distributed`](crate::skeleton::distributed::build_distributed)),
+//! which runs the protocol through [`execute`](spanner_netsim::execute)
+//! and gets the run's metrics back on every path. The paper proves its
+//! bounds for a fault-free synchronous network, so only a run under a
+//! [`FaultPlan`] has its output re-checked, by [`certify`]:
 //!
-//! * `Ok(spanner)` — the surviving output was *certified*: it spans the
-//!   host graph and passes the construction's exact stretch check
-//!   (re-verified against the fault-free graph, not trusted from the run);
-//! * `Err(FaultError)` — a typed error that retains the partial
-//!   [`RunMetrics`] accumulated before the failure, including the fault
-//!   counters.
+//! * with no plan nothing is checked and no [`Graph`] is built: the
+//!   driver returns the collected spanner, or [`BuildError::Run`] when the
+//!   simulator fails;
+//! * with a plan the driver promises exactly one of two outcomes, never a
+//!   panic and never a silently wrong spanner:
+//!   * `Ok(spanner)` — the surviving output was *certified*: it spans the
+//!     host graph (rebuilt from the CSR with [`Graph::from_csr`]) and
+//!     passes the construction's exact bound check, re-verified against
+//!     the fault-free graph rather than trusted from the run;
+//!   * `Err(BuildError)` — a typed error that retains the partial
+//!     [`RunMetrics`] accumulated before the failure, including the fault
+//!     counters.
 //!
 //! Protocol-level panics provoked by a hostile schedule are contained by
 //! the executor ([`RunError::Panicked`]) and surface here as
-//! [`FaultError::Uncertified`], with the metrics of the rounds that ran.
+//! [`BuildError::Uncertified`], with the metrics of the rounds that ran.
 
-use spanner_graph::Graph;
-use spanner_netsim::{RunError, RunMetrics};
+use std::sync::Arc;
+
+use spanner_graph::{CsrAdjacency, Graph};
+use spanner_netsim::{FaultPlan, RunError, RunMetrics};
 
 use crate::Spanner;
 
-/// Why a fault-injected distributed build produced no certified spanner.
+/// Why a distributed build produced no (certified) spanner.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultError {
+pub enum BuildError {
     /// The simulated run itself failed (round limit or budget violation).
     Run {
         /// The simulator error.
         error: RunError,
         /// Metrics accumulated up to the failure, fault counters included.
-        metrics: RunMetrics,
+        metrics: Box<RunMetrics>,
     },
-    /// The run finished (or was contained after a panic) but the output
-    /// could not be certified correct.
+    /// The faulted run finished (or was contained after a panic) but the
+    /// output could not be certified correct.
     Uncertified {
         /// Human-readable certification failure.
         reason: String,
         /// Metrics of the uncertified run.
-        metrics: RunMetrics,
+        metrics: Box<RunMetrics>,
     },
 }
 
-impl FaultError {
+impl BuildError {
     /// The partial metrics retained from the failed run.
     pub fn metrics(&self) -> &RunMetrics {
         match self {
-            FaultError::Run { metrics, .. } | FaultError::Uncertified { metrics, .. } => metrics,
+            BuildError::Run { metrics, .. } | BuildError::Uncertified { metrics, .. } => metrics,
         }
     }
 }
 
-impl std::fmt::Display for FaultError {
+impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FaultError::Run { error, .. } => write!(f, "faulted run failed: {error}"),
-            FaultError::Uncertified { reason, .. } => {
+            BuildError::Run { error, .. } => write!(f, "faulted run failed: {error}"),
+            BuildError::Uncertified { reason, .. } => {
                 write!(f, "output not certified: {reason}")
             }
         }
     }
 }
 
-impl std::error::Error for FaultError {}
+impl std::error::Error for BuildError {}
 
-/// Certifies the outcome of a fault-injected build — the harness behind
-/// every `build_distributed_faulted` driver (spanner constructions outside
-/// this crate use it for theirs too).
+/// The outcome of a distributed build over `csr` — the one step behind
+/// every `build_distributed` driver (spanner constructions outside this
+/// crate use it for theirs too).
 ///
 /// `built` is the collected spanner (or the run error) together with the
 /// run's metrics, as [`execute`](spanner_netsim::execute) returns them on
-/// every path; a protocol panic contained by the executor
+/// every path. Without `faults` the spanner is returned unchecked. Under a
+/// plan it must span the host graph and pass `check`, which receives that
+/// graph; a protocol panic contained by the executor
 /// ([`RunError::Panicked`]) is reported as uncertified.
 ///
 /// # Errors
 ///
-/// [`FaultError::Run`] for simulator errors; [`FaultError::Uncertified`]
-/// for contained panics, non-spanning output, or a failed `check`.
-// The error intentionally carries the run's full `RunMetrics` for
-// post-mortem accounting; callers match on it, so it is not boxed.
-#[allow(clippy::result_large_err)]
-pub fn build_certified<C>(
-    g: &Graph,
+/// [`BuildError::Run`] for simulator errors; [`BuildError::Uncertified`]
+/// for contained panics and, under a plan, non-spanning output or a
+/// failed `check`.
+pub fn certify<C>(
+    csr: &Arc<CsrAdjacency>,
+    faults: Option<&FaultPlan>,
     built: (Result<Spanner, RunError>, RunMetrics),
     check: C,
-) -> Result<Spanner, FaultError>
+) -> Result<Spanner, BuildError>
 where
-    C: FnOnce(&Spanner) -> Result<(), String>,
+    C: FnOnce(&Graph, &Spanner) -> Result<(), String>,
 {
-    let (spanner, metrics) = match built {
-        (Ok(spanner), metrics) => (spanner, metrics),
-        (Err(RunError::Panicked(reason)), metrics) => {
-            return Err(FaultError::Uncertified {
-                reason: format!("protocol panicked under faults: {reason}"),
-                metrics,
+    let (spanner, metrics) = built;
+    let uncertified = |reason| BuildError::Uncertified {
+        reason,
+        metrics: Box::new(metrics),
+    };
+    let spanner = match spanner {
+        Ok(spanner) => spanner,
+        Err(RunError::Panicked(reason)) => {
+            return Err(uncertified(format!(
+                "protocol panicked under faults: {reason}"
+            )))
+        }
+        Err(error) => {
+            return Err(BuildError::Run {
+                error,
+                metrics: Box::new(metrics),
             })
         }
-        (Err(error), metrics) => return Err(FaultError::Run { error, metrics }),
     };
-    if !spanner.is_spanning(g) {
-        return Err(FaultError::Uncertified {
-            reason: "output does not span the graph".to_owned(),
-            metrics,
-        });
+    if faults.is_none() {
+        return Ok(spanner);
     }
-    if let Err(reason) = check(&spanner) {
-        return Err(FaultError::Uncertified { reason, metrics });
+    let g = Graph::from_csr(Arc::clone(csr));
+    if !spanner.is_spanning(&g) {
+        return Err(uncertified("output does not span the graph".to_owned()));
     }
+    check(&g, &spanner).map_err(uncertified)?;
     Ok(spanner)
 }
 
@@ -122,18 +139,18 @@ mod tests {
         generators::cycle(4)
     }
 
+    fn plan() -> FaultPlan {
+        FaultPlan::new(1)
+    }
+
     #[test]
     fn certifies_good_output() {
         let g = tiny();
-        let s = build_certified(
-            &g,
-            (
-                Ok(Spanner::from_edges(EdgeSet::full(&g))),
-                RunMetrics::default(),
-            ),
-            |_| Ok(()),
-        )
-        .unwrap();
+        let built = (
+            Ok(Spanner::from_edges(EdgeSet::full(&g))),
+            RunMetrics::default(),
+        );
+        let s = certify(g.csr(), Some(&plan()), built, |_, _| Ok(())).unwrap();
         assert!(s.is_spanning(&g));
     }
 
@@ -144,28 +161,37 @@ mod tests {
             messages: 7,
             ..Default::default()
         };
-        let err = build_certified(&g, (Err(RunError::RoundLimit { max_rounds: 3 }), m), |_| {
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, FaultError::Run { .. }));
-        assert_eq!(err.metrics().messages, 7);
+        for faults in [None, Some(&plan())] {
+            let built = (Err(RunError::RoundLimit { max_rounds: 3 }), m);
+            let err = certify(g.csr(), faults, built, |_, _| Ok(())).unwrap_err();
+            assert!(matches!(err, BuildError::Run { .. }));
+            assert_eq!(err.metrics().messages, 7);
+        }
     }
 
     #[test]
     fn rejects_non_spanning_output() {
         let g = tiny();
-        let err = build_certified(
-            &g,
-            (
-                Ok(Spanner::from_edges(EdgeSet::new(&g))),
-                RunMetrics::default(),
-            ),
-            |_| Ok(()),
-        )
-        .unwrap_err();
-        assert!(matches!(err, FaultError::Uncertified { .. }));
+        let built = (
+            Ok(Spanner::from_edges(EdgeSet::new(&g))),
+            RunMetrics::default(),
+        );
+        let err = certify(g.csr(), Some(&plan()), built, |_, _| Ok(())).unwrap_err();
+        assert!(matches!(err, BuildError::Uncertified { .. }));
         assert!(err.to_string().contains("span"));
+    }
+
+    #[test]
+    fn unfaulted_output_is_not_checked() {
+        let g = tiny();
+        let built = (
+            Ok(Spanner::from_edges(EdgeSet::new(&g))),
+            RunMetrics::default(),
+        );
+        let s = certify(g.csr(), None, built, |_, _| {
+            panic!("no check without faults")
+        });
+        assert!(s.unwrap().is_empty());
     }
 
     #[test]
@@ -176,10 +202,10 @@ mod tests {
             ..Default::default()
         };
         let panicked = RunError::Panicked("scrambled invariant".to_owned());
-        let err = build_certified(&g, (Err(panicked), m), |_| Ok(())).unwrap_err();
+        let err = certify(g.csr(), Some(&plan()), (Err(panicked), m), |_, _| Ok(())).unwrap_err();
         assert_eq!(err.metrics().rounds, 2);
         match err {
-            FaultError::Uncertified { reason, .. } => {
+            BuildError::Uncertified { reason, .. } => {
                 assert!(reason.contains("scrambled invariant"), "{reason}");
             }
             other => panic!("expected Uncertified, got {other:?}"),
@@ -189,14 +215,13 @@ mod tests {
     #[test]
     fn rejects_failed_certification() {
         let g = tiny();
-        let err = build_certified(
-            &g,
-            (
-                Ok(Spanner::from_edges(EdgeSet::full(&g))),
-                RunMetrics::default(),
-            ),
-            |_| Err("stretch blown".to_owned()),
-        )
+        let built = (
+            Ok(Spanner::from_edges(EdgeSet::full(&g))),
+            RunMetrics::default(),
+        );
+        let err = certify(g.csr(), Some(&plan()), built, |_, _| {
+            Err("stretch blown".to_owned())
+        })
         .unwrap_err();
         assert_eq!(
             err.to_string(),

@@ -38,13 +38,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
+use spanner_graph::{CsrAdjacency, EdgeSet, NodeId};
 use spanner_netsim::{
     execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, PhaseMark, Protocol,
     RunError, RunMetrics, ScheduledSink, TraceSink,
 };
 
-use crate::faults::FaultError;
+use crate::faults::BuildError;
 use crate::fibonacci::params::FibonacciParams;
 use crate::fibonacci::sequential::sample_levels_n;
 use crate::spanner::Spanner;
@@ -165,22 +165,12 @@ impl FibConfig {
     }
 
     /// The trace's phase spans: `L<i>.<stage>` from each stage window's
-    /// start, closed in the round the nodes finish. A node advances its
-    /// level pointer in the round after a level's token window, which is
-    /// also the first round of the next level's parent window, so level
-    /// `i ≥ 2` runs its parent stage from one round after that window's
-    /// start and its span opens there.
+    /// start, closed in the round the nodes finish.
     fn phase_schedule(&self) -> Vec<(u32, PhaseMark)> {
         let names = ["parent", "trunc", "ball", "cease", "fail", "tokens"];
         let spans = self.levels.iter().enumerate().flat_map(|(stage, w)| {
-            let lag = u32::from(stage > 0);
             let starts = [
-                w.parent.0 + lag,
-                w.trunc.0,
-                w.ball.0,
-                w.cease.0,
-                w.fail.0,
-                w.tokens.0,
+                w.parent.0, w.trunc.0, w.ball.0, w.cease.0, w.fail.0, w.tokens.0,
             ];
             let level = format!("L{}", stage + 1);
             (starts.into_iter().zip(names))
@@ -279,6 +269,11 @@ impl Protocol for FibNode {
         }
         let t = ctx.round();
         let me = ctx.me();
+        // Advance to the level whose windows contain this round: level
+        // i + 1's parent window opens the round after level i's tokens.
+        while t > self.cfg.levels[self.stage].tokens.1 && self.stage + 1 < self.cfg.levels.len() {
+            self.stage += 1;
+        }
         let i = (self.stage + 1) as u32; // paper's level index
         let w = self.cfg.levels[self.stage];
 
@@ -520,13 +515,9 @@ impl Protocol for FibNode {
             self.token_queue.clear();
         }
 
-        // Advance to the next level / finish.
+        // Past the last level's token window: done.
         if t > w.tokens.1 {
-            if self.stage + 1 < self.cfg.levels.len() {
-                self.stage += 1;
-            } else {
-                self.finished = true;
-            }
+            self.finished = true;
         }
     }
 
@@ -547,10 +538,10 @@ pub fn theorem8_budget(n: usize, t: u32) -> MessageBudget {
 }
 
 /// Runs the distributed Fibonacci construction on `executor`, over a
-/// shared CSR adjacency with no [`Graph`] ever materialized, streaming
-/// round-level [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`;
-/// each stage of each level appears as an `L<i>.<stage>` phase span
-/// (`parent`, `trunc`, `ball`, `cease`, `fail`, `tokens`).
+/// shared CSR adjacency, streaming round-level
+/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each stage of
+/// each level appears as an `L<i>.<stage>` phase span (`parent`, `trunc`,
+/// `ball`, `cease`, `fail`, `tokens`).
 ///
 /// Uses the same per-vertex level sampling as
 /// [`build_sequential`](crate::fibonacci::sequential::build_sequential)
@@ -559,21 +550,40 @@ pub fn theorem8_budget(n: usize, t: u32) -> MessageBudget {
 /// stream are the same on every executor; the asynchronous executor adds
 /// its event, synchronizer and simulated-time counters.
 ///
+/// Without `faults` no [`Graph`](spanner_graph::Graph) is ever
+/// materialized and the output is not checked. Under a fault plan
+/// (round-synchronous executors only) the driver never panics and never
+/// returns an unchecked spanner: the output is certified against the
+/// fault-free host graph (spanning plus the Theorem 7 distortion envelope,
+/// checked exactly) by [`certify`](crate::faults::certify).
+///
 /// # Errors
 ///
-/// Propagates simulator failures (round cap / budget violation); neither
-/// occurs for the timetable this function derives.
+/// [`BuildError::Run`] when the simulated run fails (round cap / budget
+/// violation; neither occurs without faults for the timetable this
+/// function derives); [`BuildError::Uncertified`] when a faulted run's
+/// output is not a certified Fibonacci spanner.
 pub fn build_distributed(
     csr: &Arc<CsrAdjacency>,
     params: &FibonacciParams,
     seed: u64,
     executor: &Executor,
+    faults: Option<&FaultPlan>,
     sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    run(csr, params, seed, executor, None, sink).0
+) -> Result<Spanner, BuildError> {
+    let built = run(csr, params, seed, executor, faults, sink);
+    let (order, ell) = (params.order, params.ell);
+    crate::faults::certify(csr, faults, built, |g, s| {
+        match s.check_envelope_exact(g, |d| {
+            crate::fibonacci::analysis::distortion_envelope(order, ell, d as u64)
+        }) {
+            None => Ok(()),
+            Some(viol) => Err(format!("distortion envelope violated: {viol:?}")),
+        }
+    })
 }
 
-/// [`build_distributed`] on the sequential executor, untraced — the
+/// The unfaulted driver on the sequential executor, untraced — the
 /// memory-lean entry point the `--scale huge` experiment tiers use.
 ///
 /// # Errors
@@ -584,47 +594,15 @@ pub fn build_distributed_csr(
     params: &FibonacciParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    build_distributed(csr, params, seed, &Executor::Sequential, &mut NullSink)
-}
-
-/// Runs the distributed Fibonacci construction under a fault schedule, on
-/// the sequential executor.
-///
-/// Never panics and never returns an unchecked spanner: the output is
-/// re-certified against the fault-free host graph (spanning + the
-/// Theorem 7 distortion envelope checked exactly), and every failure comes
-/// back as a typed [`FaultError`] retaining the partial [`RunMetrics`] with
-/// fault counters.
-///
-/// # Errors
-///
-/// [`FaultError::Run`] when the simulated
-/// run fails, [`FaultError::Uncertified`]
-/// when the surviving output is not a certified Fibonacci spanner.
-#[allow(clippy::result_large_err)] // error carries full RunMetrics by design
-pub fn build_distributed_faulted(
-    g: &Graph,
-    params: &FibonacciParams,
-    seed: u64,
-    plan: &FaultPlan,
-) -> Result<Spanner, FaultError> {
-    let built = run(
-        g.csr(),
+    run(
+        csr,
         params,
         seed,
         &Executor::Sequential,
-        Some(plan),
+        None,
         &mut NullSink,
-    );
-    let (order, ell) = (params.order, params.ell);
-    crate::faults::build_certified(g, built, |s| {
-        match s.check_envelope_exact(g, |d| {
-            crate::fibonacci::analysis::distortion_envelope(order, ell, d as u64)
-        }) {
-            None => Ok(()),
-            Some(viol) => Err(format!("distortion envelope violated: {viol:?}")),
-        }
-    })
+    )
+    .0
 }
 
 /// The one driver body: sample levels, configure, run on `executor`,
@@ -651,24 +629,11 @@ fn run(
     let (states, metrics) = execute(
         executor, faults, csr, budget, seed, factory, max_rounds, &mut sink,
     );
-    (states.map(|s| collect_spanner(csr, &s, metrics)), metrics)
-}
-
-/// Gathers per-node edge selections into a [`Spanner`] with metrics; edge
-/// ids come from the CSR edge index.
-fn collect_spanner(csr: &CsrAdjacency, states: &[FibNode], metrics: RunMetrics) -> Spanner {
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = index.edge_id(csr, a, b).expect("selected edges exist");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
+    let collect = |states: Vec<FibNode>| {
+        let selected = states.iter().flat_map(|st| st.selected.iter().copied());
+        Spanner::from_selected(csr, selected, metrics)
+    };
+    (states.map(collect), metrics)
 }
 
 /// Planned timetable length in rounds for a concrete input topology (used
@@ -693,7 +658,7 @@ mod tests {
     use super::*;
     use crate::fibonacci::analysis::distortion_envelope;
     use crate::fibonacci::sequential::build_sequential;
-    use spanner_graph::generators;
+    use spanner_graph::{generators, Graph};
 
     fn build(g: &Graph, p: &FibonacciParams, seed: u64) -> Result<Spanner, RunError> {
         build_distributed_csr(g.csr(), p, seed)
@@ -791,7 +756,8 @@ mod tests {
             // One run feeds both the summary and the byte stream: replaying
             // recorded events into a second summary must agree too.
             let csr = g.csr();
-            let seq = build_distributed(csr, &p, 4, &Executor::Sequential, &mut seq_sink).unwrap();
+            let exec = Executor::Sequential;
+            let seq = build_distributed(csr, &p, 4, &exec, None, &mut seq_sink).unwrap();
             let bytes = seq_sink.finish().unwrap();
             for line in std::str::from_utf8(&bytes).unwrap().lines() {
                 let ev = spanner_netsim::TraceEvent::from_json_line(line).expect("parseable");

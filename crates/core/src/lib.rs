@@ -48,5 +48,5 @@ pub mod seq;
 pub mod skeleton;
 pub mod spanner;
 
-pub use faults::FaultError;
+pub use faults::BuildError;
 pub use spanner::{Spanner, StretchReport};

@@ -44,14 +44,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
+use spanner_graph::{CsrAdjacency, EdgeSet, NodeId};
 use spanner_netsim::{
     execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, PhaseMark, Protocol,
     RunError, RunMetrics, ScheduledSink, TraceSink,
 };
 
 use crate::expand::ClusterSampler;
-use crate::faults::FaultError;
+use crate::faults::BuildError;
 use crate::seq::Schedule;
 use crate::skeleton::SkeletonParams;
 use crate::spanner::Spanner;
@@ -634,35 +634,51 @@ pub fn theorem2_budget(n: usize, eps: f64) -> MessageBudget {
 }
 
 /// Runs the distributed skeleton protocol of Theorem 2 on `executor`,
-/// over a shared CSR adjacency with no [`Graph`] ever materialized,
-/// streaming round-level [`TraceEvent`](spanner_netsim::TraceEvent)s into
-/// `sink`; each `Expand` call appears as an `expand[..]` phase span.
+/// over a shared CSR adjacency, streaming round-level
+/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each `Expand`
+/// call appears as an `expand[..]` phase span.
 ///
 /// Returns the spanner (collected from per-node selections) with the run's
 /// communication metrics attached. Edge identifiers are recovered through
-/// [`CsrAdjacency::edge_index`], which reproduces [`Graph::from_edges`]'
-/// lexicographic edge-id order. The spanner, the protocol-level metrics and
-/// the trace stream are the same on every executor (asserted in
-/// `tests/executor_matrix.rs`); the asynchronous executor adds its event,
-/// synchronizer and simulated-time counters. Passing a previously built
+/// [`CsrAdjacency::edge_index`], which reproduces the lexicographic
+/// edge-id order of [`Graph::from_edges`](spanner_graph::Graph::from_edges).
+/// The spanner, the protocol-level metrics and the trace stream are the
+/// same on every executor (asserted in `tests/executor_matrix.rs`); the
+/// asynchronous executor adds its event, synchronizer and simulated-time
+/// counters. Passing a previously built
 /// spanner as [`Synchronizer::Skeleton`](spanner_netsim::Synchronizer)
 /// edges reproduces the Bitton et al. message-reduction transformation.
 ///
+/// Without `faults` no [`Graph`](spanner_graph::Graph) is ever
+/// materialized and the output is not checked. Under a fault plan
+/// (round-synchronous executors only) the driver never panics and never
+/// returns an unchecked spanner: the output is certified against the
+/// fault-free host graph (spanning plus the schedule's distortion bound,
+/// checked exactly) by [`certify`](crate::faults::certify).
+///
 /// # Errors
 ///
-/// Propagates simulator failures — a round-limit or budget violation would
-/// indicate a bug in the timetable, and is asserted against in tests.
+/// [`BuildError::Run`] when the simulated run fails — without faults a
+/// round-limit or budget violation would indicate a bug in the timetable,
+/// and is asserted against in tests; [`BuildError::Uncertified`] when a
+/// faulted run's output is not a certified skeleton.
 pub fn build_distributed(
     csr: &Arc<CsrAdjacency>,
     params: &SkeletonParams,
     seed: u64,
     executor: &Executor,
+    faults: Option<&FaultPlan>,
     sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    run(csr, params, seed, executor, None, sink).0
+) -> Result<Spanner, BuildError> {
+    let built = run(csr, params, seed, executor, faults, sink);
+    crate::faults::certify(csr, faults, built, |g, s| {
+        let bound = params.schedule(g.node_count()).distortion_bound as f64;
+        let bound = spanner_graph::StretchBound::multiplicative(bound);
+        spanner_graph::verify_stretch_exact(g, &s.edges, bound).map_err(|v| v.to_string())
+    })
 }
 
-/// [`build_distributed`] on the sequential executor, untraced — the
+/// The unfaulted driver on the sequential executor, untraced — the
 /// construction path the million-node experiment tiers use.
 ///
 /// # Errors
@@ -673,10 +689,18 @@ pub fn build_distributed_csr(
     params: &SkeletonParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    build_distributed(csr, params, seed, &Executor::Sequential, &mut NullSink)
+    run(
+        csr,
+        params,
+        seed,
+        &Executor::Sequential,
+        None,
+        &mut NullSink,
+    )
+    .0
 }
 
-/// [`build_distributed`] on the sequential executor, traced into `sink`.
+/// The unfaulted driver on the sequential executor, traced into `sink`.
 ///
 /// # Errors
 ///
@@ -687,10 +711,10 @@ pub fn build_distributed_csr_traced(
     seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    build_distributed(csr, params, seed, &Executor::Sequential, sink)
+    run(csr, params, seed, &Executor::Sequential, None, sink).0
 }
 
-/// [`build_distributed`] on `threads` worker threads, untraced.
+/// The unfaulted driver on `threads` worker threads, untraced.
 ///
 /// # Errors
 ///
@@ -702,49 +726,7 @@ pub fn build_distributed_csr_parallel(
     threads: usize,
 ) -> Result<Spanner, RunError> {
     let executor = Executor::Parallel { threads };
-    build_distributed(csr, params, seed, &executor, &mut NullSink)
-}
-
-/// Runs the distributed skeleton protocol under a fault schedule, on the
-/// sequential executor.
-///
-/// Unlike [`build_distributed`], this never panics and never returns an
-/// unchecked spanner: the output is re-certified against the fault-free
-/// host graph (spanning + the schedule's certified distortion bound via
-/// [`verify_stretch_exact`](spanner_graph::verify_stretch_exact)), and any
-/// failure — simulator error, hostile-schedule panic, or certification
-/// miss — comes back as a typed [`FaultError`] retaining the partial
-/// [`RunMetrics`] with fault counters.
-///
-/// # Errors
-///
-/// [`FaultError::Run`] when the simulated
-/// run fails, [`FaultError::Uncertified`]
-/// when the surviving output is not a certified skeleton.
-#[allow(clippy::result_large_err)] // error carries full RunMetrics by design
-pub fn build_distributed_faulted(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    plan: &FaultPlan,
-) -> Result<Spanner, FaultError> {
-    let built = run(
-        g.csr(),
-        params,
-        seed,
-        &Executor::Sequential,
-        Some(plan),
-        &mut NullSink,
-    );
-    let bound = params.schedule(g.node_count()).distortion_bound as f64;
-    crate::faults::build_certified(g, built, |s| {
-        spanner_graph::verify_stretch_exact(
-            g,
-            &s.edges,
-            spanner_graph::StretchBound::multiplicative(bound),
-        )
-        .map_err(|v| v.to_string())
-    })
+    run(csr, params, seed, &executor, None, &mut NullSink).0
 }
 
 /// The one driver body: configure, run on `executor`, collect.
@@ -771,26 +753,11 @@ fn run(
     let (states, metrics) = execute(
         executor, faults, csr, budget, seed, factory, max_rounds, &mut sink,
     );
-    (states.map(|s| collect_spanner(csr, &s, metrics)), metrics)
-}
-
-/// Gathers per-node edge selections into a [`Spanner`] with metrics; edge
-/// ids come from the CSR edge index.
-fn collect_spanner(csr: &CsrAdjacency, states: &[SkelNode], metrics: RunMetrics) -> Spanner {
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = index
-                .edge_id(csr, a, b)
-                .expect("selected edges are graph edges");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
+    let collect = |states: Vec<SkelNode>| {
+        let selected = states.iter().flat_map(|st| st.selected.iter().copied());
+        Spanner::from_selected(csr, selected, metrics)
+    };
+    (states.map(collect), metrics)
 }
 
 /// Number of simulator rounds the timetable occupies for an n-node input —
@@ -804,7 +771,7 @@ pub fn timetable_rounds(n: usize, params: &SkeletonParams) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_graph::generators;
+    use spanner_graph::{generators, Graph};
 
     fn build(g: &Graph, params: &SkeletonParams, seed: u64) -> Result<Spanner, RunError> {
         build_distributed_csr(g.csr(), params, seed)
@@ -1052,7 +1019,10 @@ mod tests {
         for seed in 0..32u64 {
             let g = generators::connected_gnm(200 + 5 * seed as usize, 1_000, seed);
             let plan = FaultPlan::new(seed).with_duplicates(0.1).with_drops(0.02);
-            let built = build_distributed_faulted(&g, &SkeletonParams::default(), seed, &plan);
+            let params = SkeletonParams::default();
+            let exec = Executor::Sequential;
+            let built =
+                build_distributed(g.csr(), &params, seed, &exec, Some(&plan), &mut NullSink);
             let m = match built {
                 Ok(s) => s.metrics.expect("metrics"),
                 Err(e) => panic!("seed {seed}: {e}"),
@@ -1075,13 +1045,14 @@ mod tests {
                 let n = 300 + 10 * seed as usize;
                 let g = generators::connected_gnm(n, degree * n / 2, seed);
                 let plan = FaultPlan::new(seed).with_stutters(0.05);
-                match build_distributed_faulted(&g, &params, seed, &plan) {
+                let exec = Executor::Sequential;
+                match build_distributed(g.csr(), &params, seed, &exec, Some(&plan), &mut NullSink) {
                     Ok(_) => certified += 1,
-                    Err(FaultError::Uncertified { reason, .. }) => assert!(
+                    Err(BuildError::Uncertified { reason, .. }) => assert!(
                         !reason.contains("panicked"),
                         "seed {seed}, degree {degree}: {reason}"
                     ),
-                    Err(FaultError::Run { error, .. }) => assert!(
+                    Err(BuildError::Run { error, .. }) => assert!(
                         !matches!(error, RunError::Panicked(_)),
                         "seed {seed}, degree {degree}: {error}"
                     ),

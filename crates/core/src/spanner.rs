@@ -13,7 +13,7 @@ use std::ops::ControlFlow;
 
 use spanner_graph::components::preserves_connectivity;
 use spanner_graph::distance::{sample_pairs, walk_pairs, Pairs, UNREACHABLE};
-use spanner_graph::{EdgeSet, Graph, NodeId};
+use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::RunMetrics;
 
 /// A spanner of a host graph: the selected edge subset plus the cost of
@@ -33,6 +33,31 @@ impl Spanner {
         Spanner {
             edges,
             metrics: None,
+        }
+    }
+
+    /// The spanner a distributed run selected: each `(u, v)` pair a node
+    /// chose becomes the edge id [`CsrAdjacency::edge_index`] assigns it
+    /// (the ids of the [`Graph`] around `csr`), with the run's metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair is not an edge of `csr`.
+    pub fn from_selected<I>(csr: &CsrAdjacency, selected: I, metrics: RunMetrics) -> Self
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+    {
+        let index = csr.edge_index();
+        let mut edges = EdgeSet::with_universe(index.edge_count());
+        for (a, b) in selected {
+            let e = index
+                .edge_id(csr, a, b)
+                .expect("selected edges are graph edges");
+            edges.insert(e);
+        }
+        Spanner {
+            edges,
+            metrics: Some(metrics),
         }
     }
 

@@ -29,6 +29,7 @@ fn main() {
         &params,
         42,
         &Executor::Sequential,
+        None,
         &mut NullSink,
     )
     .expect("protocol run");

@@ -6,12 +6,13 @@
 //! [`verify_stretch_exact`] — and the distance machinery is cross-checked
 //! against the Thorup–Zwick oracle's `query` bracket.
 //!
-//! The fault-injected drivers (`build_distributed_faulted`) are hammered
-//! with generated drop/delay/crash schedules: they must never panic — the
-//! only legal outcomes are a certified spanner (re-verified here) or a
-//! typed [`FaultError`] whose partial metrics survive. A metamorphic check
-//! confirms that faults scoped to one component never perturb the spanner
-//! built in the other.
+//! The distributed drivers are hammered with generated drop/delay/crash
+//! schedules passed as their fault plan: they must never panic — the only
+//! legal outcomes are a certified spanner (re-verified here) or a typed
+//! [`BuildError`] whose partial metrics survive — and the sequential and
+//! two-thread executors must agree on the outcome and on the JSONL trace.
+//! A metamorphic check confirms that faults scoped to one component never
+//! perturb the spanner built in the other.
 
 use proptest::prelude::*;
 
@@ -19,11 +20,15 @@ use ultrasparse_spanners::baselines::baswana_sen::{self, BaswanaSenParams};
 use ultrasparse_spanners::baselines::{additive2, greedy};
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
-use ultrasparse_spanners::core::{FaultError, Spanner};
+use ultrasparse_spanners::core::{BuildError, Spanner};
 use ultrasparse_spanners::graph::distance::Apsp;
-use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, NodeId, StretchBound};
+use ultrasparse_spanners::graph::{
+    generators, verify_stretch_exact, EdgeId, Graph, NodeId, StretchBound,
+};
 use ultrasparse_spanners::netsim::rng::splitmix64;
-use ultrasparse_spanners::netsim::FaultPlan;
+use ultrasparse_spanners::netsim::{
+    Executor, FaultPlan, JsonLinesSink, NullSink, RunMetrics, TraceEvent, TraceSink, TraceSummary,
+};
 use ultrasparse_spanners::oracle::DistanceOracle;
 
 /// Strategy: a small connected random graph, n ≤ 64 as the ISSUE demands
@@ -70,6 +75,33 @@ fn assert_certified(g: &Graph, s: &Spanner, bound: StretchBound, what: &str) {
     assert!(s.is_spanning(g), "{what}: faulted Ok output must span");
     if let Err(viol) = verify_stretch_exact(g, &s.edges, bound) {
         panic!("{what}: faulted Ok output breaks its bound: {viol}");
+    }
+}
+
+/// One construction's driver under a fixed plan: (executor, sink) → outcome.
+type Faulted<'a> = Box<dyn Fn(&Executor, &mut dyn TraceSink) -> Result<Spanner, BuildError> + 'a>;
+
+/// Re-verifies a faulted driver's `Ok` output from scratch.
+type Check<'a> = Box<dyn Fn(&Spanner) + 'a>;
+
+/// An outcome as two executors must reproduce it: the edges or the error
+/// text, and the protocol metrics (partial ones on an error).
+type Outcome = (Result<Vec<EdgeId>, String>, RunMetrics);
+
+/// Runs `build` on `exec`, traced into memory: the outcome and the JSONL.
+fn run_traced(build: &Faulted, exec: &Executor) -> (Result<Spanner, BuildError>, Vec<u8>) {
+    let mut sink = JsonLinesSink::new(Vec::new());
+    let built = build(exec, &mut sink);
+    (built, sink.finish().expect("in-memory sink"))
+}
+
+fn outcome(built: &Result<Spanner, BuildError>) -> Outcome {
+    match built {
+        Ok(s) => (
+            Ok(s.edges.iter().collect()),
+            s.metrics.expect("distributed metrics").protocol_only(),
+        ),
+        Err(e) => (Err(e.to_string()), e.metrics().protocol_only()),
     }
 }
 
@@ -219,30 +251,71 @@ proptest! {
     fn faulted_drivers_never_panic_or_lie(g in arb_small_graph(), seed in any::<u64>(), fseed in any::<u64>()) {
         let n = g.node_count();
         let plan = hostile_plan(fseed, n);
+        let (csr, faults) = (g.csr(), Some(&plan));
 
         let sk_params = SkeletonParams::default();
-        let sk_bound = sk_params.schedule(n).distortion_bound as f64;
-        match skeleton::distributed::build_distributed_faulted(&g, &sk_params, seed, &plan) {
-            Ok(s) => assert_certified(&g, &s, StretchBound::multiplicative(sk_bound), "skeleton"),
-            Err(e) => prop_assert!(e.metrics().rounds < u32::MAX, "metrics retained: {e}"),
-        }
-
+        let sk_bound = StretchBound::multiplicative(sk_params.schedule(n).distortion_bound as f64);
         let fb_params = FibonacciParams::new(n, 1, 0.5, 0).unwrap();
-        match fibonacci::distributed::build_distributed_faulted(&g, &fb_params, seed, &plan) {
-            Ok(s) => {
-                prop_assert!(s.is_spanning(&g), "fibonacci: faulted Ok output must span");
-                let viol = s.check_envelope_exact(&g, |d| {
-                    fibonacci::analysis::distortion_envelope(fb_params.order, fb_params.ell, d as u64)
-                });
-                prop_assert!(viol.is_none(), "fibonacci faulted Ok breaks envelope: {:?}", viol);
-            }
-            Err(e) => prop_assert!(e.metrics().rounds < u32::MAX, "metrics retained: {e}"),
-        }
-
         let bs_params = BaswanaSenParams::new(2).unwrap();
-        match baswana_sen::build_distributed_faulted(&g, &bs_params, seed, &plan) {
-            Ok(s) => assert_certified(&g, &s, StretchBound::multiplicative(3.0), "baswana_sen"),
-            Err(e) => prop_assert!(e.metrics().rounds < u32::MAX, "metrics retained: {e}"),
+        let drivers: [(&str, Faulted, Check); 3] = [
+            (
+                "skeleton",
+                Box::new(|exec, sink| {
+                    skeleton::distributed::build_distributed(csr, &sk_params, seed, exec, faults, sink)
+                }),
+                Box::new(|s| assert_certified(&g, s, sk_bound, "skeleton")),
+            ),
+            (
+                "fibonacci",
+                Box::new(|exec, sink| {
+                    fibonacci::distributed::build_distributed(csr, &fb_params, seed, exec, faults, sink)
+                }),
+                Box::new(|s| {
+                    assert!(s.is_spanning(&g), "fibonacci: faulted Ok output must span");
+                    let (order, ell) = (fb_params.order, fb_params.ell);
+                    let viol = s.check_envelope_exact(&g, |d| {
+                        fibonacci::analysis::distortion_envelope(order, ell, d as u64)
+                    });
+                    assert!(viol.is_none(), "fibonacci faulted Ok breaks envelope: {viol:?}");
+                }),
+            ),
+            (
+                "baswana_sen",
+                Box::new(|exec, sink| {
+                    baswana_sen::build_distributed(csr, &bs_params, seed, exec, faults, sink)
+                }),
+                Box::new(|s| {
+                    assert_certified(&g, s, StretchBound::multiplicative(3.0), "baswana_sen")
+                }),
+            ),
+        ];
+        for (name, build, check) in &drivers {
+            let untraced = build(&Executor::Sequential, &mut NullSink);
+            match &untraced {
+                Ok(s) => check(s),
+                Err(e) => prop_assert!(e.metrics().rounds < u32::MAX, "metrics retained: {e}"),
+            }
+            // Both round-synchronous executors, traced, reproduce the
+            // untraced outcome and write the same JSONL bytes.
+            let (seq, seq_bytes) = run_traced(build, &Executor::Sequential);
+            let (par, par_bytes) = run_traced(build, &Executor::Parallel { threads: 2 });
+            prop_assert_eq!(outcome(&seq), outcome(&untraced), "{}: traced", name);
+            prop_assert_eq!(outcome(&par), outcome(&untraced), "{}: Parallel{{2}}", name);
+            prop_assert!(seq_bytes == par_bytes, "{}: JSONL differs across executors", name);
+            // The stream reconciles with the metrics and carries the
+            // `faults` event exactly when a counter moved.
+            let mut summary = TraceSummary::new();
+            for line in std::str::from_utf8(&seq_bytes).unwrap().lines() {
+                summary.observe(&TraceEvent::from_json_line(line).expect("parseable"));
+            }
+            let m = match &seq {
+                Ok(s) => s.metrics.expect("distributed metrics"),
+                // A contained panic cuts the stream short of its end.
+                Err(_) if !summary.is_complete() => continue,
+                Err(e) => *e.metrics(),
+            };
+            prop_assert!(m.agrees_with(&summary), "{}: {} vs trace totals", name, m);
+            prop_assert_eq!(summary.fault_counters().is_some(), !m.faults.is_empty(), "{}", name);
         }
     }
 
@@ -253,7 +326,8 @@ proptest! {
         let inert = FaultPlan::new(seed ^ 0xF0F0);
         let params = BaswanaSenParams::new(2).unwrap();
         let plain = baswana_sen::build_distributed_csr(g.csr(), &params, seed).expect("unfaulted build");
-        let faulted = baswana_sen::build_distributed_faulted(&g, &params, seed, &inert)
+        let (exec, faults) = (Executor::Sequential, Some(&inert));
+        let faulted = baswana_sen::build_distributed(g.csr(), &params, seed, &exec, faults, &mut NullSink)
             .expect("inert plan must succeed");
         prop_assert_eq!(plain.edges.iter().collect::<Vec<_>>(),
                         faulted.edges.iter().collect::<Vec<_>>());
@@ -285,7 +359,15 @@ fn scoped_faults_do_not_perturb_other_component() {
         .with_delays(0.4, 2)
         .with_crash(NodeId(k + 3), 1)
         .scoped_to((k..2 * k).map(NodeId));
-    let outcome = baswana_sen::build_distributed_faulted(&g, &params, seed, &hostile);
+    let exec = Executor::Sequential;
+    let outcome = baswana_sen::build_distributed(
+        g.csr(),
+        &params,
+        seed,
+        &exec,
+        Some(&hostile),
+        &mut NullSink,
+    );
 
     let component_a = |s: &Spanner| -> Vec<_> {
         s.edges
@@ -319,20 +401,19 @@ fn total_crash_is_a_typed_error_everywhere() {
     for v in 0..24 {
         plan = plan.with_crash(NodeId(v), 0);
     }
+    let (csr, exec, faults) = (g.csr(), Executor::Sequential, Some(&plan));
+    let sk_params = SkeletonParams::default();
     let sk =
-        skeleton::distributed::build_distributed_faulted(&g, &SkeletonParams::default(), 3, &plan);
-    let fb = fibonacci::distributed::build_distributed_faulted(
-        &g,
-        &FibonacciParams::new(24, 1, 0.5, 0).unwrap(),
-        3,
-        &plan,
-    );
-    let bs =
-        baswana_sen::build_distributed_faulted(&g, &BaswanaSenParams::new(2).unwrap(), 3, &plan);
+        skeleton::distributed::build_distributed(csr, &sk_params, 3, &exec, faults, &mut NullSink);
+    let fb_params = FibonacciParams::new(24, 1, 0.5, 0).unwrap();
+    let fb =
+        fibonacci::distributed::build_distributed(csr, &fb_params, 3, &exec, faults, &mut NullSink);
+    let bs_params = BaswanaSenParams::new(2).unwrap();
+    let bs = baswana_sen::build_distributed(csr, &bs_params, 3, &exec, faults, &mut NullSink);
     for (name, r) in [("skeleton", sk), ("fibonacci", fb), ("baswana_sen", bs)] {
         let err = r.expect_err(name);
         assert!(
-            matches!(err, FaultError::Run { .. } | FaultError::Uncertified { .. }),
+            matches!(err, BuildError::Run { .. } | BuildError::Uncertified { .. }),
             "{name}: {err}"
         );
         assert_eq!(err.metrics().faults.crashes, 24, "{name} crash counter");

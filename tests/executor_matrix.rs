@@ -2,7 +2,7 @@
 //! same thing on every executor.
 //!
 //! Each construction has a single driver, `build_distributed(csr, .., &Executor,
-//! sink)`. For the skeleton (Theorem 2), the Fibonacci spanner (Theorem 8),
+//! faults, sink)`, run here without faults. For the skeleton (Theorem 2), the Fibonacci spanner (Theorem 8),
 //! Baswana–Sen and the BFS forest, every executor choice — sequential,
 //! parallel at 1, 2 and 4 threads, asynchronous under unit latency with the
 //! α-synchronizer, and asynchronous under random delays with the skeleton
@@ -31,15 +31,15 @@ fn constructions() -> [(&'static str, Build); 4] {
     [
         ("skeleton", |csr, exec, sink| {
             let params = SkeletonParams::default();
-            skeleton::distributed::build_distributed(csr, &params, SEED, exec, sink).unwrap()
+            skeleton::distributed::build_distributed(csr, &params, SEED, exec, None, sink).unwrap()
         }),
         ("fibonacci", |csr, exec, sink| {
             let params = FibonacciParams::new(csr.node_count(), 2, 0.5, 3).unwrap();
-            fibonacci::distributed::build_distributed(csr, &params, SEED, exec, sink).unwrap()
+            fibonacci::distributed::build_distributed(csr, &params, SEED, exec, None, sink).unwrap()
         }),
         ("baswana_sen", |csr, exec, sink| {
             let params = BaswanaSenParams::new(3).unwrap();
-            baswana_sen::build_distributed(csr, &params, SEED, exec, sink).unwrap()
+            baswana_sen::build_distributed(csr, &params, SEED, exec, None, sink).unwrap()
         }),
         ("bfs_skeleton", |csr, exec, sink| {
             let max_rounds = 4 * csr.node_count() as u32;

@@ -35,18 +35,25 @@ fn fibonacci_across_graph_families() {
 
 #[test]
 fn distributed_equals_sequential_without_budget() {
-    for (seed, g) in [
-        (1u64, generators::connected_gnm(350, 1_400, 5)),
-        (2, generators::grid(15, 18)),
+    // The n = 600 case at orders 2 and 3 needs every level i ≥ 2 to run
+    // its parent-stage start (a missed one kept 2995 and 2990 edges
+    // against the sequential 2999).
+    for (seed, g, orders) in [
+        (1u64, generators::connected_gnm(350, 1_400, 5), &[2u32][..]),
+        (2, generators::grid(15, 18), &[2]),
+        (3, generators::connected_gnm(600, 3_000, 9), &[2, 3]),
     ] {
-        let p = FibonacciParams::new(g.node_count(), 2, 0.5, 0).unwrap();
-        let seq = fibonacci::build_sequential(&g, &p, seed);
-        let dist = fibonacci::distributed::build_distributed_csr(g.csr(), &p, seed).expect("run");
-        assert_eq!(
-            seq.edges.iter().collect::<Vec<_>>(),
-            dist.edges.iter().collect::<Vec<_>>(),
-            "seed {seed}"
-        );
+        for &order in orders {
+            let p = FibonacciParams::new(g.node_count(), order, 0.5, 0).unwrap();
+            let seq = fibonacci::build_sequential(&g, &p, seed);
+            let dist =
+                fibonacci::distributed::build_distributed_csr(g.csr(), &p, seed).expect("run");
+            assert_eq!(
+                seq.edges.iter().collect::<Vec<_>>(),
+                dist.edges.iter().collect::<Vec<_>>(),
+                "seed {seed}, order {order}"
+            );
+        }
     }
 }
 

@@ -98,7 +98,7 @@ proptest! {
         let delays = delay_plan(dseed);
         for sync in variants(&g, &reference) {
             let s = skeleton::distributed::build_distributed(
-                csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+                csr, &params, seed, &on_async(&delays, sync), None, &mut NullSink,
             ).expect("async build");
             assert_pair_exact("skeleton", &reference, &s);
             // Paper bounds on the async output, as in conformance_constructions.
@@ -132,7 +132,7 @@ proptest! {
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x51);
         for sync in variants(&g, &skel) {
             let s = fibonacci::distributed::build_distributed(
-                csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+                csr, &params, seed, &on_async(&delays, sync), None, &mut NullSink,
             ).expect("async build");
             assert_pair_exact("fibonacci", &reference, &s);
             prop_assert!(s.is_spanning(&g));
@@ -158,7 +158,7 @@ proptest! {
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x52);
         for sync in variants(&g, &skel) {
             let s = baswana_sen::build_distributed(
-                csr, &params, seed, &on_async(&delays, sync), &mut NullSink,
+                csr, &params, seed, &on_async(&delays, sync), None, &mut NullSink,
             ).expect("async build");
             assert_pair_exact("baswana_sen", &reference, &s);
             let t = (2 * k - 1) as f64;
@@ -183,7 +183,7 @@ proptest! {
         for perm in 0..3u64 {
             let executor = on_async(&delay_plan(dseed.wrapping_add(perm)), Synchronizer::Alpha);
             let s = skeleton::distributed::build_distributed(
-                csr, &params, seed, &executor, &mut NullSink,
+                csr, &params, seed, &executor, None, &mut NullSink,
             ).expect("async build");
             let m = s.metrics.expect("async build has metrics").protocol_only();
             if let Some((edges, metrics)) = &previous {
@@ -205,7 +205,8 @@ fn zero_delay_plan_is_unit_latency() {
     let reference =
         skeleton::distributed::build_distributed_csr(csr, &params, 7).expect("sync build");
     let executor = on_async(&FaultPlan::default(), Synchronizer::Alpha);
-    let s = skeleton::distributed::build_distributed(csr, &params, 7, &executor, &mut NullSink)
-        .expect("async build");
+    let s =
+        skeleton::distributed::build_distributed(csr, &params, 7, &executor, None, &mut NullSink)
+            .expect("async build");
     assert_pair_exact("skeleton/zero-delay", &reference, &s);
 }

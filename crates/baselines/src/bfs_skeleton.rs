@@ -16,8 +16,7 @@ use std::sync::Arc;
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::patterns::SourceInfo;
 use spanner_netsim::{
-    execute, Ctx, Executor, MessageBudget, NullSink, PhaseMark, Protocol, RunError, ScheduledSink,
-    TraceSink,
+    execute, Ctx, Executor, MessageBudget, PhaseMark, Protocol, RunError, ScheduledSink, TraceSink,
 };
 use ultrasparse::Spanner;
 
@@ -133,23 +132,11 @@ pub fn build_distributed(
     Ok(Spanner::from_selected(csr, parents, metrics))
 }
 
-/// [`build_distributed`] on the sequential executor, untraced.
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_csr(
-    csr: &Arc<CsrAdjacency>,
-    seed: u64,
-    max_rounds: u32,
-) -> Result<Spanner, RunError> {
-    build_distributed(csr, seed, max_rounds, &Executor::Sequential, &mut NullSink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spanner_graph::generators;
+    use spanner_netsim::NullSink;
 
     #[test]
     fn forest_size_and_spanning() {
@@ -190,7 +177,8 @@ mod tests {
     fn distributed_matches_sequential() {
         let g = generators::connected_gnm(150, 500, 9);
         let seq = build(&g);
-        let dist = build_distributed_csr(g.csr(), 1, 400).unwrap();
+        let dist =
+            build_distributed(g.csr(), 1, 400, &Executor::Sequential, &mut NullSink).unwrap();
         assert!(dist.is_spanning(&g));
         assert_eq!(dist.len(), seq.len());
         // Same root election (min id) and same min-id parent rule: the two
@@ -202,7 +190,7 @@ mod tests {
     #[test]
     fn distributed_on_disconnected() {
         let g = spanner_graph::Graph::from_edges(6, [(0u32, 1), (3, 4), (4, 5)]);
-        let s = build_distributed_csr(g.csr(), 2, 64).unwrap();
+        let s = build_distributed(g.csr(), 2, 64, &Executor::Sequential, &mut NullSink).unwrap();
         assert!(s.is_spanning(&g));
         assert_eq!(s.len(), 3);
     }

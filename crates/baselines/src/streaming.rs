@@ -11,9 +11,11 @@
 //!
 //! (Baswana's algorithm \[5\] achieves O(1) *processing time* per edge
 //! with clustering; we trade that for the simple distance filter, whose
-//! per-edge cost is a BFS bounded to depth 2k−1 in the sparse kept
-//! subgraph — the same space profile, which is what the model constrains.
-//! Documented as a substitution in DESIGN.md §4.)
+//! per-edge cost is a bidirectional BFS in the sparse kept subgraph whose
+//! two radii sum to at most 2k−1 — the same space profile, which is what
+//! the model constrains. Documented as a substitution in DESIGN.md §4.)
+//! The same filter run over a graph's edge list in order is the greedy
+//! spanner of Althöfer et al. ([`crate::greedy`]).
 //!
 //! [`DynamicSpanner`] extends the same filter to the *fully dynamic*
 //! model (insertions **and** deletions), the scenario behind the
@@ -26,9 +28,128 @@
 //! (computed *before* removal — any cover path through the removed edge
 //! starts inside that ball, so nothing outside it can break).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use spanner_graph::{EdgeSet, Graph, LinkedAdjacency, NodeId};
+
+/// The growing subgraph of a bounded-distance filter and the scratch of
+/// its two searches. Every "δ_S(u, v) ≤ 2k−1?" decision in this crate —
+/// streaming, dynamic and greedy — is [`BoundedSearch::within`].
+#[derive(Debug, Clone)]
+struct BoundedSearch {
+    adj: LinkedAdjacency,
+    /// Per node: the stamp of the last search side that reached it. A
+    /// [`BoundedSearch::within`] query takes two fresh stamps (one per
+    /// endpoint), a [`BoundedSearch::ball`] one.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The nodes each side of the current `within` query has reached, in
+    /// BFS order; a side's frontier is the suffix from `start`.
+    sides: [Vec<NodeId>; 2],
+}
+
+impl BoundedSearch {
+    fn new(n: usize) -> Self {
+        BoundedSearch {
+            adj: LinkedAdjacency::new(n),
+            stamp: vec![0; n],
+            epoch: 0,
+            sides: [Vec::new(), Vec::new()],
+        }
+    }
+
+    fn node_count(&self) -> usize {
+        self.stamp.len()
+    }
+
+    /// `count` stamps no node carries yet; the first is returned.
+    fn fresh_stamps(&mut self, count: u32) -> u32 {
+        if self.epoch > u32::MAX - count {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += count;
+        self.epoch - count + 1
+    }
+
+    /// Is δ(u, v) ≤ `limit` in the subgraph? A bidirectional bounded BFS
+    /// that always grows the smaller frontier by one level.
+    ///
+    /// The two reached sets stay disjoint until the search answers: a
+    /// node found by one side that the other side already stamped closes
+    /// a u–v walk of length at most the sum of the two radii, which never
+    /// exceeds `limit`. Conversely a shortest path of length D ≤ `limit`
+    /// has, once the radii sum to D, a node within both radii, so the
+    /// search meets it before the radii pass `limit`. An empty frontier
+    /// means its side's whole component is reached without meeting the
+    /// other side.
+    fn within(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
+        if u == v {
+            return true;
+        }
+        let first = self.fresh_stamps(2);
+        let stamps = [first, first + 1];
+        self.stamp[u.index()] = stamps[0];
+        self.stamp[v.index()] = stamps[1];
+        let mut start = [0usize; 2];
+        for (side, root) in self.sides.iter_mut().zip([u, v]) {
+            side.clear();
+            side.push(root);
+        }
+        for _ in 0..limit {
+            let frontier = |s: usize| self.sides[s].len() - start[s];
+            let s = usize::from(frontier(1) < frontier(0));
+            if frontier(s) == 0 {
+                return false;
+            }
+            let (mine, theirs) = (stamps[s], stamps[1 - s]);
+            let side = &mut self.sides[s];
+            let end = side.len();
+            for i in start[s]..end {
+                for y in self.adj.neighbors(side[i]) {
+                    let t = &mut self.stamp[y.index()];
+                    if *t == theirs {
+                        return true;
+                    }
+                    if *t != mine {
+                        *t = mine;
+                        side.push(y);
+                    }
+                }
+            }
+            start[s] = end;
+        }
+        false
+    }
+
+    /// Multi-source bounded BFS: all nodes within `radius` of `sources`,
+    /// ascending.
+    fn ball(&mut self, sources: &[NodeId], radius: u32) -> Vec<NodeId> {
+        let mine = self.fresh_stamps(1);
+        let mut ball: Vec<NodeId> = Vec::new();
+        for &s in sources {
+            if self.stamp[s.index()] != mine {
+                self.stamp[s.index()] = mine;
+                ball.push(s);
+            }
+        }
+        let mut start = 0;
+        for _ in 0..radius {
+            let end = ball.len();
+            for i in start..end {
+                for y in self.adj.neighbors(ball[i]) {
+                    if self.stamp[y.index()] != mine {
+                        self.stamp[y.index()] = mine;
+                        ball.push(y);
+                    }
+                }
+            }
+            start = end;
+        }
+        ball.sort_unstable();
+        ball
+    }
+}
 
 /// An online (2k−1)-spanner over an edge stream on a fixed vertex set.
 ///
@@ -49,14 +170,9 @@ use spanner_graph::{EdgeSet, Graph, LinkedAdjacency, NodeId};
 #[derive(Debug, Clone)]
 pub struct StreamingSpanner {
     k: u32,
-    adj: LinkedAdjacency,
+    /// The kept subgraph.
+    search: BoundedSearch,
     kept: Vec<(NodeId, NodeId)>,
-    // Scratch for the bounded BFS (timestamped to avoid re-allocation):
-    // backward marks, forward marks, forward distances.
-    mark: Vec<u32>,
-    fmark: Vec<u32>,
-    fdist: Vec<u32>,
-    epoch: u32,
 }
 
 impl StreamingSpanner {
@@ -69,12 +185,8 @@ impl StreamingSpanner {
         assert!(k >= 1, "k must be at least 1");
         StreamingSpanner {
             k,
-            adj: LinkedAdjacency::new(n),
+            search: BoundedSearch::new(n),
             kept: Vec::new(),
-            mark: vec![0; n],
-            fmark: vec![0; n],
-            fdist: vec![0; n],
-            epoch: 0,
         }
     }
 
@@ -101,97 +213,15 @@ impl StreamingSpanner {
     /// Panics if an endpoint is out of range.
     pub fn offer(&mut self, u: NodeId, v: NodeId) -> bool {
         assert!(
-            u.index() < self.adj.node_count() && v.index() < self.adj.node_count(),
+            u.index() < self.search.node_count() && v.index() < self.search.node_count(),
             "endpoint out of range"
         );
-        if u == v {
+        if u == v || self.search.within(u, v, self.stretch()) {
             return false;
         }
-        if self.distance_at_most(u, v, 2 * self.k - 1) {
-            return false;
-        }
-        self.adj.add_edge(u, v);
+        self.search.adj.add_edge(u, v);
         self.kept.push((u.min(v), u.max(v)));
         true
-    }
-
-    /// Bidirectional bounded BFS in the kept subgraph: is δ(u, v) ≤ `limit`?
-    ///
-    /// Meet-in-the-middle: a forward sweep from `u` to radius ⌈limit/2⌉
-    /// records its ball, then a backward sweep from `v` to the remaining
-    /// radius reports success as soon as it touches a node `y` with
-    /// `fdist(y) + bdist(y) ≤ limit`. Both balls have roughly the square
-    /// root of the unidirectional frontier size, which is what makes the
-    /// per-edge filter cheap on dense streams. Soundness: the distances on
-    /// both sides are exact within their radii, so a meeting certifies a
-    /// walk of length ≤ limit; conversely a shortest path of length
-    /// D ≤ limit has a node at distance min(⌈limit/2⌉, D) from `u` that
-    /// the backward sweep reaches within limit − ⌈limit/2⌉ hops.
-    fn distance_at_most(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let forward_radius = limit.div_ceil(2);
-        self.fmark[u.index()] = epoch;
-        self.fdist[u.index()] = 0;
-        let mut queue = VecDeque::from([(u, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if x == v {
-                return true;
-            }
-            if d == forward_radius {
-                continue;
-            }
-            for y in self.adj.neighbors(x) {
-                if self.fmark[y.index()] != epoch {
-                    self.fmark[y.index()] = epoch;
-                    self.fdist[y.index()] = d + 1;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        let backward_radius = limit - forward_radius;
-        self.mark[v.index()] = epoch;
-        let mut queue = VecDeque::from([(v, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if self.fmark[x.index()] == epoch && self.fdist[x.index()] + d <= limit {
-                return true;
-            }
-            if d == backward_radius {
-                continue;
-            }
-            for y in self.adj.neighbors(x) {
-                if self.mark[y.index()] != epoch {
-                    self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        false
-    }
-
-    /// The original single-direction bounded BFS, kept as the reference
-    /// the proptest suite cross-checks the bidirectional version against.
-    #[cfg(test)]
-    fn distance_at_most_unidirectional(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.mark[u.index()] = epoch;
-        let mut queue = VecDeque::from([(u, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if x == v {
-                return true;
-            }
-            if d == limit {
-                continue;
-            }
-            for y in self.adj.neighbors(x) {
-                if self.mark[y.index()] != epoch {
-                    self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        false
     }
 
     /// The kept edges, in arrival order, as (min, max) endpoint pairs.
@@ -253,15 +283,10 @@ pub struct DynamicSpanner {
     spanner: BTreeSet<(u32, u32)>,
     /// Graph adjacency (for enumerating edges incident to a repair ball).
     gadj: LinkedAdjacency,
-    /// Spanner adjacency (for the bounded-distance cover checks).
-    sadj: LinkedAdjacency,
+    /// The spanner subgraph (for the bounded-distance cover checks).
+    search: BoundedSearch,
     /// Nodes touched by edits since the last compaction.
     dirty: BTreeSet<u32>,
-    // Timestamped BFS scratch, same discipline as [`StreamingSpanner`].
-    mark: Vec<u32>,
-    fmark: Vec<u32>,
-    fdist: Vec<u32>,
-    epoch: u32,
 }
 
 impl DynamicSpanner {
@@ -277,12 +302,8 @@ impl DynamicSpanner {
             graph: BTreeSet::new(),
             spanner: BTreeSet::new(),
             gadj: LinkedAdjacency::new(n),
-            sadj: LinkedAdjacency::new(n),
+            search: BoundedSearch::new(n),
             dirty: BTreeSet::new(),
-            mark: vec![0; n],
-            fmark: vec![0; n],
-            fdist: vec![0; n],
-            epoch: 0,
         }
     }
 
@@ -317,7 +338,7 @@ impl DynamicSpanner {
             if !s.spanner.insert(key) {
                 return Err(format!("duplicate spanner edge {u}-{v}"));
             }
-            s.sadj.add_edge(NodeId(key.0), NodeId(key.1));
+            s.search.adj.add_edge(NodeId(key.0), NodeId(key.1));
         }
         Ok(s)
     }
@@ -344,7 +365,7 @@ impl DynamicSpanner {
 
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
-        self.mark.len()
+        self.search.node_count()
     }
 
     /// Number of current graph edges.
@@ -428,9 +449,9 @@ impl DynamicSpanner {
         }
         self.gadj.add_edge(u, v);
         self.dirty.extend([key.0, key.1]);
-        if !self.distance_at_most(u, v, self.stretch()) {
+        if !self.search.within(u, v, self.stretch()) {
             self.spanner.insert(key);
-            self.sadj.add_edge(u, v);
+            self.search.adj.add_edge(u, v);
         }
         true
     }
@@ -463,8 +484,8 @@ impl DynamicSpanner {
         self.gadj.remove_edge(u, v);
         self.dirty.extend([key.0, key.1]);
         if self.spanner.remove(&key) {
-            let ball = self.spanner_ball(&[u], self.stretch());
-            self.sadj.remove_edge(u, v);
+            let ball = self.search.ball(&[u], self.stretch());
+            self.search.adj.remove_edge(u, v);
             self.refill(&ball);
         }
         true
@@ -492,7 +513,7 @@ impl DynamicSpanner {
         let region: Vec<NodeId> = self.dirty.iter().map(|&v| NodeId(v)).collect();
         // Pre-removal ball: every cover path through a region-internal
         // spanner edge starts within distance 2k−1 of the region.
-        let ball = self.spanner_ball(&region, self.stretch());
+        let ball = self.search.ball(&region, self.stretch());
         let g = self.to_graph();
         let chosen = recluster(&g, &region);
         let doomed: Vec<(u32, u32)> = self
@@ -503,7 +524,7 @@ impl DynamicSpanner {
             .collect();
         for &(a, b) in &doomed {
             self.spanner.remove(&(a, b));
-            self.sadj.remove_edge(NodeId(a), NodeId(b));
+            self.search.adj.remove_edge(NodeId(a), NodeId(b));
         }
         let mut reclustered = 0usize;
         for e in chosen.iter() {
@@ -511,7 +532,7 @@ impl DynamicSpanner {
             let key = (a.0.min(b.0), a.0.max(b.0));
             debug_assert!(self.graph.contains(&key), "hook chose a non-graph edge");
             if self.spanner.insert(key) {
-                self.sadj.add_edge(a, b);
+                self.search.adj.add_edge(a, b);
                 reclustered += 1;
             }
         }
@@ -544,93 +565,21 @@ impl DynamicSpanner {
                 continue;
             }
             let (u, v) = (NodeId(a), NodeId(b));
-            if !self.distance_at_most(u, v, self.stretch()) {
+            if !self.search.within(u, v, self.stretch()) {
                 self.spanner.insert((a, b));
-                self.sadj.add_edge(u, v);
+                self.search.adj.add_edge(u, v);
                 added += 1;
             }
         }
         added
-    }
-
-    /// Multi-source bounded BFS in the spanner: all nodes within `radius`
-    /// of `sources`, ascending.
-    fn spanner_ball(&mut self, sources: &[NodeId], radius: u32) -> Vec<NodeId> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut queue = VecDeque::new();
-        for &s in sources {
-            if self.mark[s.index()] != epoch {
-                self.mark[s.index()] = epoch;
-                queue.push_back((s, 0u32));
-            }
-        }
-        let mut ball: Vec<NodeId> = Vec::new();
-        while let Some((x, d)) = queue.pop_front() {
-            ball.push(x);
-            if d == radius {
-                continue;
-            }
-            for y in self.sadj.neighbors(x) {
-                if self.mark[y.index()] != epoch {
-                    self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        ball.sort_unstable();
-        ball
-    }
-
-    /// Bidirectional bounded BFS in the spanner: is δ_S(u, v) ≤ `limit`?
-    /// Same meet-in-the-middle scheme as
-    /// [`StreamingSpanner::distance_at_most`].
-    fn distance_at_most(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let forward_radius = limit.div_ceil(2);
-        self.fmark[u.index()] = epoch;
-        self.fdist[u.index()] = 0;
-        let mut queue = VecDeque::from([(u, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if x == v {
-                return true;
-            }
-            if d == forward_radius {
-                continue;
-            }
-            for y in self.sadj.neighbors(x) {
-                if self.fmark[y.index()] != epoch {
-                    self.fmark[y.index()] = epoch;
-                    self.fdist[y.index()] = d + 1;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        let backward_radius = limit - forward_radius;
-        self.mark[v.index()] = epoch;
-        let mut queue = VecDeque::from([(v, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if self.fmark[x.index()] == epoch && self.fdist[x.index()] + d <= limit {
-                return true;
-            }
-            if d == backward_radius {
-                continue;
-            }
-            for y in self.sadj.neighbors(x) {
-                if self.mark[y.index()] != epoch {
-                    self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -704,6 +653,35 @@ mod tests {
         }
     }
 
+    /// The single-direction bounded BFS the filters once ran, kept as the
+    /// reference the proptest suite cross-checks [`BoundedSearch::within`]
+    /// against.
+    fn within_one_sided(search: &mut BoundedSearch, u: NodeId, v: NodeId, limit: u32) -> bool {
+        let mine = search.fresh_stamps(1);
+        search.stamp[u.index()] = mine;
+        let mut queue = VecDeque::from([(u, 0u32)]);
+        while let Some((x, d)) = queue.pop_front() {
+            if x == v {
+                return true;
+            }
+            if d == limit {
+                continue;
+            }
+            for y in search.adj.neighbors(x) {
+                if search.stamp[y.index()] != mine {
+                    search.stamp[y.index()] = mine;
+                    queue.push_back((y, d + 1));
+                }
+            }
+        }
+        false
+    }
+
+    // Both filters' searches against the one-sided reference: the
+    // streaming filter after `m` random offers, and the dynamic spanner
+    // after the same inserts followed by `removals` random deletions
+    // (whose cover repairs, over the search's ball, must restore the
+    // invariant).
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -711,18 +689,27 @@ mod tests {
         fn bidirectional_matches_unidirectional(
             n in 2usize..=40,
             m in 0usize..=160,
+            removals in 0usize..=80,
             k in 1u32..=4,
             seed in any::<u64>(),
         ) {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let mut s = StreamingSpanner::new(n, k);
+            let mut stream = StreamingSpanner::new(n, k);
+            let mut dynamic = DynamicSpanner::new(n, k);
             for _ in 0..m {
                 let u = NodeId(rng.gen_range(0..n as u32));
                 let v = NodeId(rng.gen_range(0..n as u32));
                 if u != v {
-                    s.offer(u, v);
+                    stream.offer(u, v);
+                    dynamic.insert(u, v);
                 }
             }
+            let mut live: Vec<(NodeId, NodeId)> = dynamic.graph_edges().collect();
+            for _ in 0..removals.min(live.len()) {
+                let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                prop_assert!(dynamic.delete(u, v));
+            }
+            assert_dynamic_invariant(&dynamic);
             for _ in 0..64 {
                 let u = NodeId(rng.gen_range(0..n as u32));
                 let v = NodeId(rng.gen_range(0..n as u32));
@@ -730,13 +717,29 @@ mod tests {
                     continue;
                 }
                 let limit = rng.gen_range(0..=2 * k + 2);
-                prop_assert_eq!(
-                    s.distance_at_most(u, v, limit),
-                    s.distance_at_most_unidirectional(u, v, limit),
-                    "query ({u}, {v}) limit {limit}"
-                );
+                for search in [&mut stream.search, &mut dynamic.search] {
+                    prop_assert_eq!(
+                        search.within(u, v, limit),
+                        within_one_sided(search, u, v, limit),
+                        "query ({u}, {v}) limit {limit}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn stamps_restart_when_the_epoch_runs_out() {
+        let mut s = StreamingSpanner::new(4, 2);
+        s.offer(NodeId(0), NodeId(1));
+        s.offer(NodeId(1), NodeId(2));
+        s.search.epoch = u32::MAX - 2;
+        assert!(s.search.within(NodeId(0), NodeId(2), 2));
+        // The next query needs two stamps past u32::MAX: all stamps reset.
+        assert!(!s.search.within(NodeId(0), NodeId(3), 3));
+        assert_eq!(s.search.epoch, 2);
+        assert!(s.search.within(NodeId(2), NodeId(0), 2));
+        assert_eq!(s.search.ball(&[NodeId(0)], 1), [NodeId(0), NodeId(1)]);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use spanner_baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
 use spanner_graph::{generators, traversal, NodeId};
+use spanner_netsim::{Executor, NullSink};
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{self, SkeletonParams};
 
@@ -69,7 +70,17 @@ fn bench_fibonacci(c: &mut Criterion) {
         let csr = workload(n).csr().clone();
         let params = FibonacciParams::new(n, 2, 0.5, 0).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &csr, |b, csr| {
-            b.iter(|| fibonacci::distributed::build_distributed_csr(csr, &params, 3).unwrap())
+            b.iter(|| {
+                fibonacci::distributed::build_distributed(
+                    csr,
+                    &params,
+                    3,
+                    &Executor::Sequential,
+                    None,
+                    &mut NullSink,
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();

@@ -1,8 +1,10 @@
 //! Construction-pipeline throughput of the distributed drivers.
 //!
-//! Each construction runs through its CSR-native driver
-//! (`build_distributed_csr`), which shares one `Arc<CsrAdjacency>` across
-//! the executor, the fault plan, and the trace layer and collects the
+//! Each construction runs untraced on the sequential executor through its
+//! CSR-native driver (`build_distributed_csr` for the skeleton and
+//! Baswana–Sen, `build_distributed` for Fibonacci), which shares one
+//! `Arc<CsrAdjacency>` across the executor, the fault plan, and the trace
+//! layer and collects the
 //! spanner through the CSR edge index — zero `Graph` materialization. This
 //! bench records rounds/sec, total messages, wall time (best of the
 //! scale's samples), and peak RSS per shape.
@@ -22,6 +24,7 @@ use std::time::Instant;
 use spanner_baselines::baswana_sen;
 use spanner_bench::peak_rss_bytes;
 use spanner_graph::generators;
+use spanner_netsim::{Executor, NullSink};
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{distributed as skel, SkeletonParams};
 use ultrasparse::Spanner;
@@ -158,7 +161,9 @@ fn main() {
     // The huge tier records the skeleton and Baswana–Sen rows only.
     if sc.name != "huge" {
         results.push(bench_shape("fibonacci", n, m, sc.samples, || {
-            fibonacci::distributed::build_distributed_csr(&csr, &fp, seed).unwrap()
+            let seq = Executor::Sequential;
+            fibonacci::distributed::build_distributed(&csr, &fp, seed, &seq, None, &mut NullSink)
+                .unwrap()
         }));
     }
 

@@ -278,7 +278,10 @@ fn run_huge() {
         ]);
     };
 
-    let (s, secs) = timed(|| bfs_skeleton::build_distributed_csr(&csr, seed, 4096).unwrap());
+    let (s, secs) = timed(|| {
+        bfs_skeleton::build_distributed(&csr, seed, 4096, &Executor::Sequential, &mut NullSink)
+            .unwrap()
+    });
     add_row("BFS forest", &s, secs, &mut table);
     drop(s);
 

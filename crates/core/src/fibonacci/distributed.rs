@@ -40,8 +40,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, NodeId};
 use spanner_netsim::{
-    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, NullSink, PhaseMark, Protocol,
-    RunError, RunMetrics, ScheduledSink, TraceSink,
+    execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, PhaseMark, Protocol, RunError,
+    RunMetrics, ScheduledSink, TraceSink,
 };
 
 use crate::faults::BuildError;
@@ -583,28 +583,6 @@ pub fn build_distributed(
     })
 }
 
-/// The unfaulted driver on the sequential executor, untraced — the
-/// memory-lean entry point the `--scale huge` experiment tiers use.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_csr(
-    csr: &Arc<CsrAdjacency>,
-    params: &FibonacciParams,
-    seed: u64,
-) -> Result<Spanner, RunError> {
-    run(
-        csr,
-        params,
-        seed,
-        &Executor::Sequential,
-        None,
-        &mut NullSink,
-    )
-    .0
-}
-
 /// The one driver body: sample levels, configure, run on `executor`,
 /// collect.
 fn run(
@@ -659,9 +637,10 @@ mod tests {
     use crate::fibonacci::analysis::distortion_envelope;
     use crate::fibonacci::sequential::build_sequential;
     use spanner_graph::{generators, Graph};
+    use spanner_netsim::NullSink;
 
-    fn build(g: &Graph, p: &FibonacciParams, seed: u64) -> Result<Spanner, RunError> {
-        build_distributed_csr(g.csr(), p, seed)
+    fn build(g: &Graph, p: &FibonacciParams, seed: u64) -> Result<Spanner, BuildError> {
+        build_distributed(g.csr(), p, seed, &Executor::Sequential, None, &mut NullSink)
     }
 
     fn params(n: usize, o: u32, t: u32) -> FibonacciParams {

@@ -5,7 +5,7 @@
 //! baseline and the benches use it to contrast the paper's approach, which
 //! *"guarantees sparseness without disallowing short cycles"* (Sect. 2).
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 
 /// Length of the shortest cycle in `g`, or `None` if `g` is a forest.
 ///
@@ -22,17 +22,6 @@ pub fn girth(g: &Graph) -> Option<u32> {
 /// Whether `g` has girth strictly greater than `k` (true for forests).
 pub fn girth_exceeds(g: &Graph, k: u32) -> bool {
     girth(g).is_none_or(|gth| gth > k)
-}
-
-/// Whether adding edge `{u, v}` to `g` would create a cycle of length at
-/// most `k` — i.e. whether `dist_g(u, v) <= k - 1`. This is the greedy
-/// spanner's acceptance test, run *before* insertion.
-pub fn closes_short_cycle(g: &Graph, u: NodeId, v: NodeId, k: u32) -> bool {
-    if k == 0 {
-        return false;
-    }
-    let d = crate::traversal::bfs_distances_bounded(g, u, k - 1);
-    d[v.index()].is_some()
 }
 
 #[cfg(test)]
@@ -98,14 +87,5 @@ mod tests {
         // Two vertices joined by two length-2 paths: girth 4.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 3), (3, 2)]);
         assert_eq!(girth(&g), Some(4));
-    }
-
-    #[test]
-    fn closes_short_cycle_test() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        // adding 0-3 closes a 4-cycle
-        assert!(closes_short_cycle(&g, NodeId(0), NodeId(3), 4));
-        assert!(!closes_short_cycle(&g, NodeId(0), NodeId(3), 3));
-        assert!(!closes_short_cycle(&g, NodeId(0), NodeId(3), 0));
     }
 }

@@ -29,13 +29,6 @@ pub fn bfs_distances_csr(csr: &CsrAdjacency, src: NodeId) -> Vec<Option<u32>> {
     bfs_distances_in_subgraph(csr, src, u32::MAX)
 }
 
-/// Distances from `src`, exploring only up to distance `radius` inclusive.
-///
-/// Nodes further than `radius` (or unreachable) get `None`.
-pub fn bfs_distances_bounded(g: &Graph, src: NodeId, radius: u32) -> Vec<Option<u32>> {
-    bfs_distances_in_subgraph(g.csr(), src, radius)
-}
-
 /// Result of a multi-source BFS: for every node, the distance to the nearest
 /// source and which source attained it.
 #[derive(Debug, Clone)]
@@ -234,23 +227,6 @@ mod tests {
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d[2], None);
         assert_eq!(d[3], None);
-    }
-
-    #[test]
-    fn bounded_bfs_cuts_off() {
-        let g = path(10);
-        let d = bfs_distances_bounded(&g, NodeId(0), 3);
-        assert_eq!(d[3], Some(3));
-        assert_eq!(d[4], None);
-    }
-
-    #[test]
-    fn bounded_bfs_radius_zero() {
-        let g = path(3);
-        let d = bfs_distances_bounded(&g, NodeId(1), 0);
-        assert_eq!(d[1], Some(0));
-        assert_eq!(d[0], None);
-        assert_eq!(d[2], None);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use ultrasparse_spanners::baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
 use ultrasparse_spanners::graph::{generators, verify_stretch_exact, StretchBound};
+use ultrasparse_spanners::netsim::{Executor, NullSink};
 
 #[test]
 fn all_baselines_guarantee_matrix() {
@@ -89,7 +90,9 @@ fn distributed_baselines_round_counts() {
     assert!(m.rounds <= p.k + 2);
     assert_eq!(m.max_message_words, 2);
 
-    let f = bfs_skeleton::build_distributed_csr(g.csr(), 3, 4_000).expect("run");
+    let f =
+        bfs_skeleton::build_distributed(g.csr(), 3, 4_000, &Executor::Sequential, &mut NullSink)
+            .expect("run");
     let fm = f.metrics.unwrap();
     assert!(fm.rounds < 4_000);
 }

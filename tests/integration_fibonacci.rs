@@ -4,6 +4,7 @@
 
 use ultrasparse_spanners::core::fibonacci::{self, analysis::distortion_envelope, FibonacciParams};
 use ultrasparse_spanners::graph::{generators, Graph};
+use ultrasparse_spanners::netsim::{Executor, NullSink};
 
 fn envelope_ok(g: &Graph, p: &FibonacciParams, s: &ultrasparse_spanners::core::Spanner) {
     let viol = s.check_envelope_sampled(g, 1_500, 7, |d| {
@@ -46,8 +47,15 @@ fn distributed_equals_sequential_without_budget() {
         for &order in orders {
             let p = FibonacciParams::new(g.node_count(), order, 0.5, 0).unwrap();
             let seq = fibonacci::build_sequential(&g, &p, seed);
-            let dist =
-                fibonacci::distributed::build_distributed_csr(g.csr(), &p, seed).expect("run");
+            let dist = fibonacci::distributed::build_distributed(
+                g.csr(),
+                &p,
+                seed,
+                &Executor::Sequential,
+                None,
+                &mut NullSink,
+            )
+            .expect("run");
             assert_eq!(
                 seq.edges.iter().collect::<Vec<_>>(),
                 dist.edges.iter().collect::<Vec<_>>(),
@@ -62,7 +70,15 @@ fn bounded_messages_stay_correct() {
     let g = generators::connected_gnm(500, 3_000, 8);
     for t in [2u32, 4] {
         let p = FibonacciParams::new(500, 2, 0.5, t).unwrap();
-        let s = fibonacci::distributed::build_distributed_csr(g.csr(), &p, 3).expect("run");
+        let s = fibonacci::distributed::build_distributed(
+            g.csr(),
+            &p,
+            3,
+            &Executor::Sequential,
+            None,
+            &mut NullSink,
+        )
+        .expect("run");
         assert!(s.is_spanning(&g), "t={t}");
         envelope_ok(&g, &p, &s);
         let m = s.metrics.unwrap();

@@ -124,8 +124,10 @@ proptest! {
         let n = g.node_count();
         let params = FibonacciParams::new(n, order, 0.5, 0).unwrap();
         let csr = g.csr();
-        let reference = fibonacci::distributed::build_distributed_csr(csr, &params, seed)
-            .expect("round-synchronous build");
+        let reference = fibonacci::distributed::build_distributed(
+            csr, &params, seed, &Executor::Sequential, None, &mut NullSink,
+        )
+        .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         // The skeleton variant synchronizes over a separately built
         // skeleton spanner (spanning + connected on these graphs).

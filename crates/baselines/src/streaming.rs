@@ -24,9 +24,13 @@
 //! δ_S(u, v) ≤ 2k−1 in the maintained subgraph S — which is exactly the
 //! (2k−1)-spanner property. Insertion is the streaming filter; deleting a
 //! spanner edge repairs the invariant by re-checking every graph edge
-//! with an endpoint in the ball of radius 2k−1 around the removed edge
-//! (computed *before* removal — any cover path through the removed edge
-//! starts inside that ball, so nothing outside it can break).
+//! with an endpoint in the ball of radius k−1 around the removed edge's
+//! endpoint `u`, computed *before* removal. That ball is enough: a cover
+//! path of length ≤ 2k−1 through the removed edge has two outer pieces of
+//! total length ≤ 2k−2, so the piece that ends at `u` is ≤ k−1 long or the
+//! other one is ≤ k−2 (and its end within k−1 of `u` over the edge).
+//! Either way the covered edge has an endpoint in the ball, and nothing
+//! outside it can break.
 
 use std::collections::BTreeSet;
 
@@ -459,9 +463,10 @@ impl DynamicSpanner {
     /// Deletes the graph edge `{u, v}`; returns whether the graph changed.
     ///
     /// A graph-only edge just disappears. Deleting a *spanner* edge
-    /// additionally repairs the cover invariant: the ball of radius 2k−1
-    /// around `u` in S is computed **before** the removal (any cover path
-    /// through `{u, v}` starts at a node of that ball), the edge is
+    /// additionally repairs the cover invariant: the ball of radius k−1
+    /// around `u` in S is computed **before** the removal (every edge
+    /// with a cover path through `{u, v}` has an endpoint in that ball;
+    /// see the module docs), the edge is
     /// dropped, and every remaining graph edge with an endpoint in the
     /// ball is re-checked — re-entering S when its endpoints drifted
     /// beyond 2k−1 apart.
@@ -484,7 +489,7 @@ impl DynamicSpanner {
         self.gadj.remove_edge(u, v);
         self.dirty.extend([key.0, key.1]);
         if self.spanner.remove(&key) {
-            let ball = self.search.ball(&[u], self.stretch());
+            let ball = self.search.ball(&[u], self.k - 1);
             self.search.adj.remove_edge(u, v);
             self.refill(&ball);
         }
@@ -511,9 +516,10 @@ impl DynamicSpanner {
             return CompactStats::default();
         }
         let region: Vec<NodeId> = self.dirty.iter().map(|&v| NodeId(v)).collect();
-        // Pre-removal ball: every cover path through a region-internal
-        // spanner edge starts within distance 2k−1 of the region.
-        let ball = self.search.ball(&region, self.stretch());
+        // Pre-removal ball: a cover path of length ≤ 2k−1 through a
+        // region-internal spanner edge has outer pieces of total length
+        // ≤ 2k−2, so one of them ends within k−1 of the region.
+        let ball = self.search.ball(&region, self.k - 1);
         let g = self.to_graph();
         let chosen = recluster(&g, &region);
         let doomed: Vec<(u32, u32)> = self
@@ -804,6 +810,28 @@ mod tests {
         }
         assert_eq!(s.graph_len(), g.edge_count() - 120);
         assert_dynamic_invariant(&s);
+    }
+
+    /// The repair ball's radius k−1 is tight. On the 2k-cycle, S is the
+    /// path 0–1–…–(2k−1) and covers the left-out edge {2k−1, 0} with
+    /// length 2k−1. Deleting the S edge {k−1, k}, at distance k−1 from
+    /// both ends of the left-out edge, breaks that cover; only node 0 is
+    /// within k−1 of the ball's centre k−1, so a ball of radius k−2
+    /// misses the edge.
+    #[test]
+    fn dynamic_delete_ball_reaches_k_minus_one() {
+        for k in 2..=5u32 {
+            let n = 2 * k;
+            let mut s = DynamicSpanner::new(n as usize, k);
+            for v in 0..n {
+                s.insert(NodeId(v), NodeId((v + 1) % n));
+            }
+            assert!(!s.spanner_contains(NodeId(n - 1), NodeId(0)), "k = {k}");
+            assert!(s.delete(NodeId(k - 1), NodeId(k)));
+            assert!(s.spanner_contains(NodeId(n - 1), NodeId(0)), "k = {k}");
+            assert_eq!(s.spanner_len(), s.graph_len(), "k = {k}");
+            assert_dynamic_invariant(&s);
+        }
     }
 
     #[test]

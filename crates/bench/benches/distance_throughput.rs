@@ -34,6 +34,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::Criterion;
+use spanner_bench::peak_rss_bytes;
 use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::{generators, traversal, DistanceEngine, Graph, NodeId, Strategy};
 
@@ -135,26 +136,6 @@ fn time_interleaved<const K: usize>(
         }
     }
     best
-}
-
-/// Peak resident set size of this process in bytes (Linux `VmHWM`;
-/// 0 where unavailable).
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 struct ShapeResult {

@@ -14,10 +14,13 @@
 //! clock included), independent of thread count and repeat invocation:
 //! the golden test pins the whole table and only normalizes `secs`.
 //!
-//! Writes machine-readable results to `BENCH_async.json` at the repo root
-//! (CI uploads it as an artifact); `--json <path>` redirects it.
+//! Writes machine-readable results to `BENCH_async.json` at the repo root;
+//! `--json <path>` redirects it. The file holds no timings, so CI checks
+//! that a full-scale run reproduces the committed one byte for byte.
 
-use spanner_bench::{f2, scale3, timed, workload, Table};
+use std::path::{Path, PathBuf};
+
+use spanner_bench::{f2, json_out_arg, scale3, timed, workload, Table};
 use spanner_graph::{generators, Graph};
 use spanner_netsim::{
     patterns::FloodProtocol, AsyncNetwork, FaultPlan, MessageBudget, RunMetrics, Synchronizer,
@@ -58,7 +61,12 @@ struct Row {
 }
 
 fn main() {
-    let json_path = json_path_arg();
+    let json_path = json_out_arg().unwrap_or_else(|| {
+        PathBuf::from(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_async.json"
+        ))
+    });
     println!(
         "E-async (Bitton et al. 1909.08369): message cost of recovering round\n\
          semantics on an asynchronous network — α-synchronizer over the raw\n\
@@ -151,24 +159,10 @@ fn main() {
     );
 
     write_json(&json_path, &rows);
-    println!("wrote {json_path}");
+    println!("wrote {}", json_path.display());
 }
 
-/// `--json <path>` / `--json=<path>`, defaulting to the repo-root artifact.
-fn json_path_arg() -> String {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().expect("--json needs a path");
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return p.to_string();
-        }
-    }
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_async.json").to_string()
-}
-
-fn write_json(path: &str, rows: &[Row]) {
+fn write_json(path: &Path, rows: &[Row]) {
     let mut runs = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -190,7 +184,7 @@ fn write_json(path: &str, rows: &[Row]) {
          \"delay_max\": {DELAY_MAX},\n  \"delay_seed\": {DELAY_SEED},\n  \
          \"seed\": {RUN_SEED},\n  \"runs\": [\n{runs}\n  ]\n}}\n"
     );
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 fn metrics_json(m: &RunMetrics) -> String {

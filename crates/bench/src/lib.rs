@@ -125,6 +125,16 @@ pub fn trace_out_arg() -> Option<PathBuf> {
     arg_value("--trace-out").map(PathBuf::from)
 }
 
+/// The `--json <path>` argument (also `--json=path`), if present, for
+/// binaries that write a machine-readable artifact.
+///
+/// # Panics
+///
+/// Panics on a `--json` without a path, as [`trace_out_arg`] does.
+pub fn json_out_arg() -> Option<PathBuf> {
+    arg_value("--json").map(PathBuf::from)
+}
+
 /// [`flag_value`] over the process arguments.
 fn arg_value(name: &str) -> Option<String> {
     flag_value(&std::env::args().collect::<Vec<_>>(), name)

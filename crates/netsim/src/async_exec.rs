@@ -56,9 +56,12 @@
 //! Because the synchronizer recovers exact round semantics, the protocol
 //! execution — inboxes (sender-sorted), RNG streams, budget checks, trace
 //! stream — is *identical* to the sequential executor's for every delay
-//! plan: the executor runs each recovered round's protocol calls in global
-//! node order, exactly like [`Network`](crate::Network), while the event
-//! heap computes when each node's round fires and what the synchronizer
+//! plan, and by construction: each recovered round's protocol calls run
+//! through [`Network`](crate::Network)'s one node step over a single chunk
+//! of all n nodes, every outbox goes through the same outbox check, and a
+//! round's arrivals, sorted by sender, fill the inboxes through the same
+//! router. Only where an accepted send goes differs: onto the event heap,
+//! which computes when each node's round fires and what the synchronizer
 //! costs. Two simplifications are sound for this reason and do not change
 //! event times or counts: control messages carry no round tags (each
 //! round's events fully drain before the next round executes), and
@@ -101,12 +104,11 @@ use rand::rngs::SmallRng;
 
 use spanner_graph::{Graph, NodeId};
 
-use crate::budget::{BudgetViolation, MessageBudget};
+use crate::budget::MessageBudget;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
-use crate::rng::node_rng;
-use crate::route::{assert_addressable, expand, receivers, route, Board, Mailbox, ALL};
-use crate::sync::{Ctx, MessageSize, Protocol, RunError};
+use crate::route::{assert_addressable, expand, route, stage, Board};
+use crate::sync::{Chunk, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, TraceSink, Tracer};
 use spanner_graph::CsrAdjacency;
 
@@ -149,12 +151,7 @@ struct Event<M> {
 
 enum EventKind<M> {
     /// A protocol message arriving at `to`.
-    Proto {
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-        words: usize,
-    },
+    Proto { to: NodeId, from: NodeId, msg: M },
     /// An acknowledgement arriving back at the original sender `to`.
     Ack { to: NodeId },
     /// An α-synchronizer SAFE arriving at `to`.
@@ -466,88 +463,71 @@ impl AsyncNetwork {
     {
         let n = self.adjacency.node_count();
         self.metrics = RunMetrics::default();
-        let traced = tracer.enabled();
+        let adjacency = Arc::clone(&self.adjacency);
         let tree = match &self.synchronizer {
             Synchronizer::Alpha => None,
-            Synchronizer::Skeleton(edges) => Some(SyncTree::build(&self.adjacency, edges)),
+            Synchronizer::Skeleton(edges) => Some(SyncTree::build(&adjacency, edges)),
         };
 
-        let mut rngs: Vec<SmallRng> = (0..n as u32).map(|v| node_rng(self.seed, v, 0)).collect();
-        let mut nodes: Vec<P> = (0..n as u32)
-            .map(|v| factory(NodeId(v), &mut rngs[v as usize]))
-            .collect();
-
+        // Every node in one chunk, stepped by the round-synchronous
+        // executors' node step; the factory runs in node order.
+        let mut chunk = Chunk::new(0, n, n, self.seed, &mut factory);
+        let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
         let mut heap: BinaryHeap<Event<P::Msg>> = BinaryHeap::new();
         let mut seq: u64 = 0;
         let mut horizon: u64 = 0;
         // The local time at which each node executes the current round.
         let mut exec_time: Vec<u64> = vec![0; n];
-        // Arrivals for the next round, staged as (receiver, sender, msg) in
-        // arrival order, then routed into one mailbox whose per-receiver
-        // slices are sorted by sender before delivery (one message per
-        // sender per round) — the sequential executor's router, with no
-        // per-node `Vec` growth.
+        // Arrivals for the next round as (receiver, sender, msg), sorted by
+        // sender before the router fills the chunk's mailbox with them.
         let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut mailbox: Mailbox<P::Msg> = Mailbox::new(0, n);
-        // `flush` expands broadcasts into per-link events, so the router
-        // never sees one here and needs no room on its board.
+        // Broadcasts are expanded into per-link events, so the router never
+        // sees one here and needs no room on its board.
         let mut board: Board<P::Msg> = Board::new(0);
         let mut sync = SyncState::new(n);
         let mut in_flight: u64 = 0;
 
-        let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut seen = vec![0u64; n];
-        let mut stamp = 0u64;
-
-        // Init phase (round 0), in global node order — exactly like the
-        // sequential executor, so RNG streams, budget checks, and the
-        // protocol trace stream agree byte-for-byte.
-        if traced {
-            tracer.begin_round(0);
-        }
-        for v in 0..n {
-            let node = NodeId(v as u32);
-            outbox.clear();
-            stamp += 1;
-            {
-                let mut ctx = Ctx::new_for_executor(
-                    node,
-                    n,
-                    0,
-                    self.adjacency.neighbors(node),
-                    &mut rngs[v],
-                    &mut outbox,
-                    &mut seen,
-                    stamp,
-                );
-                nodes[v].init(&mut ctx);
-            }
-            flush(
-                &mut self.metrics,
-                self.budget,
-                &self.delays,
-                node,
-                self.adjacency.neighbors(node),
-                0,
-                exec_time[v],
-                &mut outbox,
-                &mut heap,
-                &mut seq,
-                &mut sync.pending_acks,
-                &mut in_flight,
-                tracer,
-                traced,
-            )?;
-        }
-        if traced {
-            tracer.end_round();
-        }
-
         let mut round: u32 = 0;
         loop {
+            tracer.begin_round(round);
+            // Every node runs every round: the asynchronous executor
+            // ignores wake hints, which the wake contract allows.
+            chunk.mailbox.mark_all();
+            let (budget, delays, metrics) = (self.budget, &self.delays, &mut self.metrics);
+            chunk.step::<false, _, _>(
+                round,
+                &adjacency,
+                &board,
+                delays,
+                &mut outbox,
+                |v, outbox| {
+                    let neighbors = adjacency.neighbors(v);
+                    let send_time = exec_time[v.index()];
+                    // The tracer ignores its counters when disabled.
+                    stage::<_, _, true>(
+                        v,
+                        neighbors,
+                        round,
+                        outbox.drain(..),
+                        budget,
+                        metrics,
+                        tracer,
+                        |to, msg| {
+                            expand(to, msg, neighbors, |to, msg| {
+                                let lat = delays.link_latency(send_time, v, to);
+                                sync.pending_acks[v.index()] += 1;
+                                in_flight += 1;
+                                let proto = EventKind::Proto { to, from: v, msg };
+                                push(&mut heap, &mut seq, send_time + lat, v, proto);
+                            });
+                        },
+                    )
+                },
+            )?;
+            tracer.end_round();
             // Quiescence test, identical to the sequential executor's: no
             // protocol messages in flight and every node content to stop.
-            if in_flight == 0 && nodes.iter().all(Protocol::done) {
+            if in_flight == 0 && chunk.quiet {
                 break;
             }
             if round >= max_rounds {
@@ -568,75 +548,28 @@ impl AsyncNetwork {
                 &exec_time,
                 tree.as_ref(),
                 tracer,
-                traced,
             );
-            debug_assert!(staging.iter().all(|&(to, _, _)| to != ALL));
+            // Arrival order is delay-dependent; a stable sort by sender
+            // restores the synchronous inbox order, which routing keeps.
+            staging.sort_by_key(|&(_, sender, _)| sender);
             route(
                 &mut staging,
-                &mut [&mut mailbox],
+                &mut [&mut chunk.mailbox],
                 n,
-                &self.adjacency,
+                &adjacency,
                 &mut board,
             );
-            // Every node runs every round here: the asynchronous executor
-            // ignores wake hints, which the wake contract allows.
-            mailbox.mark_all();
             for (v, t) in exec_time.iter_mut().enumerate() {
                 *t = sync.start[v].expect("synchronizer delivered a start time");
                 horizon = horizon.max(*t);
             }
             self.metrics.sim_time = horizon;
-
             round += 1;
             self.metrics.rounds = round;
-            if traced {
-                tracer.begin_round(round);
-            }
-            while let Some(v) = mailbox.pop_active() {
-                let node = NodeId(v as u32);
-                let inbox = mailbox.take(v);
-                // Arrival order is delay-dependent; sorting by sender
-                // restores the synchronous inbox order.
-                inbox.sort_unstable_by_key(|&(s, _)| s);
-                outbox.clear();
-                stamp += 1;
-                {
-                    let mut ctx = Ctx::new_for_executor(
-                        node,
-                        n,
-                        round,
-                        self.adjacency.neighbors(node),
-                        &mut rngs[v],
-                        &mut outbox,
-                        &mut seen,
-                        stamp,
-                    );
-                    nodes[v].round(&mut ctx, inbox);
-                }
-                flush(
-                    &mut self.metrics,
-                    self.budget,
-                    &self.delays,
-                    node,
-                    self.adjacency.neighbors(node),
-                    round,
-                    exec_time[v],
-                    &mut outbox,
-                    &mut heap,
-                    &mut seq,
-                    &mut sync.pending_acks,
-                    &mut in_flight,
-                    tracer,
-                    traced,
-                )?;
-            }
-            if traced {
-                tracer.end_round();
-            }
         }
 
         self.metrics.sim_time = horizon;
-        Ok(nodes)
+        Ok(chunk.nodes)
     }
 
     /// Processes every event of the round just executed: delivers protocol
@@ -655,7 +588,6 @@ impl AsyncNetwork {
         exec_time: &[u64],
         tree: Option<&SyncTree>,
         tracer: &mut Tracer<'_>,
-        traced: bool,
     ) {
         let n = self.adjacency.node_count();
         for v in 0..n {
@@ -676,14 +608,10 @@ impl AsyncNetwork {
             self.metrics.events += 1;
             *horizon = (*horizon).max(ev.time);
             match ev.kind {
-                EventKind::Proto {
-                    to,
-                    from,
-                    msg,
-                    words,
-                } => {
-                    if traced && self.trace_deliveries {
-                        tracer.on_deliver(ev.time, round, from.0, to.0, words as u64);
+                EventKind::Proto { to, from, msg } => {
+                    if self.trace_deliveries {
+                        let words = msg.words() as u64;
+                        tracer.on_deliver(ev.time, round, from.0, to.0, words);
                     }
                     staging.push((to, from, msg));
                     *in_flight -= 1;
@@ -810,81 +738,11 @@ fn push<M>(
     *seq += 1;
 }
 
-/// Validates one node's outbox and schedules its deliveries — the exact
-/// accounting sequence of the sequential executor's flush (budget check,
-/// metrics, trace, in global sender order), plus the event scheduling. A
-/// broadcast is checked and accounted once, then expanded in place over
-/// `neighbors`, each message with its own link latency and sequence number.
-#[allow(clippy::too_many_arguments)]
-fn flush<M: MessageSize + Clone>(
-    metrics: &mut RunMetrics,
-    budget: MessageBudget,
-    delays: &FaultPlan,
-    sender: NodeId,
-    neighbors: &[NodeId],
-    round: u32,
-    send_time: u64,
-    outbox: &mut Vec<(NodeId, M)>,
-    heap: &mut BinaryHeap<Event<M>>,
-    seq: &mut u64,
-    pending_acks: &mut [u32],
-    in_flight: &mut u64,
-    tracer: &mut Tracer<'_>,
-    traced: bool,
-) -> Result<(), RunError> {
-    if traced {
-        tracer.on_outbox(outbox.len());
-    }
-    for (to, msg) in outbox.drain(..) {
-        let words = msg.words();
-        let receivers = receivers(&to, neighbors);
-        if !budget.allows(words) {
-            return Err(RunError::Budget(BudgetViolation {
-                sender,
-                receiver: receivers[0],
-                round,
-                words,
-                budget,
-            }));
-        }
-        let count = receivers.len();
-        metrics.messages += count as u64;
-        metrics.words += (count * words) as u64;
-        metrics.max_message_words = metrics.max_message_words.max(words);
-        if traced {
-            tracer.on_messages(count, words);
-        }
-        expand(
-            to,
-            msg,
-            || neighbors,
-            |to, msg| {
-                let lat = delays.link_latency(send_time, sender, to);
-                pending_acks[sender.index()] += 1;
-                *in_flight += 1;
-                push(
-                    heap,
-                    seq,
-                    send_time + lat,
-                    sender,
-                    EventKind::Proto {
-                        to,
-                        from: sender,
-                        msg,
-                        words,
-                    },
-                );
-            },
-        );
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::patterns::FloodProtocol;
-    use crate::Network;
+    use crate::{Ctx, Network};
     use spanner_graph::generators;
 
     fn flood_states(states: &[FloodProtocol]) -> Vec<(bool, Option<u32>)> {

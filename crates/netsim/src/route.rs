@@ -1,16 +1,23 @@
 //! Message routing shared by every executor.
 //!
-//! [`stage`] validates and accounts one sender's outbox — budget check,
-//! message and word counts, trace counters, fault fates — and appends it to
-//! the staging buffer; [`route`] regroups the staged sends by receiver into
-//! [`Mailbox`] arenas: one mailbox per worker chunk of the round-synchronous
-//! executor (a single one over all n nodes at one worker), and one over all
-//! n nodes for the asynchronous executor, so every executor applies the
-//! same checks in the same global sender order by construction.
+//! [`stage`] is the one outbox check: it validates and accounts one
+//! sender's outbox — budget check, message and word counts, trace counters
+//! — and hands each accepted send to its caller, which stages it, feeds it
+//! to the fault engine, or schedules it on the asynchronous executor's
+//! event heap. [`route`] is the one delivery path: it regroups a round's
+//! deliveries by receiver into [`Mailbox`] arenas — one mailbox per worker
+//! chunk of the round-synchronous executor (a single one over all n nodes
+//! at one worker, and for the asynchronous executor) — whether they come
+//! straight from [`stage`], from the fault engine's due messages, or from
+//! the asynchronous executor's arrivals. Every executor therefore applies
+//! the same checks in the same global sender order, and fills inboxes the
+//! same way, by construction.
 //!
-//! A broadcast travels as one entry addressed to [`ALL`] from the outbox
-//! through the router and is never expanded per receiver: [`stage`] checks
-//! and accounts it once for all of the sender's neighbors, and [`route`]
+//! A broadcast leaves the outbox as one entry addressed to [`ALL`], and
+//! [`stage`] checks and accounts it once for all of the sender's
+//! neighbors. Where each copy has a fate or a latency of its own (under
+//! faults, and on the asynchronous executor) the caller [`expand`]s it;
+//! otherwise it travels through the router unexpanded: [`route`]
 //! posts the message once on a sender-indexed [`Board`] and flags each
 //! neighbor of the sender as having broadcast mail. A flagged receiver
 //! gathers its inbox in [`Mailbox::take_into`] by walking its own CSR
@@ -31,7 +38,6 @@ use std::ops::DerefMut;
 use spanner_graph::NodeId;
 
 use crate::budget::{BudgetViolation, MessageBudget};
-use crate::faults::FaultState;
 use crate::metrics::RunMetrics;
 use crate::sync::MessageSize;
 use crate::trace::Tracer;
@@ -171,13 +177,13 @@ impl<M> Mailbox<M> {
     /// a second `take` in the same round returns an empty slice. The whole
     /// inbox only where no broadcast is routed; see [`Mailbox::take_into`].
     #[inline]
-    pub(crate) fn take(&mut self, i: usize) -> &mut [(NodeId, M)] {
+    pub(crate) fn take(&mut self, i: usize) -> &[(NodeId, M)] {
         let c = std::mem::take(&mut self.count[i]) as usize;
         if c == 0 {
-            return &mut [];
+            return &[];
         }
         let e = self.end[i] as usize;
-        &mut self.flat[e - c..e]
+        &self.flat[e - c..e]
     }
 
     /// Clears local node `i`'s broadcast flag; whether it was set.
@@ -216,7 +222,7 @@ impl<M> Mailbox<M> {
         if !self.take_bmail(i) {
             return self.take(i);
         }
-        let mut rest: &[(NodeId, M)] = self.take(i);
+        let mut rest = self.take(i);
         scratch.clear();
         // Every sender is a neighbor, and appears once.
         scratch.reserve(neighbors.len());
@@ -243,41 +249,27 @@ impl<M> Mailbox<M> {
         self.take_bmail(i);
         self.take(i);
     }
-
-    /// Drops the previous round's arena before [`Mailbox::push`] delivery.
-    pub(crate) fn clear(&mut self) {
-        self.flat.clear();
-    }
-
-    /// Appends one delivery to `to`'s inbox and marks `to` active.
-    /// Deliveries must arrive grouped by receiver (the fault engine emits
-    /// them in ascending receiver order), since each inbox is one range.
-    pub(crate) fn push(&mut self, to: NodeId, sender: NodeId, msg: M) {
-        let i = to.index() - self.base;
-        debug_assert!(self.count[i] == 0 || self.end[i] as usize == self.flat.len());
-        self.flat.push((sender, msg));
-        self.end[i] = self.flat.len() as u32;
-        self.count[i] += 1;
-        self.mark(i);
-    }
 }
 
-/// Regroups `staging` — (receiver, sender, msg) in global send order, a
-/// broadcast as one entry to [`ALL`] — into the receivers' mailboxes and
-/// `board`, and marks every receiver active. `boxes[c]` covers nodes
-/// `c * span..`; every inbox of the last round must have been taken.
+/// Regroups `staging` — (receiver, sender, msg), a broadcast as one entry
+/// to [`ALL`] — into the receivers' mailboxes and `board`, and marks every
+/// receiver active. `boxes[c]` covers nodes `c * span..`; every inbox of
+/// the last round must have been taken.
 ///
 /// Unicasts go through a stable counting scatter over the receivers only:
 /// one counting pass, offsets assigned by walking each mailbox's active
 /// bits (O(n/64 + its receivers)), one placement pass. Each unicast slice
-/// comes out in ascending sender order because the staging order is global
-/// sender order. A broadcast is moved onto `board` once, after the counting
-/// pass has flagged the sender's neighbors in their mailboxes' `bmail`
-/// bits; it takes no arena slot. Drains `staging`; every buffer keeps its
-/// capacity.
+/// keeps staging order, so it comes out in ascending sender order whenever
+/// each receiver's entries are staged that way: global send order, the
+/// fault engine's receiver-grouped runs (a duplicate's two copies stay
+/// older first), or arrivals sorted by sender. A broadcast is moved onto
+/// `board` once, after the counting pass has flagged the sender's
+/// neighbors in their mailboxes' `bmail` bits; it takes no arena slot.
+/// Drains `staging`; every buffer keeps its capacity.
 ///
-/// Message counts fit `u32`: a round delivers at most one message per
-/// directed edge, and [`CsrAdjacency`] already bounds half-edges to `u32`.
+/// Message counts fit `u32`: a round delivers about one message per
+/// directed edge (a few under duplicate and delay faults), and
+/// [`CsrAdjacency`] already bounds half-edges to `u32`.
 pub(crate) fn route<M, B>(
     staging: &mut Vec<(NodeId, NodeId, M)>,
     boxes: &mut [B],
@@ -324,30 +316,20 @@ impl<M> Mailbox<M> {
     }
 }
 
-/// The receivers of a send addressed to `to` by a node with `neighbors`:
-/// `to` itself, or every neighbor for [`ALL`].
-#[inline(always)]
-pub(crate) fn receivers<'a>(to: &'a NodeId, neighbors: &'a [NodeId]) -> &'a [NodeId] {
-    if *to == ALL {
-        neighbors
-    } else {
-        std::slice::from_ref(to)
-    }
-}
-
 /// Hands `msg` to `deliver` once per receiver of a send addressed to `to`
-/// (see [`receivers`]), in ascending order; the last receiver gets `msg`
-/// itself and the others a clone. `neighbors` is only called for [`ALL`].
+/// by a node with `neighbors` — `to` itself, or every neighbor for
+/// [`ALL`] — in ascending order; the last receiver gets `msg` itself and
+/// the others a clone.
 #[inline(always)]
-pub(crate) fn expand<'n, M: Clone>(
+pub(crate) fn expand<M: Clone>(
     to: NodeId,
     msg: M,
-    neighbors: impl FnOnce() -> &'n [NodeId],
+    neighbors: &[NodeId],
     mut deliver: impl FnMut(NodeId, M),
 ) {
     if to != ALL {
         deliver(to, msg);
-    } else if let Some((&last, rest)) = neighbors().split_last() {
+    } else if let Some((&last, rest)) = neighbors.split_last() {
         for &to in rest {
             deliver(to, msg.clone());
         }
@@ -445,13 +427,13 @@ fn scatter<'a, M: 'a, D>(
     }
 }
 
-/// Validates `sender`'s outbox of this round and stages it in send order:
-/// the budget check, message/word accounting and trace counters of every
-/// executor, applied in one place. A broadcast — one entry to [`ALL`] —
-/// is checked once and accounted as one message per entry of `neighbors`,
-/// the sender's neighbor run. Under `FAULTS` accepted messages go to the
-/// fault engine instead of `staging`, a broadcast expanded in ascending
-/// neighbor order so fault fates are drawn per message.
+/// Validates `sender`'s outbox of this round and hands each accepted send,
+/// in send order, to `accept(to, msg)`: the budget check, message/word
+/// accounting and trace counters of every executor, applied in one place.
+/// A broadcast — one entry to [`ALL`] — is checked once, accounted as one
+/// message per entry of `neighbors` (the sender's neighbor run) and
+/// accepted unexpanded; where it goes is the caller's choice (the staging
+/// buffer, or [`expand`] into the fault engine or the event heap).
 ///
 /// # Errors
 ///
@@ -460,19 +442,18 @@ fn scatter<'a, M: 'a, D>(
 /// accounting every executor reports for a failed run.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn stage<M, I, const TRACED: bool, const FAULTS: bool>(
+pub(crate) fn stage<M, I, const TRACED: bool>(
     sender: NodeId,
     neighbors: &[NodeId],
     round: u32,
     sends: I,
     budget: MessageBudget,
     metrics: &mut RunMetrics,
-    fstate: &mut FaultState<M>,
     tracer: &mut Tracer<'_>,
-    staging: &mut Vec<(NodeId, NodeId, M)>,
+    mut accept: impl FnMut(NodeId, M),
 ) -> Result<(), BudgetViolation>
 where
-    M: MessageSize + Clone,
+    M: MessageSize,
     I: ExactSizeIterator<Item = (NodeId, M)>,
 {
     if TRACED {
@@ -480,7 +461,12 @@ where
     }
     for (to, msg) in sends {
         let words = msg.words();
-        let receivers = receivers(&to, neighbors);
+        // `to` itself, or every neighbor for a broadcast.
+        let receivers = if to == ALL {
+            neighbors
+        } else {
+            std::slice::from_ref(&to)
+        };
         if !budget.allows(words) {
             return Err(BudgetViolation {
                 sender,
@@ -497,18 +483,7 @@ where
         if TRACED {
             tracer.on_messages(count, words);
         }
-        if FAULTS {
-            expand(
-                to,
-                msg,
-                || neighbors,
-                |to, msg| {
-                    fstate.accept(round, sender, to, msg);
-                },
-            );
-        } else {
-            staging.push((to, sender, msg));
-        }
+        accept(to, msg);
     }
     Ok(())
 }
@@ -700,12 +675,14 @@ mod tests {
             density in 0.5f64..4.0,
             span in 1usize..=40,
             seed in any::<u64>(),
+            faulted in any::<bool>(),
         ) {
             let m = (((n as f64) * density) as usize).min(n * (n - 1) / 2);
             let g = generators::erdos_renyi_gnm(n, m, seed);
             let mut r = Router::new(g.csr().clone(), span);
             // Two rounds through the same buffers. Each node broadcasts,
             // unicasts to a subset of its neighbors, or stays silent.
+            // `faulted` stages in the fault engine's order instead.
             for round in 0..2u64 {
                 let mut staging = Vec::new();
                 let mut naive = vec![Vec::new(); n];
@@ -730,6 +707,23 @@ mod tests {
                             }
                         }
                         _ => {}
+                    }
+                }
+                if faulted {
+                    // Receiver-grouped runs sorted by sender, broadcasts
+                    // expanded, and some senders repeated (older copy
+                    // first) as a duplicate or a late delayed message is.
+                    staging.clear();
+                    for (to, inbox) in naive.iter_mut().enumerate() {
+                        let mut run = Vec::new();
+                        for &(s, m) in inbox.iter() {
+                            run.push((s, m));
+                            if m % 3 == 0 {
+                                run.push((s, m ^ 1));
+                            }
+                        }
+                        staging.extend(run.iter().map(|&(s, m)| (NodeId(to as u32), s, m)));
+                        *inbox = run;
                     }
                 }
                 r.route(&mut staging);

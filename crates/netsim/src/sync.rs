@@ -17,7 +17,8 @@
 //! The nodes are split into one contiguous chunk per worker, and a chunk
 //! is stepped by one function: fire the chunk's wake calendar, pop its
 //! active nodes in ascending id, apply fault skips, run `init` or `round`,
-//! file the node's next wake and update the not-done count. With one
+//! file the node's next wake and update the not-done count (the
+//! asynchronous executor steps its nodes with the same function). With one
 //! worker the calling thread steps the single chunk and stages each node's
 //! outbox as soon as the node has run; no thread is spawned and no barrier
 //! is taken. With more, a pool of workers (spawned once per run, parked on
@@ -75,7 +76,7 @@ use crate::calendar::WakeCalendar;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::route::{assert_addressable, route, stage, Board, Mailbox, ALL};
+use crate::route::{assert_addressable, expand, route, stage, Board, Mailbox, ALL};
 use crate::trace::{NullSink, TraceSink, Tracer};
 use spanner_graph::CsrAdjacency;
 
@@ -189,33 +190,7 @@ pub struct Ctx<'a, M> {
     broadcast: bool,
 }
 
-impl<'a, M> Ctx<'a, M> {
-    /// Internal constructor for the asynchronous executor.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_for_executor(
-        node: NodeId,
-        n: usize,
-        round: u32,
-        neighbors: &'a [NodeId],
-        rng: &'a mut SmallRng,
-        outbox: &'a mut Vec<(NodeId, M)>,
-        seen: &'a mut [u64],
-        stamp: u64,
-    ) -> Self {
-        Ctx {
-            node,
-            n,
-            round,
-            neighbors,
-            rng,
-            sent_from: outbox.len(),
-            outbox,
-            seen,
-            stamp,
-            broadcast: false,
-        }
-    }
-
+impl<M> Ctx<'_, M> {
     /// This node's identifier.
     pub fn me(&self) -> NodeId {
         self.node
@@ -611,16 +586,22 @@ impl Network {
                             plan,
                             outbox,
                             |v, outbox| {
-                                stage::<_, _, TRACED, FAULTS>(
+                                let neighbors = adjacency.neighbors(v);
+                                stage::<_, _, TRACED>(
                                     v,
-                                    adjacency.neighbors(v),
+                                    neighbors,
                                     round,
                                     outbox.drain(..),
                                     budget,
                                     metrics,
-                                    &mut fstate,
                                     tracer,
-                                    &mut staging,
+                                    accept::<_, FAULTS>(
+                                        round,
+                                        v,
+                                        neighbors,
+                                        &mut fstate,
+                                        &mut staging,
+                                    ),
                                 )
                             },
                         )
@@ -658,16 +639,16 @@ impl Network {
                         let mut sends = outbox.drain(..);
                         let mut sent = 0;
                         for &(v, send_end) in ran.iter() {
-                            stage::<_, _, TRACED, FAULTS>(
+                            let neighbors = adjacency.neighbors(v);
+                            stage::<_, _, TRACED>(
                                 v,
-                                adjacency.neighbors(v),
+                                neighbors,
                                 round,
                                 (&mut sends).take((send_end - sent) as usize),
                                 budget,
                                 metrics,
-                                &mut fstate,
                                 tracer,
-                                &mut staging,
+                                accept::<_, FAULTS>(round, v, neighbors, &mut fstate, &mut staging),
                             )?;
                             sent = send_end;
                         }
@@ -742,13 +723,14 @@ impl Drop for Shutdown<'_> {
     }
 }
 
-/// Nodes `base..base + len` with everything needed to step them.
-struct Chunk<P: Protocol> {
+/// Nodes `base..base + len` with everything needed to step them: one per
+/// worker here, and one over all n nodes in the asynchronous executor.
+pub(crate) struct Chunk<P: Protocol> {
     base: usize,
-    nodes: Vec<P>,
+    pub(crate) nodes: Vec<P>,
     rngs: Vec<SmallRng>,
-    /// This round's inboxes and active set, filled by [`deliver`].
-    mailbox: Mailbox<P::Msg>,
+    /// This round's inboxes and active set, filled by [`route`].
+    pub(crate) mailbox: Mailbox<P::Msg>,
     /// The inbox of a node with broadcast mail, gathered off the board.
     scratch: Vec<(NodeId, P::Msg)>,
     calendar: WakeCalendar,
@@ -758,11 +740,13 @@ struct Chunk<P: Protocol> {
     /// Nodes not done; kept on the unfaulted path only.
     not_done: usize,
     /// After a step: every node is done, or crashed under faults.
-    quiet: bool,
+    pub(crate) quiet: bool,
 }
 
 impl<P: Protocol> Chunk<P> {
-    fn new(
+    /// Calls `factory` for nodes `base..base + len` in node order, each
+    /// with its private RNG (stream 0 of `seed`).
+    pub(crate) fn new(
         base: usize,
         len: usize,
         n: usize,
@@ -790,11 +774,11 @@ impl<P: Protocol> Chunk<P> {
     }
 
     /// Runs `round` over this chunk's active nodes — every node in round
-    /// 0, then the receivers [`deliver`] marked and the nodes whose wake
-    /// round has come — in ascending id, each with its unicasts merged
-    /// with its neighbors' broadcasts on `board`. Each node's sends are
-    /// appended to `outbox`, and `emit` is called with it right after the
-    /// node ran.
+    /// 0, then the receivers [`route`] marked and the nodes whose wake
+    /// round has come, plus any the caller marked — in ascending id, each
+    /// with its unicasts merged with its neighbors' broadcasts on `board`.
+    /// Each node's sends are appended to `outbox`, and `emit` is called
+    /// with it right after the node ran. The only place a node runs.
     ///
     /// # Errors
     ///
@@ -805,7 +789,7 @@ impl<P: Protocol> Chunk<P> {
     // cannot touch the chunk, so the loop state stays in registers.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn step<const FAULTS: bool, E, Emit>(
+    pub(crate) fn step<const FAULTS: bool, E, Emit>(
         &mut self,
         round: u32,
         adjacency: &CsrAdjacency,
@@ -881,13 +865,34 @@ impl<P: Protocol> Chunk<P> {
     }
 }
 
-/// Fills the mailboxes of `round` (chunk `c` covers nodes `c * span..`):
-/// the router scatters the unicasts staged in the round before and posts
-/// its broadcasts on `board`, or under faults the fault engine hands over
-/// the deliveries due now. Faulted rounds bypass the counting scatter,
-/// because delayed and held messages break the global sender order it
-/// needs; `flush_due` emits receivers in ascending order, so each inbox is
-/// still one range of its arena.
+/// Where `sender`'s sends accepted by [`stage`] go: `staging`, or under
+/// faults the fault engine, a broadcast expanded in ascending neighbor
+/// order so that each copy draws its own fate.
+#[inline(always)]
+fn accept<'a, M: Clone, const FAULTS: bool>(
+    round: u32,
+    sender: NodeId,
+    neighbors: &'a [NodeId],
+    fstate: &'a mut FaultState<M>,
+    staging: &'a mut Vec<(NodeId, NodeId, M)>,
+) -> impl FnMut(NodeId, M) + 'a {
+    move |to, msg| {
+        if FAULTS {
+            expand(to, msg, neighbors, |to, msg| {
+                fstate.accept(round, sender, to, msg);
+            });
+        } else {
+            staging.push((to, sender, msg));
+        }
+    }
+}
+
+/// Fills the mailboxes of `round` (chunk `c` covers nodes `c * span..`)
+/// through the one router, which scatters the unicasts staged in the round
+/// before and posts its broadcasts on `board`. Under faults the sends went
+/// to the fault engine instead, and the deliveries due now are staged
+/// here: grouped by receiver and sorted by sender, an order the stable
+/// scatter keeps.
 fn deliver<M: Clone, const FAULTS: bool>(
     round: u32,
     staging: &mut Vec<(NodeId, NodeId, M)>,
@@ -898,15 +903,9 @@ fn deliver<M: Clone, const FAULTS: bool>(
     board: &mut Board<M>,
 ) {
     if FAULTS {
-        for b in boxes.iter_mut() {
-            b.clear();
-        }
-        fstate.flush_due(round, |to, sender, msg| {
-            boxes[to.index() / span].push(to, sender, msg);
-        });
-    } else {
-        route(staging, boxes, span, adjacency, board);
+        fstate.flush_due(round, |to, sender, msg| staging.push((to, sender, msg)));
     }
+    route(staging, boxes, span, adjacency, board);
 }
 
 #[cfg(test)]

@@ -834,6 +834,38 @@ mod tests {
         }
     }
 
+    /// Compaction's repair ball needs radius k−1 as well. The 2k-cycle is
+    /// loaded with S the path 0–1–…–(2k−1), which covers {2k−1, 0} with
+    /// length 2k−1; inserting {k−1, w} and {w, k} for a new node w dirties
+    /// {k−1, k, w}. The hook re-covers the region edge {k−1, k} only by
+    /// the longer path through w, so the cover of {2k−1, 0} grows to 2k.
+    /// Both its ends are at distance k−1 from the region, so a ball of
+    /// radius k−2 misses it.
+    #[test]
+    fn dynamic_compact_ball_reaches_k_minus_one() {
+        for k in 2..=5u32 {
+            let (n, w) = (2 * k, 2 * k);
+            let cycle: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+            let path = cycle[..cycle.len() - 1].to_vec();
+            let mut s = DynamicSpanner::from_state(n as usize + 1, k, cycle, path).unwrap();
+            assert!(s.insert(NodeId(k - 1), NodeId(w)));
+            assert!(s.insert(NodeId(w), NodeId(k)));
+            assert_eq!(s.dirty_len(), 3);
+            let detour = |g: &Graph, _: &[NodeId]| {
+                let mut chosen = EdgeSet::new(g);
+                for (a, b) in [(k - 1, w), (w, k)] {
+                    chosen.insert(g.find_edge(NodeId(a), NodeId(b)).unwrap());
+                }
+                chosen
+            };
+            let stats = s.compact(detour);
+            assert_eq!(stats.removed, 2, "k = {k}");
+            assert!(!s.spanner_contains(NodeId(k - 1), NodeId(k)), "k = {k}");
+            assert!(s.spanner_contains(NodeId(n - 1), NodeId(0)), "k = {k}");
+            assert_dynamic_invariant(&s);
+        }
+    }
+
     #[test]
     fn dynamic_compact_preserves_cover() {
         use rand::{Rng, SeedableRng};

@@ -9,62 +9,25 @@
 //! bench records rounds/sec, total messages, wall time (best of the
 //! scale's samples), and peak RSS per shape.
 //!
-//! Environment knob:
-//! * `CONSTRUCTION_THROUGHPUT_SCALE=tiny|mid|full|huge` — `tiny` is the
-//!   seconds-scale smoke run, `mid` (n = 8192) is the CI configuration,
-//!   `full` (n = 65536) the local default, `huge` (n = 2²⁰) builds the
-//!   workload through the streaming CSR generator — the documented
-//!   million-node row of EXPERIMENTS.md ("Million-node runs").
-//!
-//! Writes `BENCH_construction.json` at the repo root.
+//! Flags (after `--`):
+//! * `--scale tiny|quick|full|huge` — `tiny` is the seconds-scale smoke
+//!   run, `quick` (n = 8192) is the CI configuration, `full`
+//!   (n = 65536) the default, `huge` (n = 2²⁰) builds the workload
+//!   through the streaming CSR generator — the documented million-node
+//!   row of EXPERIMENTS.md ("Million-node runs");
+//! * `--json <path>` — write the results there (the committed copy is
+//!   `BENCH_construction.json` at the repo root).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use spanner_baselines::baswana_sen;
-use spanner_bench::peak_rss_bytes;
+use spanner_bench::{json_out_arg, peak_rss_bytes, write_json, Scale};
 use spanner_graph::generators;
 use spanner_netsim::{Executor, NullSink};
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{distributed as skel, SkeletonParams};
 use ultrasparse::Spanner;
-
-struct Scale {
-    name: &'static str,
-    n: usize,
-    /// m = density · n.
-    density: usize,
-    samples: usize,
-}
-
-fn scale() -> Scale {
-    match std::env::var("CONSTRUCTION_THROUGHPUT_SCALE").as_deref() {
-        Ok("tiny") => Scale {
-            name: "tiny",
-            n: 600,
-            density: 4,
-            samples: 10,
-        },
-        Ok("mid") => Scale {
-            name: "mid",
-            n: 8_192,
-            density: 4,
-            samples: 5,
-        },
-        Ok("huge") => Scale {
-            name: "huge",
-            n: 1 << 20,
-            density: 4,
-            samples: 1,
-        },
-        _ => Scale {
-            name: "full",
-            n: 65_536,
-            density: 4,
-            samples: 3,
-        },
-    }
-}
 
 struct ShapeResult {
     name: &'static str,
@@ -135,13 +98,20 @@ fn bench_shape(
 }
 
 fn main() {
-    let sc = scale();
-    let n = sc.n;
-    let m = sc.density * n;
+    let scale = Scale::from_args(&Scale::ALL);
+    let json_path = json_out_arg();
+    // Per tier: n and the samples each timing takes the best of; m = 4n.
+    let (n, samples) = match scale {
+        Scale::Tiny => (600, 10),
+        Scale::Quick => (8_192, 5),
+        Scale::Full => (65_536, 3),
+        Scale::Huge => (1 << 20, 1),
+    };
+    let m = 4 * n;
     let seed = 42u64;
     println!(
         "construction_throughput: scale = {}, n = {n}, m = {m}",
-        sc.name
+        scale.name()
     );
 
     let sk = SkeletonParams::default();
@@ -151,16 +121,16 @@ fn main() {
 
     let csr = Arc::new(generators::connected_gnm_csr(n, m, seed));
     let mut results = vec![
-        bench_shape("skeleton", n, m, sc.samples, || {
+        bench_shape("skeleton", n, m, samples, || {
             skel::build_distributed_csr(&csr, &sk, seed).unwrap()
         }),
-        bench_shape("baswana_sen_k2", n, m, sc.samples, || {
+        bench_shape("baswana_sen_k2", n, m, samples, || {
             baswana_sen::build_distributed_csr(&csr, &bs2, seed).unwrap()
         }),
     ];
     // The huge tier records the skeleton and Baswana–Sen rows only.
-    if sc.name != "huge" {
-        results.push(bench_shape("fibonacci", n, m, sc.samples, || {
+    if scale != Scale::Huge {
+        results.push(bench_shape("fibonacci", n, m, samples, || {
             let seq = Executor::Sequential;
             fibonacci::distributed::build_distributed(&csr, &fp, seed, &seq, None, &mut NullSink)
                 .unwrap()
@@ -172,13 +142,12 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"construction_throughput\",\n  \"scale\": \"{}\",\n  \"n\": {},\n  \
          \"m\": {},\n  \"peak_rss_bytes\": {},\n  \"shapes\": [\n{}\n  ]\n}}\n",
-        sc.name,
+        scale.name(),
         n,
         m,
         rss,
         shapes.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_construction.json");
-    std::fs::write(path, json).expect("write BENCH_construction.json");
-    println!("wrote {path} (peak RSS {} MiB)", rss / (1 << 20));
+    println!("peak RSS {} MiB", rss / (1 << 20));
+    write_json(json_path.as_deref(), &json);
 }

@@ -17,29 +17,30 @@
 //! everywhere (enforced when `DISTANCE_THROUGHPUT_ASSERT=1`, the CI
 //! configuration), with ER expected well above 4×.
 //!
-//! Environment knobs:
-//! * `DISTANCE_THROUGHPUT_SCALE=tiny|full|huge` — `tiny` is the
-//!   seconds-scale CI smoke run; `huge` builds n ≥ 2²⁰ shapes through the
-//!   streaming CSR generators (no intermediate `Graph`, no seed baseline)
-//!   and records peak RSS. Default `full`.
+//! Flags (after `--`) and environment knobs:
+//! * `--scale tiny|full|huge` — `tiny` is the seconds-scale CI smoke run;
+//!   `huge` builds n ≥ 2²⁰ shapes through the streaming CSR generators
+//!   (no intermediate `Graph`, no seed baseline) and records peak RSS.
+//!   Default `full`.
+//! * `--json <path>` — write the measured speedups, the strategy each
+//!   shape resolved to, and the process's peak RSS there (the committed
+//!   copy is `BENCH_distance.json` at the repo root).
 //! * `DISTANCE_ENGINE_STRATEGY=auto|bit-parallel|direction-optimizing` —
 //!   overrides the engine's per-graph strategy probe for every shape.
 //! * `DISTANCE_THROUGHPUT_ASSERT=1` — fail (panic) if any shape with a
 //!   seed baseline shows `speedup_t1 < 1.0`.
 //!
-//! Besides the criterion report (tiny/full only), the bench writes
-//! `BENCH_distance.json` at the repo root with the measured speedups, the
-//! strategy each shape resolved to, and the process's peak RSS.
+//! The criterion report runs at tiny and full only.
 
 use std::time::{Duration, Instant};
 
 use criterion::Criterion;
-use spanner_bench::peak_rss_bytes;
+use spanner_bench::{json_out_arg, peak_rss_bytes, write_json, Scale};
 use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::{generators, traversal, DistanceEngine, Graph, NodeId, Strategy};
 
-struct Scale {
-    name: &'static str,
+/// The per-tier workload.
+struct Tier {
     n: usize,
     m: usize,
     grid_side: usize,
@@ -48,16 +49,15 @@ struct Scale {
     measurement: Duration,
 }
 
-fn scale() -> Scale {
-    match std::env::var("DISTANCE_THROUGHPUT_SCALE").as_deref() {
+fn tier(scale: Scale) -> Tier {
+    match scale {
         // The tiny grid is deliberately not 600-node-scale: below ~10⁴
         // nodes both paths' whole working sets sit in L1 and the seed's
         // nested-Vec layout costs nothing, so the comparison measures
         // only loop constants. 128² is the smallest grid where the
         // engine's flat-CSR locality advantage is reliably measurable,
         // and a 64-source batch still runs in single-digit milliseconds.
-        Ok("tiny") => Scale {
-            name: "tiny",
+        Scale::Tiny => Tier {
             n: 600,
             m: 2_400,
             grid_side: 128,
@@ -68,8 +68,7 @@ fn scale() -> Scale {
             samples: 30,
             measurement: Duration::from_millis(200),
         },
-        Ok("huge") => Scale {
-            name: "huge",
+        Scale::Huge => Tier {
             n: 1 << 20,
             m: 4 << 20,
             grid_side: 1024,
@@ -77,8 +76,7 @@ fn scale() -> Scale {
             samples: 2,
             measurement: Duration::from_secs(3),
         },
-        _ => Scale {
-            name: "full",
+        _ => Tier {
             n: 50_000,
             m: 200_000,
             grid_side: 224,
@@ -177,7 +175,7 @@ impl ShapeResult {
 }
 
 /// Tiny/full shapes: seed baseline + criterion groups + parity check.
-fn bench_shape(c: &mut Criterion, sc: &Scale, name: &'static str, g: &Graph) -> ShapeResult {
+fn bench_shape(c: &mut Criterion, sc: &Tier, name: &'static str, g: &Graph) -> ShapeResult {
     let n = g.node_count();
     // Consecutive ids: the batch shape of apsp_matrix / verification.
     let sources: Vec<NodeId> = (0..sc.sources.min(n) as u32).map(NodeId).collect();
@@ -222,7 +220,7 @@ fn bench_shape(c: &mut Criterion, sc: &Scale, name: &'static str, g: &Graph) -> 
 /// (no intermediate `Graph`), timed without a seed baseline or criterion
 /// groups — the point of the tier is that the seed path cannot reach this
 /// scale in reasonable time or memory.
-fn bench_shape_huge(sc: &Scale, name: &'static str, engine: DistanceEngine) -> ShapeResult {
+fn bench_shape_huge(sc: &Tier, name: &'static str, engine: DistanceEngine) -> ShapeResult {
     let n = engine.node_count();
     let sources: Vec<NodeId> = (0..sc.sources.min(n) as u32).map(NodeId).collect();
     let e1 = engine
@@ -252,13 +250,17 @@ fn bench_shape_huge(sc: &Scale, name: &'static str, engine: DistanceEngine) -> S
 }
 
 fn main() {
-    let sc = scale();
+    let scale = Scale::from_args(&[Scale::Tiny, Scale::Full, Scale::Huge]);
+    let json_path = json_out_arg();
+    let sc = tier(scale);
     println!(
         "distance_throughput: scale = {}, n = {}, {} sources per batch",
-        sc.name, sc.n, sc.sources
+        scale.name(),
+        sc.n,
+        sc.sources
     );
 
-    let results: Vec<ShapeResult> = if sc.name == "huge" {
+    let results: Vec<ShapeResult> = if scale == Scale::Huge {
         vec![
             bench_shape_huge(
                 &sc,
@@ -309,7 +311,7 @@ fn main() {
         "{{\n  \"bench\": \"distance_throughput\",\n  \"scale\": \"{}\",\n  \"n\": {},\n  \
          \"sources_per_batch\": {},\n  \"er_speedup_threads1\": {},\n  \
          \"er_speedup_threads8\": {},\n  \"peak_rss_bytes\": {},\n  \"shapes\": [\n{}\n  ]\n}}\n",
-        sc.name,
+        scale.name(),
         sc.n,
         sc.sources,
         opt(er_res.speedup_t1()),
@@ -317,9 +319,8 @@ fn main() {
         rss,
         shapes.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_distance.json");
-    std::fs::write(path, json).expect("write BENCH_distance.json");
-    println!("wrote {path} (peak RSS {} MiB)", rss / (1 << 20));
+    println!("peak RSS {} MiB", rss / (1 << 20));
+    write_json(json_path.as_deref(), &json);
 
     // The load-bearing no-regression gate: with the adaptive engine, no
     // shape may be slower than the seed path it replaced.

@@ -14,74 +14,25 @@
 //!   produces byte-identical MANIFEST, data blocks, and WAL — encode is
 //!   a function of the state alone.
 //!
-//! Environment knobs (a `--tiny|--quick|--full|--huge` CLI flag wins over
-//! the `STORE_ROUNDTRIP_SCALE` env var):
-//! * `STORE_ROUNDTRIP_SCALE=tiny|quick|full|huge` — `tiny` is the
-//!   sub-second smoke run, `quick` (n = 2¹⁴) the CI configuration,
-//!   `full` (n = 2¹⁷) the local default, `huge` (n = 2²⁰) the
-//!   million-node row of EXPERIMENTS.md ("Persistence").
+//! Flags (after `--`) and environment knob:
+//! * `--scale tiny|quick|full|huge` — `tiny` is the sub-second smoke
+//!   run, `quick` (n = 2¹⁴) the CI configuration, `full` (n = 2¹⁷) the
+//!   default, `huge` (n = 2²⁰) the million-node row of EXPERIMENTS.md
+//!   ("Persistence");
+//! * `--json <path>` — write the results there (the committed copy is
+//!   `BENCH_store.json` at the repo root);
 //! * `STORE_ROUNDTRIP_ASSERT=1` — fail (panic) unless loading beats
 //!   rebuilding by ≥ 10× (skipped at `tiny`, where both sides are
 //!   microseconds and the ratio is noise). The parity and byte-identity
 //!   asserts above run unconditionally.
-//!
-//! Writes `BENCH_store.json` at the repo root.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use spanner_bench::peak_rss_bytes;
+use spanner_bench::{json_out_arg, peak_rss_bytes, write_json, Scale};
 use spanner_graph::generators;
 use spanner_store::{scratch_dir, SnapshotMeta, Store};
 use ultrasparse::skeleton::{distributed as skel, SkeletonParams};
-
-struct Scale {
-    name: &'static str,
-    n: usize,
-    /// m = density · n.
-    density: usize,
-    /// Samples for the save/load timings (best-of; the build runs once).
-    samples: usize,
-}
-
-fn scale() -> Scale {
-    // Cargo passes its own `--bench` flag through; accept only the four
-    // scale names as flags.
-    let arg = std::env::args().find_map(|a| match a.as_str() {
-        "--tiny" => Some("tiny".to_string()),
-        "--quick" => Some("quick".to_string()),
-        "--full" => Some("full".to_string()),
-        "--huge" => Some("huge".to_string()),
-        _ => None,
-    });
-    let choice = arg.or_else(|| std::env::var("STORE_ROUNDTRIP_SCALE").ok());
-    match choice.as_deref() {
-        Some("tiny") => Scale {
-            name: "tiny",
-            n: 1 << 10,
-            density: 4,
-            samples: 3,
-        },
-        Some("quick") => Scale {
-            name: "quick",
-            n: 1 << 14,
-            density: 4,
-            samples: 3,
-        },
-        Some("huge") => Scale {
-            name: "huge",
-            n: 1 << 20,
-            density: 4,
-            samples: 2,
-        },
-        _ => Scale {
-            name: "full",
-            n: 1 << 17,
-            density: 4,
-            samples: 3,
-        },
-    }
-}
 
 /// Total bytes of every file in the snapshot directory.
 fn dir_bytes(dir: &std::path::Path) -> u64 {
@@ -107,9 +58,21 @@ fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 }
 
 fn main() {
-    let sc = scale();
-    let (n, m, seed) = (sc.n, sc.n * sc.density, 42u64);
-    println!("store_roundtrip: scale = {}, n = {n}, m = {m}", sc.name);
+    let scale = Scale::from_args(&Scale::ALL);
+    let json_path = json_out_arg();
+    // Per tier: n and the samples the save/load timings take the best of
+    // (the build runs once); m = 4n.
+    let (n, samples) = match scale {
+        Scale::Tiny => (1 << 10, 3),
+        Scale::Quick => (1 << 14, 3),
+        Scale::Full => (1 << 17, 3),
+        Scale::Huge => (1 << 20, 2),
+    };
+    let (m, seed) = (4 * n, 42u64);
+    println!(
+        "store_roundtrip: scale = {}, n = {n}, m = {m}",
+        scale.name()
+    );
 
     let csr = Arc::new(generators::connected_gnm_csr(n, m, seed));
     let params = SkeletonParams::default();
@@ -134,7 +97,7 @@ fn main() {
     };
     let dir = scratch_dir("bench-roundtrip");
     let mut save_secs = f64::INFINITY;
-    for _ in 0..sc.samples {
+    for _ in 0..samples {
         std::fs::remove_dir_all(&dir).ok();
         let start = Instant::now();
         Store::save(&dir, &csr, &pairs, meta).expect("save");
@@ -144,7 +107,7 @@ fn main() {
 
     let mut load_secs = f64::INFINITY;
     let mut state = None;
-    for _ in 0..sc.samples {
+    for _ in 0..samples {
         let start = Instant::now();
         state = Some(Store::open(&dir).expect("open"));
         load_secs = load_secs.min(start.elapsed().as_secs_f64());
@@ -181,7 +144,7 @@ fn main() {
          \"spanner_edges\": {},\n  \"snapshot_bytes\": {},\n  \"build_secs\": {:.6},\n  \
          \"save_secs\": {:.6},\n  \"load_secs\": {:.6},\n  \"speedup_load\": {:.2},\n  \
          \"peak_rss_bytes\": {}\n}}\n",
-        sc.name,
+        scale.name(),
         n,
         m,
         pairs.len(),
@@ -192,14 +155,13 @@ fn main() {
         speedup_load,
         rss,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    std::fs::write(path, json).expect("write BENCH_store.json");
-    println!("wrote {path} (peak RSS {} MiB)", rss / (1 << 20));
+    println!("peak RSS {} MiB", rss / (1 << 20));
+    write_json(json_path.as_deref(), &json);
 
     // The acceptance gate: a snapshot load must beat a rebuild by an
     // order of magnitude — that is the reason the format exists. Skipped
     // at tiny scale, where both sides are microseconds-noise.
-    if std::env::var("STORE_ROUNDTRIP_ASSERT").as_deref() == Ok("1") && sc.name != "tiny" {
+    if std::env::var("STORE_ROUNDTRIP_ASSERT").as_deref() == Ok("1") && scale != Scale::Tiny {
         assert!(
             speedup_load >= 10.0,
             "loading a snapshot is only {speedup_load:.1}x faster than rebuilding (need >= 10x)"

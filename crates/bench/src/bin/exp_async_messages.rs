@@ -14,13 +14,12 @@
 //! clock included), independent of thread count and repeat invocation:
 //! the golden test pins the whole table and only normalizes `secs`.
 //!
-//! Writes machine-readable results to `BENCH_async.json` at the repo root;
-//! `--json <path>` redirects it. The file holds no timings, so CI checks
-//! that a full-scale run reproduces the committed one byte for byte.
+//! `--json <path>` writes machine-readable results there (the committed
+//! copy is `BENCH_async.json` at the repo root). The file holds no
+//! timings, so CI checks that a full-scale run reproduces the committed
+//! one byte for byte.
 
-use std::path::{Path, PathBuf};
-
-use spanner_bench::{f2, json_out_arg, scale3, timed, workload, Table};
+use spanner_bench::{f2, json_out_arg, timed, workload, write_json, Scale, Table};
 use spanner_graph::{generators, Graph};
 use spanner_netsim::{
     patterns::FloodProtocol, AsyncNetwork, FaultPlan, MessageBudget, RunMetrics, Synchronizer,
@@ -61,12 +60,8 @@ struct Row {
 }
 
 fn main() {
-    let json_path = json_out_arg().unwrap_or_else(|| {
-        PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_async.json"
-        ))
-    });
+    let scale = Scale::from_args(&[Scale::Tiny, Scale::Quick, Scale::Full]);
+    let json_path = json_out_arg();
     println!(
         "E-async (Bitton et al. 1909.08369): message cost of recovering round\n\
          semantics on an asynchronous network — α-synchronizer over the raw\n\
@@ -75,8 +70,11 @@ fn main() {
          ticks per hop, seed {DELAY_SEED}).\n"
     );
 
-    let n_cave = scale3((40, 30, 260), (12, 12, 60), (4, 8, 20));
-    let n_gnm = scale3(2_000, 400, 48);
+    let (n_cave, n_gnm) = match scale {
+        Scale::Tiny => ((4, 8, 20), 48),
+        Scale::Quick => ((12, 12, 60), 400),
+        _ => ((40, 30, 260), 2_000),
+    };
     let workloads: Vec<(&'static str, Graph)> = vec![
         (
             "caveman",
@@ -158,11 +156,10 @@ fn main() {
          savings (at a modest simulated-time cost from tree latency)."
     );
 
-    write_json(&json_path, &rows);
-    println!("wrote {}", json_path.display());
+    write_json(json_path.as_deref(), &artifact(&rows));
 }
 
-fn write_json(path: &Path, rows: &[Row]) {
+fn artifact(rows: &[Row]) -> String {
     let mut runs = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -179,12 +176,11 @@ fn write_json(path: &Path, rows: &[Row]) {
             metrics_json(&r.skel),
         ));
     }
-    let json = format!(
+    format!(
         "{{\n  \"experiment\": \"exp_async_messages\",\n  \"delay_p\": {DELAY_P},\n  \
          \"delay_max\": {DELAY_MAX},\n  \"delay_seed\": {DELAY_SEED},\n  \
          \"seed\": {RUN_SEED},\n  \"runs\": [\n{runs}\n  ]\n}}\n"
-    );
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    )
 }
 
 fn metrics_json(m: &RunMetrics) -> String {

@@ -8,15 +8,15 @@
 //! log k factor.
 
 use spanner_baselines::baswana_sen::{build_distributed_csr, build_sequential, BaswanaSenParams};
-use spanner_bench::{f2, huge_mode, peak_rss_bytes, scaled, timed, workload, workload_csr, Table};
+use spanner_bench::{f2, peak_rss_bytes, timed, workload, workload_csr, Scale, Table};
 use ultrasparse::expand::{x_t_p, x_t_p_bound};
 
 fn main() {
-    if huge_mode() {
-        return run_huge();
-    }
-    let n = scaled(20_000, 3_000);
-    let density = scaled(50.0, 25.0);
+    let (n, density) = match Scale::from_args(&[Scale::Quick, Scale::Full, Scale::Huge]) {
+        Scale::Huge => return run_huge(),
+        Scale::Quick => (3_000, 25.0),
+        _ => (20_000, 50.0),
+    };
     let g = workload(n, density, 17);
     println!(
         "E8 (Baswana-Sen size correction): workload n = {}, m = {}\n",

@@ -5,7 +5,7 @@
 //! the ℓ^φ factor grows. The experiment sweeps the order (and ε) on a
 //! dense workload and prints measured |S|/n next to the prediction.
 
-use spanner_bench::{f2, scaled, timed, workload, Table};
+use spanner_bench::{f2, timed, workload, Scale, Table};
 use ultrasparse::fibonacci::params::fibonacci;
 use ultrasparse::fibonacci::{build_sequential, FibonacciParams};
 
@@ -13,8 +13,12 @@ fn main() {
     // Fibonacci spanners pay a constant ~(ε⁻¹ log log n)^φ edges per node,
     // so sparsification shows on graphs denser than that: use m/n in the
     // hundreds.
-    let n = scaled(4_000, 1_000);
-    let density = scaled(400.0, 100.0);
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let (n, density) = if quick {
+        (1_000, 100.0)
+    } else {
+        (4_000, 400.0)
+    };
     let g = workload(n, density, 13);
     println!(
         "E5 (Lemma 8): Fibonacci size vs order.  workload: n = {}, m = {} (m/n = {:.1})\n",

@@ -8,7 +8,7 @@
 //! the O(2^o), 3(o+1), →3, →(1+ε) stages — is visible as a decreasing
 //! envelope column and a measured column below it.
 
-use spanner_bench::{f2, f3, scaled, Table};
+use spanner_bench::{f2, f3, Scale, Table};
 use spanner_graph::generators;
 use ultrasparse::fibonacci::analysis::{distortion_envelope, multiplicative_stretch};
 use ultrasparse::fibonacci::{build_sequential, FibonacciParams};
@@ -16,7 +16,8 @@ use ultrasparse::fibonacci::{build_sequential, FibonacciParams};
 fn main() {
     // A caveman graph: dense cliques (so the spanner actually drops
     // edges) strung on a long chain (so distances span a wide range).
-    let clusters = scaled(400, 120);
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let clusters = if quick { 120 } else { 400 };
     let size = 14;
     let g = generators::caveman(clusters, size, 0, 5);
     let n = g.node_count();
@@ -36,7 +37,7 @@ fn main() {
         g.edge_count() as f64 / n as f64
     );
 
-    let profile = spanner.stretch_profile(&g, scaled(60_000, 8_000), 3);
+    let profile = spanner.stretch_profile(&g, if quick { 8_000 } else { 60_000 }, 3);
     let mut table = Table::new([
         "distance d",
         "pairs",

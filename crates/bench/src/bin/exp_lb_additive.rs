@@ -8,14 +8,15 @@
 //! while the centralized additive-2 construction (Aingworth et al.) exists
 //! happily, illustrating the distributed/centralized gap the paper proves.
 
-use spanner_bench::{f2, scaled, Table};
+use spanner_bench::{f2, Scale, Table};
 use spanner_lowerbound::adversary::{measure_spine_distortion, select, Strategy};
 use spanner_lowerbound::{Gadget, GadgetParams};
 
 fn main() {
-    let n_target = scaled(60_000, 10_000);
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let n_target = if quick { 10_000 } else { 60_000 };
     let delta = 0.05;
-    let trials = scaled(12u64, 4u64);
+    let trials = if quick { 4u64 } else { 12 };
     println!(
         "E7 (Theorem 5): additive-beta spanners need ~sqrt(n^(1-delta)/beta) rounds; target n = {n_target}, delta = {delta}\n"
     );

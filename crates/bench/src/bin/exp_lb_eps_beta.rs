@@ -8,7 +8,7 @@
 //! to the predicted 2(1−ζ/2)κ − O(1) and the Theorem 4 bound
 //! ζ²n^{1−δ}/(4(τ+6)²) − O(1).
 
-use spanner_bench::{f2, scaled, Table};
+use spanner_bench::{f2, Scale, Table};
 use spanner_lowerbound::adversary::{
     measure_average_distortion, measure_spine_distortion, predicted_spine_additive, select,
     theorem4_beta_bound, Strategy,
@@ -16,12 +16,13 @@ use spanner_lowerbound::adversary::{
 use spanner_lowerbound::{Gadget, GadgetParams};
 
 fn main() {
-    let n_target = scaled(60_000, 8_000);
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let n_target = if quick { 8_000 } else { 60_000 };
     let delta = 0.1;
     let zeta = 0.5; // the theorem's epsilon'
     let c = 2.0 / zeta;
     let keep = 1.0 / c;
-    let trials = scaled(12u64, 4u64);
+    let trials = if quick { 4u64 } else { 12 };
     println!(
         "E6 (Theorems 3-4): measured E[beta] on G(tau,lambda,kappa), target n = {n_target}, delta = {delta}, zeta = {zeta}\n"
     );
@@ -59,7 +60,7 @@ fn main() {
             },
             0,
         );
-        let avg = measure_average_distortion(&g, &sel0, scaled(60, 20), 3);
+        let avg = measure_average_distortion(&g, &sel0, if quick { 20 } else { 60 }, 3);
         table.row([
             tau.to_string(),
             g.graph.node_count().to_string(),

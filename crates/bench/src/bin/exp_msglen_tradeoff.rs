@@ -6,14 +6,15 @@
 //! experiment sweeps t and prints the realized order, ℓ, rounds, maximum
 //! message words, and spanner size.
 
-use spanner_bench::{f2, scaled, timed, workload, Table, TraceOutput};
+use spanner_bench::{f2, timed, workload, Scale, Table, TraceOutput};
 use spanner_netsim::Executor;
 use ultrasparse::fibonacci::distributed::{build_distributed, theorem8_budget};
 use ultrasparse::fibonacci::FibonacciParams;
 
 fn main() {
     let traces = TraceOutput::from_args();
-    let n = scaled(6_000, 1_500);
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let n = if quick { 1_500 } else { 6_000 };
     let g = workload(n, 10.0, 23);
     let base_order = 2;
     println!(

@@ -7,20 +7,20 @@
 //! simulator round count, the planned timetable, and the max message
 //! length.
 
-use spanner_bench::{f2, scaled, threads_arg, timed, workload, Table, TraceOutput};
+use spanner_bench::{f2, threads_arg, timed, workload, Scale, Table, TraceOutput};
 use spanner_netsim::Executor;
 use ultrasparse::seq::log_star;
 use ultrasparse::skeleton::{distributed, SkeletonParams};
 
 fn main() {
     let traces = TraceOutput::from_args();
-    let sizes: &[usize] = if spanner_bench::quick_mode() {
-        &[500, 1_000, 2_000]
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let (sizes, pairs): (&[usize], _) = if quick {
+        (&[500, 1_000, 2_000], 500)
     } else {
-        &[1_000, 2_000, 5_000, 10_000, 20_000, 50_000]
+        (&[1_000, 2_000, 5_000, 10_000, 20_000, 50_000], 2_000)
     };
     let params = SkeletonParams::default();
-    let pairs = scaled(2_000, 500);
     let threads = threads_arg();
     println!("E3 (Theorem 2): skeleton distortion/rounds vs n (D = 4, eps = 0.5)\n");
 

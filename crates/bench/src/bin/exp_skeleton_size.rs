@@ -8,22 +8,24 @@
 use std::sync::Arc;
 
 use spanner_bench::{
-    executor_for, f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed,
-    workload, workload_csr, Table, TraceOutput,
+    executor_for, f2, fault_plan_arg, peak_rss_bytes, threads_arg, timed, workload, workload_csr,
+    Scale, Table, TraceOutput,
 };
 use spanner_netsim::{Executor, NullSink};
 use ultrasparse::skeleton::{build_sequential, distributed, SkeletonParams};
 
 fn main() {
-    if huge_mode() {
-        return run_huge();
-    }
+    let n = match Scale::from_args(&Scale::ALL) {
+        Scale::Huge => return run_huge(),
+        Scale::Tiny => 400,
+        Scale::Quick => 3_000,
+        Scale::Full => 30_000,
+    };
     let traces = TraceOutput::from_args();
     let faults = fault_plan_arg();
     if let Some(plan) = &faults {
         println!("fault injection active: {plan:?}\n");
     }
-    let n = scale3(30_000, 3_000, 400);
     println!("E2 (Lemma 6): skeleton size vs D, n = {n}.\n");
     println!(
         "Per-D workload with average degree ~ D: the Dn/e term of Lemma 6 comes\n\

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use spanner_baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
 use spanner_bench::{
-    executor_for, f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed,
-    workload, workload_csr, Table, TraceOutput,
+    executor_for, f2, fault_plan_arg, peak_rss_bytes, threads_arg, timed, workload, workload_csr,
+    Scale, Table, TraceOutput,
 };
 use spanner_graph::traversal::bfs_distances_csr;
 use spanner_graph::{CsrAdjacency, NodeId};
@@ -27,16 +27,17 @@ use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{self, SkeletonParams};
 
 fn main() {
-    if huge_mode() {
-        return run_huge();
-    }
-    let n = scale3(20_000, 2_000, 300);
+    let (n, pairs) = match Scale::from_args(&Scale::ALL) {
+        Scale::Huge => return run_huge(),
+        Scale::Tiny => (300, 120),
+        Scale::Quick => (2_000, 500),
+        Scale::Full => (20_000, 4_000),
+    };
     let density = 8.0;
     let seed = 42;
     let g = workload(n, density, seed);
     let csr = g.csr();
     let seq = Executor::Sequential;
-    let pairs = scale3(4_000, 500, 120);
     let threads = threads_arg();
     let traces = TraceOutput::from_args();
     let faults = fault_plan_arg();

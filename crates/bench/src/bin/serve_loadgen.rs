@@ -1,8 +1,9 @@
 //! Load generator for the `spanner-serve` query layer (EXPERIMENTS.md
 //! "Serving"): drives a deterministic mixed Zipf + uniform workload
 //! through [`Server::run_queries`] in batches, and reports per-query
-//! latency percentiles, sustained QPS and cache effectiveness into
-//! `BENCH_serve.json` at the repo root.
+//! latency percentiles, sustained QPS and cache effectiveness (into the
+//! `--json <path>` file, if given; the committed copy is `BENCH_serve.json`
+//! at the repo root).
 //!
 //! Defaults reproduce the acceptance workload: an ER graph with
 //! n = 50 000, m = 200 000, and 120 000 mixed queries (80 % drawn from a
@@ -11,14 +12,17 @@
 //!
 //! Flags (all optional):
 //!
-//! * `--quick` — seconds-scale CI smoke configuration (n = 2 000,
-//!   8 000 queries, 4 threads);
+//! * `--scale quick` (or `--quick`) — seconds-scale CI smoke
+//!   configuration (n = 2 000, 8 000 queries, 4 threads); `full` is the
+//!   default and the only other tier;
+//! * `--json <path>` — write the results there;
 //! * `--verify` — replay the identical query stream on fresh servers at
 //!   1 thread and 8 threads and assert every response line *and* the
 //!   final `STATS` line are identical (the determinism acceptance
 //!   criterion);
-//! * `--threads N`, `--queries N`, `--batch N`, `--cache N`,
-//!   `--route-frac F` — override individual knobs.
+//! * `--n N`, `--m N`, `--queries N`, `--batch N`, `--threads N`,
+//!   `--cache N`, `--zipf-frac F`, `--zipf-theta F`, `--route-frac F`,
+//!   `--seed N` — override individual knobs.
 //!
 //! With `SERVE_LOADGEN_ASSERT=1` (the CI configuration) the run fails
 //! unless it served every query without errors, the verify pass (if
@@ -27,7 +31,7 @@
 
 use std::time::Instant;
 
-use spanner_bench::quick_mode;
+use spanner_bench::{json_out_arg, parsed_arg, write_json, Scale};
 use spanner_serve::workload::{generate, QueryPair, WorkloadSpec};
 use spanner_serve::{GraphSpec, LoadRequest, QueryReq, ServeConfig, Server};
 
@@ -46,54 +50,23 @@ struct Config {
 }
 
 fn parse_config() -> Config {
-    let mut cfg = if quick_mode() {
-        Config {
-            n: 2_000,
-            m: 8_000,
-            queries: 8_000,
-            batch: 64,
-            threads: 4,
-            cache: 1 << 14,
-            zipf_frac: 0.8,
-            zipf_theta: 0.99,
-            route_frac: 0.0,
-            seed: 7,
-            verify: false,
-        }
-    } else {
-        Config {
-            n: 50_000,
-            m: 200_000,
-            queries: 120_000,
-            batch: 64,
-            threads: 8,
-            cache: 1 << 16,
-            zipf_frac: 0.8,
-            zipf_theta: 0.99,
-            route_frac: 0.0,
-            seed: 7,
-            verify: false,
-        }
+    let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let knob = |name, quick_value, full_value| {
+        parsed_arg(name).unwrap_or(if quick { quick_value } else { full_value })
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().expect("flag needs a value");
-        match arg.as_str() {
-            "--quick" => {}
-            "--verify" => cfg.verify = true,
-            "--n" => cfg.n = value().parse().expect("--n"),
-            "--m" => cfg.m = value().parse().expect("--m"),
-            "--queries" => cfg.queries = value().parse().expect("--queries"),
-            "--batch" => cfg.batch = value().parse().expect("--batch"),
-            "--threads" => cfg.threads = value().parse().expect("--threads"),
-            "--cache" => cfg.cache = value().parse().expect("--cache"),
-            "--zipf-frac" => cfg.zipf_frac = value().parse().expect("--zipf-frac"),
-            "--zipf-theta" => cfg.zipf_theta = value().parse().expect("--zipf-theta"),
-            "--route-frac" => cfg.route_frac = value().parse().expect("--route-frac"),
-            "--seed" => cfg.seed = value().parse().expect("--seed"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
+    let cfg = Config {
+        n: knob("--n", 2_000, 50_000),
+        m: knob("--m", 8_000, 200_000),
+        queries: knob("--queries", 8_000, 120_000),
+        batch: parsed_arg("--batch").unwrap_or(64),
+        threads: knob("--threads", 4, 8),
+        cache: knob("--cache", 1 << 14, 1 << 16),
+        zipf_frac: parsed_arg("--zipf-frac").unwrap_or(0.8),
+        zipf_theta: parsed_arg("--zipf-theta").unwrap_or(0.99),
+        route_frac: parsed_arg("--route-frac").unwrap_or(0.0),
+        seed: parsed_arg("--seed").unwrap_or(7),
+        verify: std::env::args().any(|a| a == "--verify"),
+    };
     assert!(cfg.batch >= 1, "--batch must be at least 1");
     cfg
 }
@@ -152,6 +125,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let cfg = parse_config();
+    let json_path = json_out_arg();
     println!(
         "serve_loadgen: n = {}, m = {}, {} queries (zipf_frac = {}, theta = {}, \
          route_frac = {}), batch = {}, threads = {}, cache = {}",
@@ -260,9 +234,7 @@ fn main() {
             None => "null",
         },
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    write_json(json_path.as_deref(), &json);
 
     // CI gate: deterministic workload properties only — never timing.
     if std::env::var("SERVE_LOADGEN_ASSERT").as_deref() == Ok("1") {

@@ -2,69 +2,95 @@
 //!
 //! One binary per experiment (see EXPERIMENTS.md for the index); this
 //! library holds the shared pieces: a markdown table printer, the standard
-//! workloads, wall-clock timing, and a `--quick` mode so CI can smoke-test
-//! every experiment cheaply.
+//! workloads, wall-clock timing, the flag parsers, the size tier
+//! ([`Scale`]) every binary and bench reads, and the one `--json` artifact
+//! writer ([`write_json`]).
 //!
 //! Run an experiment with e.g.
 //!
 //! ```text
 //! cargo run --release -p spanner-bench --bin fig1_table
-//! cargo run --release -p spanner-bench --bin exp_skeleton_size -- --quick
+//! cargo run --release -p spanner-bench --bin exp_skeleton_size -- --scale quick
 //! ```
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Instant;
 
 use spanner_graph::Graph;
 use spanner_netsim::{Executor, FaultPlan, JsonLinesSink, NullSink, TraceSink};
 
-/// Whether the process was invoked with `--quick` (smaller instances).
-/// `--scale quick` is a synonym.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || scale_arg().as_deref() == Some("quick")
+/// The size tier of an experiment or bench run, read once from the
+/// command line by [`Scale::from_args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Scale {
+    /// Pinned seconds-scale instances: the goldens and the CI smoke runs.
+    Tiny,
+    /// Smaller instances for a quick look.
+    Quick,
+    /// The default: the scale of the paper's experiments.
+    Full,
+    /// n ≥ 2²⁰ instances built through the streaming CSR generators
+    /// (EXPERIMENTS.md, "Million-node runs"); excluded from CI.
+    Huge,
 }
 
-/// Whether the process was invoked with `--tiny` (pinned, seconds-scale
-/// instances — the configuration the golden-file regression tests run at).
-/// `--scale tiny` is a synonym.
-pub fn tiny_mode() -> bool {
-    std::env::args().any(|a| a == "--tiny") || scale_arg().as_deref() == Some("tiny")
-}
+impl Scale {
+    /// Every tier, smallest first.
+    pub const ALL: [Scale; 4] = [Scale::Tiny, Scale::Quick, Scale::Full, Scale::Huge];
 
-/// The `--scale <tier>` argument (also `--scale=tier`), if present.
-/// Tiers: `full` (the default), `quick`, `tiny`, and `huge` — the
-/// million-node tier that routes the experiment through the CSR-native
-/// construction drivers (see EXPERIMENTS.md, "Million-node runs").
-///
-/// # Panics
-///
-/// Panics on an unknown tier — experiments fail loudly rather than
-/// silently run the default scale.
-pub fn scale_arg() -> Option<String> {
-    let tier = arg_value("--scale")?;
-    assert!(
-        matches!(tier.as_str(), "full" | "quick" | "tiny" | "huge"),
-        "unknown --scale tier {tier:?} (expected full, quick, tiny, or huge)"
-    );
-    Some(tier)
-}
+    /// The tier's name, as `--scale` spells it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+            Scale::Huge => "huge",
+        }
+    }
 
-/// Whether the process was invoked with `--scale huge` (n ≥ 2²⁰ instances
-/// built through the streaming CSR generators; excluded from CI).
-pub fn huge_mode() -> bool {
-    scale_arg().as_deref() == Some("huge")
-}
+    /// The tier the process arguments ask for: `--tiny`, `--quick`,
+    /// `--scale <tier>` or `--scale=<tier>`, and [`Scale::Full`] without
+    /// any of them. If several are given the smallest wins, so `--tiny`
+    /// beats `--quick`. `tiers` are the tiers the caller has.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown tier or one missing from `tiers`, naming
+    /// `tiers`: experiments fail loudly rather than silently run another
+    /// scale than the one asked for.
+    pub fn from_args(tiers: &[Scale]) -> Scale {
+        Scale::parse(&std::env::args().collect::<Vec<_>>(), tiers)
+    }
 
-/// Picks full / `--quick` / `--tiny` values; `--tiny` wins over `--quick`.
-pub fn scale3<T: Copy>(full: T, quick: T, tiny: T) -> T {
-    if tiny_mode() {
-        tiny
-    } else if quick_mode() {
-        quick
-    } else {
-        full
+    fn parse(args: &[String], tiers: &[Scale]) -> Scale {
+        let names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
+        let names = names.join(", ");
+        let named = flag_value(args, "--scale").map(|v| {
+            Scale::ALL
+                .into_iter()
+                .find(|t| t.name() == v)
+                .unwrap_or_else(|| panic!("unknown --scale tier {v:?} (tiers here: {names})"))
+        });
+        let flag = |f: &str, tier| args.iter().any(|a| a == f).then_some(tier);
+        let scale = [
+            flag("--tiny", Scale::Tiny),
+            flag("--quick", Scale::Quick),
+            named,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(Scale::Full);
+        assert!(
+            tiers.contains(&scale),
+            "no {} tier here (tiers here: {names})",
+            scale.name()
+        );
+        scale
     }
 }
 
@@ -92,14 +118,27 @@ pub fn fault_plan_arg() -> Option<FaultPlan> {
 /// Panics on a malformed or zero count — experiments fail loudly rather
 /// than silently run single-threaded.
 pub fn threads_arg() -> usize {
-    let Some(spec) = arg_value("--threads") else {
-        return 1;
-    };
-    let n: usize = spec
-        .parse()
-        .unwrap_or_else(|e| panic!("bad --threads count {spec:?}: {e}"));
+    let n = parsed_arg("--threads").unwrap_or(1);
     assert!(n >= 1, "--threads must be at least 1");
     n
+}
+
+/// The `name value` or `name=value` argument parsed as a `T`, if the flag
+/// is present.
+///
+/// # Panics
+///
+/// Panics on a missing value, as [`trace_out_arg`] does, or one that does not
+/// parse as a `T`.
+pub fn parsed_arg<T: FromStr>(name: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    let spec = arg_value(name)?;
+    Some(
+        spec.parse()
+            .unwrap_or_else(|e| panic!("bad {name} value {spec:?}: {e}")),
+    )
 }
 
 /// The construction executor for a `--threads` count: one thread is the
@@ -126,13 +165,27 @@ pub fn trace_out_arg() -> Option<PathBuf> {
 }
 
 /// The `--json <path>` argument (also `--json=path`), if present, for
-/// binaries that write a machine-readable artifact.
+/// binaries that write a machine-readable artifact. Read it before the
+/// run, so a bad flag fails before the work; write with [`write_json`].
 ///
 /// # Panics
 ///
 /// Panics on a `--json` without a path, as [`trace_out_arg`] does.
 pub fn json_out_arg() -> Option<PathBuf> {
     arg_value("--json").map(PathBuf::from)
+}
+
+/// Writes a binary's artifact to `path`, the [`json_out_arg`] of the
+/// run, and prints where; without `--json` it writes no file.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_json(path: Option<&Path>, json: &str) {
+    if let Some(path) = path {
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
+    }
 }
 
 /// [`flag_value`] over the process arguments.
@@ -258,15 +311,6 @@ impl RunTrace {
                 .unwrap_or_else(|e| panic!("writing trace file {}: {e}", path.display()));
             println!("  trace: wrote {}", path.display());
         }
-    }
-}
-
-/// Picks the quick or full value depending on [`quick_mode`].
-pub fn scaled<T: Copy>(full: T, quick: T) -> T {
-    if quick_mode() {
-        quick
-    } else {
-        full
     }
 }
 
@@ -424,6 +468,62 @@ mod tests {
     #[should_panic(expected = "--threads needs a value")]
     fn flag_value_rejects_empty_joined_value() {
         flag_value(&args(&["bin", "--threads="]), "--threads");
+    }
+
+    #[test]
+    fn scale_reads_every_spelling() {
+        assert_eq!(Scale::parse(&args(&["bin"]), &Scale::ALL), Scale::Full);
+        assert_eq!(
+            Scale::parse(&args(&["bin", "--tiny"]), &Scale::ALL),
+            Scale::Tiny
+        );
+        assert_eq!(
+            Scale::parse(&args(&["bin", "--quick"]), &Scale::ALL),
+            Scale::Quick
+        );
+        for tier in Scale::ALL {
+            let spaced = args(&["bin", "--scale", tier.name(), "--bench"]);
+            let joined = args(&["bin", &format!("--scale={}", tier.name())]);
+            assert_eq!(Scale::parse(&spaced, &Scale::ALL), tier);
+            assert_eq!(Scale::parse(&joined, &Scale::ALL), tier);
+        }
+    }
+
+    #[test]
+    fn scale_tiny_beats_quick() {
+        for list in [
+            ["bin", "--tiny", "--quick"],
+            ["bin", "--quick", "--tiny"],
+            ["bin", "--quick", "--scale=tiny"],
+        ] {
+            assert_eq!(
+                Scale::parse(&args(&list), &Scale::ALL),
+                Scale::Tiny,
+                "{list:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --scale tier \"bogus\" (tiers here: tiny, full)")]
+    fn scale_rejects_unknown_tier() {
+        Scale::parse(
+            &args(&["bin", "--scale", "bogus"]),
+            &[Scale::Tiny, Scale::Full],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no tiny tier here (tiers here: quick, full)")]
+    fn scale_rejects_missing_tier() {
+        Scale::parse(&args(&["bin", "--tiny"]), &[Scale::Quick, Scale::Full]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no huge tier here (tiers here: tiny, quick, full)")]
+    fn scale_rejects_missing_named_tier() {
+        let tiers = [Scale::Tiny, Scale::Quick, Scale::Full];
+        Scale::parse(&args(&["bin", "--scale", "huge"]), &tiers);
     }
 
     #[test]

@@ -198,6 +198,22 @@ fn bad_scale_tier_fails_loudly() {
     assert!(stderr.contains("unknown --scale tier"), "{stderr}");
 }
 
+/// A tier the binary lacks must fail loudly, naming the tiers it has,
+/// not silently run another scale: `exp_fib_size` has only quick and full.
+#[test]
+fn missing_tier_fails_loudly() {
+    let out = Command::new(env!("CARGO_BIN_EXE_exp_fib_size"))
+        .arg("--tiny")
+        .output()
+        .expect("spawn exp_fib_size");
+    assert!(!out.status.success(), "a missing tier must not run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("no tiny tier here (tiers here: quick, full)"),
+        "{stderr}"
+    );
+}
+
 /// Drops the `wrote <path>` artifact line: the JSON path is
 /// machine-dependent (the table above it is what the snapshot pins).
 fn strip_artifact_line(text: &str) -> String {

@@ -20,7 +20,7 @@
 
 use rand::Rng;
 
-use spanner_graph::traversal::bfs_tree;
+use spanner_graph::traversal::ClusterBfs;
 use spanner_graph::{EdgeSet, Graph, NodeId};
 use spanner_netsim::rng::node_rng;
 use ultrasparse::Spanner;
@@ -87,21 +87,18 @@ pub fn build_with_threshold(g: &Graph, delta: usize, seed: u64) -> Spanner {
         if in_r[h.index()] {
             continue;
         }
-        let dom = g
-            .neighbors(h)
-            .iter()
-            .copied()
-            .filter(|w| in_r[w.index()])
-            .min()
+        // Runs are ascending: the first R neighbor is the min-id one.
+        let (_, e) = g
+            .incident(h)
+            .find(|(w, _)| in_r[w.index()])
             .expect("dominated by construction");
-        edges.insert(g.find_edge(h, dom).expect("edge"));
+        edges.insert(e);
     }
+    let mut bfs = ClusterBfs::new(n);
     for r in g.nodes().filter(|v| in_r[v.index()]) {
-        let t = bfs_tree(g, r);
-        for v in g.nodes() {
-            if let Some(parent) = t.parent[v.index()] {
-                edges.insert(g.find_edge(v, parent).expect("tree edge"));
-            }
+        bfs.grow(g, r, u32::MAX, |_, _| true);
+        for (_, _, _, e) in bfs.tree() {
+            edges.insert(e);
         }
     }
 

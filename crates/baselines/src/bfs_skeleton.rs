@@ -10,10 +10,9 @@
 //! pattern), which runs in O(diameter) rounds with 2-word messages.
 
 use spanner_graph::components::connected_components;
-use spanner_graph::traversal::bfs_tree;
 use std::sync::Arc;
 
-use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
+use spanner_graph::{CsrAdjacency, DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::patterns::SourceInfo;
 use spanner_netsim::{
     execute, Ctx, Executor, MessageBudget, PhaseMark, Protocol, RunError, ScheduledSink, TraceSink,
@@ -31,14 +30,14 @@ pub fn build(g: &Graph) -> Spanner {
             root[c] = Some(v);
         }
     }
+    // One root per component, so every node's attributed source is its
+    // component's root and the forest is that root's BFS tree.
+    let roots: Vec<NodeId> = root.into_iter().flatten().collect();
+    let forest = DistanceEngine::new(g).nearest_sources(&roots);
     let mut edges = EdgeSet::new(g);
-    for r in root.into_iter().flatten() {
-        let t = bfs_tree(g, r);
-        for v in g.nodes() {
-            if let Some(p) = t.parent[v.index()] {
-                let e = g.find_edge(v, p).expect("tree edge");
-                edges.insert(e);
-            }
+    for v in g.nodes() {
+        if let Some((_, e)) = forest.parent(g, v) {
+            edges.insert(e);
         }
     }
     Spanner::from_edges(edges)

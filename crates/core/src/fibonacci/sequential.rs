@@ -12,12 +12,11 @@
 //! The spanner is the union of all those shortest paths; the construction
 //! is deterministic given the seed.
 
-use std::collections::VecDeque;
-
 use rand::Rng;
 
-use spanner_graph::traversal::multi_source_bfs;
-use spanner_graph::{EdgeSet, Graph, NodeId};
+use spanner_graph::engine::MultiSourceFlat;
+use spanner_graph::traversal::ClusterBfs;
+use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::rng::node_rng;
 
 use crate::fibonacci::params::FibonacciParams;
@@ -64,41 +63,23 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
     let members =
         |i: u32| -> Vec<NodeId> { g.nodes().filter(|v| levels[v.index()] >= i).collect() };
 
-    // Nearest-level-(i) data for i = 1..=order (+ the empty level o+1).
-    // nearest[i][v] = (distance, attributed min-id source), if any.
-    let mut level_bfs = Vec::with_capacity(params.order as usize + 2);
-    level_bfs.push(None); // index 0 unused (V_0 = V)
-    for i in 1..=params.order {
-        let srcs = members(i);
-        level_bfs.push(Some(multi_source_bfs(g, &srcs)));
-    }
-    level_bfs.push(None); // V_{order+1} = ∅
+    // nearest[i - 1]: distance to V_i and the attributed min-id p_i(v), for
+    // i = 1..=order (V_{order+1} = ∅ has no entry).
+    let engine = DistanceEngine::new(g);
+    let nearest: Vec<MultiSourceFlat> = (1..=params.order)
+        .map(|i| engine.nearest_sources(&members(i)))
+        .collect();
 
     // 2. Parent forests: P(v, p_i(v)) for δ(v, V_i) ≤ ℓ^{i-1}.
-    for i in 1..=params.order {
-        let bfs = level_bfs[i as usize].as_ref().expect("computed above");
+    for (i, forest) in (1..).zip(&nearest) {
         let radius = params.ball_radius(i - 1);
         for v in g.nodes() {
-            let Some(d) = bfs.dist[v.index()] else {
-                continue;
-            };
-            if d == 0 || d as u64 > radius {
+            if u64::from(forest.dist[v.index()]) > radius {
                 continue;
             }
-            let src = bfs.source[v.index()].expect("attributed");
-            // Parent: min-id neighbor one step closer with the same
-            // attributed source (always exists; see traversal docs).
-            let parent = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|w| {
-                    bfs.dist[w.index()] == Some(d - 1) && bfs.source[w.index()] == Some(src)
-                })
-                .min()
-                .expect("shortest-path parent with same attribution exists");
-            let e = g.find_edge(v, parent).expect("neighbor edge");
-            edges.insert(e);
+            if let Some((_, e)) = forest.parent(g, v) {
+                edges.insert(e);
+            }
         }
     }
 
@@ -106,93 +87,36 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
     //
     // Level 0 (the S_0 term): v includes all incident edges iff
     // δ(v, V_1) ≥ 2 (every neighbor is then in B_{1,ℓ}(v)).
-    {
-        let d1 = level_bfs
-            .get(1)
-            .and_then(|o| o.as_ref())
-            .map(|b| b.dist.clone());
-        for v in g.nodes() {
-            let dv1 = match (&d1, params.order) {
-                (Some(d), _) => d[v.index()],
-                (None, _) => None,
-            };
-            let truncation_allows = match dv1 {
-                Some(d) => d >= 2,
-                None => true, // no level-1 vertex at all
-            };
-            if truncation_allows {
-                for (_, e) in g.incident(v) {
-                    edges.insert(e);
-                }
+    for v in g.nodes() {
+        if nearest.first().is_none_or(|f| f.dist[v.index()] >= 2) {
+            for (_, e) in g.incident(v) {
+                edges.insert(e);
             }
         }
     }
 
     // Levels 1..=order: BFS out of each u ∈ V_i bounded by ℓ^i; include
     // the shortest path to every qualifying v ∈ V_{i-1}.
-    let mut dist = vec![u32::MAX; n];
-    let mut parent: Vec<NodeId> = vec![NodeId(0); n];
-    let mut touched: Vec<usize> = Vec::new();
+    let mut bfs = ClusterBfs::new(n);
     for i in 1..=params.order {
-        let radius = params.ball_radius(i);
-        let trunc = level_bfs
-            .get(i as usize + 1)
-            .and_then(|o| o.as_ref())
-            .map(|b| &b.dist);
+        let radius = u32::try_from(params.ball_radius(i)).unwrap_or(u32::MAX);
+        let trunc = nearest.get(i as usize);
         for &u in &members(i) {
-            // Bounded BFS from u with min-id parents.
-            debug_assert!(touched.is_empty());
-            dist[u.index()] = 0;
-            touched.push(u.index());
-            let mut queue = VecDeque::from([u]);
-            while let Some(x) = queue.pop_front() {
-                let dx = dist[x.index()];
-                if dx as u64 == radius {
+            bfs.grow(g, u, radius, |_, _| true);
+            for (v, d, _, _) in bfs.tree() {
+                // Qualifying targets: in V_{i-1} and closer to u than to
+                // V_{i+1}.
+                if levels[v.index()] < i - 1 || trunc.is_some_and(|t| d >= t.dist[v.index()]) {
                     continue;
                 }
-                for &y in g.neighbors(x) {
-                    if dist[y.index()] == u32::MAX {
-                        dist[y.index()] = dx + 1;
-                        parent[y.index()] = x;
-                        touched.push(y.index());
-                        queue.push_back(y);
-                    } else if dist[y.index()] == dx + 1 && x < parent[y.index()] {
-                        parent[y.index()] = x;
-                    }
-                }
-            }
-            // Path inclusion for qualifying targets v ∈ V_{i-1}.
-            for &vi in &touched {
-                let v = NodeId(vi as u32);
-                let d = dist[vi];
-                if d == 0 || levels[vi] < i - 1 {
-                    continue;
-                }
-                if let Some(td) = trunc {
-                    if let Some(t) = td[vi] {
-                        if d >= t {
-                            continue; // not closer than V_{i+1}
-                        }
-                    }
-                }
-                // Walk the shortest path v → u, adding its edges.
+                // Walk the tree path v → u, adding its edges (different
+                // targets share suffixes, so the walk never stops early).
                 let mut cur = v;
-                while cur != u {
-                    let p = parent[cur.index()];
-                    let e = g.find_edge(cur, p).expect("BFS tree edge");
-                    if !edges.insert(e) {
-                        // Path suffix already present *for this source*?
-                        // Not necessarily — different sources share edges —
-                        // so keep walking regardless.
-                    }
+                while let Some((p, e)) = bfs.parent(cur) {
+                    edges.insert(e);
                     cur = p;
                 }
             }
-            // Reset scratch.
-            for &t in &touched {
-                dist[t] = u32::MAX;
-            }
-            touched.clear();
         }
     }
 

@@ -26,9 +26,14 @@
 //!    pure function of (graph, source index), and workers write disjoint
 //!    regions determined by arithmetic, never by timing.
 //!
-//! The single-source functions in [`traversal`](crate::traversal) remain
-//! as the reference implementations; `tests/engine_parity.rs` keeps
-//! the engine byte-identical to them under every strategy and thread count.
+//! [`DistanceEngine::nearest_sources`] and [`MultiSourceFlat::parent`] are
+//! the nearest-source forests (`p_i(v)` with minimum-id attribution) the
+//! centralized builders share; the tree-growing BFS they share is
+//! [`ClusterBfs`](crate::traversal::ClusterBfs). `tests/engine_parity.rs`
+//! checks every entry point against the plain BFS references it keeps
+//! (APSP, stretch, girth) and against [`traversal`](crate::traversal)'s
+//! distance functions, `bfs_tree` and `multi_source_bfs`, under every
+//! strategy and thread count.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 use crate::csr::CsrAdjacency;
 use crate::distance::UNREACHABLE;
 use crate::edgeset::EdgeSet;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId};
 use crate::pool::{chunk_range, for_each_region, run_workers};
 
 /// Sentinel source id in [`MultiSourceFlat::source`] for nodes no source
@@ -249,6 +254,24 @@ pub struct MultiSourceFlat {
     /// `source[v]` is the attributed nearest source id (minimum id among
     /// equidistant sources); [`NO_SOURCE`] if unreached.
     pub source: Vec<u32>,
+}
+
+impl MultiSourceFlat {
+    /// `v`'s parent in its source's shortest-path forest, with the
+    /// connecting edge of `g`: the minimum-id neighbor one step closer
+    /// with the same attributed source. `None` for sources and unreached
+    /// nodes; every other node has one, since its attribution came from
+    /// such a neighbor. `g` must be the graph the search ran over.
+    pub fn parent(&self, g: &Graph, v: NodeId) -> Option<(NodeId, EdgeId)> {
+        let d = self.dist[v.index()];
+        if d == 0 || d == UNREACHABLE {
+            return None;
+        }
+        let s = self.source[v.index()];
+        // Runs are ascending, so the first match is the min-id one.
+        g.incident(v)
+            .find(|&(u, _)| self.dist[u.index()] == d - 1 && self.source[u.index()] == s)
+    }
 }
 
 impl DistanceEngine {
@@ -968,10 +991,11 @@ impl DistanceEngine {
         (g != u32::MAX).then_some(g)
     }
 
-    /// Multi-source BFS with the paper's minimum-id attribution rule —
-    /// the flat-array counterpart of
-    /// [`multi_source_bfs`](crate::traversal::multi_source_bfs), producing
-    /// identical distances and attributions.
+    /// Multi-source BFS with the paper's minimum-id attribution rule
+    /// (nearest source, minimum id among equidistant ones, Sect. 4.1);
+    /// distances and attributions equal the test reference
+    /// [`multi_source_bfs`](crate::traversal::multi_source_bfs).
+    /// [`MultiSourceFlat::parent`] reads the forest off the result.
     pub fn nearest_sources(&self, sources: &[NodeId]) -> MultiSourceFlat {
         let n = self.node_count();
         let mut dist = vec![UNREACHABLE; n];

@@ -247,7 +247,7 @@ impl Graph {
     /// The edge ids of `v`'s incident edges, parallel to
     /// [`Graph::neighbors`].
     #[inline]
-    fn incident_ids(&self, v: NodeId) -> &[EdgeId] {
+    pub(crate) fn incident_ids(&self, v: NodeId) -> &[EdgeId] {
         let (offsets, _) = self.csr.parts();
         &self.edge_ids[offsets[v.index()] as usize..offsets[v.index() + 1] as usize]
     }

@@ -1,23 +1,32 @@
 //! Breadth-first search in the flavors the spanner algorithms need.
 //!
-//! * plain single-source BFS distances,
-//! * radius-bounded BFS (the `ℓ^i`-balls of Fibonacci spanners),
-//! * multi-source BFS with source attribution (nearest sampled vertex
-//!   `p_i(v)` with minimum-identifier tie-breaking, exactly as Sect. 4.1
-//!   specifies),
-//! * BFS trees and path extraction,
+//! * [`ClusterBfs`]: the one tree-growing BFS of the centralized
+//!   builders. It grows a cluster around a center, optionally truncated
+//!   per node and depth (Thorup–Zwick bunches and routing clusters, the
+//!   Fibonacci spanner's `ℓ^i`-balls, full BFS trees), with the paper's
+//!   minimum-identifier parent rule (Sect. 4.1) and the tree edge ids
+//!   read off the CSR walk;
+//! * plain and radius-bounded single-source BFS distances, one body over
+//!   the shared [`CsrAdjacency`], [`bfs_distances_in_subgraph`]; the
+//!   [`Graph`]-taking names call it on [`Graph::csr`];
 //! * BFS over an [`EdgeSet`] subgraph (for stretch evaluation without
 //!   materializing the spanner).
 //!
-//! Every distance BFS here is one body over the shared [`CsrAdjacency`],
-//! [`bfs_distances_in_subgraph`]; the [`Graph`]-taking names call it on
-//! [`Graph::csr`].
+//! Nearest-source attribution (`p_i(v)`) and its forests live on the
+//! distance engine: [`DistanceEngine::nearest_sources`] and
+//! [`MultiSourceFlat::parent`]. [`multi_source_bfs`] and [`bfs_tree`] are
+//! kept only as the straightforward references the parity tests check
+//! those against; no library code calls them.
+//!
+//! [`DistanceEngine::nearest_sources`]: crate::DistanceEngine::nearest_sources
+//! [`MultiSourceFlat::parent`]: crate::engine::MultiSourceFlat::parent
 
 use std::collections::VecDeque;
 
 use crate::csr::CsrAdjacency;
+use crate::distance::UNREACHABLE;
 use crate::edgeset::EdgeSet;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId};
 
 /// Distances from `src` to every node; `None` for unreachable nodes.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<Option<u32>> {
@@ -39,7 +48,9 @@ pub struct MultiSourceBfs {
     pub source: Vec<Option<NodeId>>,
 }
 
-/// Multi-source BFS with deterministic attribution.
+/// Multi-source BFS with deterministic attribution — the reference for
+/// [`DistanceEngine::nearest_sources`](crate::DistanceEngine::nearest_sources);
+/// only tests call it.
 ///
 /// Every node is attributed to its nearest source; among equidistant sources
 /// the one with the **minimum node id** wins, matching the paper's
@@ -142,7 +153,10 @@ impl BfsTree {
 }
 
 /// Builds a BFS tree from `root`. Among equidistant parents the minimum-id
-/// neighbor is chosen, making the tree deterministic.
+/// neighbor is chosen, making the tree deterministic. The reference for
+/// [`ClusterBfs::grow`] and
+/// [`MultiSourceFlat::parent`](crate::engine::MultiSourceFlat::parent);
+/// only tests call it.
 pub fn bfs_tree(g: &Graph, root: NodeId) -> BfsTree {
     let dist = bfs_distances(g, root);
     let mut parent = vec![None; g.node_count()];
@@ -162,13 +176,98 @@ pub fn bfs_tree(g: &Graph, root: NodeId) -> BfsTree {
     BfsTree { root, parent, dist }
 }
 
-/// One shortest path from `src` to `dst` (inclusive of both), or `None` if
-/// disconnected. Deterministic (min-id parents).
-pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    let t = bfs_tree(g, src);
-    let mut p = t.path_to_root(dst)?;
-    p.reverse();
-    Some(p)
+/// Reusable scratch for growing one BFS cluster at a time: the one
+/// tree-growing loop every centralized builder runs.
+///
+/// [`ClusterBfs::grow`] fills `dist` and `(parent, edge)` for the nodes it
+/// reaches and records them in a visit list, which doubles as the BFS
+/// queue; the next `grow` resets only the nodes on that list, so a
+/// builder growing one cluster per node pays for the clusters, not for
+/// `n` per cluster.
+#[derive(Debug, Clone)]
+pub struct ClusterBfs {
+    dist: Vec<u32>,
+    parent: Vec<(NodeId, EdgeId)>,
+    visited: Vec<NodeId>,
+}
+
+impl ClusterBfs {
+    /// Scratch for an `n`-node graph.
+    pub fn new(n: usize) -> Self {
+        ClusterBfs {
+            dist: vec![UNREACHABLE; n],
+            parent: vec![(NodeId(0), EdgeId(0)); n],
+            visited: Vec::new(),
+        }
+    }
+
+    /// Grows the cluster of `center`: a BFS that expands no node at depth
+    /// `max_depth` (`u32::MAX` for unbounded) and enters an unreached
+    /// node `y` at depth `d` only when `keep(y, d)` holds.
+    ///
+    /// Every reached node other than `center` gets as parent its
+    /// minimum-id reached neighbor one level up ("the one whose unique
+    /// identifier is minimum", Sect. 4.1), together with the id of the
+    /// connecting edge, read off the edge-id column at the same CSR
+    /// position (only when a parent is set, so the walk itself touches
+    /// just the targets). With `keep` always true this is the BFS tree of
+    /// [`bfs_tree`].
+    pub fn grow(
+        &mut self,
+        g: &Graph,
+        center: NodeId,
+        max_depth: u32,
+        mut keep: impl FnMut(NodeId, u32) -> bool,
+    ) {
+        for &v in &self.visited {
+            self.dist[v.index()] = UNREACHABLE;
+        }
+        self.visited.clear();
+        self.dist[center.index()] = 0;
+        self.visited.push(center);
+        let mut head = 0;
+        while let Some(&x) = self.visited.get(head) {
+            head += 1;
+            let dx = self.dist[x.index()];
+            if dx == max_depth {
+                continue;
+            }
+            let ids = g.incident_ids(x);
+            for (i, &y) in g.neighbors(x).iter().enumerate() {
+                let dy = self.dist[y.index()];
+                if dy == UNREACHABLE {
+                    if keep(y, dx + 1) {
+                        self.dist[y.index()] = dx + 1;
+                        self.parent[y.index()] = (x, ids[i]);
+                        self.visited.push(y);
+                    }
+                } else if dy == dx + 1 && x < self.parent[y.index()].0 {
+                    self.parent[y.index()] = (x, ids[i]);
+                }
+            }
+        }
+    }
+
+    /// Depth of `v` in the last cluster; [`UNREACHABLE`] if not reached.
+    pub fn dist(&self, v: NodeId) -> u32 {
+        self.dist[v.index()]
+    }
+
+    /// `v`'s parent and tree edge in the last cluster; `None` for the
+    /// center and for nodes not reached.
+    pub fn parent(&self, v: NodeId) -> Option<(NodeId, EdgeId)> {
+        let d = self.dist[v.index()];
+        (d != 0 && d != UNREACHABLE).then(|| self.parent[v.index()])
+    }
+
+    /// Every reached node but the center as `(node, depth, parent, tree
+    /// edge)`, in BFS order.
+    pub fn tree(&self) -> impl Iterator<Item = (NodeId, u32, NodeId, EdgeId)> + '_ {
+        self.visited.iter().skip(1).map(|&v| {
+            let (p, e) = self.parent[v.index()];
+            (v, self.dist[v.index()], p, e)
+        })
+    }
 }
 
 /// BFS distances from `src` in `adj`, bounded by `radius` (`u32::MAX`
@@ -276,21 +375,36 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_endpoints() {
-        let g = path(7);
-        let p = shortest_path(&g, NodeId(1), NodeId(5)).unwrap();
-        assert_eq!(p.first(), Some(&NodeId(1)));
-        assert_eq!(p.last(), Some(&NodeId(5)));
-        assert_eq!(p.len(), 5);
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
+    fn cluster_bfs_truncates_and_resets() {
+        // 0 - 1 - 2 - 3 - 4 plus the chord 0 - 2.
+        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]);
+        let mut bfs = ClusterBfs::new(5);
+        bfs.grow(&g, NodeId(0), u32::MAX, |y, _| y != NodeId(3));
+        let reached: Vec<NodeId> = bfs.tree().map(|(v, ..)| v).collect();
+        assert_eq!(reached, [NodeId(1), NodeId(2)]);
+        assert_eq!(bfs.dist(NodeId(3)), UNREACHABLE);
+        assert_eq!(bfs.parent(NodeId(0)), None);
+        let (p, e) = bfs.parent(NodeId(2)).unwrap();
+        assert_eq!(
+            (p, e),
+            (NodeId(0), g.find_edge(NodeId(0), NodeId(2)).unwrap())
+        );
+        // A second grow from another center forgets the first cluster.
+        bfs.grow(&g, NodeId(4), 1, |_, _| true);
+        let reached: Vec<NodeId> = bfs.tree().map(|(v, ..)| v).collect();
+        assert_eq!(reached, [NodeId(3)]);
+        assert_eq!(bfs.dist(NodeId(0)), UNREACHABLE);
+        assert_eq!(bfs.dist(NodeId(4)), 0);
     }
 
     #[test]
-    fn shortest_path_disconnected() {
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert!(shortest_path(&g, NodeId(0), NodeId(3)).is_none());
+    fn cluster_bfs_min_id_parent() {
+        // Diamond 0 - {2, 1} - 3: 3's parent is 1 whichever is entered first.
+        let g = Graph::from_edges(4, [(0, 2), (0, 1), (2, 3), (1, 3)]);
+        let mut bfs = ClusterBfs::new(4);
+        bfs.grow(&g, NodeId(0), u32::MAX, |_, _| true);
+        assert_eq!(bfs.parent(NodeId(3)).map(|(p, _)| p), Some(NodeId(1)));
+        assert_eq!(bfs_tree(&g, NodeId(0)).parent[3], Some(NodeId(1)));
     }
 
     #[test]

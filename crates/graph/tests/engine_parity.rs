@@ -8,19 +8,26 @@
 //! self-loop-free multigraph edge lists (the builder collapses the
 //! duplicates), at every thread count from 1 to 8. The single-source
 //! references are `traversal`'s public functions; the APSP, stretch and
-//! girth references exist only for this suite and live below.
+//! girth references exist only for this suite and live below. The shared
+//! tree builders are held to the same references: `ClusterBfs::grow`
+//! against `bfs_tree` (unbounded) and the radius-bounded BFS, and
+//! `MultiSourceFlat::parent` against `bfs_tree` when each component holds
+//! one source.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use spanner_graph::components::connected_components;
 use spanner_graph::distance::{
     diameter_exact, eccentricity, verify_stretch_exact_threads, Apsp, StretchBound,
     StretchViolation, UNREACHABLE,
 };
 use spanner_graph::girth::girth;
-use spanner_graph::traversal::{bfs_distances, bfs_distances_in_subgraph, multi_source_bfs};
+use spanner_graph::traversal::{
+    bfs_distances, bfs_distances_in_subgraph, bfs_tree, multi_source_bfs, ClusterBfs,
+};
 use spanner_graph::weighted::{dijkstra, WeightedGraph, W_UNREACHABLE};
 use spanner_graph::{
     generators, DistanceEngine, EdgeId, EdgeSet, Graph, NodeId, Strategy, NO_SOURCE,
@@ -295,6 +302,81 @@ proptest! {
             .map(|s| s.map_or(u32::MAX, |x| x.0))
             .collect();
         prop_assert_eq!(&got.source, &want_src);
+    }
+
+    #[test]
+    fn cluster_bfs_full_growth_matches_bfs_tree(
+        n in 1usize..=60,
+        m in 0usize..=180,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let g = random_graph(n.max(2), m, shape, seed);
+        // One scratch for every center: each grow must forget the last.
+        let mut bfs = ClusterBfs::new(g.node_count());
+        for center in g.nodes() {
+            bfs.grow(&g, center, u32::MAX, |_, _| true);
+            let want = bfs_tree(&g, center);
+            for v in g.nodes() {
+                prop_assert_eq!(bfs.dist(v), want.dist[v.index()].unwrap_or(UNREACHABLE));
+                let got = bfs.parent(v);
+                prop_assert_eq!(got.map(|(p, _)| p), want.parent[v.index()], "{}->{}", center, v);
+                if let Some((p, e)) = got {
+                    prop_assert_eq!(g.find_edge(v, p), Some(e));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_bfs_depth_bound_matches_bounded_reference(
+        n in 1usize..=60,
+        m in 0usize..=180,
+        shape in 0u8..3,
+        radius in 0u32..6,
+        seed in any::<u64>(),
+    ) {
+        let g = random_graph(n.max(2), m, shape, seed);
+        let mut bfs = ClusterBfs::new(g.node_count());
+        for center in g.nodes() {
+            bfs.grow(&g, center, radius, |_, _| true);
+            let want = flat(&bfs_distances_in_subgraph(g.csr(), center, radius));
+            let got: Vec<u32> = g.nodes().map(|v| bfs.dist(v)).collect();
+            prop_assert_eq!(got, want, "center {} radius {}", center, radius);
+        }
+    }
+
+    #[test]
+    fn multi_source_parent_matches_bfs_tree(
+        n in 1usize..=60,
+        m in 0usize..=180,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let g = random_graph(n.max(2), m, shape, seed);
+        // One random source per component, so each component's forest is
+        // its source's BFS tree.
+        let comps = connected_components(&g);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5bd1_e995);
+        let mut source: Vec<Option<NodeId>> = vec![None; comps.count];
+        for v in g.nodes() {
+            let c = comps.labels[v.index()] as usize;
+            if source[c].is_none() || rng.gen_range(0..3u32) == 0 {
+                source[c] = Some(v);
+            }
+        }
+        let sources: Vec<NodeId> = source.iter().flatten().copied().collect();
+        let forest = DistanceEngine::new(&g).nearest_sources(&sources);
+        for &s in &sources {
+            let want = bfs_tree(&g, s);
+            for v in g.nodes().filter(|v| want.dist[v.index()].is_some()) {
+                let got = forest.parent(&g, v);
+                prop_assert_eq!(got.map(|(p, _)| p), want.parent[v.index()], "{}->{}", s, v);
+                if let Some((p, e)) = got {
+                    prop_assert_eq!(g.find_edge(v, p), Some(e));
+                }
+            }
+        }
     }
 }
 

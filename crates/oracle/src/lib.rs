@@ -15,6 +15,14 @@
 //! n^{−1/k} per level, with *witnesses* `p_i(v)` (nearest `A_i` vertex,
 //! min-id tie-break) and *bunches*
 //! `B(v) = ∪_i { w ∈ A_i \ A_{i+1} : δ(w, v) < δ(v, A_{i+1}) }`.
+//!
+//! It also shares the Fibonacci spanner's two tree builders. The witnesses
+//! are [`DistanceEngine::nearest_sources`] per level, and each `v`'s edge
+//! toward `p_i(v)` is [`MultiSourceFlat::parent`]. The bunches are the
+//! transposed clusters `C(w) = { v : δ(w, v) < δ(v, A_{i+1}) }`, each one
+//! [`ClusterBfs::grow`] from `w` whose tree edges go into the induced
+//! spanner. [`RoutingScheme`] is the k = 2 case of the same cluster forest
+//! over its landmark set.
 
 #![deny(missing_docs)]
 
@@ -28,6 +36,8 @@ use std::fmt;
 use rand::Rng;
 
 use spanner_graph::distance::UNREACHABLE;
+use spanner_graph::engine::MultiSourceFlat;
+use spanner_graph::traversal::ClusterBfs;
 use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::rng::node_rng;
 use ultrasparse::Spanner;
@@ -90,9 +100,10 @@ impl QueryCost {
 #[derive(Debug, Clone)]
 pub struct DistanceOracle {
     k: u32,
-    /// `witness[i][v]` = (distance to A_i, p_i(v)); `None` if A_i is
-    /// unreachable from v (or empty).
-    witness: Vec<Vec<Option<(u32, NodeId)>>>,
+    /// `witness[i]`: distance from every v to A_i and p_i(v), its
+    /// nearest A_i vertex (unreachable if A_i is empty or in another
+    /// component).
+    witness: Vec<MultiSourceFlat>,
     /// Bunch of every vertex: sampled vertex → exact distance.
     bunch: Vec<HashMap<NodeId, u32>>,
     /// Edges of the induced (2k−1)-spanner (union of bunch/witness
@@ -131,93 +142,38 @@ impl DistanceOracle {
             })
             .collect();
 
-        // Witnesses per level (multi-source BFS with min-id attribution),
-        // computed over the flat distance engine's CSR adjacency.
+        // Witnesses per level: nearest A_i vertex, min-id attribution.
         let engine = DistanceEngine::new(g);
-        let mut witness: Vec<Vec<Option<(u32, NodeId)>>> = Vec::with_capacity(k as usize);
-        for i in 0..k {
-            let sources: Vec<NodeId> = g.nodes().filter(|v| level[v.index()] >= i).collect();
-            let bfs = engine.nearest_sources(&sources);
-            witness.push(
-                g.nodes()
-                    .map(|v| {
-                        (bfs.dist[v.index()] != UNREACHABLE)
-                            .then(|| (bfs.dist[v.index()], NodeId(bfs.source[v.index()])))
-                    })
-                    .collect(),
-            );
-        }
+        let witness: Vec<MultiSourceFlat> = (0..k)
+            .map(|i| {
+                let sources: Vec<NodeId> = g.nodes().filter(|v| level[v.index()] >= i).collect();
+                engine.nearest_sources(&sources)
+            })
+            .collect();
 
-        // Bunches: for each w at exactly level i, truncated BFS keeping
-        // vertices v with δ(w, v) < δ(v, A_{i+1}); record parent edges for
-        // the induced spanner.
+        // Bunches: the cluster of each w at exactly level i keeps the
+        // vertices v with δ(w, v) < δ(v, A_{i+1}) (no truncation at the
+        // top level); its tree edges go into the induced spanner.
         let mut bunch: Vec<HashMap<NodeId, u32>> = vec![HashMap::new(); n];
         let mut spanner_edges = EdgeSet::new(g);
-        let mut dist = vec![UNREACHABLE; n];
-        let mut parent: Vec<NodeId> = vec![NodeId(0); n];
-        let mut touched: Vec<usize> = Vec::new();
+        let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
-            let i = level[w.index()];
-            // δ(v, A_{i+1}) truncation; the top level has no truncation.
-            let trunc: Option<&Vec<Option<(u32, NodeId)>>> = witness.get(i as usize + 1);
-            debug_assert!(touched.is_empty());
-            dist[w.index()] = 0;
-            touched.push(w.index());
-            let mut queue = std::collections::VecDeque::from([w]);
-            while let Some(x) = queue.pop_front() {
-                let dx = dist[x.index()];
-                for &y in g.neighbors(x) {
-                    if dist[y.index()] != UNREACHABLE {
-                        if dist[y.index()] == dx + 1 && x < parent[y.index()] {
-                            parent[y.index()] = x;
-                        }
-                        continue;
-                    }
-                    // Truncation: keep y iff δ(w,y) < δ(y, A_{i+1}).
-                    let keep = match trunc {
-                        None => true,
-                        Some(t) => match t[y.index()] {
-                            None => true,
-                            Some((dnext, _)) => dx + 1 < dnext,
-                        },
-                    };
-                    if keep {
-                        dist[y.index()] = dx + 1;
-                        parent[y.index()] = x;
-                        touched.push(y.index());
-                        queue.push_back(y);
-                    }
-                }
+            let trunc = witness.get(level[w.index()] as usize + 1);
+            bfs.grow(g, w, u32::MAX, |y, d| {
+                trunc.is_none_or(|t| d < t.dist[y.index()])
+            });
+            for (v, d, _, e) in bfs.tree() {
+                bunch[v.index()].insert(w, d);
+                spanner_edges.insert(e);
             }
-            for &vi in &touched {
-                if vi != w.index() {
-                    bunch[vi].insert(w, dist[vi]);
-                    let v = NodeId(vi as u32);
-                    let e = g.find_edge(v, parent[vi]).expect("tree edge");
+        }
+        // Witness paths: each v keeps its edge toward p_i(v) at every
+        // level (needed so queries are realizable inside the spanner).
+        for wit in &witness {
+            for v in g.nodes() {
+                if let Some((_, e)) = wit.parent(g, v) {
                     spanner_edges.insert(e);
                 }
-                dist[vi] = UNREACHABLE;
-            }
-            touched.clear();
-        }
-        // Witness paths: each v keeps an edge toward each p_i(v) tree
-        // (needed so queries are realizable inside the spanner).
-        for wit in witness.iter().take(k as usize) {
-            for v in g.nodes() {
-                let Some((d, src)) = wit[v.index()] else {
-                    continue;
-                };
-                if d == 0 {
-                    continue;
-                }
-                let parent = g
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|u| wit[u.index()].is_some_and(|(du, su)| du + 1 == d && su == src))
-                    .min()
-                    .expect("witness parent exists");
-                spanner_edges.insert(g.find_edge(v, parent).expect("edge"));
             }
         }
 
@@ -242,7 +198,7 @@ impl DistanceOracle {
     /// Number of vertices of the graph the oracle was built over; valid
     /// query ids are `0..node_count()`.
     pub fn node_count(&self) -> usize {
-        self.witness[0].len()
+        self.witness[0].dist.len()
     }
 
     fn check(&self, v: NodeId) -> Result<(), QueryError> {
@@ -310,7 +266,7 @@ impl DistanceOracle {
             }
             std::mem::swap(&mut u, &mut v);
             cost.witness_reads += 1;
-            match self.witness[i + 1][u.index()] {
+            match nearest(&self.witness[i + 1], u) {
                 Some((d, s)) => {
                     dwu = d;
                     w = s;
@@ -342,7 +298,7 @@ impl DistanceOracle {
     /// `k == 1`, where no sampled level exists).
     pub fn sampled_witness(&self, v: NodeId) -> Result<Option<(u32, NodeId)>, QueryError> {
         self.check(v)?;
-        Ok(self.witness.get(1).and_then(|w| w[v.index()]))
+        Ok(self.witness.get(1).and_then(|w| nearest(w, v)))
     }
 
     /// The landmark leg `δ(w, u)` resolved through `u`'s bunch, where `w`
@@ -372,6 +328,13 @@ impl DistanceOracle {
     pub fn to_spanner(&self) -> Spanner {
         Spanner::from_edges(self.spanner_edges.clone())
     }
+}
+
+/// `(δ(v, A_i), p_i(v))` from level i's witness search, or `None` if no
+/// A_i vertex reaches `v`.
+fn nearest(witness: &MultiSourceFlat, v: NodeId) -> Option<(u32, NodeId)> {
+    let d = witness.dist[v.index()];
+    (d != UNREACHABLE).then(|| (d, NodeId(witness.source[v.index()])))
 }
 
 #[cfg(test)]

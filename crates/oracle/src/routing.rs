@@ -1,16 +1,23 @@
-//! Landmark-based compact routing — the second application of the paper's
-//! conclusion (*"compact routing tables that guarantee approximately
-//! shortest routes"*), in the Cowen / Thorup–Zwick style.
+//! Compact routing — the second application of the paper's conclusion
+//! (*"compact routing tables that guarantee approximately shortest
+//! routes"*), in the Cowen / Thorup–Zwick style.
 //!
-//! Every vertex keeps a small table:
+//! The tables are the k = 2 Thorup–Zwick cluster forest over a landmark
+//! set `L` (an ≈ n^{1/2}-size sample standing in for `A_1`, patched so
+//! every component has one), grown with the same
+//! [`ClusterBfs`] as the distance oracle's bunches:
 //!
-//! * a next hop toward every **landmark** (a ≈ n^{1/2}-size hitting set),
-//! * a next hop toward every vertex whose *cluster* it belongs to — the
-//!   same truncated clusters `C(w) = {x : δ(w,x) < δ(x, L)}` as the k = 2
-//!   distance oracle, total size O(n^{3/2}) in expectation.
+//! * a landmark's cluster is untruncated — its whole component — so every
+//!   vertex keeps a next hop toward every landmark of its component;
+//! * any other vertex `w` has the truncated cluster
+//!   `C(w) = {x : δ(w,x) < δ(x, L)}`, and every member keeps a next hop
+//!   toward `w`; total size O(n^{3/2}) in expectation.
+//!
+//! Next hops are the minimum-id parents of those BFS trees.
 //!
 //! A vertex's **address** is `(v, ℓ(v), reversed path ℓ(v) → v)` where
-//! ℓ(v) is its nearest landmark. Routing from `u` to address(v) hops
+//! ℓ(v) is its nearest landmark (min-id tie-break) and the path is read
+//! off the next hops toward ℓ(v). Routing from `u` to address(v) hops
 //! toward `v` directly while the current vertex has a cluster entry for
 //! `v`, otherwise toward `ℓ(v)`, finishing along the address path. The
 //! delivered route provably satisfies
@@ -29,8 +36,8 @@ use rand::Rng;
 
 use crate::QueryError;
 
-use spanner_graph::traversal::{bfs_tree, multi_source_bfs};
-use spanner_graph::{Graph, NodeId};
+use spanner_graph::traversal::ClusterBfs;
+use spanner_graph::{DistanceEngine, Graph, NodeId, NO_SOURCE};
 use spanner_netsim::rng::node_rng;
 
 /// A routable address: who, their landmark, and the downhill path.
@@ -92,83 +99,49 @@ impl RoutingScheme {
         }
         let landmarks: Vec<NodeId> = g.nodes().filter(|v| is_landmark[v.index()]).collect();
 
-        // Landmark trees: next hop toward each landmark, and the nearest
-        // landmark of every vertex.
+        // One cluster per vertex: untruncated for a landmark, C(w) for
+        // any other w (see the module doc).
+        let nearest = DistanceEngine::new(g).nearest_sources(&landmarks);
         let mut toward_landmark: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut down_parent: HashMap<NodeId, Vec<Option<NodeId>>> = HashMap::new();
-        for &l in &landmarks {
-            let t = bfs_tree(g, l);
-            for v in g.nodes() {
-                if let Some(p) = t.parent[v.index()] {
-                    toward_landmark[v.index()].insert(l, p);
-                }
-            }
-            down_parent.insert(l, t.parent.clone());
-        }
-        let nearest = multi_source_bfs(g, &landmarks);
-
-        // Clusters C(w) = {x : δ(w,x) < δ(x, L)} via truncated BFS, with
-        // next hops toward w recorded at every member.
         let mut cluster_hop: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut dist = vec![u32::MAX; n];
-        let mut parent: Vec<NodeId> = vec![NodeId(0); n];
-        let mut touched: Vec<usize> = Vec::new();
+        let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
-            debug_assert!(touched.is_empty());
-            dist[w.index()] = 0;
-            touched.push(w.index());
-            let mut queue = std::collections::VecDeque::from([w]);
-            while let Some(x) = queue.pop_front() {
-                let dx = dist[x.index()];
-                for &y in g.neighbors(x) {
-                    if dist[y.index()] != u32::MAX {
-                        if dist[y.index()] == dx + 1 && x < parent[y.index()] {
-                            parent[y.index()] = x;
-                        }
-                        continue;
-                    }
-                    let keep = match nearest.dist[y.index()] {
-                        None => true,
-                        Some(dl) => dx + 1 < dl,
-                    };
-                    if keep {
-                        dist[y.index()] = dx + 1;
-                        parent[y.index()] = x;
-                        touched.push(y.index());
-                        queue.push_back(y);
+            let landmark = is_landmark[w.index()];
+            bfs.grow(g, w, u32::MAX, |y, d| {
+                landmark || d < nearest.dist[y.index()]
+            });
+            if landmark {
+                // The tree spans w's component: sweep it in node order, so
+                // the tables are written in memory order, not BFS order.
+                for v in g.nodes() {
+                    if let Some((parent, _)) = bfs.parent(v) {
+                        toward_landmark[v.index()].insert(w, parent);
                     }
                 }
-            }
-            for &vi in &touched {
-                if vi != w.index() {
-                    cluster_hop[vi].insert(w, parent[vi]);
+            } else {
+                for (v, _, parent, _) in bfs.tree() {
+                    cluster_hop[v.index()].insert(w, parent);
                 }
-                dist[vi] = u32::MAX;
             }
-            touched.clear();
         }
 
-        // Addresses: landmark + explicit downhill path.
+        // Addresses: nearest landmark + the path down its tree, read off
+        // the next hops toward it.
         let addresses: Vec<Address> = g
             .nodes()
             .map(|v| {
-                let l = nearest.source[v.index()].unwrap_or(v);
-                let parents = down_parent.get(&l);
+                let src = nearest.source[v.index()];
+                let l = if src == NO_SOURCE { v } else { NodeId(src) };
                 let mut path = Vec::new();
-                if let Some(parents) = parents {
-                    // Reconstruct l -> v by walking v's parent chain.
-                    let mut cur = v;
-                    let mut rev = Vec::new();
-                    while cur != l {
-                        rev.push(cur);
-                        match parents[cur.index()] {
-                            Some(p) => cur = p,
-                            None => break,
-                        }
+                let mut cur = v;
+                while cur != l {
+                    path.push(cur);
+                    match toward_landmark[cur.index()].get(&l) {
+                        Some(&p) => cur = p,
+                        None => break,
                     }
-                    rev.reverse();
-                    path = rev;
                 }
+                path.reverse();
                 Address {
                     target: v,
                     landmark: l,
@@ -286,6 +259,7 @@ mod tests {
     use super::*;
     use spanner_graph::distance::Apsp;
     use spanner_graph::generators;
+    use spanner_graph::traversal::multi_source_bfs;
 
     fn check_routes(g: &Graph, seed: u64) {
         let scheme = RoutingScheme::build(g, seed);

@@ -108,6 +108,7 @@ pub fn build_with_threshold(g: &Graph, delta: usize, seed: u64) -> Spanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::Pairs;
     use spanner_graph::generators;
 
     #[test]
@@ -116,7 +117,7 @@ mod tests {
             let g = generators::connected_gnm(250, 4_000, seed);
             let s = build(&g, seed + 100);
             assert!(s.is_spanning(&g));
-            let r = s.stretch_exact(&g);
+            let r = s.stretch(&g, Pairs::All, 1);
             assert!(
                 r.satisfies_additive(2),
                 "seed {seed}: additive distortion {}",
@@ -129,7 +130,7 @@ mod tests {
     fn additive_two_on_dense_graph() {
         let g = generators::connected_gnm(300, 40_000, 4);
         let s = build(&g, 9);
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert!(r.satisfies_additive(2), "{}", r.max_additive);
         // It sparsifies a dense graph (n = 300 is far from asymptopia, so
         // only a modest factor is expected here; the E1 table shows the
@@ -152,7 +153,7 @@ mod tests {
         let g = generators::connected_gnm(120, 1_500, 6);
         let s = build_with_threshold(&g, 1, 2);
         assert!(s.is_spanning(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert!(r.satisfies_additive(2), "{}", r.max_additive);
     }
 

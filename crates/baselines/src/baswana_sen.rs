@@ -312,7 +312,7 @@ pub fn build_distributed(
     let built = run(csr, params, seed, executor, faults, sink);
     let stretch = StretchBound::multiplicative((2 * params.k - 1) as f64);
     ultrasparse::faults::certify(csr, faults, built, |g, s| {
-        verify_stretch_exact(g, &s.edges, stretch).map_err(|v| v.to_string())
+        verify_stretch_exact(g, &s.edges, stretch, 1).map_err(|v| v.to_string())
     })
 }
 
@@ -389,6 +389,7 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::Pairs;
     use spanner_graph::generators;
 
     #[test]
@@ -417,7 +418,7 @@ mod tests {
         }
         let s = Spanner::from_edges(local);
         assert!(s.is_spanning(&sub));
-        let r = s.stretch_exact(&sub);
+        let r = s.stretch(&sub, Pairs::All, 1);
         assert!(r.satisfies_multiplicative(params.stretch() as f64));
     }
 
@@ -436,7 +437,7 @@ mod tests {
             let g = generators::connected_gnm(300, 2_500, k as u64);
             let s = build_sequential(&g, &params, 7);
             assert!(s.is_spanning(&g), "k={k}");
-            let r = s.stretch_exact(&g);
+            let r = s.stretch(&g, Pairs::All, 1);
             assert!(
                 r.satisfies_multiplicative(params.stretch() as f64),
                 "k={k}: stretch {} > {}",
@@ -453,7 +454,7 @@ mod tests {
         let params = BaswanaSenParams::new(1).unwrap();
         let s = build_sequential(&g, &params, 3);
         assert_eq!(s.len(), g.edge_count());
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert_eq!(r.max_multiplicative, 1.0);
     }
 
@@ -485,7 +486,7 @@ mod tests {
         let csr = g.csr();
         let dist = build_distributed_csr(csr, &params, 21).unwrap();
         assert!(dist.is_spanning(&g));
-        let r = dist.stretch_exact(&g);
+        let r = dist.stretch(&g, Pairs::All, 1);
         assert!(r.satisfies_multiplicative(params.stretch() as f64));
         // The distributed run takes k+O(1) rounds with 2-word messages.
         let m = dist.metrics.unwrap();
@@ -509,7 +510,7 @@ mod tests {
             let g = generators::connected_gnm(250, 2_000, 31 + k as u64);
             let s = build_distributed_csr(g.csr(), &params, 5).unwrap();
             assert!(s.is_spanning(&g));
-            let r = s.stretch_exact(&g);
+            let r = s.stretch(&g, Pairs::All, 1);
             assert!(
                 r.satisfies_multiplicative((2 * k - 1) as f64),
                 "k={k}: {}",

@@ -134,6 +134,7 @@ pub fn build_weighted(g: &WeightedGraph, params: &BaswanaSenParams, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::Pairs;
     use spanner_graph::generators;
     use spanner_graph::weighted::weighted_stretch;
 
@@ -163,7 +164,7 @@ mod tests {
         let params = BaswanaSenParams::new(3).unwrap();
         let s = build_weighted(&g, &params, 9);
         assert!(s.is_spanning(&g0));
-        let r = s.stretch_exact(&g0);
+        let r = s.stretch(&g0, Pairs::All, 1);
         assert!(r.satisfies_multiplicative(5.0), "{}", r.max_multiplicative);
     }
 

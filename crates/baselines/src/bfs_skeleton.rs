@@ -134,6 +134,7 @@ pub fn build_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::Pairs;
     use spanner_graph::generators;
     use spanner_netsim::NullSink;
 
@@ -158,7 +159,7 @@ mod tests {
         // On a tree the forest is the whole tree: stretch 1.
         let g = generators::path(30);
         let s = build(&g);
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert_eq!(r.max_multiplicative, 1.0);
     }
 
@@ -167,7 +168,7 @@ mod tests {
         let g = generators::cycle(40);
         let s = build(&g);
         assert_eq!(s.len(), 39);
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         // Adjacent pair across the cut has spanner distance 39.
         assert_eq!(r.max_multiplicative, 39.0);
     }

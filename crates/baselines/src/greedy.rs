@@ -59,6 +59,7 @@ pub fn has_greedy_girth(g: &Graph, s: &Spanner, k: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::{PairSample, Pairs};
     use std::collections::VecDeque;
 
     use proptest::prelude::*;
@@ -132,7 +133,7 @@ mod tests {
             let g = generators::connected_gnm(150, 2_000, k as u64);
             let s = build(&g, k);
             assert!(s.is_spanning(&g));
-            let r = s.stretch_exact(&g);
+            let r = s.stretch(&g, Pairs::All, 1);
             assert!(
                 r.satisfies_multiplicative((2 * k - 1) as f64),
                 "k={k}: {}",
@@ -170,7 +171,7 @@ mod tests {
             "linear skeleton has {} edges on {n} nodes",
             s.len()
         );
-        let r = s.stretch_sampled(&g, 300, 1);
+        let r = s.stretch(&g, Pairs::Sampled(&PairSample::new(&g, 300, 1, 1)), 1);
         let bound = 2.0 * (n as f64).log2().ceil() - 1.0;
         assert!(r.max_multiplicative <= bound);
         assert_eq!(r.disconnected, 0);

@@ -584,6 +584,7 @@ impl DynamicSpanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::Pairs;
     use std::collections::VecDeque;
 
     use proptest::prelude::*;
@@ -618,7 +619,7 @@ mod tests {
         for (k, shuffle) in [(2u32, None), (2, Some(7)), (3, Some(8))] {
             let s = stream_graph(&g, k, shuffle);
             assert!(s.is_spanning(&g));
-            let r = s.stretch_exact(&g);
+            let r = s.stretch(&g, Pairs::All, 1);
             assert!(
                 r.satisfies_multiplicative((2 * k - 1) as f64),
                 "k={k} shuffle={shuffle:?}: {}",
@@ -766,7 +767,7 @@ mod tests {
         let g = s.to_graph();
         let set = s.spanner_edge_set(&g);
         let spanner = Spanner::from_edges(set);
-        let r = spanner.stretch_exact(&g);
+        let r = spanner.stretch(&g, Pairs::All, 1);
         assert!(
             r.satisfies_multiplicative(s.stretch() as f64),
             "cover invariant broken: stretch {} > {}",

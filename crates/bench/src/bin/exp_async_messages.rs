@@ -19,7 +19,9 @@
 //! timings, so CI checks that a full-scale run reproduces the committed
 //! one byte for byte.
 
-use spanner_bench::{f2, json_out_arg, timed, workload, write_json, Scale, Table};
+use spanner_bench::{
+    deny_unknown_args, f2, json_out_arg, timed, workload, write_json, Scale, Table,
+};
 use spanner_graph::{generators, Graph};
 use spanner_netsim::{
     patterns::FloodProtocol, AsyncNetwork, FaultPlan, MessageBudget, RunMetrics, Synchronizer,
@@ -62,6 +64,7 @@ struct Row {
 fn main() {
     let scale = Scale::from_args(&[Scale::Tiny, Scale::Quick, Scale::Full]);
     let json_path = json_out_arg();
+    deny_unknown_args();
     println!(
         "E-async (Bitton et al. 1909.08369): message cost of recovering round\n\
          semantics on an asynchronous network — α-synchronizer over the raw\n\

@@ -7,7 +7,7 @@
 //! namely β = (ε⁻¹ t² log n log log n)^{t log log n}"*. Both are super-
 //! polylogarithmic, so we tabulate log₂ β for a range of n, ε, t.
 
-use spanner_bench::{f2, Table};
+use spanner_bench::{deny_unknown_args, f2, Table};
 use ultrasparse::fibonacci::params::PHI;
 
 /// log2 of the Fibonacci β = (ε⁻¹(log_φ log n + t))^{log_φ log n + t}.
@@ -23,6 +23,7 @@ fn log2_beta_ez(n: f64, eps: f64, t: f64) -> f64 {
 }
 
 fn main() {
+    deny_unknown_args();
     println!(
         "E11 (Sect. 1.2): additive term beta of the sparsest spanners — this paper vs Elkin-Zhang [24]\n"
     );

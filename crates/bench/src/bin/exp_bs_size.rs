@@ -8,11 +8,15 @@
 //! log k factor.
 
 use spanner_baselines::baswana_sen::{build_distributed_csr, build_sequential, BaswanaSenParams};
-use spanner_bench::{f2, peak_rss_bytes, timed, workload, workload_csr, Scale, Table};
+use spanner_bench::{
+    deny_unknown_args, f2, peak_rss_bytes, timed, workload, workload_csr, Scale, Table,
+};
 use ultrasparse::expand::{x_t_p, x_t_p_bound};
 
 fn main() {
-    let (n, density) = match Scale::from_args(&[Scale::Quick, Scale::Full, Scale::Huge]) {
+    let scale = Scale::from_args(&[Scale::Quick, Scale::Full, Scale::Huge]);
+    deny_unknown_args();
+    let (n, density) = match scale {
         Scale::Huge => return run_huge(),
         Scale::Quick => (3_000, 25.0),
         _ => (20_000, 50.0),

@@ -7,11 +7,12 @@
 //! q-sequence — the three should agree (recurrence ≤ bound, MC ≈
 //! recurrence), validating the analysis the whole size theorem rests on.
 
-use spanner_bench::{f2, f3, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, f3, Scale, Table};
 use ultrasparse::expand::{x_t_p, x_t_p_bound, x_t_p_monte_carlo, ZETA};
 
 fn main() {
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let trials = if quick { 20_000u32 } else { 200_000 };
     println!(
         "E10 (Lemma 6): X^t_p — exact recurrence vs closed form vs Monte Carlo ({trials} trials), zeta = {ZETA:.4}\n"

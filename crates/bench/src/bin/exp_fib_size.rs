@@ -5,7 +5,7 @@
 //! the ℓ^φ factor grows. The experiment sweeps the order (and ε) on a
 //! dense workload and prints measured |S|/n next to the prediction.
 
-use spanner_bench::{f2, timed, workload, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, timed, workload, Scale, Table};
 use ultrasparse::fibonacci::params::fibonacci;
 use ultrasparse::fibonacci::{build_sequential, FibonacciParams};
 
@@ -14,6 +14,7 @@ fn main() {
     // so sparsification shows on graphs denser than that: use m/n in the
     // hundreds.
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let (n, density) = if quick {
         (1_000, 100.0)
     } else {

@@ -8,7 +8,8 @@
 //! the O(2^o), 3(o+1), →3, →(1+ε) stages — is visible as a decreasing
 //! envelope column and a measured column below it.
 
-use spanner_bench::{f2, f3, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, f3, Scale, Table};
+use spanner_graph::distance::PairSample;
 use spanner_graph::generators;
 use ultrasparse::fibonacci::analysis::{distortion_envelope, multiplicative_stretch};
 use ultrasparse::fibonacci::{build_sequential, FibonacciParams};
@@ -17,6 +18,7 @@ fn main() {
     // A caveman graph: dense cliques (so the spanner actually drops
     // edges) strung on a long chain (so distances span a wide range).
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let clusters = if quick { 120 } else { 400 };
     let size = 14;
     let g = generators::caveman(clusters, size, 0, 5);
@@ -37,7 +39,8 @@ fn main() {
         g.edge_count() as f64 / n as f64
     );
 
-    let profile = spanner.stretch_profile(&g, if quick { 8_000 } else { 60_000 }, 3);
+    let sample = PairSample::new(&g, if quick { 8_000 } else { 60_000 }, 3, 1);
+    let profile = spanner.stretch_profile(&g, &sample);
     let mut table = Table::new([
         "distance d",
         "pairs",

@@ -8,12 +8,13 @@
 //! while the centralized additive-2 construction (Aingworth et al.) exists
 //! happily, illustrating the distributed/centralized gap the paper proves.
 
-use spanner_bench::{f2, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, Scale, Table};
 use spanner_lowerbound::adversary::{measure_spine_distortion, select, Strategy};
 use spanner_lowerbound::{Gadget, GadgetParams};
 
 fn main() {
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let n_target = if quick { 10_000 } else { 60_000 };
     let delta = 0.05;
     let trials = if quick { 4u64 } else { 12 };

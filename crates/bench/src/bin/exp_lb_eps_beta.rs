@@ -8,7 +8,7 @@
 //! to the predicted 2(1−ζ/2)κ − O(1) and the Theorem 4 bound
 //! ζ²n^{1−δ}/(4(τ+6)²) − O(1).
 
-use spanner_bench::{f2, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, Scale, Table};
 use spanner_lowerbound::adversary::{
     measure_average_distortion, measure_spine_distortion, predicted_spine_additive, select,
     theorem4_beta_bound, Strategy,
@@ -17,6 +17,7 @@ use spanner_lowerbound::{Gadget, GadgetParams};
 
 fn main() {
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let n_target = if quick { 8_000 } else { 60_000 };
     let delta = 0.1;
     let zeta = 0.5; // the theorem's epsilon'

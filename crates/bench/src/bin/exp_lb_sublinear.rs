@@ -8,12 +8,13 @@
 //! budget is forced to 2·(3/4)κ − O(1) > κ expected additive distortion —
 //! the contradiction that proves the Ω(n^{ε'(1−δ)/(1+ε')}) round bound.
 
-use spanner_bench::{f2, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, Scale, Table};
 use spanner_lowerbound::adversary::{measure_spine_distortion, select, Strategy};
 use spanner_lowerbound::{Gadget, GadgetParams};
 
 fn main() {
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let n_target = if quick { 10_000 } else { 60_000 };
     let delta = 0.05;
     let trials = if quick { 4u64 } else { 12 };

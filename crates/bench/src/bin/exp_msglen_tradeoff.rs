@@ -6,7 +6,7 @@
 //! experiment sweeps t and prints the realized order, ℓ, rounds, maximum
 //! message words, and spanner size.
 
-use spanner_bench::{f2, timed, workload, Scale, Table, TraceOutput};
+use spanner_bench::{deny_unknown_args, f2, timed, workload, Scale, Table, TraceOutput};
 use spanner_netsim::Executor;
 use ultrasparse::fibonacci::distributed::{build_distributed, theorem8_budget};
 use ultrasparse::fibonacci::FibonacciParams;
@@ -14,6 +14,7 @@ use ultrasparse::fibonacci::FibonacciParams;
 fn main() {
     let traces = TraceOutput::from_args();
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let n = if quick { 1_500 } else { 6_000 };
     let g = workload(n, 10.0, 23);
     let base_order = 2;

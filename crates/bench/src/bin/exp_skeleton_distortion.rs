@@ -7,7 +7,10 @@
 //! simulator round count, the planned timetable, and the max message
 //! length.
 
-use spanner_bench::{f2, threads_arg, timed, workload, Scale, Table, TraceOutput};
+use spanner_bench::{
+    deny_unknown_args, f2, threads_arg, timed, workload, Scale, Table, TraceOutput,
+};
+use spanner_graph::distance::{PairSample, Pairs};
 use spanner_netsim::Executor;
 use ultrasparse::seq::log_star;
 use ultrasparse::skeleton::{distributed, SkeletonParams};
@@ -15,13 +18,14 @@ use ultrasparse::skeleton::{distributed, SkeletonParams};
 fn main() {
     let traces = TraceOutput::from_args();
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    let threads = threads_arg();
+    deny_unknown_args();
     let (sizes, pairs): (&[usize], _) = if quick {
         (&[500, 1_000, 2_000], 500)
     } else {
         (&[1_000, 2_000, 5_000, 10_000, 20_000, 50_000], 2_000)
     };
     let params = SkeletonParams::default();
-    let threads = threads_arg();
     println!("E3 (Theorem 2): skeleton distortion/rounds vs n (D = 4, eps = 0.5)\n");
 
     let mut table = Table::new([
@@ -49,7 +53,8 @@ fn main() {
         });
         tr.finish();
         assert!(spanner.is_spanning(&g));
-        let r = spanner.stretch_sampled_threads(&g, pairs, 5, threads);
+        let sample = PairSample::new(&g, pairs, 5, threads);
+        let r = spanner.stretch(&g, Pairs::Sampled(&sample), threads);
         let sched = params.schedule(n);
         let envelope =
             2f64.powi(log_star(n as f64) as i32) * (n as f64).log2() / 4f64.log2() / params.eps;

@@ -8,21 +8,26 @@
 use std::sync::Arc;
 
 use spanner_bench::{
-    executor_for, f2, fault_plan_arg, peak_rss_bytes, threads_arg, timed, workload, workload_csr,
-    Scale, Table, TraceOutput,
+    deny_unknown_args, executor_for, f2, fault_plan_arg, peak_rss_bytes, threads_arg, timed,
+    workload, workload_csr, Scale, Table, TraceOutput,
 };
 use spanner_netsim::{Executor, NullSink};
 use ultrasparse::skeleton::{build_sequential, distributed, SkeletonParams};
 
 fn main() {
     let n = match Scale::from_args(&Scale::ALL) {
-        Scale::Huge => return run_huge(),
+        Scale::Huge => {
+            let threads = threads_arg();
+            deny_unknown_args();
+            return run_huge(threads);
+        }
         Scale::Tiny => 400,
         Scale::Quick => 3_000,
         Scale::Full => 30_000,
     };
     let traces = TraceOutput::from_args();
     let faults = fault_plan_arg();
+    deny_unknown_args();
     if let Some(plan) = &faults {
         println!("fault injection active: {plan:?}\n");
     }
@@ -91,9 +96,9 @@ fn main() {
 /// distributed driver (no `Graph`, no sequential reference — the point of
 /// the tier). Spanning is certified exactly per row; the Lemma 6 size
 /// comparison is the experiment's payload and needs no distances.
-fn run_huge() {
+fn run_huge(threads: usize) {
     let n = 1usize << 20;
-    let executor = executor_for(threads_arg());
+    let executor = executor_for(threads);
     println!("E2 (Lemma 6), huge tier: skeleton size vs D, CSR-native, n = {n}.\n");
     let mut table = Table::new([
         "D",

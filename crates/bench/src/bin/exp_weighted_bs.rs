@@ -8,12 +8,13 @@
 
 use spanner_baselines::baswana_sen::BaswanaSenParams;
 use spanner_baselines::baswana_sen_weighted::build_weighted;
-use spanner_bench::{f2, timed, Scale, Table};
+use spanner_bench::{deny_unknown_args, f2, timed, Scale, Table};
 use spanner_graph::weighted::{dijkstra, dijkstra_in_subgraph, WeightedGraph, W_UNREACHABLE};
 use spanner_graph::{generators, NodeId};
 
 fn main() {
     let quick = Scale::from_args(&[Scale::Quick, Scale::Full]) == Scale::Quick;
+    deny_unknown_args();
     let (n, m) = if quick { (800, 8_000) } else { (4_000, 80_000) };
     let g = WeightedGraph::random_weights(generators::connected_gnm(n, m, 3), 100, 7);
     println!(

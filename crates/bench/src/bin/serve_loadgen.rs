@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use spanner_bench::{json_out_arg, parsed_arg, write_json, Scale};
+use spanner_bench::{deny_unknown_args, json_out_arg, parsed_arg, switch_arg, write_json, Scale};
 use spanner_serve::workload::{generate, QueryPair, WorkloadSpec};
 use spanner_serve::{GraphSpec, LoadRequest, QueryReq, ServeConfig, Server};
 
@@ -65,7 +65,7 @@ fn parse_config() -> Config {
         zipf_theta: parsed_arg("--zipf-theta").unwrap_or(0.99),
         route_frac: parsed_arg("--route-frac").unwrap_or(0.0),
         seed: parsed_arg("--seed").unwrap_or(7),
-        verify: std::env::args().any(|a| a == "--verify"),
+        verify: switch_arg("--verify"),
     };
     assert!(cfg.batch >= 1, "--batch must be at least 1");
     cfg
@@ -126,6 +126,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 fn main() {
     let cfg = parse_config();
     let json_path = json_out_arg();
+    deny_unknown_args();
     println!(
         "serve_loadgen: n = {}, m = {}, {} queries (zipf_frac = {}, theta = {}, \
          route_frac = {}), batch = {}, threads = {}, cache = {}",

@@ -22,6 +22,11 @@ use spanner_netsim::{TraceEvent, TraceSummary};
 
 fn main() -> ExitCode {
     let mut files: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
+    // It takes trace paths only: anything flag-shaped is a mistake.
+    if let Some(flag) = files.iter().find(|f| f.to_string_lossy().starts_with('-')) {
+        eprintln!("trace_summary: unknown argument {flag:?} (it takes trace files only)");
+        return ExitCode::FAILURE;
+    }
     if files.is_empty() {
         files = match std::fs::read_dir("results") {
             Ok(dir) => {

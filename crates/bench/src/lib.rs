@@ -4,7 +4,9 @@
 //! library holds the shared pieces: a markdown table printer, the standard
 //! workloads, wall-clock timing, the flag parsers, the size tier
 //! ([`Scale`]) every binary and bench reads, and the one `--json` artifact
-//! writer ([`write_json`]).
+//! writer ([`write_json`]). Every flag reader records the flag it asks
+//! for; once a binary has read its flags, [`deny_unknown_args`] fails the
+//! run on any argument none of them asked for.
 //!
 //! Run an experiment with e.g.
 //!
@@ -18,6 +20,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use spanner_graph::Graph;
@@ -63,6 +66,9 @@ impl Scale {
     /// `tiers`: experiments fail loudly rather than silently run another
     /// scale than the one asked for.
     pub fn from_args(tiers: &[Scale]) -> Scale {
+        asked("--scale", true);
+        asked("--tiny", false);
+        asked("--quick", false);
         Scale::parse(&std::env::args().collect::<Vec<_>>(), tiers)
     }
 
@@ -109,9 +115,11 @@ pub fn fault_plan_arg() -> Option<FaultPlan> {
 
 /// The `--threads N` argument (also `--threads=N`), defaulting to 1.
 ///
-/// Experiments feed this to the distance engine's verification passes
-/// (`stretch_sampled_threads` and friends); results are identical at every
-/// thread count, so the flag only changes wall-clock time.
+/// Experiments feed this to the distance engine: the worker count of
+/// `PairSample::new` and of `Spanner::stretch`'s pair walk, and (in
+/// `exp_skeleton_size`) the executor through [`executor_for`]. Results
+/// are identical at every thread count, so the flag only changes
+/// wall-clock time.
 ///
 /// # Panics
 ///
@@ -188,9 +196,68 @@ pub fn write_json(path: Option<&Path>, json: &str) {
     }
 }
 
+/// Whether the switch `name` (a flag without a value, e.g. `--verify`)
+/// is among the process arguments.
+pub fn switch_arg(name: &str) -> bool {
+    asked(name, false);
+    std::env::args().any(|a| a == name)
+}
+
 /// [`flag_value`] over the process arguments.
 fn arg_value(name: &str) -> Option<String> {
+    asked(name, true);
     flag_value(&std::env::args().collect::<Vec<_>>(), name)
+}
+
+/// The flags this process's readers have asked for, each with whether it
+/// takes a value.
+static ASKED: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
+
+fn asked(name: &str, takes_value: bool) {
+    let mut asked = ASKED.lock().unwrap_or_else(|e| e.into_inner());
+    asked.push((name.to_owned(), takes_value));
+}
+
+/// Fails the run on any process argument that none of the flag readers
+/// called so far has asked for. A binary calls it once it has read all of
+/// its flags, before any workload runs, so a misspelt flag stops the run
+/// instead of leaving it at the default.
+///
+/// # Panics
+///
+/// Panics naming the first unknown argument and the flags the binary
+/// reads.
+pub fn deny_unknown_args() {
+    let asked = ASKED.lock().unwrap_or_else(|e| e.into_inner());
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(arg) = unknown_arg(&args, &asked) {
+        let names: Vec<&str> = asked.iter().map(|(f, _)| f.as_str()).collect();
+        panic!(
+            "unknown argument {arg:?} (flags here: {})",
+            names.join(", ")
+        );
+    }
+}
+
+/// The first of `args` (after the program name) that is neither one of
+/// the `asked` flags, in `name`, `name value` or `name=value` form as the
+/// flag takes, nor the value of such a flag.
+fn unknown_arg<'a>(args: &'a [String], asked: &[(String, bool)]) -> Option<&'a str> {
+    let mut args = args.iter().skip(1);
+    while let Some(arg) = args.next() {
+        let (name, joined) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        match asked.iter().find(|(f, _)| f == name) {
+            Some((_, true)) if !joined => {
+                args.next();
+            }
+            Some(&(_, takes_value)) if takes_value == joined => {}
+            _ => return Some(arg),
+        }
+    }
+    None
 }
 
 /// The value of the first `name value` or `name=value` in `args`, if the
@@ -524,6 +591,26 @@ mod tests {
     fn scale_rejects_missing_named_tier() {
         let tiers = [Scale::Tiny, Scale::Quick, Scale::Full];
         Scale::parse(&args(&["bin", "--scale", "huge"]), &tiers);
+    }
+
+    #[test]
+    fn unknown_arg_names_the_first_flag_no_reader_asked_for() {
+        let asked: Vec<(String, bool)> = [("--scale", true), ("--tiny", false), ("--json", true)]
+            .map(|(f, v)| (f.to_owned(), v))
+            .to_vec();
+        let known = args(&["bin", "--tiny", "--scale", "quick", "--json=a.json"]);
+        assert_eq!(unknown_arg(&known, &asked), None);
+        // A value flag's value is skipped, not read as an argument.
+        assert_eq!(unknown_arg(&args(&["bin", "--json", "x"]), &asked), None);
+        for (list, bad) in [
+            (&["bin", "--scael", "tiny"][..], "--scael"),
+            (&["bin", "--tiny", "--threads", "2"], "--threads"),
+            (&["bin", "--tiny=1"], "--tiny=1"),
+            (&["bin", "tiny"], "tiny"),
+            (&["bin", "--scale", "tiny", "extra"], "extra"),
+        ] {
+            assert_eq!(unknown_arg(&args(list), &asked), Some(bad), "{list:?}");
+        }
     }
 
     #[test]

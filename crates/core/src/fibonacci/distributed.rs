@@ -38,6 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use spanner_graph::distance::Pairs;
 use spanner_graph::{CsrAdjacency, EdgeSet, NodeId};
 use spanner_netsim::{
     execute, Ctx, Executor, FaultPlan, MessageBudget, MessageSize, PhaseMark, Protocol, RunError,
@@ -574,7 +575,7 @@ pub fn build_distributed(
     let built = run(csr, params, seed, executor, faults, sink);
     let (order, ell) = (params.order, params.ell);
     crate::faults::certify(csr, faults, built, |g, s| {
-        match s.check_envelope_exact(g, |d| {
+        match s.check_envelope(g, Pairs::All, |d| {
             crate::fibonacci::analysis::distortion_envelope(order, ell, d as u64)
         }) {
             None => Ok(()),
@@ -636,6 +637,7 @@ mod tests {
     use super::*;
     use crate::fibonacci::analysis::distortion_envelope;
     use crate::fibonacci::sequential::build_sequential;
+    use spanner_graph::distance::PairSample;
     use spanner_graph::{generators, Graph};
     use spanner_netsim::NullSink;
 
@@ -666,7 +668,9 @@ mod tests {
         let p = params(196, 2, 0);
         let s = build(&g, &p, 5).unwrap();
         assert!(s.is_spanning(&g));
-        let viol = s.check_envelope_exact(&g, |d| distortion_envelope(p.order, p.ell, d as u64));
+        let viol = s.check_envelope(&g, Pairs::All, |d| {
+            distortion_envelope(p.order, p.ell, d as u64)
+        });
         assert!(viol.is_none(), "{viol:?}");
     }
 
@@ -679,7 +683,8 @@ mod tests {
         let m = s.metrics.unwrap();
         let cap = theorem8_budget(300, 3).limit().unwrap();
         assert!(m.max_message_words <= cap);
-        let viol = s.check_envelope_sampled(&g, 500, 9, |d| {
+        let sample = PairSample::new(&g, 500, 9, 1);
+        let viol = s.check_envelope(&g, Pairs::Sampled(&sample), |d| {
             distortion_envelope(p.order, p.ell, d as u64)
         });
         assert!(viol.is_none(), "{viol:?}");

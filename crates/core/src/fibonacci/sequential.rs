@@ -127,6 +127,7 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
 mod tests {
     use super::*;
     use crate::fibonacci::analysis::distortion_envelope;
+    use spanner_graph::distance::{PairSample, Pairs};
     use spanner_graph::generators;
 
     fn params(n: usize, o: u32) -> FibonacciParams {
@@ -190,7 +191,9 @@ mod tests {
         {
             let p = params(g.node_count(), 2);
             let s = build_sequential(g, &p, 11);
-            let viol = s.check_envelope_exact(g, |d| distortion_envelope(p.order, p.ell, d as u64));
+            let viol = s.check_envelope(g, Pairs::All, |d| {
+                distortion_envelope(p.order, p.ell, d as u64)
+            });
             assert!(viol.is_none(), "graph {gi}: {viol:?}");
         }
     }
@@ -201,7 +204,8 @@ mod tests {
         let p = params(3_000, 3);
         let s = build_sequential(&g, &p, 4);
         assert!(s.is_spanning(&g));
-        let viol = s.check_envelope_sampled(&g, 2_000, 5, |d| {
+        let sample = PairSample::new(&g, 2_000, 5, 1);
+        let viol = s.check_envelope(&g, Pairs::Sampled(&sample), |d| {
             distortion_envelope(p.order, p.ell, d as u64)
         });
         assert!(viol.is_none(), "{viol:?}");

@@ -152,6 +152,7 @@ pub fn recluster_region(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::{PairSample, Pairs};
     use spanner_graph::generators;
 
     #[test]
@@ -243,8 +244,9 @@ mod tests {
         let sparse = build_sequential(&g, &SkeletonParams::new(4.0, 0.5).unwrap(), 3);
         let dense = build_sequential(&g, &SkeletonParams::new(16.0, 0.5).unwrap(), 3);
         assert!(dense.len() > sparse.len());
-        let rs = sparse.stretch_sampled(&g, 300, 1);
-        let rd = dense.stretch_sampled(&g, 300, 1);
+        let sample = PairSample::new(&g, 300, 1, 1);
+        let rs = sparse.stretch(&g, Pairs::Sampled(&sample), 1);
+        let rd = dense.stretch(&g, Pairs::Sampled(&sample), 1);
         assert_eq!(rs.disconnected, 0);
         assert_eq!(rd.disconnected, 0);
         // Denser spanner should not be (much) worse.
@@ -258,7 +260,7 @@ mod tests {
             let g = generators::connected_gnm(400, 2_000, 40 + seed);
             let s = build_sequential(&g, &params, seed);
             let bound = params.schedule(g.node_count()).distortion_bound as f64;
-            let r = s.stretch_exact(&g);
+            let r = s.stretch(&g, Pairs::All, 1);
             assert!(
                 r.max_multiplicative <= bound,
                 "seed {seed}: stretch {} > certified {bound}",

@@ -674,7 +674,7 @@ pub fn build_distributed(
     crate::faults::certify(csr, faults, built, |g, s| {
         let bound = params.schedule(g.node_count()).distortion_bound as f64;
         let bound = spanner_graph::StretchBound::multiplicative(bound);
-        spanner_graph::verify_stretch_exact(g, &s.edges, bound).map_err(|v| v.to_string())
+        spanner_graph::verify_stretch_exact(g, &s.edges, bound, 1).map_err(|v| v.to_string())
     })
 }
 
@@ -771,6 +771,7 @@ pub fn timetable_rounds(n: usize, params: &SkeletonParams) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spanner_graph::distance::Pairs;
     use spanner_graph::{generators, Graph};
 
     fn build(g: &Graph, params: &SkeletonParams, seed: u64) -> Result<Spanner, RunError> {
@@ -806,7 +807,7 @@ mod tests {
         let g = generators::connected_gnm(400, 2_400, 11);
         let s = build(&g, &params, 5).unwrap();
         let bound = params.schedule(g.node_count()).distortion_bound as f64;
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert_eq!(r.disconnected, 0);
         assert!(
             r.max_multiplicative <= bound,

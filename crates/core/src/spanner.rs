@@ -3,16 +3,19 @@
 //! Following the paper's definition (Sect. 1): a subgraph `S ⊆ E` is an
 //! (α, β)-spanner of `G` if `δ_S(u, v) ≤ α·δ(u, v) + β` for all `u, v`.
 //! [`Spanner`] holds the selected edges plus the construction's cost
-//! accounting; [`StretchReport`] measures the realized distortion (exactly
-//! or on sampled pairs) so experiments can compare against the analytic
-//! envelopes.
+//! accounting; [`StretchReport`] measures the realized distortion (over
+//! every pair, or over one graph's [`PairSample`], drawn once and shared by
+//! every spanner of that graph) so experiments can compare against the
+//! analytic envelopes. Each question — [`Spanner::stretch`],
+//! [`Spanner::check_envelope`], [`Spanner::stretch_profile`] — is one
+//! visitor on the one pair walk, [`walk_pairs`].
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
 use spanner_graph::components::preserves_connectivity;
-use spanner_graph::distance::{sample_pairs, walk_pairs, Pairs, UNREACHABLE};
+use spanner_graph::distance::{walk_pairs, PairSample, Pairs, UNREACHABLE};
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::RunMetrics;
 
@@ -82,41 +85,13 @@ impl Spanner {
         self.edges.universe() == g.edge_count() && preserves_connectivity(g, &self.edges)
     }
 
-    /// Exact distortion over **all** connected pairs (O(n·m/64) traversal
-    /// work via the bit-parallel engine — use on verification-sized
-    /// inputs).
-    pub fn stretch_exact(&self, g: &Graph) -> StretchReport {
-        self.stretch_exact_threads(g, 1)
-    }
-
-    /// [`Spanner::stretch_exact`] with the distance rows computed by
-    /// `threads` workers. Pairs are still recorded sequentially in (u, v)
-    /// order ([`walk_pairs`]), so the report — including its order-sensitive
-    /// witness pair and float means — is identical at every thread count.
-    pub fn stretch_exact_threads(&self, g: &Graph, threads: usize) -> StretchReport {
-        self.report(g, Pairs::All, threads)
-    }
-
-    /// Distortion on `count` sampled connected pairs (seeded), computing
-    /// spanner rows 64 sources at a time; suitable for large graphs.
-    pub fn stretch_sampled(&self, g: &Graph, count: usize, seed: u64) -> StretchReport {
-        self.stretch_sampled_threads(g, count, seed, 1)
-    }
-
-    /// [`Spanner::stretch_sampled`] with the distance rows computed by
-    /// `threads` workers; same sequential-record determinism argument as
-    /// [`Spanner::stretch_exact_threads`].
-    pub fn stretch_sampled_threads(
-        &self,
-        g: &Graph,
-        count: usize,
-        seed: u64,
-        threads: usize,
-    ) -> StretchReport {
-        self.report(g, Pairs::Sampled(&sample_pairs(g, count, seed)), threads)
-    }
-
-    fn report(&self, g: &Graph, pairs: Pairs<'_>, threads: usize) -> StretchReport {
+    /// Distortion over `pairs` — every connected pair ([`Pairs::All`],
+    /// O(n·m/64) traversal work: verification-sized inputs) or one graph's
+    /// [`PairSample`] — with the distance rows computed by `threads`
+    /// workers. Pairs are recorded sequentially in [`walk_pairs`] order, so
+    /// the report, including its order-sensitive witness pair and float
+    /// means, is identical at every thread count.
+    pub fn stretch(&self, g: &Graph, pairs: Pairs<'_>, threads: usize) -> StretchReport {
         let mut report = StretchReport::empty();
         let ControlFlow::Continue(()) = walk_pairs(g, &self.edges, pairs, threads, |u, v, d, s| {
             report.record(u, v, d, s);
@@ -125,15 +100,14 @@ impl Spanner {
         report
     }
 
-    /// Per-distance distortion profile on sampled pairs: for every host
+    /// Per-distance distortion profile on `sample`: for every host
     /// distance `d` that occurred, the worst and mean multiplicative
     /// stretch among sampled pairs at that distance. Used to regenerate the
     /// four-stage Fibonacci distortion curves (Theorem 7).
-    pub fn stretch_profile(&self, g: &Graph, count: usize, seed: u64) -> Vec<DistanceBucket> {
-        let pairs = sample_pairs(g, count, seed);
+    pub fn stretch_profile(&self, g: &Graph, sample: &PairSample) -> Vec<DistanceBucket> {
         let mut buckets: BTreeMap<u32, DistanceBucket> = BTreeMap::new();
         let ControlFlow::Continue(()) =
-            walk_pairs(g, &self.edges, Pairs::Sampled(&pairs), 1, |_, _, d, s| {
+            walk_pairs(g, &self.edges, Pairs::Sampled(sample), 1, |_, _, d, s| {
                 let b = buckets.entry(d).or_insert(DistanceBucket {
                     dist: d,
                     ..Default::default()
@@ -150,52 +124,12 @@ impl Spanner {
             });
         buckets.into_values().collect()
     }
-}
 
-/// A pair that exceeded a distortion envelope, found by
-/// [`Spanner::check_envelope_exact`] / [`Spanner::check_envelope_sampled`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnvelopeViolation {
-    /// First endpoint.
-    pub u: NodeId,
-    /// Second endpoint.
-    pub v: NodeId,
-    /// Host distance.
-    pub host: u32,
-    /// Spanner distance (`u32::MAX` if disconnected in the spanner).
-    pub in_spanner: u32,
-    /// The allowed bound `envelope(host)` that was exceeded.
-    pub allowed: f64,
-}
-
-impl Spanner {
-    /// Checks `δ_S(u,v) ≤ envelope(δ(u,v))` for **all** connected pairs;
-    /// returns the first violation in (u, v) order, if any. The
-    /// per-distance envelope is how the paper states Fibonacci distortion
-    /// (Theorem 7): a different (α, β) at every distance.
-    pub fn check_envelope_exact<F>(&self, g: &Graph, envelope: F) -> Option<EnvelopeViolation>
-    where
-        F: Fn(u32) -> f64,
-    {
-        self.check_envelope(g, Pairs::All, envelope)
-    }
-
-    /// Sampled-pair version of [`Spanner::check_envelope_exact`]: the
-    /// first violation in the order [`sample_pairs`] returns the pairs.
-    pub fn check_envelope_sampled<F>(
-        &self,
-        g: &Graph,
-        count: usize,
-        seed: u64,
-        envelope: F,
-    ) -> Option<EnvelopeViolation>
-    where
-        F: Fn(u32) -> f64,
-    {
-        self.check_envelope(g, Pairs::Sampled(&sample_pairs(g, count, seed)), envelope)
-    }
-
-    fn check_envelope<F>(
+    /// Checks `δ_S(u,v) ≤ envelope(δ(u,v))` over `pairs`; returns the
+    /// first violation in [`walk_pairs`] order, if any. The per-distance
+    /// envelope is how the paper states Fibonacci distortion (Theorem 7):
+    /// a different (α, β) at every distance.
+    pub fn check_envelope<F>(
         &self,
         g: &Graph,
         pairs: Pairs<'_>,
@@ -219,6 +153,22 @@ impl Spanner {
         })
         .break_value()
     }
+}
+
+/// A pair that exceeded a distortion envelope, found by
+/// [`Spanner::check_envelope`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnvelopeViolation {
+    /// First endpoint.
+    pub u: NodeId,
+    /// Second endpoint.
+    pub v: NodeId,
+    /// Host distance.
+    pub host: u32,
+    /// Spanner distance (`u32::MAX` if disconnected in the spanner).
+    pub in_spanner: u32,
+    /// The allowed bound `envelope(host)` that was exceeded.
+    pub allowed: f64,
 }
 
 /// Distortion statistics at one host distance, produced by
@@ -354,7 +304,7 @@ mod tests {
 
         // The envelope checks and the profile against a naive walk: one
         // BFS per source in the host and in the spanner subgraph, pairs
-        // taken in `(u, v)` order (exact) or `sample_pairs` order.
+        // taken in `(u, v)` order (all pairs) or the sample's order.
         #[test]
         fn envelope_checks_and_profile_match_naive_walk(
             n in 2usize..=150,
@@ -390,18 +340,18 @@ mod tests {
                     violation(u, NodeId(v as u32), d)
                 })
             });
-            prop_assert_eq!(s.check_envelope_exact(&g, envelope), exact);
+            prop_assert_eq!(s.check_envelope(&g, Pairs::All, envelope), exact);
 
-            let count = 4 * n;
-            let pairs = sample_pairs(&g, count, seed);
-            for p in &pairs {
+            let sample = PairSample::new(&g, 4 * n, seed, 1);
+            let pairs = sample.pairs();
+            for p in pairs {
                 prop_assert_eq!(host[p.u.index()][p.v.index()], Some(p.dist));
             }
             let sampled = pairs.iter().find_map(|p| violation(p.u, p.v, p.dist));
-            prop_assert_eq!(s.check_envelope_sampled(&g, count, seed, envelope), sampled);
+            prop_assert_eq!(s.check_envelope(&g, Pairs::Sampled(&sample), envelope), sampled);
 
             let mut buckets: BTreeMap<u32, DistanceBucket> = BTreeMap::new();
-            for p in &pairs {
+            for p in pairs {
                 let b = buckets.entry(p.dist).or_insert(DistanceBucket { dist: p.dist, ..Default::default() });
                 b.pairs += 1;
                 match span[p.u.index()][p.v.index()] {
@@ -414,7 +364,7 @@ mod tests {
                 }
             }
             let profile: Vec<DistanceBucket> = buckets.into_values().collect();
-            prop_assert_eq!(s.stretch_profile(&g, count, seed), profile);
+            prop_assert_eq!(s.stretch_profile(&g, &sample), profile);
         }
     }
 
@@ -424,7 +374,7 @@ mod tests {
         let g = generators::erdos_renyi_gnm(40, 120, 1);
         let s = Spanner::from_edges(EdgeSet::full(&g));
         assert!(s.is_spanning(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert_eq!(r.max_multiplicative, 1.0);
         assert_eq!(r.max_additive, 0);
         assert_eq!(r.disconnected, 0);
@@ -443,7 +393,7 @@ mod tests {
         edges.remove(e);
         let s = Spanner::from_edges(edges);
         assert!(s.is_spanning(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert_eq!(r.max_multiplicative, (n - 1) as f64);
         assert_eq!(r.max_additive, (n - 2) as u32);
         assert_eq!(r.worst_pair, Some((NodeId(0), NodeId(n as u32 - 1))));
@@ -456,7 +406,7 @@ mod tests {
         let g = generators::path(5);
         let s = Spanner::from_edges(EdgeSet::new(&g));
         assert!(!s.is_spanning(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert_eq!(r.disconnected, r.pairs);
         assert!(!r.satisfies_additive(1_000));
     }
@@ -465,7 +415,7 @@ mod tests {
     fn sampled_agrees_with_exact_on_full() {
         let g = generators::connected_gnm(60, 140, 2);
         let s = Spanner::from_edges(EdgeSet::full(&g));
-        let r = s.stretch_sampled(&g, 200, 3);
+        let r = s.stretch(&g, Pairs::Sampled(&PairSample::new(&g, 200, 3, 1)), 1);
         assert!(r.pairs > 0);
         assert_eq!(r.max_multiplicative, 1.0);
         assert_eq!(r.disconnected, 0);
@@ -478,7 +428,7 @@ mod tests {
         let mut edges = EdgeSet::full(&g);
         edges.remove(EdgeId(0));
         let s = Spanner::from_edges(edges);
-        let r = s.stretch_sampled(&g, 500, 9);
+        let r = s.stretch(&g, Pairs::Sampled(&PairSample::new(&g, 500, 9, 1)), 1);
         assert!(r.max_multiplicative > 1.0);
         assert_eq!(r.disconnected, 0);
     }
@@ -492,19 +442,19 @@ mod tests {
         edges.remove(EdgeId(0));
         edges.remove(EdgeId(7));
         let s = Spanner::from_edges(edges);
-        let base_exact = s.stretch_exact(&g);
-        let base_sampled = s.stretch_sampled(&g, 300, 9);
+        let sample = PairSample::new(&g, 300, 9, 1);
+        let base_exact = s.stretch(&g, Pairs::All, 1);
+        let base_sampled = s.stretch(&g, Pairs::Sampled(&sample), 1);
         for threads in [2usize, 4, 8] {
             assert_eq!(
-                s.stretch_exact_threads(&g, threads),
+                s.stretch(&g, Pairs::All, threads),
                 base_exact,
                 "t={threads}"
             );
-            assert_eq!(
-                s.stretch_sampled_threads(&g, 300, 9, threads),
-                base_sampled,
-                "t={threads}"
-            );
+            let sample_t = PairSample::new(&g, 300, 9, threads);
+            assert_eq!(sample_t, sample, "t={threads}");
+            let r = s.stretch(&g, Pairs::Sampled(&sample_t), threads);
+            assert_eq!(r, base_sampled, "t={threads}");
         }
     }
 
@@ -512,7 +462,7 @@ mod tests {
     fn profile_buckets_sorted_and_consistent() {
         let g = generators::grid(8, 8);
         let s = Spanner::from_edges(EdgeSet::full(&g));
-        let profile = s.stretch_profile(&g, 300, 5);
+        let profile = s.stretch_profile(&g, &PairSample::new(&g, 300, 5, 1));
         assert!(!profile.is_empty());
         for w in profile.windows(2) {
             assert!(w[0].dist < w[1].dist);
@@ -544,27 +494,28 @@ mod tests {
         // The deleted chord pair (distance 1) needs n-1; additive envelope
         // d + (n-2) passes, d + (n-3) fails.
         assert!(s
-            .check_envelope_exact(&g, |d| d as f64 + (n - 2) as f64)
+            .check_envelope(&g, Pairs::All, |d| d as f64 + (n - 2) as f64)
             .is_none());
         let viol = s
-            .check_envelope_exact(&g, |d| d as f64 + (n - 3) as f64)
+            .check_envelope(&g, Pairs::All, |d| d as f64 + (n - 3) as f64)
             .expect("violation");
         assert_eq!(viol.host, 1);
         assert_eq!(viol.in_spanner, (n - 1) as u32);
         // Sampled check agrees on the passing envelope.
+        let sample = PairSample::new(&g, 400, 3, 1);
         assert!(s
-            .check_envelope_sampled(&g, 400, 3, |d| d as f64 + (n - 2) as f64)
+            .check_envelope(&g, Pairs::Sampled(&sample), |d| d as f64 + (n - 2) as f64)
             .is_none());
         // Disconnected spanner is always a violation.
         let empty = Spanner::from_edges(EdgeSet::new(&g));
-        assert!(empty.check_envelope_exact(&g, |_| 1e18).is_some());
+        assert!(empty.check_envelope(&g, Pairs::All, |_| 1e18).is_some());
     }
 
     #[test]
     fn display_report() {
         let g = generators::path(4);
         let s = Spanner::from_edges(EdgeSet::full(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert!(r.to_string().contains("max_mult=1.000"));
     }
 }

@@ -2,16 +2,24 @@
 //!
 //! The experiments compare distances in a spanner against distances in the
 //! host graph for many pairs; this module provides the machinery: exact APSP,
-//! seeded pair sampling for larger graphs, eccentricities and diameter
-//! (exact and the classic two-sweep lower bound). The heavy lifting routes
-//! through the [`DistanceEngine`] (flat CSR; 64-way bit-parallel or
-//! direction-optimizing per-source BFS, picked per graph by the engine's
-//! [`Strategy`](crate::engine::Strategy) probe; optionally threaded).
-//! Every unweighted stretch check — [`verify_stretch_exact`] here and the
-//! reports and envelope checks of `ultrasparse::Spanner` — is a visitor on
-//! one ordered pair walk, [`walk_pairs`]. The original one-BFS-per-source
-//! implementations live on only as references in `tests/engine_parity.rs`.
+//! a seeded [`PairSample`] per host graph for larger graphs, eccentricities
+//! and diameter (exact and the classic two-sweep lower bound). The heavy
+//! lifting routes through the [`DistanceEngine`] (flat CSR; 64-way
+//! bit-parallel or direction-optimizing per-source BFS, picked per graph by
+//! the engine's [`Strategy`](crate::engine::Strategy) probe; optionally
+//! threaded).
+//!
+//! Every distance row here comes from one stride loop that fills the rows
+//! of `64 · threads` sources at a time: a sample's host distances, and the
+//! rows of every unweighted stretch check. Each check —
+//! [`verify_stretch_exact`] here and the reports and envelope checks of
+//! `ultrasparse::Spanner` — is a visitor on one ordered pair walk,
+//! [`walk_pairs`], over all pairs or over one graph's [`PairSample`], which
+//! is drawn once and handed to every spanner of that graph. The original
+//! one-BFS-per-source implementations live on only as references in
+//! `tests/engine_parity.rs`.
 
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 
 use rand::rngs::SmallRng;
@@ -19,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::csr::CsrAdjacency;
 use crate::edgeset::EdgeSet;
-use crate::engine::{BfsScratch, DistanceEngine};
+use crate::engine::DistanceEngine;
 use crate::graph::{Graph, NodeId};
 use crate::traversal::{bfs_distances, bfs_distances_csr};
 use crate::weighted::{
@@ -195,30 +203,19 @@ impl std::fmt::Display for StretchViolation {
 /// Verifies the exact stretch guarantee of `spanner` against every
 /// connected pair of `g`: `d_S(u, v) ≤ α · d_G(u, v) + β`.
 ///
-/// Routes through the bit-parallel distance engine (64 sources per
-/// traversal in both the host graph and the spanner subgraph) — the shared
-/// replacement for the per-test ad-hoc distance loops in the integration
-/// suites. Returns the first violating pair (lowest `u`, then `v`) as a
-/// witness, `Ok(())` if the guarantee holds everywhere. Pairs disconnected
-/// in `g` impose no requirement; pairs connected in `g` but not in the
-/// spanner are violations.
-pub fn verify_stretch_exact(
-    g: &Graph,
-    spanner: &EdgeSet,
-    bound: StretchBound,
-) -> Result<(), StretchViolation> {
-    verify_stretch_exact_threads(g, spanner, bound, 1)
-}
-
-/// [`verify_stretch_exact`] with the distance rows computed by `threads`
-/// workers. The pairs are still checked in ascending `(u, v)` order (see
-/// [`walk_pairs`]), so the witness — like the verdict — is identical at
-/// every thread count.
+/// A visitor on [`walk_pairs`] over [`Pairs::All`], with the distance rows
+/// of the host graph and the spanner subgraph computed by `threads`
+/// workers. Returns the first violating pair (lowest `u`, then `v`) as a
+/// witness, `Ok(())` if the guarantee holds everywhere; the pairs are
+/// checked in that order at every thread count, so the witness, like the
+/// verdict, does not depend on `threads`. Pairs disconnected in `g` impose
+/// no requirement; pairs connected in `g` but not in the spanner are
+/// violations.
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0`.
-pub fn verify_stretch_exact_threads(
+pub fn verify_stretch_exact(
     g: &Graph,
     spanner: &EdgeSet,
     bound: StretchBound,
@@ -244,33 +241,29 @@ pub enum Pairs<'a> {
     /// Every pair `u < v` connected in the host graph, ascending by
     /// `(u, v)`; host distances come from the walk's own host rows.
     All,
-    /// The given pairs in their order, which must be ascending by source
-    /// (as [`sample_pairs`] returns them); host distances come from the
-    /// pairs, so only spanner rows are computed.
-    Sampled(&'a [SampledPair]),
+    /// A sample's pairs in its order, ascending by `(u, v)`; host
+    /// distances come from the sample, so only spanner rows are computed.
+    Sampled(&'a PairSample),
 }
 
 /// The one stretch-check loop: visits `pairs` as
-/// `visit(u, v, host_distance, spanner_distance)`, in ascending source
-/// order and, per source, in the order of [`Pairs`], until `visit`
-/// returns [`ControlFlow::Break`], whose value it returns.
+/// `visit(u, v, host_distance, spanner_distance)`, ascending by `(u, v)`,
+/// until `visit` returns [`ControlFlow::Break`], whose value it returns.
 /// `spanner_distance` is [`UNREACHABLE`] where `spanner` disconnects the
 /// pair; the host distance is always finite.
 ///
-/// Sources are taken in strides of `64 · threads`. For each stride the
-/// spanner-subgraph rows (and, for [`Pairs::All`], the host rows) are
-/// filled by up to `threads` workers, split as in
-/// [`DistanceEngine::many_distances`] with each engine resolving its own
-/// [`Strategy`](crate::engine::Strategy); the row buffers and per-worker
-/// scratch are allocated once per walk. The pairs are then visited
-/// sequentially, so what a visitor sees — and any witness or float sum it
-/// keeps — is identical at every thread count. Peak row memory is
-/// `2 · 64 · threads · n` cells.
+/// The spanner-subgraph rows (and, for [`Pairs::All`], the host rows) come
+/// from the stride loop behind [`PairSample::new`]: sources in strides of
+/// `64 · threads`, each stride's rows filled by up to `threads` workers,
+/// split as in [`DistanceEngine::many_distances`] with each engine
+/// resolving its own [`Strategy`](crate::engine::Strategy). The pairs are
+/// then visited sequentially, so what a visitor sees — and any witness or
+/// float sum it keeps — is identical at every thread count. Peak row
+/// memory is `64 · threads · n` cells per engine.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, or if [`Pairs::Sampled`] pairs are not
-/// grouped by ascending source.
+/// Panics if `threads == 0`.
 pub fn walk_pairs<B, F>(
     g: &Graph,
     spanner: &EdgeSet,
@@ -281,52 +274,69 @@ pub fn walk_pairs<B, F>(
 where
     F: FnMut(NodeId, NodeId, u32, u32) -> ControlFlow<B>,
 {
-    let n = g.node_count();
-    let (sources, mut sampled): (Vec<NodeId>, _) = match pairs {
-        Pairs::All => (g.nodes().collect(), &[][..]),
-        Pairs::Sampled(p) => {
-            let mut sources: Vec<NodeId> = p.iter().map(|p| p.u).collect();
-            sources.dedup();
-            // Deduplicated and sorted means every source's pairs are one run.
-            assert!(
-                sources.is_sorted(),
-                "sampled pairs must be grouped by ascending source"
-            );
-            (sources, p)
-        }
-    };
-    let stride = (64 * threads).min(sources.len());
-    // The spanner's rows, then (for all pairs) the host's: each engine with
-    // its per-worker scratch and one stride of rows.
-    let host = matches!(pairs, Pairs::All).then(|| DistanceEngine::new(g));
-    let mut fills: Vec<_> = [Some(DistanceEngine::for_subgraph(g, spanner)), host]
-        .into_iter()
-        .flatten()
-        .map(|e| {
-            let e = e.with_threads(threads);
-            let scratch = e.worker_scratch(stride);
-            (e, scratch, vec![0u32; stride * n])
-        })
-        .collect();
-    for chunk in sources.chunks(stride.max(1)) {
-        for (engine, scratch, rows) in &mut fills {
-            engine.rows_fanned(chunk, scratch, &mut rows[..chunk.len() * n]);
-        }
-        let (sub_rows, host_rows) = (&fills[0].2, fills.get(1).map(|f| &f.2));
-        for (i, &u) in chunk.iter().enumerate() {
-            let ds = &sub_rows[i * n..(i + 1) * n];
-            if let Some(host_rows) = host_rows {
-                let dg = &host_rows[i * n..(i + 1) * n];
-                for v in (u.index() + 1)..n {
+    let sub = DistanceEngine::for_subgraph(g, spanner);
+    match pairs {
+        Pairs::All => {
+            let sources: Vec<NodeId> = g.nodes().collect();
+            let host = DistanceEngine::new(g);
+            walk_rows([sub, host], &sources, threads, |u, [ds, dg]| {
+                for v in (u.index() + 1)..dg.len() {
                     if dg[v] != UNREACHABLE {
                         visit(u, NodeId(v as u32), dg[v], ds[v])?;
                     }
                 }
-            }
-            while let Some((p, rest)) = sampled.split_first().filter(|(p, _)| p.u == u) {
-                visit(u, p.v, p.dist, ds[p.v.index()])?;
-                sampled = rest;
-            }
+                ControlFlow::Continue(())
+            })
+        }
+        Pairs::Sampled(sample) => walk_runs(sub, &sample.pairs, threads, |p, s| {
+            visit(p.u, p.v, p.dist, s)
+        }),
+    }
+}
+
+/// Visits `pairs`, which must be grouped by ascending source, as
+/// `visit(pair, distance)` with each pair's distance in `engine`'s graph.
+fn walk_runs<B>(
+    engine: DistanceEngine,
+    pairs: &[SampledPair],
+    threads: usize,
+    mut visit: impl FnMut(&SampledPair, u32) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let mut sources: Vec<NodeId> = pairs.iter().map(|p| p.u).collect();
+    sources.dedup();
+    let mut rest = pairs;
+    walk_rows([engine], &sources, threads, |u, [d]| {
+        while let Some((p, tail)) = rest.split_first().filter(|(p, _)| p.u == u) {
+            visit(p, d[p.v.index()])?;
+            rest = tail;
+        }
+        ControlFlow::Continue(())
+    })
+}
+
+/// The one stride loop: fills the rows of `sources` in every engine (all
+/// over the same node set), `64 · threads` sources at a time (the row
+/// buffers and per-worker scratch are allocated once), and hands each
+/// source its `N` rows in `sources` order until `visit` breaks.
+fn walk_rows<const N: usize, B>(
+    engines: [DistanceEngine; N],
+    sources: &[NodeId],
+    threads: usize,
+    mut visit: impl FnMut(NodeId, [&[u32]; N]) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let n = engines[0].node_count();
+    let stride = (64 * threads).min(sources.len());
+    let mut fills = engines.map(|e| {
+        let e = e.with_threads(threads);
+        let scratch = e.worker_scratch(stride);
+        (e, scratch, vec![0u32; stride * n])
+    });
+    for chunk in sources.chunks(stride.max(1)) {
+        for (engine, scratch, rows) in &mut fills {
+            engine.rows_fanned(chunk, scratch, &mut rows[..chunk.len() * n]);
+        }
+        for (i, &u) in chunk.iter().enumerate() {
+            visit(u, std::array::from_fn(|k| &fills[k].2[i * n..(i + 1) * n]))?;
         }
     }
     ControlFlow::Continue(())
@@ -415,56 +425,66 @@ pub struct SampledPair {
     pub dist: u32,
 }
 
-/// Samples up to `count` connected node pairs uniformly at random (with a
-/// deterministic seed) and records their exact host distances, sorted by
-/// `(u, v)`; a pair drawn twice appears twice.
-///
-/// At most `16 * max(count, 1)` draws are made in total, and the first
-/// `count` draws with distinct endpoints are kept. Pairs the host
-/// disconnects are then dropped, not redrawn, so tiny or heavily
-/// disconnected graphs may yield fewer than `count` pairs.
-pub fn sample_pairs(g: &Graph, count: usize, seed: u64) -> Vec<SampledPair> {
-    let n = g.node_count();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(count);
-    let mut budget = 16 * count.max(1);
-    // Group samples by source to amortize BFS runs.
-    let mut by_source: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    let mut picks: Vec<(NodeId, NodeId)> = Vec::new();
-    while picks.len() < count && budget > 0 {
-        budget -= 1;
-        let a = NodeId(rng.gen_range(0..n as u32));
-        let b = NodeId(rng.gen_range(0..n as u32));
-        if a != b {
-            picks.push((a, b));
-        }
-    }
-    picks.sort_unstable();
-    for (a, b) in picks {
-        match by_source.last_mut() {
-            Some((s, targets)) if *s == a => targets.push(b),
-            _ => by_source.push((a, vec![b])),
-        }
-    }
-    let engine = DistanceEngine::new(g);
-    let mut scratch = BfsScratch::new(n);
-    let mut d = vec![UNREACHABLE; n];
-    for (s, targets) in by_source {
-        engine.distances_into(s, &mut scratch, &mut d);
-        for t in targets {
-            if d[t.index()] != UNREACHABLE {
-                out.push(SampledPair {
-                    u: s,
-                    v: t,
-                    dist: d[t.index()],
-                });
+/// Up to `count` seeded connected pairs of one host graph with their exact
+/// host distances: drawn once per graph and handed, as [`Pairs::Sampled`],
+/// to the stretch check of every spanner of that graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairSample {
+    /// Sorted by `(u, v)`, so each source's pairs form one run, as
+    /// [`walk_pairs`] reads them.
+    pairs: Vec<SampledPair>,
+}
+
+impl PairSample {
+    /// Samples up to `count` node pairs of `g` uniformly at random (with a
+    /// deterministic seed) and records their exact host distances, sorted
+    /// by `(u, v)`; a pair drawn twice appears twice.
+    ///
+    /// At most `16 * max(count, 1)` draws are made in total, and the first
+    /// `count` draws with distinct endpoints are kept. Pairs the host
+    /// disconnects are then dropped, not redrawn, so tiny or heavily
+    /// disconnected graphs may yield fewer than `count` pairs. The host
+    /// rows come from the stride loop of [`walk_pairs`], `threads` workers
+    /// at a time; the sample is identical at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn new(g: &Graph, count: usize, seed: u64, threads: usize) -> Self {
+        let n = g.node_count();
+        let mut draws = Vec::with_capacity(count);
+        if n >= 2 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut budget = 16 * count.max(1);
+            while draws.len() < count && budget > 0 {
+                budget -= 1;
+                let u = NodeId(rng.gen_range(0..n as u32));
+                let v = NodeId(rng.gen_range(0..n as u32));
+                if u != v {
+                    draws.push(SampledPair {
+                        u,
+                        v,
+                        dist: UNREACHABLE,
+                    });
+                }
             }
         }
+        draws.sort_unstable_by_key(|p| (p.u, p.v));
+        let mut pairs = Vec::with_capacity(draws.len());
+        let ControlFlow::Continue(()) =
+            walk_runs(DistanceEngine::new(g), &draws, threads, |p, dist| {
+                if dist != UNREACHABLE {
+                    pairs.push(SampledPair { dist, ..*p });
+                }
+                ControlFlow::<Infallible>::Continue(())
+            });
+        PairSample { pairs }
     }
-    out
+
+    /// The sampled pairs, ascending by `(u, v)`.
+    pub fn pairs(&self) -> &[SampledPair] {
+        &self.pairs
+    }
 }
 
 #[cfg(test)]
@@ -530,12 +550,12 @@ mod tests {
     #[test]
     fn sample_pairs_deterministic_and_exact() {
         let g = cycle(20);
-        let s1 = sample_pairs(&g, 50, 7);
-        let s2 = sample_pairs(&g, 50, 7);
+        let s1 = PairSample::new(&g, 50, 7, 1);
+        let s2 = PairSample::new(&g, 50, 7, 1);
         assert_eq!(s1, s2);
-        assert!(!s1.is_empty());
+        assert!(!s1.pairs().is_empty());
         let a = Apsp::new(&g);
-        for p in &s1 {
+        for p in s1.pairs() {
             assert_eq!(p.dist, a.dist(p.u, p.v));
             assert_ne!(p.u, p.v);
         }
@@ -544,33 +564,38 @@ mod tests {
     #[test]
     fn sample_pairs_skips_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        for p in sample_pairs(&g, 100, 3) {
+        for p in PairSample::new(&g, 100, 3, 1).pairs() {
             assert!(p.dist <= 1);
         }
     }
 
     #[test]
     fn sample_pairs_tiny_graph() {
-        assert!(sample_pairs(&Graph::empty(1), 10, 1).is_empty());
-        assert!(sample_pairs(&Graph::empty(0), 10, 1).is_empty());
+        for n in [0, 1] {
+            assert!(PairSample::new(&Graph::empty(n), 10, 1, 1)
+                .pairs()
+                .is_empty());
+        }
     }
 
     #[test]
     fn verify_stretch_accepts_full_graph_and_spanning_subsets() {
         let g = cycle(9);
         assert!(
-            verify_stretch_exact(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0)).is_ok()
+            verify_stretch_exact(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0), 1)
+                .is_ok()
         );
         // Removing one cycle edge forces the long way around: stretch n-1.
         let mut span = EdgeSet::full(&g);
         span.remove(g.find_edge(NodeId(0), NodeId(1)).unwrap());
-        assert!(verify_stretch_exact(&g, &span, StretchBound::multiplicative(8.0)).is_ok());
-        let err = verify_stretch_exact(&g, &span, StretchBound::multiplicative(7.0)).unwrap_err();
+        assert!(verify_stretch_exact(&g, &span, StretchBound::multiplicative(8.0), 1).is_ok());
+        let err =
+            verify_stretch_exact(&g, &span, StretchBound::multiplicative(7.0), 1).unwrap_err();
         assert_eq!((err.u, err.v), (NodeId(0), NodeId(1)));
         assert_eq!((err.base, err.in_spanner), (1, Some(8)));
         // The same gap expressed additively.
-        assert!(verify_stretch_exact(&g, &span, StretchBound::additive(7)).is_ok());
-        assert!(verify_stretch_exact(&g, &span, StretchBound::additive(6)).is_err());
+        assert!(verify_stretch_exact(&g, &span, StretchBound::additive(7), 1).is_ok());
+        assert!(verify_stretch_exact(&g, &span, StretchBound::additive(6), 1).is_err());
     }
 
     #[test]
@@ -580,14 +605,14 @@ mod tests {
         span.remove(g.find_edge(NodeId(0), NodeId(1)).unwrap());
         for threads in 1..=8usize {
             let bound = StretchBound::multiplicative(7.0);
-            let err = verify_stretch_exact_threads(&g, &span, bound, threads).unwrap_err();
+            let err = verify_stretch_exact(&g, &span, bound, threads).unwrap_err();
             assert_eq!(
                 (err.u, err.v, err.base, err.in_spanner),
                 (NodeId(0), NodeId(1), 1, Some(8)),
                 "threads={threads}"
             );
             let ok = StretchBound::multiplicative(8.0);
-            assert!(verify_stretch_exact_threads(&g, &span, ok, threads).is_ok());
+            assert!(verify_stretch_exact(&g, &span, ok, threads).is_ok());
         }
     }
 
@@ -623,7 +648,8 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let mut span = EdgeSet::new(&g);
         span.insert(g.find_edge(NodeId(0), NodeId(1)).unwrap());
-        let err = verify_stretch_exact(&g, &span, StretchBound::multiplicative(100.0)).unwrap_err();
+        let err =
+            verify_stretch_exact(&g, &span, StretchBound::multiplicative(100.0), 1).unwrap_err();
         assert_eq!(err.in_spanner, None);
         assert!(err.to_string().contains("disconnects"));
     }
@@ -632,7 +658,8 @@ mod tests {
     fn verify_stretch_ignores_pairs_disconnected_in_host() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
         assert!(
-            verify_stretch_exact(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0)).is_ok()
+            verify_stretch_exact(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0), 1)
+                .is_ok()
         );
     }
 

@@ -2,13 +2,15 @@
 //!
 //! The distance engine re-implements every traversal it serves — flat
 //! single-source BFS, 64-way bit-parallel batches, pruned girth search,
-//! attributed multi-source BFS, the ordered stretch pair walk — so each
+//! attributed multi-source BFS, the ordered stretch pair walk, the host
+//! distances of a pair sample — so each
 //! entry point is pinned **byte-identical** to a one-BFS-per-source
 //! reference on random graphs: connected, disconnected, and
 //! self-loop-free multigraph edge lists (the builder collapses the
 //! duplicates), at every thread count from 1 to 8. The single-source
-//! references are `traversal`'s public functions; the APSP, stretch and
-//! girth references exist only for this suite and live below. The shared
+//! references are `traversal`'s public functions; the APSP, stretch,
+//! pair-sampling and girth references exist only for this suite and live
+//! below. The shared
 //! tree builders are held to the same references: `ClusterBfs::grow`
 //! against `bfs_tree` (unbounded) and the radius-bounded BFS, and
 //! `MultiSourceFlat::parent` against `bfs_tree` when each component holds
@@ -21,8 +23,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_graph::components::connected_components;
 use spanner_graph::distance::{
-    diameter_exact, eccentricity, verify_stretch_exact_threads, Apsp, StretchBound,
-    StretchViolation, UNREACHABLE,
+    diameter_exact, eccentricity, verify_stretch_exact, Apsp, PairSample, SampledPair,
+    StretchBound, StretchViolation, UNREACHABLE,
 };
 use spanner_graph::girth::girth;
 use spanner_graph::traversal::{
@@ -115,6 +117,45 @@ fn verify_stretch_exact_reference(
         }
     }
     Ok(())
+}
+
+/// The original scalar pair sampler: the same seeded draws, then one BFS
+/// per distinct source for the host distances. [`PairSample`] must
+/// reproduce its pairs and distances from the batched row walk.
+fn sample_pairs_reference(g: &Graph, count: usize, seed: u64) -> Vec<SampledPair> {
+    let n = g.node_count();
+    if n < 2 {
+        return Vec::new();
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut budget = 16 * count.max(1);
+    let mut picks: Vec<(NodeId, NodeId)> = Vec::new();
+    while picks.len() < count && budget > 0 {
+        budget -= 1;
+        let a = NodeId(rng.gen_range(0..n as u32));
+        let b = NodeId(rng.gen_range(0..n as u32));
+        if a != b {
+            picks.push((a, b));
+        }
+    }
+    picks.sort_unstable();
+    let mut out = Vec::new();
+    let mut by_source: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    for (a, b) in picks {
+        match by_source.last_mut() {
+            Some((s, targets)) if *s == a => targets.push(b),
+            _ => by_source.push((a, vec![b])),
+        }
+    }
+    for (s, targets) in by_source {
+        let d = bfs_distances(g, s);
+        for t in targets {
+            if let Some(dist) = d[t.index()] {
+                out.push(SampledPair { u: s, v: t, dist });
+            }
+        }
+    }
+    out
 }
 
 /// The original `VecDeque`-based girth computation.
@@ -241,8 +282,26 @@ proptest! {
         let bound = StretchBound::multiplicative(2.0);
         let expect = verify_stretch_exact_reference(&g, &span, bound);
         for threads in THREAD_COUNTS {
-            let got = verify_stretch_exact_threads(&g, &span, bound, threads);
+            let got = verify_stretch_exact(&g, &span, bound, threads);
             prop_assert_eq!(got, expect, "threads={}", threads);
+        }
+    }
+
+    // Graphs below two nodes have no pairs; on one node every draw is a
+    // self-pair, so the 16·count draw budget runs out.
+    #[test]
+    fn pair_sample_matches_scalar_reference(
+        n in 0usize..=60,
+        m in 0usize..=180,
+        shape in 0u8..3,
+        count in 0usize..=200,
+        seed in any::<u64>(),
+    ) {
+        let g = if n < 2 { Graph::empty(n) } else { random_graph(n, m, shape, seed) };
+        let expect = sample_pairs_reference(&g, count, seed);
+        for threads in 1..=3 {
+            let got = PairSample::new(&g, count, seed, threads);
+            prop_assert_eq!(got.pairs(), &expect[..], "threads={}", threads);
         }
     }
 

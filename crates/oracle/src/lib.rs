@@ -341,6 +341,7 @@ fn nearest(witness: &MultiSourceFlat, v: NodeId) -> Option<(u32, NodeId)> {
 mod tests {
     use super::*;
     use spanner_graph::distance::Apsp;
+    use spanner_graph::distance::Pairs;
     use spanner_graph::generators;
 
     fn check_oracle(g: &Graph, k: u32, seed: u64) {
@@ -428,7 +429,7 @@ mod tests {
         let oracle = DistanceOracle::build(&g, k, 8);
         let s = oracle.to_spanner();
         assert!(s.is_spanning(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         assert!(
             r.satisfies_multiplicative((2 * k - 1) as f64),
             "spanner stretch {}",

@@ -249,7 +249,7 @@ mod tests {
         let g = store.spanner().to_graph();
         let s = store.spanner().spanner_edge_set(&g);
         let bound = StretchBound::multiplicative(f64::from(store.spanner().stretch()));
-        verify_stretch_exact(&g, &s, bound).expect("stretch bound must hold");
+        verify_stretch_exact(&g, &s, bound, 1).expect("stretch bound must hold");
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn assert_verified(store: &DynamicStore) {
     let g = store.spanner().to_graph();
     let s = store.spanner().spanner_edge_set(&g);
     let bound = StretchBound::multiplicative(f64::from(store.spanner().stretch()));
-    verify_stretch_exact(&g, &s, bound).expect("recovered spanner must verify");
+    verify_stretch_exact(&g, &s, bound, 1).expect("recovered spanner must verify");
 }
 
 #[test]

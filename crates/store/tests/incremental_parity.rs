@@ -6,7 +6,7 @@
 //! incremental spanner satisfies the same multiplicative
 //! [`StretchBound`] (2k−1) that a from-scratch rebuild over the final
 //! graph satisfies, verified *exactly* (every connected pair) by
-//! [`verify_stretch_exact_threads`] at thread counts 1–8, and its size
+//! [`verify_stretch_exact`] at thread counts 1–8, and its size
 //! stays within the paper's `O(k · n^{1+1/k})` regime (asserted with the
 //! conformance-style slack `k·n + 8·n^{1+1/k}`). The durable
 //! [`DynamicStore`] variant additionally pins reload-equality: close,
@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spanner_baselines::baswana_sen::{recluster_region, BaswanaSenParams};
 use spanner_baselines::streaming::{DynamicSpanner, StreamingSpanner};
-use spanner_graph::distance::{verify_stretch_exact_threads, StretchBound};
+use spanner_graph::distance::{verify_stretch_exact, StretchBound};
 use spanner_graph::{generators, NodeId};
 use spanner_store::{scratch_dir, DynamicStore, SnapshotMeta};
 
@@ -35,7 +35,7 @@ fn assert_stretch_all_threads(s: &DynamicSpanner, context: &str) {
     let edge_set = s.spanner_edge_set(&g);
     let bound = StretchBound::multiplicative(f64::from(s.stretch()));
     for t in THREAD_COUNTS {
-        verify_stretch_exact_threads(&g, &edge_set, bound, t)
+        verify_stretch_exact(&g, &edge_set, bound, t)
             .unwrap_or_else(|v| panic!("{context}: stretch violated at {t} threads: {v}"));
     }
 }

@@ -10,6 +10,7 @@ use ultrasparse_spanners::baselines::{additive2, baswana_sen, bfs_skeleton, gree
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
+use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
 use ultrasparse_spanners::graph::generators;
 
 fn main() {
@@ -27,9 +28,11 @@ fn main() {
         "algorithm", "|S|", "|S|/n", "max stretch", "mean stretch"
     );
 
+    // One sample of the input, shared by every algorithm's check.
+    let sample = PairSample::new(&g, 1_500, 9, 1);
     let show = |name: &str, s: &Spanner| {
         assert!(s.is_spanning(&g), "{name} must span");
-        let r = s.stretch_sampled(&g, 1_500, 9);
+        let r = s.stretch(&g, Pairs::Sampled(&sample), 1);
         println!(
             "{:<28} {:>8} {:>8.2} {:>12.2} {:>12.2}",
             name,

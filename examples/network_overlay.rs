@@ -11,6 +11,7 @@
 //! ```
 
 use ultrasparse_spanners::core::fibonacci::{self, analysis, FibonacciParams};
+use ultrasparse_spanners::graph::distance::PairSample;
 use ultrasparse_spanners::graph::generators;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
     );
 
     // Route-stretch profile: guaranteed vs realized, by route length.
-    let profile = overlay.stretch_profile(&g, 20_000, 5);
+    let profile = overlay.stretch_profile(&g, &PairSample::new(&g, 20_000, 5, 1));
     println!("\nroute length | routes | worst stretch | mean stretch | guarantee");
     for b in profile.iter().filter(|b| b.pairs >= 10) {
         if !(b.dist == 1 || b.dist % 8 == 0) {

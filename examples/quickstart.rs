@@ -6,6 +6,7 @@
 //! ```
 
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
+use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
 use ultrasparse_spanners::graph::generators;
 use ultrasparse_spanners::netsim::{Executor, NullSink};
 
@@ -48,7 +49,8 @@ fn main() {
     );
 
     // How much do distances suffer? Sample 2 000 pairs.
-    let report = spanner.stretch_sampled(&g, 2_000, 1);
+    let sample = PairSample::new(&g, 2_000, 1, 1);
+    let report = spanner.stretch(&g, Pairs::Sampled(&sample), 1);
     println!("distortion: {report}");
     let certified = params.schedule(g.node_count()).distortion_bound;
     println!("certified worst-case stretch (Theorem 2 schedule): {certified}");

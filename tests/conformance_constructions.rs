@@ -22,6 +22,7 @@ use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::{BuildError, Spanner};
 use ultrasparse_spanners::graph::distance::Apsp;
+use ultrasparse_spanners::graph::distance::Pairs;
 use ultrasparse_spanners::graph::{
     generators, verify_stretch_exact, EdgeId, Graph, NodeId, StretchBound,
 };
@@ -73,7 +74,7 @@ fn hostile_plan(fseed: u64, n: usize) -> FaultPlan {
 /// own certification is not trusted here, the test re-derives it.
 fn assert_certified(g: &Graph, s: &Spanner, bound: StretchBound, what: &str) {
     assert!(s.is_spanning(g), "{what}: faulted Ok output must span");
-    if let Err(viol) = verify_stretch_exact(g, &s.edges, bound) {
+    if let Err(viol) = verify_stretch_exact(g, &s.edges, bound, 1) {
         panic!("{what}: faulted Ok output breaks its bound: {viol}");
     }
 }
@@ -116,7 +117,7 @@ proptest! {
         let n = g.node_count();
         let s = skeleton::build_sequential(&g, &params, seed);
         let bound = params.schedule(n).distortion_bound as f64;
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(bound)).is_ok());
+        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(bound), 1).is_ok());
         // Linear size Dn/e + O(n log D): expected_size carries the Lemma 6
         // constants; allow 2x concentration slack plus an additive cushion
         // for the smallest instances.
@@ -133,7 +134,7 @@ proptest! {
         let p = FibonacciParams::new(n, order, 0.5, 0).unwrap();
         let s = fibonacci::build_sequential(&g, &p, seed);
         prop_assert!(s.is_spanning(&g));
-        let viol = s.check_envelope_exact(&g, |d| {
+        let viol = s.check_envelope(&g, Pairs::All, |d| {
             fibonacci::analysis::distortion_envelope(p.order, p.ell, d as u64)
         });
         prop_assert!(viol.is_none(), "envelope violated: {:?}", viol);
@@ -150,7 +151,7 @@ proptest! {
         let params = BaswanaSenParams::new(k).unwrap();
         let s = baswana_sen::build_sequential(&g, &params, seed);
         let t = (2 * k - 1) as f64;
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(t)).is_ok());
+        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(t), 1).is_ok());
         // Expected size O(kn + log k · n^{1+1/k}); generous per-instance
         // slack (inputs are deterministic per proptest case, so this is a
         // regression pin rather than a tail-probability gamble).
@@ -167,7 +168,7 @@ proptest! {
         let n = g.node_count() as f64;
         let s = greedy::build(&g, k);
         let t = (2 * k - 1) as f64;
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(t)).is_ok());
+        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(t), 1).is_ok());
         prop_assert!(greedy::has_greedy_girth(&g, &s, k));
         // Girth > 2k forces the deterministic Moore-type bound n + n^{1+1/k}.
         prop_assert!(
@@ -181,7 +182,7 @@ proptest! {
     fn additive2_meets_bound_and_size(g in arb_small_graph(), seed in any::<u64>()) {
         let n = g.node_count() as f64;
         let s = additive2::build(&g, seed);
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::additive(2)).is_ok());
+        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::additive(2), 1).is_ok());
         // O(n^{3/2}) edges; the clustering argument gives ~2 n^{3/2} + n.
         prop_assert!(
             (s.edges.len() as f64) <= 4.0 * n.powf(1.5) + 2.0 * n,
@@ -273,7 +274,7 @@ proptest! {
                 Box::new(|s| {
                     assert!(s.is_spanning(&g), "fibonacci: faulted Ok output must span");
                     let (order, ell) = (fb_params.order, fb_params.ell);
-                    let viol = s.check_envelope_exact(&g, |d| {
+                    let viol = s.check_envelope(&g, Pairs::All, |d| {
                         fibonacci::analysis::distortion_envelope(order, ell, d as u64)
                     });
                     assert!(viol.is_none(), "fibonacci faulted Ok breaks envelope: {viol:?}");

@@ -3,6 +3,7 @@
 //! (who is sparser, who stretches less).
 
 use ultrasparse_spanners::baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
+use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
 use ultrasparse_spanners::graph::{generators, verify_stretch_exact, StretchBound};
 use ultrasparse_spanners::netsim::{Executor, NullSink};
 
@@ -25,6 +26,7 @@ fn all_baselines_guarantee_matrix() {
                 &g,
                 &s.edges,
                 StretchBound::multiplicative((2 * k - 1) as f64),
+                1,
             )
             .unwrap_or_else(|viol| panic!("BS k={k}: {viol}"));
         }
@@ -37,6 +39,7 @@ fn all_baselines_guarantee_matrix() {
             &g,
             &s.edges,
             StretchBound::multiplicative((2 * k - 1) as f64),
+            1,
         )
         .unwrap_or_else(|viol| panic!("greedy k={k}: {viol}"));
         assert!(greedy::has_greedy_girth(&g, &s, k));
@@ -44,7 +47,7 @@ fn all_baselines_guarantee_matrix() {
 
     let add2 = additive2::build(&g, 7);
     assert!(add2.is_spanning(&g));
-    verify_stretch_exact(&g, &add2.edges, StretchBound::additive(2))
+    verify_stretch_exact(&g, &add2.edges, StretchBound::additive(2), 1)
         .unwrap_or_else(|viol| panic!("additive2: {viol}"));
 }
 
@@ -74,8 +77,9 @@ fn fig1_ordering_relations() {
     // linear-size skeleton. (The BFS forest's *mean* stretch can actually
     // be decent on low-diameter inputs — its failure mode is the worst
     // case, bounded only by the diameter.)
-    let rb = bs2.stretch_sampled(&g, 600, 1);
-    let rs = skel.stretch_sampled(&g, 600, 1);
+    let sample = PairSample::new(&g, 600, 1, 1);
+    let rb = bs2.stretch(&g, Pairs::Sampled(&sample), 1);
+    let rs = skel.stretch(&g, Pairs::Sampled(&sample), 1);
     assert!(rb.max_multiplicative <= 3.0);
     assert!(rb.max_multiplicative <= rs.max_multiplicative);
 }

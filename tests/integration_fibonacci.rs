@@ -3,11 +3,22 @@
 //! equivalence under unbounded messages.
 
 use ultrasparse_spanners::core::fibonacci::{self, analysis::distortion_envelope, FibonacciParams};
+use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
 use ultrasparse_spanners::graph::{generators, Graph};
 use ultrasparse_spanners::netsim::{Executor, NullSink};
 
-fn envelope_ok(g: &Graph, p: &FibonacciParams, s: &ultrasparse_spanners::core::Spanner) {
-    let viol = s.check_envelope_sampled(g, 1_500, 7, |d| {
+/// The envelope check's pairs on `g`, drawn once per graph.
+fn sample(g: &Graph) -> PairSample {
+    PairSample::new(g, 1_500, 7, 1)
+}
+
+fn envelope_ok(
+    g: &Graph,
+    sample: &PairSample,
+    p: &FibonacciParams,
+    s: &ultrasparse_spanners::core::Spanner,
+) {
+    let viol = s.check_envelope(g, Pairs::Sampled(sample), |d| {
         distortion_envelope(p.order, p.ell, d as u64)
     });
     assert!(viol.is_none(), "envelope violated: {viol:?}");
@@ -25,11 +36,12 @@ fn fibonacci_across_graph_families() {
         ),
     ];
     for (label, g) in &graphs {
+        let sample = sample(g);
         for order in 1..=2u32 {
             let p = FibonacciParams::new(g.node_count(), order, 0.5, 0).unwrap();
             let s = fibonacci::build_sequential(g, &p, 13);
             assert!(s.is_spanning(g), "{label} o={order}");
-            envelope_ok(g, &p, &s);
+            envelope_ok(g, &sample, &p, &s);
         }
     }
 }
@@ -68,6 +80,7 @@ fn distributed_equals_sequential_without_budget() {
 #[test]
 fn bounded_messages_stay_correct() {
     let g = generators::connected_gnm(500, 3_000, 8);
+    let sample = sample(&g);
     for t in [2u32, 4] {
         let p = FibonacciParams::new(500, 2, 0.5, t).unwrap();
         let s = fibonacci::distributed::build_distributed(
@@ -80,7 +93,7 @@ fn bounded_messages_stay_correct() {
         )
         .expect("run");
         assert!(s.is_spanning(&g), "t={t}");
-        envelope_ok(&g, &p, &s);
+        envelope_ok(&g, &sample, &p, &s);
         let m = s.metrics.unwrap();
         let cap = fibonacci::distributed::theorem8_budget(500, t)
             .limit()

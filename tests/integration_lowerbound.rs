@@ -3,6 +3,7 @@
 //! algorithms, and the paper's structural claims hold on built instances.
 
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
+use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
 use ultrasparse_spanners::lowerbound::adversary::{
     measure_spine_distortion, predicted_spine_additive, select, Strategy,
 };
@@ -60,7 +61,8 @@ fn skeleton_on_gadget_behaves_multiplicatively() {
     // Stretch within the certified multiplicative bound even on the
     // adversarial topology.
     let bound = params.schedule(g.graph.node_count()).distortion_bound as f64;
-    let r = s.stretch_sampled(&g.graph, 600, 3);
+    let sample = PairSample::new(&g.graph, 600, 3, 1);
+    let r = s.stretch(&g.graph, Pairs::Sampled(&sample), 1);
     assert!(r.max_multiplicative <= bound);
     // The lower bound in action: a linear-size spanner must drop a large
     // fraction of the block edges (and with them, typically, critical

@@ -21,6 +21,7 @@ fn oracle_and_spanner_agree_on_guarantee() {
             &g,
             &spanner.edges,
             StretchBound::multiplicative((2 * k - 1) as f64),
+            1,
         )
         .unwrap_or_else(|viol| panic!("k={k}: {viol}"));
         // The oracle's estimate is realizable inside its induced spanner:

@@ -4,12 +4,13 @@
 
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
+use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
 use ultrasparse_spanners::graph::{generators, Graph};
 
-fn check(g: &Graph, s: &Spanner, params: &SkeletonParams, label: &str) {
+fn check(g: &Graph, sample: &PairSample, s: &Spanner, params: &SkeletonParams, label: &str) {
     assert!(s.is_spanning(g), "{label}: not spanning");
     let bound = params.schedule(g.node_count().max(2)).distortion_bound as f64;
-    let r = s.stretch_sampled(g, 800, 3);
+    let r = s.stretch(g, Pairs::Sampled(sample), 1);
     assert_eq!(r.disconnected, 0, "{label}");
     assert!(
         r.max_multiplicative <= bound,
@@ -34,10 +35,11 @@ fn skeleton_across_graph_families() {
         ("cycle", generators::cycle(500)),
     ];
     for (label, g) in &graphs {
+        let sample = PairSample::new(g, 800, 3, 1);
         let seq = skeleton::build_sequential(g, &params, 11);
-        check(g, &seq, &params, &format!("seq/{label}"));
+        check(g, &sample, &seq, &params, &format!("seq/{label}"));
         let dist = skeleton::distributed::build_distributed_csr(g.csr(), &params, 11).expect("run");
-        check(g, &dist, &params, &format!("dist/{label}"));
+        check(g, &sample, &dist, &params, &format!("dist/{label}"));
     }
 }
 

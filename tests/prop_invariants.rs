@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use ultrasparse_spanners::baselines::baswana_sen;
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
+use ultrasparse_spanners::graph::distance::Pairs;
 use ultrasparse_spanners::graph::{generators, Graph};
 use ultrasparse_spanners::lowerbound::{Gadget, GadgetParams};
 
@@ -33,7 +34,7 @@ proptest! {
         let s = skeleton::build_sequential(&g, &params, seed);
         prop_assert!(s.is_spanning(&g));
         let bound = params.schedule(g.node_count()).distortion_bound as f64;
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         prop_assert_eq!(r.disconnected, 0);
         prop_assert!(r.max_multiplicative <= bound);
     }
@@ -50,7 +51,7 @@ proptest! {
         let p = FibonacciParams::new(g.node_count(), order, 0.5, 0).expect("params");
         let s = fibonacci::build_sequential(&g, &p, seed);
         prop_assert!(s.is_spanning(&g));
-        let viol = s.check_envelope_exact(&g, |d| {
+        let viol = s.check_envelope(&g, Pairs::All, |d| {
             fibonacci::analysis::distortion_envelope(p.order, p.ell, d as u64)
         });
         prop_assert!(viol.is_none(), "violation: {:?}", viol);
@@ -61,7 +62,7 @@ proptest! {
         let p = baswana_sen::BaswanaSenParams::new(k).expect("params");
         let s = baswana_sen::build_sequential(&g, &p, seed);
         prop_assert!(s.is_spanning(&g));
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         prop_assert!(r.satisfies_multiplicative((2 * k - 1) as f64));
     }
 
@@ -72,7 +73,7 @@ proptest! {
         // the public aggregate is >= 1.
         let params = SkeletonParams::default();
         let s = skeleton::build_sequential(&g, &params, seed);
-        let r = s.stretch_exact(&g);
+        let r = s.stretch(&g, Pairs::All, 1);
         prop_assert!(r.max_multiplicative >= 1.0);
         prop_assert!(r.mean_multiplicative >= 1.0);
     }

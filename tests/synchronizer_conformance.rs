@@ -18,6 +18,7 @@ use ultrasparse_spanners::baselines::baswana_sen::{self, BaswanaSenParams};
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
+use ultrasparse_spanners::graph::distance::Pairs;
 use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, StretchBound};
 use ultrasparse_spanners::netsim::{Executor, FaultPlan, NullSink, RunMetrics, Synchronizer};
 
@@ -104,7 +105,7 @@ proptest! {
             // Paper bounds on the async output, as in conformance_constructions.
             let bound = params.schedule(g.node_count()).distortion_bound as f64;
             prop_assert!(verify_stretch_exact(
-                &g, &s.edges, StretchBound::multiplicative(bound)).is_ok());
+                &g, &s.edges, StretchBound::multiplicative(bound), 1).is_ok());
             prop_assert!(
                 (s.edges.len() as f64)
                     <= 2.0 * params.expected_size(g.node_count()) + 2.0 * g.node_count() as f64,
@@ -138,7 +139,7 @@ proptest! {
             ).expect("async build");
             assert_pair_exact("fibonacci", &reference, &s);
             prop_assert!(s.is_spanning(&g));
-            let viol = s.check_envelope_exact(&g, |d| {
+            let viol = s.check_envelope(&g, Pairs::All, |d| {
                 fibonacci::analysis::distortion_envelope(params.order, params.ell, d as u64)
             });
             prop_assert!(viol.is_none(), "envelope violated: {:?}", viol);
@@ -165,7 +166,7 @@ proptest! {
             assert_pair_exact("baswana_sen", &reference, &s);
             let t = (2 * k - 1) as f64;
             prop_assert!(verify_stretch_exact(
-                &g, &s.edges, StretchBound::multiplicative(t)).is_ok());
+                &g, &s.edges, StretchBound::multiplicative(t), 1).is_ok());
         }
     }
 

@@ -21,16 +21,19 @@
 //! toward `p_i(v)` is [`MultiSourceFlat::parent`]. The bunches are the
 //! transposed clusters `C(w) = { v : δ(w, v) < δ(v, A_{i+1}) }`, each one
 //! [`ClusterBfs::grow`] from `w` whose tree edges go into the induced
-//! spanner. [`RoutingScheme`] is the k = 2 case of the same cluster forest
-//! over its landmark set.
+//! spanner. They are stored as those clusters, one per centre, in a
+//! cluster table (a row of n slots for a cluster of at least n/2
+//! members, a sorted run otherwise), so the probe `w ∈ B(v)` reads member
+//! `v` of `C(w)`. [`RoutingScheme`] is the k = 2 case of the same cluster
+//! forest over its landmark set, in the same kind of table.
 
 #![deny(missing_docs)]
 
 pub mod routing;
+mod table;
 
 pub use routing::{Address, RoutingScheme};
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::Rng;
@@ -41,6 +44,8 @@ use spanner_graph::traversal::ClusterBfs;
 use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::rng::node_rng;
 use ultrasparse::Spanner;
+
+use table::ClusterTable;
 
 /// Typed error returned by the fallible query endpoints
 /// ([`DistanceOracle::try_query`], [`RoutingScheme::try_route`], …): the
@@ -78,12 +83,12 @@ impl std::error::Error for QueryError {}
 /// message-reduction line of work applied to oracle queries: how many
 /// table reads a query performed, independent of wall-clock time.
 ///
-/// A bunch probe touches one hash-table entry (two `O(log n)`-bit words:
-/// key and distance); a witness read touches one entry of the `p_i`
-/// witness array (also two words). `words()` is the total.
+/// A bunch probe reads one cluster-table entry (two `O(log n)`-bit
+/// words: member and distance); a witness read touches one entry of the
+/// `p_i` witness array (also two words). `words()` is the total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCost {
-    /// Hash probes into bunch tables `B(·)`.
+    /// Probes into bunch tables `B(·)`.
     pub bunch_probes: u32,
     /// Reads of witness entries `p_i(·)`.
     pub witness_reads: u32,
@@ -104,8 +109,9 @@ pub struct DistanceOracle {
     /// nearest A_i vertex (unreachable if A_i is empty or in another
     /// component).
     witness: Vec<MultiSourceFlat>,
-    /// Bunch of every vertex: sampled vertex → exact distance.
-    bunch: Vec<HashMap<NodeId, u32>>,
+    /// The bunches, stored as their clusters: `bunch.get(w, v)` is
+    /// δ(w, v) exactly when `w ∈ B(v)`.
+    bunch: ClusterTable,
     /// Edges of the induced (2k−1)-spanner (union of bunch/witness
     /// shortest-path trees).
     spanner_edges: EdgeSet,
@@ -154,7 +160,7 @@ impl DistanceOracle {
         // Bunches: the cluster of each w at exactly level i keeps the
         // vertices v with δ(w, v) < δ(v, A_{i+1}) (no truncation at the
         // top level); its tree edges go into the induced spanner.
-        let mut bunch: Vec<HashMap<NodeId, u32>> = vec![HashMap::new(); n];
+        let mut bunch = ClusterTable::new(n);
         let mut spanner_edges = EdgeSet::new(g);
         let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
@@ -162,10 +168,10 @@ impl DistanceOracle {
             bfs.grow(g, w, u32::MAX, |y, d| {
                 trunc.is_none_or(|t| d < t.dist[y.index()])
             });
-            for (v, d, _, e) in bfs.tree() {
-                bunch[v.index()].insert(w, d);
+            bunch.push(bfs.tree().map(|(v, d, _, e)| {
                 spanner_edges.insert(e);
-            }
+                (v, d)
+            }));
         }
         // Witness paths: each v keeps its edge toward p_i(v) at every
         // level (needed so queries are realizable inside the spanner).
@@ -215,7 +221,7 @@ impl DistanceOracle {
     /// Total bunch entries — the oracle's space, up to the O(k·n) witness
     /// arrays.
     pub fn size(&self) -> usize {
-        self.bunch.iter().map(HashMap::len).sum()
+        self.bunch.len()
     }
 
     /// Estimated distance between `u` and `v`: exact distances compose as
@@ -258,7 +264,7 @@ impl DistanceOracle {
                 return Ok((dwu, cost));
             }
             cost.bunch_probes += 1;
-            if let Some(&dwv) = self.bunch[v.index()].get(&w) {
+            if let Some(dwv) = self.bunch.get(w, v) {
                 return Ok((dwu + dwv, cost));
             }
             if i + 1 == self.k as usize {
@@ -290,7 +296,7 @@ impl DistanceOracle {
         if u == v {
             return Ok(Some(0));
         }
-        Ok(self.bunch[v.index()].get(&u).copied())
+        Ok(self.bunch.get(u, v))
     }
 
     /// The level-1 witness `p_1(v)` of `v` — its *landmark bucket* — and
@@ -318,10 +324,7 @@ impl DistanceOracle {
         if w == u {
             return Ok(0);
         }
-        Ok(self.bunch[u.index()]
-            .get(&w)
-            .copied()
-            .unwrap_or(UNREACHABLE))
+        Ok(self.bunch.get(w, u).unwrap_or(UNREACHABLE))
     }
 
     /// The (2k−1)-spanner induced by the oracle's shortest-path trees.

@@ -13,7 +13,8 @@
 //!   `C(w) = {x : δ(w,x) < δ(x, L)}`, and every member keeps a next hop
 //!   toward `w`; total size O(n^{3/2}) in expectation.
 //!
-//! Next hops are the minimum-id parents of those BFS trees.
+//! Next hops are the minimum-id parents of those BFS trees, kept in one
+//! cluster table keyed by centre, landmark or not.
 //!
 //! A vertex's **address** is `(v, ℓ(v), reversed path ℓ(v) → v)` where
 //! ℓ(v) is its nearest landmark (min-id tie-break) and the path is read
@@ -30,10 +31,9 @@
 //! additive surplus below that — the exact flavor of tradeoff the paper's
 //! closing open problem asks about (`(3−ε)d + polylog` routes).
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
+use crate::table::ClusterTable;
 use crate::QueryError;
 
 use spanner_graph::traversal::ClusterBfs;
@@ -62,11 +62,9 @@ impl Address {
 /// Per-vertex routing state plus the global address book.
 #[derive(Debug, Clone)]
 pub struct RoutingScheme {
-    /// `toward_landmark[v]` maps a landmark to v's next hop toward it.
-    toward_landmark: Vec<HashMap<NodeId, NodeId>>,
-    /// `cluster_hop[v]` maps a cluster owner w (with v ∈ C(w)) to v's
-    /// next hop toward w.
-    cluster_hop: Vec<HashMap<NodeId, NodeId>>,
+    /// `table.get(w, v)` is v's next hop toward w, for every v in w's
+    /// component when w is a landmark and for every v ∈ C(w) otherwise.
+    table: ClusterTable,
     /// Address of every vertex.
     addresses: Vec<Address>,
     landmark_count: usize,
@@ -102,27 +100,14 @@ impl RoutingScheme {
         // One cluster per vertex: untruncated for a landmark, C(w) for
         // any other w (see the module doc).
         let nearest = DistanceEngine::new(g).nearest_sources(&landmarks);
-        let mut toward_landmark: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut cluster_hop: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
+        let mut table = ClusterTable::new(n);
         let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
             let landmark = is_landmark[w.index()];
             bfs.grow(g, w, u32::MAX, |y, d| {
                 landmark || d < nearest.dist[y.index()]
             });
-            if landmark {
-                // The tree spans w's component: sweep it in node order, so
-                // the tables are written in memory order, not BFS order.
-                for v in g.nodes() {
-                    if let Some((parent, _)) = bfs.parent(v) {
-                        toward_landmark[v.index()].insert(w, parent);
-                    }
-                }
-            } else {
-                for (v, _, parent, _) in bfs.tree() {
-                    cluster_hop[v.index()].insert(w, parent);
-                }
-            }
+            table.push(bfs.tree().map(|(v, _, parent, _)| (v, parent.0)));
         }
 
         // Addresses: nearest landmark + the path down its tree, read off
@@ -136,8 +121,8 @@ impl RoutingScheme {
                 let mut cur = v;
                 while cur != l {
                     path.push(cur);
-                    match toward_landmark[cur.index()].get(&l) {
-                        Some(&p) => cur = p,
+                    match table.get(l, cur) {
+                        Some(p) => cur = NodeId(p),
                         None => break,
                     }
                 }
@@ -151,8 +136,7 @@ impl RoutingScheme {
             .collect();
 
         RoutingScheme {
-            toward_landmark,
-            cluster_hop,
+            table,
             addresses,
             landmark_count: landmarks.len(),
         }
@@ -166,14 +150,19 @@ impl RoutingScheme {
     /// Total routing-table entries across all vertices (the scheme's
     /// space, excluding addresses).
     pub fn table_entries(&self) -> usize {
-        self.toward_landmark.iter().map(HashMap::len).sum::<usize>()
-            + self.cluster_hop.iter().map(HashMap::len).sum::<usize>()
+        self.table.len()
     }
 
     /// Number of vertices of the graph the scheme was built over; valid
     /// ids are `0..node_count()`.
     pub fn node_count(&self) -> usize {
         self.addresses.len()
+    }
+
+    /// The next-hop table, for the layout tests.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &ClusterTable {
+        &self.table
     }
 
     fn check(&self, v: NodeId) -> Result<(), QueryError> {
@@ -238,15 +227,17 @@ impl RoutingScheme {
                 path.extend_from_slice(&addr.down_path);
                 return Some(path);
             }
-            // Phase 1: direct cluster entry.
-            let hop = if let Some(&h) = self.cluster_hop[cur.index()].get(&addr.target) {
-                h
-            } else if let Some(&h) = self.toward_landmark[cur.index()].get(&addr.landmark) {
-                // Phase 2: toward the destination's landmark.
-                h
-            } else {
+            // Phase 1: direct cluster entry (a landmark target is its own
+            // landmark, so its entry is the phase 2 hop); phase 2: toward
+            // the destination's landmark.
+            let Some(hop) = self
+                .table
+                .get(addr.target, cur)
+                .or_else(|| self.table.get(addr.landmark, cur))
+            else {
                 return None; // different component
             };
+            let hop = NodeId(hop);
             path.push(hop);
             cur = hop;
         }

@@ -86,7 +86,7 @@ pub struct ServeStats {
     pub cache_evictions: u64,
     /// DIST queries ineligible for the cache (oracle built with k ≠ 2).
     pub cache_bypass: u64,
-    /// Bunch hash probes performed by query execution.
+    /// Bunch-table probes performed by query execution.
     pub bunch_probes: u64,
     /// Witness-array reads performed by query execution.
     pub witness_reads: u64,

@@ -286,10 +286,9 @@ impl DistanceOracle {
     /// The direct-probe leg of the query: `Some(0)` if `u == v`, the exact
     /// distance `δ(u, v)` if `u ∈ B(v)`, `None` otherwise.
     ///
-    /// This is the first step of the standard query chain, split out so a
-    /// serving layer can resolve it before consulting a result cache —
-    /// direct hits are exact (tighter than any landmark leg) and must win
-    /// for cached and uncached responses to agree byte-for-byte.
+    /// This is the first bunch probe of the query chain, exposed on its
+    /// own so callers can read one table entry: whether `u ∈ B(v)`, and
+    /// at what distance.
     pub fn direct_distance(&self, u: NodeId, v: NodeId) -> Result<Option<u32>, QueryError> {
         self.check(u)?;
         self.check(v)?;
@@ -305,26 +304,6 @@ impl DistanceOracle {
     pub fn sampled_witness(&self, v: NodeId) -> Result<Option<(u32, NodeId)>, QueryError> {
         self.check(v)?;
         Ok(self.witness.get(1).and_then(|w| nearest(w, v)))
-    }
-
-    /// The landmark leg `δ(w, u)` resolved through `u`'s bunch, where `w`
-    /// must be a level-1 witness (a member of `A_1`); returns
-    /// [`UNREACHABLE`] if `w ∉ B(u)` (different component).
-    ///
-    /// For `k = 2` this is exactly the tail of the query chain after a
-    /// direct-probe miss: every reachable `A_1` vertex lies in every
-    /// bunch (the top level has no truncation), so
-    /// `query(u, v) = δ(v, p_1(v)) + landmark_leg(p_1(v), u)` whenever the
-    /// direct probe misses. The value is a pure function of `(w, u)` —
-    /// the soundness basis for landmark-bucket result caching (see
-    /// DESIGN.md §2.11).
-    pub fn landmark_leg(&self, w: NodeId, u: NodeId) -> Result<u32, QueryError> {
-        self.check(w)?;
-        self.check(u)?;
-        if w == u {
-            return Ok(0);
-        }
-        Ok(self.bunch.get(w, u).unwrap_or(UNREACHABLE))
     }
 
     /// The (2k−1)-spanner induced by the oracle's shortest-path trees.
@@ -486,8 +465,6 @@ mod tests {
         assert!(oracle.direct_distance(bad, NodeId(0)).is_err());
         assert!(oracle.direct_distance(NodeId(0), bad).is_err());
         assert!(oracle.sampled_witness(bad).is_err());
-        assert!(oracle.landmark_leg(bad, NodeId(0)).is_err());
-        assert!(oracle.landmark_leg(NodeId(0), bad).is_err());
     }
 
     #[test]
@@ -508,37 +485,6 @@ mod tests {
             max_probes = max_probes.max(cost.bunch_probes);
         }
         assert!(max_probes >= 1);
-    }
-
-    /// The serving layer's decomposition (direct probe, then landmark leg
-    /// through the level-1 witness of the second endpoint) must reproduce
-    /// `query` exactly for k = 2 — on connected and disconnected graphs.
-    #[test]
-    fn decomposed_k2_query_matches_query() {
-        let graphs = [
-            generators::connected_gnm(80, 300, 21),
-            Graph::from_edges(9, [(0u32, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8)]),
-            generators::grid(5, 7),
-        ];
-        for (gi, g) in graphs.iter().enumerate() {
-            let oracle = DistanceOracle::build(g, 2, 17);
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    let expect = oracle.query(u, v);
-                    let got = match oracle.direct_distance(u, v).unwrap() {
-                        Some(d) => d,
-                        None => match oracle.sampled_witness(v).unwrap() {
-                            None => UNREACHABLE,
-                            Some((dv, w)) => match oracle.landmark_leg(w, u).unwrap() {
-                                UNREACHABLE => UNREACHABLE,
-                                leg => dv + leg,
-                            },
-                        },
-                    };
-                    assert_eq!(got, expect, "graph {gi}, pair ({u},{v})");
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //! * **batched execution** fanned over the shared worker-pool idiom
 //!   (`spanner_graph::pool`), with responses *and* counters
 //!   byte-identical at every thread count ([`server`] module docs);
-//! * a bounded **LRU result cache** keyed on (landmark bucket, endpoint)
-//!   pairs — the part of a k = 2 oracle query that is a pure function of
-//!   a small key shared by many sources ([`cache`]);
 //! * deterministic **mixed workloads** (Zipf + uniform) for the
 //!   `serve_loadgen` benchmark driver ([`workload`]).
 //!
@@ -32,7 +29,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod protocol;
 pub mod server;
 pub mod workload;

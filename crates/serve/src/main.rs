@@ -1,7 +1,7 @@
 //! The `spanner-serve` binary: the query server over stdio or TCP.
 //!
 //! ```text
-//! spanner-serve [--threads N] [--cache N] [--listen ADDR [--max-conns N]]
+//! spanner-serve [--threads N] [--listen ADDR [--max-conns N]]
 //!               [--load SPEC [--k K] [--seed S] [--routing]]
 //! ```
 //!
@@ -27,7 +27,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: spanner-serve [--threads N] [--cache N] [--listen ADDR [--max-conns N]]\n\
+        "usage: spanner-serve [--threads N] [--listen ADDR [--max-conns N]]\n\
          \x20                    [--load SPEC [--k K] [--seed S] [--routing]]\n\
          Serves the PROTOCOL.md line protocol on stdin/stdout (default) or TCP."
     );
@@ -56,9 +56,6 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--threads" => {
                 args.cfg.threads = value("--threads").parse().unwrap_or_else(|_| usage())
-            }
-            "--cache" => {
-                args.cfg.cache_capacity = value("--cache").parse().unwrap_or_else(|_| usage())
             }
             "--listen" => args.listen = Some(value("--listen")),
             "--max-conns" => {

@@ -44,8 +44,6 @@ pub enum Command {
     /// `SAVE <path>` — persist the loaded graph and its parameters as a
     /// `spanner-store` snapshot directory at `path`.
     Save(String),
-    /// `FLUSH` — clear the result cache (counters are kept).
-    Flush,
     /// `PING` — liveness check.
     Ping,
     /// `QUIT` — end the session.
@@ -57,8 +55,7 @@ pub enum Command {
 pub struct LoadRequest {
     /// The graph to build.
     pub spec: GraphSpec,
-    /// Oracle levels (stretch 2k−1). Default 2 — the landmark
-    /// configuration the result cache is designed for.
+    /// Oracle levels (stretch 2k−1). Default 2.
     pub k: u32,
     /// Sampling seed shared by the oracle and the routing scheme.
     /// Default 1.
@@ -231,8 +228,6 @@ impl std::error::Error for WireError {}
 pub const OK_PONG: &str = "OK PONG";
 /// Response line for `QUIT`.
 pub const OK_BYE: &str = "OK BYE";
-/// Response line for `FLUSH`.
-pub const OK_FLUSHED: &str = "OK FLUSHED";
 
 /// Formats a distance response: `OK <d>` or `OK UNREACHABLE` for
 /// disconnected pairs.
@@ -319,10 +314,6 @@ pub fn parse_command(line: &str) -> Result<Command, WireError> {
         "STATS" => {
             expect_arity(&tokens, 0, "STATS")?;
             Ok(Command::Stats)
-        }
-        "FLUSH" => {
-            expect_arity(&tokens, 0, "FLUSH")?;
-            Ok(Command::Flush)
         }
         "PING" => {
             expect_arity(&tokens, 0, "PING")?;

@@ -2,25 +2,19 @@
 //!
 //! # Execution model (DESIGN.md §2.11)
 //!
-//! A batch of queries runs through four phases, alternating parallel and
-//! sequential so that **both responses and counters are byte-identical at
-//! every thread count**:
+//! A batch of queries runs through two phases, so that **both responses
+//! and counters are byte-identical at every thread count**:
 //!
-//! 1. **Resolve** (parallel) — parse-level validation, the direct bunch
-//!    probe, witness lookup; pure reads of the oracle, each worker writing
-//!    its own contiguous chunk of the batch as split by
+//! 1. **Resolve** (parallel) — validation, the oracle query or route,
+//!    and response formatting; pure reads of the loaded state, each
+//!    worker writing its own contiguous chunk of the batch as split by
 //!    [`spanner_graph::pool::for_each_region`].
-//! 2. **Probe** (sequential, request order) — consult the LRU cache for
-//!    every request that needs a landmark leg; hits resolve, misses are
-//!    marked. All cache mutation and hit/miss accounting happens here.
-//! 3. **Compute** (parallel) — landmark legs for the misses and response
-//!    formatting for everything; pure reads again.
-//! 4. **Commit** (sequential, request order) — insert computed legs into
-//!    the cache, accumulate per-query cost counters.
+//! 2. **Commit** (sequential, request order) — accumulate each query's
+//!    cost counters.
 //!
-//! The parallel phases touch no shared mutable state, so the only
+//! The parallel phase touches no shared mutable state, so the only
 //! scheduling freedom is *when* pure values are computed — never what
-//! they are, and never the order cache/counter state evolves in.
+//! they are, and never the order the counters evolve in.
 
 use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -28,16 +22,14 @@ use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
 
-use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::pool::for_each_region;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_oracle::{DistanceOracle, RoutingScheme};
 use spanner_store::{Edit, SnapshotMeta, Store};
 
-use crate::cache::{pack_key, LruCache};
 use crate::protocol::{
     format_dist, format_route, parse_command, Command, GraphSpec, LoadRequest, WireError, MAX_LINE,
-    MAX_N, OK_BYE, OK_FLUSHED, OK_PONG,
+    MAX_N, OK_BYE, OK_PONG,
 };
 
 /// Below this many requests per worker the batch runs inline — the spawn
@@ -49,8 +41,8 @@ const MIN_PER_WORKER: usize = 8;
 pub struct ServeConfig {
     /// Fan-out width for batched query execution (≥ 1).
     pub threads: usize,
-    /// Capacity of the landmark-leg result cache, in entries; 0 disables
-    /// caching.
+    /// Unused: the server keeps no result cache. Kept only so the repo
+    /// benchmark package, which sets it, builds unchanged.
     pub cache_capacity: usize,
 }
 
@@ -58,7 +50,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             threads: 1,
-            cache_capacity: 1 << 16,
+            cache_capacity: 0,
         }
     }
 }
@@ -67,7 +59,7 @@ impl Default for ServeConfig {
 ///
 /// Every field is deterministic in the request stream alone — thread
 /// count cannot change any value, because all counter mutation happens in
-/// the sequential phases of the batch pipeline.
+/// the sequential commit phase of the batch pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Total queries executed (DIST + ROUTE, including erroneous ones).
@@ -78,14 +70,14 @@ pub struct ServeStats {
     pub route_queries: u64,
     /// Queries answered with an `ERR` response.
     pub errors: u64,
-    /// Landmark-leg cache hits.
+    /// Always 0: the server keeps no result cache. The three `cache_*`
+    /// fields are kept only so the repo benchmark package, which reads
+    /// them, builds unchanged; `STATS` does not print them.
     pub cache_hits: u64,
-    /// Landmark-leg cache misses (the leg was computed and inserted).
+    /// Always 0 (see `cache_hits`).
     pub cache_misses: u64,
-    /// Entries evicted to make room.
+    /// Always 0 (see `cache_hits`).
     pub cache_evictions: u64,
-    /// DIST queries ineligible for the cache (oracle built with k ≠ 2).
-    pub cache_bypass: u64,
     /// Bunch-table probes performed by query execution.
     pub bunch_probes: u64,
     /// Witness-array reads performed by query execution.
@@ -122,57 +114,24 @@ pub enum QueryReq {
     Invalid(WireError),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 enum Kind {
     Dist,
     Route,
+    #[default]
     Error,
 }
 
-#[derive(Debug)]
-enum Work {
-    /// Final response line already known.
-    Ready(String),
-    /// Distance fully resolved; formatting pending.
-    Val(u32),
-    /// Awaiting the landmark leg δ(w, u); `dv` = δ(v, w).
-    Leg { w: u32, u: u32, dv: u32 },
-    /// Route resolved; formatting pending.
-    Path(Option<Vec<NodeId>>),
-}
-
-struct Partial {
-    work: Work,
+/// One resolved query: its response line and what it adds to the
+/// counters.
+#[derive(Default)]
+struct Outcome {
+    line: String,
     kind: Kind,
     bunch_probes: u32,
     witness_reads: u32,
     route_hops: u32,
     resp_words: u32,
-    bypass: bool,
-    insert: Option<(u64, u32)>,
-}
-
-impl Default for Partial {
-    fn default() -> Self {
-        Partial {
-            work: Work::Val(0),
-            kind: Kind::Error,
-            bunch_probes: 0,
-            witness_reads: 0,
-            route_hops: 0,
-            resp_words: 0,
-            bypass: false,
-            insert: None,
-        }
-    }
-}
-
-fn combine(dv: u32, leg: u32) -> u32 {
-    if leg == UNREACHABLE {
-        UNREACHABLE
-    } else {
-        dv + leg
-    }
 }
 
 /// Runs `f(i, &mut items[i])` for every index, fanned over at most
@@ -194,24 +153,21 @@ where
     });
 }
 
-/// The query server: loaded oracle/routing state, the result cache, and
-/// the counters. One server may outlive many [`Session`]s (state persists
-/// across connections).
+/// The query server: loaded oracle/routing state and the counters. One
+/// server may outlive many [`Session`]s (state persists across
+/// connections).
 pub struct Server {
     cfg: ServeConfig,
     state: Option<Loaded>,
-    cache: LruCache,
     stats: ServeStats,
 }
 
 impl Server {
     /// A server with no graph loaded.
     pub fn new(cfg: ServeConfig) -> Self {
-        let cache = LruCache::new(cfg.cache_capacity);
         Server {
             cfg,
             state: None,
-            cache,
             stats: ServeStats::default(),
         }
     }
@@ -227,9 +183,8 @@ impl Server {
     }
 
     /// Builds the graph named by `req`, then the oracle (and routing
-    /// tables when requested) over it, replacing any previous state. The
-    /// result cache is cleared — its entries are meaningless for the new
-    /// graph — but counters persist. Returns the `OK` response line.
+    /// tables when requested) over it, replacing any previous state;
+    /// counters persist. Returns the `OK` response line.
     ///
     /// A `snapshot:` spec is the O(size) path: the graph (and the
     /// parameters to rebuild the oracle with) come from the snapshot
@@ -259,7 +214,6 @@ impl Server {
             graph: g,
             seed,
         });
-        self.cache.clear();
         Ok(format!(
             "OK n={nodes} m={edges} k={k} landmarks={landmarks}"
         ))
@@ -284,13 +238,6 @@ impl Server {
         Ok(format!("OK SAVED n={} m={}", state.nodes, state.edges))
     }
 
-    /// Clears the result cache (counters are kept). Returns the `OK`
-    /// response line.
-    pub fn flush(&mut self) -> String {
-        self.cache.clear();
-        OK_FLUSHED.to_string()
-    }
-
     /// The one-line `STATS` response.
     pub fn stats_line(&self) -> String {
         let (nodes, edges, k, landmarks) = match &self.state {
@@ -308,19 +255,11 @@ impl Server {
         let st = &self.stats;
         format!(
             "OK nodes={nodes} edges={edges} k={k} landmarks={landmarks} queries={} dist={} \
-             route={} errors={} cache_hits={} cache_misses={} cache_evictions={} cache_bypass={} \
-             cache_len={} cache_cap={} bunch_probes={} witness_reads={} route_hops={} \
-             resp_words={}",
+             route={} errors={} bunch_probes={} witness_reads={} route_hops={} resp_words={}",
             st.queries,
             st.dist_queries,
             st.route_queries,
             st.errors,
-            st.cache_hits,
-            st.cache_misses,
-            st.cache_evictions,
-            st.cache_bypass,
-            self.cache.len(),
-            self.cache.capacity(),
             st.bunch_probes,
             st.witness_reads,
             st.route_hops,
@@ -330,167 +269,85 @@ impl Server {
 
     /// Executes a slice of queries as one batch and returns one response
     /// line per query, in request order. See the module docs for the
-    /// four-phase pipeline and its determinism guarantees.
+    /// two-phase pipeline and its determinism guarantees.
     pub fn run_queries(&mut self, reqs: &[QueryReq]) -> Vec<String> {
-        let mut parts: Vec<Partial> = Vec::with_capacity(reqs.len());
-        parts.resize_with(reqs.len(), Partial::default);
+        let mut outcomes: Vec<Outcome> = Vec::with_capacity(reqs.len());
+        outcomes.resize_with(reqs.len(), Outcome::default);
 
         // Phase 1 — Resolve (parallel, pure).
         let state = self.state.as_ref();
-        fan_out(self.cfg.threads, &mut parts, |i, part| {
-            *part = resolve(state, &reqs[i]);
+        fan_out(self.cfg.threads, &mut outcomes, |i, out| {
+            *out = resolve(state, &reqs[i]);
         });
 
-        // Phase 2 — Probe (sequential, request order).
-        for part in parts.iter_mut() {
-            if let Work::Leg { w, u, dv } = part.work {
-                match self.cache.get(pack_key(w, u)) {
-                    Some(leg) => {
-                        self.stats.cache_hits += 1;
-                        part.work = Work::Val(combine(dv, leg));
-                    }
-                    None => self.stats.cache_misses += 1,
+        // Phase 2 — Commit (sequential, request order).
+        let st = &mut self.stats;
+        outcomes
+            .into_iter()
+            .map(|out| {
+                st.queries += 1;
+                match out.kind {
+                    Kind::Dist => st.dist_queries += 1,
+                    Kind::Route => st.route_queries += 1,
+                    Kind::Error => st.errors += 1,
                 }
-            }
-        }
-
-        // Phase 3 — Compute (parallel, pure): legs for misses, formatting
-        // for everything.
-        fan_out(self.cfg.threads, &mut parts, |_, part| {
-            let work = std::mem::replace(&mut part.work, Work::Val(0));
-            let line = match work {
-                Work::Ready(line) => line,
-                Work::Val(d) => {
-                    part.resp_words = 1;
-                    format_dist(d)
-                }
-                Work::Leg { w, u, dv } => {
-                    let oracle = &state.expect("Leg work implies loaded state").oracle;
-                    let leg = oracle
-                        .landmark_leg(NodeId(w), NodeId(u))
-                        .expect("ids validated");
-                    if w != u {
-                        part.bunch_probes += 1;
-                    }
-                    part.insert = Some((pack_key(w, u), leg));
-                    part.resp_words = 1;
-                    format_dist(combine(dv, leg))
-                }
-                Work::Path(path) => {
-                    part.resp_words = 1 + path.as_ref().map_or(0, |p| p.len() as u32);
-                    format_route(path.as_deref())
-                }
-            };
-            part.work = Work::Ready(line);
-        });
-
-        // Phase 4 — Commit (sequential, request order).
-        let mut responses = Vec::with_capacity(parts.len());
-        for part in parts {
-            if let Some((key, leg)) = part.insert {
-                if self.cache.insert(key, leg) {
-                    self.stats.cache_evictions += 1;
-                }
-            }
-            self.stats.queries += 1;
-            match part.kind {
-                Kind::Dist => self.stats.dist_queries += 1,
-                Kind::Route => self.stats.route_queries += 1,
-                Kind::Error => self.stats.errors += 1,
-            }
-            if part.bypass {
-                self.stats.cache_bypass += 1;
-            }
-            self.stats.bunch_probes += part.bunch_probes as u64;
-            self.stats.witness_reads += part.witness_reads as u64;
-            self.stats.route_hops += part.route_hops as u64;
-            self.stats.resp_words += part.resp_words as u64;
-            match part.work {
-                Work::Ready(line) => responses.push(line),
-                _ => unreachable!("phase 3 formats every response"),
-            }
-        }
-        responses
+                st.bunch_probes += out.bunch_probes as u64;
+                st.witness_reads += out.witness_reads as u64;
+                st.route_hops += out.route_hops as u64;
+                st.resp_words += out.resp_words as u64;
+                out.line
+            })
+            .collect()
     }
 }
 
-/// Phase-1 resolution of one request: validation, the direct probe, the
-/// witness lookup (or the full query chain when k ≠ 2). Pure.
-fn resolve(state: Option<&Loaded>, req: &QueryReq) -> Partial {
-    let mut part = Partial::default();
-    let err = |part: &mut Partial, e: WireError| {
-        part.kind = Kind::Error;
-        part.work = Work::Ready(e.line());
+/// Phase-1 resolution of one request: validation, then the oracle query
+/// or the route, formatted. Pure.
+fn resolve(state: Option<&Loaded>, req: &QueryReq) -> Outcome {
+    let error = |e: WireError| Outcome {
+        line: e.line(),
+        ..Outcome::default()
     };
     let (u, v, is_route) = match req {
-        QueryReq::Invalid(e) => {
-            err(&mut part, e.clone());
-            return part;
-        }
+        QueryReq::Invalid(e) => return error(e.clone()),
         QueryReq::Dist(u, v) => (*u, *v, false),
         QueryReq::Route(u, v) => (*u, *v, true),
     };
     let Some(state) = state else {
-        err(&mut part, WireError::no_graph());
-        return part;
+        return error(WireError::no_graph());
     };
     let nodes = state.nodes;
-    for id in [u, v] {
-        if id as usize >= nodes {
-            err(&mut part, WireError::unknown_node(id, nodes));
-            return part;
-        }
+    if let Some(&id) = [u, v].iter().find(|&&id| id as usize >= nodes) {
+        return error(WireError::unknown_node(id, nodes));
     }
     if is_route {
         let Some(routing) = &state.routing else {
-            err(&mut part, WireError::no_routing());
-            return part;
+            return error(WireError::no_routing());
         };
-        part.kind = Kind::Route;
         let path = routing
             .try_route(NodeId(u), NodeId(v))
             .expect("ids validated");
-        part.route_hops = path.as_ref().map_or(0, |p| (p.len() - 1) as u32);
-        part.work = Work::Path(path);
-        return part;
+        let len = path.as_ref().map_or(0, |p| p.len() as u32);
+        return Outcome {
+            line: format_route(path.as_deref()),
+            kind: Kind::Route,
+            route_hops: len.saturating_sub(1),
+            resp_words: 1 + len,
+            ..Outcome::default()
+        };
     }
-    part.kind = Kind::Dist;
-    let oracle = &state.oracle;
-    if oracle.k() != 2 {
-        // The cache key is only sound for the k = 2 landmark chain; other
-        // configurations run the full query uncached.
-        part.bypass = true;
-        let (d, cost) = oracle
-            .query_cost(NodeId(u), NodeId(v))
-            .expect("ids validated");
-        part.bunch_probes = cost.bunch_probes;
-        part.witness_reads = cost.witness_reads;
-        part.work = Work::Val(d);
-        return part;
+    let (d, cost) = state
+        .oracle
+        .query_cost(NodeId(u), NodeId(v))
+        .expect("ids validated");
+    Outcome {
+        line: format_dist(d),
+        kind: Kind::Dist,
+        bunch_probes: cost.bunch_probes,
+        witness_reads: cost.witness_reads,
+        resp_words: 1,
+        ..Outcome::default()
     }
-    // k = 2 decomposition (byte-identical to `oracle.query`): direct
-    // probe first — exact, tighter than any landmark leg — then the
-    // landmark leg through p_1(v), which is what the cache serves.
-    match oracle
-        .direct_distance(NodeId(u), NodeId(v))
-        .expect("ids validated")
-    {
-        Some(d) => {
-            if u != v {
-                part.bunch_probes = 1;
-            }
-            part.work = Work::Val(d);
-        }
-        None => {
-            part.bunch_probes = 1;
-            part.witness_reads = 1;
-            match oracle.sampled_witness(NodeId(v)).expect("ids validated") {
-                None => part.work = Work::Val(UNREACHABLE),
-                Some((dv, w)) => part.work = Work::Leg { w: w.0, u, dv },
-            }
-        }
-    }
-    part
 }
 
 /// Opens the snapshot at `path` and reconstructs the served graph: the
@@ -680,10 +537,6 @@ impl Session {
                     Ok(okline) => writeln!(output, "{okline}")?,
                     Err(e) => writeln!(output, "{}", e.line())?,
                 },
-                Ok(Command::Flush) => {
-                    let resp = self.server.flush();
-                    writeln!(output, "{resp}")?;
-                }
                 Ok(Command::Ping) => writeln!(output, "{OK_PONG}")?,
                 Ok(Command::Quit) => {
                     writeln!(output, "{OK_BYE}")?;

@@ -1,6 +1,6 @@
 //! Integration tests for the serve layer: response correctness against
 //! the oracle, thread-count determinism of responses *and* counters,
-//! the error taxonomy, cache behavior, and the TCP front end.
+//! the error taxonomy, and the TCP front end.
 
 use std::io::{BufRead, BufReader, Write};
 
@@ -18,8 +18,8 @@ fn session(threads: usize) -> Session {
     }))
 }
 
-/// Every DIST response must equal `oracle.query` — the cache and the
-/// batching pipeline may never change an answer.
+/// Every DIST response must equal `oracle.query` — the batching pipeline
+/// may never change an answer.
 #[test]
 fn dist_matches_oracle_on_all_pairs() {
     let g = generators::connected_gnm(60, 180, 3);
@@ -57,12 +57,6 @@ fn dist_matches_oracle_on_all_pairs() {
             i += 1;
         }
     }
-    // Re-running the same queries with a warm cache gives identical
-    // responses and strictly more hits.
-    let before = s.server().stats().cache_hits;
-    let again = s.server_mut().run_queries(&reqs);
-    assert_eq!(resps, again);
-    assert!(s.server().stats().cache_hits > before);
 }
 
 #[test]
@@ -133,13 +127,11 @@ fn identical_streams_identical_responses_at_threads_1_and_8() {
     let out1 = session(1).handle_script(&script);
     let out8 = session(8).handle_script(&script);
     assert_eq!(out1, out8);
-    // Sanity: the stream actually exercised the cache.
+    // Sanity: the stream ran both query kinds without errors.
     let stats_line = out1.lines().last().unwrap();
-    assert!(stats_line.contains("cache_hits="), "{stats_line}");
-    assert!(
-        !stats_line.contains("cache_hits=0 "),
-        "no hits: {stats_line}"
-    );
+    assert!(stats_line.contains(" errors=0 "), "{stats_line}");
+    assert!(!stats_line.contains(" dist=0 "), "{stats_line}");
+    assert!(!stats_line.contains(" route=0 "), "{stats_line}");
 }
 
 #[test]
@@ -284,7 +276,7 @@ fn batch_preserves_request_order_with_mixed_validity() {
          DIST 0 5\n\
          DIST 42 0\n\
          DIST 3 3\n\
-         FLUSH\n\
+         STATS\n\
          DIST 0 1\n",
     );
     let lines: Vec<&str> = out.lines().collect();
@@ -297,79 +289,63 @@ fn batch_preserves_request_order_with_mixed_validity() {
     assert_eq!(lines[4], "OK 0");
     assert_eq!(
         lines[5],
-        "ERR UNSUPPORTED only DIST and ROUTE are allowed in a batch, got FLUSH"
+        "ERR UNSUPPORTED only DIST and ROUTE are allowed in a batch, got STATS"
     );
     assert_eq!(lines[6], "OK 1");
 }
 
+/// DIST takes one path for every k: each response equals `oracle.query`,
+/// and the `bunch_probes` / `witness_reads` counters are the sums of
+/// `oracle.query_cost` over the stream, at 1 and at 8 threads.
 #[test]
-fn cache_counters_and_flush() {
-    let mut s = session(1);
-    s.handle_script("LOAD er:n=200,m=800,seed=4\n");
-    // Two distinct sources sharing a target resolve through landmark legs;
-    // repeats hit.
-    let reqs: Vec<QueryReq> = (0..50u32).flat_map(|u| [QueryReq::Dist(u, 150)]).collect();
-    s.server_mut().run_queries(&reqs);
-    let first = *s.server().stats();
-    s.server_mut().run_queries(&reqs);
-    let second = *s.server().stats();
-    assert!(second.cache_hits >= first.cache_hits + (first.cache_misses - first.cache_evictions));
-    // FLUSH empties the cache: the same stream misses again.
-    let out = s.handle_script("FLUSH\n");
-    assert_eq!(out, "OK FLUSHED\n");
-    s.server_mut().run_queries(&reqs);
-    let third = *s.server().stats();
-    assert!(third.cache_misses > second.cache_misses);
-    // Counters survive FLUSH (monotonic), and the stats line reflects
-    // cache_len after the reload.
-    assert!(third.queries == second.queries + reqs.len() as u64);
-}
-
-#[test]
-fn tiny_cache_capacity_is_respected() {
-    let mut s = Session::new(Server::new(ServeConfig {
-        threads: 2,
-        cache_capacity: 4,
-    }));
-    s.handle_script("LOAD er:n=100,m=400,seed=8\n");
-    let reqs: Vec<QueryReq> = (0..80u32)
-        .map(|u| QueryReq::Dist(u, (u + 31) % 100))
-        .collect();
-    s.server_mut().run_queries(&reqs);
-    let line = s.server().stats_line();
-    assert!(line.contains("cache_cap=4"), "{line}");
-    let len: u64 = line
-        .split_whitespace()
-        .find_map(|f| f.strip_prefix("cache_len=").and_then(|v| v.parse().ok()))
-        .unwrap();
-    assert!(len <= 4, "{line}");
-    assert!(s.server().stats().cache_evictions > 0);
-}
-
-#[test]
-fn k_not_2_bypasses_cache_and_matches_oracle() {
+fn dist_takes_one_query_path_for_every_k() {
     let g = generators::connected_gnm(80, 320, 6);
-    let oracle = DistanceOracle::build(&g, 3, 2);
-    let mut s = session(2);
-    s.handle_script("LOAD er:n=80,m=320,seed=6 k=3 seed=2\n");
-    let reqs: Vec<QueryReq> = (0..80u32).map(|u| QueryReq::Dist(u, 79 - u)).collect();
-    let resps = s.server_mut().run_queries(&reqs);
-    for (u, resp) in resps.iter().enumerate() {
-        let d = oracle.query(NodeId(u as u32), NodeId(79 - u as u32));
-        let expect = if d == UNREACHABLE {
-            "OK UNREACHABLE".to_string()
-        } else {
-            format!("OK {d}")
-        };
-        assert_eq!(*resp, expect);
+    let reqs: Vec<QueryReq> = (0..80u32)
+        .flat_map(|u| [QueryReq::Dist(u, 79 - u), QueryReq::Dist(u, (u * 7) % 80)])
+        .collect();
+    for k in 1..=4u32 {
+        let oracle = DistanceOracle::build(&g, k, 2);
+        let (mut probes, mut reads) = (0u64, 0u64);
+        let expect: Vec<String> = reqs
+            .iter()
+            .map(|req| {
+                let QueryReq::Dist(u, v) = *req else {
+                    unreachable!("DIST-only stream")
+                };
+                let (d, cost) = oracle.query_cost(NodeId(u), NodeId(v)).unwrap();
+                probes += cost.bunch_probes as u64;
+                reads += cost.witness_reads as u64;
+                if d == UNREACHABLE {
+                    "OK UNREACHABLE".to_string()
+                } else {
+                    format!("OK {d}")
+                }
+            })
+            .collect();
+        for threads in [1usize, 8] {
+            let mut s = session(threads);
+            let out = s.handle_script(&format!("LOAD er:n=80,m=320,seed=6 k={k} seed=2\n"));
+            assert_eq!(out, format!("OK n=80 m=320 k={k} landmarks=-\n"));
+            let resps = s.server_mut().run_queries(&reqs);
+            assert_eq!(resps, expect, "k = {k}, threads = {threads}");
+            let st = s.server().stats();
+            assert_eq!(st.dist_queries, reqs.len() as u64);
+            assert_eq!(st.bunch_probes, probes, "k = {k}, threads = {threads}");
+            assert_eq!(st.witness_reads, reads, "k = {k}, threads = {threads}");
+        }
     }
-    let st = s.server().stats();
+}
+
+/// `FLUSH` is not a command: it gets the same `PARSE` error as any
+/// unknown command, and the session keeps serving.
+#[test]
+fn flush_is_an_unknown_command() {
+    let out = session(1).handle_script("LOAD path:n=3\nFLUSH\nNONSENSE\nDIST 0 2\n");
     assert_eq!(
-        st.cache_hits + st.cache_misses,
-        0,
-        "k=3 must bypass the cache"
+        out,
+        "OK n=3 m=2 k=2 landmarks=-\nERR PARSE unknown command FLUSH\n\
+         ERR PARSE unknown command NONSENSE\nOK 2\n"
     );
-    assert_eq!(st.cache_bypass, 80);
 }
 
 /// The TCP front end serves the same protocol; state persists across

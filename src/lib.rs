@@ -13,8 +13,7 @@
 //! * [`oracle`] — approximate distance oracles (the conclusion's
 //!   application domain),
 //! * [`serve`] — the batched distance/routing query server over the
-//!   oracle (PROTOCOL.md line protocol, result cache, load generator
-//!   workloads),
+//!   oracle (PROTOCOL.md line protocol, load generator workloads),
 //! * [`store`] — versioned on-disk snapshots of graphs and built
 //!   spanners plus the log-structured incremental update path
 //!   (WAL-buffered edits, dirty-region recluster compaction).

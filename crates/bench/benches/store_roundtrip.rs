@@ -5,7 +5,8 @@
 //! brought back in O(size-on-disk) instead of O(construction): this bench
 //! measures both sides at the same scale — the distributed skeleton
 //! construction over a connected G(n, m) CSR, then `Store::save` and
-//! `Store::open` of the same (graph, spanner) pair — and certifies the
+//! `Store::open` of the same (graph, spanner) pair, interleaved over five
+//! samples and each reported as {min, median, max} — and certifies the
 //! round trip on the way:
 //!
 //! * **lossless**: the reopened state reproduces the CSR, the spanner
@@ -22,25 +23,21 @@
 //! * `--json <path>` — write the results there (the committed copy is
 //!   `BENCH_store.json` at the repo root);
 //! * `STORE_ROUNDTRIP_ASSERT=1` — fail (panic) unless loading beats
-//!   rebuilding by ≥ 10× (skipped at `tiny`, where both sides are
-//!   microseconds and the ratio is noise). The parity and byte-identity
+//!   rebuilding by ≥ 10×, minimum against minimum (skipped at `tiny`,
+//!   where both sides are microseconds and the ratio is noise). The parity and byte-identity
 //!   asserts above run unconditionally.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
-use std::time::Instant;
 
-use spanner_bench::{json_out_arg, peak_rss_bytes, write_json, Scale};
+use spanner_bench::report::{self, Json};
+use spanner_bench::{json_out_arg, peak_rss_bytes, timed, write_json, Scale};
 use spanner_graph::generators;
 use spanner_store::{scratch_dir, SnapshotMeta, Store};
 use ultrasparse::skeleton::{distributed as skel, SkeletonParams};
 
-/// Total bytes of every file in the snapshot directory.
-fn dir_bytes(dir: &std::path::Path) -> u64 {
-    std::fs::read_dir(dir)
-        .expect("snapshot dir")
-        .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
-        .sum()
-}
+/// Timed rounds of build, save and load.
+const SAMPLES: usize = 5;
 
 /// The files of a snapshot directory as sorted (name, bytes) pairs.
 fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
@@ -60,67 +57,73 @@ fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 fn main() {
     let scale = Scale::from_args(&Scale::ALL);
     let json_path = json_out_arg();
-    // Per tier: n and the samples the save/load timings take the best of
-    // (the build runs once); m = 4n.
-    let (n, samples) = match scale {
-        Scale::Tiny => (1 << 10, 3),
-        Scale::Quick => (1 << 14, 3),
-        Scale::Full => (1 << 17, 3),
-        Scale::Huge => (1 << 20, 2),
+    let n = match scale {
+        Scale::Tiny => 1 << 10,
+        Scale::Quick => 1 << 14,
+        Scale::Full => 1 << 17,
+        Scale::Huge => 1 << 20,
     };
     let (m, seed) = (4 * n, 42u64);
     println!(
-        "store_roundtrip: scale = {}, n = {n}, m = {m}",
+        "store_roundtrip: scale = {}, n = {n}, m = {m}, {SAMPLES} samples",
         scale.name()
     );
 
     let csr = Arc::new(generators::connected_gnm_csr(n, m, seed));
     let params = SkeletonParams::default();
-
-    // The rebuild side: one distributed skeleton construction.
-    let start = Instant::now();
-    let spanner = skel::build_distributed_csr(&csr, &params, seed).expect("skeleton build");
-    let build_secs = start.elapsed().as_secs_f64();
-    let pairs: Vec<(u32, u32)> = csr
-        .forward_edges()
-        .filter(|&(e, _, _)| spanner.edges.contains(e))
-        .map(|(_, a, b)| (a.0, b.0))
-        .collect();
-    println!("build: {build_secs:.3}s, |S| = {}", pairs.len());
-
-    // The persistence side: save once per sample into a fresh directory
-    // (best-of over samples), then reopen the last one.
     let meta = SnapshotMeta {
         k: 2,
         seed,
         routing: false,
     };
     let dir = scratch_dir("bench-roundtrip");
-    let mut save_secs = f64::INFINITY;
-    for _ in 0..samples {
-        std::fs::remove_dir_all(&dir).ok();
-        let start = Instant::now();
-        Store::save(&dir, &csr, &pairs, meta).expect("save");
-        save_secs = save_secs.min(start.elapsed().as_secs_f64());
-    }
-    let snapshot_bytes = dir_bytes(&dir);
 
-    let mut load_secs = f64::INFINITY;
+    // One round: the rebuild side (a distributed skeleton construction),
+    // then a save into a fresh directory of the first build's spanner,
+    // then a reopen of that directory. Every build yields the same
+    // spanner.
+    let pairs = OnceCell::new();
     let mut state = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        state = Some(Store::open(&dir).expect("open"));
-        load_secs = load_secs.min(start.elapsed().as_secs_f64());
-    }
+    let mut build = || {
+        let (spanner, secs) = timed(|| skel::build_distributed_csr(&csr, &params, seed));
+        let spanner = spanner.expect("skeleton build");
+        pairs.get_or_init(|| {
+            csr.forward_edges()
+                .filter(|&(e, _, _)| spanner.edges.contains(e))
+                .map(|(_, a, b)| (a.0, b.0))
+                .collect::<Vec<(u32, u32)>>()
+        });
+        secs
+    };
+    let mut save = || {
+        std::fs::remove_dir_all(&dir).ok();
+        let pairs = pairs.get().expect("built this round");
+        timed(|| Store::save(&dir, &csr, pairs, meta).expect("save")).1
+    };
+    let mut load = || {
+        let (opened, secs) = timed(|| Store::open(&dir).expect("open"));
+        state = Some(opened);
+        secs
+    };
+    let secs = report::sample(
+        SAMPLES,
+        &mut [&mut build as &mut dyn FnMut() -> f64, &mut save, &mut load],
+    );
+    let (build_secs, save_secs, load_secs) = (secs[0], secs[1], secs[2]);
     let state = state.expect("at least one sample");
+    let pairs = pairs.get().expect("at least one sample");
+    let snapshot_bytes: usize = dir_contents(&dir).iter().map(|(_, b)| b.len()).sum();
     println!(
-        "save: {save_secs:.3}s ({} bytes), load: {load_secs:.3}s",
-        snapshot_bytes
+        "minima: build {:.3}s (|S| = {}), save {:.3}s ({snapshot_bytes} bytes), load {:.3}s",
+        build_secs.min,
+        pairs.len(),
+        save_secs.min,
+        load_secs.min
     );
 
     // Lossless: the reopened state reproduces graph, spanner, and meta.
     assert_eq!(state.csr.parts(), csr.parts(), "CSR round-trip parity");
-    assert_eq!(state.spanner, pairs, "spanner round-trip parity");
+    assert_eq!(&state.spanner, pairs, "spanner round-trip parity");
     assert_eq!(state.meta, meta, "meta round-trip parity");
     assert!(state.edits.is_empty(), "fresh snapshot has an empty WAL");
 
@@ -135,26 +138,27 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir2).ok();
 
-    let speedup_load = build_secs / load_secs;
-    println!("speedup_load = {speedup_load:.1}x (build / load)");
+    let speedup_load = build_secs.min / load_secs.min;
+    println!("speedup_load = {speedup_load:.1}x (build / load, minima)");
 
     let rss = peak_rss_bytes();
-    let json = format!(
-        "{{\n  \"bench\": \"store_roundtrip\",\n  \"scale\": \"{}\",\n  \"n\": {},\n  \"m\": {},\n  \
-         \"spanner_edges\": {},\n  \"snapshot_bytes\": {},\n  \"build_secs\": {:.6},\n  \
-         \"save_secs\": {:.6},\n  \"load_secs\": {:.6},\n  \"speedup_load\": {:.2},\n  \
-         \"peak_rss_bytes\": {}\n}}\n",
-        scale.name(),
-        n,
-        m,
-        pairs.len(),
-        snapshot_bytes,
-        build_secs,
-        save_secs,
-        load_secs,
-        speedup_load,
-        rss,
-    );
+    let json = Json::obj([
+        ("bench", "store_roundtrip".into()),
+        ("scale", scale.name().into()),
+        (
+            "available_parallelism",
+            report::available_parallelism().into(),
+        ),
+        ("n", n.into()),
+        ("m", m.into()),
+        ("spanner_edges", pairs.len().into()),
+        ("snapshot_bytes", snapshot_bytes.into()),
+        ("build_secs", build_secs.json(6)),
+        ("save_secs", save_secs.json(6)),
+        ("load_secs", load_secs.json(6)),
+        ("speedup_load", Json::Fixed(speedup_load, 2)),
+        ("peak_rss_bytes", rss.into()),
+    ]);
     println!("peak RSS {} MiB", rss / (1 << 20));
     write_json(json_path.as_deref(), &json);
 

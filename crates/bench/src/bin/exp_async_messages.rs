@@ -19,6 +19,7 @@
 //! timings, so CI checks that a full-scale run reproduces the committed
 //! one byte for byte.
 
+use spanner_bench::report::Json;
 use spanner_bench::{
     deny_unknown_args, f2, json_out_arg, timed, workload, write_json, Scale, Table,
 };
@@ -162,34 +163,35 @@ fn main() {
     write_json(json_path.as_deref(), &artifact(&rows));
 }
 
-fn artifact(rows: &[Row]) -> String {
-    let mut runs = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            runs.push_str(",\n");
-        }
-        runs.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, \"skeleton_edges\": {},\n     \
-             \"alpha\": {}, \"skeleton\": {}}}",
-            r.graph,
-            r.n,
-            r.m,
-            r.skel_edges,
-            metrics_json(&r.alpha),
-            metrics_json(&r.skel),
-        ));
-    }
-    format!(
-        "{{\n  \"experiment\": \"exp_async_messages\",\n  \"delay_p\": {DELAY_P},\n  \
-         \"delay_max\": {DELAY_MAX},\n  \"delay_seed\": {DELAY_SEED},\n  \
-         \"seed\": {RUN_SEED},\n  \"runs\": [\n{runs}\n  ]\n}}\n"
-    )
-}
-
-fn metrics_json(m: &RunMetrics) -> String {
-    format!(
-        "{{\"rounds\": {}, \"messages\": {}, \"sync_messages\": {}, \
-         \"events\": {}, \"sim_time\": {}}}",
-        m.rounds, m.messages, m.sync_messages, m.events, m.sim_time
-    )
+/// The artifact: the delay model, then per graph both runs' metrics.
+/// It holds no timings or host facts, so a full-scale run reproduces the
+/// committed file byte for byte.
+fn artifact(rows: &[Row]) -> Json {
+    let metrics = |m: &RunMetrics| {
+        Json::obj([
+            ("rounds", m.rounds.into()),
+            ("messages", m.messages.into()),
+            ("sync_messages", m.sync_messages.into()),
+            ("events", m.events.into()),
+            ("sim_time", m.sim_time.into()),
+        ])
+    };
+    let runs = rows.iter().map(|r| {
+        Json::obj([
+            ("graph", r.graph.into()),
+            ("n", r.n.into()),
+            ("m", r.m.into()),
+            ("skeleton_edges", r.skel_edges.into()),
+            ("alpha", metrics(&r.alpha)),
+            ("skeleton", metrics(&r.skel)),
+        ])
+    });
+    Json::obj([
+        ("experiment", "exp_async_messages".into()),
+        ("delay_p", Json::Fixed(DELAY_P, 1)),
+        ("delay_max", DELAY_MAX.into()),
+        ("delay_seed", DELAY_SEED.into()),
+        ("seed", RUN_SEED.into()),
+        ("runs", Json::Arr(runs.collect())),
+    ])
 }

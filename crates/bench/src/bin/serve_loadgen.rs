@@ -3,6 +3,9 @@
 //! through [`Server::run_queries`] in batches, and reports per-query
 //! latency percentiles and sustained QPS (into the `--json <path>` file,
 //! if given; the committed copy is `BENCH_serve.json` at the repo root).
+//! It takes five samples: each builds a fresh server, serves the whole
+//! stream once, and must answer it exactly as the first did (responses
+//! and `STATS` line); the timings are {min, median, max} over them.
 //!
 //! Defaults reproduce the acceptance workload: an ER graph with
 //! n = 50 000, m = 200 000, and 120 000 mixed queries (80 % drawn from a
@@ -28,22 +31,24 @@
 //! requested) matched — deterministic properties of the seeded workload,
 //! not timing.
 
-use std::time::Instant;
+use std::cell::RefCell;
 
-use spanner_bench::{deny_unknown_args, json_out_arg, parsed_arg, switch_arg, write_json, Scale};
+use spanner_bench::report::{self, Json, Stat};
+use spanner_bench::{
+    deny_unknown_args, json_out_arg, parsed_arg, switch_arg, timed, write_json, Scale,
+};
 use spanner_serve::workload::{generate, QueryPair, WorkloadSpec};
-use spanner_serve::{GraphSpec, LoadRequest, QueryReq, ServeConfig, Server};
+use spanner_serve::{GraphSpec, LoadRequest, QueryReq, ServeConfig, ServeStats, Server};
+
+/// Timed samples, each on a fresh server.
+const SAMPLES: usize = 5;
 
 struct Config {
-    n: usize,
-    m: usize,
-    queries: usize,
+    /// The query stream; `nodes` is the graph's n.
+    spec: WorkloadSpec,
+    m: u64,
     batch: usize,
     threads: usize,
-    zipf_frac: f64,
-    zipf_theta: f64,
-    route_frac: f64,
-    seed: u64,
     verify: bool,
 }
 
@@ -53,15 +58,17 @@ fn parse_config() -> Config {
         parsed_arg(name).unwrap_or(if quick { quick_value } else { full_value })
     };
     let cfg = Config {
-        n: knob("--n", 2_000, 50_000),
-        m: knob("--m", 8_000, 200_000),
-        queries: knob("--queries", 8_000, 120_000),
+        spec: WorkloadSpec {
+            nodes: knob("--n", 2_000, 50_000),
+            queries: knob("--queries", 8_000, 120_000) as usize,
+            zipf_frac: parsed_arg("--zipf-frac").unwrap_or(0.8),
+            zipf_theta: parsed_arg("--zipf-theta").unwrap_or(0.99),
+            route_frac: parsed_arg("--route-frac").unwrap_or(0.0),
+            seed: parsed_arg("--seed").unwrap_or(7),
+        },
+        m: knob("--m", 8_000, 200_000).into(),
         batch: parsed_arg("--batch").unwrap_or(64),
-        threads: knob("--threads", 4, 8),
-        zipf_frac: parsed_arg("--zipf-frac").unwrap_or(0.8),
-        zipf_theta: parsed_arg("--zipf-theta").unwrap_or(0.99),
-        route_frac: parsed_arg("--route-frac").unwrap_or(0.0),
-        seed: parsed_arg("--seed").unwrap_or(7),
+        threads: knob("--threads", 4, 8) as usize,
         verify: switch_arg("--verify"),
     };
     assert!(cfg.batch >= 1, "--batch must be at least 1");
@@ -73,16 +80,17 @@ fn build_server(cfg: &Config, threads: usize) -> Server {
         threads,
         ..ServeConfig::default()
     });
+    let seed = cfg.spec.seed;
     server
         .load(&LoadRequest {
             spec: GraphSpec::Er {
-                n: cfg.n as u32,
-                m: cfg.m as u64,
-                seed: cfg.seed,
+                n: cfg.spec.nodes,
+                m: cfg.m,
+                seed,
             },
             k: 2,
-            seed: cfg.seed,
-            routing: cfg.route_frac > 0.0,
+            seed,
+            routing: cfg.spec.route_frac > 0.0,
         })
         .expect("load acceptance graph");
     server
@@ -106,9 +114,8 @@ fn run_stream(server: &mut Server, reqs: &[QueryReq], batch: usize) -> (Vec<Stri
     let mut responses = Vec::with_capacity(reqs.len());
     let mut lat_us = Vec::with_capacity(reqs.len());
     for chunk in reqs.chunks(batch) {
-        let start = Instant::now();
-        let resp = server.run_queries(chunk);
-        let per_query = start.elapsed().as_secs_f64() * 1e6 / chunk.len() as f64;
+        let (resp, secs) = timed(|| server.run_queries(chunk));
+        let per_query = secs * 1e6 / chunk.len() as f64;
         lat_us.extend(std::iter::repeat_n(per_query, chunk.len()));
         responses.extend(resp);
     }
@@ -125,100 +132,93 @@ fn main() {
     let json_path = json_out_arg();
     deny_unknown_args();
     println!(
-        "serve_loadgen: n = {}, m = {}, {} queries (zipf_frac = {}, theta = {}, \
-         route_frac = {}), batch = {}, threads = {}",
-        cfg.n,
-        cfg.m,
-        cfg.queries,
-        cfg.zipf_frac,
-        cfg.zipf_theta,
-        cfg.route_frac,
-        cfg.batch,
-        cfg.threads
+        "serve_loadgen: m = {}, batch = {}, threads = {}, {:?}",
+        cfg.m, cfg.batch, cfg.threads, cfg.spec
     );
+    let reqs = as_reqs(&generate(&cfg.spec));
 
-    let spec = WorkloadSpec {
-        nodes: cfg.n as u32,
-        queries: cfg.queries,
-        zipf_frac: cfg.zipf_frac,
-        zipf_theta: cfg.zipf_theta,
-        route_frac: cfg.route_frac,
-        seed: cfg.seed,
+    // A sample builds a server, then serves the stream on it; the first
+    // sample's answers are what every later one must repeat.
+    let server = RefCell::new(None);
+    let mut first: Option<(Vec<String>, String, ServeStats)> = None;
+    let (mut qps, mut p50, mut p99) = (Vec::new(), Vec::new(), Vec::new());
+    let mut build = || timed(|| server.replace(Some(build_server(&cfg, cfg.threads)))).1;
+    let mut serve = || {
+        let mut s = server.take().expect("a server built this round");
+        let ((responses, mut lat_us), secs) = timed(|| run_stream(&mut s, &reqs, cfg.batch));
+        lat_us.sort_by(f64::total_cmp);
+        qps.push(cfg.spec.queries as f64 / secs);
+        p50.push(percentile(&lat_us, 0.50));
+        p99.push(percentile(&lat_us, 0.99));
+        match &first {
+            Some((r, line, _)) => assert!(
+                *r == responses && *line == s.stats_line(),
+                "a sample answered the stream differently from the first"
+            ),
+            None => first = Some((responses, s.stats_line(), *s.stats())),
+        }
+        secs
     };
-    let reqs = as_reqs(&generate(&spec));
-
-    let (mut server, build_secs) = {
-        let start = Instant::now();
-        let s = build_server(&cfg, cfg.threads);
-        (s, start.elapsed().as_secs_f64())
-    };
-    println!("built oracle (k = 2) in {build_secs:.2}s; serving…");
-
-    let serve_start = Instant::now();
-    let (responses, mut lat_us) = run_stream(&mut server, &reqs, cfg.batch);
-    let serve_secs = serve_start.elapsed().as_secs_f64();
-    let qps = cfg.queries as f64 / serve_secs;
-    lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let (p50, p99) = (percentile(&lat_us, 0.50), percentile(&lat_us, 0.99));
-
-    let stats = *server.stats();
+    let secs = report::sample(
+        SAMPLES,
+        &mut [&mut build as &mut dyn FnMut() -> f64, &mut serve],
+    );
+    let (build_secs, serve_secs) = (secs[0], secs[1]);
+    let (qps, p50, p99) = (Stat::of(&qps), Stat::of(&p50), Stat::of(&p99));
+    let (responses, stats_line, stats) = first.expect("at least one sample");
     println!(
-        "served {} queries in {serve_secs:.2}s: {qps:.0} q/s, p50 = {p50:.1}µs, \
-         p99 = {p99:.1}µs, errors = {}",
-        stats.queries, stats.errors
+        "built oracle (k = 2) in {:.2}s; served {} queries in {:.2}s: {:.0} q/s, \
+         p50 = {:.1}µs, p99 = {:.1}µs, errors = {} (medians of {SAMPLES} samples)",
+        build_secs.median,
+        stats.queries,
+        serve_secs.median,
+        qps.median,
+        p50.median,
+        p99.median,
+        stats.errors
     );
 
     // --verify: the determinism acceptance criterion. Fresh servers at 1
     // and 8 threads must produce byte-identical response streams and
     // byte-identical final STATS lines.
-    let verify = if cfg.verify {
-        let mut all_equal = true;
-        let mut stats_lines = Vec::new();
-        for threads in [1usize, 8] {
+    let verify = cfg.verify.then(|| {
+        [1usize, 8].into_iter().all(|threads| {
             let mut s = build_server(&cfg, threads);
-            let (resp, _) = run_stream(&mut s, &reqs, cfg.batch);
-            all_equal &= resp == responses;
-            stats_lines.push(s.stats_line());
-        }
-        all_equal &= stats_lines[0] == stats_lines[1];
-        println!(
-            "verify: threads 1 vs 8 {}",
-            if all_equal { "identical" } else { "MISMATCH" }
-        );
-        Some(all_equal)
-    } else {
-        None
-    };
+            run_stream(&mut s, &reqs, cfg.batch).0 == responses && s.stats_line() == stats_line
+        })
+    });
+    let verdict = verify.map(|ok| if ok { "identical" } else { "MISMATCH" });
+    if let Some(verdict) = verdict {
+        println!("verify: threads 1 vs 8 {verdict}");
+    }
 
-    let json = format!(
-        "{{\n  \"bench\": \"serve_loadgen\",\n  \"n\": {},\n  \"m\": {},\n  \"queries\": {},\n  \
-         \"batch\": {},\n  \"threads\": {},\n  \"zipf_frac\": {},\n  \
-         \"zipf_theta\": {},\n  \"route_frac\": {},\n  \"seed\": {},\n  \
-         \"oracle_build_secs\": {:.3},\n  \"serve_secs\": {:.3},\n  \"qps\": {:.0},\n  \
-         \"p50_us\": {:.2},\n  \"p99_us\": {:.2},\n  \"errors\": {},\n  \
-         \"resp_words\": {},\n  \"verify_threads_1_vs_8\": {}\n}}\n",
-        cfg.n,
-        cfg.m,
-        cfg.queries,
-        cfg.batch,
-        cfg.threads,
-        cfg.zipf_frac,
-        cfg.zipf_theta,
-        cfg.route_frac,
-        cfg.seed,
-        build_secs,
-        serve_secs,
-        qps,
-        p50,
-        p99,
-        stats.errors,
-        stats.resp_words,
-        match verify {
-            Some(true) => "\"identical\"",
-            Some(false) => "\"MISMATCH\"",
-            None => "null",
-        },
-    );
+    let json = Json::obj([
+        ("bench", "serve_loadgen".into()),
+        (
+            "available_parallelism",
+            report::available_parallelism().into(),
+        ),
+        ("n", cfg.spec.nodes.into()),
+        ("m", cfg.m.into()),
+        ("queries", cfg.spec.queries.into()),
+        ("batch", cfg.batch.into()),
+        ("threads", cfg.threads.into()),
+        ("zipf_frac", Json::Fixed(cfg.spec.zipf_frac, 3)),
+        ("zipf_theta", Json::Fixed(cfg.spec.zipf_theta, 3)),
+        ("route_frac", Json::Fixed(cfg.spec.route_frac, 3)),
+        ("seed", cfg.spec.seed.into()),
+        ("oracle_build_secs", build_secs.json(3)),
+        ("serve_secs", serve_secs.json(3)),
+        ("qps", qps.json(0)),
+        ("p50_us", p50.json(2)),
+        ("p99_us", p99.json(2)),
+        ("errors", stats.errors.into()),
+        ("resp_words", stats.resp_words.into()),
+        (
+            "verify_threads_1_vs_8",
+            verdict.map_or(Json::Null, Json::from),
+        ),
+    ]);
     write_json(json_path.as_deref(), &json);
 
     // CI gate: deterministic workload properties only — never timing.

@@ -4,9 +4,11 @@
 //! library holds the shared pieces: a markdown table printer, the standard
 //! workloads, wall-clock timing, the flag parsers, the size tier
 //! ([`Scale`]) every binary and bench reads, and the one `--json` artifact
-//! writer ([`write_json`]). Every flag reader records the flag it asks
-//! for; once a binary has read its flags, [`deny_unknown_args`] fails the
-//! run on any argument none of them asked for.
+//! writer ([`write_json`]), which writes a [`report::Json`] value whose
+//! timings come from [`report::sample`]. Every flag reader records the
+//! flag it asks for; once a binary has read its flags,
+//! [`deny_unknown_args`] fails the run on any argument none of them asked
+//! for.
 //!
 //! Run an experiment with e.g.
 //!
@@ -25,6 +27,8 @@ use std::time::Instant;
 
 use spanner_graph::Graph;
 use spanner_netsim::{Executor, FaultPlan, JsonLinesSink, NullSink, TraceSink};
+
+pub mod report;
 
 /// The size tier of an experiment or bench run, read once from the
 /// command line by [`Scale::from_args`].
@@ -189,9 +193,10 @@ pub fn json_out_arg() -> Option<PathBuf> {
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn write_json(path: Option<&Path>, json: &str) {
+pub fn write_json(path: Option<&Path>, json: &report::Json) {
     if let Some(path) = path {
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        std::fs::write(path, json.render())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         println!("wrote {}", path.display());
     }
 }
@@ -442,10 +447,12 @@ impl Table {
     }
 }
 
-/// Times a closure, returning (result, seconds).
+/// Times a closure, returning (result, seconds). The result passes
+/// through `black_box`, so work whose result the caller drops is still
+/// done.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
-    let out = f();
+    let out = std::hint::black_box(f());
     (out, start.elapsed().as_secs_f64())
 }
 

@@ -81,22 +81,6 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-impl std::str::FromStr for Strategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Strategy::Auto),
-            "bit-parallel" => Ok(Strategy::BitParallel),
-            "direction-optimizing" => Ok(Strategy::DirectionOptimizing),
-            other => Err(format!(
-                "unknown strategy {other:?} (expected auto, bit-parallel, \
-                 or direction-optimizing)"
-            )),
-        }
-    }
-}
-
 /// Beamer switch: go bottom-up when the frontier's out-edges exceed
 /// 1/ALPHA of the edges still incident to unvisited nodes. Gated behind
 /// two cheaper preconditions — the frontier must be growing AND cover at
@@ -1218,18 +1202,6 @@ mod tests {
         let eng = DistanceEngine::new(&generators::path(200)).with_strategy(Strategy::BitParallel);
         assert_eq!(eng.strategy(), Strategy::BitParallel);
         assert_eq!(eng.resolved_strategy(), Strategy::BitParallel);
-    }
-
-    #[test]
-    fn strategy_round_trips_strings() {
-        for s in [
-            Strategy::Auto,
-            Strategy::BitParallel,
-            Strategy::DirectionOptimizing,
-        ] {
-            assert_eq!(s.to_string().parse::<Strategy>(), Ok(s));
-        }
-        assert!("garbage".parse::<Strategy>().is_err());
     }
 
     #[test]

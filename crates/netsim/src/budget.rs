@@ -40,19 +40,6 @@ impl MessageBudget {
             MessageBudget::Words(w) => Some(w),
         }
     }
-
-    /// The budget `Words(⌈log^eps n⌉)` used by Theorem 2, at least 1 word.
-    pub fn log_pow(n: usize, eps: f64) -> MessageBudget {
-        let w = (n.max(2) as f64).log2().powf(eps).ceil() as usize;
-        MessageBudget::Words(w.max(1))
-    }
-
-    /// The budget `Words(⌈n^{1/t}⌉)` used by Theorem 8, at least 1 word.
-    pub fn root_pow(n: usize, t: u32) -> MessageBudget {
-        assert!(t >= 1, "t must be at least 1");
-        let w = (n.max(2) as f64).powf(1.0 / t as f64).ceil() as usize;
-        MessageBudget::Words(w.max(1))
-    }
 }
 
 impl fmt::Display for MessageBudget {
@@ -109,24 +96,6 @@ mod tests {
         assert!(!b.allows(5));
         assert_eq!(b.limit(), Some(4));
         assert_eq!(MessageBudget::CONGEST, MessageBudget::Words(1));
-    }
-
-    #[test]
-    fn log_pow_monotone() {
-        let a = MessageBudget::log_pow(1 << 10, 0.5).limit().unwrap();
-        let b = MessageBudget::log_pow(1 << 20, 0.5).limit().unwrap();
-        assert!(a <= b);
-        assert!(a >= 1);
-        // log2(2^20)=20, 20^0.5 ~ 4.47 -> 5
-        assert_eq!(b, 5);
-    }
-
-    #[test]
-    fn root_pow_values() {
-        assert_eq!(MessageBudget::root_pow(10_000, 2).limit(), Some(100));
-        assert_eq!(MessageBudget::root_pow(10_000, 4).limit(), Some(10));
-        // tiny n still gives at least 1
-        assert!(MessageBudget::root_pow(2, 30).limit().unwrap() >= 1);
     }
 
     #[test]

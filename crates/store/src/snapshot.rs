@@ -88,12 +88,6 @@ impl Fs {
         Fs { budget, ops: 0 }
     }
 
-    /// Total mutating operations performed (used by the crash tests to
-    /// size their budget sweep).
-    pub(crate) fn ops(&self) -> usize {
-        self.ops
-    }
-
     fn step(&mut self, op: &'static str) -> Result<(), StoreError> {
         if let Some(b) = self.budget {
             if self.ops >= b {
@@ -180,25 +174,6 @@ impl Store {
         let mut io = Fs::new(budget);
         let generation = Self::save_inner(&mut io, dir, csr, spanner, meta)?;
         Ok(generation)
-    }
-
-    /// As [`Store::save_with_budget`] but also reports the total count of
-    /// mutating filesystem operations a full save performs — the bound of
-    /// the crash sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`Store::save_with_budget`]; the op count is reported either way.
-    pub fn save_counting_ops(
-        dir: &Path,
-        csr: &CsrAdjacency,
-        spanner: &[(u32, u32)],
-        meta: SnapshotMeta,
-        budget: Option<usize>,
-    ) -> (Result<u64, StoreError>, usize) {
-        let mut io = Fs::new(budget);
-        let out = Self::save_inner(&mut io, dir, csr, spanner, meta);
-        (out, io.ops())
     }
 
     fn save_inner(

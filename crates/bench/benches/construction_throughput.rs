@@ -23,7 +23,9 @@ use std::sync::Arc;
 
 use spanner_baselines::baswana_sen;
 use spanner_bench::report::{self, Json};
-use spanner_bench::{json_out_arg, peak_rss_bytes, timed, write_json, Scale};
+use spanner_bench::{
+    deny_unknown_args, json_out_arg, peak_rss_bytes, switch_arg, timed, write_json, Scale,
+};
 use spanner_graph::generators;
 use spanner_netsim::{Executor, NullSink};
 use ultrasparse::fibonacci::{self, FibonacciParams};
@@ -36,6 +38,9 @@ const SAMPLES: usize = 5;
 fn main() {
     let scale = Scale::from_args(&Scale::ALL);
     let json_path = json_out_arg();
+    // `cargo bench` appends `--bench`.
+    switch_arg("--bench");
+    deny_unknown_args();
     let n = match scale {
         Scale::Tiny => 600,
         Scale::Quick => 8_192,

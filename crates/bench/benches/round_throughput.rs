@@ -4,7 +4,7 @@
 //! every round, rebuilt nested-Vec adjacency per run, and detected duplicate
 //! sends by scanning the outbox (O(outbox) per send, so O(deg²) for a
 //! broadcast). The `naive` module below replicates that hot path faithfully;
-//! the `netsim` benchmarks run the same workload on the rewritten executor
+//! the `netsim` timings run the same workload on the rewritten executor
 //! (double-buffered arenas, CSR adjacency, stamp-based duplicate check).
 //!
 //! Three shapes:
@@ -13,21 +13,31 @@
 //!   is ≥ 2× throughput over the seed path.
 //! * `star` — one hub of degree d broadcasting each round. The new executor
 //!   must be linear in d (time at d = 100 000 ≈ 10× time at d = 10 000); the
-//!   seed path is quadratic, so it is benchmarked only at the smaller sizes
-//!   (at d = 100 000 a single naive round is ~10⁹ comparisons).
+//!   seed path is quadratic, so it runs only at d = 10 000 (at d = 100 000
+//!   a single naive round is ~10⁹ comparisons).
 //! * `sparse_64k` — n = 2¹⁶, m = 4n, where 1 % of the nodes wake every 64
 //!   rounds and send one message, and everyone else sleeps until mail
 //!   arrives. It reports the marginal cost of one round in ns, which
 //!   follows the round's active nodes when idle rounds cost O(active) and
 //!   grows with n when they cost O(n).
+//!
+//! Every shape the seed path runs on first asserts that both paths send
+//! the same messages. Each timing is {min, median, max} over interleaved
+//! samples of every run above.
+//!
+//! Flags (after `--`):
+//! * `--json <path>` — write the results there (the committed copy is
+//!   `BENCH_round.json` at the repo root).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use spanner_bench::report::{self, Json};
+use spanner_bench::{deny_unknown_args, json_out_arg, switch_arg, timed, write_json};
 use spanner_graph::{generators, CsrAdjacency, Graph, NodeId};
 use spanner_netsim::{Ctx, MessageBudget, Network, Protocol};
+
+/// Timed runs per shape.
+const SAMPLES: usize = 9;
 
 /// Every node broadcasts one word per round until `ttl`, then goes quiet.
 struct Gossip {
@@ -48,13 +58,7 @@ impl Protocol for Gossip {
     }
 }
 
-fn run_new(g: &Graph, ttl: u32) -> u64 {
-    let mut net = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
-    net.run(|_, _| Gossip { ttl }, ttl + 4).expect("terminates");
-    net.metrics().messages
-}
-
-fn run_new_shared(csr: &Arc<CsrAdjacency>, ttl: u32) -> u64 {
+fn run_new(csr: &Arc<CsrAdjacency>, ttl: u32) -> u64 {
     let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::CONGEST, 1);
     net.run(|_, _| Gossip { ttl }, ttl + 4).expect("terminates");
     net.metrics().messages
@@ -117,39 +121,6 @@ mod naive {
     }
 }
 
-fn bench_er(c: &mut Criterion) {
-    let g = generators::erdos_renyi_gnm(50_000, 150_000, 42);
-    let csr = g.csr();
-    let ttl = 4;
-    assert_eq!(run_new(&g, ttl), naive::run(&g, ttl), "same workload");
-    let mut group = c.benchmark_group("round_throughput/er_50k");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
-    group.bench_function("seed_path", |b| b.iter(|| naive::run(&g, ttl)));
-    group.bench_function("netsim", |b| b.iter(|| run_new_shared(csr, ttl)));
-    group.finish();
-}
-
-fn bench_star(c: &mut Criterion) {
-    let mut group = c.benchmark_group("round_throughput/star_broadcast");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    for degree in [10_000usize, 100_000] {
-        let g = generators::star(degree + 1);
-        group.bench_with_input(BenchmarkId::new("netsim", degree), &g, |b, g| {
-            b.iter(|| run_new(g, 2))
-        });
-        // The seed path is O(deg²) per hub broadcast: only feasible small.
-        if degree <= 10_000 {
-            assert_eq!(run_new(&g, 2), naive::run(&g, 2), "same workload");
-            group.bench_with_input(BenchmarkId::new("seed_path", degree), &g, |b, g| {
-                b.iter(|| naive::run(g, 2))
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Every `PERIOD` rounds until `until`, a pulsing node sends one word to
 /// its first neighbor, and it is done only after its last pulse; the rest
 /// only ever run on delivery.
@@ -189,9 +160,8 @@ impl Protocol for Pulse {
     }
 }
 
-/// Wall time of one sparse run lasting about `until` rounds.
-fn run_sparse(csr: &Arc<CsrAdjacency>, until: u32) -> (Duration, u32) {
-    let start = Instant::now();
+/// The rounds of one sparse run lasting about `until` rounds.
+fn run_sparse(csr: &Arc<CsrAdjacency>, until: u32) -> u32 {
     let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::CONGEST, 1);
     net.run(
         |v, _| Pulse {
@@ -202,38 +172,105 @@ fn run_sparse(csr: &Arc<CsrAdjacency>, until: u32) -> (Duration, u32) {
         until + 4,
     )
     .expect("terminates");
-    (start.elapsed(), net.metrics().rounds)
+    net.metrics().rounds
 }
 
-/// Median wall time and round count of `samples` sparse runs.
-fn median_sparse(csr: &Arc<CsrAdjacency>, until: u32, samples: usize) -> (f64, u32) {
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    let mut rounds = 0;
-    for _ in 0..samples {
-        let (t, r) = run_sparse(csr, until);
-        times.push(t.as_secs_f64());
-        rounds = r;
-    }
-    times.sort_by(f64::total_cmp);
-    (times[samples / 2], rounds)
-}
+fn main() {
+    // `cargo bench` appends `--bench`.
+    switch_arg("--bench");
+    let json_path = json_out_arg();
+    deny_unknown_args();
 
-/// The marginal cost of a sparse round: the time difference between a
-/// long and a short run over their round difference, so the O(n) set-up
-/// both share cancels out.
-fn bench_sparse(_c: &mut Criterion) {
+    let er = generators::erdos_renyi_gnm(50_000, 150_000, 42);
+    let star_10k = generators::star(10_001);
+    let star_100k = generators::star(100_001);
+    // Name, graph, TTL, and whether the seed path runs: it is O(deg²) per
+    // hub broadcast, so only feasible on the smaller star.
+    let gossip: [(&str, &Graph, u32, bool); 3] = [
+        ("er_50k", &er, 4, true),
+        ("star_10k", &star_10k, 2, true),
+        ("star_100k", &star_100k, 2, false),
+    ];
+    let messages: Vec<u64> = gossip
+        .iter()
+        .map(|&(name, g, ttl, seed)| {
+            let messages = run_new(g.csr(), ttl);
+            if seed {
+                assert_eq!(messages, naive::run(g, ttl), "{name}: same workload");
+            }
+            messages
+        })
+        .collect();
+
+    // The marginal cost of a sparse round: the time difference between a
+    // long and a short run over their round difference, so the O(n)
+    // set-up both share cancels out.
     let n = 1usize << 16;
-    let g = generators::erdos_renyi_gnm(n, 4 * n, 42);
-    let csr = g.csr();
-    let samples = 9;
-    let (short, short_rounds) = median_sparse(csr, PERIOD, samples);
-    let (long, long_rounds) = median_sparse(csr, 32 * PERIOD, samples);
-    let per_round = (long - short) * 1e9 / f64::from(long_rounds - short_rounds);
-    println!(
-        "bench: {:<48} {per_round:>14.1} ns/round  ({} - {} rounds, median of {samples} runs each)",
-        "round_throughput/sparse_64k", long_rounds, short_rounds
-    );
-}
+    let sparse = generators::erdos_renyi_gnm(n, 4 * n, 42);
+    let untils = [PERIOD, 32 * PERIOD];
+    let rounds = untils.map(|until| run_sparse(sparse.csr(), until));
 
-criterion_group!(benches, bench_er, bench_star, bench_sparse);
-criterion_main!(benches);
+    let mut timers: Vec<Box<dyn FnMut() -> f64 + '_>> = Vec::new();
+    for &(_, g, ttl, seed) in &gossip {
+        timers.push(Box::new(move || timed(|| run_new(g.csr(), ttl)).1));
+        if seed {
+            timers.push(Box::new(move || timed(|| naive::run(g, ttl)).1));
+        }
+    }
+    for until in untils {
+        let csr = sparse.csr();
+        timers.push(Box::new(move || timed(|| run_sparse(csr, until)).1));
+    }
+    println!("round_throughput: {SAMPLES} samples");
+    let mut stats = report::sample(SAMPLES, &mut timers).into_iter();
+    let mut next = || stats.next().expect("one Stat per timer");
+
+    let mut rows = Vec::new();
+    for (&(name, g, ttl, seed), &messages) in gossip.iter().zip(&messages) {
+        let netsim = next();
+        let seed = seed.then(&mut next);
+        let speedup = seed.map(|s| s.min / netsim.min);
+        let seed_median = seed.map_or("-".into(), |s| format!("{:.4}s", s.median));
+        println!(
+            "{name}: {messages} messages, medians netsim {:.4}s, seed path {seed_median}",
+            netsim.median
+        );
+        rows.push(Json::obj([
+            ("shape", name.into()),
+            ("n", g.node_count().into()),
+            ("m", g.edge_count().into()),
+            ("ttl", ttl.into()),
+            ("messages", messages.into()),
+            ("netsim_secs", netsim.json(6)),
+            ("seed_secs", seed.map_or(Json::Null, |s| s.json(6))),
+            ("speedup", speedup.map_or(Json::Null, |x| Json::Fixed(x, 2))),
+        ]));
+    }
+    let [short, long] = [next(), next()];
+    let ns_per_round = (long.median - short.median) * 1e9 / f64::from(rounds[1] - rounds[0]);
+    println!(
+        "sparse_64k: {ns_per_round:.1} ns/round ({} - {} rounds, medians of {SAMPLES} runs each)",
+        rounds[1], rounds[0]
+    );
+    let json = Json::obj([
+        ("bench", "round_throughput".into()),
+        (
+            "available_parallelism",
+            report::available_parallelism().into(),
+        ),
+        ("gossip", Json::Arr(rows)),
+        (
+            "sparse_64k",
+            Json::obj([
+                ("n", sparse.node_count().into()),
+                ("m", sparse.edge_count().into()),
+                ("short_rounds", rounds[0].into()),
+                ("long_rounds", rounds[1].into()),
+                ("short_secs", short.json(6)),
+                ("long_secs", long.json(6)),
+                ("ns_per_round", Json::Fixed(ns_per_round, 1)),
+            ]),
+        ),
+    ]);
+    write_json(json_path.as_deref(), &json);
+}

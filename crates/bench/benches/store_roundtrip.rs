@@ -31,7 +31,9 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 
 use spanner_bench::report::{self, Json};
-use spanner_bench::{json_out_arg, peak_rss_bytes, timed, write_json, Scale};
+use spanner_bench::{
+    deny_unknown_args, json_out_arg, peak_rss_bytes, switch_arg, timed, write_json, Scale,
+};
 use spanner_graph::generators;
 use spanner_store::{scratch_dir, SnapshotMeta, Store};
 use ultrasparse::skeleton::{distributed as skel, SkeletonParams};
@@ -57,6 +59,9 @@ fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 fn main() {
     let scale = Scale::from_args(&Scale::ALL);
     let json_path = json_out_arg();
+    // `cargo bench` appends `--bench`.
+    switch_arg("--bench");
+    deny_unknown_args();
     let n = match scale {
         Scale::Tiny => 1 << 10,
         Scale::Quick => 1 << 14,

@@ -273,19 +273,24 @@ mod tests {
 
     #[test]
     fn no_contraction_ablation_is_larger() {
-        let g = generators::connected_gnm(2_000, 30_000, 13);
         let params = SkeletonParams::default();
-        let with = build_sequential(&g, &params, 3);
-        let without = build_sequential_no_contraction(&g, &params, 3);
-        assert!(without.is_spanning(&g));
-        // Without contraction each round restarts from singleton clusters
-        // of the SAME vertex set, so the same Θ(Dn) cost recurs per round.
-        assert!(
-            without.len() as f64 > 1.15 * with.len() as f64,
-            "with {} without {}",
-            with.len(),
-            without.len()
-        );
+        for g in [
+            generators::connected_gnm(2_000, 30_000, 13),
+            generators::connected_gnm(8_000, 64_000, 42),
+        ] {
+            let with = build_sequential(&g, &params, 3);
+            let without = build_sequential_no_contraction(&g, &params, 3);
+            assert!(without.is_spanning(&g));
+            // Without contraction each round restarts from singleton clusters
+            // of the SAME vertex set, so the same Θ(Dn) cost recurs per round.
+            assert!(
+                without.len() as f64 > 1.15 * with.len() as f64,
+                "n {} with {} without {}",
+                g.node_count(),
+                with.len(),
+                without.len()
+            );
+        }
     }
 
     #[test]

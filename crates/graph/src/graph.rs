@@ -245,9 +245,10 @@ impl Graph {
     }
 
     /// The edge ids of `v`'s incident edges, parallel to
-    /// [`Graph::neighbors`].
+    /// [`Graph::neighbors`]: the edge to `neighbors(v)[i]` is
+    /// `incident_ids(v)[i]`.
     #[inline]
-    pub(crate) fn incident_ids(&self, v: NodeId) -> &[EdgeId] {
+    pub fn incident_ids(&self, v: NodeId) -> &[EdgeId] {
         let (offsets, _) = self.csr.parts();
         &self.edge_ids[offsets[v.index()] as usize..offsets[v.index() + 1] as usize]
     }

@@ -1,11 +1,15 @@
 //! Breadth-first search in the flavors the spanner algorithms need.
 //!
-//! * [`ClusterBfs`]: the one tree-growing BFS of the centralized
+//! * [`ClusterBfs`]: the one-center tree-growing BFS of the centralized
 //!   builders. It grows a cluster around a center, optionally truncated
-//!   per node and depth (Thorup–Zwick bunches and routing clusters, the
-//!   Fibonacci spanner's `ℓ^i`-balls, full BFS trees), with the paper's
-//!   minimum-identifier parent rule (Sect. 4.1) and the tree edge ids
-//!   read off the CSR walk;
+//!   per node and depth (the truncated Thorup–Zwick bunches and routing
+//!   clusters, the Fibonacci spanner's `ℓ^i`-balls, additive-2's BFS
+//!   trees), with the paper's minimum-identifier parent rule (Sect. 4.1)
+//!   and the tree edge ids read off the CSR walk. The oracle's and the
+//!   routing scheme's untruncated clusters, whole-component trees from
+//!   many centers, come instead from
+//!   [`DistanceEngine::batch_trees`](crate::DistanceEngine::batch_trees),
+//!   64 centers per call, with the same parent rule;
 //! * plain and radius-bounded single-source BFS distances, one body over
 //!   the shared [`CsrAdjacency`], [`bfs_distances_in_subgraph`]; the
 //!   [`Graph`]-taking names call it on [`Graph::csr`];

@@ -16,16 +16,20 @@
 //! min-id tie-break) and *bunches*
 //! `B(v) = ∪_i { w ∈ A_i \ A_{i+1} : δ(w, v) < δ(v, A_{i+1}) }`.
 //!
-//! It also shares the Fibonacci spanner's two tree builders. The witnesses
+//! It also shares the Fibonacci spanner's tree builders. The witnesses
 //! are [`DistanceEngine::nearest_sources`] per level, and each `v`'s edge
 //! toward `p_i(v)` is [`MultiSourceFlat::parent`]. The bunches are the
-//! transposed clusters `C(w) = { v : δ(w, v) < δ(v, A_{i+1}) }`, each one
-//! [`ClusterBfs::grow`] from `w` whose tree edges go into the induced
-//! spanner. They are stored as those clusters, one per centre, in a
-//! cluster table (a row of n slots for a cluster of at least n/2
-//! members, a sorted run otherwise), so the probe `w ∈ B(v)` reads member
-//! `v` of `C(w)`. [`RoutingScheme`] is the k = 2 case of the same cluster
-//! forest over its landmark set, in the same kind of table.
+//! transposed clusters `C(w) = { v : δ(w, v) < δ(v, A_{i+1}) }`, each a
+//! BFS tree from `w` whose edges go into the induced spanner. Below the
+//! top level a cluster is truncated and grown alone by
+//! [`ClusterBfs::grow`]; a top-level centre (`A_{k−1}`) keeps its whole
+//! component, and those trees come 64 centres at a time from
+//! [`DistanceEngine::batch_trees`]. The clusters are
+//! stored one per centre in a cluster table (a row of n slots for a
+//! cluster of at least n/2 members, a sorted run otherwise), so the probe
+//! `w ∈ B(v)` reads member `v` of `C(w)`. [`RoutingScheme`] is the k = 2
+//! case of the same cluster forest over its landmark set, in the same
+//! kind of table.
 
 #![deny(missing_docs)]
 
@@ -38,6 +42,7 @@ use std::fmt;
 
 use rand::Rng;
 
+use spanner_graph::components::connected_components;
 use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::engine::MultiSourceFlat;
 use spanner_graph::traversal::ClusterBfs;
@@ -45,7 +50,7 @@ use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::rng::node_rng;
 use ultrasparse::Spanner;
 
-use table::ClusterTable;
+use table::{ClusterTable, Value};
 
 /// Typed error returned by the fallible query endpoints
 /// ([`DistanceOracle::try_query`], [`RoutingScheme::try_route`], …): the
@@ -120,8 +125,11 @@ pub struct DistanceOracle {
 impl DistanceOracle {
     /// Builds the oracle with `k` levels. Deterministic in `seed`.
     ///
-    /// Expected preprocessing O(k·m·n^{1/k})-ish (truncated BFS per
-    /// sampled vertex); expected size O(k·n^{1+1/k}).
+    /// Expected preprocessing O(k·m·n^{1/k})-ish: a truncated
+    /// [`ClusterBfs`] per vertex below the top level, and the whole-graph
+    /// BFS trees of the ~n^{1/k} top-level centres from
+    /// [`DistanceEngine::batch_trees`], 64 centres per call; expected size
+    /// O(k·n^{1+1/k}).
     ///
     /// # Panics
     ///
@@ -158,16 +166,22 @@ impl DistanceOracle {
             .collect();
 
         // Bunches: the cluster of each w at exactly level i keeps the
-        // vertices v with δ(w, v) < δ(v, A_{i+1}) (no truncation at the
-        // top level); its tree edges go into the induced spanner.
-        let mut bunch = ClusterTable::new(n);
+        // vertices v with δ(w, v) < δ(v, A_{i+1}); its tree edges go into
+        // the induced spanner. The top level A_{k−1} is not truncated: its
+        // clusters are whole components, built in engine batches.
         let mut spanner_edges = EdgeSet::new(g);
+        let top: Vec<NodeId> = g.nodes().filter(|v| level[v.index()] == k - 1).collect();
+        let comps = connected_components(g);
+        let value = Value::Distance(&mut spanner_edges);
+        let mut full = table::full_clusters(g, &comps, &top, value).into_iter();
+        let mut bunch = ClusterTable::new(n);
         let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
-            let trunc = witness.get(level[w.index()] as usize + 1);
-            bfs.grow(g, w, u32::MAX, |y, d| {
-                trunc.is_none_or(|t| d < t.dist[y.index()])
-            });
+            let Some(trunc) = witness.get(level[w.index()] as usize + 1) else {
+                bunch.push_full(full.next().expect("one cluster per top-level centre"));
+                continue;
+            };
+            bfs.grow(g, w, u32::MAX, |y, d| d < trunc.dist[y.index()]);
             bunch.push(bfs.tree().map(|(v, d, _, e)| {
                 spanner_edges.insert(e);
                 (v, d)

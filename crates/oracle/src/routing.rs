@@ -4,14 +4,16 @@
 //!
 //! The tables are the k = 2 Thorup–Zwick cluster forest over a landmark
 //! set `L` (an ≈ n^{1/2}-size sample standing in for `A_1`, patched so
-//! every component has one), grown with the same
-//! [`ClusterBfs`] as the distance oracle's bunches:
+//! every component has one), built like the distance oracle's bunches:
 //!
 //! * a landmark's cluster is untruncated — its whole component — so every
-//!   vertex keeps a next hop toward every landmark of its component;
+//!   vertex keeps a next hop toward every landmark of its component; these
+//!   trees come from [`DistanceEngine::batch_trees`], 64 landmarks per
+//!   call;
 //! * any other vertex `w` has the truncated cluster
-//!   `C(w) = {x : δ(w,x) < δ(x, L)}`, and every member keeps a next hop
-//!   toward `w`; total size O(n^{3/2}) in expectation.
+//!   `C(w) = {x : δ(w,x) < δ(x, L)}`, grown by [`ClusterBfs`], and every
+//!   member keeps a next hop toward `w`; total size O(n^{3/2}) in
+//!   expectation.
 //!
 //! Next hops are the minimum-id parents of those BFS trees, kept in one
 //! cluster table keyed by centre, landmark or not.
@@ -33,7 +35,7 @@
 
 use rand::Rng;
 
-use crate::table::ClusterTable;
+use crate::table::{self, ClusterTable, Value};
 use crate::QueryError;
 
 use spanner_graph::traversal::ClusterBfs;
@@ -97,16 +99,18 @@ impl RoutingScheme {
         }
         let landmarks: Vec<NodeId> = g.nodes().filter(|v| is_landmark[v.index()]).collect();
 
-        // One cluster per vertex: untruncated for a landmark, C(w) for
-        // any other w (see the module doc).
+        // One cluster per vertex: untruncated for a landmark, built in
+        // engine batches, and C(w) for any other w (see the module doc).
+        let mut full = table::full_clusters(g, &comps, &landmarks, Value::NextHop).into_iter();
         let nearest = DistanceEngine::new(g).nearest_sources(&landmarks);
         let mut table = ClusterTable::new(n);
         let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
-            let landmark = is_landmark[w.index()];
-            bfs.grow(g, w, u32::MAX, |y, d| {
-                landmark || d < nearest.dist[y.index()]
-            });
+            if is_landmark[w.index()] {
+                table.push_full(full.next().expect("one cluster per landmark"));
+                continue;
+            }
+            bfs.grow(g, w, u32::MAX, |y, d| d < nearest.dist[y.index()]);
             table.push(bfs.tree().map(|(v, _, parent, _)| (v, parent.0)));
         }
 

@@ -1,13 +1,13 @@
 //! Distance-engine throughput: the adaptive engine (bit-parallel or
-//! direction-optimizing, picked per graph) vs the seed-style
-//! one-BFS-per-source path.
+//! per-source, picked per graph) vs the seed-style one-BFS-per-source
+//! path.
 //!
 //! The seed verification/APSP hot path ran `traversal::bfs_distances` once
 //! per source: a `VecDeque` walk over `Vec<Vec<NodeId>>`-shaped adjacency
 //! with a fresh `Vec<Option<u32>>` per call. The engine replaces it with a
 //! flat CSR and a per-graph strategy: 64-way bit-parallel multi-source BFS
-//! where the waves overlap (low-diameter shapes), one direction-optimizing
-//! BFS per source where they don't (grids and other lattices).
+//! where the waves overlap (low-diameter shapes), one flat top-down BFS
+//! per source where they don't (grids and other lattices).
 //!
 //! Shapes at the default scale (n = 50 000, the scale of the paper's
 //! experiments): ER (m = 200 000), a 224×224 grid, and a star

@@ -5,8 +5,8 @@
 //! a seeded [`PairSample`] per host graph for larger graphs, eccentricities
 //! and diameter (exact and the classic two-sweep lower bound). The heavy
 //! lifting routes through the [`DistanceEngine`] (flat CSR; 64-way
-//! bit-parallel or direction-optimizing per-source BFS, picked per graph by
-//! the engine's [`Strategy`](crate::engine::Strategy) probe; optionally
+//! bit-parallel or one top-down BFS per source, picked per graph by the
+//! engine's [`Strategy`](crate::engine::Strategy) probe; optionally
 //! threaded).
 //!
 //! Every distance row here comes from one stride loop that fills the rows
@@ -16,8 +16,13 @@
 //! `ultrasparse::Spanner` — is a visitor on one ordered pair walk,
 //! [`walk_pairs`], over all pairs or over one graph's [`PairSample`], which
 //! is drawn once and handed to every spanner of that graph. The original
-//! one-BFS-per-source implementations live on only as references in
-//! `tests/engine_parity.rs`.
+//! one-BFS-per-source APSP, stretch verifier and pair sampler live on
+//! only as references in `tests/engine_parity.rs`. The single-source BFS
+//! they ran, `traversal::bfs_distances_in_subgraph` and its wrappers, is
+//! still library code: [`eccentricity`] and the two-sweep bounds here
+//! call it, as do the lower-bound adversary's distortion measurements
+//! and the repo benchmark's construction check, and it is the parity
+//! suite's single-source reference.
 
 use std::convert::Infallible;
 use std::ops::ControlFlow;

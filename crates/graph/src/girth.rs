@@ -12,9 +12,9 @@ use crate::graph::Graph;
 /// Delegates to the flat-frontier engine: one pruned BFS per vertex —
 /// the standard O(n·m) exact algorithm — over the shared CSR layout.
 /// Girth is inherently per-source work (the shared-bound pruning and
-/// non-tree-edge detection have no bit-parallel or bottom-up analogue), so
-/// it is unaffected by the engine's [`Strategy`](crate::engine::Strategy)
-/// picker: it already runs in the per-source mode on every graph.
+/// non-tree-edge detection have no bit-parallel analogue), so it ignores
+/// the engine's [`Strategy`](crate::engine::Strategy) verdict: it runs
+/// one BFS per source on every graph.
 pub fn girth(g: &Graph) -> Option<u32> {
     crate::engine::DistanceEngine::new(g).girth()
 }

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use spanner_graph::{
-    verify_stretch_exact, CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId, StretchBound,
+    verify_stretch, CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId, Pairs, StretchBound,
 };
 use spanner_netsim::{
     execute, Ctx, Executor, FaultPlan, MessageBudget, NullSink, PhaseMark, Protocol, RunError,
@@ -312,7 +312,8 @@ pub fn build_distributed(
     let built = run(csr, params, seed, executor, faults, sink);
     let stretch = StretchBound::multiplicative((2 * params.k - 1) as f64);
     ultrasparse::faults::certify(csr, faults, built, |g, s| {
-        verify_stretch_exact(g, &s.edges, stretch, 1).map_err(|v| v.to_string())
+        verify_stretch(g, &s.edges, Pairs::All, 1, |d, ds| stretch.allows(d, ds))
+            .map_err(|v| v.to_string())
     })
 }
 

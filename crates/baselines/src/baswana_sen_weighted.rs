@@ -136,10 +136,27 @@ mod tests {
     use super::*;
     use spanner_graph::distance::Pairs;
     use spanner_graph::generators;
-    use spanner_graph::weighted::weighted_stretch;
+    use spanner_graph::weighted::{walk_weighted_pairs, W_UNREACHABLE};
+    use spanner_graph::StretchBound;
+    use std::ops::ControlFlow;
 
     fn workload(n: usize, m: usize, wmax: u32, seed: u64) -> WeightedGraph {
         WeightedGraph::random_weights(generators::connected_gnm(n, m, seed), wmax, seed + 100)
+    }
+
+    /// The first pair `(u, v, host, in_spanner)`, over every source, whose
+    /// weighted spanner distance breaks the (2k−1) bound.
+    fn first_violation(g: &WeightedGraph, s: &Spanner, k: u32) -> Option<(u32, u32, u64, u64)> {
+        let bound = StretchBound::multiplicative((2 * k - 1) as f64);
+        let sources: Vec<NodeId> = g.graph().nodes().collect();
+        walk_weighted_pairs(g, &s.edges, &sources, |u, v, d, ds| {
+            if ds != W_UNREACHABLE && bound.allows(d, ds) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break((u.0, v.0, d, ds))
+            }
+        })
+        .break_value()
     }
 
     #[test]
@@ -149,11 +166,7 @@ mod tests {
             let g = workload(150, 1_200, 20, k as u64);
             let s = build_weighted(&g, &params, 7);
             assert!(s.is_spanning(g.graph()), "k={k}");
-            let stretch = weighted_stretch(&g, &s.edges);
-            assert!(
-                stretch <= (2 * k - 1) as f64 + 1e-9,
-                "k={k}: weighted stretch {stretch}"
-            );
+            assert_eq!(first_violation(&g, &s, k), None, "k={k}");
         }
     }
 
@@ -188,8 +201,7 @@ mod tests {
         let params = BaswanaSenParams::new(2).unwrap();
         let s = build_weighted(&g, &params, 3);
         assert!(s.is_spanning(&g0));
-        let stretch = weighted_stretch(&g, &s.edges);
-        assert!(stretch <= 3.0 + 1e-9, "{stretch}");
+        assert_eq!(first_violation(&g, &s, 2), None);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! guarantee — demonstrating the (2k−1) weighted-stretch bound that the
 //! unweighted constructions of this paper do not attempt.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use spanner_baselines::baswana_sen::BaswanaSenParams;
 use spanner_baselines::baswana_sen_weighted::build_weighted;
 use spanner_bench::{deny_unknown_args, f2, timed, Scale, Table};
-use spanner_graph::weighted::{dijkstra, dijkstra_in_subgraph, WeightedGraph, W_UNREACHABLE};
+use spanner_graph::weighted::{walk_weighted_pairs, WeightedGraph};
 use spanner_graph::{generators, NodeId};
 
 fn main() {
@@ -31,25 +34,21 @@ fn main() {
         "mean",
         "secs",
     ]);
+    // Exact weighted stretch from a subsample of sources.
+    let sources: Vec<NodeId> = (0..n as u32).step_by((n / 60).max(1)).map(NodeId).collect();
     for k in [2u32, 3, 4, 6] {
         let params = BaswanaSenParams::new(k).expect("valid");
         let (s, secs) = timed(|| build_weighted(&g, &params, 11));
         assert!(s.is_spanning(g.graph()));
-        // Exact weighted stretch from a subsample of sources.
         let (mut worst, mut sum, mut count) = (1.0f64, 0.0f64, 0u64);
-        for src in (0..n as u32).step_by((n / 60).max(1)) {
-            let host = dijkstra(&g, NodeId(src));
-            let sub = dijkstra_in_subgraph(&g, &s.edges, NodeId(src));
-            for v in 0..n {
-                if v as u32 == src || host[v] == W_UNREACHABLE {
-                    continue;
-                }
-                let ratio = sub[v] as f64 / host[v] as f64;
+        let ControlFlow::Continue(()) =
+            walk_weighted_pairs(&g, &s.edges, &sources, |_, _, host, in_spanner| {
+                let ratio = in_spanner as f64 / host as f64;
                 worst = worst.max(ratio);
                 sum += ratio;
                 count += 1;
-            }
-        }
+                ControlFlow::<Infallible>::Continue(())
+            });
         assert!(worst <= (2 * k - 1) as f64 + 1e-9, "k={k}: stretch {worst}");
         table.row([
             k.to_string(),

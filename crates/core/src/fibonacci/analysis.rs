@@ -9,8 +9,10 @@
 //! (V_{o+1} = ∅).
 //!
 //! The experiments use [`distortion_envelope`] to check measured spanner
-//! distances against the guarantee, and the tests check Lemma 10's closed
-//! forms against Lemma 9's recurrences numerically.
+//! distances against the guarantee — [`within_envelope`] is that check as
+//! the per-pair predicate of
+//! [`verify_stretch`](spanner_graph::verify_stretch) — and the tests check
+//! Lemma 10's closed forms against Lemma 9's recurrences numerically.
 
 /// The recurrences of Lemma 9, iterated exactly (in f64):
 /// returns (C^i_λ, I^i_λ) for the requested `i` and `lambda ≥ 1`.
@@ -97,6 +99,13 @@ pub fn distortion_envelope(o: u32, ell: u64, d: u64) -> f64 {
         let pieces = (d as f64 / piece).ceil();
         pieces * c_closed_form(lam_max, o)
     }
+}
+
+/// Whether spanner distance `in_spanner` meets the envelope at host
+/// distance `d`: `in_spanner ≤ distortion_envelope(o, ell, d)`, with a
+/// 1e-9 slack for the envelope's float arithmetic.
+pub fn within_envelope(o: u32, ell: u64, d: u64, in_spanner: u64) -> bool {
+    in_spanner as f64 <= distortion_envelope(o, ell, d) + 1e-9
 }
 
 /// The four-stage multiplicative distortion of Theorem 7, as a function of

@@ -126,9 +126,9 @@ pub fn build_with_levels(g: &Graph, params: &FibonacciParams, levels: &[u32]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fibonacci::analysis::distortion_envelope;
+    use crate::fibonacci::analysis::within_envelope;
     use spanner_graph::distance::{PairSample, Pairs};
-    use spanner_graph::generators;
+    use spanner_graph::{generators, verify_stretch};
 
     fn params(n: usize, o: u32) -> FibonacciParams {
         FibonacciParams::new(n, o, 0.5, 0).unwrap()
@@ -191,10 +191,10 @@ mod tests {
         {
             let p = params(g.node_count(), 2);
             let s = build_sequential(g, &p, 11);
-            let viol = s.check_envelope(g, Pairs::All, |d| {
-                distortion_envelope(p.order, p.ell, d as u64)
+            let viol = verify_stretch(g, &s.edges, Pairs::All, 1, |d, ds| {
+                within_envelope(p.order, p.ell, d, ds)
             });
-            assert!(viol.is_none(), "graph {gi}: {viol:?}");
+            assert!(viol.is_ok(), "graph {gi}: {viol:?}");
         }
     }
 
@@ -205,10 +205,10 @@ mod tests {
         let s = build_sequential(&g, &p, 4);
         assert!(s.is_spanning(&g));
         let sample = PairSample::new(&g, 2_000, 5, 1);
-        let viol = s.check_envelope(&g, Pairs::Sampled(&sample), |d| {
-            distortion_envelope(p.order, p.ell, d as u64)
+        let viol = verify_stretch(&g, &s.edges, Pairs::Sampled(&sample), 1, |d, ds| {
+            within_envelope(p.order, p.ell, d, ds)
         });
-        assert!(viol.is_none(), "{viol:?}");
+        assert!(viol.is_ok(), "{viol:?}");
     }
 
     /// Higher order gives a sparser spanner on dense graphs.

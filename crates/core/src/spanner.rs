@@ -7,8 +7,10 @@
 //! every pair, or over one graph's [`PairSample`], drawn once and shared by
 //! every spanner of that graph) so experiments can compare against the
 //! analytic envelopes. Each question — [`Spanner::stretch`],
-//! [`Spanner::check_envelope`], [`Spanner::stretch_profile`] — is one
-//! visitor on the one pair walk, [`walk_pairs`].
+//! [`Spanner::stretch_profile`], and whether a bound holds at all
+//! ([`verify_stretch`](spanner_graph::verify_stretch), an (α, β) bound or
+//! Theorem 7's per-distance envelope as a predicate) — is one visitor on
+//! the one pair walk, [`walk_pairs`].
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -124,51 +126,6 @@ impl Spanner {
             });
         buckets.into_values().collect()
     }
-
-    /// Checks `δ_S(u,v) ≤ envelope(δ(u,v))` over `pairs`; returns the
-    /// first violation in [`walk_pairs`] order, if any. The per-distance
-    /// envelope is how the paper states Fibonacci distortion (Theorem 7):
-    /// a different (α, β) at every distance.
-    pub fn check_envelope<F>(
-        &self,
-        g: &Graph,
-        pairs: Pairs<'_>,
-        envelope: F,
-    ) -> Option<EnvelopeViolation>
-    where
-        F: Fn(u32) -> f64,
-    {
-        walk_pairs(g, &self.edges, pairs, 1, |u, v, host, in_spanner| {
-            let allowed = envelope(host);
-            if in_spanner == UNREACHABLE || in_spanner as f64 > allowed + 1e-9 {
-                return ControlFlow::Break(EnvelopeViolation {
-                    u,
-                    v,
-                    host,
-                    in_spanner,
-                    allowed,
-                });
-            }
-            ControlFlow::Continue(())
-        })
-        .break_value()
-    }
-}
-
-/// A pair that exceeded a distortion envelope, found by
-/// [`Spanner::check_envelope`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnvelopeViolation {
-    /// First endpoint.
-    pub u: NodeId,
-    /// Second endpoint.
-    pub v: NodeId,
-    /// Host distance.
-    pub host: u32,
-    /// Spanner distance (`u32::MAX` if disconnected in the spanner).
-    pub in_spanner: u32,
-    /// The allowed bound `envelope(host)` that was exceeded.
-    pub allowed: f64,
 }
 
 /// Distortion statistics at one host distance, produced by
@@ -297,14 +254,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use spanner_graph::traversal::{bfs_distances, bfs_distances_csr};
-    use spanner_graph::{generators, EdgeId};
+    use spanner_graph::{generators, verify_stretch, EdgeId, StretchViolation};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // The envelope checks and the profile against a naive walk: one
-        // BFS per source in the host and in the spanner subgraph, pairs
-        // taken in `(u, v)` order (all pairs) or the sample's order.
+        // The stretch check under a per-distance envelope, and the
+        // profile, against a naive walk: one BFS per source in the host
+        // and in the spanner subgraph, pairs taken in `(u, v)` order (all
+        // pairs) or the sample's order.
         #[test]
         fn envelope_checks_and_profile_match_naive_walk(
             n in 2usize..=150,
@@ -326,12 +284,11 @@ mod tests {
             let sub = g.csr().subgraph(&s.edges);
             let host: Vec<_> = g.nodes().map(|u| bfs_distances(&g, u)).collect();
             let span: Vec<_> = g.nodes().map(|u| bfs_distances_csr(&sub, u)).collect();
-            let envelope = |d: u32| (alpha * d + beta) as f64;
+            let allows = |d: u64, s: u64| s as f64 <= (alpha as u64 * d + beta as u64) as f64 + 1e-9;
             let violation = |u: NodeId, v: NodeId, host: u32| {
-                let in_spanner = span[u.index()][v.index()].unwrap_or(UNREACHABLE);
-                let allowed = envelope(host);
-                let bad = in_spanner == UNREACHABLE || in_spanner as f64 > allowed + 1e-9;
-                bad.then_some(EnvelopeViolation { u, v, host, in_spanner, allowed })
+                let in_spanner = span[u.index()][v.index()].map(u64::from);
+                let bad = in_spanner.is_none_or(|s| !allows(host as u64, s));
+                bad.then_some(StretchViolation { u, v, base: host as u64, in_spanner })
             };
 
             let exact = g.nodes().find_map(|u| {
@@ -340,7 +297,7 @@ mod tests {
                     violation(u, NodeId(v as u32), d)
                 })
             });
-            prop_assert_eq!(s.check_envelope(&g, Pairs::All, envelope), exact);
+            prop_assert_eq!(verify_stretch(&g, &s.edges, Pairs::All, 1, allows).err(), exact);
 
             let sample = PairSample::new(&g, 4 * n, seed, 1);
             let pairs = sample.pairs();
@@ -348,7 +305,8 @@ mod tests {
                 prop_assert_eq!(host[p.u.index()][p.v.index()], Some(p.dist));
             }
             let sampled = pairs.iter().find_map(|p| violation(p.u, p.v, p.dist));
-            prop_assert_eq!(s.check_envelope(&g, Pairs::Sampled(&sample), envelope), sampled);
+            let checked = verify_stretch(&g, &s.edges, Pairs::Sampled(&sample), 1, allows);
+            prop_assert_eq!(checked.err(), sampled);
 
             let mut buckets: BTreeMap<u32, DistanceBucket> = BTreeMap::new();
             for p in pairs {
@@ -490,25 +448,21 @@ mod tests {
         let mut edges = EdgeSet::full(&g);
         let e = g.find_edge(NodeId(0), NodeId(n as u32 - 1)).unwrap();
         edges.remove(e);
-        let s = Spanner::from_edges(edges);
         // The deleted chord pair (distance 1) needs n-1; additive envelope
         // d + (n-2) passes, d + (n-3) fails.
-        assert!(s
-            .check_envelope(&g, Pairs::All, |d| d as f64 + (n - 2) as f64)
-            .is_none());
-        let viol = s
-            .check_envelope(&g, Pairs::All, |d| d as f64 + (n - 3) as f64)
-            .expect("violation");
-        assert_eq!(viol.host, 1);
-        assert_eq!(viol.in_spanner, (n - 1) as u32);
+        let within = |slack: u64| move |d: u64, s: u64| s <= d + slack;
+        let n64 = n as u64;
+        assert!(verify_stretch(&g, &edges, Pairs::All, 1, within(n64 - 2)).is_ok());
+        let viol = verify_stretch(&g, &edges, Pairs::All, 1, within(n64 - 3)).unwrap_err();
+        assert_eq!(viol.base, 1);
+        assert_eq!(viol.in_spanner, Some(n64 - 1));
         // Sampled check agrees on the passing envelope.
         let sample = PairSample::new(&g, 400, 3, 1);
-        assert!(s
-            .check_envelope(&g, Pairs::Sampled(&sample), |d| d as f64 + (n - 2) as f64)
-            .is_none());
+        let sampled = Pairs::Sampled(&sample);
+        assert!(verify_stretch(&g, &edges, sampled, 1, within(n64 - 2)).is_ok());
         // Disconnected spanner is always a violation.
-        let empty = Spanner::from_edges(EdgeSet::new(&g));
-        assert!(empty.check_envelope(&g, Pairs::All, |_| 1e18).is_some());
+        let empty = EdgeSet::new(&g);
+        assert!(verify_stretch(&g, &empty, Pairs::All, 1, |_, _| true).is_err());
     }
 
     #[test]

@@ -11,18 +11,23 @@
 //!
 //! Every distance row here comes from one stride loop that fills the rows
 //! of `64 · threads` sources at a time: a sample's host distances, and the
-//! rows of every unweighted stretch check. Each check —
-//! [`verify_stretch_exact`] here and the reports and envelope checks of
-//! `ultrasparse::Spanner` — is a visitor on one ordered pair walk,
-//! [`walk_pairs`], over all pairs or over one graph's [`PairSample`], which
-//! is drawn once and handed to every spanner of that graph. The original
-//! one-BFS-per-source APSP, stretch verifier and pair sampler live on
-//! only as references in `tests/engine_parity.rs`. The single-source BFS
-//! they ran, `traversal::bfs_distances_in_subgraph` and its wrappers, is
-//! still library code: [`eccentricity`] and the two-sweep bounds here
-//! call it, as do the lower-bound adversary's distortion measurements
-//! and the repo benchmark's construction check, and it is the parity
-//! suite's single-source reference.
+//! rows of every unweighted stretch check. Each check is a visitor on one
+//! ordered pair walk, [`walk_pairs`], over all pairs or over one graph's
+//! [`PairSample`], which is drawn once and handed to every spanner of that
+//! graph. Every distortion bound `δ_S(u, v) ≤ f(δ(u, v))` — an (α, β)
+//! [`StretchBound`] or Theorem 7's per-distance Fibonacci envelope — is
+//! checked by the one visitor [`verify_stretch`], which takes `f` as a
+//! per-pair predicate and returns the first violation as a
+//! [`StretchViolation`]; `ultrasparse::Spanner`'s reports and profile are
+//! the other visitors. The weighted counterpart is
+//! [`walk_weighted_pairs`](crate::weighted::walk_weighted_pairs). The
+//! original one-BFS-per-source APSP, stretch verifier and pair sampler
+//! live on only as references in `tests/engine_parity.rs`. The
+//! single-source BFS they ran, `traversal::bfs_distances_in_subgraph` and
+//! its wrappers, is still library code: [`eccentricity`] and the two-sweep
+//! bounds here call it, as do the lower-bound adversary's distortion
+//! measurements and the repo benchmark's construction check, and it is
+//! the parity suite's single-source reference.
 
 use std::convert::Infallible;
 use std::ops::ControlFlow;
@@ -35,9 +40,6 @@ use crate::edgeset::EdgeSet;
 use crate::engine::DistanceEngine;
 use crate::graph::{Graph, NodeId};
 use crate::traversal::{bfs_distances, bfs_distances_csr};
-use crate::weighted::{
-    dijkstra, dijkstra_in_adjacency, subgraph_adjacency, WeightedGraph, W_UNREACHABLE,
-};
 
 /// All-pairs shortest path distances, `u32::MAX` for unreachable pairs.
 ///
@@ -54,7 +56,7 @@ pub struct Apsp {
 /// The one unreachable-distance sentinel for unweighted (hop-count)
 /// distances: `u32::MAX`, used identically by the engine entry points and
 /// the pair walk. The weighted counterpart is
-/// [`W_UNREACHABLE`] (`u64::MAX`), and
+/// [`W_UNREACHABLE`](crate::weighted::W_UNREACHABLE) (`u64::MAX`), and
 /// unattributed nodes in multi-source results use
 /// [`NO_SOURCE`](crate::engine::NO_SOURCE).
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -205,29 +207,31 @@ impl std::fmt::Display for StretchViolation {
     }
 }
 
-/// Verifies the exact stretch guarantee of `spanner` against every
-/// connected pair of `g`: `d_S(u, v) ≤ α · d_G(u, v) + β`.
+/// Checks the distortion bound `allows(d_G(u, v), d_S(u, v))` of
+/// `spanner` on every pair of `pairs`.
 ///
-/// A visitor on [`walk_pairs`] over [`Pairs::All`], with the distance rows
-/// of the host graph and the spanner subgraph computed by `threads`
-/// workers. Returns the first violating pair (lowest `u`, then `v`) as a
-/// witness, `Ok(())` if the guarantee holds everywhere; the pairs are
-/// checked in that order at every thread count, so the witness, like the
-/// verdict, does not depend on `threads`. Pairs disconnected in `g` impose
-/// no requirement; pairs connected in `g` but not in the spanner are
-/// violations.
+/// A visitor on [`walk_pairs`], with the distance rows computed by
+/// `threads` workers. For an (α, β) bound pass
+/// `|d, ds| bound.allows(d, ds)` ([`StretchBound::allows`]); a
+/// per-distance envelope passes its own predicate. Returns the first violating pair in
+/// walk order (lowest `u`, then `v`) as a witness, `Ok(())` if the bound
+/// holds everywhere; the pairs are checked in that order at every thread
+/// count, so the witness, like the verdict, does not depend on `threads`.
+/// Pairs disconnected in `g` impose no requirement; pairs connected in `g`
+/// but not in the spanner are violations without consulting `allows`.
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0`.
-pub fn verify_stretch_exact(
+pub fn verify_stretch(
     g: &Graph,
     spanner: &EdgeSet,
-    bound: StretchBound,
+    pairs: Pairs<'_>,
     threads: usize,
+    allows: impl Fn(u64, u64) -> bool,
 ) -> Result<(), StretchViolation> {
-    let walk = walk_pairs(g, spanner, Pairs::All, threads, |u, v, base, s| {
-        if s != UNREACHABLE && bound.allows(base as u64, s as u64) {
+    let walk = walk_pairs(g, spanner, pairs, threads, |u, v, base, s| {
+        if s != UNREACHABLE && allows(base as u64, s as u64) {
             return ControlFlow::Continue(());
         }
         ControlFlow::Break(StretchViolation {
@@ -347,39 +351,6 @@ fn walk_rows<const N: usize, B>(
     ControlFlow::Continue(())
 }
 
-/// Weighted counterpart of [`verify_stretch_exact`]: one Dijkstra per node
-/// in the host graph and in the spanner subgraph, distances in total edge
-/// weight. The subgraph adjacency is built once, not per source.
-pub fn verify_stretch_exact_weighted(
-    g: &WeightedGraph,
-    spanner: &EdgeSet,
-    bound: StretchBound,
-) -> Result<(), StretchViolation> {
-    let sub_adj = subgraph_adjacency(g, spanner);
-    for u in g.graph().nodes() {
-        let dg = dijkstra(g, u);
-        let ds = dijkstra_in_adjacency(&sub_adj, u);
-        for v in (u.index() + 1)..g.node_count() {
-            let base = dg[v];
-            if base == W_UNREACHABLE {
-                continue;
-            }
-            let witness = |in_spanner| StretchViolation {
-                u,
-                v: NodeId(v as u32),
-                base,
-                in_spanner,
-            };
-            match ds[v] {
-                W_UNREACHABLE => return Err(witness(None)),
-                s if bound.allows(base, s) => {}
-                s => return Err(witness(Some(s))),
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Eccentricity of `v`: max distance from `v` to any reachable node.
 pub fn eccentricity(g: &Graph, v: NodeId) -> u32 {
     bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)
@@ -495,9 +466,20 @@ impl PairSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weighted::{walk_weighted_pairs, WeightedGraph, W_UNREACHABLE};
 
     fn cycle(n: u32) -> Graph {
         Graph::from_edges(n as usize, (0..n).map(|i| (i, (i + 1) % n)))
+    }
+
+    /// [`verify_stretch`] of an (α, β) bound over every pair.
+    fn verify_all(
+        g: &Graph,
+        span: &EdgeSet,
+        bound: StretchBound,
+        threads: usize,
+    ) -> Result<(), StretchViolation> {
+        verify_stretch(g, span, Pairs::All, threads, |d, s| bound.allows(d, s))
     }
 
     #[test]
@@ -586,21 +568,17 @@ mod tests {
     #[test]
     fn verify_stretch_accepts_full_graph_and_spanning_subsets() {
         let g = cycle(9);
-        assert!(
-            verify_stretch_exact(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0), 1)
-                .is_ok()
-        );
+        assert!(verify_all(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0), 1).is_ok());
         // Removing one cycle edge forces the long way around: stretch n-1.
         let mut span = EdgeSet::full(&g);
         span.remove(g.find_edge(NodeId(0), NodeId(1)).unwrap());
-        assert!(verify_stretch_exact(&g, &span, StretchBound::multiplicative(8.0), 1).is_ok());
-        let err =
-            verify_stretch_exact(&g, &span, StretchBound::multiplicative(7.0), 1).unwrap_err();
+        assert!(verify_all(&g, &span, StretchBound::multiplicative(8.0), 1).is_ok());
+        let err = verify_all(&g, &span, StretchBound::multiplicative(7.0), 1).unwrap_err();
         assert_eq!((err.u, err.v), (NodeId(0), NodeId(1)));
         assert_eq!((err.base, err.in_spanner), (1, Some(8)));
         // The same gap expressed additively.
-        assert!(verify_stretch_exact(&g, &span, StretchBound::additive(7), 1).is_ok());
-        assert!(verify_stretch_exact(&g, &span, StretchBound::additive(6), 1).is_err());
+        assert!(verify_all(&g, &span, StretchBound::additive(7), 1).is_ok());
+        assert!(verify_all(&g, &span, StretchBound::additive(6), 1).is_err());
     }
 
     #[test]
@@ -610,14 +588,14 @@ mod tests {
         span.remove(g.find_edge(NodeId(0), NodeId(1)).unwrap());
         for threads in 1..=8usize {
             let bound = StretchBound::multiplicative(7.0);
-            let err = verify_stretch_exact(&g, &span, bound, threads).unwrap_err();
+            let err = verify_all(&g, &span, bound, threads).unwrap_err();
             assert_eq!(
                 (err.u, err.v, err.base, err.in_spanner),
                 (NodeId(0), NodeId(1), 1, Some(8)),
                 "threads={threads}"
             );
             let ok = StretchBound::multiplicative(8.0);
-            assert!(verify_stretch_exact(&g, &span, ok, threads).is_ok());
+            assert!(verify_all(&g, &span, ok, threads).is_ok());
         }
     }
 
@@ -653,8 +631,7 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let mut span = EdgeSet::new(&g);
         span.insert(g.find_edge(NodeId(0), NodeId(1)).unwrap());
-        let err =
-            verify_stretch_exact(&g, &span, StretchBound::multiplicative(100.0), 1).unwrap_err();
+        let err = verify_all(&g, &span, StretchBound::multiplicative(100.0), 1).unwrap_err();
         assert_eq!(err.in_spanner, None);
         assert!(err.to_string().contains("disconnects"));
     }
@@ -662,10 +639,7 @@ mod tests {
     #[test]
     fn verify_stretch_ignores_pairs_disconnected_in_host() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert!(
-            verify_stretch_exact(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0), 1)
-                .is_ok()
-        );
+        assert!(verify_all(&g, &EdgeSet::full(&g), StretchBound::multiplicative(1.0), 1).is_ok());
     }
 
     #[test]
@@ -686,11 +660,27 @@ mod tests {
         let wg = WeightedGraph::new(g, w);
         let mut span = EdgeSet::full(wg.graph());
         span.remove(wg.graph().find_edge(NodeId(0), NodeId(1)).unwrap());
-        assert!(
-            verify_stretch_exact_weighted(&wg, &span, StretchBound::multiplicative(8.0)).is_ok()
-        );
-        let err = verify_stretch_exact_weighted(&wg, &span, StretchBound::multiplicative(7.0))
-            .unwrap_err();
+        // The weighted bound check: a visitor on the weighted pair walk
+        // that stops at the first pair outside the bound.
+        let sources: Vec<NodeId> = wg.graph().nodes().collect();
+        let verify = |bound: StretchBound| {
+            walk_weighted_pairs(&wg, &span, &sources, |u, v, base, s| {
+                if s != W_UNREACHABLE && bound.allows(base, s) {
+                    return ControlFlow::Continue(());
+                }
+                let in_spanner = (s != W_UNREACHABLE).then_some(s);
+                ControlFlow::Break(StretchViolation {
+                    u,
+                    v,
+                    base,
+                    in_spanner,
+                })
+            })
+            .break_value()
+        };
+        assert_eq!(verify(StretchBound::multiplicative(8.0)), None);
+        let err = verify(StretchBound::multiplicative(7.0)).unwrap();
+        assert_eq!((err.u, err.v), (NodeId(0), NodeId(1)));
         assert_eq!((err.base, err.in_spanner), (1, Some(8)));
     }
 }

@@ -48,9 +48,7 @@ pub mod traversal;
 pub mod weighted;
 
 pub use csr::{CsrAdjacency, CsrEdgeIndex, CsrPartsError, CsrSizeError, LinkedAdjacency};
-pub use distance::{
-    verify_stretch_exact, verify_stretch_exact_weighted, StretchBound, StretchViolation,
-};
+pub use distance::{verify_stretch, Pairs, StretchBound, StretchViolation};
 pub use edgeset::EdgeSet;
 pub use engine::{DistanceEngine, Strategy, NO_SOURCE};
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};

@@ -234,7 +234,7 @@ impl DynamicStore {
 mod tests {
     use super::*;
     use crate::scratch_dir;
-    use spanner_graph::distance::{verify_stretch_exact, StretchBound};
+    use spanner_graph::distance::{verify_stretch, Pairs, StretchBound};
     use spanner_graph::generators;
 
     fn meta() -> SnapshotMeta {
@@ -249,7 +249,8 @@ mod tests {
         let g = store.spanner().to_graph();
         let s = store.spanner().spanner_edge_set(&g);
         let bound = StretchBound::multiplicative(f64::from(store.spanner().stretch()));
-        verify_stretch_exact(&g, &s, bound, 1).expect("stretch bound must hold");
+        verify_stretch(&g, &s, Pairs::All, 1, |d, ds| bound.allows(d, ds))
+            .expect("stretch bound must hold");
     }
 
     #[test]

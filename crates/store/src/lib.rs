@@ -32,7 +32,7 @@
 //! a corrupted file can produce an error, never a silently wrong graph.
 //! The differential test suite (`tests/incremental_parity.rs`) pins every
 //! incremental state against a from-scratch rebuild via
-//! `verify_stretch_exact`.
+//! `verify_stretch`.
 //!
 //! # Example
 //!

@@ -3,7 +3,7 @@
 //! On random connected graphs with n ≤ 64, each of the five constructions
 //! (skeleton, fibonacci, baswana_sen, greedy, additive2) must satisfy its
 //! paper-stated size and stretch bound — checked pair-exactly with
-//! [`verify_stretch_exact`] — and the distance machinery is cross-checked
+//! [`verify_stretch`] — and the distance machinery is cross-checked
 //! against the Thorup–Zwick oracle's `query` bracket.
 //!
 //! The distributed drivers are hammered with generated drop/delay/crash
@@ -24,7 +24,7 @@ use ultrasparse_spanners::core::{BuildError, Spanner};
 use ultrasparse_spanners::graph::distance::Apsp;
 use ultrasparse_spanners::graph::distance::Pairs;
 use ultrasparse_spanners::graph::{
-    generators, verify_stretch_exact, EdgeId, Graph, NodeId, StretchBound,
+    generators, verify_stretch, EdgeId, Graph, NodeId, StretchBound,
 };
 use ultrasparse_spanners::netsim::rng::splitmix64;
 use ultrasparse_spanners::netsim::{
@@ -74,7 +74,7 @@ fn hostile_plan(fseed: u64, n: usize) -> FaultPlan {
 /// own certification is not trusted here, the test re-derives it.
 fn assert_certified(g: &Graph, s: &Spanner, bound: StretchBound, what: &str) {
     assert!(s.is_spanning(g), "{what}: faulted Ok output must span");
-    if let Err(viol) = verify_stretch_exact(g, &s.edges, bound, 1) {
+    if let Err(viol) = verify_stretch(g, &s.edges, Pairs::All, 1, |d, ds| bound.allows(d, ds)) {
         panic!("{what}: faulted Ok output breaks its bound: {viol}");
     }
 }
@@ -116,8 +116,8 @@ proptest! {
         let params = SkeletonParams::default();
         let n = g.node_count();
         let s = skeleton::build_sequential(&g, &params, seed);
-        let bound = params.schedule(n).distortion_bound as f64;
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(bound), 1).is_ok());
+        let bound = StretchBound::multiplicative(params.schedule(n).distortion_bound as f64);
+        prop_assert!(verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| bound.allows(d, ds)).is_ok());
         // Linear size Dn/e + O(n log D): expected_size carries the Lemma 6
         // constants; allow 2x concentration slack plus an additive cushion
         // for the smallest instances.
@@ -134,10 +134,10 @@ proptest! {
         let p = FibonacciParams::new(n, order, 0.5, 0).unwrap();
         let s = fibonacci::build_sequential(&g, &p, seed);
         prop_assert!(s.is_spanning(&g));
-        let viol = s.check_envelope(&g, Pairs::All, |d| {
-            fibonacci::analysis::distortion_envelope(p.order, p.ell, d as u64)
+        let viol = verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| {
+            fibonacci::analysis::within_envelope(p.order, p.ell, d, ds)
         });
-        prop_assert!(viol.is_none(), "envelope violated: {:?}", viol);
+        prop_assert!(viol.is_ok(), "envelope violated: {:?}", viol);
         prop_assert!(
             (s.edges.len() as f64) <= 2.0 * p.expected_size() + 2.0 * n as f64,
             "fibonacci size {} vs expected {:.1}",
@@ -150,8 +150,8 @@ proptest! {
         let n = g.node_count() as f64;
         let params = BaswanaSenParams::new(k).unwrap();
         let s = baswana_sen::build_sequential(&g, &params, seed);
-        let t = (2 * k - 1) as f64;
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(t), 1).is_ok());
+        let t = StretchBound::multiplicative((2 * k - 1) as f64);
+        prop_assert!(verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| t.allows(d, ds)).is_ok());
         // Expected size O(kn + log k · n^{1+1/k}); generous per-instance
         // slack (inputs are deterministic per proptest case, so this is a
         // regression pin rather than a tail-probability gamble).
@@ -167,8 +167,8 @@ proptest! {
     fn greedy_meets_stretch_and_moore_size(g in arb_small_graph(), k in 1u32..=4) {
         let n = g.node_count() as f64;
         let s = greedy::build(&g, k);
-        let t = (2 * k - 1) as f64;
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::multiplicative(t), 1).is_ok());
+        let t = StretchBound::multiplicative((2 * k - 1) as f64);
+        prop_assert!(verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| t.allows(d, ds)).is_ok());
         prop_assert!(greedy::has_greedy_girth(&g, &s, k));
         // Girth > 2k forces the deterministic Moore-type bound n + n^{1+1/k}.
         prop_assert!(
@@ -182,7 +182,8 @@ proptest! {
     fn additive2_meets_bound_and_size(g in arb_small_graph(), seed in any::<u64>()) {
         let n = g.node_count() as f64;
         let s = additive2::build(&g, seed);
-        prop_assert!(verify_stretch_exact(&g, &s.edges, StretchBound::additive(2), 1).is_ok());
+        let plus2 = StretchBound::additive(2);
+        prop_assert!(verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| plus2.allows(d, ds)).is_ok());
         // O(n^{3/2}) edges; the clustering argument gives ~2 n^{3/2} + n.
         prop_assert!(
             (s.edges.len() as f64) <= 4.0 * n.powf(1.5) + 2.0 * n,
@@ -195,7 +196,7 @@ proptest! {
 
     #[test]
     fn oracle_query_brackets_exact_distances(g in arb_small_graph(), seed in any::<u64>(), k in 1u32..=3) {
-        // The same BFS machinery that backs verify_stretch_exact must agree
+        // The same BFS machinery that backs verify_stretch must agree
         // with the oracle: exact ≤ query ≤ (2k−1)·exact on every pair.
         let oracle = DistanceOracle::build(&g, k, seed);
         let apsp = Apsp::new(&g);
@@ -274,10 +275,10 @@ proptest! {
                 Box::new(|s| {
                     assert!(s.is_spanning(&g), "fibonacci: faulted Ok output must span");
                     let (order, ell) = (fb_params.order, fb_params.ell);
-                    let viol = s.check_envelope(&g, Pairs::All, |d| {
-                        fibonacci::analysis::distortion_envelope(order, ell, d as u64)
+                    let viol = verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| {
+                        fibonacci::analysis::within_envelope(order, ell, d, ds)
                     });
-                    assert!(viol.is_none(), "fibonacci faulted Ok breaks envelope: {viol:?}");
+                    assert!(viol.is_ok(), "fibonacci faulted Ok breaks envelope: {viol:?}");
                 }),
             ),
             (

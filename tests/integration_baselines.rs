@@ -4,7 +4,7 @@
 
 use ultrasparse_spanners::baselines::{additive2, baswana_sen, bfs_skeleton, greedy};
 use ultrasparse_spanners::graph::distance::{PairSample, Pairs};
-use ultrasparse_spanners::graph::{generators, verify_stretch_exact, StretchBound};
+use ultrasparse_spanners::graph::{generators, verify_stretch, StretchBound};
 use ultrasparse_spanners::netsim::{Executor, NullSink};
 
 #[test]
@@ -17,37 +17,30 @@ fn all_baselines_guarantee_matrix() {
 
     for k in [2u32, 3] {
         let p = baswana_sen::BaswanaSenParams::new(k).unwrap();
+        let bound = StretchBound::multiplicative((2 * k - 1) as f64);
         for s in [
             baswana_sen::build_sequential(&g, &p, 5),
             baswana_sen::build_distributed_csr(g.csr(), &p, 5).expect("run"),
         ] {
             assert!(s.is_spanning(&g));
-            verify_stretch_exact(
-                &g,
-                &s.edges,
-                StretchBound::multiplicative((2 * k - 1) as f64),
-                1,
-            )
-            .unwrap_or_else(|viol| panic!("BS k={k}: {viol}"));
+            verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| bound.allows(d, ds))
+                .unwrap_or_else(|viol| panic!("BS k={k}: {viol}"));
         }
     }
 
     for k in [2u32, 3] {
         let s = greedy::build(&g, k);
         assert!(s.is_spanning(&g));
-        verify_stretch_exact(
-            &g,
-            &s.edges,
-            StretchBound::multiplicative((2 * k - 1) as f64),
-            1,
-        )
-        .unwrap_or_else(|viol| panic!("greedy k={k}: {viol}"));
+        let bound = StretchBound::multiplicative((2 * k - 1) as f64);
+        verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| bound.allows(d, ds))
+            .unwrap_or_else(|viol| panic!("greedy k={k}: {viol}"));
         assert!(greedy::has_greedy_girth(&g, &s, k));
     }
 
     let add2 = additive2::build(&g, 7);
     assert!(add2.is_spanning(&g));
-    verify_stretch_exact(&g, &add2.edges, StretchBound::additive(2), 1)
+    let plus2 = StretchBound::additive(2);
+    verify_stretch(&g, &add2.edges, Pairs::All, 1, |d, ds| plus2.allows(d, ds))
         .unwrap_or_else(|viol| panic!("additive2: {viol}"));
 }
 

@@ -14,7 +14,7 @@ use ultrasparse_spanners::baselines::baswana_sen;
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::graph::distance::Pairs;
-use ultrasparse_spanners::graph::{generators, Graph};
+use ultrasparse_spanners::graph::{generators, verify_stretch, Graph};
 use ultrasparse_spanners::lowerbound::{Gadget, GadgetParams};
 
 /// Strategy: a connected random graph with 10..=160 nodes.
@@ -51,10 +51,10 @@ proptest! {
         let p = FibonacciParams::new(g.node_count(), order, 0.5, 0).expect("params");
         let s = fibonacci::build_sequential(&g, &p, seed);
         prop_assert!(s.is_spanning(&g));
-        let viol = s.check_envelope(&g, Pairs::All, |d| {
-            fibonacci::analysis::distortion_envelope(p.order, p.ell, d as u64)
+        let viol = verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| {
+            fibonacci::analysis::within_envelope(p.order, p.ell, d, ds)
         });
-        prop_assert!(viol.is_none(), "violation: {:?}", viol);
+        prop_assert!(viol.is_ok(), "violation: {:?}", viol);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
 use ultrasparse_spanners::graph::distance::Pairs;
-use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, StretchBound};
+use ultrasparse_spanners::graph::{generators, verify_stretch, Graph, StretchBound};
 use ultrasparse_spanners::netsim::{Executor, FaultPlan, NullSink, RunMetrics, Synchronizer};
 
 /// Strategy: a small connected random graph, n ≤ 64 (pair-exact
@@ -103,9 +103,8 @@ proptest! {
             ).expect("async build");
             assert_pair_exact("skeleton", &reference, &s);
             // Paper bounds on the async output, as in conformance_constructions.
-            let bound = params.schedule(g.node_count()).distortion_bound as f64;
-            prop_assert!(verify_stretch_exact(
-                &g, &s.edges, StretchBound::multiplicative(bound), 1).is_ok());
+            let bound = StretchBound::multiplicative(params.schedule(g.node_count()).distortion_bound as f64);
+            prop_assert!(verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| bound.allows(d, ds)).is_ok());
             prop_assert!(
                 (s.edges.len() as f64)
                     <= 2.0 * params.expected_size(g.node_count()) + 2.0 * g.node_count() as f64,
@@ -139,10 +138,10 @@ proptest! {
             ).expect("async build");
             assert_pair_exact("fibonacci", &reference, &s);
             prop_assert!(s.is_spanning(&g));
-            let viol = s.check_envelope(&g, Pairs::All, |d| {
-                fibonacci::analysis::distortion_envelope(params.order, params.ell, d as u64)
+            let viol = verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| {
+                fibonacci::analysis::within_envelope(params.order, params.ell, d, ds)
             });
-            prop_assert!(viol.is_none(), "envelope violated: {:?}", viol);
+            prop_assert!(viol.is_ok(), "envelope violated: {:?}", viol);
         }
     }
 
@@ -164,9 +163,8 @@ proptest! {
                 csr, &params, seed, &on_async(&delays, sync), None, &mut NullSink,
             ).expect("async build");
             assert_pair_exact("baswana_sen", &reference, &s);
-            let t = (2 * k - 1) as f64;
-            prop_assert!(verify_stretch_exact(
-                &g, &s.edges, StretchBound::multiplicative(t), 1).is_ok());
+            let t = StretchBound::multiplicative((2 * k - 1) as f64);
+            prop_assert!(verify_stretch(&g, &s.edges, Pairs::All, 1, |d, ds| t.allows(d, ds)).is_ok());
         }
     }
 

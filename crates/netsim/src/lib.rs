@@ -67,6 +67,6 @@ pub use faults::{FaultCounters, FaultPlan, MsgFate};
 pub use metrics::RunMetrics;
 pub use sync::{Ctx, MessageSize, Network, Protocol, RunError};
 pub use trace::{
-    size_bucket, JsonLinesSink, NullSink, PhaseCost, PhaseMark, RingBufferSink, ScheduledSink,
-    TraceEvent, TraceSink, TraceSummary, SIZE_BUCKETS,
+    size_bucket, JsonLinesSink, NullSink, PhaseCost, PhaseMark, ScheduledSink, TraceEvent,
+    TraceSink, TraceSummary, SIZE_BUCKETS,
 };

@@ -44,7 +44,6 @@
 //! assert_eq!(summary.total_messages(), net.metrics().messages);
 //! ```
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -466,8 +465,8 @@ fn parse_object(s: &str) -> Option<Vec<(String, JsonVal)>> {
 
 /// Receives the trace stream of a run.
 ///
-/// Implementations decide what to keep: nothing ([`NullSink`]), the last N
-/// events ([`RingBufferSink`]), a JSONL file ([`JsonLinesSink`]), or online
+/// Implementations decide what to keep: nothing ([`NullSink`]), every
+/// event (`Vec<TraceEvent>`), a JSONL file ([`JsonLinesSink`]), or online
 /// aggregates ([`TraceSummary`]).
 pub trait TraceSink {
     /// Whether the executors should collect events at all.
@@ -499,50 +498,11 @@ impl TraceSink for NullSink {
     fn record(&mut self, _event: TraceEvent) {}
 }
 
-/// Keeps the most recent events in a bounded ring, dropping the oldest.
-///
-/// Useful in tests and for post-mortem inspection of long runs where only
-/// the tail matters.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// A ring keeping at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the sink, returning the retained events oldest-first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
-    }
-}
-
-impl TraceSink for RingBufferSink {
+/// Keeps every event, in stream order: the sink tests compare whole
+/// traces with.
+impl TraceSink for Vec<TraceEvent> {
     fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
+        self.push(event);
     }
 }
 
@@ -1242,18 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut ring = RingBufferSink::new(2);
-        for ev in sample_events() {
-            ring.record(ev);
-        }
-        assert_eq!(ring.dropped(), 8);
-        let kept = ring.into_events();
-        assert_eq!(kept.len(), 2);
-        assert!(matches!(kept[1], TraceEvent::RunEnd { .. }));
-    }
-
-    #[test]
     fn null_sink_disabled() {
         assert!(!NullSink.enabled());
     }
@@ -1343,8 +1291,8 @@ mod tests {
     /// end closes at the last round before `Faults` and `RunEnd`.
     #[test]
     fn scheduled_sink_emits_spans_around_round_records() {
-        let mut ring = RingBufferSink::new(64);
-        let mut sink = ScheduledSink::new(&mut ring, || {
+        let mut kept: Vec<TraceEvent> = Vec::new();
+        let mut sink = ScheduledSink::new(&mut kept, || {
             vec![
                 (1, PhaseMark::Enter("a".into())),
                 (2, PhaseMark::Enter("b".into())),
@@ -1376,7 +1324,7 @@ mod tests {
             faults,
             end,
         ];
-        assert_eq!(ring.into_events(), expect);
+        assert_eq!(kept, expect);
     }
 
     #[test]
@@ -1389,8 +1337,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted by round")]
     fn scheduled_sink_rejects_unsorted_schedules() {
-        let mut ring = RingBufferSink::new(1);
-        ScheduledSink::new(&mut ring, || {
+        let mut kept: Vec<TraceEvent> = Vec::new();
+        ScheduledSink::new(&mut kept, || {
             vec![(2, PhaseMark::Exit), (1, PhaseMark::Exit)]
         });
     }

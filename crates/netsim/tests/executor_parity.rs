@@ -13,11 +13,8 @@ use spanner_netsim::patterns::MinIdBroadcast;
 use spanner_netsim::rng::splitmix64;
 use spanner_netsim::{
     AsyncNetwork, Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, PhaseMark, Protocol,
-    RingBufferSink, RunError, ScheduledSink, Synchronizer, TraceEvent, TraceSink,
+    RunError, ScheduledSink, Synchronizer, TraceEvent, TraceSink,
 };
-
-/// Large enough that no test run ever evicts an event.
-const TRACE_CAP: usize = 1 << 20;
 
 /// A protocol exercising every determinism-relevant feature at once: each
 /// round a node flips its private coin, gossips the value to all neighbors,
@@ -89,26 +86,21 @@ fn late_fat_phases(sink: &mut dyn TraceSink) -> ScheduledSink<'_> {
 
 fn assert_parity(g: &Graph, seed: u64, ttl: u32) {
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_states = seq
         .run_traced(|_, _| GossipHash::new(ttl), 4 * ttl + 16, &mut seq_trace)
         .unwrap();
-    assert_eq!(seq_trace.dropped(), 0);
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     for threads in [1usize, 2, 4, 8] {
         let mut par =
             Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed).with_threads(threads);
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
+        let mut par_trace: Vec<TraceEvent> = Vec::new();
         let par_states = par
             .run_traced(|_, _| GossipHash::new(ttl), 4 * ttl + 16, &mut par_trace)
             .unwrap();
         assert_eq!(seq_states, par_states, "states, {threads} threads");
         assert_eq!(seq.metrics(), par.metrics(), "metrics, {threads} threads");
-        assert_eq!(
-            seq_events,
-            par_trace.into_events(),
-            "trace events, {threads} threads"
-        );
+        assert_eq!(seq_events, par_trace, "trace events, {threads} threads");
     }
 }
 
@@ -119,23 +111,18 @@ fn assert_parity_under_faults(g: &Graph, seed: u64, ttl: u32, plan: &FaultPlan) 
     let max_rounds = 4 * ttl + 16;
     let mut seq =
         Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed).with_faults(plan.clone());
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_result = seq.run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace);
-    assert_eq!(seq_trace.dropped(), 0);
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     for threads in 1usize..=8 {
         let mut par = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed)
             .with_threads(threads)
             .with_faults(plan.clone());
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
+        let mut par_trace: Vec<TraceEvent> = Vec::new();
         let par_result = par.run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut par_trace);
         assert_eq!(seq_result, par_result, "outcome, {threads} threads");
         assert_eq!(seq.metrics(), par.metrics(), "metrics, {threads} threads");
-        assert_eq!(
-            seq_events,
-            par_trace.into_events(),
-            "trace events, {threads} threads"
-        );
+        assert_eq!(seq_events, par_trace, "trace events, {threads} threads");
     }
 }
 
@@ -250,7 +237,7 @@ fn round_limit_metrics_agree() {
     let g = generators::erdos_renyi_gnm(40, 120, 2);
     let phases = || vec![(0, PhaseMark::Enter("chatter".into()))];
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_err = seq
         .run_traced(
             |_, _| Chatter,
@@ -259,7 +246,7 @@ fn round_limit_metrics_agree() {
         )
         .unwrap_err();
     assert_eq!(seq_err, RunError::RoundLimit { max_rounds: 6 });
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     assert!(matches!(
         seq_events.last(),
         Some(TraceEvent::RunEnd { error: Some(_), .. })
@@ -267,7 +254,7 @@ fn round_limit_metrics_agree() {
     for threads in [1usize, 3, 8] {
         let mut par =
             Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 7).with_threads(threads);
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
+        let mut par_trace: Vec<TraceEvent> = Vec::new();
         let par_err = par
             .run_traced(
                 |_, _| Chatter,
@@ -277,11 +264,7 @@ fn round_limit_metrics_agree() {
             .unwrap_err();
         assert_eq!(seq_err, par_err);
         assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
-        assert_eq!(
-            seq_events,
-            par_trace.into_events(),
-            "trace events, {threads} threads"
-        );
+        assert_eq!(seq_events, par_trace, "trace events, {threads} threads");
     }
 }
 
@@ -308,13 +291,13 @@ fn budget_violation_metrics_agree() {
     }
     let g = generators::erdos_renyi_gnm(40, 100, 5);
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_err = seq
         .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut seq_trace))
         .unwrap_err();
     assert!(matches!(seq_err, RunError::Budget(_)));
     assert!(seq.metrics().messages > 0, "partial accounting expected");
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     // The stream ends with: the partial round, the forced close of the open
     // phase, and a RunEnd recording the violation.
     let tail: Vec<&TraceEvent> = seq_events.iter().rev().take(3).collect();
@@ -324,17 +307,13 @@ fn budget_violation_metrics_agree() {
     for threads in [1usize, 2, 4, 8] {
         let mut par =
             Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9).with_threads(threads);
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
+        let mut par_trace: Vec<TraceEvent> = Vec::new();
         let par_err = par
             .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut par_trace))
             .unwrap_err();
         assert_eq!(seq_err, par_err, "{threads} threads");
         assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
-        assert_eq!(
-            seq_events,
-            par_trace.into_events(),
-            "trace events, {threads} threads"
-        );
+        assert_eq!(seq_events, par_trace, "trace events, {threads} threads");
     }
 }
 
@@ -377,13 +356,13 @@ fn trace_jsonl_byte_identical() {
 fn assert_async_parity(g: &Graph, seed: u64, ttl: u32) {
     let max_rounds = 4 * ttl + 16;
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_states = seq
         .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace)
         .unwrap();
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
-    let mut atrace = RingBufferSink::new(TRACE_CAP);
+    let mut atrace: Vec<TraceEvent> = Vec::new();
     let astates = anet
         .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut atrace)
         .unwrap();
@@ -393,7 +372,7 @@ fn assert_async_parity(g: &Graph, seed: u64, ttl: u32) {
         anet.metrics().protocol_only(),
         "async metrics"
     );
-    assert_eq!(seq_events, atrace.into_events(), "async trace events");
+    assert_eq!(seq_events, atrace, "async trace events");
     let m = anet.metrics();
     assert_eq!(m.events, m.messages + m.sync_messages, "event accounting");
     assert!(
@@ -441,18 +420,18 @@ proptest! {
 fn assert_async_delay_parity(g: &Graph, seed: u64, dseed: u64, ttl: u32) {
     let max_rounds = 4 * ttl + 16;
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_states = seq
         .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut seq_trace)
         .unwrap();
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     let delays = FaultPlan::new(dseed).with_delays(0.4, 4);
     let tree = spanning_tree(g);
     for sync in [Synchronizer::Alpha, Synchronizer::Skeleton(tree)] {
         let mut anet = AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::CONGEST, seed)
             .with_delays(delays.clone())
             .with_synchronizer(sync.clone());
-        let mut atrace = RingBufferSink::new(TRACE_CAP);
+        let mut atrace: Vec<TraceEvent> = Vec::new();
         let astates = anet
             .run_traced(|_, _| GossipHash::new(ttl), max_rounds, &mut atrace)
             .unwrap();
@@ -462,7 +441,7 @@ fn assert_async_delay_parity(g: &Graph, seed: u64, dseed: u64, ttl: u32) {
             anet.metrics().protocol_only(),
             "{sync:?} metrics"
         );
-        assert_eq!(seq_events, atrace.into_events(), "{sync:?} trace");
+        assert_eq!(seq_events, atrace, "{sync:?} trace");
         let m = anet.metrics();
         assert_eq!(m.events, m.messages + m.sync_messages, "{sync:?} events");
     }
@@ -510,22 +489,22 @@ fn async_budget_violation_agrees() {
     }
     let g = generators::connected_gnm(40, 100, 5);
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::Words(4), 9);
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_err = seq
         .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut seq_trace))
         .unwrap_err();
     assert!(matches!(seq_err, RunError::Budget(_)));
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     for delays in [FaultPlan::default(), FaultPlan::new(3).with_delays(0.5, 4)] {
         let mut anet =
             AsyncNetwork::from_csr(g.csr().clone(), MessageBudget::Words(4), 9).with_delays(delays);
-        let mut atrace = RingBufferSink::new(TRACE_CAP);
+        let mut atrace: Vec<TraceEvent> = Vec::new();
         let aerr = anet
             .run_traced(|_, _| LateFat, 32, &mut late_fat_phases(&mut atrace))
             .unwrap_err();
         assert_eq!(seq_err, aerr);
         assert_eq!(seq.metrics(), anet.metrics().protocol_only());
-        assert_eq!(seq_events, atrace.into_events());
+        assert_eq!(seq_events, atrace);
     }
 }
 
@@ -579,10 +558,10 @@ fn async_trace_jsonl_byte_identical() {
 fn trace_parity_on_empty_graph() {
     let g = Graph::from_edges(0, std::iter::empty::<(u32, u32)>());
     let mut seq = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1);
-    let mut seq_trace = RingBufferSink::new(16);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     seq.run_traced(|_, _| GossipHash::new(2), 8, &mut seq_trace)
         .unwrap();
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     assert_eq!(seq_events.len(), 2);
     assert!(matches!(
         seq_events.last(),
@@ -595,9 +574,9 @@ fn trace_parity_on_empty_graph() {
     for threads in [1usize, 4] {
         let mut par =
             Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 1).with_threads(threads);
-        let mut par_trace = RingBufferSink::new(16);
+        let mut par_trace: Vec<TraceEvent> = Vec::new();
         par.run_traced(|_, _| GossipHash::new(2), 8, &mut par_trace)
             .unwrap();
-        assert_eq!(seq_events, par_trace.into_events(), "{threads} threads");
+        assert_eq!(seq_events, par_trace, "{threads} threads");
     }
 }

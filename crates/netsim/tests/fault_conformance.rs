@@ -10,10 +10,8 @@ use rand::Rng;
 use spanner_graph::{generators, Graph, NodeId};
 use spanner_netsim::rng::splitmix64;
 use spanner_netsim::{
-    Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, Protocol, RingBufferSink, RunError,
+    Ctx, FaultPlan, JsonLinesSink, MessageBudget, Network, Protocol, RunError, TraceEvent,
 };
-
-const TRACE_CAP: usize = 1 << 20;
 
 /// Same digest-everything protocol the parity suite uses: any divergence in
 /// RNG streams, inbox order, or delivery timing changes the final states.
@@ -296,24 +294,24 @@ fn round_limit_under_faults_is_typed_and_parity_holds() {
     let plan = FaultPlan::new(4).with_stutters(1.0).scoped_to([NodeId(2)]);
     let mut seq =
         Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3).with_faults(plan.clone());
-    let mut seq_trace = RingBufferSink::new(TRACE_CAP);
+    let mut seq_trace: Vec<TraceEvent> = Vec::new();
     let seq_err = seq
         .run_traced(|_, _| GossipHash::new(2), 12, &mut seq_trace)
         .unwrap_err();
     assert_eq!(seq_err, RunError::RoundLimit { max_rounds: 12 });
     assert!(seq.metrics().faults.stutters > 0);
-    let seq_events = seq_trace.into_events();
+    let seq_events = seq_trace;
     for threads in [1usize, 4] {
         let mut par = Network::from_csr(g.csr().clone(), MessageBudget::CONGEST, 3)
             .with_threads(threads)
             .with_faults(plan.clone());
-        let mut par_trace = RingBufferSink::new(TRACE_CAP);
+        let mut par_trace: Vec<TraceEvent> = Vec::new();
         let par_err = par
             .run_traced(|_, _| GossipHash::new(2), 12, &mut par_trace)
             .unwrap_err();
         assert_eq!(seq_err, par_err);
         assert_eq!(seq.metrics(), par.metrics(), "{threads} threads");
-        assert_eq!(seq_events, par_trace.into_events(), "{threads} threads");
+        assert_eq!(seq_events, par_trace, "{threads} threads");
     }
 }
 

@@ -251,8 +251,8 @@ pub struct CompactStats {
 
 /// A fully dynamic (2k−1)-spanner over a fixed vertex set: edge
 /// insertions *and* deletions, with periodic compaction that re-clusters
-/// only the dirty region through the repo's construction hooks
-/// (`skeleton::recluster_region` / `baswana_sen::recluster_region`).
+/// only the dirty region through a construction hook such as
+/// `baswana_sen::recluster_region`.
 ///
 /// The maintained invariant is the edge cover: every current graph edge
 /// `{u, v}` has δ_S(u, v) ≤ 2k−1 inside the maintained subgraph S —
@@ -506,8 +506,8 @@ impl DynamicSpanner {
     ///
     /// The hook receives the materialized current graph and the sorted
     /// dirty region, and must return a subset of the graph's edges
-    /// spanning the induced subgraph within stretch 2k−1 (both
-    /// `recluster_region` hooks guarantee this).
+    /// spanning the induced subgraph within stretch 2k−1
+    /// (`baswana_sen::recluster_region` guarantees this).
     pub fn compact<F>(&mut self, recluster: F) -> CompactStats
     where
         F: FnOnce(&Graph, &[NodeId]) -> EdgeSet,

@@ -15,7 +15,7 @@
 
 pub mod distributed;
 
-use spanner_graph::{EdgeSet, Graph, NodeId};
+use spanner_graph::Graph;
 
 use crate::cluster::ContractionState;
 use crate::seq::Schedule;
@@ -120,35 +120,6 @@ pub fn build_sequential_no_contraction(g: &Graph, params: &SkeletonParams, seed:
     Spanner::from_edges(st.into_spanner())
 }
 
-/// Re-clusters only the subgraph induced by `region` (strictly ascending
-/// node ids): runs [`build_sequential`] on `g[region]` and returns the
-/// chosen edges as host-graph [`EdgeSet`] — the dirty-region hook of the
-/// log-structured update path, where an edit batch invalidates one
-/// locality and re-running the construction globally would defeat the
-/// point of incrementality.
-///
-/// With `region` = all nodes this is exactly `build_sequential(g, params,
-/// seed).edges` (the induced relabeling is the identity and edge ids are
-/// preserved), which is what the differential tests pin.
-///
-/// # Panics
-///
-/// Panics if `region` is not strictly ascending or out of range.
-pub fn recluster_region(
-    g: &Graph,
-    region: &[NodeId],
-    params: &SkeletonParams,
-    seed: u64,
-) -> EdgeSet {
-    let (sub, host) = g.induced_subgraph(region);
-    let local = build_sequential(&sub, params, seed);
-    let mut out = EdgeSet::new(g);
-    for e in local.edges.iter() {
-        out.insert(host[e.index()]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,39 +174,6 @@ mod tests {
             "size {per_node:.2} per node vs predicted {predicted:.2}"
         );
         assert!(s.is_spanning(&g));
-    }
-
-    #[test]
-    fn recluster_full_region_matches_build_sequential() {
-        let params = SkeletonParams::default();
-        let g = generators::connected_gnm(300, 1_500, 8);
-        let all: Vec<NodeId> = g.nodes().collect();
-        let hook = recluster_region(&g, &all, &params, 21);
-        let direct = build_sequential(&g, &params, 21);
-        assert_eq!(hook, direct.edges);
-    }
-
-    #[test]
-    fn recluster_subregion_spans_induced_subgraph() {
-        let params = SkeletonParams::default();
-        let g = generators::connected_gnm(200, 900, 4);
-        let region: Vec<NodeId> = g.nodes().filter(|v| v.0 % 3 != 0).collect();
-        let chosen = recluster_region(&g, &region, &params, 5);
-        // Every chosen edge lies inside the region...
-        let in_region: std::collections::BTreeSet<u32> = region.iter().map(|v| v.0).collect();
-        for e in chosen.iter() {
-            let (u, v) = g.endpoints(e);
-            assert!(in_region.contains(&u.0) && in_region.contains(&v.0));
-        }
-        // ...and the choice is a spanning subgraph of the induced graph.
-        let (sub, host) = g.induced_subgraph(&region);
-        let mut local = spanner_graph::EdgeSet::new(&sub);
-        for (i, e) in host.iter().enumerate() {
-            if chosen.contains(*e) {
-                local.insert(spanner_graph::EdgeId(i as u32));
-            }
-        }
-        assert!(Spanner::from_edges(local).is_spanning(&sub));
     }
 
     #[test]

@@ -108,11 +108,13 @@ pub struct DistanceEngine {
 }
 
 /// Reusable scratch for the row entry point [`DistanceEngine::rows_into`]:
-/// the bit-parallel scratch and the per-source BFS queue, so either
-/// strategy can serve a batch.
+/// the per-source BFS queue, and the bit-parallel scratch, allocated the
+/// first time a bit-parallel batch runs, so either strategy can serve a
+/// batch and the per-source one never pays for the `u64` words.
 #[derive(Debug, Clone)]
 pub struct RowsScratch {
-    ms: MsBfsScratch,
+    n: usize,
+    ms: Option<MsBfsScratch>,
     queue: Vec<NodeId>,
 }
 
@@ -120,9 +122,16 @@ impl RowsScratch {
     /// Scratch for an `n`-node engine.
     pub fn new(n: usize) -> Self {
         RowsScratch {
-            ms: MsBfsScratch::new(n),
+            n,
+            ms: None,
             queue: Vec::new(),
         }
+    }
+
+    /// The bit-parallel scratch, allocated on first use.
+    fn ms(&mut self) -> &mut MsBfsScratch {
+        let n = self.n;
+        self.ms.get_or_insert_with(|| MsBfsScratch::new(n))
     }
 }
 
@@ -346,7 +355,7 @@ impl DistanceEngine {
                     self.bfs(s, u32::MAX, &mut scratch.queue, row);
                 }
             }
-            Strategy::BitParallel => self.batch_distances_into(sources, &mut scratch.ms, out),
+            Strategy::BitParallel => self.batch_distances_into(sources, scratch.ms(), out),
         }
     }
 
@@ -649,7 +658,7 @@ impl DistanceEngine {
                 let s0 = lo + b * 64;
                 let sources: Vec<NodeId> = (s0..s0 + ecc.len()).map(|s| NodeId(s as u32)).collect();
                 // Levels only grow, so the last write per bit is the max.
-                self.ms_bfs(&sources, &mut scratch.ms, |_, mut bits, level| {
+                self.ms_bfs(&sources, scratch.ms(), |_, mut bits, level| {
                     while bits != 0 {
                         let i = bits.trailing_zeros() as usize;
                         bits &= bits - 1;

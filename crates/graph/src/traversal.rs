@@ -2,10 +2,14 @@
 //!
 //! * [`ClusterBfs`]: the one-center tree-growing BFS of the centralized
 //!   builders. It grows a cluster around a center, optionally truncated
-//!   per node and depth (the truncated Thorup–Zwick bunches and routing
-//!   clusters, the Fibonacci spanner's `ℓ^i`-balls, additive-2's BFS
-//!   trees), with the paper's minimum-identifier parent rule (Sect. 4.1)
-//!   and the tree edge ids read off the CSR walk. The oracle's and the
+//!   per node and depth (the Fibonacci spanner's `ℓ^i`-balls, additive-2's
+//!   BFS trees), with the paper's minimum-identifier parent rule (Sect.
+//!   4.1) and the tree edge ids read off the CSR walk. The truncated
+//!   Thorup–Zwick bunches and routing clusters, which admit `y` at depth
+//!   `d` only when `d < bound[y]`, grow by
+//!   [`ClusterBfs::grow_truncated`] over a [`Truncation`]: the CSR runs
+//!   reordered by descending `bound`, so a node's scan stops at the first
+//!   neighbour that can no longer be admitted. The oracle's and the
 //!   routing scheme's untruncated clusters, whole-component trees from
 //!   many centers, come instead from
 //!   [`DistanceEngine::batch_trees`](crate::DistanceEngine::batch_trees),
@@ -25,6 +29,7 @@
 //! [`DistanceEngine::nearest_sources`]: crate::DistanceEngine::nearest_sources
 //! [`MultiSourceFlat::parent`]: crate::engine::MultiSourceFlat::parent
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use crate::csr::CsrAdjacency;
@@ -223,12 +228,7 @@ impl ClusterBfs {
         max_depth: u32,
         mut keep: impl FnMut(NodeId, u32) -> bool,
     ) {
-        for &v in &self.visited {
-            self.dist[v.index()] = UNREACHABLE;
-        }
-        self.visited.clear();
-        self.dist[center.index()] = 0;
-        self.visited.push(center);
+        self.start(center);
         let mut head = 0;
         while let Some(&x) = self.visited.get(head) {
             head += 1;
@@ -252,6 +252,51 @@ impl ClusterBfs {
         }
     }
 
+    /// [`ClusterBfs::grow`] with `keep(y, d) = d < bound[y]` and no depth
+    /// bound, for the `bound` array `truncation` was built from: the same
+    /// members, depths, parents and tree edges, only the order of
+    /// [`ClusterBfs::tree`] within a level may differ.
+    ///
+    /// The scan of `x` at depth `dx` stops at the first neighbour `y` with
+    /// `bound[y] ≤ dx + 1`. Every later neighbour has a bound no larger,
+    /// and none of them matters: `keep` rejects it at depth `dx + 1`, and
+    /// it cannot already sit at depth `dx + 1`, since entering there
+    /// needed `dx + 1 < bound[y]`. So a truncated cluster costs the edges
+    /// that can still admit a member, not the runs of its members.
+    pub fn grow_truncated(&mut self, truncation: &Truncation, center: NodeId) {
+        let Truncation { offsets, runs } = truncation;
+        self.start(center);
+        let mut head = 0;
+        while let Some(&x) = self.visited.get(head) {
+            head += 1;
+            let dy = self.dist[x.index()] + 1;
+            let run = &runs[offsets[x.index()] as usize..offsets[x.index() + 1] as usize];
+            for &(b, y, e) in run {
+                if b <= dy {
+                    break;
+                }
+                let d = self.dist[y.index()];
+                if d == UNREACHABLE {
+                    self.dist[y.index()] = dy;
+                    self.parent[y.index()] = (x, e);
+                    self.visited.push(y);
+                } else if d == dy && x < self.parent[y.index()].0 {
+                    self.parent[y.index()] = (x, e);
+                }
+            }
+        }
+    }
+
+    /// Forgets the last cluster and seeds `center` at depth 0.
+    fn start(&mut self, center: NodeId) {
+        for &v in &self.visited {
+            self.dist[v.index()] = UNREACHABLE;
+        }
+        self.visited.clear();
+        self.dist[center.index()] = 0;
+        self.visited.push(center);
+    }
+
     /// Depth of `v` in the last cluster; [`UNREACHABLE`] if not reached.
     pub fn dist(&self, v: NodeId) -> u32 {
         self.dist[v.index()]
@@ -271,6 +316,41 @@ impl ClusterBfs {
             let (p, e) = self.parent[v.index()];
             (v, self.dist[v.index()], p, e)
         })
+    }
+}
+
+/// A graph's CSR runs reordered for [`ClusterBfs::grow_truncated`]:
+/// each node's run as `(bound[y], y, edge id)` triples by descending
+/// bound (ties by ascending `y`), indexed by the graph's own CSR offsets.
+///
+/// Built once per `bound` array in O(m log Δ); it takes 12 bytes per
+/// half-edge. The bound sits inline because the scan tests it on every
+/// neighbour it reads: `(y, edge id)` pairs plus a `bound[y]` read (8
+/// bytes per half-edge), or the three fields as separate arrays, were no
+/// faster on G(n, m), paths or grids, and the pairs were up to a fifth
+/// slower on G(n, m).
+#[derive(Debug, Clone)]
+pub struct Truncation<'a> {
+    offsets: &'a [u32],
+    runs: Vec<(u32, NodeId, EdgeId)>,
+}
+
+impl<'a> Truncation<'a> {
+    /// The truncation of `g` by `bound`, one entry per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` does not have one entry per node of `g`.
+    pub fn new(g: &'a Graph, bound: &[u32]) -> Self {
+        assert_eq!(bound.len(), g.node_count(), "one bound per node");
+        let (offsets, targets) = g.csr().parts();
+        let mut runs = Vec::with_capacity(targets.len());
+        for v in g.nodes() {
+            let start = runs.len();
+            runs.extend(g.incident(v).map(|(y, e)| (bound[y.index()], y, e)));
+            runs[start..].sort_unstable_by_key(|&(b, y, _)| (Reverse(b), y));
+        }
+        Truncation { offsets, runs }
     }
 }
 

@@ -12,7 +12,9 @@
 //! pair-sampling and girth references exist only for this suite and live
 //! below. The shared
 //! tree builders are held to the same references: `ClusterBfs::grow`
-//! against `bfs_tree` (unbounded) and the radius-bounded BFS, and
+//! against `bfs_tree` (unbounded) and the radius-bounded BFS,
+//! `ClusterBfs::grow_truncated` against `grow` with the same truncation as
+//! its `keep` test, and
 //! `MultiSourceFlat::parent` against `bfs_tree` when each component holds
 //! one source, and the 64-source `DistanceEngine::batch_trees` against
 //! `bfs_tree` from every source, deep paths included.
@@ -30,7 +32,7 @@ use spanner_graph::distance::{
 use spanner_graph::engine::MsBfsScratch;
 use spanner_graph::girth::girth;
 use spanner_graph::traversal::{
-    bfs_distances, bfs_distances_in_subgraph, bfs_tree, multi_source_bfs, ClusterBfs,
+    bfs_distances, bfs_distances_in_subgraph, bfs_tree, multi_source_bfs, ClusterBfs, Truncation,
 };
 use spanner_graph::weighted::{dijkstra, WeightedGraph, W_UNREACHABLE};
 use spanner_graph::{
@@ -259,6 +261,31 @@ fn check_batch_trees(g: &Graph, sources: &[NodeId], threads: usize) {
             }
         }
     }
+}
+
+/// A connected G(n, m), a path and a grid on one node set, their ids
+/// interleaved by a fixed stride so no component is a contiguous range,
+/// plus two isolated nodes.
+fn disjoint_components(n: usize, m: usize, seed: u64) -> Graph {
+    let parts = [
+        random_graph(n, m, 0, seed),
+        generators::path(n),
+        generators::grid(2 + n % 5, 2 + m % 5),
+    ];
+    let total = parts.iter().map(Graph::node_count).sum::<usize>() + 2;
+    // 7 is coprime to `total` unless 7 divides it; then fall back to 1.
+    let stride = if total % 7 == 0 { 1 } else { 7 };
+    let id = |i: usize| ((i * stride) % total) as u32;
+    let mut edges = Vec::new();
+    let mut base = 0;
+    for part in &parts {
+        edges.extend(
+            part.edges()
+                .map(|(_, u, v)| (id(base + u.index()), id(base + v.index()))),
+        );
+        base += part.node_count();
+    }
+    Graph::from_edges(total, edges)
 }
 
 /// A structured graph in one of six shapes: the high-diameter families the
@@ -515,6 +542,56 @@ proptest! {
             let want = flat(&bfs_distances_in_subgraph(g.csr(), center, radius));
             let got: Vec<u32> = g.nodes().map(|v| bfs.dist(v)).collect();
             prop_assert_eq!(got, want, "center {} radius {}", center, radius);
+        }
+    }
+
+    // Shapes: connected and sparse G(n, m), a grid, a path and disjoint
+    // components. Bounds: arbitrary, 0 and `u32::MAX` included, or the
+    // distances to a few random sources, as the oracle and routing use.
+    #[test]
+    fn cluster_bfs_truncated_matches_keep_reference(
+        shape in 0u8..5,
+        n in 2usize..=60,
+        m in 0usize..=180,
+        from_sources in any::<bool>(),
+        nsources in 0usize..6,
+        seed in any::<u64>(),
+    ) {
+        let g = match shape {
+            0 => random_graph(n, m, 0, seed),
+            1 => random_graph(n, m, 1, seed),
+            2 => generators::grid(2 + n % 9, 2 + m % 9),
+            3 => generators::path(n),
+            _ => disjoint_components(n, m, seed),
+        };
+        let nodes = g.node_count();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7f4a_7c15);
+        let bound: Vec<u32> = if from_sources {
+            let sources: Vec<NodeId> = (0..nsources)
+                .map(|_| NodeId(rng.gen_range(0..nodes as u32)))
+                .collect();
+            DistanceEngine::new(&g).nearest_sources(&sources).dist
+        } else {
+            (0..nodes)
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => 0,
+                    1 => u32::MAX,
+                    _ => rng.gen_range(1..8),
+                })
+                .collect()
+        };
+        let truncation = Truncation::new(&g, &bound);
+        // One scratch each for every center: each grow must forget the last.
+        let (mut want, mut got) = (ClusterBfs::new(nodes), ClusterBfs::new(nodes));
+        for center in g.nodes() {
+            want.grow(&g, center, u32::MAX, |y, d| d < bound[y.index()]);
+            got.grow_truncated(&truncation, center);
+            // Only the order within a level may differ.
+            let mut want_tree: Vec<_> = want.tree().collect();
+            let mut got_tree: Vec<_> = got.tree().collect();
+            want_tree.sort_unstable();
+            got_tree.sort_unstable();
+            prop_assert_eq!(got_tree, want_tree, "center {}", center);
         }
     }
 

@@ -22,7 +22,10 @@
 //! transposed clusters `C(w) = { v : δ(w, v) < δ(v, A_{i+1}) }`, each a
 //! BFS tree from `w` whose edges go into the induced spanner. Below the
 //! top level a cluster is truncated and grown alone by
-//! [`ClusterBfs::grow`]; a top-level centre (`A_{k−1}`) keeps its whole
+//! [`ClusterBfs::grow_truncated`] over the level's [`Truncation`], the
+//! CSR runs sorted by descending `δ(·, A_{i+1})`, so a member's scan
+//! stops at the first neighbour the cluster cannot admit; a top-level
+//! centre (`A_{k−1}`) keeps its whole
 //! component, and those trees come 64 centres at a time from
 //! [`DistanceEngine::batch_trees`]. The clusters are
 //! stored one per centre in a cluster table (a row of n slots for a
@@ -45,7 +48,7 @@ use rand::Rng;
 use spanner_graph::components::connected_components;
 use spanner_graph::distance::UNREACHABLE;
 use spanner_graph::engine::MultiSourceFlat;
-use spanner_graph::traversal::ClusterBfs;
+use spanner_graph::traversal::{ClusterBfs, Truncation};
 use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::rng::node_rng;
 use ultrasparse::Spanner;
@@ -126,10 +129,12 @@ impl DistanceOracle {
     /// Builds the oracle with `k` levels. Deterministic in `seed`.
     ///
     /// Expected preprocessing O(k·m·n^{1/k})-ish: a truncated
-    /// [`ClusterBfs`] per vertex below the top level, and the whole-graph
+    /// [`ClusterBfs`] per vertex below the top level, which scans only the
+    /// edges that can admit a member of its cluster, and the whole-graph
     /// BFS trees of the ~n^{1/k} top-level centres from
     /// [`DistanceEngine::batch_trees`], 64 centres per call; expected size
-    /// O(k·n^{1+1/k}).
+    /// O(k·n^{1+1/k}). While the clusters grow, each level below the top
+    /// holds a [`Truncation`] of 12 bytes per half-edge.
     ///
     /// # Panics
     ///
@@ -174,19 +179,24 @@ impl DistanceOracle {
         let comps = connected_components(g);
         let value = Value::Distance(&mut spanner_edges);
         let mut full = table::full_clusters(g, &comps, &top, value).into_iter();
+        let truncations: Vec<Truncation> = witness[1..]
+            .iter()
+            .map(|wit| Truncation::new(g, &wit.dist))
+            .collect();
         let mut bunch = ClusterTable::new(n);
         let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
-            let Some(trunc) = witness.get(level[w.index()] as usize + 1) else {
+            let Some(truncation) = truncations.get(level[w.index()] as usize) else {
                 bunch.push_full(full.next().expect("one cluster per top-level centre"));
                 continue;
             };
-            bfs.grow(g, w, u32::MAX, |y, d| d < trunc.dist[y.index()]);
+            bfs.grow_truncated(truncation, w);
             bunch.push(bfs.tree().map(|(v, d, _, e)| {
                 spanner_edges.insert(e);
                 (v, d)
             }));
         }
+        drop(truncations);
         // Witness paths: each v keeps its edge toward p_i(v) at every
         // level (needed so queries are realizable inside the spanner).
         for wit in &witness {

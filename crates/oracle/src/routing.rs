@@ -11,9 +11,12 @@
 //!   trees come from [`DistanceEngine::batch_trees`], 64 landmarks per
 //!   call;
 //! * any other vertex `w` has the truncated cluster
-//!   `C(w) = {x : δ(w,x) < δ(x, L)}`, grown by [`ClusterBfs`], and every
-//!   member keeps a next hop toward `w`; total size O(n^{3/2}) in
-//!   expectation.
+//!   `C(w) = {x : δ(w,x) < δ(x, L)}`, grown by
+//!   [`ClusterBfs::grow_truncated`] over one [`Truncation`] of the graph
+//!   by `δ(·, L)` (the CSR runs sorted by descending distance to `L`, so
+//!   a member's scan stops at the first neighbour `C(w)` cannot admit),
+//!   and every member keeps a next hop toward `w`; total size O(n^{3/2})
+//!   in expectation.
 //!
 //! Next hops are the minimum-id parents of those BFS trees, kept in one
 //! cluster table keyed by centre, landmark or not.
@@ -38,7 +41,7 @@ use rand::Rng;
 use crate::table::{self, ClusterTable, Value};
 use crate::QueryError;
 
-use spanner_graph::traversal::ClusterBfs;
+use spanner_graph::traversal::{ClusterBfs, Truncation};
 use spanner_graph::{DistanceEngine, Graph, NodeId, NO_SOURCE};
 use spanner_netsim::rng::node_rng;
 
@@ -103,6 +106,7 @@ impl RoutingScheme {
         // engine batches, and C(w) for any other w (see the module doc).
         let mut full = table::full_clusters(g, &comps, &landmarks, Value::NextHop).into_iter();
         let nearest = DistanceEngine::new(g).nearest_sources(&landmarks);
+        let truncation = Truncation::new(g, &nearest.dist);
         let mut table = ClusterTable::new(n);
         let mut bfs = ClusterBfs::new(n);
         for w in g.nodes() {
@@ -110,9 +114,10 @@ impl RoutingScheme {
                 table.push_full(full.next().expect("one cluster per landmark"));
                 continue;
             }
-            bfs.grow(g, w, u32::MAX, |y, d| d < nearest.dist[y.index()]);
+            bfs.grow_truncated(&truncation, w);
             table.push(bfs.tree().map(|(v, _, parent, _)| (v, parent.0)));
         }
+        drop(truncation);
 
         // Addresses: nearest landmark + the path down its tree, read off
         // the next hops toward it.
